@@ -833,8 +833,8 @@ let chaos_throughput_json () =
    reported speedup is against the single-group net_smr_loopback_n3
    closed loop measured the same way in this process.  The scaling
    contract is speedup ≈ min(shards, cores) × efficiency — the rows
-   carry the machine's core count so a 1-core container's ≈1.0 and a
-   4-core runner's ≈3+ are both the expected reading, not noise. *)
+   carry the machine's core count, and on a 1-core host the speedup is
+   null with a note: the domains there only contend for one core. *)
 let shard_throughput_json () =
   let baseline_cps ~count =
     let t = Net.Local.create ~period:16 ~n:3 () in
@@ -898,11 +898,16 @@ let shard_throughput_json () =
     let lat = Array.concat (Array.to_list lats) in
     Array.sort compare lat;
     let cps = float_of_int total /. elapsed in
+    let cores = Domain.recommended_domain_count () in
+    (* on one core the domains only take turns: the ratio would measure
+       contention, not scaling *)
+    let speedup =
+      if cores > 1 then Printf.sprintf "%.2f" (cps /. base)
+      else {|null, "note": "1 core: contention, not scaling"|}
+    in
     Printf.sprintf
-      {|    { "name": "net_shard_zipf_s%d_n3", "shards": %d, "cores": %d, "commands": %d, "commands_per_sec": %.0f, "baseline_net_smr_loopback_n3_per_sec": %.0f, "speedup_vs_single_group": %.2f, "latency_ms": { "p50": %.3f, "p90": %.3f, "p99": %.3f } }|}
-      shards shards
-      (Domain.recommended_domain_count ())
-      total cps base (cps /. base)
+      {|    { "name": "net_shard_zipf_s%d_n3", "shards": %d, "cores": %d, "commands": %d, "commands_per_sec": %.0f, "baseline_net_smr_loopback_n3_per_sec": %.0f, "speedup_vs_single_group": %s, "latency_ms": { "p50": %.3f, "p90": %.3f, "p99": %.3f } }|}
+      shards shards cores total cps base speedup
       (percentile lat 0.50) (percentile lat 0.90) (percentile lat 0.99)
   in
   let reconfig_row () =

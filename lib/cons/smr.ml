@@ -1,14 +1,6 @@
 module Int_map = Map.Make (Int)
 module Int_set = Set.Make (Int)
 
-module Key = struct
-  type t = int * int (* origin, seq *)
-
-  let compare = compare
-end
-
-module Key_set = Set.Make (Key)
-
 (* The pending queue sees one push per submitted command and one pop per
    batched command, at every replica — it must be O(1) amortised, not
    [xs @ [x]].  Classic two-list functional queue; [push_front_list]
@@ -50,19 +42,20 @@ type 'c state = {
   batch_max : int;  (* max commands per proposed batch *)
   pending : 'c cmd Fq.t;  (* known, not yet proposed by us; oldest first *)
   announce : 'c cmd list;  (* accepted since our last step; newest first *)
-  known : Key_set.t;  (* every command ever seen (dup suppression) *)
+  known : Seen.t;  (* every command ever seen (dup suppression) *)
   inflight : 'c cmd list Int_map.t;  (* instance -> our undecided proposal *)
   decided : 'c cmd list Int_map.t;  (* instance -> decided batch *)
   active : Int_set.t;  (* undecided instances — the idle-step working set *)
   applied_inst : int;  (* instances [0 .. applied_inst-1] applied *)
   applied : int;  (* commands output so far = log length *)
-  applied_keys : Key_set.t;  (* exactly-once guard across instances *)
+  applied_keys : Seen.t;  (* exactly-once guard across instances *)
   instances : 'c cmd list Quorum_paxos.state Int_map.t;
   next_seq : int;
   tick : int;  (* idle steps taken — the ballot-retry backoff clock *)
 }
 
-let key c = (c.origin, c.seq)
+let seen s c = Seen.mem s c.origin c.seq
+let see s c = Seen.add s c.origin c.seq
 
 let applied st = st.applied
 let applied_instances st = st.applied_inst
@@ -103,13 +96,13 @@ let init ~window ~batch_max ~n:_ self =
     batch_max;
     pending = Fq.empty;
     announce = [];
-    known = Key_set.empty;
+    known = Seen.empty;
     inflight = Int_map.empty;
     decided = Int_map.empty;
     active = Int_set.empty;
     applied_inst = 0;
     applied = 0;
-    applied_keys = Key_set.empty;
+    applied_keys = Seen.empty;
     instances = Int_map.empty;
     next_seq = 0;
     tick = 0;
@@ -139,13 +132,13 @@ let apply_ready st =
       let st, acc =
         List.fold_left
           (fun (st, acc) c ->
-            if Key_set.mem (key c) st.applied_keys then (st, acc)
+            if seen st.applied_keys c then (st, acc)
             else
               let idx = st.applied in
               ( {
                   st with
                   applied = idx + 1;
-                  applied_keys = Key_set.add (key c) st.applied_keys;
+                  applied_keys = see st.applied_keys c;
                 },
                 (idx, c) :: acc ))
           (st, acc) batch
@@ -160,10 +153,8 @@ let apply_ready st =
 let record_decision st k batch =
   if Int_map.mem k st.decided then st
   else begin
-    let keys =
-      List.fold_left (fun s c -> Key_set.add (key c) s) Key_set.empty batch
-    in
-    let in_batch c = Key_set.mem (key c) keys in
+    let keys = List.fold_left see Seen.empty batch in
+    let in_batch c = seen keys c in
     let lost =
       match Int_map.find_opt k st.inflight with
       | None -> []
@@ -174,7 +165,7 @@ let record_decision st k batch =
       decided = Int_map.add k batch st.decided;
       inflight = Int_map.remove k st.inflight;
       active = Int_set.remove k st.active;
-      known = Key_set.union st.known keys;
+      known = List.fold_left see st.known batch;
       pending =
         Fq.push_front_list lost
           (Fq.filter (fun c -> not (in_batch c)) st.pending);
@@ -260,7 +251,7 @@ let rec drive ctx st =
         match Fq.pop pending with
         | None -> (List.rev acc, pending)
         | Some (c, rest) ->
-          if Key_set.mem (key c) st.applied_keys then split i acc rest
+          if seen st.applied_keys c then split i acc rest
           else split (i + 1) (c :: acc) rest
     in
     let batch, rest = split 0 [] st.pending in
@@ -281,12 +272,12 @@ let on_step ctx st recv =
     | Some (_, Submit cs) ->
       ( List.fold_left
           (fun st c ->
-            if Key_set.mem (key c) st.known then st
+            if seen st.known c then st
             else
               {
                 st with
                 pending = Fq.push st.pending c;
-                known = Key_set.add (key c) st.known;
+                known = see st.known c;
               })
           st cs,
         [] )
@@ -338,7 +329,7 @@ let on_input _ctx st payload =
       next_seq = st.next_seq + 1;
       pending = Fq.push st.pending c;
       announce = c :: st.announce;
-      known = Key_set.add (key c) st.known;
+      known = see st.known c;
     }
   in
   (st, [])

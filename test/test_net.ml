@@ -403,6 +403,62 @@ let test_loopback_batch_crash_boundary () =
   Alcotest.(check int) "no command applied twice" (List.length keys)
     (List.length (List.sort_uniq compare keys))
 
+(* Submissions interleaved at all three origins, then the leader crashes
+   with batches in flight: on the survivors every (origin, seq) applies
+   exactly once and the logs are identical.  Followers' commands reach
+   each replica from several paths (their own Submit frames, decided
+   batches, re-proposals after failover), so this is the run where the
+   exactly-once key sets see keys above their per-origin watermark. *)
+let test_loopback_multi_origin_exactly_once () =
+  let n = 3 in
+  let cluster = Net.Local.create ~n ~window:8 ~batch_max:8 () in
+  let submitted = Array.make n [] in
+  let submit p =
+    let c = Printf.sprintf "p%d-%02d" p (List.length submitted.(p)) in
+    submitted.(p) <- c :: submitted.(p);
+    Net.Local.submit cluster p c
+  in
+  for i = 0 to 59 do
+    submit (i mod n);
+    if i mod 4 = 3 then submit ((i / 4) mod n);
+    Net.Local.step cluster
+  done;
+  Net.Local.crash cluster 0;
+  for i = 0 to 19 do
+    submit (1 + (i mod 2));
+    Net.Local.step cluster
+  done;
+  let payloads p =
+    List.map (fun (_, _, _, c) -> c) (log_view (Net.Local.applied_log cluster p))
+  in
+  let survivors_done () =
+    applied_at cluster 1 = applied_at cluster 2
+    && List.for_all
+         (fun p ->
+           let log = payloads p in
+           List.for_all (fun c -> List.mem c log) (submitted.(1) @ submitted.(2)))
+         [ 1; 2 ]
+  in
+  ignore (run_until cluster survivors_done);
+  let l1 = log_view (Net.Local.applied_log cluster 1) in
+  let l2 = log_view (Net.Local.applied_log cluster 2) in
+  Alcotest.(check bool) "survivor logs identical" true (l1 = l2);
+  List.iteri
+    (fun i (slot, _, _, _) -> Alcotest.(check int) "survivor log gapless" i slot)
+    l1;
+  let keys = List.map (fun (_, o, s, _) -> (o, s)) l1 in
+  Alcotest.(check int) "no (origin, seq) applied twice" (List.length keys)
+    (List.length (List.sort_uniq compare keys));
+  (* each origin's seq k carries its k-th submission *)
+  List.iter
+    (fun (_, o, s, c) ->
+      Alcotest.(check string) "key matches its payload"
+        (Printf.sprintf "p%d-%02d" o s) c)
+    l1;
+  Alcotest.(check int) "every survivor-origin command applied"
+    (List.length submitted.(1) + List.length submitted.(2))
+    (List.length (List.filter (fun (_, o, _, _) -> o <> 0) l1))
+
 (* An idle cluster must not burn consensus instances: no commands, no
    ballots, no empty batches nailed into the log. *)
 let test_loopback_idle_burns_no_instances () =
@@ -809,6 +865,8 @@ let () =
             `Quick test_loopback_pipelined_agreement;
           Alcotest.test_case "batch at crash boundary applies exactly once"
             `Quick test_loopback_batch_crash_boundary;
+          Alcotest.test_case "multi-origin exactly once across failover"
+            `Quick test_loopback_multi_origin_exactly_once;
           Alcotest.test_case "idle ticks burn no instances" `Quick
             test_loopback_idle_burns_no_instances;
           Alcotest.test_case "out-of-order install applies in slot order"

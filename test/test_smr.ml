@@ -250,6 +250,151 @@ let prop_smr_total_order =
             logs)
         logs)
 
+(* --- Cons.Seen against a reference set of (origin, seq) pairs ------------ *)
+
+module Pair_set = Set.Make (struct
+  type t = int * int
+
+  let compare = compare
+end)
+
+type seen_op = Add of int * int | Next of int
+
+let interesting_seqs = [ -2; -1; 0; 1; 2; max_int - 1; max_int; min_int ]
+
+let seen_op_gen =
+  let open QCheck.Gen in
+  let origin = int_range 0 4 in
+  let seq =
+    frequency
+      [
+        (6, int_range 0 24);
+        (2, oneofl interesting_seqs);
+        (1, int_range (-5) (-1));
+      ]
+  in
+  frequency
+    [
+      (5, map (fun o -> Next o) origin);
+      (3, map2 (fun o s -> Add (o, s)) origin seq);
+    ]
+
+let pp_seen_op = function
+  | Add (o, s) -> Printf.sprintf "add %d %d" o s
+  | Next o -> Printf.sprintf "next %d" o
+
+(* The in-order case: the smallest non-negative seq of [o] not yet
+   present. *)
+let next_seq ref_set o =
+  let rec go s = if Pair_set.mem (o, s) ref_set then go (s + 1) else s in
+  go 0
+
+(* [seen] is in canonical form, holds exactly [ref_set]'s keys per origin
+   it lists, and [mem] agrees with the reference on every present key and
+   on a fixed probe set. *)
+let seen_agrees seen ref_set =
+  let canonical =
+    List.for_all
+      (fun (o, floor, above) ->
+        let ref_o = Pair_set.filter (fun (o', _) -> o' = o) ref_set in
+        floor >= 0
+        && List.for_all (fun s -> s < 0 || s > floor) above
+        && List.for_all
+             (fun s -> Pair_set.mem (o, s) ref_o)
+             (above @ List.init floor Fun.id)
+        && floor + List.length above = Pair_set.cardinal ref_o)
+      (Cons.Seen.watermarks seen)
+  in
+  let probes =
+    Pair_set.elements ref_set
+    @ List.concat_map
+        (fun o ->
+          List.map (fun s -> (o, s)) (interesting_seqs @ List.init 30 Fun.id))
+        [ 0; 1; 2; 3; 4 ]
+  in
+  canonical
+  && List.for_all
+       (fun (o, s) -> Cons.Seen.mem seen o s = Pair_set.mem (o, s) ref_set)
+       probes
+
+let prop_seen_model =
+  QCheck.Test.make ~name:"Cons.Seen agrees with a reference pair set"
+    ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_seen_op ops))
+       QCheck.Gen.(list_size (int_range 0 120) seen_op_gen))
+    (fun ops ->
+      let rec go seen ref_set = function
+        | [] -> true
+        | Next o :: rest -> add seen ref_set o (next_seq ref_set o) rest
+        | Add (o, s) :: rest -> add seen ref_set o s rest
+      and add seen ref_set o s rest =
+        let seen = Cons.Seen.add seen o s in
+        let ref_set = Pair_set.add (o, s) ref_set in
+        seen_agrees seen ref_set && go seen ref_set rest
+      in
+      go Cons.Seen.empty Pair_set.empty ops)
+
+(* A contiguous run collapses to its watermark, whatever the arrival order. *)
+let test_seen_collapses () =
+  let seen =
+    List.fold_left
+      (fun t s -> Cons.Seen.add t 3 s)
+      Cons.Seen.empty [ 4; 2; 0; 3; 1; 7; 5 ]
+  in
+  Alcotest.(check (list (triple int int (list int))))
+    "floor 6, one straggler" [ (3, 6, [ 7 ]) ] (Cons.Seen.watermarks seen);
+  let seen = Cons.Seen.add seen 3 (-1) in
+  Alcotest.(check bool) "-1 present once added" true
+    (Cons.Seen.mem seen 3 (-1));
+  Alcotest.(check bool) "-2 still absent" false (Cons.Seen.mem seen 3 (-2))
+
+(* Keys a decoded frame may carry but no origin generates (seq -1,
+   max_int) are deduplicated exactly like ordinary ones: stepping the
+   protocol with the same Submit/decision script over [(a, b)] = (-1,
+   max_int) and (3, 7) must give the same observable trace.  A watermark
+   that counted seq < floor as seen would drop -1 on arrival. *)
+let dedup_script (a, b) =
+  let proto = Cons.Smr.make ~window:4 () in
+  (* Ω trusts process 1, so process 0 only queues: backlog counts what
+     it accepted *)
+  let ctx =
+    { Sim.Protocol.self = 0; n = 3; now = 0; fd = (1, Sim.Pidset.full 3) }
+  in
+  let cmd seq payload = { Cons.Smr.origin = 1; seq; payload } in
+  let submit st cs =
+    fst (proto.Sim.Protocol.on_step ctx st (Some (1, Cons.Smr.Submit cs)))
+  in
+  let st = proto.Sim.Protocol.init ~n:3 0 in
+  let st = submit st [ cmd 0 "z" ] in
+  let b1 = Cons.Smr.backlog st in
+  let st = submit st [ cmd a "a"; cmd b "b" ] in
+  let b2 = Cons.Smr.backlog st in
+  let st = submit st [ cmd b "b"; cmd a "a" ] in
+  let b3 = Cons.Smr.backlog st in
+  (* the same keys decided twice, in two instances: applied once *)
+  let st, entries =
+    Cons.Smr.install st
+      [
+        (0, [ cmd a "a"; cmd b "b" ]);
+        (1, [ cmd b "b"; cmd 0 "z"; cmd a "a" ]);
+      ]
+  in
+  let b4 = Cons.Smr.backlog st in
+  let st = submit st [ cmd a "a"; cmd b "b"; cmd 0 "z" ] in
+  ( [ b1; b2; b3; b4; Cons.Smr.backlog st; Cons.Smr.applied st ],
+    List.map (fun (i, c) -> (i, c.Cons.Smr.payload)) entries )
+
+let test_edge_seqs_dedup () =
+  let counts, entries = dedup_script (-1, max_int) in
+  Alcotest.(check (list int))
+    "backlog after each frame, then applied" [ 1; 3; 3; 0; 0; 3 ] counts;
+  Alcotest.(check (list (pair int string)))
+    "each key applied exactly once" [ (0, "a"); (1, "b"); (2, "z") ] entries;
+  Alcotest.(check bool) "same trace as ordinary keys" true
+    (dedup_script (-1, max_int) = dedup_script (3, 7)
+    && dedup_script (min_int, max_int - 1) = dedup_script (3, 7))
+
 let () =
   Alcotest.run "smr"
     [
@@ -270,6 +415,14 @@ let () =
         [
           Alcotest.test_case "linearizable (Cor 3 reduction)" `Slow
             test_register_from_consensus;
+        ] );
+      ( "seen",
+        [
+          QCheck_alcotest.to_alcotest prop_seen_model;
+          Alcotest.test_case "contiguous runs collapse" `Quick
+            test_seen_collapses;
+          Alcotest.test_case "seq -1 and max_int deduplicated like any key"
+            `Quick test_edge_seqs_dedup;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_smr_total_order ]);
     ]
