@@ -625,8 +625,14 @@ type mc_replay_report = {
 }
 
 let mc_replay ?trace name ~n ~seed ~schedule =
+  (* An illegal crash list is a usage error, not a clean replay:
+     [Mc.Harness.replay] would turn it into a report with no violation. *)
   match
-    try Ok (Mc.Schedule.of_string schedule) with Invalid_argument e -> Error e
+    try
+      let s = Mc.Schedule.of_string schedule in
+      ignore (Mc.Schedule.fp ~n s);
+      Ok s
+    with Invalid_argument e -> Error e
   with
   | Error e -> Error (Printf.sprintf "bad schedule: %s" e)
   | Ok sched -> (
@@ -658,6 +664,6 @@ let mc_replay ?trace name ~n ~seed ~schedule =
       Ok
         {
           re_schedule = Mc.Schedule.to_string sched;
-          re_outputs = r.Mc.Harness.outputs;
+          re_outputs = Lazy.force r.Mc.Harness.outputs;
           re_violation = r.Mc.Harness.violation;
         })

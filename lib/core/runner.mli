@@ -206,8 +206,11 @@ type mc_replay_report = {
 }
 
 (** [mc_replay name ~n ~seed ~schedule] replays a serialized counterexample
-    schedule against a registered target.  [?trace] writes the replayed
-    run's JSONL observability record to the given path. *)
+    schedule against a registered target.  A schedule that does not parse,
+    or whose crash list is not a legal failure pattern for [n] processes
+    (a pid out of range, a pid crashed twice, a negative time, no correct
+    process), is an [Error "bad schedule: …"].  [?trace] writes the
+    replayed run's JSONL observability record to the given path. *)
 val mc_replay :
   ?trace:string ->
   string ->

@@ -476,7 +476,8 @@ let search ?(budget = 10_000) ?(prune = true) ?prune_mod_time ?(shrink = true)
           if (not prune) || !consumed < depth then true
           else begin
             let key =
-              if prune_mod_time then digest else Hashtbl.hash (digest, now)
+              if prune_mod_time then digest ()
+              else Hashtbl.hash (digest (), now)
             in
             if Hashtbl.mem seen key then begin
               incr pruned;

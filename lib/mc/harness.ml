@@ -19,7 +19,7 @@ type run_report = {
   choices : int list;
   stopped : [ `Condition | `Quiescent | `Step_limit | `Hook ];
   steps : int;
-  outputs : string;
+  outputs : string Lazy.t;
 }
 
 type explorer = [ `Exhaustive | `Pct | `Random | `Dpor ]
@@ -137,7 +137,7 @@ let run ?(seed = 1) ?round_hook ?sink target ~fp scheduler =
     choices = recorded ();
     stopped = trace.Sim.Trace.stopped;
     steps = trace.Sim.Trace.steps;
-    outputs = pp_events target.pp_out trace.Sim.Trace.outputs;
+    outputs = lazy (pp_events target.pp_out trace.Sim.Trace.outputs);
   }
 
 let replay ?(seed = 1) ?sink target ~n schedule =
@@ -148,7 +148,7 @@ let replay ?(seed = 1) ?sink target ~n schedule =
       choices = [];
       stopped = `Condition;
       steps = 0;
-      outputs = "(malformed schedule: illegal failure pattern)";
+      outputs = Lazy.from_val "(malformed schedule: illegal failure pattern)";
     }
   | Some fp ->
     run ~seed ?sink target ~fp

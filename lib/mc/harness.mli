@@ -37,7 +37,8 @@ type run_report = {
   choices : int list;  (** the recorded, replayable choice sequence *)
   stopped : [ `Condition | `Quiescent | `Step_limit | `Hook ];
   steps : int;
-  outputs : string;  (** rendered output events, for reporting *)
+  outputs : string Lazy.t;
+      (** rendered output events, for reporting; rendered when forced *)
 }
 
 (** The inner schedule explorer every search front-end chooses between.
@@ -100,7 +101,7 @@ val validate_opts : opts -> (unit, string) result
     replaying it with a sink — see [Core.Runner.model_check]'s [~trace]. *)
 val run :
   ?seed:int ->
-  ?round_hook:(now:int -> digest:int -> steps:int -> bool) ->
+  ?round_hook:(now:int -> digest:(unit -> int) -> steps:int -> bool) ->
   ?sink:Sim.Event.sink ->
   ('st, 'msg, 'fd, 'inp, 'out) target ->
   fp:Sim.Failure_pattern.t ->

@@ -77,15 +77,17 @@ type run_report = {
   choices : int list;  (** the recorded, replayable choice sequence *)
   stopped : [ `Quiescent | `Round_limit | `Hook ];
   steps : int;  (** node steps taken *)
-  outputs : string;  (** rendered output events, for reporting *)
+  outputs : string Lazy.t;
+      (** rendered output events, for reporting; rendered when forced *)
 }
 
 (** One run under [sched].  [round_hook] is called after every round
-    with a state digest (protocol states, link layers, hub, output
-    history — node [now] excluded); returning [false] cuts the run
+    with a thunk computing a state digest (protocol states, link layers,
+    hub, output history — node [now] excluded), valid until the hook
+    returns and computed only if called; returning [false] cuts the run
     ([`Hook]) — the explorer's pruning hook. *)
 val run :
-  ?round_hook:(round:int -> digest:int -> steps:int -> bool) ->
+  ?round_hook:(round:int -> digest:(unit -> int) -> steps:int -> bool) ->
   ('st, 'msg, 'inp, 'out) target ->
   Sim.Scheduler.t ->
   run_report

@@ -223,7 +223,8 @@ let search_ordered ~(o : Harness.opts) ~fps target ~n =
       else if !consumed < depth then true
       else begin
         let key =
-          if prune_mod_time then digest else Hashtbl.hash (digest, now)
+          if prune_mod_time then digest ()
+          else Hashtbl.hash (digest (), now)
         in
         hooks := (key, !consumed, steps) :: !hooks;
         let seen_here =
@@ -694,7 +695,8 @@ let search_unordered ~(o : Harness.opts) ~fps target ~n =
       else if !consumed < depth then true
       else begin
         let key =
-          salt ~pat (if prune_mod_time then digest else Hashtbl.hash (digest, now))
+          salt ~pat
+            (if prune_mod_time then digest () else Hashtbl.hash (digest (), now))
         in
         if Filter.mem filter key then begin
           cut_at := Some !consumed;

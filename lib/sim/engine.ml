@@ -8,7 +8,7 @@ type ('msg, 'fd, 'inp, 'out) config = {
   stop : 'out Trace.event list -> bool;
   detect_quiescence : bool;
   scheduler : Scheduler.t option;
-  round_hook : (now:int -> digest:int -> steps:int -> bool) option;
+  round_hook : (now:int -> digest:(unit -> int) -> steps:int -> bool) option;
   sink : Event.sink option;
   render_out : ('out -> string) option;
 }
@@ -55,9 +55,12 @@ let prepare_inputs ~n inputs : _ pending_inputs =
 (* A structural digest of everything that determines the run's future except
    the clock: protocol states, buffered messages, undelivered inputs and the
    outputs emitted so far (the stop condition and the model checker's
-   invariants read them).  Marshalling gives a deep, collision-resistant
-   digest; states that cannot be marshalled fall back to a bounded
-   structural hash. *)
+   invariants read them).  The process states are marshalled and hashed
+   with MD5, so the state component looks at the whole structure; states
+   that cannot be marshalled fall back to a bounded structural hash.  The
+   four components are then folded by [Hashtbl.hash] into a 30-bit key, so
+   distinct states can share a digest: a seen-set keyed by it can merge
+   two states that differ. *)
 let state_digest states net inputs outputs =
   let st_h =
     try Hashtbl.hash (Digest.bytes (Marshal.to_bytes states [ Marshal.Closures ]))
@@ -232,7 +235,7 @@ let run cfg (proto : _ Protocol.t) =
        end;
        (match cfg.round_hook with
        | Some hook ->
-         let digest = state_digest states net inputs !outputs in
+         let digest () = state_digest states net inputs !outputs in
          if not (hook ~now:!now ~digest ~steps:!steps) then begin
            stopped := `Hook;
            raise Exit

@@ -30,14 +30,21 @@ type ('msg, 'fd, 'inp, 'out) config = {
           seeded-RNG scheduler derived from [seed].  Supplying a recording
           or replaying scheduler is how the model checker enumerates and
           reproduces schedules. *)
-  round_hook : (now:int -> digest:int -> steps:int -> bool) option;
-      (** called after every completed round with the clock, a structural
-          digest of the global state (process states, message buffer,
-          pending inputs, outputs) and the number of process steps executed
-          so far; return [false] to end the run with [stopped = `Hook].
-          The model checker uses it to prune revisited states, and the
-          parallel explorer uses [steps] to account a run cut at this hook
-          exactly as if it had physically stopped here. *)
+  round_hook : (now:int -> digest:(unit -> int) -> steps:int -> bool) option;
+      (** called after every completed round with the clock, a thunk
+          computing a structural digest of the global state (process
+          states, message buffer, pending inputs, outputs) and the number
+          of process steps executed so far; return [false] to end the run
+          with [stopped = `Hook].  The digest costs a marshal and an MD5 of
+          every process state, so it is computed only when [digest ()] is
+          called, and only a call made before the hook returns sees this
+          round's state.  Forcing it or not never changes the run, and a
+          forced digest is the same value whichever earlier rounds forced
+          theirs.  It is a 30-bit key: distinct states can share one.  The
+          model checker uses it to prune revisited states (only past the
+          prefix it replays), and the parallel explorer uses [steps] to
+          account a run cut at this hook exactly as if it had physically
+          stopped here. *)
   sink : Event.sink option;
       (** observability sink receiving typed events (send / deliver / crash
           / fd-query / input / output) and phase spans (schedule, delivery,
@@ -62,7 +69,7 @@ val config :
   ?stop:('out Trace.event list -> bool) ->
   ?detect_quiescence:bool ->
   ?scheduler:Scheduler.t ->
-  ?round_hook:(now:int -> digest:int -> steps:int -> bool) ->
+  ?round_hook:(now:int -> digest:(unit -> int) -> steps:int -> bool) ->
   ?sink:Event.sink ->
   ?render_out:('out -> string) ->
   fd:(Pid.t -> int -> 'fd) ->

@@ -152,11 +152,14 @@ let test_shrinker_minimizes () =
   Alcotest.(check bool) "within replay budget" true (replays <= 400)
 
 (* Quality contract on what the searches actually hand the user: a shrunk
-   counterexample (1) still violates, (2) replays byte-identically — the
-   whole report, outputs and all, serialized with closures — and (3) is a
-   fixed point of the shrinker, so re-shrinking a reported schedule never
+   counterexample (1) still violates, (2) replays byte-identically — every
+   field of the report, the rendered outputs included — and (3) is a fixed
+   point of the shrinker, so re-shrinking a reported schedule never
    changes it. *)
-let bytes_of_report r = Marshal.to_bytes r [ Marshal.Closures ]
+let bytes_of_report (r : Mc.Harness.run_report) =
+  Marshal.to_bytes
+    (r.violation, r.choices, r.stopped, r.steps, Lazy.force r.outputs)
+    []
 
 let check_shrink_quality name t ~n (c : Mc.Harness.counterexample) =
   let s = c.Mc.Harness.schedule in
@@ -709,6 +712,36 @@ let test_net_ec_no_sync_caught () =
     Alcotest.(check bool) "replay reproduces the divergence" true
       (rep.Mc.Net_harness.violation <> None)
 
+(* ---- pinned explorer counts ----------------------------------------- *)
+
+(* Schedule, prune and step counts of searches whose every pruning
+   decision hangs on a state digest.  When and how often the explorers
+   compute digests must not move a single decision, so these must not
+   move; a change to the digest itself moves them on purpose. *)
+let check_counts name (r : Mc.Exhaustive.report) ~schedules ~pruned ~steps =
+  Alcotest.(check bool) (name ^ ": complete") true r.complete;
+  Alcotest.(check bool) (name ^ ": clean") true (r.counterexample = None);
+  Alcotest.(check (list int))
+    (name ^ ": schedules, pruned, steps")
+    [ schedules; pruned; steps ]
+    [ r.schedules; r.pruned; r.steps ]
+
+let test_pinned_explorer_counts () =
+  let ring = Mc.Targets.fd_ring ~n:3 in
+  check_counts "exhaustive fd.ring n=3 failure-free"
+    (Mc.Exhaustive.search ~budget:100_000 ring ~fp:(ff 3))
+    ~schedules:6 ~pruned:0 ~steps:18;
+  check_counts "exhaustive fd.ring n=3 crashes=0@0"
+    (Mc.Exhaustive.search ~budget:100_000 ring
+       ~fp:(Sim.Failure_pattern.make ~n:3 [ (0, 0) ]))
+    ~schedules:2_272 ~pruned:2_020 ~steps:58_528;
+  check_counts "dpor regs.abd n=2"
+    (Mc.Dpor.search ~budget:50_000 (Mc.Targets.abd ~n:2) ~fp:(ff 2))
+    ~schedules:34 ~pruned:10 ~steps:1_027;
+  check_counts "net-harness abd over node+rel n=2"
+    (Mc.Net_harness.search ~budget:20_000 (Mc.Net_targets.abd_rel ~n:2))
+    ~schedules:6_593 ~pruned:6_577 ~steps:165_802
+
 let () =
   Alcotest.run "mc"
     [
@@ -810,5 +843,10 @@ let () =
           Alcotest.test_case "n=3 crash adversary exhausted, agrees" `Quick
             test_fd_ring_exhausted;
           Alcotest.test_case "dpor parity" `Quick test_fd_ring_dpor_parity;
+        ] );
+      ( "pinned",
+        [
+          Alcotest.test_case "explorer counts" `Quick
+            test_pinned_explorer_counts;
         ] );
     ]

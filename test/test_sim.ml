@@ -253,6 +253,91 @@ let test_engine_inputs_delivered () =
   Alcotest.(check (list int)) "p1 echo" [ 20 ] (Sim.Trace.outputs_of trace 1);
   Alcotest.(check (list int)) "p2 echo" [ 30 ] (Sim.Trace.outputs_of trace 2)
 
+(* A relay ring that keeps inputs, messages, outputs and states changing
+   for many rounds: an input adds to a process's total and starts a token
+   that hops around the ring; each hop adds its count to the receiver's
+   total and outputs the new total. *)
+module Relay = struct
+  let hops = 30
+
+  let proto : (int, int, unit, int, int) Sim.Protocol.t =
+    {
+      init = (fun ~n:_ _ -> 0);
+      on_step =
+        (fun ctx total recv ->
+          match recv with
+          | Some (_, hop) when hop < hops ->
+            ( total + hop,
+              [
+                Sim.Protocol.Output (total + hop);
+                Sim.Protocol.Send ((ctx.self + 1) mod ctx.n, hop + 1);
+              ] )
+          | Some _ | None -> (total, []));
+      on_input =
+        (fun ctx total v ->
+          (total + v, [ Sim.Protocol.Send ((ctx.self + 1) mod ctx.n, 0) ]));
+    }
+end
+
+(* The round hook's digest is a thunk: forcing it never changes the run,
+   and the digest forced in a round does not depend on which earlier
+   rounds forced theirs (the model checker forces it only past the prefix
+   it replays). *)
+let test_engine_lazy_digest () =
+  let fp = Sim.Failure_pattern.make ~n:3 [ (2, 150) ] in
+  let run ?round_hook () =
+    Sim.Engine.run
+      (Sim.Engine.config
+         ~policy:(Sim.Network.Random_delay { max_delay = 5; lambda_prob = 0.3 })
+         ~seed:7
+         ~inputs:[ (0, 0, 1); (10, 1, 10); (25, 2, 100); (60, 0, 1_000) ]
+         ?round_hook
+         ~fd:(fun _ _ -> ())
+         fp)
+      Relay.proto
+  in
+  (* A hook that forces the digest from round [from] on and records it
+     against the round's index. *)
+  let forcing ~from =
+    let rounds = ref 0 and digests = ref [] in
+    let hook ~now:_ ~digest ~steps:_ =
+      if !rounds >= from then digests := (!rounds, digest ()) :: !digests;
+      incr rounds;
+      true
+    in
+    (hook, fun () -> (!rounds, List.rev !digests))
+  in
+  let bare = run () in
+  let hook, recorded = forcing ~from:0 in
+  let always = run ~round_hook:hook () in
+  let rounds, every_digest = recorded () in
+  let k = rounds / 2 in
+  let hook, recorded = forcing ~from:k in
+  let late = run ~round_hook:hook () in
+  let _, late_digests = recorded () in
+  Alcotest.(check bool) "the run spans many rounds" true (rounds >= 40);
+  Alcotest.(check bool) "the digest moves with the state" true
+    (List.length (List.sort_uniq compare (List.map snd every_digest)) > 10);
+  let events (t : (int, int) Sim.Trace.t) =
+    List.map (fun (e : _ Sim.Trace.event) -> (e.time, e.pid, e.value)) t.outputs
+  in
+  List.iter
+    (fun (name, (t : (int, int) Sim.Trace.t)) ->
+      Alcotest.(check (list (triple int int int)))
+        (name ^ ": outputs") (events bare) (events t);
+      Alcotest.(check (list int))
+        (name ^ ": steps, ticks, sent, delivered")
+        [ bare.steps; bare.ticks; bare.messages_sent; bare.messages_delivered ]
+        [ t.steps; t.ticks; t.messages_sent; t.messages_delivered ];
+      Alcotest.(check bool) (name ^ ": stopped") true (bare.stopped = t.stopped);
+      Alcotest.(check (array int))
+        (name ^ ": final states") bare.final_states t.final_states)
+    [ ("forced every round", always); ("forced from round k", late) ];
+  Alcotest.(check (list (pair int int)))
+    "digests forced from round k equal the always-forced ones"
+    (List.filter (fun (r, _) -> r >= k) every_digest)
+    late_digests
+
 let test_vclock () =
   let open Sim.Vclock in
   let a = zero 3 in
@@ -562,6 +647,8 @@ let () =
           Alcotest.test_case "quiescence" `Quick test_engine_quiescence;
           Alcotest.test_case "inputs delivered" `Quick
             test_engine_inputs_delivered;
+          Alcotest.test_case "lazy digest never changes the run" `Quick
+            test_engine_lazy_digest;
         ] );
       ("vclock", [ Alcotest.test_case "laws" `Quick test_vclock ]);
       ( "network",
