@@ -756,17 +756,12 @@ let batch_throughput_json () =
    partition+heal run reporting the measured Ω reconvergence latency. *)
 let chaos_throughput_json () =
   let lossy_row ~n ~drop ~count =
-    let ctrl =
-      Net.Nemesis.create ~seed:1 ~n
+    let h =
+      Net.Chaos.create ~seed:1 ~n
         (chaos_schedule (Printf.sprintf "at 0 drop * %g" drop))
     in
-    let t =
-      Net.Local.create ~period:16
-        ~wrap:(fun _ tr ->
-          Net.Rel.transport
-            (Net.Rel.wrap ~resend_every:8 (Net.Nemesis.wrap ctrl tr)))
-        ~n ()
-    in
+    let ctrl = Net.Chaos.ctrl h 0 in
+    let t = Net.Local.create ~period:16 ~wrap:(Net.Chaos.wrap h 0) ~n () in
     let step () =
       Net.Nemesis.tick ctrl;
       Net.Local.step t
@@ -929,16 +924,13 @@ let shard_throughput_json () =
     let elapsed = Unix.gettimeofday () -. t0 in
     Printf.sprintf
       {|    { "name": "net_shard_reconfig_n3", "shards": %d, "rounds": %d, "rounds_per_sec": %.0f, "reconfig_done": %b, "final_epochs": [%s], "reads_ok": %d, "frames_dropped": %d, "invariants_ok": %b }|}
-      cfg.Shard.Chaos.shards r.Shard.Chaos.rounds_run
-      (float_of_int r.Shard.Chaos.rounds_run /. elapsed)
-      r.Shard.Chaos.reconfig_done
+      cfg.Shard.Chaos.shards r.Net.Chaos.rounds_run
+      (float_of_int r.rounds_run /. elapsed)
+      r.detail.reconfig_done
       (String.concat ", "
-         (Array.to_list (Array.map string_of_int r.Shard.Chaos.epochs)))
-      r.Shard.Chaos.reads_ok
-      (Array.fold_left
-         (fun acc s -> acc + s.Net.Nemesis.n_dropped)
-         0 r.Shard.Chaos.nemesis)
-      (Shard.Chaos.ok r)
+         (Array.to_list (Array.map string_of_int r.detail.epochs)))
+      r.detail.reads_ok
+      r.nemesis.Net.Nemesis.n_dropped (Net.Chaos.ok r)
   in
   String.concat ",\n"
     [
@@ -962,23 +954,24 @@ let ec_throughput_json () =
     | Some (c, h) -> h - c
     | None -> 0
   in
-  let ec_total = Array.fold_left ( + ) 0 r.Ec.Chaos.ec_puts in
-  let converged = Option.value r.Ec.Chaos.converged_in ~default:(-1) in
+  let d = r.Net.Chaos.detail in
+  let ec_total = Array.fold_left ( + ) 0 d.ec_puts in
+  let converged = Option.value d.converged_in ~default:(-1) in
   String.concat ",\n"
     [
       Printf.sprintf
         {|    { "name": "net_ec_partition_n%d", "rounds": %d, "rounds_per_sec": %.0f, "cut_rounds": %d, "ec_puts_in_partition": %d, "ec_puts_per_kround_in_partition": %.0f, "smr_frozen": %b, "invariants_ok": %b }|}
-        n r.Ec.Chaos.rounds_run
-        (float_of_int r.Ec.Chaos.rounds_run /. elapsed)
-        cut_rounds r.Ec.Chaos.ec_puts_in_partition
+        n r.rounds_run
+        (float_of_int r.rounds_run /. elapsed)
+        cut_rounds d.ec_puts_in_partition
         (1000.
-        *. float_of_int r.Ec.Chaos.ec_puts_in_partition
+        *. float_of_int d.ec_puts_in_partition
         /. float_of_int (max 1 cut_rounds))
-        r.Ec.Chaos.smr_frozen_in_partition (Ec.Chaos.ok r);
+        d.smr_frozen_in_partition (Net.Chaos.ok r);
       Printf.sprintf
         {|    { "name": "net_ec_converge_n%d", "ec_puts_total": %d, "converged_rounds_after_last_write": %d, "rel_retransmits": %d, "frames_dropped": %d, "invariants_ok": %b }|}
-        n ec_total converged r.Ec.Chaos.rel_retransmits
-        r.Ec.Chaos.nemesis.Net.Nemesis.n_dropped (Ec.Chaos.ok r);
+        n ec_total converged r.rel_retransmits
+        r.nemesis.Net.Nemesis.n_dropped (Net.Chaos.ok r);
     ]
 
 (* E21 rows: detector cost at scale and crash-to-new-leader latency

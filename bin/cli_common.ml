@@ -144,22 +144,18 @@ let default_schedule n =
   Buffer.contents buf
 
 (* Load + parse a schedule for an [n]-node universe; [what] prefixes
-   diagnostics.  Exits 2 on a missing file or a grammar error. *)
+   diagnostics.  Exits 2 on a missing file, a grammar error or a command
+   naming a process outside the universe. *)
 let load_schedule ~what ~n file_opt =
-  let text =
+  let parsed =
     match file_opt with
-    | None -> default_schedule n
-    | Some f -> (
-      match open_in_bin f with
-      | exception Sys_error e ->
-        Printf.eprintf "%s: %s\n%!" what e;
-        Stdlib.exit 2
-      | ic ->
-        let s = really_input_string ic (in_channel_length ic) in
-        close_in ic;
-        s)
+    | None -> Net.Nemesis.parse_schedule (default_schedule n)
+    | Some f -> Net.Nemesis.load_schedule f
   in
-  match Net.Nemesis.parse_schedule text with
+  match
+    Result.bind parsed (fun s ->
+        Result.map (fun () -> s) (Net.Nemesis.check ~n s))
+  with
   | Ok s -> s
   | Error e ->
     Printf.eprintf "%s: bad schedule: %s\n%!" what e;

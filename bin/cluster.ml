@@ -127,16 +127,36 @@ let run_demo n count period detector window batch_max tick_ms trace dir_opt =
 
 (* --------------------------------------------------------------- chaos *)
 
-(* In-process loopback cluster under a nemesis schedule (docs/FAULTS.md).
-   Everything is driven by logical rounds and a seeded RNG, so two runs
-   with the same seed and schedule produce identical survivor logs and an
-   identical JSONL trace (profile spans excluded) — the replayability the
-   CI chaos smoke job diffs. *)
+(* The loopback chaos runs (docs/FAULTS.md).  Everything is driven by
+   logical rounds and a seeded RNG, so two runs with the same seed and
+   schedule produce identical logs and an identical JSONL trace (profile
+   spans excluded) — the replayability the CI chaos smoke job diffs.
+   Collect, run, print, write the trace; exit 1 if an invariant failed. *)
+let run_harness ~meta trace_path pp
+    (run : ?collector:Obs.Collector.t -> 'c -> _ Net.Chaos.report) cfg =
+  let collector = Obs.Collector.create () in
+  let report = run ~collector cfg in
+  Format.printf "%a@?" pp report;
+  Option.iter
+    (fun path ->
+      Obs.Jsonl.write_run ~path ~meta collector;
+      Printf.printf "trace: %s\n%!" path)
+    trace_path;
+  if not (Net.Chaos.ok report) then Stdlib.exit 1
 
 let run_chaos n seed rounds period detector window cmds cmd_every schedule_file
     trace_path =
   let schedule = load_schedule ~what:"chaos" ~n schedule_file in
-  let cfg =
+  run_harness trace_path Net.Chaos.pp_report Net.Chaos.run
+    ~meta:
+      [
+        ("tool", "chaos");
+        ("n", string_of_int n);
+        ("seed", string_of_int seed);
+        ("rounds", string_of_int rounds);
+        ("window", string_of_int window);
+        ("detector", Fd.Emulated.Omega.kind_name detector);
+      ]
     {
       (Net.Chaos.default ~n ~schedule) with
       seed;
@@ -147,80 +167,6 @@ let run_chaos n seed rounds period detector window cmds cmd_every schedule_file
       cmds;
       cmd_every;
     }
-  in
-  let collector = Obs.Collector.create () in
-  let report = Net.Chaos.run ~collector cfg in
-  Format.printf "%a@?" Net.Chaos.pp_report report;
-  (match trace_path with
-  | None -> ()
-  | Some path ->
-    Obs.Jsonl.write_run ~path
-      ~meta:
-        [
-          ("tool", "chaos");
-          ("n", string_of_int n);
-          ("seed", string_of_int seed);
-          ("rounds", string_of_int rounds);
-          ("window", string_of_int window);
-          ("detector", Fd.Emulated.Omega.kind_name detector);
-        ]
-      collector;
-    Printf.printf "trace: %s\n%!" path);
-  if not (Net.Chaos.ok report) then Stdlib.exit 1
-
-(* --------------------------------------------------------------- shard *)
-
-(* The sharded service (docs/SHARDING.md): S independent replica groups
-   behind a ring router, epoch-based membership change through each
-   shard's own log.
-
-   [--transport loopback] (default) drives Shard.Chaos: every shard gets
-   its own nemesis controller under the node → Rel → Nemesis → hub
-   stack, a seeded Zipfian workload routes writes through the ring, and
-   [--reconfig-at R] rotates every shard's membership mid-run.
-   Deterministic; exits 0 iff every invariant held.
-
-   [--transport tcp] forks shards × (replicas + spares) OS processes
-   (Shard.Server over Unix-domain sockets, per-shard socket namespace),
-   runs a Zipfian closed-loop client through the ring, optionally
-   submits the membership rotation mid-run, then checks quorum reads
-   and per-shard log agreement over the final configuration. *)
-
-let run_shard_loopback shards replicas spares seed rounds period detector cmds
-    cmd_every reconfig_at schedule_file trace_path =
-  let universe = replicas + spares in
-  let schedule = load_schedule ~what:"shard" ~n:universe schedule_file in
-  let cfg =
-    {
-      (Shard.Chaos.default ~shards ~replicas ~schedule) with
-      Shard.Chaos.spares;
-      seed;
-      rounds;
-      period;
-      detector;
-      cmds;
-      cmd_every;
-      reconfig_at;
-    }
-  in
-  let collector = Obs.Collector.create () in
-  let report = Shard.Chaos.run ~collector cfg in
-  Format.printf "%a@?" Shard.Chaos.pp_report report;
-  (match trace_path with
-  | None -> ()
-  | Some path ->
-    Obs.Jsonl.write_run ~path
-      ~meta:
-        [
-          ("tool", "shard-chaos");
-          ("shards", string_of_int shards);
-          ("replicas", string_of_int replicas);
-          ("seed", string_of_int seed);
-          ("rounds", string_of_int rounds);
-        ]
-      collector;
-    Printf.printf "trace: %s\n%!" path);
-  if not (Shard.Chaos.ok report) then Stdlib.exit 1
 
 (* ------------------------------------------------------------------ ec *)
 
@@ -238,46 +184,6 @@ let run_shard_loopback shards replicas spares seed rounds period detector cmds
    linearizable commands through node 0, an eventual put/get session
    against every node (read-your-writes over real sockets), then waits
    for anti-entropy to converge an eventually-written key everywhere. *)
-
-let run_ec_loopback n seed rounds period window sync_every puts_every cmds
-    cmd_every schedule_file trace_path =
-  let schedule =
-    match schedule_file with
-    | None -> Ec.Chaos.default_schedule n
-    | Some _ -> load_schedule ~what:"ec" ~n schedule_file
-  in
-  let base = Ec.Chaos.default ~n ~schedule in
-  let cfg =
-    {
-      base with
-      Ec.Chaos.seed;
-      rounds = Option.value rounds ~default:base.Ec.Chaos.rounds;
-      period;
-      window;
-      sync_every;
-      puts_every;
-      lin_cmds = cmds;
-      lin_every = cmd_every;
-    }
-  in
-  let collector = Obs.Collector.create () in
-  let report = Ec.Chaos.run ~collector cfg in
-  Format.printf "%a@?" Ec.Chaos.pp_report report;
-  (match trace_path with
-  | None -> ()
-  | Some path ->
-    Obs.Jsonl.write_run ~path
-      ~meta:
-        [
-          ("tool", "ec-chaos");
-          ("n", string_of_int n);
-          ("seed", string_of_int seed);
-          ("rounds", string_of_int cfg.Ec.Chaos.rounds);
-          ("sync_every", string_of_int sync_every);
-        ]
-      collector;
-    Printf.printf "trace: %s\n%!" path);
-  if not (Ec.Chaos.ok report) then Stdlib.exit 1
 
 let lin_blocking fd payload =
   Net.Wire.write_frame fd (Ec.Mixed.encode_request (Ec.Mixed.Lin payload));
@@ -389,6 +295,24 @@ let run_ec_tcp n count period window tick_ms dir_opt =
     (fun pid -> try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
     pids;
   Printf.printf "ec OK\n%!"
+
+(* --------------------------------------------------------------- shard *)
+
+(* The sharded service (docs/SHARDING.md): S independent replica groups
+   behind a ring router, epoch-based membership change through each
+   shard's own log.
+
+   [--transport loopback] (default) drives Shard.Chaos: every shard gets
+   its own nemesis controller under the node → Rel → Nemesis → hub
+   stack, a seeded Zipfian workload routes writes through the ring, and
+   [--reconfig-at R] rotates every shard's membership mid-run.
+   Deterministic; exits 0 iff every invariant held.
+
+   [--transport tcp] forks shards × (replicas + spares) OS processes
+   (Shard.Server over Unix-domain sockets, per-shard socket namespace),
+   runs a Zipfian closed-loop client through the ring, optionally
+   submits the membership rotation mid-run, then checks quorum reads
+   and per-shard log agreement over the final configuration. *)
 
 let shard_node_addr dir s i =
   Unix.ADDR_UNIX (Filename.concat dir (Printf.sprintf "node-%d-%d.sock" s i))
@@ -747,8 +671,29 @@ let shard_cmd =
       cmd_every reconfig_at schedule trace keys tick_ms dir_opt =
     match transport with
     | `Loopback ->
-      run_shard_loopback shards replicas spares seed rounds period detector
-        cmds cmd_every reconfig_at schedule trace
+      let schedule =
+        load_schedule ~what:"shard" ~n:(replicas + spares) schedule
+      in
+      run_harness trace Shard.Chaos.pp_report Shard.Chaos.run
+        ~meta:
+          [
+            ("tool", "shard-chaos");
+            ("shards", string_of_int shards);
+            ("replicas", string_of_int replicas);
+            ("seed", string_of_int seed);
+            ("rounds", string_of_int rounds);
+          ]
+        {
+          (Shard.Chaos.default ~shards ~replicas ~schedule) with
+          Shard.Chaos.spares;
+          seed;
+          rounds;
+          period;
+          detector;
+          cmds;
+          cmd_every;
+          reconfig_at;
+        }
     | `Tcp ->
       run_shard_tcp shards replicas spares cmds period detector tick_ms seed
         keys reconfig_at dir_opt
@@ -817,8 +762,33 @@ let ec_cmd =
       cmd_every schedule trace tick_ms dir_opt =
     match transport with
     | `Loopback ->
-      run_ec_loopback n seed rounds period window sync_every puts_every cmds
-        cmd_every schedule trace
+      let schedule =
+        match schedule with
+        | None -> Ec.Chaos.default_schedule n
+        | Some _ -> load_schedule ~what:"ec" ~n schedule
+      in
+      let base = Ec.Chaos.default ~n ~schedule in
+      let rounds = Option.value rounds ~default:base.Ec.Chaos.rounds in
+      run_harness trace Ec.Chaos.pp_report Ec.Chaos.run
+        ~meta:
+          [
+            ("tool", "ec-chaos");
+            ("n", string_of_int n);
+            ("seed", string_of_int seed);
+            ("rounds", string_of_int rounds);
+            ("sync_every", string_of_int sync_every);
+          ]
+        {
+          base with
+          seed;
+          rounds;
+          period;
+          window;
+          sync_every;
+          puts_every;
+          lin_cmds = cmds;
+          lin_every = cmd_every;
+        }
     | `Tcp -> run_ec_tcp n cmds period window tick_ms dir_opt
   in
   Cmd.v

@@ -1,11 +1,9 @@
-(* The EC chaos harness: Net.Chaos's deterministic loopback driver
-   pointed at the mixed-consistency node, with the invariants the EC
-   paper's regime calls for — writes keep flowing in minority partitions
-   while the quorum path freezes, replicas converge after heal, and a
-   session pinned to one node reads its own writes. *)
+(* The EC chaos harness: Net.Chaos's core pointed at the mixed node,
+   with the invariants of the EC regime (lib/ec/chaos.mli). *)
 
 module Nemesis = Net.Nemesis
 module Local = Net.Local
+module Chaos = Net.Chaos
 
 type config = {
   n : int;
@@ -16,14 +14,8 @@ type config = {
   sync_every : int;
   schedule : Nemesis.schedule;
   puts_every : int;  (* every live node writes its session keys this often *)
-  keys : int;  (* distinct keys per session *)
   lin_every : int;
   lin_cmds : int;
-  check_every : int;
-  watchdog : int;
-  heal_bound : int;
-  resend_every : int;
-  grace : int;  (* rounds after the cut for in-flight decisions to land *)
 }
 
 (* Every node a singleton group: no majority component anywhere, so the
@@ -35,98 +27,28 @@ let default_schedule n =
     (1600, Nemesis.Heal);
   ]
 
+(* The post-heal tail must cover the ARQ redelivery of the whole cut-era
+   backlog (two towers' heartbeats from each of the n-1 peers, drained at
+   the model's one receive per round) before the stores can converge and
+   the queued SMR commands can decide — so the tail, the watchdog and the
+   convergence bound all scale with n-1. *)
 let default ~n ~schedule =
   {
     n;
     seed = 0;
-    (* The post-heal tail must cover the ARQ redelivery of the whole
-       cut-era backlog (two towers' heartbeats from each of the n-1
-       peers, drained at the model's one receive per round) before the
-       stores can converge and the queued SMR commands can decide — so
-       the tail, the watchdog and the convergence bound all scale with
-       n-1. *)
     rounds = 1_600 + (1_200 * (n - 1));
     period = 16;
     window = 4;
     sync_every = 8;
     schedule;
     puts_every = 10;
-    keys = 4;
     lin_every = 100;
     lin_cmds = 12;
-    check_every = 50;
-    watchdog = 600 * (n - 1);
-    heal_bound = 500 * (n - 1);
-    resend_every = 8;
-    grace = 100;
   }
 
-type heal = { heal_round : int; reconverged_in : int option }
-
-type report = {
-  rounds_run : int;
-  ec_puts : int array;  (* puts submitted per node *)
-  ec_puts_in_partition : int;  (* store-rev growth inside the cut window *)
-  smr_submitted : int;
-  smr_applied : int array;
-  smr_frozen_in_partition : bool;
-  converged_in : int option;  (* rounds from last write to equal fingerprints *)
-  heals : heal list;
-  logs_identical : bool;
-  all_applied : bool;
-  failures : string list;
-  nemesis : Nemesis.stats;
-  rel_retransmits : int;
-}
-
-let ok r = r.failures = []
-
-let pp_report ppf r =
-  Format.fprintf ppf
-    "@[<v>rounds      %d@,ec puts     %a  (in partition: %d)@,"
-    r.rounds_run
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " ")
-       Format.pp_print_int)
-    (Array.to_list r.ec_puts)
-    r.ec_puts_in_partition;
-  Format.fprintf ppf "smr         submitted %d, applied %a%s@," r.smr_submitted
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " ")
-       Format.pp_print_int)
-    (Array.to_list r.smr_applied)
-    (if r.smr_frozen_in_partition then ", frozen during partition" else "");
-  (match r.converged_in with
-  | Some d -> Format.fprintf ppf "converged   in %d rounds after last write@," d
-  | None -> Format.fprintf ppf "converged   NOT within bound@,");
-  List.iter
-    (fun h ->
-      match h.reconverged_in with
-      | Some d ->
-        Format.fprintf ppf "heal @@%d    EC leader re-agreed in %d rounds@,"
-          h.heal_round d
-      | None ->
-        Format.fprintf ppf "heal @@%d    EC leader NOT re-agreed in bound@,"
-          h.heal_round)
-    r.heals;
-  Format.fprintf ppf "logs        %s@,completion  %s@,"
-    (if r.logs_identical then "identical" else "DIVERGED")
-    (if r.all_applied then "all applied" else "MISSING COMMANDS");
-  let s = r.nemesis in
-  Format.fprintf ppf
-    "nemesis     dropped %d, duplicated %d, reordered %d, delayed %d@,"
-    s.Nemesis.n_dropped s.n_duplicated s.n_reordered s.n_delayed;
-  Format.fprintf ppf "rel         %d retransmits@," r.rel_retransmits;
-  (match r.failures with
-  | [] -> Format.fprintf ppf "invariants  all held@,"
-  | fs -> List.iter (fun f -> Format.fprintf ppf "FAILED      %s@," f) fs);
-  Format.fprintf ppf "@]"
-
-let rec is_prefix shorter longer =
-  match (shorter, longer) with
-  | [], _ -> true
-  | _, [] -> false
-  | a :: s, b :: l -> a = b && is_prefix s l
+(* rounds after the cut for in-flight decisions to land; keys per session *)
+let grace = 100
+let keys = 4
 
 (* The cut window of the schedule: the first partition/isolate command to
    the first Heal after it.  The partition-specific invariants (EC flows,
@@ -140,384 +62,237 @@ let cut_window schedule =
         | _ -> None)
       schedule
   in
-  match start with
-  | None -> None
-  | Some s -> (
-    match
+  Option.bind start (fun s ->
       List.find_map
-        (fun (t, c) -> if c = Nemesis.Heal && t > s then Some t else None)
-        schedule
-    with
-    | None -> None
-    | Some h -> Some (s, h))
+        (fun (t, c) -> if c = Nemesis.Heal && t > s then Some (s, t) else None)
+        schedule)
+
+type detail = {
+  ec_puts : int array;  (* puts submitted per node *)
+  ec_puts_in_partition : int;  (* store-rev growth inside the cut window *)
+  smr_applied : int array;
+  smr_frozen_in_partition : bool;
+  converged_in : int option;  (* rounds from last write to equal fingerprints *)
+}
+
+type report = detail Chaos.report
+
+let pp_report =
+  Chaos.pp (fun ppf (r : report) ->
+      let d = r.detail in
+      Format.fprintf ppf
+        "ec puts     %a  (in partition: %d)@,smr         submitted %d, applied \
+         %a%s@,"
+        Chaos.pp_ints d.ec_puts d.ec_puts_in_partition r.submitted
+        Chaos.pp_ints d.smr_applied
+        (if d.smr_frozen_in_partition then ", frozen during partition" else "");
+      (match d.converged_in with
+      | Some c ->
+        Format.fprintf ppf "converged   in %d rounds after last write@," c
+      | None -> Format.fprintf ppf "converged   NOT within bound@,");
+      Format.fprintf ppf "%a%a" (Chaos.pp_heals "EC leader") r
+        (Chaos.pp_agreement "") r)
 
 let run ?collector cfg =
-  let sink = Option.map (fun (c : Obs.Collector.t) -> c.sink) collector in
-  let metrics =
-    Option.map (fun (c : Obs.Collector.t) -> c.metrics) collector
+  let h =
+    Chaos.create ?collector ~logs:"SMR logs" ~cmds:"lin commands"
+      ~seed:cfg.seed ~n:cfg.n cfg.schedule
   in
-  let ctrl =
-    Nemesis.create ?sink ?metrics ~seed:cfg.seed ~n:cfg.n cfg.schedule
-  in
-  let rels = Array.make cfg.n None in
-  let wrap p raw =
-    let r =
-      Net.Rel.wrap ~resend_every:cfg.resend_every ?metrics
-        (Nemesis.wrap ctrl raw)
-    in
-    rels.(p) <- Some r;
-    Net.Rel.transport r
-  in
+  let metrics = Chaos.metrics h in
+  let ctrl = Chaos.ctrl h 0 in
+  let heal_bound = 500 * (cfg.n - 1) in
   let cluster =
     Local.make
-      ~sink:(fun _ -> sink)
-      ~wrap
+      ~sink:(fun _ -> Chaos.sink h)
+      ~wrap:(Chaos.wrap h 0)
       ~codec:(Codecs.mixed Net.Wire.string_c)
       ~n:cfg.n
       (Mixed.protocol ~window:cfg.window ~sync_every:cfg.sync_every
          ~period:cfg.period ())
   in
-  let hub = Local.cluster_hub cluster in
-  let alive p = not (Net.Loopback.crashed hub p) in
-  let live () = List.filter alive (Sim.Pid.all cfg.n) in
+  let live () = Chaos.live h 0 in
   let state p = Local.cluster_state cluster p in
   let store_of p = Mixed.store (state p) in
   let smr_applied_at p = Cons.Smr.applied (Mixed.smr_state (state p)) in
-  let ec_leader_of p =
+  let ec_leader _ p =
     (Fd.Emulated.Omega_ec.detector ~period:cfg.period).Sim.Layered.current
       (Mixed.ec_detector (state p))
     |> fst
-  in
-  let ec_agreed () =
-    match live () with
-    | [] -> true
-    | p :: rest ->
-      let l = ec_leader_of p in
-      alive l && List.for_all (fun q -> ec_leader_of q = l) rest
   in
   let decided_log p =
     List.filter_map
       (function Sim.Layered.Detector e -> Some e | Sim.Layered.Main _ -> None)
       (Local.cluster_outputs cluster p)
   in
-  let failures = ref [] in
-  let fail fmt = Format.kasprintf (fun s -> failures := s :: !failures) fmt in
-  (* workload bookkeeping *)
+  let sum f = List.fold_left (fun a p -> a + f p) 0 (live ()) in
+  let rev_total () = sum (fun p -> Store.rev (store_of p)) in
+  let smr_total () = sum smr_applied_at in
   let ec_puts = Array.make cfg.n 0 in
-  let put_seq = Array.make cfg.n 0 in
   (* per node: key -> (value, node step-count at submit) for RYW *)
   let last_put = Array.init cfg.n (fun _ -> Hashtbl.create 8) in
-  let lin_submitted = ref [] in
-  let n_lin = ref 0 in
-  let heals = ref [] in
-  let pending_heals = ref [] in
   let window = cut_window cfg.schedule in
   let stop_puts =
-    match window with Some (_, h) -> h | None -> cfg.rounds / 2
+    match window with Some (_, s) -> s | None -> cfg.rounds / 2
   in
-  let rev_total () = List.fold_left (fun a p -> a + Store.rev (store_of p)) 0 (live ()) in
-  let smr_total () = List.fold_left (fun a p -> a + smr_applied_at p) 0 (live ()) in
-  let rev_at_grace = ref 0 in
-  let smr_at_grace = ref 0 in
-  let ec_puts_in_partition = ref 0 in
-  let smr_frozen = ref true in
-  let converged_in = ref None in
-  let last_progress = ref 0 in
-  let last_total = ref 0 in
-  let rounds_run = ref 0 in
-  (* reference store: the join of every live replica's entries — what all
-     of them will hold once anti-entropy finishes *)
-  let reference () =
-    List.fold_left
-      (fun acc p ->
-        let s = store_of p in
-        List.fold_left
-          (fun acc key ->
-            match Store.get s key with
-            | None -> acc
-            | Some e -> (
-              match List.assoc_opt key acc with
-              | None -> (key, e) :: acc
-              | Some held ->
-                (key, Entry.join held e) :: List.remove_assoc key acc))
-          acc (Store.keys s))
-      [] (live ())
-  in
-  let sample_gauges () =
-    match metrics with
-    | None -> ()
-    | Some m ->
-      let reference = reference () in
-      let divergent = ref 0 in
-      let lags =
-        List.map
-          (fun p ->
-            let s = store_of p in
-            let lag =
-              List.fold_left
-                (fun lag (key, re) ->
-                  match Store.get s key with
-                  | Some held when Entry.equal held re -> lag
-                  | _ -> lag + 1)
-                0 reference
-            in
-            (p, lag))
-          (live ())
-      in
-      List.iter
-        (fun (key, re) ->
-          if
-            List.exists
-              (fun p ->
-                match Store.get (store_of p) key with
-                | Some held -> not (Entry.equal held re)
-                | None -> true)
-              (live ())
-          then incr divergent)
-        reference;
-      Obs.Metrics.set m "ec.divergent_keys" !divergent;
-      List.iter
-        (fun (p, lag) ->
-          Obs.Metrics.set_l m "ec.replication_lag"
-            ~labels:[ ("node", string_of_int p) ]
-            lag)
-        lags
-  in
-  let check_ryw r =
-    List.iter
-      (fun p ->
-        Hashtbl.iter
-          (fun key (value, at_step) ->
-            if Local.cluster_now cluster p > at_step then
-              match Store.get (store_of p) key with
-              | Some e when String.equal e.Entry.value value -> ()
-              | Some e ->
-                fail "round %d: node %d reads %S for its own key %s, wrote %S"
-                  r p e.Entry.value key value
-              | None ->
-                fail "round %d: node %d lost its own key %s" r p key)
-          last_put.(p))
-      (live ())
-  in
-  let check_online r =
-    let ps = live () in
-    List.iteri
-      (fun i p ->
-        List.iteri
-          (fun j q ->
-            if j > i then begin
-              let lp = decided_log p and lq = decided_log q in
-              if
-                not
-                  (if List.length lp <= List.length lq then is_prefix lp lq
-                   else is_prefix lq lp)
-              then
-                fail "round %d: SMR logs of %d and %d not prefix-consistent" r
-                  p q
-            end)
-          ps)
-      ps;
-    check_ryw r;
-    sample_gauges ()
-  in
-  let fingerprints_equal () =
-    match live () with
-    | [] -> true
-    | p :: rest ->
-      let f = Store.fingerprint (store_of p) in
-      List.for_all (fun q -> String.equal (Store.fingerprint (store_of q)) f) rest
-  in
-  for r = 1 to cfg.rounds do
-    rounds_run := r;
-    Nemesis.tick ctrl;
-    List.iter
-      (fun p ->
-        if Nemesis.killed ctrl p && alive p then Local.cluster_crash cluster p)
-      (Sim.Pid.all cfg.n);
-    List.iter
-      (fun (t, c) ->
-        if t = r && c = Nemesis.Heal then
-          pending_heals :=
-            { heal_round = r; reconverged_in = None } :: !pending_heals)
-      cfg.schedule;
-    List.iter
-      (fun p ->
-        if r mod Nemesis.skew_of ctrl p = 0 then
-          Local.cluster_step_one cluster p)
-      (live ());
-    (* EC workload: every session writes its own namespace at every live
-       node — including (especially) during the partition *)
+  let workload r =
+    (* EC: every session writes its own namespace at every live node —
+       including (especially) during the partition *)
     if r mod cfg.puts_every = 0 && r <= stop_puts then
       List.iter
         (fun p ->
-          let i = put_seq.(p) in
-          put_seq.(p) <- i + 1;
-          let key = Printf.sprintf "s%d-k%d" p (i mod cfg.keys) in
+          let i = ec_puts.(p) in
+          ec_puts.(p) <- i + 1;
+          let key = Printf.sprintf "s%d-k%d" p (i mod keys) in
           let value = Printf.sprintf "v%d-%d" p i in
           Local.cluster_submit cluster p
             (Sim.Layered.Main (Replica.Put { key; value }));
           Hashtbl.replace last_put.(p) key (value, Local.cluster_now cluster p);
-          ec_puts.(p) <- ec_puts.(p) + 1;
-          match metrics with
-          | Some m ->
-            Obs.Metrics.incr_l m "ec.puts"
-              ~labels:[ ("node", string_of_int p) ]
-          | None -> ())
+          Option.iter
+            (fun m ->
+              Obs.Metrics.incr_l m "ec.puts"
+                ~labels:[ ("node", string_of_int p) ])
+            metrics)
         (live ());
     (* linearizable workload at the lowest live node *)
-    if r mod cfg.lin_every = 0 && !n_lin < cfg.lin_cmds then begin
+    let k = Chaos.n_submitted h in
+    if r mod cfg.lin_every = 0 && k < cfg.lin_cmds then
       match live () with
       | [] -> ()
       | p :: _ ->
-        let payload = Printf.sprintf "lin-%d" !n_lin in
+        let payload = Printf.sprintf "lin-%d" k in
         Local.cluster_submit cluster p (Sim.Layered.Detector payload);
-        lin_submitted := (p, payload) :: !lin_submitted;
-        incr n_lin
-    end;
-    (* partition-window snapshots and assertions *)
-    (match window with
-    | None -> ()
+        Chaos.submitted h 0 p payload
+  in
+  (* EC availability and SMR freeze over the cut window.  The freeze is
+     only owed when no majority component exists anywhere in the window;
+     it is measured regardless. *)
+  let in_partition = ref 0 and frozen = ref true in
+  let cut =
+    match window with
+    | None -> []
     | Some (start, stop) ->
-      if r = start + cfg.grace then begin
-        rev_at_grace := rev_total ();
-        smr_at_grace := smr_total ()
-      end;
-      if r = stop then begin
-        ec_puts_in_partition := rev_total () - !rev_at_grace;
-        if !ec_puts_in_partition <= 0 then
-          fail
-            "partition %d-%d: no EC write progress in the minority window"
-            start stop;
-        if smr_total () <> !smr_at_grace then begin
-          smr_frozen := false;
-          fail
-            "partition %d-%d: SMR applied grew from %d to %d with no \
-             majority component"
-            start stop !smr_at_grace (smr_total ())
-        end
-      end);
-    (* Ω-EC reconvergence after heal *)
-    if !pending_heals <> [] && ec_agreed () then begin
-      List.iter
-        (fun h ->
-          let d = r - h.heal_round in
-          (match metrics with
-          | Some m -> Obs.Metrics.observe m "ec.heal_reagree_rounds" d
-          | None -> ());
-          heals := { h with reconverged_in = Some d } :: !heals)
-        !pending_heals;
-      pending_heals := []
-    end
-    else
-      pending_heals :=
-        List.filter
-          (fun h ->
-            if r - h.heal_round > cfg.heal_bound then begin
-              fail "heal at round %d: no agreed live EC leader within %d rounds"
-                h.heal_round cfg.heal_bound;
-              heals := h :: !heals;
-              false
+      let rev0 = ref 0 and smr0 = ref 0 and majority = ref false in
+      [
+        {
+          Chaos.online =
+            (fun r ->
+              if r >= start && r < stop && Nemesis.majority_component ctrl
+              then majority := true;
+              if r = start + grace then begin
+                rev0 := rev_total ();
+                smr0 := smr_total ()
+              end;
+              if r = stop then begin
+                in_partition := rev_total () - !rev0;
+                if !in_partition <= 0 then
+                  Chaos.fail h
+                    "partition %d-%d: no EC write progress in the minority \
+                     window"
+                    start stop;
+                frozen := smr_total () = !smr0;
+                if not (!frozen || !majority) then
+                  Chaos.fail h
+                    "partition %d-%d: SMR applied grew from %d to %d with no \
+                     majority component"
+                    start stop !smr0 (smr_total ())
+              end);
+          final = ignore;
+        };
+      ]
+  in
+  (* store convergence after the last write *)
+  let converged = ref None in
+  let fingerprints_equal () =
+    List.map (fun p -> Store.fingerprint (store_of p)) (live ())
+    |> List.sort_uniq String.compare |> List.length <= 1
+  in
+  let convergence =
+    {
+      Chaos.online =
+        (fun r ->
+          if r > stop_puts && !converged = None && not (Nemesis.cut_active ctrl)
+          then
+            if fingerprints_equal () then begin
+              converged := Some (r - stop_puts);
+              Option.iter
+                (fun m -> Obs.Metrics.set m "ec.converged_in" (r - stop_puts))
+                metrics
             end
-            else true)
-          !pending_heals;
-    (* store convergence after the last write *)
-    if r > stop_puts && !converged_in = None && not (Nemesis.cut_active ctrl)
-    then begin
-      if fingerprints_equal () then begin
-        converged_in := Some (r - stop_puts);
-        match metrics with
-        | Some m -> Obs.Metrics.set m "ec.converged_in" (r - stop_puts)
-        | None -> ()
-      end
-      else if r - stop_puts > cfg.heal_bound then begin
-        fail "stores not converged within %d rounds of the last write"
-          cfg.heal_bound;
-        converged_in := Some (-1)
-      end
-    end;
-    (* SMR progress watchdog, only while the network is healthy *)
-    let total = smr_total () in
-    if total > !last_total then begin
-      last_total := total;
-      last_progress := r
-    end;
-    if not (Nemesis.healthy ctrl) then last_progress := r
-    else begin
-      let expected =
-        List.length (List.filter (fun (o, _) -> alive o) !lin_submitted)
-      in
-      let outstanding =
-        List.exists (fun p -> smr_applied_at p < expected) (live ())
-      in
-      if outstanding && r - !last_progress > cfg.watchdog then begin
-        fail "round %d: no SMR progress for %d rounds on a healthy network" r
-          cfg.watchdog;
-        last_progress := r
-      end
-    end;
-    if r mod cfg.check_every = 0 then check_online r
-  done;
-  check_online cfg.rounds;
-  let converged_in =
-    match !converged_in with
-    | Some d when d >= 0 -> Some d
-    | Some _ -> None
-    | None ->
-      if fingerprints_equal () then Some (cfg.rounds - stop_puts)
-      else begin
-        fail "end of run: stores never converged";
-        None
-      end
+            else if r - stop_puts > heal_bound then begin
+              Chaos.fail h
+                "stores not converged within %d rounds of the last write"
+                heal_bound;
+              converged := Some (-1)
+            end);
+      final =
+        (fun () ->
+          if !converged = None then
+            if fingerprints_equal () then
+              converged := Some (cfg.rounds - stop_puts)
+            else Chaos.fail h "end of run: stores never converged");
+    }
   in
-  List.iter
-    (fun h ->
-      fail "heal at round %d: run ended before EC leader re-agreement"
-        h.heal_round;
-      heals := h :: !heals)
-    !pending_heals;
-  let survivors = live () in
-  let logs_identical =
-    match survivors with
-    | [] -> true
-    | p :: rest ->
-      let lp = decided_log p in
-      List.for_all (fun q -> decided_log q = lp) rest
+  (* reference store: the join of every live replica's entries — what all
+     of them will hold once anti-entropy finishes *)
+  let sample_gauges m =
+    let live = live () in
+    let reference =
+      List.fold_left
+        (fun acc p ->
+          let s = store_of p in
+          snd (Store.merge_entries acc (Store.entries_for s (Store.keys s))))
+        (Store.create ~n:cfg.n 0) live
+    in
+    let stale p key =
+      match (Store.get (store_of p) key, Store.get reference key) with
+      | Some held, Some re -> not (Entry.equal held re)
+      | _ -> true
+    in
+    let keys = Store.keys reference in
+    Obs.Metrics.set m "ec.divergent_keys"
+      (List.length
+         (List.filter (fun k -> List.exists (fun p -> stale p k) live) keys));
+    List.iter
+      (fun p ->
+        Obs.Metrics.set_l m "ec.replication_lag"
+          ~labels:[ ("node", string_of_int p) ]
+          (List.length (List.filter (stale p) keys)))
+      live
   in
-  if not logs_identical then fail "end of run: survivor SMR logs differ";
-  let majority_alive = 2 * List.length survivors > cfg.n in
-  let all_applied =
-    (not majority_alive)
-    || List.for_all
-         (fun (o, payload) ->
-           (not (alive o))
-           || List.for_all
-                (fun p ->
-                  List.exists
-                    (fun ((_, c) : int * string Cons.Smr.cmd) ->
-                      c.Cons.Smr.payload = payload)
-                    (decided_log p))
-                survivors)
-         !lin_submitted
+  (* read-your-writes: a session's node always reads back its latest
+     write once it has stepped past the submit *)
+  let sessions =
+    Chaos.sampled h (fun r ->
+        List.iter
+          (fun p ->
+            Hashtbl.iter
+              (fun key (value, at_step) ->
+                if Local.cluster_now cluster p > at_step then
+                  match Store.get (store_of p) key with
+                  | Some e when String.equal e.Entry.value value -> ()
+                  | Some e ->
+                    Chaos.fail h
+                      "round %d: node %d reads %S for its own key %s, wrote %S"
+                      r p e.Entry.value key value
+                  | None ->
+                    Chaos.fail h "round %d: node %d lost its own key %s" r p
+                      key)
+              last_put.(p))
+          (live ());
+        Option.iter sample_gauges metrics)
   in
-  if not all_applied then fail "end of run: submitted lin commands missing";
-  {
-    rounds_run = !rounds_run;
-    ec_puts;
-    ec_puts_in_partition = !ec_puts_in_partition;
-    smr_submitted = !n_lin;
-    smr_applied = Array.init cfg.n smr_applied_at;
-    smr_frozen_in_partition = !smr_frozen;
-    converged_in;
-    heals = List.rev !heals;
-    logs_identical;
-    all_applied;
-    failures = List.rev !failures;
-    nemesis = Nemesis.stats ctrl;
-    rel_retransmits =
-      Array.fold_left
-        (fun a ro ->
-          match ro with
-          | None -> a
-          | Some rl -> a + (Net.Rel.stats rl).Net.Rel.retransmits)
-        0 rels;
-  }
+  Chaos.drive h [| Chaos.local h cluster decided_log |]
+    ~reagree:
+      { leader = ec_leader; metric = "ec.heal_reagree_rounds"; heal_bound }
+    ~watchdog:(600 * (cfg.n - 1))
+    ~rounds:cfg.rounds ~workload
+    ~detail:(fun () ->
+      {
+        ec_puts;
+        ec_puts_in_partition = !in_partition;
+        smr_applied = Array.init cfg.n smr_applied_at;
+        smr_frozen_in_partition = !frozen;
+        converged_in =
+          (match !converged with Some d when d >= 0 -> Some d | _ -> None);
+      })
+    (cut @ [ convergence; sessions ])

@@ -1,29 +1,153 @@
-(** The chaos harness: run the SMR cluster under a {!Nemesis} schedule and
-    check the paper's guarantees online (docs/FAULTS.md).
+(** The chaos harness: run a cluster under a {!Nemesis} schedule and check
+    the paper's guarantees online (docs/FAULTS.md).
 
-    One {!run} drives an in-process {!Local} cluster, each node's transport
-    stacked as [node → Rel → Nemesis → Loopback], through [rounds]
-    round-robin rounds.  The nemesis clock ticks once per round, so with a
-    fixed [(seed, schedule, workload)] the whole run — survivor logs and
-    emitted event trace alike — is a deterministic function of the config;
-    [bin/cluster.exe chaos] exploits this for bit-for-bit replay.
+    {2 The core}
 
-    Invariants checked while the run progresses:
-    - {b agreement}: live replicas' applied logs stay pairwise
-      prefix-consistent, and survivors end byte-identical (SMR safety,
-      Theorem-level agreement of the consensus core);
-    - {b Σ intersection}: no two live replicas ever hold disjoint quorums
-      (the defining property of Σ, paper Section 2);
-    - {b Ω reconvergence}: after every [Heal] the live replicas re-agree
-      on a single live leader within [heal_bound] rounds (eventual leader
-      election under partial synchrony), the measured latency recorded in
-      the [net.partition_heal_ms] histogram;
-    - {b progress}: while the network is {!Nemesis.healthy} and commands
-      are outstanding, the total applied count must grow within
-      [watchdog] rounds (no deadlock);
-    - {b completion}: every command submitted at a replica alive at the
-      end of the run is applied by every survivor — provided survivors
-      form a majority, otherwise liveness is forfeit by the model. *)
+    One core drives this module's SMR configuration, [Shard.Chaos] and
+    [Ec.Chaos].  Each replica group gets a {!Nemesis} controller; each
+    node's transport is [node → Rel → Nemesis → hub].  The nemesis clock
+    ticks once per round, so a run — logs and event trace alike — is a
+    deterministic function of [(seed, schedule, workload)].
+
+    Besides the harness's invariants the core checks {b agreement} (live
+    logs pairwise prefix-consistent every 50 rounds and at the end,
+    survivors identical), {b reconvergence} (with [reagree]: one common
+    live leader within [heal_bound] rounds of each [Heal], observed in
+    the [metric] histogram), {b progress} (while {!Nemesis.healthy} and
+    commands are owed, the applied total grows within [watchdog] rounds)
+    and {b completion} (no command owed at the end).  A command is owed
+    while its origin is alive, a majority of its group's current members
+    is alive, and a live member lacks it: without a live majority the
+    model owes nothing. *)
+
+(** One replica group whose logs hold ['e] entries. *)
+type 'e group = {
+  step : Sim.Pid.t -> unit;
+  crash : Sim.Pid.t -> unit;
+  alive : Sim.Pid.t -> bool;
+  members : unit -> Sim.Pid.t list;  (** the current configuration *)
+  log : Sim.Pid.t -> 'e list;  (** applied log, in slot order *)
+  cmd : 'e -> string option;  (** the workload command of an entry *)
+}
+
+(** [online r] runs after every round [r], [final] after the last; both
+    report through {!fail}. *)
+type invariant = { online : int -> unit; final : unit -> unit }
+
+(** [leader g p]: the leader replica [p] of group [g] trusts. *)
+type reagree = {
+  leader : int -> Sim.Pid.t -> Sim.Pid.t;
+  metric : string;
+  heal_bound : int;
+}
+
+type heal = { heal_round : int; reconverged_in : int option }
+
+(** The core's part of a report and the harness's [detail]. *)
+type 'a report = {
+  rounds_run : int;
+  submitted : int;
+  logs_identical : bool;
+  all_applied : bool;
+  heals : heal list;  (** in schedule order; empty without [reagree] *)
+  failures : string list;  (** empty = every invariant held *)
+  nemesis : Nemesis.stats;  (** summed over groups *)
+  rel_retransmits : int;
+  detail : 'a;
+}
+
+type 'e t
+
+(** [groups] controllers (default 1) over [n] pids, group [g] seeded
+    [seed + g].  [logs] and [cmds] name the logs and the commands in
+    failure messages (default ["logs"] and ["commands"]). *)
+val create :
+  ?collector:Obs.Collector.t ->
+  ?groups:int ->
+  ?logs:string ->
+  ?cmds:string ->
+  seed:int ->
+  n:int ->
+  Nemesis.schedule ->
+  'e t
+
+val sink : _ t -> Sim.Event.sink option
+val metrics : _ t -> Obs.Metrics.t option
+val ctrl : _ t -> int -> Nemesis.ctrl
+
+(** [wrap h g p raw]: node [p] of group [g] over [Rel] over [Nemesis]. *)
+val wrap : _ t -> int -> Sim.Pid.t -> Transport.t -> Transport.t
+
+val fail : _ t -> ('a, Format.formatter, unit, unit) format4 -> 'a
+val live : _ t -> int -> Sim.Pid.t list
+
+(** A majority of the group's current members is alive. *)
+val quorate : _ t -> int -> bool
+
+(** [submitted h g origin cmd] records a workload command. *)
+val submitted : _ t -> int -> Sim.Pid.t -> string -> unit
+
+val n_submitted : _ t -> int
+
+(** [pairs f l] calls [f p q] for each pair of [l], [p] before [q]. *)
+val pairs : ('a -> 'a -> unit) -> 'a list -> unit
+
+(** [check r] every 50 rounds and after the last round. *)
+val sampled : _ t -> (int -> unit) -> invariant
+
+val at_end : (unit -> unit) -> invariant
+
+(** A {!Local} cluster as one group of all its pids; its log holds SMR
+    entries of string commands. *)
+val local :
+  (int * string Cons.Smr.cmd) t ->
+  (_, _, _, _) Local.cluster ->
+  (Sim.Pid.t -> (int * string Cons.Smr.cmd) list) ->
+  (int * string Cons.Smr.cmd) group
+
+(** One round: per group, tick its controller, crash the nodes it
+    killed and step the live ones (a skewed node every k-th round);
+    then the online clauses.  For a harness that must advance the
+    cluster inside {!drive}, such as a read waiting for its quorum. *)
+val round : _ t -> unit
+
+(** Rounds up to [rounds] with [workload r] after each, then the final
+    clauses and the report.  The clock and the watchdog run before the
+    harness's [invariants], the log checks after. *)
+val drive :
+  'e t ->
+  'e group array ->
+  ?reagree:reagree ->
+  watchdog:int ->
+  rounds:int ->
+  workload:(int -> unit) ->
+  detail:(unit -> 'a) ->
+  invariant list ->
+  'a report
+
+val ok : _ report -> bool
+
+(** [pp head]: the rounds line, [head], the totals and the failures. *)
+val pp :
+  (Format.formatter -> 'a report -> unit) ->
+  Format.formatter ->
+  'a report ->
+  unit
+
+val pp_ints : Format.formatter -> int array -> unit
+
+(** The logs and completion lines; the string follows "identical". *)
+val pp_agreement : string -> Format.formatter -> _ report -> unit
+
+(** One line per heal, naming the leader. *)
+val pp_heals : string -> Format.formatter -> _ report -> unit
+
+(** {2 The SMR configuration}
+
+    The {!Local} SMR cluster with one invariant of its own, {b Σ
+    intersection}: no two live replicas ever hold disjoint quorums
+    (paper Section 2).  Heal bound 1200 rounds
+    ([net.partition_heal_ms]), watchdog 800. *)
 
 type config = {
   n : int;  (** cluster size *)
@@ -36,42 +160,16 @@ type config = {
   schedule : Nemesis.schedule;
   cmds : int;  (** client commands submitted over the run *)
   cmd_every : int;  (** rounds between command submissions *)
-  check_every : int;  (** rounds between online invariant checks *)
-  watchdog : int;  (** progress deadline in rounds, while healthy *)
-  heal_bound : int;  (** Ω must re-agree within this many rounds of heal *)
-  resend_every : int;  (** {!Rel} retransmission period, in polls *)
 }
 
-(** Defaults sized for the demo: 2500 rounds, period 16, window 4
-    (so the invariants are checked over the {e pipelined} replica),
-    20 commands every 100 rounds, checks every 50, watchdog 800,
-    heal bound 1200, resend every 8 polls. *)
+(** 2500 rounds, period 16, window 4 (the {e pipelined} replica), 20
+    commands every 100 rounds. *)
 val default : n:int -> schedule:Nemesis.schedule -> config
 
-type heal = {
-  heal_round : int;  (** round at which the [Heal] fired *)
-  reconverged_in : int option;
-      (** rounds until one live leader again; [None] = not within bound *)
-}
+type smr = { applied : int array  (** applied-log length per replica *) }
 
-type report = {
-  rounds_run : int;
-  submitted : int;
-  applied : int array;  (** applied-log length per replica at the end *)
-  logs_identical : bool;  (** survivors' full logs byte-identical *)
-  all_applied : bool;  (** completion invariant (see above) *)
-  heals : heal list;  (** in schedule order *)
-  failures : string list;  (** empty = every invariant held *)
-  nemesis : Nemesis.stats;
-  rel_retransmits : int;  (** summed over replicas *)
-}
+val pp_report : Format.formatter -> smr report -> unit
 
-(** [ok r] — no invariant failed. *)
-val ok : report -> bool
-
-val pp_report : Format.formatter -> report -> unit
-
-(** Run the cluster under the schedule.  [collector]'s sink receives every
-    node's events plus the nemesis command events as one stream (shared
-    metrics table), ready for {!Obs.Jsonl.write_run}. *)
-val run : ?collector:Obs.Collector.t -> config -> report
+(** [collector]'s sink receives every node's events and the nemesis
+    events as one stream, ready for {!Obs.Jsonl.write_run}. *)
+val run : ?collector:Obs.Collector.t -> config -> smr report

@@ -209,6 +209,26 @@ let load_schedule path =
     close_in ic;
     parse_schedule text
 
+(* the processes a command names; wildcards name none *)
+let pids_of = function
+  | Partition groups -> List.concat_map Sim.Pidset.elements groups
+  | Isolate p | Deisolate p | Skew (p, _) | Kill p -> [ p ]
+  | Cut l | Drop (l, _) | Duplicate (l, _) | Delay (l, _, _) | Flap (l, _, _) ->
+    List.filter_map Fun.id [ l.src; l.dst ]
+  | Heal | Clear -> []
+
+let check ~n schedule =
+  match
+    List.find_opt
+      (fun (_, c) -> not (List.for_all (Sim.Pid.valid ~n) (pids_of c)))
+      schedule
+  with
+  | None -> Ok ()
+  | Some (t, c) ->
+    Error
+      (Format.asprintf "at %d %a: names a process outside 0..%d" t pp_cmd c
+         (n - 1))
+
 (* --------------------------------------------------------- controller *)
 
 type pending = {
@@ -298,23 +318,13 @@ let apply c cmd =
     Array.iter (fun row -> Array.fill row 0 c.n 0) c.delay_jitter;
     Array.fill c.skew 0 c.n 1
   | Partition groups ->
-    (* groups replace the whole cut matrix; unlisted pids are singletons *)
-    let gid = Array.make c.n (-1) in
-    List.iteri
-      (fun i g -> Sim.Pidset.iter (fun p -> if p < c.n then gid.(p) <- i) g)
-      groups;
-    let next = ref (List.length groups) in
-    Array.iteri
-      (fun p g ->
-        if g < 0 then begin
-          gid.(p) <- !next;
-          incr next
-        end)
-      gid;
-    Array.iter (fun row -> Array.fill row 0 c.n false) c.cut;
+    (* groups replace the whole cut matrix; an unlisted pid p is the
+       singleton group -1 - p *)
+    let gid = Array.init c.n (fun p -> -1 - p) in
+    List.iteri (fun i g -> Sim.Pidset.iter (fun p -> gid.(p) <- i) g) groups;
     for s = 0 to c.n - 1 do
       for d = 0 to c.n - 1 do
-        if s <> d && gid.(s) <> gid.(d) then c.cut.(s).(d) <- true
+        c.cut.(s).(d) <- s <> d && gid.(s) <> gid.(d)
       done
     done
   | Isolate p ->
@@ -338,8 +348,8 @@ let apply c cmd =
         c.delay_jitter.(s).(d) <- jitter)
   | Flap (l, period, down) ->
     each_pair c l (fun s d -> c.flap.(s).(d) <- Some (period, down))
-  | Skew (p, k) -> if p >= 0 && p < c.n then c.skew.(p) <- k
-  | Kill p -> if p >= 0 && p < c.n then c.dead.(p) <- true
+  | Skew (p, k) -> c.skew.(p) <- k
+  | Kill p -> c.dead.(p) <- true
 
 let run_due c =
   let rec go () =
@@ -353,6 +363,8 @@ let run_due c =
   go ()
 
 let create ?(seed = 0) ?sink ?metrics ~n schedule =
+  Result.iter_error (fun e -> invalid_arg ("Nemesis.create: " ^ e))
+    (check ~n schedule);
   let mk v = Array.init n (fun _ -> Array.make n v) in
   let c =
     {
@@ -397,24 +409,24 @@ let flap_cut c s d =
 
 let is_cut c s d = c.cut.(s).(d) || flap_cut c s d
 
-let cut_active c =
-  let any = ref false in
-  for s = 0 to c.n - 1 do
-    for d = 0 to c.n - 1 do
-      if s <> d && is_cut c s d then any := true
-    done
-  done;
-  !any
+(* Per-round queries over the directed pairs (never per frame). *)
+let exists_pair c f =
+  let all = Sim.Pid.all c.n in
+  List.exists (fun s -> List.exists (fun d -> s <> d && f s d) all) all
+
+let cut_active c = exists_pair c (is_cut c)
 
 let healthy c =
-  let bad = ref false in
-  for s = 0 to c.n - 1 do
-    for d = 0 to c.n - 1 do
-      if s <> d && (is_cut c s d || c.flap.(s).(d) <> None || c.drop_p.(s).(d) > 0.)
-      then bad := true
-    done
-  done;
-  not !bad
+  not
+    (exists_pair c (fun s d ->
+         is_cut c s d || c.flap.(s).(d) <> None || c.drop_p.(s).(d) > 0.))
+
+let majority_component c =
+  let all = Sim.Pid.all c.n in
+  let linked p q = p = q || not (is_cut c p q || is_cut c q p) in
+  List.exists
+    (fun p -> 2 * List.length (List.filter (linked p) all) > c.n)
+    all
 
 (* ------------------------------------------------------------ wrapper *)
 

@@ -76,6 +76,11 @@ val parse_schedule : string -> (schedule, string) result
 (** [load_schedule path] is {!parse_schedule} on a file's contents. *)
 val load_schedule : string -> (schedule, string) result
 
+(** [check ~n schedule] — every process a command names is in [0..n-1];
+    the error names the first offending command.  {!create} enforces it,
+    so a schedule is checked once, never per frame. *)
+val check : n:int -> schedule -> (unit, string) result
+
 val pp_cmd : Format.formatter -> cmd -> unit
 
 (** {2 The controller} *)
@@ -90,7 +95,8 @@ type ctrl
 (** [create ~n schedule] — [seed] defaults to 0; [metrics] receives the
     [net.dropped] / [net.duplicated] / [net.reordered] counters; [sink]
     receives one [Metric] event per applied command (named
-    [nemesis.<command>], value = tick). *)
+    [nemesis.<command>], value = tick).  Raises [Invalid_argument] if
+    the schedule fails {!check}. *)
 val create :
   ?seed:int ->
   ?sink:Sim.Event.sink ->
@@ -122,6 +128,11 @@ val healthy : ctrl -> bool
 (** Some cut or flap is currently in force (used by {!Chaos} to suspend
     convergence checks during partitions). *)
 val cut_active : ctrl -> bool
+
+(** Some process currently has uncut links, both ways, to a majority of
+    the [n] processes (itself included): the cuts leave a majority
+    component, so a quorum can still form. *)
+val majority_component : ctrl -> bool
 
 (** {2 Accounting} *)
 

@@ -1,22 +1,19 @@
-(** Chaos harness for the sharded service (the sharded sibling of
-    {!Net.Chaos}).
+(** Chaos harness for the sharded service: the {!Net.Chaos} core with one
+    group per shard, shard [s] under its own {!Net.Nemesis} controller
+    (same schedule, seed [seed + s]).  A seeded Zipfian workload (θ =
+    0.99 over 64 keys) routes writes through the ring; [reconfig_at]
+    rotates every shard's membership (drop the lowest member, install a
+    spare) through the shards' own logs.  The watchdog bound is 900
+    rounds.
 
-    Every shard runs its own {!Net.Nemesis} controller — same schedule,
-    shard-salted seed — under the [node → Rel → Nemesis → hub] stack; a
-    seeded Zipfian closed-loop workload routes writes through the ring;
-    [reconfig_at] rotates every shard's membership (drop the lowest
-    member, install a spare) through the shards' own logs mid-run.
-    Driving is sequential and deterministic: a run is a pure function of
-    the config.
-
-    Online invariants: per-shard log prefix consistency; the epoch
-    handoff (each replica's Σ quorum is of its own epoch, same-epoch
-    quorums of one shard intersect, different-epoch replicas have
-    different applied counts); a progress watchdog on healthy networks.
-    End-of-run: per-shard survivor logs identical, no command lost or
-    duplicated across the reconfiguration, the expected configuration
-    installed, and quiescent router reads return exactly the last
-    applied write per sampled key. *)
+    Its own invariants: the {b epoch handoff}, online (each replica's Σ
+    quorum is of its own epoch, same-epoch quorums of one shard
+    intersect, different-epoch replicas have different applied counts);
+    at the end, {b no duplicates} across the reconfiguration, the
+    expected {b configuration installed}, and {b quiescent reads}: the
+    router's quorum reads, which advance the core's round function,
+    return the last applied write of each sampled key.  The catalogue is
+    in docs/FAULTS.md. *)
 
 type config = {
   shards : int;
@@ -30,39 +27,27 @@ type config = {
   schedule : Net.Nemesis.schedule;  (** applied to every shard *)
   cmds : int;
   cmd_every : int;
-  keys : int;  (** Zipfian key-space size *)
-  theta : float;  (** Zipfian skew (default 0.99) *)
   reconfig_at : int option;
       (** rotate every shard's membership at this round *)
   reads : int;  (** quiescent quorum reads after the run *)
-  check_every : int;
-  watchdog : int;
-  resend_every : int;
 }
 
 val default :
   shards:int -> replicas:int -> schedule:Net.Nemesis.schedule -> config
 
-type report = {
-  rounds_run : int;
-  submitted : int;
+type detail = {
   applied : int array;  (** per shard: longest live applied log *)
   epochs : int array;  (** per shard: final installed epoch *)
   reconfig_done : bool;
   reads_ok : int;
   reads_bad : int;
-  logs_identical : bool;
-  all_applied : bool;
   no_duplicates : bool;
-  failures : string list;  (** empty iff every invariant held *)
-  nemesis : Net.Nemesis.stats array;
-  rel_retransmits : int;
 }
 
-val ok : report -> bool
+type report = detail Net.Chaos.report
+
 val pp_report : Format.formatter -> report -> unit
 
 (** [collector]'s metrics gain per-shard labeled series
-    ([shard.applied{shard=s}], [shard.epoch{shard=s}]) at the end of the
-    run. *)
+    ([shard.applied{shard=s}], [shard.epoch{shard=s}]) at the end. *)
 val run : ?collector:Obs.Collector.t -> config -> report

@@ -5,8 +5,20 @@
      seeds and workloads);
    - same seed + schedule replays bit-for-bit (JSONL minus profile);
    - Rel restores reliable in-order exactly-once delivery over heavy loss;
-   - chaos runs survive partition+heal, sustained loss, skew and a kill
-     with every online invariant green. *)
+   - schedules naming a process outside the cluster are rejected;
+   - the harness core's checks fire on a scripted cluster view, and the
+     watchdog stays quiet once no live majority is left;
+   - chaos runs survive partition+heal, sustained loss, skew, a kill and
+     a majority crash with every online invariant green, and a run cut
+     at the heal reports its failures. *)
+
+(* [contains s sub]: [sub] occurs in [s] *)
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
 
 let ok_schedule text =
   match Net.Nemesis.parse_schedule text with
@@ -199,7 +211,7 @@ let chaos_cfg ?(rounds = 2_500) ?(cmds = 12) ~seed schedule_text n =
     cmd_every = 80;
   }
 
-let check_ok label (r : Net.Chaos.report) =
+let check_ok label (r : _ Net.Chaos.report) =
   Alcotest.(check (list string)) (label ^ ": no invariant failures") []
     r.Net.Chaos.failures;
   Alcotest.(check bool) (label ^ ": logs identical") true r.logs_identical;
@@ -236,7 +248,173 @@ let test_chaos_kill () =
   in
   check_ok "crash-stop" r;
   Alcotest.(check bool) "survivors went past the victim" true
-    (r.Net.Chaos.applied.(0) > r.Net.Chaos.applied.(2))
+    (r.Net.Chaos.detail.applied.(0) > r.detail.applied.(2))
+
+(* Regression: once a majority has crashed the model owes no progress,
+   so the watchdog must stay quiet (it used to report "no progress for
+   800 rounds on a healthy network" at round 1235). *)
+let test_chaos_majority_crash () =
+  let r =
+    Net.Chaos.run
+      {
+        (Net.Chaos.default ~n:3
+           ~schedule:(ok_schedule "at 500 kill 1\nat 500 kill 2\n"))
+        with
+        Net.Chaos.seed = 1;
+      }
+  in
+  Alcotest.(check (list string)) "no invariant failures" [] r.Net.Chaos.failures
+
+(* Positive control: cut the run one round after the heal.  The lagging
+   replica has not caught up and Ω has not re-agreed, so the heal,
+   agreement and completion checks must all fire — a harness that
+   dropped one of them would still pass every green run above. *)
+let test_chaos_positive_control () =
+  let r =
+    Net.Chaos.run
+      {
+        (Net.Chaos.default ~n:3
+           ~schedule:(ok_schedule "at 300 partition 0 1 | 2\nat 900 heal\n"))
+        with
+        Net.Chaos.seed = 1;
+        rounds = 901;
+      }
+  in
+  List.iter
+    (fun msg ->
+      Alcotest.(check bool) ("reports: " ^ msg) true
+        (List.mem msg r.Net.Chaos.failures))
+    [
+      "heal at round 900: run ended before reconvergence";
+      "end of run: survivor logs differ";
+      "end of run: submitted commands missing";
+    ]
+
+(* ------------------------------------------------------------------ *)
+(* Schedules naming processes outside the cluster                      *)
+
+let test_schedule_pids_checked () =
+  let rejected text =
+    match Net.Nemesis.check ~n:3 (ok_schedule text) with
+    | Ok () -> Alcotest.failf "accepted %S on n=3" text
+    | Error e -> e
+  in
+  let e = rejected "at 300 partition 0 7 | 2\n" in
+  Alcotest.(check bool) ("error names the command: " ^ e) true
+    (String.length e > 7 && String.sub e 0 7 = "at 300 ");
+  List.iter
+    (fun text -> ignore (rejected text))
+    [
+      "at 1 kill 3\n";
+      "at 1 skew 5 2\n";
+      "at 1 isolate 4\n";
+      "at 1 deisolate 3\n";
+      "at 1 cut 0->9\n";
+      "at 1 drop 8-* 0.1\n";
+    ];
+  Alcotest.(check bool) "in-range schedule accepted" true
+    (Net.Nemesis.check ~n:3
+       (ok_schedule "at 1 kill 2\nat 2 cut 0->2\nat 3 partition 0 | 1 2\n")
+    = Ok ());
+  match
+    Net.Nemesis.create ~n:3 (ok_schedule "at 300 partition 0 7 | 2\n")
+  with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "Nemesis.create accepted pid 7 on n=3"
+
+(* The cut leaves a majority component under a majority partition or a
+   single isolation, and none under full isolation. *)
+let test_majority_component () =
+  let at tick text =
+    let ctrl = Net.Nemesis.create ~n:3 (ok_schedule text) in
+    for _ = 1 to tick do
+      Net.Nemesis.tick ctrl
+    done;
+    Net.Nemesis.majority_component ctrl
+  in
+  Alcotest.(check bool) "no cut" true (at 1 "at 5 heal\n");
+  Alcotest.(check bool) "partition 0 1 | 2" true
+    (at 300 "at 300 partition 0 1 | 2\n");
+  Alcotest.(check bool) "isolate 2" true (at 400 "at 400 isolate 2\n");
+  Alcotest.(check bool) "full isolation" false
+    (at 400 "at 400 partition 0 | 1 | 2\n");
+  Alcotest.(check bool) "unlisted pids are singletons" false
+    (at 10 "at 10 partition 0 | 1\n")
+
+(* ------------------------------------------------------------------ *)
+(* The harness core against a scripted cluster view                    *)
+
+(* A scripted three-replica group: [logs.(p)] is replica p's applied log
+   (the workload may rewrite it), nodes die when the schedule kills them,
+   and every log entry is its own command. *)
+let scripted ?(schedule = "") ?reagree ?(rounds = 300)
+    ?(workload = fun _ _ -> ()) logs =
+  let h = Net.Chaos.create ~seed:0 ~n:3 (ok_schedule schedule) in
+  let dead = Array.make 3 false in
+  let group =
+    {
+      Net.Chaos.step = ignore;
+      crash = (fun p -> dead.(p) <- true);
+      alive = (fun p -> not dead.(p));
+      members = (fun () -> [ 0; 1; 2 ]);
+      log = (fun p -> logs.(p));
+      cmd = Option.some;
+    }
+  in
+  (Net.Chaos.drive h [| group |] ?reagree ~watchdog:100 ~rounds
+     ~workload:(workload h) ~detail:ignore [])
+    .Net.Chaos.failures
+
+let reports label msg failures =
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: reports %S in [%s]" label msg
+       (String.concat "; " failures))
+    true (List.mem msg failures)
+
+let test_core_diverging_logs () =
+  let failures = scripted [| [ "a"; "b" ]; [ "a"; "c" ]; [ "a" ] |] in
+  reports "diverging" "round 50: logs of 0 and 1 not prefix-consistent"
+    failures;
+  reports "diverging" "end of run: survivor logs differ" failures
+
+let test_core_survivors_differ () =
+  let failures = scripted [| [ "a" ]; [ "a"; "b" ]; [ "a"; "b" ] |] in
+  Alcotest.(check bool) "prefix-consistent online" false
+    (List.exists (fun f -> contains f "prefix-consistent") failures);
+  reports "differ" "end of run: survivor logs differ" failures
+
+(* One command submitted at round 1 that no replica ever applies. *)
+let stalled ?schedule () =
+  scripted ?schedule
+    ~workload:(fun h r -> if r = 1 then Net.Chaos.submitted h 0 0 "x")
+    [| []; []; [] |]
+
+let test_core_watchdog () =
+  let failures = stalled () in
+  reports "stall" "round 101: no progress for 100 rounds on a healthy network"
+    failures;
+  reports "stall" "end of run: submitted commands missing" failures;
+  Alcotest.(check (list string)) "a lossy network owes no progress" []
+    (List.filter
+       (fun f -> contains f "no progress")
+       (stalled ~schedule:"at 0 drop * 0.5\n" ()));
+  Alcotest.(check (list string)) "nothing is owed once a majority crashed" []
+    (stalled ~schedule:"at 5 kill 1\nat 5 kill 2\n" ())
+
+let test_core_reagreement () =
+  let schedule = "at 10 partition 0 | 1 2\nat 20 heal\n" in
+  let logs = [| []; []; [] |] in
+  let reagree leader =
+    { Net.Chaos.leader; metric = "test.heal"; heal_bound = 30 }
+  in
+  reports "never agree"
+    "heal at round 20: no single live leader within 30 rounds"
+    (scripted ~schedule ~reagree:(reagree (fun _ p -> p)) logs);
+  Alcotest.(check (list string)) "one common live leader" []
+    (scripted ~schedule ~reagree:(reagree (fun _ _ -> 0)) logs);
+  reports "dead leader" "heal at round 20: run ended before reconvergence"
+    (scripted ~rounds:40 ~schedule:(schedule ^ "at 15 kill 0\n")
+       ~reagree:(reagree (fun _ _ -> 0)) logs)
 
 (* ------------------------------------------------------------------ *)
 (* Deterministic replay                                                *)
@@ -289,6 +467,22 @@ let () =
       ( "transparency",
         [ QCheck_alcotest.to_alcotest prop_empty_schedule_transparent ] );
       ( "rel", [ Alcotest.test_case "exactly-once in-order over 40% loss" `Quick test_rel_reliable_over_loss ] );
+      ( "nemesis",
+        [
+          Alcotest.test_case "pids outside the cluster rejected" `Quick
+            test_schedule_pids_checked;
+          Alcotest.test_case "majority component" `Quick
+            test_majority_component;
+        ] );
+      ( "core",
+        [
+          Alcotest.test_case "diverging logs" `Quick test_core_diverging_logs;
+          Alcotest.test_case "survivor logs differ" `Quick
+            test_core_survivors_differ;
+          Alcotest.test_case "watchdog" `Quick test_core_watchdog;
+          Alcotest.test_case "leader re-agreement" `Quick
+            test_core_reagreement;
+        ] );
       ( "harness",
         [
           Alcotest.test_case "partition + heal converges" `Quick
@@ -297,6 +491,10 @@ let () =
             test_chaos_loss_liveness;
           Alcotest.test_case "skewed heartbeat clock" `Quick test_chaos_skew;
           Alcotest.test_case "crash-stop mid-run" `Quick test_chaos_kill;
+          Alcotest.test_case "majority crash owes no progress" `Quick
+            test_chaos_majority_crash;
+          Alcotest.test_case "run cut at the heal fails its checks" `Quick
+            test_chaos_positive_control;
           Alcotest.test_case "same seed+schedule replays bit-for-bit" `Quick
             test_chaos_replay_deterministic;
         ] );

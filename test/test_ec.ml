@@ -10,7 +10,9 @@
    - two Replica protocols pumped message-by-message converge and then go
      quiet (anti-entropy quiescence);
    - the Ec.Chaos harness: default run green, bit-for-bit deterministic,
-     EC available in the partition while SMR freezes. *)
+     EC available in the partition while SMR freezes; no freeze owed
+     while a majority component exists and no progress owed after a
+     majority crash; a run cut at the heal reports its failures. *)
 
 let vclock n l =
   List.fold_left
@@ -261,15 +263,58 @@ let default_cfg n =
 
 let test_chaos_default_green () =
   let r = Ec.Chaos.run (default_cfg 3) in
-  Alcotest.(check bool) "all invariants held" true (Ec.Chaos.ok r);
+  Alcotest.(check bool) "all invariants held" true (Net.Chaos.ok r);
   Alcotest.(check bool) "EC made progress inside the partition" true
-    (r.Ec.Chaos.ec_puts_in_partition > 0);
+    (r.detail.ec_puts_in_partition > 0);
   Alcotest.(check bool) "SMR was frozen inside the partition" true
-    r.Ec.Chaos.smr_frozen_in_partition;
+    r.detail.smr_frozen_in_partition;
   Alcotest.(check bool) "stores converged after the last write" true
-    (match r.Ec.Chaos.converged_in with Some d -> d >= 0 | None -> false);
+    (match r.detail.converged_in with Some d -> d >= 0 | None -> false);
   Alcotest.(check bool) "all lin commands decided in the end" true
-    r.Ec.Chaos.all_applied
+    r.all_applied
+
+(* Positive control: stop one round after the heal, before the cut-era
+   backlog drains — convergence, SMR agreement and completion must all
+   be reported. *)
+let test_chaos_positive_control () =
+  let r = Ec.Chaos.run { (default_cfg 3) with Ec.Chaos.rounds = 1_601 } in
+  List.iter
+    (fun msg ->
+      Alcotest.(check bool) ("reports: " ^ msg) true
+        (List.mem msg r.Net.Chaos.failures))
+    [
+      "end of run: stores never converged";
+      "end of run: survivor SMR logs differ";
+      "end of run: submitted lin commands missing";
+    ]
+
+let schedule text =
+  match Net.Nemesis.parse_schedule text with
+  | Ok s -> s
+  | Error e -> Alcotest.fail e
+
+let green label text =
+  let r =
+    Ec.Chaos.run
+      { (Ec.Chaos.default ~n:3 ~schedule:(schedule text)) with seed = 1 }
+  in
+  Alcotest.(check (list string)) (label ^ ": no invariant failures") []
+    r.failures;
+  r
+
+(* Regressions: the SMR freeze is owed only when the cut leaves no
+   majority component — {0, 1} is one under both schedules, so SMR
+   keeps deciding there (both used to fail "SMR applied grew ... with no
+   majority component") — and the watchdog owes no progress once a
+   majority has crashed (it used to fail at round 1617). *)
+let test_chaos_majority_regimes () =
+  let partitioned =
+    green "partition 0 1 | 2" "at 300 partition 0 1 | 2\nat 900 heal"
+  in
+  Alcotest.(check bool) "the majority side kept deciding" false
+    partitioned.detail.smr_frozen_in_partition;
+  ignore (green "isolate 2" "at 400 isolate 2\nat 1600 heal");
+  ignore (green "majority crash" "at 500 kill 1\nat 500 kill 2")
 
 let test_chaos_deterministic () =
   let a = Ec.Chaos.run (default_cfg 3) in
@@ -277,7 +322,7 @@ let test_chaos_deterministic () =
   Alcotest.(check bool) "same seed replays bit-for-bit" true (a = b);
   let c = Ec.Chaos.run { (default_cfg 3) with Ec.Chaos.seed = 7 } in
   Alcotest.(check bool) "run completed under another seed" true
-    (c.Ec.Chaos.rounds_run = (default_cfg 3).Ec.Chaos.rounds)
+    (c.Net.Chaos.rounds_run = (default_cfg 3).Ec.Chaos.rounds)
 
 let () =
   let qcheck = List.map QCheck_alcotest.to_alcotest in
@@ -312,5 +357,9 @@ let () =
             test_chaos_default_green;
           Alcotest.test_case "deterministic replay" `Quick
             test_chaos_deterministic;
+          Alcotest.test_case "run cut at the heal fails its checks" `Quick
+            test_chaos_positive_control;
+          Alcotest.test_case "freeze and progress owed only with a majority"
+            `Quick test_chaos_majority_regimes;
         ] );
     ]

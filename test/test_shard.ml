@@ -396,15 +396,36 @@ let test_sharded_chaos_reconfig () =
     }
   in
   let r = Shard.Chaos.run cfg in
-  if not (Shard.Chaos.ok r) then
+  if not (Net.Chaos.ok r) then
     Alcotest.failf "chaos invariants failed:@.%a" Shard.Chaos.pp_report r;
-  Alcotest.(check bool) "reconfiguration completed" true r.reconfig_done;
+  Alcotest.(check bool) "reconfiguration completed" true r.detail.reconfig_done;
   Array.iteri
     (fun s e ->
       Alcotest.(check int) (Printf.sprintf "shard %d in epoch 1" s) 1 e)
-    r.epochs;
-  Alcotest.(check int) "no bad reads" 0 r.reads_bad;
-  Alcotest.(check bool) "some reads verified" true (r.reads_ok > 0)
+    r.detail.epochs;
+  Alcotest.(check int) "no bad reads" 0 r.detail.reads_bad;
+  Alcotest.(check bool) "some reads verified" true (r.detail.reads_ok > 0)
+
+(* Regression: with a majority of every shard crashed at round 500 the
+   model owes no progress; the watchdog used to report "no progress for
+   900 rounds on a healthy network" at round 1359. *)
+let test_sharded_chaos_majority_crash () =
+  let schedule =
+    match Net.Nemesis.parse_schedule "at 500 kill 1\nat 500 kill 2" with
+    | Ok s -> s
+    | Error e -> Alcotest.fail e
+  in
+  let r =
+    Shard.Chaos.run
+      {
+        (Shard.Chaos.default ~shards:2 ~replicas:3 ~schedule) with
+        rounds = 2_400;
+        cmds = 12;
+        cmd_every = 60;
+        seed = 1;
+      }
+  in
+  Alcotest.(check (list string)) "no invariant failures" [] r.failures
 
 let () =
   Alcotest.run "shard"
@@ -441,5 +462,7 @@ let () =
         [
           Alcotest.test_case "partition+heal with mid-run reconfig" `Quick
             test_sharded_chaos_reconfig;
+          Alcotest.test_case "majority crash owes no progress" `Quick
+            test_sharded_chaos_majority_crash;
         ] );
     ]
