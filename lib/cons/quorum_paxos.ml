@@ -48,11 +48,16 @@ let next_ballot st =
   let base = max st.max_ballot_seen st.promised in
   (((base / st.n) + 1) * st.n) + st.self
 
-let decide st v =
+(* The learner broadcast: Decide goes to every process that may still be
+   undecided — not to ourselves, and not to [from] when its Decide is how
+   we learnt the value.  Relaying on first decision is what keeps
+   termination when a leader crashes mid-broadcast. *)
+let decide ?from st v =
   if st.decided then (st, [])
   else
     ( { st with decided = true },
-      [ Sim.Protocol.Broadcast (Decide v); Sim.Protocol.Output v ] )
+      Fd.Peers.send ~n:st.n ~except:(st.self :: Option.to_list from) (Decide v)
+      @ [ Sim.Protocol.Output v ] )
 
 (* Leader progress: check quorum completion against this step's Σ sample,
    and start a ballot when Ω points at us and we are not already running
@@ -138,7 +143,7 @@ let on_msg st from msg =
     | Preparing _ | Proposing _ -> ({ st with leading = Not_leading }, [])
     | Not_leading -> (st, []))
   | Decide v ->
-    let st, acts = decide st v in
+    let st, acts = decide ~from st v in
     ({ st with leading = Not_leading }, acts)
 
 let on_step (ctx : (Sim.Pid.t * Sim.Pidset.t) Sim.Protocol.ctx) st recv =

@@ -8,6 +8,12 @@
     uniform agreement in any environment; Ω's eventual single correct
     leader plus Σ's eventual all-correct quorums give termination.
 
+    A deciding process sends [Decide] only to processes that may still
+    be undecided: the leader to the [n - 1] others, and a process that
+    learns the value from [q]'s [Decide] to the [n - 2] that are neither
+    [q] nor itself.  That relay is what carries a decision to every
+    correct process when the leader crashes mid-broadcast.
+
     Compare with {!Disk_paxos} transported by {!Regs.Emulate}: same failure
     detector, same guarantees, but this version talks to the network
     directly and needs ~4 message delays per ballot instead of ~4 register

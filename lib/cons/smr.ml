@@ -311,13 +311,15 @@ let on_step ctx st recv =
         st.active (st, [])
   in
   let st, acts2 = drive ctx st in
-  (* flush the submit announcements accumulated since the last step *)
+  (* flush the submit announcements accumulated since the last step, to
+     the peers only: our own commands are already in [known] *)
   let st, acts3 =
     match st.announce with
     | [] -> (st, [])
     | cs ->
       ( { st with announce = [] },
-        [ Sim.Protocol.Broadcast (Submit (List.rev cs)) ] )
+        Fd.Peers.send ~n:ctx.Sim.Protocol.n ~except:[ st.self ]
+          (Submit (List.rev cs)) )
   in
   (st, acts1 @ acts2 @ acts3)
 

@@ -39,10 +39,11 @@ module Sigma_majority = struct
     n : int;
     period : int;  (* 0 = continuous: next Join leaves the moment a round completes *)
     clock : int;
+    last_join : int;  (* [clock] when the previous Join left *)
     round : int;
     acks : Sim.Pidset.t;
     quorum : Sim.Pidset.t;
-    pending_join : bool;  (* a Join for [round] must still be broadcast *)
+    pending_join : bool;  (* a Join for [round] must still be sent *)
     rounds_completed : int;
   }
 
@@ -54,6 +55,7 @@ module Sigma_majority = struct
       n;
       period;
       clock = 0;
+      last_join = -period;
       round = 1;
       acks = Sim.Pidset.empty;
       (* Before the first round completes we must still output something
@@ -79,9 +81,13 @@ module Sigma_majority = struct
           rounds_completed = st.rounds_completed + 1 }
       else st
     in
-    if st.pending_join && (st.period <= 0 || st.clock mod st.period = 0) then
-      ( { st with pending_join = false },
-        replies @ [ Sim.Protocol.Broadcast (Join st.round) ] )
+    (* The Join goes to the n-1 peers; our own ack is implicit, counted
+       the moment the Join leaves.  A paced node waits until [period]
+       steps have passed since its previous Join. *)
+    if st.pending_join && st.clock - st.last_join >= st.period then
+      ( { st with pending_join = false; last_join = st.clock;
+          acks = Sim.Pidset.singleton st.self },
+        replies @ Peers.send ~n:st.n ~except:[ st.self ] (Join st.round) )
     else (st, replies)
 
   let current st = st.quorum
@@ -238,7 +244,8 @@ module Omega_heartbeat = struct
     | Some (q, Alive) -> Adaptive.heard st.ad ~clock:st.clock q
     | None -> ());
     let acts =
-      if st.clock mod st.period = 0 then [ Sim.Protocol.Broadcast Alive ]
+      if st.clock mod st.period = 0 then
+        Peers.send ~n:st.n ~except:[ st.self ] Alive
       else []
     in
     (st, acts)

@@ -39,10 +39,11 @@ module Adaptive : sig
   val timeout : t -> Sim.Pid.t -> int
 end
 
-(** Σ from a correct majority: each process repeatedly broadcasts a
-    join-quorum request and adopts the first majority of responders as its
-    quorum.  Any two majorities intersect; eventually responders are all
-    correct.  Liveness (quorum refresh) requires a correct majority — in
+(** Σ from a correct majority: each process repeatedly sends a
+    join-quorum request to its [n - 1] peers, counts itself as the first
+    responder, and adopts the first majority of responders as its quorum.
+    Any two majorities intersect; eventually responders are all correct.
+    Liveness (quorum refresh) requires a correct majority — in
     minority-correct runs the output goes stale, which is exactly why Σ is
     not implementable for free in such environments. *)
 module Sigma_majority : sig
@@ -53,17 +54,19 @@ module Sigma_majority : sig
   type msg = Join of int | Ack of int
 
   (** Continuous refresh: the next join-quorum round starts the moment the
-      previous one completes.  Freshest quorums, and ~2n frames per round
-      trip — the dominant term of the all-to-all detector stack's wire
-      cost. *)
+      previous one completes.  Freshest quorums, and 2(n-1) frames per
+      round trip — the dominant term of the all-to-all detector stack's
+      wire cost. *)
   val detector : (state, msg, Sim.Pidset.t) Sim.Layered.emulated
 
-  (** [detector_paced ~period] starts each new join round only on a
-      [period]-step boundary ([period <= 0] = continuous).  Same safety —
-      a held quorum is still a genuine majority snapshot, and any two
-      majorities intersect however stale — at [1/period] of the refresh
-      traffic; the quorum is just older, which Σ's spec permits.  The
-      ring detector configuration paces Σ this way (docs/DETECTORS.md). *)
+  (** [detector_paced ~period] starts a new join round once the previous
+      one has completed {e and} at least [period] steps have passed since
+      this process's previous Join ([period <= 0] = continuous; the first
+      Join leaves on the first step).  Same safety — a held quorum is
+      still a genuine majority snapshot, and any two majorities intersect
+      however stale — at about [1/period] of the refresh traffic; the
+      quorum is just older, which Σ's spec permits.  [Net.Smr_node] paces
+      Σ this way under both Ω backends (docs/DETECTORS.md). *)
   val detector_paced : period:int -> (state, msg, Sim.Pidset.t) Sim.Layered.emulated
 
   (** Number of completed join-quorum rounds — exposed for tests. *)
@@ -127,9 +130,9 @@ end
 (** Ω from all-to-all heartbeats with {!Adaptive} timeouts.  Correct under
     the [Partial_synchrony] delivery policy: after GST heartbeats arrive
     within a bounded delay, timeouts stop growing, and every correct
-    process eventually trusts the same smallest correct process.  Costs
-    [n - 1] frames per process per period — the O(n²) wall that
-    {!Omega_ring} removes. *)
+    process eventually trusts the same smallest correct process.  Each
+    heartbeat goes to the [n - 1] peers only, so it costs [n - 1] frames
+    per process per period — the O(n²) wall that {!Omega_ring} removes. *)
 module Omega_heartbeat : sig
   type state
 

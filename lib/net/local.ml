@@ -53,12 +53,12 @@ type 'c t =
 (* The string SMR cluster runs the same binary codec tower as the
    deployed node: the hub carries encoded frames, so loopback benches
    measure the real encode/decode cost. *)
-let create ?(period = 16) ?window ?batch_max ?detector ?sigma_period ?sink
-    ?wrap ?metrics ~n () =
+let create ?(period = 16) ?window ?batch_max ?detector ?sink ?wrap ?metrics
+    ~n () =
   make ?sink ?wrap
     ~codec:(Codecs.pmsg Wire.string_c)
     ?metrics ~classify:Smr_node.classify ~n
-    (Smr_node.protocol ?window ?batch_max ?detector ?sigma_period ~period ())
+    (Smr_node.protocol ?window ?batch_max ?detector ~period ())
 
 let hub = cluster_hub
 let step_one = cluster_step_one

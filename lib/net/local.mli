@@ -64,15 +64,14 @@ type 'c t =
     benches measure real encode/decode cost).  [period] is Ω's heartbeat
     period in steps (default 16); [window] / [batch_max] are
     {!Cons.Smr.make}'s pipelining and batching knobs (defaults 1 /
-    1024); [detector] / [sigma_period] select the Ω backend and Σ pacing
-    (see {!Smr_node.protocol}); [metrics] enables the
+    1024); [detector] selects the Ω backend, which sets Σ's pacing
+    (see {!Smr_node.default_sigma_period}); [metrics] enables the
     [fd.frames{detector=...}] counters via {!Smr_node.classify}. *)
 val create :
   ?period:int ->
   ?window:int ->
   ?batch_max:int ->
   ?detector:Fd.Emulated.Omega.kind ->
-  ?sigma_period:int ->
   ?sink:(Sim.Pid.t -> Sim.Event.sink option) ->
   ?wrap:(Sim.Pid.t -> Transport.t -> Transport.t) ->
   ?metrics:Obs.Metrics.t ->

@@ -6,25 +6,21 @@ type 'c pstate = (Omega.state * Sigma.state) * 'c Cons.Smr.state
 type 'c pmsg =
   ((Omega.msg, Sigma.msg) Sim.Layered.wire, 'c Cons.Smr.msg) Sim.Layered.wire
 
-(* The ring detector pairs naturally with a paced Σ: with Ω down to one
-   frame per process per period, Σ's continuous join rounds would be the
-   only O(n²)-per-round traffic left.  Refreshing every 4 periods keeps
-   the whole detector stack ~O(n) per round; staler quorums are still
-   majorities, which is all Σ's spec asks. *)
+(* Σ is always paced: a stale quorum is still a majority, which is all
+   Σ's spec asks, and every join round Σ does not need costs receive
+   steps the protocol does need (one frame per step).  Under heartbeat Ω
+   one join round per heartbeat period; under the ring, with Ω down to
+   one frame per process per period, every 4 periods, so the whole
+   detector stack stays ~O(n) per round. *)
 let default_sigma_period ~detector ~period =
-  match detector with Omega.Heartbeat -> 0 | Omega.Ring -> 4 * period
+  match detector with Omega.Heartbeat -> period | Omega.Ring -> 4 * period
 
-let protocol ?window ?batch_max ?(detector = Omega.Heartbeat) ?sigma_period
-    ~period () =
-  let sigma_period =
-    match sigma_period with
-    | Some s -> s
-    | None -> default_sigma_period ~detector ~period
-  in
+let protocol ?window ?batch_max ?(detector = Omega.Heartbeat) ~period () =
   Sim.Layered.with_detector
     (Sim.Layered.pair
        (Omega.detector ~kind:detector ~period)
-       (Sigma.detector_paced ~period:sigma_period))
+       (Sigma.detector_paced
+          ~period:(default_sigma_period ~detector ~period)))
     (Cons.Smr.make ?window ?batch_max ())
 
 let smr_state ((_, smr) : 'c pstate) = smr

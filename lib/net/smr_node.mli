@@ -28,11 +28,13 @@ type 'c pmsg =
     'c Cons.Smr.msg )
   Sim.Layered.wire
 
-(** Default Σ join-round pacing for a given Ω backend: continuous ([0])
-    under [Fd.Emulated.Omega.Heartbeat] (the historical behaviour), a
-    refresh every [4 * period] steps under [Ring] — with Ω down to one
-    frame per process per period, a continuously-refreshing Σ would be
-    the only O(n²)-per-round traffic left (docs/DETECTORS.md). *)
+(** Σ join-round pacing for a given Ω backend, in steps between a
+    node's Joins: one join round per heartbeat [period] under
+    [Fd.Emulated.Omega.Heartbeat], one every [4 * period] steps under
+    [Ring] — with Ω down to one frame per process per period, a faster
+    Σ would be the only O(n²)-per-round traffic left.  Σ's spec accepts
+    stale quorums, and each join round Σ skips frees receive steps for
+    the protocol (docs/DETECTORS.md, "Pacing Σ"). *)
 val default_sigma_period :
   detector:Fd.Emulated.Omega.kind -> period:int -> int
 
@@ -40,13 +42,11 @@ val default_sigma_period :
     are decided [(log index, cmd)] entries in log order.  [window]
     (default 1) and [batch_max] (default 1024) are {!Cons.Smr.make}'s
     pipelining and batching knobs; [detector] picks the Ω backend
-    (default [Heartbeat]); [sigma_period] overrides
-    {!default_sigma_period}. *)
+    (default [Heartbeat]), and Σ is paced by {!default_sigma_period}. *)
 val protocol :
   ?window:int ->
   ?batch_max:int ->
   ?detector:Fd.Emulated.Omega.kind ->
-  ?sigma_period:int ->
   period:int ->
   unit ->
   ('c pstate, 'c pmsg, unit, 'c, int * 'c Cons.Smr.cmd) Sim.Protocol.t

@@ -231,6 +231,60 @@ let test_quorum_paxos_any_environment () =
     run_and_check ~name:"quorum paxos" ~fp ~proposals trace
   done
 
+(* The learner broadcast addresses only processes that may still be
+   undecided.  Stepped by hand at n = 4: the leader, deciding when its
+   accept round completes, sends Decide to the n-1 others; a process that
+   learns the value from q's Decide relays it to the n-2 processes that
+   are neither q nor itself; a second Decide sends nothing. *)
+let test_quorum_paxos_decide_fanout () =
+  let open Cons.Quorum_paxos in
+  let n = 4 in
+  let sigma = Sim.Pidset.of_list [ 0; 1; 2 ] in
+  let ctx self = { Sim.Protocol.self; n; now = 0; fd = (0, sigma) } in
+  let step self st recv = protocol.Sim.Protocol.on_step (ctx self) st recv in
+  let decide_dsts acts =
+    List.concat_map
+      (function
+        | Sim.Protocol.Send (q, Decide _) -> [ q ]
+        | Sim.Protocol.Broadcast (Decide _) -> Sim.Pid.all n
+        | Sim.Protocol.Send _ | Sim.Protocol.Broadcast _
+        | Sim.Protocol.Output _ ->
+          [])
+      acts
+  in
+  let outputs acts =
+    List.filter_map
+      (function Sim.Protocol.Output v -> Some v | _ -> None)
+      acts
+  in
+  let st = protocol.Sim.Protocol.init ~n 0 in
+  let st, _ = protocol.Sim.Protocol.on_input (ctx 0) st 7 in
+  let st, acts = step 0 st None in
+  let b =
+    match acts with
+    | [ Sim.Protocol.Broadcast (Prepare b) ] -> b
+    | _ -> Alcotest.fail "leader did not start a ballot"
+  in
+  let st =
+    List.fold_left
+      (fun st q -> fst (step 0 st (Some (q, Promise (b, None)))))
+      st [ 0; 1; 2 ]
+  in
+  let st, _ = step 0 st (Some (0, Accept b)) in
+  let st, _ = step 0 st (Some (1, Accept b)) in
+  let _, acts = step 0 st (Some (2, Accept b)) in
+  Alcotest.(check (list int)) "leader decides" [ 7 ] (outputs acts);
+  Alcotest.(check (list int)) "leader's Decide goes to the n-1 others"
+    [ 1; 2; 3 ] (decide_dsts acts);
+  let st1 = protocol.Sim.Protocol.init ~n 1 in
+  let st1, acts = step 1 st1 (Some (2, Decide 7)) in
+  Alcotest.(check (list int)) "learner decides" [ 7 ] (outputs acts);
+  Alcotest.(check (list int))
+    "learner relays to the n-2 that are neither the sender nor itself"
+    [ 0; 3 ] (decide_dsts acts);
+  let _, acts = step 1 st1 (Some (0, Decide 7)) in
+  Alcotest.(check int) "a second Decide sends nothing" 0 (List.length acts)
+
 let test_quorum_paxos_adversarial_delivery () =
   for seed = 1 to 15 do
     let fp =
@@ -413,6 +467,8 @@ let () =
             test_quorum_paxos_minority_correct;
           Alcotest.test_case "survives partition" `Quick
             test_quorum_paxos_survives_partition;
+          Alcotest.test_case "decide reaches only the undecided" `Quick
+            test_quorum_paxos_decide_fanout;
         ] );
       ( "chandra-toueg",
         [

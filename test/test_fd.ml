@@ -255,41 +255,41 @@ let observer :
 
 let test_sigma_majority_emulation () =
   (* 5 processes, 2 crash: majority correct, so the join-quorum protocol
-     implements Σ.  All sampled quorums must pairwise intersect and the
-     last quorum of each correct process must contain only correct
-     processes. *)
+     implements Σ, continuous or paced at 16 steps.  Every two sampled
+     quorums must intersect and the last quorum of each correct process
+     must contain only correct processes. *)
   let fp = Sim.Failure_pattern.make ~n:5 [ (0, 40); (1, 80) ] in
-  let layered =
-    Sim.Layered.with_detector Fd.Emulated.Sigma_majority.detector observer
-  in
-  let cfg =
-    Sim.Engine.config ~max_steps:6_000
-      ~policy:(Sim.Network.Random_delay { max_delay = 4; lambda_prob = 0.2 })
-      ~fd:(fun _ _ -> ())
-      ~detect_quiescence:false fp
-  in
-  let trace = Sim.Engine.run cfg layered in
-  let samples =
-    List.map
-      (fun (e : _ Sim.Trace.event) -> (e.pid, e.time, e.value))
-      trace.Sim.Trace.outputs
-  in
-  (* Thin the sample list to keep the O(m^2) intersection check fast, but
-     always keep the final sample per process. *)
-  let thinned =
-    List.filteri (fun i _ -> i mod 7 = 0) samples
-    @ List.filter_map
-        (fun p ->
-          match
-            List.rev
-              (List.filter (fun (q, _, _) -> Sim.Pid.equal p q) samples)
-          with
-          | last :: _ -> Some last
-          | [] -> None)
-        (Sim.Pid.all 5)
-  in
-  check_ok "emulated sigma"
-    (Fd.Sigma.check fp ~horizon:trace.Sim.Trace.ticks thinned)
+  List.iter
+    (fun (name, det) ->
+      let layered = Sim.Layered.with_detector det observer in
+      let cfg =
+        Sim.Engine.config ~max_steps:6_000
+          ~policy:(Sim.Network.Random_delay { max_delay = 4; lambda_prob = 0.2 })
+          ~fd:(fun _ _ -> ())
+          ~detect_quiescence:false fp
+      in
+      let trace = Sim.Engine.run cfg layered in
+      (* Intersection ignores who output a quorum and when, so every pair
+         of outputs is covered by the distinct (pid, quorum) pairs; each
+         keeps its latest time, so each process's last sample survives
+         for the completeness check. *)
+      let latest = Hashtbl.create 64 in
+      List.iter
+        (fun (e : _ Sim.Trace.event) ->
+          let key = (e.pid, Sim.Pidset.elements e.value) in
+          match Hashtbl.find_opt latest key with
+          | Some (t, _) when t >= e.time -> ()
+          | _ -> Hashtbl.replace latest key (e.time, e.value))
+        trace.Sim.Trace.outputs;
+      let samples =
+        Hashtbl.fold (fun (p, _) (t, q) acc -> (p, t, q) :: acc) latest []
+      in
+      check_ok name (Fd.Sigma.check fp ~horizon:trace.Sim.Trace.ticks samples))
+    [
+      ("emulated sigma", Fd.Emulated.Sigma_majority.detector);
+      ( "emulated sigma, paced 16",
+        Fd.Emulated.Sigma_majority.detector_paced ~period:16 );
+    ]
 
 let test_omega_heartbeat_emulation () =
   (* Under partial synchrony, the heartbeat Ω must stabilize on a single
@@ -455,11 +455,14 @@ let test_omega_adaptation_and_post_gst_convergence () =
           | ls ->
             Alcotest.failf "seed %d: pid %d saw %d late leaders" seed p
               (List.length ls));
+          (* a node never hears its own heartbeat: adaptation is about
+             its peers *)
           let om = fst trace.Sim.Trace.final_states.(p) in
           if
             List.exists
               (fun q ->
-                Fd.Emulated.Omega_heartbeat.timeout om q > 4 * period)
+                q <> p
+                && Fd.Emulated.Omega_heartbeat.timeout om q > 4 * period)
               correct
           then adapted := true)
         correct)

@@ -507,6 +507,91 @@ let test_install_out_of_order () =
   Alcotest.(check int) "counter unchanged" 3 (Cons.Smr.applied st)
 
 (* ------------------------------------------------------------------ *)
+(* Receive budget: a node takes at most one frame per step (the paper's
+   atomic step), so a frame that cannot change its receiver's state costs
+   the protocol a step.  Pinned on deterministic n=3 heartbeat clusters
+   with period 16. *)
+
+let test_idle_frame_budget () =
+  let cluster = Net.Local.create ~n:3 ~period:16 () in
+  Net.Local.run cluster ~rounds:480;
+  let hub = Net.Local.hub cluster in
+  let d0 = Net.Loopback.delivered hub in
+  Net.Local.run cluster ~rounds:320;
+  (* per 16-round period each node sends 2 heartbeats and runs one Σ
+     join round (2 Joins out, 2 Acks back): 18 frames per period, so
+     1.125 per round and 0.375 per node step *)
+  Alcotest.(check int) "frames delivered in 320 idle rounds" 360
+    (Net.Loopback.delivered hub - d0)
+
+(* One command at [~window:1 ~batch_max:1]: Submit to the 2 peers, then
+   one Paxos instance — Prepare, Promise, Propose and Accept 3 frames
+   each, Decide 4 (the leader's 2 plus one relay by each learner). *)
+let test_one_command_frame_budget origin () =
+  let codec = Net.Codecs.pmsg Net.Wire.string_c in
+  let submit = ref 0 and decide = ref 0 and paxos = ref 0 in
+  let count b =
+    match (Net.Wire.decode_envelope_with codec b).Net.Wire.env_msg with
+    | Sim.Layered.Main (Cons.Smr.Submit _) -> incr submit
+    | Sim.Layered.Main (Cons.Smr.Inner (_, m)) ->
+      incr paxos;
+      (match m with Cons.Quorum_paxos.Decide _ -> incr decide | _ -> ())
+    | Sim.Layered.Detector _ -> ()
+  in
+  let wrap _ (t : Net.Transport.t) =
+    {
+      t with
+      Net.Transport.send =
+        (fun dst b ->
+          count b;
+          t.Net.Transport.send dst b);
+    }
+  in
+  let cluster =
+    Net.Local.create ~n:3 ~period:16 ~window:1 ~batch_max:1 ~wrap ()
+  in
+  Net.Local.run cluster ~rounds:480;
+  Net.Local.submit cluster origin "x";
+  ignore
+    (run_until cluster (fun () ->
+         List.for_all (fun p -> applied_at cluster p = 1) (Sim.Pid.all 3)));
+  Net.Local.run cluster ~rounds:160;
+  Alcotest.(check int) "Submit frames" 2 !submit;
+  Alcotest.(check int) "Decide frames" 4 !decide;
+  Alcotest.(check int) "Paxos frames" 16 !paxos;
+  Alcotest.(check int) "main-layer frames" 18 (!submit + !paxos)
+
+(* The Decide relay is the only way a node cut off from the leader learns
+   decisions: every frame 0->2 is dropped, so node 2 hears of each
+   decision only from node 1's relay (Net.Smr_node has no catch-up). *)
+let test_decide_relay_reaches_cut_off_node () =
+  let n = 3 and k = 30 in
+  let zero_to_two = { Net.Nemesis.src = Some 0; dst = Some 2 } in
+  let ctrl = Net.Nemesis.create ~n [ (0, Net.Nemesis.Drop (zero_to_two, 1.0)) ] in
+  let cluster =
+    Net.Local.create ~n ~window:4 ~batch_max:8
+      ~wrap:(fun _ t -> Net.Nemesis.wrap ctrl t)
+      ()
+  in
+  for i = 0 to k - 1 do
+    Net.Local.submit cluster (i mod n) (Printf.sprintf "c%02d" i)
+  done;
+  ignore
+    (run_until cluster (fun () ->
+         List.for_all (fun p -> applied_at cluster p >= k) (Sim.Pid.all n)));
+  let l0 = log_view (Net.Local.applied_log cluster 0) in
+  Alcotest.(check int) "all commands applied" k (List.length l0);
+  List.iter
+    (fun p ->
+      Alcotest.(check bool)
+        (Printf.sprintf "log %d equals log 0" p)
+        true
+        (log_view (Net.Local.applied_log cluster p) = l0))
+    [ 1; 2 ];
+  Alcotest.(check bool) "0->2 frames were dropped" true
+    ((Net.Nemesis.stats ctrl).Net.Nemesis.n_dropped > 0)
+
+(* ------------------------------------------------------------------ *)
 (* Detectors over the loopback transport (satellite: Fd.Emulated       *)
 (* hardening asserted on a real message path, not just the simulator)  *)
 
@@ -871,6 +956,17 @@ let () =
             test_loopback_idle_burns_no_instances;
           Alcotest.test_case "out-of-order install applies in slot order"
             `Quick test_install_out_of_order;
+        ] );
+      ( "receive-budget",
+        [
+          Alcotest.test_case "idle cluster: 1.125 frames per round" `Quick
+            test_idle_frame_budget;
+          Alcotest.test_case "one command at the leader: 18 frames" `Quick
+            (test_one_command_frame_budget 0);
+          Alcotest.test_case "one command at a follower: 18 frames" `Quick
+            (test_one_command_frame_budget 1);
+          Alcotest.test_case "decide relay reaches a cut-off node" `Quick
+            test_decide_relay_reaches_cut_off_node;
         ] );
       ( "detectors-on-loopback",
         [
