@@ -265,6 +265,15 @@ let e12_tests =
       run "omega-stab300" (Fd.Omega.oracle_with ~leader:2 ~stabilize_at:300);
     ]
 
+(* PCT runs under one failure pattern: the whole budget goes to it. *)
+let pct_opts ~budget =
+  {
+    Mc.Harness.default_opts with
+    explorer = `Pct;
+    budget;
+    inner_budget = budget;
+  }
+
 (* E13: the model-checking subsystem — cost of one full exploration. *)
 let e13_tests =
   let ff n = Sim.Failure_pattern.failure_free n in
@@ -281,13 +290,15 @@ let e13_tests =
       Test.make ~name:"pct-quorum-paxos-n3-100runs"
         (Staged.stage (fun () ->
              ignore
-               (Mc.Pct.search ~budget:100 (Mc.Targets.quorum_paxos ~n:3)
-                  ~fp:(ff 3))));
+               (Mc.Parallel.search
+                  ~opts:(pct_opts ~budget:100)
+                  ~fps:[ ff 3 ] (Mc.Targets.quorum_paxos ~n:3) ~n:3)));
       Test.make ~name:"crash-adversary-2pc-n3"
         (Staged.stage (fun () ->
              let r =
-               Mc.Crash_adversary.search ~max_crashes:1 ~horizon:4 ~stride:2
-                 ~budget:50_000 (Mc.Targets.two_phase_commit ~n:3) ~n:3
+               Mc.Parallel.search
+                 ~opts:{ Mc.Harness.default_opts with budget = 50_000 }
+                 (Mc.Targets.two_phase_commit ~n:3) ~n:3
              in
              if r.Mc.Crash_adversary.counterexample = None then
                failwith "e13: 2pc blocking not found"));
@@ -536,27 +547,28 @@ let mc_throughput_workloads =
       25,
       fun () ->
         let r =
-          Mc.Pct.search ~budget:200 (Mc.Targets.quorum_paxos ~n:3)
-            ~fp:(Sim.Failure_pattern.failure_free 3)
+          Mc.Parallel.search ~opts:(pct_opts ~budget:200)
+            ~fps:[ Sim.Failure_pattern.failure_free 3 ]
+            (Mc.Targets.quorum_paxos ~n:3) ~n:3
         in
-        (r.Mc.Pct.schedules, r.Mc.Pct.steps) );
+        (r.Mc.Crash_adversary.schedules, r.Mc.Crash_adversary.steps) );
     ( "mc_crash_adversary_2pc_n3",
       25,
       fun () ->
         let r =
-          Mc.Crash_adversary.search ~max_crashes:1 ~horizon:4 ~stride:2
-            ~budget:50_000 ~shrink:false
-            (Mc.Targets.two_phase_commit ~n:3)
-            ~n:3
+          Mc.Parallel.search
+            ~opts:
+              { Mc.Harness.default_opts with budget = 50_000; shrink = false }
+            (Mc.Targets.two_phase_commit ~n:3) ~n:3
         in
         (r.Mc.Crash_adversary.schedules, r.Mc.Crash_adversary.steps) );
   ]
-  (* the full crash-adversary abd workload (15 failure patterns, ~6300
+  (* the full crash-adversary abd workload (15 failure patterns, 478
      schedules) through the deterministic parallel explorer, one row per
      domain count — enough work per run for the speculation/adjudication
-     split to amortize its queues.  The scaling contract is domains4 >=
-     2x domains1 schedules/sec on a multicore machine; the JSON carries
-     a "cores" field so a one-core reading (ratio ~1.0) is legible. *)
+     split to amortize its queues.  CI asserts domains4 >= 1.8x domains1
+     schedules/sec on a multicore machine; the JSON carries a "cores"
+     field so a one-core reading (ratio ~1.0) is legible. *)
   @ List.map
       (fun domains ->
         ( Printf.sprintf "mc_exhaustive_abd_n2_domains%d" domains,

@@ -44,7 +44,7 @@ let explore ?trace name ~n ~(opts : Core.Runner.mc_opts) =
     (match s.Core.Runner.counterexample with Some _ -> 1 | None -> 0)
 
 let run list protocol n explorer domains budget inner_budget depth seed
-    max_crashes horizon stride no_shrink unordered replay trace =
+    max_crashes horizon stride no_shrink replay trace =
   if list then list_targets ()
   else
     match protocol with
@@ -67,7 +67,6 @@ let run list protocol n explorer domains budget inner_budget depth seed
             horizon;
             stride;
             shrink = not no_shrink;
-            ordered = not unordered;
           }
         in
         explore ?trace name ~n ~opts)
@@ -158,17 +157,6 @@ let no_shrink_t =
     value & flag
     & info [ "no-shrink" ] ~doc:"Report the raw counterexample unshrunk.")
 
-let unordered_t =
-  Arg.(
-    value & flag
-    & info [ "unordered" ]
-        ~doc:
-          "Bug-hunting mode: workers race over a shared frontier instead of \
-           the deterministic speculation/adjudication split.  The verdict of \
-           a complete drain is still deterministic, but schedule/step totals \
-           and which counterexample is reported may vary with timing.  Not \
-           valid with $(b,--explorer dpor).")
-
 let replay_t =
   Arg.(
     value
@@ -197,6 +185,6 @@ let cmd =
     Term.(
       const run $ list_t $ protocol_t $ n_t $ explorer_t $ domains_t
       $ budget_t $ inner_budget_t $ depth_t $ seed_t $ max_crashes_t
-      $ horizon_t $ stride_t $ no_shrink_t $ unordered_t $ replay_t $ trace_t)
+      $ horizon_t $ stride_t $ no_shrink_t $ replay_t $ trace_t)
 
 let () = exit (Cmd.eval' cmd)

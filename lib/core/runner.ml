@@ -499,7 +499,6 @@ type mc_opts = Mc.Harness.opts = {
   d : int option;
   shrink : bool;
   seed : int;
-  ordered : bool;
 }
 
 let mc_default_opts = Mc.Harness.default_opts

@@ -150,7 +150,6 @@ type mc_opts = Mc.Harness.opts = {
   d : int option;
   shrink : bool;
   seed : int;
-  ordered : bool;
 }
 
 (** {!Mc.Harness.default_opts}. *)

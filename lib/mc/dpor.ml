@@ -357,13 +357,7 @@ let canonical prefix =
   let rec strip = function 0 :: tl -> strip tl | l -> l in
   List.rev (strip (List.rev prefix))
 
-let search ?(budget = 10_000) ?(prune = true) ?prune_mod_time ?(shrink = true)
-    ?(shrink_budget = 400) ?(seed = 1) target ~fp =
-  let prune_mod_time =
-    match prune_mod_time with
-    | Some b -> b
-    | None -> target.Harness.time_invariant_fd
-  in
+let search ?(budget = 10_000) ?(shrink = true) ?(seed = 1) target ~fp =
   (* The independence argument needs detector samples that do not depend
      on which slot a process lands in; otherwise every round falls back
      to full expansion and the search degenerates to {!Exhaustive}. *)
@@ -372,179 +366,121 @@ let search ?(budget = 10_000) ?(prune = true) ?prune_mod_time ?(shrink = true)
   let input_times =
     List.map (fun (t, p, _) -> (t, p)) (target.Harness.make_inputs fp)
   in
-  let seen = Hashtbl.create 4096 in
   let explored : (int list, unit) Hashtbl.t = Hashtbl.create 4096 in
   Hashtbl.add explored [] ();
-  let stack = ref [ [] ] in
-  let schedules = ref 0 in
-  let pruned = ref 0 in
-  let steps = ref 0 in
-  let found = ref None in
-  let out_of_budget = ref false in
-  while !found = None && !stack <> [] && not !out_of_budget do
-    match !stack with
-    | [] -> assert false
-    | prefix :: rest ->
-      stack := rest;
-      if !schedules >= budget then out_of_budget := true
-      else begin
-        incr schedules;
-        let depth = List.length prefix in
-        let log = ref [] in
-        let push e = log := e :: !log in
-        (* instrumented protocol: record each slot's pid, destination
-           set, consumed message and output flag (on_input fires at the
-           same [now] as the slot's on_step; [segments] merges them) *)
-        let record ctx recv acts =
-          let dests =
-            List.concat_map
-              (function
-                | Sim.Protocol.Send (d, _) ->
-                  if Sim.Pid.valid ~n d then [ d ] else []
-                | Sim.Protocol.Broadcast _ -> Sim.Pid.all n
-                | Sim.Protocol.Output _ -> [])
-              acts
-          in
-          let output =
-            List.exists
-              (function Sim.Protocol.Output _ -> true | _ -> false)
-              acts
-          in
-          push
-            (E_step
-               {
-                 now = ctx.Sim.Protocol.now;
-                 pid = ctx.Sim.Protocol.self;
-                 dests;
-                 output;
-                 delivered = Option.map fst recv;
-               })
-        in
-        let proto = target.Harness.protocol in
-        let instrumented =
-          {
-            proto with
-            Sim.Protocol.on_step =
-              (fun ctx st recv ->
-                let st, acts = proto.Sim.Protocol.on_step ctx st recv in
-                record ctx recv acts;
-                (st, acts));
-            on_input =
-              (fun ctx st inp ->
-                let st, acts = proto.Sim.Protocol.on_input ctx st inp in
-                record ctx None acts;
-                (st, acts));
-          }
-        in
-        let itarget = { target with Harness.protocol = instrumented } in
-        let g = ref 0 in
-        let consumed = ref 0 in
-        let base = Sim.Scheduler.replay prefix ~rest:Sim.Scheduler.first in
-        let sched =
-          {
-            Sim.Scheduler.choose =
-              (fun c ->
-                let i = base.Sim.Scheduler.choose c in
-                (match c with
-                | Sim.Scheduler.Round_order cand ->
-                  push
-                    (E_choice
-                       {
-                         g = !g;
-                         cand;
-                         picked = i;
-                         ar = List.length cand;
-                         round_order = true;
-                       })
-                | _ ->
-                  push
-                    (E_choice
-                       {
-                         g = !g;
-                         cand = [];
-                         picked = i;
-                         ar = Sim.Scheduler.arity c;
-                         round_order = false;
-                       }));
-                incr g;
-                incr consumed;
-                i)
-          }
-        in
-        let hook ~now ~digest ~steps:_ =
-          push E_hook;
-          if (not prune) || !consumed < depth then true
-          else begin
-            let key =
-              if prune_mod_time then digest ()
-              else Hashtbl.hash (digest (), now)
-            in
-            if Hashtbl.mem seen key then begin
-              incr pruned;
-              false
-            end
-            else begin
-              Hashtbl.add seen key ();
-              true
-            end
-          end
-        in
-        let r = Harness.run ~seed itarget ~fp ~round_hook:hook sched in
-        steps := !steps + r.Harness.steps;
-        (match r.Harness.violation with
-        | Some reason ->
-          found :=
-            Some
-              {
-                Harness.target = target.Harness.name;
-                n;
-                seed;
-                schedule = Schedule.of_fp fp r.Harness.choices;
-                reason;
-                shrunk = false;
-              }
-        | None -> ());
-        if !found = None then begin
-          let choices = Array.of_list r.Harness.choices in
-          let segs = segments (List.rev !log) in
-          if reduce then resolve_deliveries ~n segs;
-          let reqs =
-            List.concat_map (seg_requests ~fp ~n ~input_times ~reduce) segs
-          in
-          (* Deepest-node requests pushed first, so the stack explores
-             shallow divergences first — same shape as Exhaustive. *)
-          let reqs =
-            List.sort_uniq (fun (g1, a1) (g2, a2) -> compare (g2, a2) (g1, a1))
-              reqs
-          in
-          List.iter
-            (fun (g, alt) ->
-              if g < Array.length choices then begin
-                let p = canonical (take_prefix choices g @ [ alt ]) in
-                if not (Hashtbl.mem explored p) then begin
-                  Hashtbl.add explored p ();
-                  stack := p :: !stack
-                end
-              end)
-            reqs
-        end
-      end
-  done;
-  let counterexample =
-    match !found with
-    | None -> None
-    | Some c when not shrink -> Some c
-    | Some c ->
-      let violates s = Harness.violates ~seed target ~n s in
-      let schedule, _ =
-        Shrink.minimize ~budget:shrink_budget ~violates c.Harness.schedule
-      in
-      Some { c with Harness.schedule; shrunk = true }
+  let cex ~reason choices =
+    Harness.counterexample ~shrink ~violates:(Harness.violates ~seed target ~n)
+      ~target:target.Harness.name ~n ~seed ~reason (Schedule.of_fp fp choices)
   in
-  {
-    Exhaustive.counterexample;
-    schedules = !schedules;
-    pruned = !pruned;
-    steps = !steps;
-    complete = (not !out_of_budget) && !stack = [];
-  }
+  Exhaustive.dfs ~budget ~cex (fun base ~fresh ->
+      let log = ref [] in
+      let push e = log := e :: !log in
+      (* instrumented protocol: record each slot's pid, destination set,
+         consumed message and output flag (on_input fires at the same
+         [now] as the slot's on_step; [segments] merges them) *)
+      let record ctx recv acts =
+        let dests =
+          List.concat_map
+            (function
+              | Sim.Protocol.Send (d, _) ->
+                if Sim.Pid.valid ~n d then [ d ] else []
+              | Sim.Protocol.Broadcast _ -> Sim.Pid.all n
+              | Sim.Protocol.Output _ -> [])
+            acts
+        in
+        let output =
+          List.exists
+            (function Sim.Protocol.Output _ -> true | _ -> false)
+            acts
+        in
+        push
+          (E_step
+             {
+               now = ctx.Sim.Protocol.now;
+               pid = ctx.Sim.Protocol.self;
+               dests;
+               output;
+               delivered = Option.map fst recv;
+             })
+      in
+      let proto = target.Harness.protocol in
+      let instrumented =
+        {
+          proto with
+          Sim.Protocol.on_step =
+            (fun ctx st recv ->
+              let st, acts = proto.Sim.Protocol.on_step ctx st recv in
+              record ctx recv acts;
+              (st, acts));
+          on_input =
+            (fun ctx st inp ->
+              let st, acts = proto.Sim.Protocol.on_input ctx st inp in
+              record ctx None acts;
+              (st, acts));
+        }
+      in
+      let itarget = { target with Harness.protocol = instrumented } in
+      let g = ref 0 in
+      let sched =
+        {
+          Sim.Scheduler.choose =
+            (fun c ->
+              let i = base.Sim.Scheduler.choose c in
+              (match c with
+              | Sim.Scheduler.Round_order cand ->
+                push
+                  (E_choice
+                     {
+                       g = !g;
+                       cand;
+                       picked = i;
+                       ar = List.length cand;
+                       round_order = true;
+                     })
+              | _ ->
+                push
+                  (E_choice
+                     {
+                       g = !g;
+                       cand = [];
+                       picked = i;
+                       ar = Sim.Scheduler.arity c;
+                       round_order = false;
+                     }));
+              incr g;
+              i);
+        }
+      in
+      let round_hook ~now ~digest ~steps:_ =
+        push E_hook;
+        fresh (Exhaustive.key target ~now digest)
+      in
+      let r = Harness.run ~seed itarget ~fp ~round_hook sched in
+      let next ~depth:_ ~arities:_ =
+        let choices = Array.of_list r.Harness.choices in
+        let segs = segments (List.rev !log) in
+        if reduce then resolve_deliveries ~n segs;
+        let reqs =
+          List.concat_map (seg_requests ~fp ~n ~input_times ~reduce) segs
+          |> List.sort_uniq compare
+        in
+        (* Shallow divergences first — the order Exhaustive explores
+           siblings in. *)
+        List.filter_map
+          (fun (g, alt) ->
+            if g >= Array.length choices then None
+            else
+              let p = canonical (take_prefix choices g @ [ alt ]) in
+              if Hashtbl.mem explored p then None
+              else begin
+                Hashtbl.add explored p ();
+                Some p
+              end)
+          reqs
+      in
+      {
+        Exhaustive.violation = r.Harness.violation;
+        choices = r.Harness.choices;
+        steps = r.Harness.steps;
+        next;
+      })

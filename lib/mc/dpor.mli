@@ -1,8 +1,9 @@
 (** Dynamic partial-order reduction with sleep sets over the round
     scheduler's choice points.
 
-    Same bounded DFS, digest pruning, budget and shrinking behaviour as
-    {!Exhaustive} — same report, identical verdicts — but instead of
+    The same bounded DFS as {!Exhaustive} ({!Exhaustive.dfs}: digest
+    pruning, budget, shrinking, the report) — identical verdicts — but
+    instead of
     branching on every [Round_order] pick it observes what each step of
     a round actually did (message destinations, outputs) and enqueues an
     alternative order only for steps that conflict: messages to
@@ -14,18 +15,15 @@
     points, time-varying detectors — fall back to the full sibling
     expansion {!Exhaustive} performs everywhere.
 
-    The payoff is measured in BENCH.md: exhaustive ABD n=2 shrinks from
-    420 schedules to a fraction, and exhaustive n=3 — millions of
-    schedules, infeasible plain — completes.  docs/MC.md § "DPOR and
-    sleep sets" gives the independence relation and the soundness
-    argument. *)
+    The payoff is measured by the [mc_dpor_abd_*] rows of
+    BENCH_weakest_fd.json: exhaustive ABD n=2 shrinks from 420 schedules
+    to 34, and exhaustive n=3 — millions of schedules, infeasible plain —
+    completes.  docs/MC.md § "DPOR and sleep sets" gives the independence
+    relation and the soundness argument. *)
 
 val search :
   ?budget:int ->
-  ?prune:bool ->
-  ?prune_mod_time:bool ->
   ?shrink:bool ->
-  ?shrink_budget:int ->
   ?seed:int ->
   ('st, 'msg, 'fd, 'inp, 'out) Harness.target ->
   fp:Sim.Failure_pattern.t ->

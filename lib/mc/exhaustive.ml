@@ -8,14 +8,14 @@ type report = {
   complete : bool;
 }
 
-let search ?(budget = 10_000) ?(prune = true) ?prune_mod_time
-    ?(shrink = true) ?(shrink_budget = 400) ?(seed = 1) target ~fp =
-  let prune_mod_time =
-    match prune_mod_time with
-    | Some b -> b
-    | None -> target.Harness.time_invariant_fd
-  in
-  let n = Sim.Failure_pattern.n fp in
+type run = {
+  violation : string option;
+  choices : int list;
+  steps : int;
+  next : depth:int -> arities:int array -> int list list;
+}
+
+let dfs ~budget ~cex exec =
   let seen = Hashtbl.create 4096 in
   let stack = ref [ [] ] in
   let schedules = ref 0 in
@@ -33,7 +33,7 @@ let search ?(budget = 10_000) ?(prune = true) ?prune_mod_time
         incr schedules;
         let depth = List.length prefix in
         (* Follow [prefix], then always take alternative 0; record every
-           choice's arity so the sibling branches can be enqueued. *)
+           choice's arity so the explorer can enqueue other branches. *)
         let arities = ref [] in
         let consumed = ref 0 in
         let base = Sim.Scheduler.replay prefix ~rest:Sim.Scheduler.first in
@@ -46,13 +46,12 @@ let search ?(budget = 10_000) ?(prune = true) ?prune_mod_time
                 base.Sim.Scheduler.choose c);
           }
         in
-        let hook ~now ~digest ~steps:_ =
-          if (not prune) || !consumed < depth then true
+        (* The prune gate: never while the prefix replays, then a state
+           key already seen cuts the run. *)
+        let fresh key =
+          if !consumed < depth then true
           else begin
-            let key =
-              if prune_mod_time then digest ()
-              else Hashtbl.hash (digest (), now)
-            in
+            let key = key () in
             if Hashtbl.mem seen key then begin
               incr pruned;
               false
@@ -63,50 +62,52 @@ let search ?(budget = 10_000) ?(prune = true) ?prune_mod_time
             end
           end
         in
-        let r = Harness.run ~seed target ~fp ~round_hook:hook sched in
-        steps := !steps + r.Harness.steps;
-        (match r.Harness.violation with
-        | Some reason ->
-          found :=
-            Some
-              {
-                Harness.target = target.Harness.name;
-                n;
-                seed;
-                schedule = Schedule.of_fp fp r.Harness.choices;
-                reason;
-                shrunk = false;
-              }
-        | None -> ());
-        if !found = None then begin
-          (* Enqueue the unexplored siblings of every choice point taken
-             beyond the prefix (the prefix's own siblings were enqueued by
-             the run that discovered it). *)
-          let seq = Array.of_list r.Harness.choices in
-          let ars = Array.of_list (List.rev !arities) in
-          for i = Array.length seq - 1 downto depth do
-            for k = ars.(i) - 1 downto 1 do
-              stack := (take_prefix seq i @ [ k ]) :: !stack
-            done
-          done
-        end
+        let r = exec sched ~fresh in
+        steps := !steps + r.steps;
+        match r.violation with
+        | Some reason -> found := Some (cex ~reason r.choices)
+        | None ->
+          let arities = Array.of_list (List.rev !arities) in
+          stack := r.next ~depth ~arities @ !stack
       end
   done;
-  let counterexample =
-    match !found with
-    | None -> None
-    | Some c when not shrink -> Some c
-    | Some c ->
-      let violates s = Harness.violates ~seed target ~n s in
-      let schedule, _ =
-        Shrink.minimize ~budget:shrink_budget ~violates c.Harness.schedule
-      in
-      Some { c with Harness.schedule; shrunk = true }
-  in
   {
-    counterexample;
+    counterexample = !found;
     schedules = !schedules;
     pruned = !pruned;
     steps = !steps;
     complete = (not !out_of_budget) && !stack = [];
   }
+
+(* The unexplored siblings of every choice point taken beyond the prefix
+   (the prefix's own siblings were enqueued by the run that discovered
+   it), shallowest first. *)
+let siblings choices ~depth ~arities =
+  let seq = Array.of_list choices in
+  let acc = ref [] in
+  for i = Array.length seq - 1 downto depth do
+    for k = arities.(i) - 1 downto 1 do
+      acc := (take_prefix seq i @ [ k ]) :: !acc
+    done
+  done;
+  !acc
+
+let key target ~now digest () =
+  if target.Harness.time_invariant_fd then digest ()
+  else Hashtbl.hash (digest (), now)
+
+let search ?(budget = 10_000) ?(shrink = true) ?(seed = 1) target ~fp =
+  let n = Sim.Failure_pattern.n fp in
+  let cex ~reason choices =
+    Harness.counterexample ~shrink ~violates:(Harness.violates ~seed target ~n)
+      ~target:target.Harness.name ~n ~seed ~reason (Schedule.of_fp fp choices)
+  in
+  dfs ~budget ~cex (fun sched ~fresh ->
+      let round_hook ~now ~digest ~steps:_ = fresh (key target ~now digest) in
+      let r = Harness.run ~seed target ~fp ~round_hook sched in
+      {
+        violation = r.Harness.violation;
+        choices = r.Harness.choices;
+        steps = r.Harness.steps;
+        next = siblings r.Harness.choices;
+      })

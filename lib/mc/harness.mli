@@ -7,7 +7,7 @@
 
     Failure detector histories are sampled from [(fp, seed)] and are *not*
     part of the explored nondeterminism: an explorer quantifies over
-    schedules and (via {!Crash_adversary}) failure patterns for one fixed
+    schedules and (via {!Parallel.search}) failure patterns for one fixed
     history sample per pattern. *)
 
 type ('st, 'msg, 'fd, 'inp, 'out) target = {
@@ -41,9 +41,9 @@ type run_report = {
       (** rendered output events, for reporting; rendered when forced *)
 }
 
-(** The inner schedule explorer every search front-end chooses between.
-    Defined once here; {!Crash_adversary}, {!Parallel} and [Core.Runner]
-    all re-export this type rather than declaring their own copy.
+(** The per-pattern schedule explorer {!Parallel.search} runs.  Defined
+    once here; [Core.Runner] re-exports this type rather than declaring
+    its own copy.
     [`Dpor] is [`Exhaustive] with dynamic partial-order reduction
     ({!Dpor}): identical verdicts, strictly fewer schedules. *)
 type explorer = [ `Exhaustive | `Pct | `Random | `Dpor ]
@@ -72,19 +72,10 @@ type opts = {
           silently dropped. *)
   shrink : bool;
   seed : int;  (** root seed; all per-run RNG streams derive from it *)
-  ordered : bool;
-      (** [true] (default): the report is bit-identical at every domain
-          count — {!Parallel}'s speculation/adjudication split.  [false]:
-          pure bug-hunting; workers race over a shared frontier with a
-          racy visited filter, the verdict of a complete drain is still
-          deterministic but schedule/step totals and {e which}
-          counterexample is reported may vary with timing.  Rejected for
-          [`Dpor] by {!validate_opts}. *)
 }
 
 (** [`Exhaustive] explorer, 1 domain, budget 20_000, inner budget 2_000,
-    max_crashes 1, horizon 4, stride 2, no d, shrink on, seed 1,
-    ordered. *)
+    max_crashes 1, horizon 4, stride 2, no d, shrink on, seed 1. *)
 val default_opts : opts
 
 (** Reject inconsistent option combinations: [domains < 1], or a PCT depth
@@ -136,6 +127,20 @@ type counterexample = {
   reason : string;
   shrunk : bool;
 }
+
+(** [counterexample ~shrink ~violates ~target ~n ~seed ~reason schedule]
+    reports the violating [schedule], first minimized by {!Shrink.minimize}
+    against [violates] when [shrink] is set.  Every explorer reports its
+    counterexample through it. *)
+val counterexample :
+  shrink:bool ->
+  violates:(Schedule.t -> bool) ->
+  target:string ->
+  n:int ->
+  seed:int ->
+  reason:string ->
+  Schedule.t ->
+  counterexample
 
 val pp_counterexample : Format.formatter -> counterexample -> unit
 

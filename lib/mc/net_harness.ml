@@ -228,95 +228,22 @@ let replay target schedule =
 
 let violates target schedule = (replay target schedule).violation <> None
 
-let take_prefix arr i = Array.to_list (Array.sub arr 0 i)
-
-let search ?(budget = 10_000) ?(prune = true) ?(shrink = true)
-    ?(shrink_budget = 400) ?(seed = 1) target =
-  let seen = Hashtbl.create 4096 in
-  let stack = ref [ [] ] in
-  let schedules = ref 0 in
-  let pruned = ref 0 in
-  let steps = ref 0 in
-  let found = ref None in
-  let out_of_budget = ref false in
-  while !found = None && !stack <> [] && not !out_of_budget do
-    match !stack with
-    | [] -> assert false
-    | prefix :: rest ->
-      stack := rest;
-      if !schedules >= budget then out_of_budget := true
-      else begin
-        incr schedules;
-        let depth = List.length prefix in
-        let arities = ref [] in
-        let consumed = ref 0 in
-        let base = Sim.Scheduler.replay prefix ~rest:Sim.Scheduler.first in
-        let sched =
-          {
-            Sim.Scheduler.choose =
-              (fun c ->
-                arities := Sim.Scheduler.arity c :: !arities;
-                incr consumed;
-                base.Sim.Scheduler.choose c);
-          }
-        in
-        (* Scripts index by round, so states only merge at equal
-           rounds: the key pairs the digest with the round counter. *)
-        let hook ~round ~digest ~steps:_ =
-          if (not prune) || !consumed < depth then true
-          else begin
-            let key = Hashtbl.hash (digest (), round) in
-            if Hashtbl.mem seen key then begin
-              incr pruned;
-              false
-            end
-            else begin
-              Hashtbl.add seen key ();
-              true
-            end
-          end
-        in
-        let r = run ~round_hook:hook target sched in
-        steps := !steps + r.steps;
-        (match r.violation with
-        | Some reason ->
-          found :=
-            Some
-              {
-                Harness.target = target.name;
-                n = target.n;
-                seed;
-                schedule = Schedule.make ~crashes:[] r.choices;
-                reason;
-                shrunk = false;
-              }
-        | None -> ());
-        if !found = None then begin
-          let seq = Array.of_list r.choices in
-          let ars = Array.of_list (List.rev !arities) in
-          for i = Array.length seq - 1 downto depth do
-            for k = ars.(i) - 1 downto 1 do
-              stack := (take_prefix seq i @ [ k ]) :: !stack
-            done
-          done
-        end
-      end
-  done;
-  let counterexample =
-    match !found with
-    | None -> None
-    | Some c when not shrink -> Some c
-    | Some c ->
-      let violates s = violates target s in
-      let schedule, _ =
-        Shrink.minimize ~budget:shrink_budget ~violates c.Harness.schedule
-      in
-      Some { c with Harness.schedule; shrunk = true }
+let search ?(budget = 10_000) ?(shrink = true) ?(seed = 1) target =
+  let cex ~reason choices =
+    Harness.counterexample ~shrink ~violates:(violates target)
+      ~target:target.name ~n:target.n ~seed ~reason
+      (Schedule.make ~crashes:[] choices)
   in
-  {
-    Exhaustive.counterexample;
-    schedules = !schedules;
-    pruned = !pruned;
-    steps = !steps;
-    complete = (not !out_of_budget) && !stack = [];
-  }
+  Exhaustive.dfs ~budget ~cex (fun sched ~fresh ->
+      (* Scripts index by round, so states only merge at equal rounds:
+         the key pairs the digest with the round counter. *)
+      let round_hook ~round ~digest ~steps:_ =
+        fresh (fun () -> Hashtbl.hash (digest (), round))
+      in
+      let r = run ~round_hook target sched in
+      {
+        Exhaustive.violation = r.violation;
+        choices = r.choices;
+        steps = r.steps;
+        next = Exhaustive.siblings r.choices;
+      })

@@ -101,17 +101,15 @@ val replay :
 (** Does replaying [schedule] still violate the invariant? *)
 val violates : ('st, 'msg, 'inp, 'out) target -> Schedule.t -> bool
 
-(** Exhaustive DFS over the target's delivery interleavings, with
-    visited-digest pruning (keyed on [(digest, round)] — fault/input
-    scripts are round-indexed, so states only merge at equal rounds),
-    schedule [budget], and counterexample shrinking via
-    {!Shrink.minimize} over the choice sequence.  Returns the same
-    report shape as {!Exhaustive.search}. *)
+(** Exhaustive DFS ({!Exhaustive.dfs}) over the target's delivery
+    interleavings, with visited-digest pruning (keyed on
+    [(digest, round)] — fault/input scripts are round-indexed, so states
+    only merge at equal rounds), schedule [budget], and counterexample
+    shrinking over the choice sequence.  Returns the same report shape
+    as {!Exhaustive.search}. *)
 val search :
   ?budget:int ->
-  ?prune:bool ->
   ?shrink:bool ->
-  ?shrink_budget:int ->
   ?seed:int ->
   ('st, 'msg, 'inp, 'out) target ->
   Exhaustive.report

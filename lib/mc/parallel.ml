@@ -9,13 +9,7 @@
    counterexample).  A trajectory is a pure function of (target, fp,
    prefix-or-index, seed), so the report is independent of the domain
    count and of scheduling luck.  See parallel.mli for the full
-   argument.
-
-   [opts.ordered = false] drops the adjudication half entirely: workers
-   race over one shared frontier with a multi-writer racy filter and
-   atomic counters — maximum drain rate, deterministic verdict on a
-   complete drain, but timing-dependent counters and counterexample
-   choice.  See [search_unordered] below. *)
+   argument. *)
 
 (* ---- shared visited-digest filter ---------------------------------- *)
 
@@ -23,21 +17,14 @@
    independent stripes.  Slots hold immediate ints, so concurrent reads
    cannot tear under the OCaml memory model; a stale read just misses a
    key, which only costs speculation time.  A hit is always genuine:
-   writers store key k solely along the probe path of k.  Striping keeps
-   a probe sequence inside one small table, so the cache lines a reader
-   walks are mostly ones writers are not currently dirtying.
-
-   Two write disciplines share the [mem] path:
-   - [add] (ordered mode): single writer — the coordinator — with an
-     occupancy limit per stripe;
-   - [add_racy] (unordered mode): any worker.  Two racers probing the
-     same empty slot can overwrite each other; the lost insert only
-     means some other run re-explores that state.  No occupancy
-     accounting — the probe bound alone caps the work. *)
+   the one writer, the coordinator, stores key k solely along the probe
+   path of k.  Striping keeps a probe sequence inside one small table, so
+   the cache lines a reader walks are mostly ones the writer is not
+   currently dirtying. *)
 module Filter = struct
   type stripe = {
     slots : int array;  (* 0 = empty, otherwise key + 1 *)
-    mutable occupied : int;  (* [add]-only *)
+    mutable occupied : int;
     limit : int;
   }
 
@@ -90,22 +77,6 @@ module Filter = struct
         else if tries < probe_bound then go ((i + 1) land t.mask) (tries + 1)
       in
       go (h land t.mask) 0
-
-  (* Multi-writer, no occupancy bookkeeping.  A racing store can bury a
-     concurrent one; both keys were genuinely visited, so any later hit
-     on either remains sound and the buried key at worst costs a
-     duplicate exploration. *)
-  let add_racy t key =
-    let h = mix key in
-    let st = stripe_of t h in
-    let v = key + 1 in
-    let rec go i tries =
-      let s = Array.unsafe_get st.slots i in
-      if s = v then ()
-      else if s = 0 then Array.unsafe_set st.slots i v
-      else if tries < probe_bound then go ((i + 1) land t.mask) (tries + 1)
-    in
-    go (h land t.mask) 0
 end
 
 (* ---- work units and trajectories ------------------------------------ *)
@@ -147,29 +118,27 @@ let take_prefix choices i = Array.to_list (Array.sub choices 0 i)
 let subtree_quota = 64
 let sample_batch = 16
 
-(* ---- ordered search -------------------------------------------------- *)
+(* ---- search ---------------------------------------------------------- *)
 
 let clamp_domains requested =
   max 1 (min (min requested 64) (Domain.recommended_domain_count ()))
 
 let mk_cex ~(o : Harness.opts) ~fp target ~n reason choices =
-  let c =
-    {
-      Harness.target = target.Harness.name;
-      n;
-      seed = o.seed;
-      schedule = Schedule.of_fp fp choices;
-      reason;
-      shrunk = false;
-    }
-  in
-  if not o.shrink then c
-  else
-    let violates s = Harness.violates ~seed:o.seed target ~n s in
-    let schedule, _ = Shrink.minimize ~violates c.Harness.schedule in
-    { c with Harness.schedule; shrunk = true }
+  Harness.counterexample ~shrink:o.shrink
+    ~violates:(Harness.violates ~seed:o.seed target ~n)
+    ~target:target.Harness.name ~n ~seed:o.seed ~reason
+    (Schedule.of_fp fp choices)
 
-let search_ordered ~(o : Harness.opts) ~fps target ~n =
+let search ~(opts : Harness.opts) ?fps target ~n =
+  let o = opts in
+  let fps =
+    Array.of_list
+      (match fps with
+      | Some l -> l
+      | None ->
+        Crash_adversary.patterns ~n ~max_crashes:o.max_crashes
+          ~horizon:o.horizon ~stride:o.stride)
+  in
   let d = Option.value o.d ~default:3 in
   (* The requested domain count is a cap, the hardware is the other:
      spawning more worker domains than cores makes speculation strictly
@@ -612,235 +581,3 @@ let search_ordered ~(o : Harness.opts) ~fps target ~n =
     steps = !total_steps;
     complete = !complete && !found = None;
   }
-
-(* ---- unordered search ------------------------------------------------ *)
-
-(* Pure bug-hunting: one shared frontier over (pattern, work) pairs, no
-   adjudication.  Workers prune against the racy shared filter directly,
-   insert-then-explore: a key insert claims the state's continuation,
-   and the inserting run explores every successor branch up to its own
-   cut points, so a complete drain still covers every reachable state
-   modulo digests — the standard shared-visited-set parallel
-   exploration.  The verdict of a complete drain (violation found / none
-   exists) is deterministic; schedule and step totals can vary a little
-   with timing (a lost racy insert means a duplicated subtree), and
-   *which* counterexample is found first is a race.  Counters never
-   include aborted (cancelled mid-run) executions: a clean sampled drain
-   counts exactly its budget at every domain count. *)
-
-type u_work = U_prefix of int * int list | U_sampled of int * int
-
-let search_unordered ~(o : Harness.opts) ~fps target ~n =
-  let d = Option.value o.d ~default:3 in
-  let n_domains = clamp_domains o.domains in
-  let prune_mod_time = target.Harness.time_invariant_fd in
-  let filter = Filter.create ~stripes:8 17 in
-  let cancelled = Atomic.make false in
-  let schedules = Atomic.make 0 in
-  let steps = Atomic.make 0 in
-  let pattern_runs = Array.map (fun _ -> Atomic.make 0) fps in
-  let budget_hit = Atomic.make false in
-  let mutex = Mutex.create () in
-  let cond = Condition.create () in
-  let frontier : u_work Queue.t = Queue.create () in
-  let active = ref 0 in
-  let found = ref None (* under [mutex] *) in
-  let drained = ref true in
-  (* Per-pattern budget allocation, computed exactly as the ordered
-     search would for a clean run: fewest-crashes-first, min of the
-     per-pattern cap and what is left of the total. *)
-  let alloc =
-    let remaining = ref o.budget in
-    Array.map
-      (fun _ ->
-        let b = min o.inner_budget !remaining in
-        remaining := !remaining - b;
-        b)
-      fps
-  in
-  Array.iteri
-    (fun pat _ ->
-      if alloc.(pat) > 0 then
-        match o.explorer with
-        | `Exhaustive -> Queue.push (U_prefix (pat, [])) frontier
-        | `Pct | `Random ->
-          for i = 0 to alloc.(pat) - 1 do
-            Queue.push (U_sampled (pat, i)) frontier
-          done
-        | `Dpor -> assert false (* rejected by validate_opts *))
-    fps;
-
-  let exec_prefix ~pat prefix =
-    let fp = fps.(pat) in
-    let depth = List.length prefix in
-    let arities = ref [] in
-    let consumed = ref 0 in
-    let base = Sim.Scheduler.replay prefix ~rest:Sim.Scheduler.first in
-    let sched =
-      {
-        Sim.Scheduler.choose =
-          (fun c ->
-            arities := Sim.Scheduler.arity c :: !arities;
-            incr consumed;
-            base.Sim.Scheduler.choose c);
-      }
-    in
-    let cut_at = ref None in
-    let aborted = ref false in
-    let hook ~now ~digest ~steps:_ =
-      if Atomic.get cancelled then begin
-        aborted := true;
-        false
-      end
-      else if !consumed < depth then true
-      else begin
-        let key =
-          salt ~pat
-            (if prune_mod_time then digest () else Hashtbl.hash (digest (), now))
-        in
-        if Filter.mem filter key then begin
-          cut_at := Some !consumed;
-          false
-        end
-        else begin
-          Filter.add_racy filter key;
-          true
-        end
-      end
-    in
-    let r = Harness.run ~seed:o.seed target ~fp ~round_hook:hook sched in
-    (r, Array.of_list (List.rev !arities), !cut_at, !aborted)
-  in
-  let exec_sampled ~pat idx =
-    let fp = fps.(pat) in
-    let rng = Sim.Rng.make (Hashtbl.hash (o.seed, pat, idx, "mc.parallel")) in
-    let sched =
-      match o.explorer with
-      | `Pct ->
-        Pct.scheduler ~d ~horizon:(max 1 target.Harness.max_steps) rng ~n
-      | `Random | `Exhaustive | `Dpor -> Sim.Scheduler.random rng
-    in
-    Harness.run ~seed:o.seed target ~fp sched
-  in
-  let record_violation ~pat reason choices =
-    Mutex.lock mutex;
-    if !found = None then begin
-      found := Some (pat, reason, choices);
-      Atomic.set cancelled true;
-      Condition.broadcast cond
-    end;
-    Mutex.unlock mutex
-  in
-  let worker () =
-    let continue = ref true in
-    while !continue do
-      Mutex.lock mutex;
-      while
-        Queue.is_empty frontier && !active > 0 && not (Atomic.get cancelled)
-      do
-        Condition.wait cond mutex
-      done;
-      if Queue.is_empty frontier || Atomic.get cancelled then begin
-        continue := false;
-        Mutex.unlock mutex
-      end
-      else begin
-        let w = Queue.pop frontier in
-        incr active;
-        Mutex.unlock mutex;
-        (match w with
-        | U_prefix (pat, p) ->
-          if Atomic.get schedules >= o.budget then begin
-            Atomic.set budget_hit true;
-            Mutex.lock mutex;
-            drained := false;
-            Mutex.unlock mutex
-          end
-          else begin
-            let r, arities, cut_at, aborted = exec_prefix ~pat p in
-            if not aborted then begin
-              Atomic.incr schedules;
-              Atomic.incr pattern_runs.(pat);
-              ignore (Atomic.fetch_and_add steps r.Harness.steps);
-              match r.Harness.violation with
-              | Some reason -> record_violation ~pat reason r.Harness.choices
-              | None ->
-                if Atomic.get pattern_runs.(pat) < alloc.(pat) then begin
-                  let seq = Array.of_list r.Harness.choices in
-                  let depth = List.length p in
-                  let upto =
-                    match cut_at with
-                    | Some c -> c
-                    | None -> Array.length arities
-                  in
-                  let batch = ref [] in
-                  for i = depth to upto - 1 do
-                    for alt = 1 to arities.(i) - 1 do
-                      batch :=
-                        U_prefix (pat, take_prefix seq i @ [ alt ]) :: !batch
-                    done
-                  done;
-                  if !batch <> [] then begin
-                    Mutex.lock mutex;
-                    List.iter (fun w -> Queue.push w frontier) (List.rev !batch);
-                    Condition.broadcast cond;
-                    Mutex.unlock mutex
-                  end
-                end
-                else begin
-                  Mutex.lock mutex;
-                  drained := false;
-                  Mutex.unlock mutex
-                end
-            end
-          end
-        | U_sampled (pat, i) ->
-          let r = exec_sampled ~pat i in
-          if not (Atomic.get cancelled) then begin
-            Atomic.incr schedules;
-            ignore (Atomic.fetch_and_add steps r.Harness.steps);
-            match r.Harness.violation with
-            | Some reason -> record_violation ~pat reason r.Harness.choices
-            | None -> ()
-          end);
-        Mutex.lock mutex;
-        decr active;
-        if Queue.is_empty frontier && !active = 0 then Condition.broadcast cond;
-        Mutex.unlock mutex
-      end
-    done
-  in
-  let domains = Array.init (n_domains - 1) (fun _ -> Domain.spawn worker) in
-  worker ();
-  Array.iter Domain.join domains;
-  let counterexample =
-    match !found with
-    | None -> None
-    | Some (pat, reason, choices) ->
-      Some (mk_cex ~o ~fp:fps.(pat) target ~n reason choices)
-  in
-  let sampled = o.explorer <> `Exhaustive in
-  {
-    Crash_adversary.counterexample;
-    patterns = Array.length fps;
-    schedules = Atomic.get schedules;
-    steps = Atomic.get steps;
-    complete =
-      (not sampled) && !drained && counterexample = None
-      && not (Atomic.get budget_hit);
-  }
-
-(* ---- entry point ----------------------------------------------------- *)
-
-let search ~(opts : Harness.opts) ?fps target ~n =
-  let o = opts in
-  let fps =
-    match fps with
-    | Some l -> Array.of_list l
-    | None ->
-      Array.of_list
-        (Crash_adversary.patterns ~n ~max_crashes:o.max_crashes
-           ~horizon:o.horizon ~stride:o.stride)
-  in
-  if o.ordered then search_ordered ~o ~fps target ~n
-  else search_unordered ~o ~fps target ~n

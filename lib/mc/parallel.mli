@@ -1,14 +1,12 @@
-(** Parallel schedule exploration on OCaml 5 domains.
+(** The model checker's one search over failure patterns × schedules,
+    on OCaml 5 domains.
 
-    [search] shards the crash-pattern × schedule frontier of a
-    {!Crash_adversary}-style search across a pool of [Domain]s.  It has
-    two modes, selected by [opts.ordered]:
-
-    {2 Ordered mode (default): bit-identical reports}
-
-    The report — counterexample, pattern/schedule/step counts,
-    completeness — is {e bit-identical for every domain count},
-    including 1.  The explorer splits every run into two halves:
+    [search] runs the chosen explorer under every failure pattern of
+    {!Crash_adversary.patterns} (or [?fps]), fewest crashes first, and
+    shards the work across a pool of [Domain]s.  The report —
+    counterexample, pattern/schedule/step counts, completeness — is
+    {e bit-identical for every domain count}, including 1.  The explorer
+    splits every run into two halves:
 
     - {b Speculation} (parallel, racy): workers claim {e subtree jobs} —
       a frontier prefix plus a quota — and run a local depth-first
@@ -39,35 +37,18 @@
     report counts the work of the canonical search, so [steps] is a
     search metric, not a wall-clock artifact.
 
-    {2 Unordered mode ([ordered = false]): bug-hunting}
-
-    Workers race over one shared frontier with a racy multi-writer
-    filter ({!Filter.add_racy}-style plain stores: a lost insert only
-    means a state may be explored twice, a hit is always genuine).
-    There is no adjudication: the first violation found wins (a mutex
-    arbitrates), cancellation is immediate, and per-pattern budgets are
-    fixed by a deterministic static allocation so that a {e clean
-    complete drain} — no violation, budget not exhausted — still
-    reports deterministic schedule counts at any domain count.  Which
-    counterexample is reported, and the partial counters of an
-    interrupted search, may vary with timing.  Use it to find bugs
-    faster; use ordered mode to report them.  Rejected for [`Dpor]
-    (sleep-set state is inherently sequential) by
-    {!Harness.validate_opts}.
-
     {2 Scaling}
 
     [opts.domains] is a cap, not a demand: the pool never exceeds
     [Domain.recommended_domain_count ()], and 1 domain runs the
     sequential inline path.  [`Dpor] adjudicates sequentially per
-    pattern (the reduction is a frontier-order-dependent algorithm);
-    [`Pct]/[`Random] parallelize by run index — run [i] of pattern [p]
-    draws its RNG stream from [(root seed, p, i)] regardless of which
-    domain executes it.
+    pattern with {!Dpor.search} (the reduction is a
+    frontier-order-dependent algorithm); [`Pct]/[`Random] parallelize by
+    run index — run [i] of pattern [p] draws its RNG stream from
+    [(root seed, p, i)] regardless of which domain executes it.
 
-    The report is {!Crash_adversary.report}: the searches agree on
-    semantics, budget accounting ([budget] total across patterns,
-    [inner_budget] per pattern, fewest-crashes-first) and reporting. *)
+    Budget accounting: [budget] is the total across patterns, and each
+    pattern gets at most [inner_budget] of what is left. *)
 
 (** [search ~opts target ~n] explores failure patterns × schedules with
     [opts.domains]-way parallelism.  [?fps] overrides the enumerated

@@ -48,51 +48,3 @@ let scheduler ?(d = 3) ~horizon rng ~n =
         | Sim.Scheduler.Send_delay _ -> 0
         | Sim.Scheduler.Deliver_skip _ -> 0);
   }
-
-type report = {
-  counterexample : Harness.counterexample option;
-  schedules : int;
-  steps : int;
-}
-
-let search ?(budget = 1_000) ?(d = 3) ?horizon ?(shrink = true)
-    ?(shrink_budget = 400) ?(seed = 1) target ~fp =
-  let n = Sim.Failure_pattern.n fp in
-  let horizon =
-    match horizon with Some h -> h | None -> max 1 (target.Harness.max_steps)
-  in
-  let rng = Sim.Rng.make (Hashtbl.hash (seed, "pct")) in
-  let schedules = ref 0 in
-  let steps = ref 0 in
-  let found = ref None in
-  while !found = None && !schedules < budget do
-    incr schedules;
-    let sched = scheduler ~d ~horizon (Sim.Rng.split rng !schedules) ~n in
-    let r = Harness.run ~seed target ~fp sched in
-    steps := !steps + r.Harness.steps;
-    match r.Harness.violation with
-    | Some reason ->
-      found :=
-        Some
-          {
-            Harness.target = target.Harness.name;
-            n;
-            seed;
-            schedule = Schedule.of_fp fp r.Harness.choices;
-            reason;
-            shrunk = false;
-          }
-    | None -> ()
-  done;
-  let counterexample =
-    match !found with
-    | None -> None
-    | Some c when not shrink -> Some c
-    | Some c ->
-      let violates s = Harness.violates ~seed target ~n s in
-      let schedule, _ =
-        Shrink.minimize ~budget:shrink_budget ~violates c.Harness.schedule
-      in
-      Some { c with Harness.schedule; shrunk = true }
-  in
-  { counterexample; schedules = !schedules; steps = !steps }

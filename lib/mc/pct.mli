@@ -7,29 +7,10 @@
     point is hit.  This concentrates probability on low-depth orderings: a
     bug requiring [d] specific ordering constraints is hit with probability
     at least [1 / (n * k^(d-1))] per run ([k] = decisions per run), far
-    better than uniform random walks for small [d]. *)
+    better than uniform random walks for small [d].  {!Parallel.search}
+    draws one such scheduler per run under the [`Pct] explorer. *)
 
 (** [scheduler ~d ~horizon rng ~n] is one run's priority scheduler.
     [horizon] is the expected number of scheduling decisions per run and
     bounds where change points may fall. *)
 val scheduler : ?d:int -> horizon:int -> Sim.Rng.t -> n:int -> Sim.Scheduler.t
-
-type report = {
-  counterexample : Harness.counterexample option;
-  schedules : int;  (** runs executed *)
-  steps : int;  (** total process steps across all runs *)
-}
-
-(** [search target ~fp] runs up to [budget] PCT runs (fresh priorities and
-    change points each), stopping at the first invariant violation, which
-    is then shrunk into a replayable counterexample. *)
-val search :
-  ?budget:int ->
-  ?d:int ->
-  ?horizon:int ->
-  ?shrink:bool ->
-  ?shrink_budget:int ->
-  ?seed:int ->
-  ('st, 'msg, 'fd, 'inp, 'out) Harness.target ->
-  fp:Sim.Failure_pattern.t ->
-  report

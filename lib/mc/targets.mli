@@ -42,7 +42,8 @@ val abd :
 
 (** Classical two-phase commit (no failure detector), all-Yes votes,
     checked against the NBAC spec.  Blocks when the coordinator crashes —
-    the violation {!Crash_adversary} is expected to find. *)
+    the violation the crash adversary ({!Parallel.search}) is expected to
+    find. *)
 val two_phase_commit :
   n:int ->
   ( Qcnbac.Two_phase_commit.state,

@@ -5,6 +5,11 @@
 
 let ff n = Sim.Failure_pattern.failure_free n
 
+(* Crash-adversary searches go through [Mc.Parallel.search] at one
+   domain, from these defaults: at most one crash on the time grid
+   0, 2, 4, the exhaustive explorer under each pattern. *)
+let mc = Mc.Harness.default_opts
+
 (* ---- schedules round-trip ----------------------------------------- *)
 
 let test_schedule_roundtrip () =
@@ -42,10 +47,7 @@ let test_exhaustive_quorum_paxos () =
 
 let test_exhaustive_quorum_paxos_with_crash () =
   let t = Mc.Targets.quorum_paxos ~n:2 in
-  let r =
-    Mc.Crash_adversary.search ~max_crashes:1 ~horizon:4 ~stride:2
-      ~inner:`Exhaustive ~budget:50_000 t ~n:2
-  in
+  let r = Mc.Parallel.search ~opts:{ mc with budget = 50_000 } t ~n:2 in
   Alcotest.(check bool) "all patterns exhausted" true
     r.Mc.Crash_adversary.complete;
   Alcotest.(check bool)
@@ -82,8 +84,13 @@ let test_exhaustive_catches_broken_validity () =
 
 let test_pct_catches_broken_validity () =
   let t = Mc.Targets.broken_validity ~n:3 in
-  let r = Mc.Pct.search ~budget:200 ~d:3 t ~fp:(ff 3) in
-  match r.Mc.Pct.counterexample with
+  let r =
+    Mc.Parallel.search
+      ~opts:
+        { mc with explorer = `Pct; d = Some 3; budget = 200; inner_budget = 200 }
+      ~fps:[ ff 3 ] t ~n:3
+  in
+  match r.Mc.Crash_adversary.counterexample with
   | None -> Alcotest.fail "PCT did not find the planted validity bug"
   | Some c ->
     Alcotest.(check bool) "replay reproduces" true
@@ -91,10 +98,7 @@ let test_pct_catches_broken_validity () =
 
 let test_crash_adversary_finds_2pc_blocking () =
   let t = Mc.Targets.two_phase_commit ~n:2 in
-  let r =
-    Mc.Crash_adversary.search ~max_crashes:1 ~horizon:4 ~stride:2
-      ~inner:`Exhaustive ~budget:50_000 t ~n:2
-  in
+  let r = Mc.Parallel.search ~opts:{ mc with budget = 50_000 } t ~n:2 in
   match r.Mc.Crash_adversary.counterexample with
   | None -> Alcotest.fail "2PC blocking not found by the crash adversary"
   | Some c ->
@@ -117,8 +121,9 @@ let test_qc_psi_survives_crash_adversary () =
      with a failure it may Quit, without one it must decide a proposal *)
   let t = Mc.Targets.qc_psi ~n:2 in
   let r =
-    Mc.Crash_adversary.search ~max_crashes:1 ~horizon:4 ~stride:2
-      ~inner:`Random ~budget:600 ~inner_budget:100 t ~n:2
+    Mc.Parallel.search
+      ~opts:{ mc with explorer = `Random; budget = 600; inner_budget = 100 }
+      t ~n:2
   in
   (match r.Mc.Crash_adversary.counterexample with
   | None -> ()
@@ -185,10 +190,7 @@ let test_shrunk_counterexample_quality () =
    | None -> Alcotest.fail "broken validity not found"
    | Some c -> check_shrink_quality "broken-validity" t ~n:2 c);
   let t = Mc.Targets.two_phase_commit ~n:2 in
-  let r =
-    Mc.Crash_adversary.search ~max_crashes:1 ~horizon:4 ~stride:2
-      ~inner:`Exhaustive ~budget:50_000 t ~n:2
-  in
+  let r = Mc.Parallel.search ~opts:{ mc with budget = 50_000 } t ~n:2 in
   match r.Mc.Crash_adversary.counterexample with
   | None -> Alcotest.fail "2pc blocking not found"
   | Some c -> check_shrink_quality "2pc-blocking" t ~n:2 c
@@ -291,14 +293,17 @@ let check_domain_independent ?(domains = [ 2; 4 ]) name ~n o =
   reference
 
 let test_parallel_matches_sequential_2pc () =
-  (* exhaustive crash adversary finds the 2PC blocking counterexample;
-     every domain count must report the same one, byte for byte *)
-  let s =
-    check_domain_independent "qcnbac.two_phase_commit" ~n:2
-      { opts with Core.Runner.budget = 50_000 }
-  in
-  Alcotest.(check bool) "blocking found" true
-    (contains s "VIOLATION")
+  (* the exhaustive and DPOR crash adversaries find the 2PC blocking
+     counterexample; every domain count must report the same one, byte
+     for byte *)
+  List.iter
+    (fun explorer ->
+      let s =
+        check_domain_independent "qcnbac.two_phase_commit" ~n:2
+          { opts with Core.Runner.explorer; budget = 50_000 }
+      in
+      Alcotest.(check bool) "blocking found" true (contains s "VIOLATION"))
+    [ `Exhaustive; `Dpor ]
 
 let test_parallel_matches_sequential_broken_validity () =
   let s =
@@ -316,7 +321,12 @@ let test_parallel_matches_sequential_clean_exhausted () =
       { opts with Core.Runner.budget = 50_000 }
   in
   Alcotest.(check bool) "space exhausted" true
-    (contains s "exhausted")
+    (contains s "exhausted");
+  let s =
+    check_domain_independent "cons.quorum_paxos" ~n:3
+      { opts with Core.Runner.explorer = `Dpor; budget = 50_000 }
+  in
+  Alcotest.(check bool) "dpor space exhausted" true (contains s "exhausted")
 
 let test_parallel_sampled_explorers () =
   ignore
@@ -349,6 +359,57 @@ let test_parallel_cancellation_stress () =
         (summary_string "cons.broken_validity" ~n:2
            { o with Core.Runner.domains = 4 }))
     (List.init 12 (fun i -> i + 1))
+
+let test_parallel_sampled_accounting () =
+  (* Step/schedule accounting must count the canonical search, not racing
+     artifacts: a clean sampled drain reports exactly its budget at every
+     domain count. *)
+  List.iter
+    (fun domains ->
+      match
+        Core.Runner.model_check
+          ~opts:
+            { opts with Core.Runner.explorer = `Random; budget = 300; domains }
+          "cons.quorum_paxos" ~n:2
+      with
+      | Error e -> Alcotest.fail e
+      | Ok s ->
+        Alcotest.(check int)
+          (Printf.sprintf "domains=%d: schedules == budget" domains)
+          300 s.Core.Runner.schedules)
+    [ 1; 4 ]
+
+let test_parallel_budget_reaches_crash_patterns () =
+  (* The failure-free 2PC space is 7 schedules: with the whole budget
+     allowed to one pattern, the search must still move on to the crash
+     patterns and find the blocking run, at every domain count. *)
+  List.iter
+    (fun domains ->
+      match
+        Core.Runner.model_check
+          ~opts:
+            {
+              opts with
+              Core.Runner.budget = 2_000;
+              inner_budget = 2_000;
+              domains;
+            }
+          "qcnbac.two_phase_commit" ~n:2
+      with
+      | Error e -> Alcotest.fail e
+      | Ok s -> (
+        Alcotest.(check int)
+          (Printf.sprintf "domains=%d: schedules" domains)
+          8 s.Core.Runner.schedules;
+        match s.Core.Runner.counterexample with
+        | None ->
+          Alcotest.failf "domains=%d: 2PC blocking not found" domains
+        | Some c ->
+          Alcotest.(check string)
+            (Printf.sprintf "domains=%d: counterexample" domains)
+            "crashes=0@0;choices="
+            (Mc.Schedule.to_string c.Mc.Harness.schedule)))
+    [ 1; 2 ]
 
 let test_opts_validation () =
   (match
@@ -418,9 +479,8 @@ let test_dpor_broken_validity_same_cex () =
 
 let test_dpor_2pc_adversary_parity () =
   let t = Mc.Targets.two_phase_commit ~n:2 in
-  let search inner =
-    Mc.Crash_adversary.search ~max_crashes:1 ~horizon:4 ~stride:2 ~inner
-      ~budget:50_000 t ~n:2
+  let search explorer =
+    Mc.Parallel.search ~opts:{ mc with explorer; budget = 50_000 } t ~n:2
   in
   let ex = search `Exhaustive and dp = search `Dpor in
   match
@@ -482,82 +542,6 @@ let prop_dpor_verdict_parity =
              = (dp.Mc.Exhaustive.counterexample = None)
           && dp.Mc.Exhaustive.schedules <= ex.Mc.Exhaustive.schedules
         else true)
-
-(* ---- unordered (bug-hunting) mode ----------------------------------- *)
-
-let test_unordered_sampled_accounting () =
-  (* Step/schedule accounting must count the canonical search, not racing
-     artifacts: a clean sampled drain reports exactly its budget at every
-     domain count. *)
-  List.iter
-    (fun domains ->
-      match
-        Core.Runner.model_check
-          ~opts:
-            {
-              opts with
-              Core.Runner.explorer = `Random;
-              budget = 300;
-              ordered = false;
-              domains;
-            }
-          "cons.quorum_paxos" ~n:2
-      with
-      | Error e -> Alcotest.fail e
-      | Ok s ->
-        Alcotest.(check int)
-          (Printf.sprintf "domains=%d: schedules == budget" domains)
-          300 s.Core.Runner.schedules)
-    [ 1; 4 ]
-
-let test_unordered_exhaustive_verdicts () =
-  (* which counterexample unordered mode reports may vary with timing;
-     whether one exists, and whether a clean space drains, may not *)
-  (match
-     Core.Runner.model_check
-       ~opts:
-         {
-           opts with
-           Core.Runner.budget = 10_000;
-           ordered = false;
-           domains = 4;
-         }
-       "cons.broken_validity" ~n:2
-   with
-  | Error e -> Alcotest.fail e
-  | Ok s -> (
-    match s.Core.Runner.counterexample with
-    | None -> Alcotest.fail "unordered search missed the planted bug"
-    | Some c ->
-      Alcotest.(check bool) "unordered counterexample replays" true
-        (Mc.Harness.violates (Mc.Targets.broken_validity ~n:2) ~n:2
-           c.Mc.Harness.schedule)));
-  match
-    Core.Runner.model_check
-      ~opts:
-        {
-          opts with
-          Core.Runner.budget = 50_000;
-          ordered = false;
-          domains = 4;
-        }
-      "cons.quorum_paxos" ~n:2
-  with
-  | Error e -> Alcotest.fail e
-  | Ok s ->
-    Alcotest.(check bool) "clean space drains completely" true
-      s.Core.Runner.exhausted;
-    Alcotest.(check bool) "no violation" true
-      (s.Core.Runner.counterexample = None)
-
-let test_unordered_dpor_rejected () =
-  match
-    Core.Runner.model_check
-      ~opts:{ opts with Core.Runner.explorer = `Dpor; ordered = false }
-      "cons.quorum_paxos" ~n:2
-  with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "unordered dpor accepted"
 
 (* ---- the production net stack, model-checked ------------------------ *)
 
@@ -643,10 +627,7 @@ let test_ec_store_crash_adversary () =
      keep backed-off digesting the corpse), so this also exercises the
      step-bound liveness deadline *)
   let t = Mc.Targets.ec_store ~n:2 in
-  let r =
-    Mc.Crash_adversary.search ~max_crashes:1 ~horizon:4 ~stride:2
-      ~inner:`Exhaustive ~budget:20_000 t ~n:2
-  in
+  let r = Mc.Parallel.search ~opts:mc t ~n:2 in
   Alcotest.(check bool) "all patterns exhausted" true
     r.Mc.Crash_adversary.complete;
   Alcotest.(check bool)
@@ -663,24 +644,29 @@ let test_fd_ring_exhausted () =
      correct id within the step budget *)
   let t = Mc.Targets.fd_ring ~n:3 in
   let r =
-    Mc.Crash_adversary.search ~max_crashes:1 ~horizon:4 ~stride:2
-      ~inner:`Exhaustive ~budget:200_000 ~inner_budget:100_000 t ~n:3
+    Mc.Parallel.search
+      ~opts:{ mc with budget = 200_000; inner_budget = 100_000 }
+      t ~n:3
   in
   Alcotest.(check bool) "all patterns exhausted" true
     r.Mc.Crash_adversary.complete;
   Alcotest.(check bool)
     "leader agreement under every crash" true
     (r.Mc.Crash_adversary.counterexample = None);
-  Alcotest.(check bool) "nontrivial exploration" true
-    (r.Mc.Crash_adversary.schedules > 1_000)
+  (* the counts the mc_ring_sweep benchmark workload pins *)
+  Alcotest.(check (list int))
+    "schedules, steps" [ 55_609; 1_576_160 ]
+    [ r.Mc.Crash_adversary.schedules; r.Mc.Crash_adversary.steps ]
 
 let test_fd_ring_dpor_parity () =
   (* DPOR must reach the same (clean) verdict on a much smaller schedule
      set — the ring's point-to-point heartbeats commute aggressively *)
   let t = Mc.Targets.fd_ring ~n:3 in
   let r =
-    Mc.Crash_adversary.search ~max_crashes:1 ~horizon:4 ~stride:2
-      ~inner:`Dpor ~budget:200_000 ~inner_budget:100_000 t ~n:3
+    Mc.Parallel.search
+      ~opts:
+        { mc with explorer = `Dpor; budget = 200_000; inner_budget = 100_000 }
+      t ~n:3
   in
   Alcotest.(check bool) "exhausted" true r.Mc.Crash_adversary.complete;
   Alcotest.(check bool) "clean" true
@@ -792,6 +778,10 @@ let () =
             test_parallel_sampled_explorers;
           Alcotest.test_case "cancellation loses no violation" `Quick
             test_parallel_cancellation_stress;
+          Alcotest.test_case "sampled accounting == budget" `Quick
+            test_parallel_sampled_accounting;
+          Alcotest.test_case "budget reaches the crash patterns" `Quick
+            test_parallel_budget_reaches_crash_patterns;
           Alcotest.test_case "opts validation" `Quick test_opts_validation;
         ] );
       ( "dpor",
@@ -807,14 +797,6 @@ let () =
           Alcotest.test_case "time-varying fd degenerates to exhaustive"
             `Quick test_dpor_time_varying_fd_degenerates;
           QCheck_alcotest.to_alcotest prop_dpor_verdict_parity;
-        ] );
-      ( "unordered",
-        [
-          Alcotest.test_case "sampled accounting == budget" `Quick
-            test_unordered_sampled_accounting;
-          Alcotest.test_case "exhaustive verdict parity" `Quick
-            test_unordered_exhaustive_verdicts;
-          Alcotest.test_case "dpor rejected" `Quick test_unordered_dpor_rejected;
         ] );
       ( "net-harness",
         [
