@@ -9,11 +9,11 @@
     splits every run into two halves:
 
     - {b Speculation} (parallel, racy): workers claim {e subtree jobs} —
-      a frontier prefix plus a quota — and run a local depth-first
-      expansion of that subtree, streaming each run's trajectory (choice
-      indices, arities, per-round [(digest, consumed, steps)] hook
-      triples, the cut position justified by the worker's local seen-set
-      or the shared filter) back to the coordinator.  A trajectory is a
+      a frontier prefix plus a quota — and run a local breadth-first
+      (FIFO) expansion of that subtree, streaming each run's trajectory
+      (choice indices, arities, per-round [(digest, consumed, steps)]
+      hook triples, the cut position justified by the worker's local
+      seen-set or the shared filter) back to the coordinator.  A trajectory is a
       pure function of [(target, failure pattern, prefix, seed)], so it
       does not matter when, where, or how often it is executed.  Coarse
       subtree work units amortize queue traffic: the old one-job-per-

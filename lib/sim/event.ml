@@ -17,13 +17,6 @@ type sink = {
   phase_exit : phase -> unit;
 }
 
-let null =
-  {
-    emit = (fun _ -> ());
-    phase_enter = (fun _ -> ());
-    phase_exit = (fun _ -> ());
-  }
-
 let phase_name = function
   | Schedule -> "schedule"
   | Delivery -> "delivery"

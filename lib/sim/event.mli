@@ -41,10 +41,6 @@ type sink = {
   phase_exit : phase -> unit;
 }
 
-(** A sink whose callbacks do nothing.  Prefer [None] in configs — [null]
-    still pays the call and event construction. *)
-val null : sink
-
 val phase_name : phase -> string
 val kind_name : kind -> string
 

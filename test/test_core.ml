@@ -48,20 +48,22 @@ let ok (s : Core.Runner.summary) =
   | Error e -> Alcotest.failf "%s/%s: %s" s.Core.Runner.algorithm s.Core.Runner.scenario e
 
 (* End-to-end: every consensus algorithm through the runner in its home
-   environment. *)
+   environment, and quorum Paxos with one crash at n = 7 and 9. *)
 let test_runner_consensus_matrix () =
   let cases =
     [
-      (Core.Runner.Quorum_paxos, Core.Scenario.minority_correct ~n:5);
-      (Core.Runner.Disk_paxos_shm, Core.Scenario.lone_survivor ~n:4);
-      (Core.Runner.Disk_paxos_abd, Core.Scenario.one_crash ~n:3 ~at:60);
-      (Core.Runner.Chandra_toueg, Core.Scenario.one_crash ~n:5 ~at:60);
-      (Core.Runner.Multivalued 3, Core.Scenario.one_crash ~n:4 ~at:60);
+      (Core.Runner.Quorum_paxos, Core.Scenario.minority_correct ~n:5, 3);
+      (Core.Runner.Disk_paxos_shm, Core.Scenario.lone_survivor ~n:4, 3);
+      (Core.Runner.Disk_paxos_abd, Core.Scenario.one_crash ~n:3 ~at:60, 3);
+      (Core.Runner.Chandra_toueg, Core.Scenario.one_crash ~n:5 ~at:60, 3);
+      (Core.Runner.Multivalued 3, Core.Scenario.one_crash ~n:4 ~at:60, 3);
+      (Core.Runner.Quorum_paxos, Core.Scenario.one_crash ~n:7 ~at:50, 11);
+      (Core.Runner.Quorum_paxos, Core.Scenario.one_crash ~n:9 ~at:50, 11);
     ]
   in
   List.iter
-    (fun (algo, sc) ->
-      let s = Core.Runner.run_consensus algo sc ~seed:3 in
+    (fun (algo, sc, seed) ->
+      let s = Core.Runner.run_consensus algo sc ~seed in
       Alcotest.(check bool)
         (Core.Runner.consensus_algo_name algo ^ " terminated")
         true s.Core.Runner.terminated;
@@ -84,12 +86,16 @@ let test_runner_qc_and_nbac () =
        ~seed:5)
 
 let test_runner_registers () =
-  let s =
-    Core.Runner.run_register_workload (Core.Scenario.minority_correct ~n:5)
-      ~seed:2
-  in
-  Alcotest.(check bool) "terminated" true s.Core.Runner.terminated;
-  ok s;
+  List.iter
+    (fun (sc, seed) ->
+      let s = Core.Runner.run_register_workload sc ~seed in
+      Alcotest.(check bool) "terminated" true s.Core.Runner.terminated;
+      ok s)
+    [
+      (Core.Scenario.minority_correct ~n:5, 2);
+      (Core.Scenario.one_crash ~n:7 ~at:50, 11);
+      (Core.Scenario.one_crash ~n:9 ~at:50, 11);
+    ];
   (* Majority quorums in the same scenario must block. *)
   let s =
     Core.Runner.run_register_workload ~max_steps:6_000 ~quorums:`Majority
