@@ -386,7 +386,8 @@ let run_shard_tcp shards replicas spares count period detector tick_ms seed
      let z = Shard.Zipf.create ~seed ~keys () in
      let roundtrip s i (req : Shard.Server.request) =
        let fd = conns.(s).(i) in
-       Net.Wire.write_frame fd (Net.Wire.encode req);
+       Net.Wire.write_frame fd
+         (Net.Wire.to_bytes Shard.Server.request_codec req);
        read_frame_blocking fd
      in
      let submit s (req : Shard.Server.request) =
@@ -437,8 +438,9 @@ let run_shard_tcp shards replicas spares count period detector tick_ms seed
          let views =
            List.filter_map
              (fun i ->
-               let (r : Shard.Server.read_reply) =
-                 Net.Wire.decode (roundtrip s i (Shard.Server.Read { key }))
+               let r =
+                 Net.Wire.of_bytes Shard.Server.read_reply_codec
+                   (roundtrip s i (Shard.Server.Read { key }))
                in
                if r.Shard.Server.rr_epoch = epoch.(s) then Some r else None)
              (final_members s)

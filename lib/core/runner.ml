@@ -537,7 +537,7 @@ let summarize name (opts : Mc.Harness.opts) (r : Mc.Crash_adversary.report) =
   }
 
 (* Tracing an exploration must not instrument the parallel explorer (its
-   speculative runs would race on the collector and break the bit-identical
+   helper domains would race on the collector and break the bit-identical
    summary contract), so [--trace] records the search summary plus — when a
    counterexample was found — the fully deterministic replay of its
    schedule, events and all. *)

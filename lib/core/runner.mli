@@ -179,7 +179,7 @@ val pp_mc_summary : Format.formatter -> mc_summary -> unit
     [?trace] writes a JSONL observability record to the given path: the
     search summary as metadata plus, when a counterexample was found, the
     event trace of its deterministic replay.  The search itself is never
-    instrumented — speculative parallel runs would race on a collector —
+    instrumented — the explorer's helper domains would race on a collector —
     so the summary (and the trace file minus its profile record) is
     bit-identical across domain counts. *)
 val model_check :

@@ -57,10 +57,11 @@ val explorer_name : explorer -> string
 type opts = {
   explorer : explorer;
   domains : int;
-      (** total parallelism (worker domains including the coordinating
-          one); 1 = fully sequential, no domains spawned.  A cap: the
-          pool never exceeds [Domain.recommended_domain_count ()] — see
-          {!Parallel} on why oversubscription anti-scales. *)
+      (** total parallelism: helper domains plus the coordinating one
+          ({!Parallel}); 1 = no domain spawned, the caller runs every
+          schedule.  A cap: the pool never exceeds
+          [Domain.recommended_domain_count ()], since a helper without a
+          core of its own only delays the runs it claimed. *)
   budget : int;  (** total schedule budget across all failure patterns *)
   inner_budget : int;  (** per-failure-pattern schedule cap *)
   max_crashes : int;  (** crash-adversary bound on faulty processes *)
@@ -88,7 +89,7 @@ val validate_opts : opts -> (unit, string) result
     [?sink] installs an observability sink on the underlying engine run and
     additionally brackets invariant evaluation in an [Invariant_check]
     phase span.  Exploration never passes one (the parallel explorer's
-    speculative runs would race on it); tracing a counterexample means
+    helper domains would race on it); tracing a counterexample means
     replaying it with a sink — see [Core.Runner.model_check]'s [~trace]. *)
 val run :
   ?seed:int ->

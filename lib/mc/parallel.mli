@@ -2,53 +2,44 @@
     on OCaml 5 domains.
 
     [search] runs the chosen explorer under every failure pattern of
-    {!Crash_adversary.patterns} (or [?fps]), fewest crashes first, and
-    shards the work across a pool of [Domain]s.  The report —
-    counterexample, pattern/schedule/step counts, completeness — is
-    {e bit-identical for every domain count}, including 1.  The explorer
-    splits every run into two halves:
+    {!Crash_adversary.patterns} (or [?fps]), fewest crashes first.  The
+    report — counterexample, pattern/schedule/step counts, completeness —
+    is {e bit-identical for every domain count}, including 1.
 
-    - {b Speculation} (parallel, racy): workers claim {e subtree jobs} —
-      a frontier prefix plus a quota — and run a local breadth-first
-      (FIFO) expansion of that subtree, streaming each run's trajectory
-      (choice indices, arities, per-round [(digest, consumed, steps)]
-      hook triples, the cut position justified by the worker's local
-      seen-set or the shared filter) back to the coordinator.  A trajectory is a
-      pure function of [(target, failure pattern, prefix, seed)], so it
-      does not matter when, where, or how often it is executed.  Coarse
-      subtree work units amortize queue traffic: the old one-job-per-
-      prefix design spent its speedup on lock round trips.
-    - {b Adjudication} (sequential, canonical): the coordinator consumes
-      trajectories in the fixed frontier order — failure patterns
-      fewest-crashes-first, FIFO prefix order within a pattern — and
-      replays every pruning decision against its private exact seen-set.
-      A speculative cut the exact set cannot justify (filter collision,
-      stale local view) triggers a deterministic filter-free
-      re-execution.  Every counter in the report derives from
-      adjudicated trajectories, never from wall-clock racing.
+    Each pattern has one work list in the report's canonical order: FIFO
+    prefixes for [`Exhaustive], run indices for [`Pct]/[`Random].  An
+    entry is free, claimed or done; a done entry holds the run's
+    trajectory (choices, arities, one [(digest, choices consumed, steps)]
+    triple per round past the prefix, cut flag, violation, steps), a pure
+    function of [(target, pattern, prefix or index, seed)].
 
-    Workers consult a shared striped visited-digest filter (single
-    writer: the coordinator) so speculation cuts where the adjudicator
-    already pruned; a hit can only save work, never change the outcome.
+    - {b Helpers} (the other domains) claim the first free entry past the
+      coordinator's position with one compare-and-set, run it with a
+      shared striped visited-digest filter as the cut, and leave the
+      trajectory in the entry.  With nothing to claim they sleep until
+      work is appended or the search ends; the one lock only parks and
+      wakes them.
+    - {b The coordinator} (the calling domain) walks the list in order,
+      running an unclaimed entry itself against its exact seen-set (and
+      later free entries while a helper holds its current one).  The
+      first round key already seen is the cut; every earlier key joins
+      the seen-set and the filter, whose one writer it is.  A filter cut
+      no seen key justifies (a salted-hash collision) is re-run.  It
+      counts steps, records the violation and appends the children,
+      {!Exhaustive.siblings} of the choices up to the cut.
 
-    Aborted speculative runs — cancelled mid-flight when a
-    counterexample lands, or cut by a racy filter hit that adjudication
-    later re-executes — are {e excluded} from the step totals: the
-    report counts the work of the canonical search, so [steps] is a
-    search metric, not a wall-clock artifact.
+    The filter is a subset of the seen-set, so a hit only saves helper
+    work.  A list never grows past its pattern's budget, and consumed
+    entries are released.  The first counterexample ends the search;
+    helper runs in flight stop at their next round, unread.
 
-    {2 Scaling}
-
-    [opts.domains] is a cap, not a demand: the pool never exceeds
-    [Domain.recommended_domain_count ()], and 1 domain runs the
-    sequential inline path.  [`Dpor] adjudicates sequentially per
-    pattern with {!Dpor.search} (the reduction is a
-    frontier-order-dependent algorithm); [`Pct]/[`Random] parallelize by
-    run index — run [i] of pattern [p] draws its RNG stream from
-    [(root seed, p, i)] regardless of which domain executes it.
-
-    Budget accounting: [budget] is the total across patterns, and each
-    pattern gets at most [inner_budget] of what is left. *)
+    [opts.domains] is a cap: the pool never exceeds
+    [Domain.recommended_domain_count ()], and 1 spawns no domain.
+    [`Dpor] runs {!Dpor.search} on the coordinator while the helpers
+    sleep; run [i] of pattern [p] under [`Pct]/[`Random] draws its RNG
+    stream from [(root seed, p, i)].  [budget] is the total across
+    patterns, and each pattern gets at most [inner_budget] of what is
+    left. *)
 
 (** [search ~opts target ~n] explores failure patterns × schedules with
     [opts.domains]-way parallelism.  [?fps] overrides the enumerated

@@ -205,11 +205,10 @@ let handle_readable t ic =
       done;
       !ok && (if nread = Bytes.length t.rbuf then drain () else true)
   in
+  (* [false]: EOF or a bad hello — close this connection *)
   match drain () with
-  | true -> true
-  | false | (exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _))
-    ->
-    true
+  | keep -> keep
+  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> true
   | exception Unix.Unix_error (_, _, _) -> false
   (* an oversized length prefix condemns this connection only: close it,
      leave every other connection and the node itself untouched *)

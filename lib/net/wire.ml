@@ -107,9 +107,6 @@ module Decoder = struct
     end
 end
 
-let encode v = Marshal.to_bytes v []
-let decode b = Marshal.from_bytes b 0
-
 exception Decode_error of string
 
 let () =
@@ -311,19 +308,20 @@ let decode_envelope_with c b =
 
 let magic = "weakest-fd-net/1"
 
-let hello ~self = encode (magic, (self : int))
+(* Hello and hello-ack: the magic string, then the pid as a varint.  Read
+   with [R], so a malformed frame is an [Error], never a crash. *)
+let handshake_c =
+  codec ~write:(W.pair W.string W.varint) ~read:(R.pair R.string R.varint)
 
-let parse_hello b =
-  match (decode b : string * int) with
+let parse_handshake ~magic ~what b =
+  match of_bytes handshake_c b with
   | m, pid when m = magic -> Ok pid
-  | m, _ -> Error (Printf.sprintf "net: bad hello magic %S" m)
-  | exception _ -> Error "net: undecodable hello frame"
+  | m, _ -> Error (Printf.sprintf "net: bad %s magic %S" what m)
+  | exception Decode_error e ->
+    Error (Printf.sprintf "net: undecodable %s frame: %s" what e)
 
+let hello ~self = to_bytes handshake_c (magic, self)
+let parse_hello = parse_handshake ~magic ~what:"hello"
 let ack_magic = "weakest-fd-net-ack/1"
-let hello_ack ~self = encode (ack_magic, (self : int))
-
-let parse_hello_ack b =
-  match (decode b : string * int) with
-  | m, pid when m = ack_magic -> Ok pid
-  | m, _ -> Error (Printf.sprintf "net: bad hello-ack magic %S" m)
-  | exception _ -> Error "net: undecodable hello-ack frame"
+let hello_ack ~self = to_bytes handshake_c (ack_magic, self)
+let parse_hello_ack = parse_handshake ~magic:ack_magic ~what:"hello-ack"

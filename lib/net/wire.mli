@@ -4,13 +4,13 @@
     length followed by the payload.  Peer connections open with a hello
     frame identifying the sender; every subsequent frame is one versioned
     binary {!envelope} whose message payload is encoded by the {!codec} in
-    force.  Client connections carry request / response frames whose layout
-    each server defines (binary for the string SMR node, Marshal for the
-    shard servers).
+    force.  Client connections carry request / response frames whose
+    binary layout each server defines.
 
     Marshal survives only as the debug / compatibility codec
     ({!marshal_codec}): it requires every node of a cluster to run the same
-    binary (the deployment model of [bin/cluster.ml]).  The binary codecs
+    binary (the deployment model of [bin/cluster.ml]), and nothing decodes
+    it before a peer has completed the binary hello.  The binary codecs
     carry an explicit version byte in the envelope, and the hello frame
     carries a magic string and version, so a mismatched peer fails loudly
     instead of corrupting state. *)
@@ -153,16 +153,6 @@ val write_nested : 'a codec -> Buffer.t -> 'a -> unit
 
 val read_nested : 'a codec -> R.t -> 'a
 
-(** [Marshal.to_bytes] — the legacy whole-value helpers behind
-    {!marshal_codec}; still used for client/handshake frames on
-    compatibility paths. *)
-val encode : 'a -> bytes
-
-(** Inverse of {!encode}.  Unsafe by construction ([Marshal.from_bytes]
-    is untyped): only call on frames produced by the same binary, and
-    annotate the expected type at the call site. *)
-val decode : bytes -> 'a
-
 (** {2 Peer envelopes} *)
 
 (** The per-message envelope between cluster nodes: sender, sender's local
@@ -195,8 +185,10 @@ val decode_envelope_with : 'msg codec -> bytes -> 'msg envelope
 
 (** {2 Hello} *)
 
-(** [hello ~self] is the connection-opening frame payload; [parse_hello]
-    returns the peer pid or [Error] on a magic/version mismatch. *)
+(** [hello ~self] is the connection-opening frame payload: the magic
+    string (varint length, bytes), then [self] as a varint.  [parse_hello]
+    returns the peer pid, or [Error] on any malformed frame — truncated,
+    trailing bytes, a magic/version mismatch — and never raises. *)
 val hello : self:Sim.Pid.t -> bytes
 
 val parse_hello : bytes -> (Sim.Pid.t, string) result
@@ -209,4 +201,5 @@ val parse_hello : bytes -> (Sim.Pid.t, string) result
     dialer's backoff and turn reconnection into a tight loop. *)
 val hello_ack : self:Sim.Pid.t -> bytes
 
+(** Same layout and guarantees as {!parse_hello}, with the ack's magic. *)
 val parse_hello_ack : bytes -> (Sim.Pid.t, string) result

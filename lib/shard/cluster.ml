@@ -1,9 +1,6 @@
 (* The whole sharded service in one process: S independent replica
    groups (one loopback hub each), the ring, and a router over group
-   callbacks.  Groups share no state, so each can be driven by its own
-   domain (run_parallel) — the horizontal scaling the E17 bench
-   measures; the mutex in Group makes the workload thread's submits and
-   samples safe against the stepping domains. *)
+   callbacks. *)
 
 type t = {
   groups : Group.t array;
@@ -80,27 +77,3 @@ let rotated_members t ~shard =
 
 let applied_total t =
   Array.fold_left (fun acc g -> acc + Group.applied_max g) 0 t.groups
-
-(* One stepping domain per group while [f] runs in the caller's domain. *)
-let run_parallel t f =
-  let stop = Atomic.make false in
-  let doms =
-    Array.map
-      (fun g ->
-        Domain.spawn (fun () ->
-            while not (Atomic.get stop) do
-              Group.step g
-            done))
-      t.groups
-  in
-  let finish () =
-    Atomic.set stop true;
-    Array.iter Domain.join doms
-  in
-  match f () with
-  | v ->
-    finish ();
-    v
-  | exception e ->
-    finish ();
-    raise e

@@ -4,9 +4,7 @@
     a {!Router} front-end.
 
     Groups are fully independent — no shared state, no cross-shard
-    messages — so {!run_parallel} dedicates an OCaml 5 domain to
-    stepping each group, which is where the sharded service's aggregate
-    throughput over a single group comes from (bench E17). *)
+    messages; {!step} drives them all, one round each. *)
 
 type t
 
@@ -33,8 +31,7 @@ val spares : t -> int
 val group : t -> int -> Group.t
 val ring : t -> Ring.t
 
-(** One round of every group, sequentially (deterministic driving for
-    tests; {!run_parallel} is the throughput path). *)
+(** One round of every group, sequentially. *)
 val step : t -> unit
 
 val run : t -> rounds:int -> unit
@@ -55,8 +52,3 @@ val rotated_members : t -> shard:int -> Sim.Pid.t list option
 
 (** Sum over shards of the longest live applied log. *)
 val applied_total : t -> int
-
-(** Step every group continuously, one domain per group, while [f] runs
-    in the calling domain (the workload); returns [f ()]'s result after
-    the domains are joined. *)
-val run_parallel : t -> (unit -> 'a) -> 'a

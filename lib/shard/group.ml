@@ -1,8 +1,5 @@
 (* One shard's replica group: Replica.protocol over its own loopback hub
-   (Net.Local generic core), guarded by a mutex so Cluster can drive each
-   group from its own domain while the workload thread submits commands
-   and samples state.  All derived helpers take the lock exactly once —
-   the mutex is not reentrant. *)
+   (Net.Local generic core). *)
 
 type t = {
   id : int;
@@ -10,7 +7,6 @@ type t = {
   cl :
     (Replica.state, Replica.msg, Replica.payload, Replica.entry)
     Net.Local.cluster;
-  mu : Mutex.t;
 }
 
 let create ?(period = 16) ?detector ?snap_every ?lag_gap ?sink ?wrap ~id
@@ -20,103 +16,59 @@ let create ?(period = 16) ?detector ?snap_every ?lag_gap ?sink ?wrap ~id
   let proto =
     Replica.protocol ?snap_every ?lag_gap ?detector ~period ~members ()
   in
-  {
-    id;
-    universe;
-    cl = Net.Local.make ?sink ?wrap ~n:universe proto;
-    mu = Mutex.create ();
-  }
-
-let locked t f =
-  Mutex.lock t.mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
+  { id; universe; cl = Net.Local.make ?sink ?wrap ~n:universe proto }
 
 let id t = t.id
 let universe t = t.universe
+let step t = Net.Local.cluster_step t.cl
+let step_one t p = Net.Local.cluster_step_one t.cl p
+let run t ~rounds = Net.Local.cluster_run t.cl ~rounds
+let submit t p c = Net.Local.cluster_submit t.cl p c
+let crash t p = Net.Local.cluster_crash t.cl p
+let crashed t p = Net.Loopback.crashed (Net.Local.cluster_hub t.cl) p
+let applied_log t p = Net.Local.cluster_outputs t.cl p
+let state t p = Net.Local.cluster_state t.cl p
+let now t p = Net.Local.cluster_now t.cl p
 
-let step t = locked t (fun () -> Net.Local.cluster_step t.cl)
-let step_one t p = locked t (fun () -> Net.Local.cluster_step_one t.cl p)
+(* -- helpers used by the router -- *)
 
-let run t ~rounds =
-  locked t (fun () -> Net.Local.cluster_run t.cl ~rounds)
-
-let submit t p c = locked t (fun () -> Net.Local.cluster_submit t.cl p c)
-let crash t p = locked t (fun () -> Net.Local.cluster_crash t.cl p)
-
-let crashed t p =
-  locked t (fun () -> Net.Loopback.crashed (Net.Local.cluster_hub t.cl) p)
-
-let applied_log t p = locked t (fun () -> Net.Local.cluster_outputs t.cl p)
-let state t p = locked t (fun () -> Net.Local.cluster_state t.cl p)
-let now t p = locked t (fun () -> Net.Local.cluster_now t.cl p)
-
-(* -- helpers used by the router; single lock acquisition each -- *)
-
-let live_unlocked t =
-  let hub = Net.Local.cluster_hub t.cl in
-  List.filter
-    (fun p -> not (Net.Loopback.crashed hub p))
-    (Sim.Pid.all t.universe)
-
-let live t = locked t (fun () -> live_unlocked t)
+let live t = List.filter (fun p -> not (crashed t p)) (Sim.Pid.all t.universe)
 
 (* The group's configuration as the router sees it: the highest epoch
    any live replica has installed (replicas mid-catch-up may lag). *)
 let config t =
-  locked t (fun () ->
-      match
-        live_unlocked t
-        |> List.map (fun p -> Replica.config (Net.Local.cluster_state t.cl p))
-        |> List.sort (fun a b -> compare b.Epoch.epoch a.Epoch.epoch)
-      with
-      | cfg :: _ -> cfg
-      | [] -> Replica.config (Net.Local.cluster_state t.cl 0))
+  match
+    live t
+    |> List.map (fun p -> Replica.config (state t p))
+    |> List.sort (fun a b -> compare b.Epoch.epoch a.Epoch.epoch)
+  with
+  | cfg :: _ -> cfg
+  | [] -> Replica.config (state t 0)
 
 (* ABD-style sample of replica [p]: epoch, applied prefix length, and the
    tagged last write to [key].  None if [p] is crashed. *)
 let sample t p ~key =
-  locked t (fun () ->
-      if Net.Loopback.crashed (Net.Local.cluster_hub t.cl) p then None
-      else
-        let st = Net.Local.cluster_state t.cl p in
-        Some (Replica.epoch st, Replica.applied st, Replica.kv_find st key))
+  if crashed t p then None
+  else
+    let st = state t p in
+    Some (Replica.epoch st, Replica.applied st, Replica.kv_find st key)
 
 (* Submit at the lowest live member of the current configuration (any
    member disseminates to the leader).  False if no member is live. *)
 let submit_any t c =
-  locked t (fun () ->
-      let cfg =
-        match
-          live_unlocked t
-          |> List.map (fun p ->
-                 Replica.config (Net.Local.cluster_state t.cl p))
-          |> List.sort (fun a b -> compare b.Epoch.epoch a.Epoch.epoch)
-        with
-        | cfg :: _ -> cfg
-        | [] -> Replica.config (Net.Local.cluster_state t.cl 0)
-      in
-      match
-        List.filter (fun p -> Epoch.is_member cfg p) (live_unlocked t)
-      with
-      | p :: _ ->
-        Net.Local.cluster_submit t.cl p c;
-        true
-      | [] -> false)
+  let cfg = config t in
+  match List.filter (fun p -> Epoch.is_member cfg p) (live t) with
+  | p :: _ ->
+    submit t p c;
+    true
+  | [] -> false
 
 let applied_min t =
-  locked t (fun () ->
-      match
-        live_unlocked t
-        |> List.map (fun p ->
-               Replica.applied (Net.Local.cluster_state t.cl p))
-      with
-      | [] -> 0
-      | xs -> List.fold_left min max_int xs)
+  match List.map (fun p -> Replica.applied (state t p)) (live t) with
+  | [] -> 0
+  | xs -> List.fold_left min max_int xs
 
 let applied_max t =
-  locked t (fun () ->
-      live_unlocked t
-      |> List.fold_left
-           (fun acc p ->
-             max acc (Replica.applied (Net.Local.cluster_state t.cl p)))
-           0)
+  List.fold_left
+    (fun acc p -> max acc (Replica.applied (state t p)))
+    0 (live t)

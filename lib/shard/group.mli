@@ -1,11 +1,8 @@
 (** One shard's replica group: [universe] copies of {!Replica.protocol}
     over a private loopback hub ([Net.Local]'s generic core), of which
     the epoch-0 [members] form the initial configuration — the rest are
-    spares a [Reconfig] can install later.
-
-    Every operation takes the group's mutex, so a {!Cluster} can dedicate
-    a domain to stepping each group while the workload thread submits and
-    samples concurrently. *)
+    spares a [Reconfig] can install later.  Not thread-safe: one domain
+    drives a group. *)
 
 type t
 

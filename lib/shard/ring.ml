@@ -1,9 +1,10 @@
 (* Consistent-hash ring: every shard id contributes [points] virtual
    points, a key belongs to the shard owning the first point at or after
-   the key's hash (wrapping).  The hash is FNV-1a/64 computed by hand so
-   the mapping is a pure function of the key bytes — identical across
-   processes, OCaml versions and hosts, which is what lets every router
-   and every replica agree on the partition without coordination. *)
+   the key's position (wrapping).  Positions are FNV-1a/64 computed by
+   hand, then MurmurHash3's fmix64 finalizer, so the mapping is a pure
+   function of the key bytes — identical across processes, OCaml versions
+   and hosts, which is what lets every router and every replica agree on
+   the partition without coordination. *)
 
 let fnv_prime = 0x100000001b3L
 let fnv_basis = 0xcbf29ce484222325L
@@ -16,13 +17,22 @@ let hash64 s =
     s;
   !h
 
+(* Raw FNV-1a leaves keys that differ only in their last bytes
+   ("k000000".."k000063") in one narrow arc of the ring; the finalizer's
+   avalanche spreads them over all of it. *)
+let position s =
+  let open Int64 in
+  let mix h k = mul (logxor h (shift_right_logical h 33)) k in
+  let h = mix (mix (hash64 s) 0xff51afd7ed558ccdL) 0xc4ceb9fe1a85ec53L in
+  logxor h (shift_right_logical h 33)
+
 type t = {
   points : int;
   shards : int list;  (* ascending, distinct *)
   ring : (int64 * int) array;  (* (point, shard), ascending unsigned *)
 }
 
-let point_of shard i = hash64 (Printf.sprintf "shard-%d/%d" shard i)
+let point_of shard i = position (Printf.sprintf "shard-%d/%d" shard i)
 
 let build ~points shards =
   let shards = List.sort_uniq compare shards in
@@ -46,7 +56,7 @@ let shards t = t.shards
 let points t = t.points
 
 let shard_of t key =
-  let h = hash64 key in
+  let h = position key in
   let len = Array.length t.ring in
   (* first point >= h, else wrap to ring.(0) *)
   let lo = ref 0 and hi = ref len in

@@ -2,10 +2,12 @@
 
     Each shard id contributes a fixed number of virtual points placed by
     hashing ["shard-<id>/<i>"]; a key belongs to the shard owning the
-    first point at or after the key's own hash, wrapping around.  The
-    hash is a hand-rolled FNV-1a/64 over the raw bytes, so the mapping is
-    a pure function of the key — {e identical across processes and
-    hosts}, which lets every router and replica agree on the partition
+    first point at or after the key's own position, wrapping around.  A
+    position is a hand-rolled FNV-1a/64 over the raw bytes passed through
+    MurmurHash3's fmix64 finalizer, which spreads keys differing only in
+    their last bytes over the whole ring.  The mapping is a pure function
+    of the key — {e identical across processes and hosts}, which lets
+    every router and replica agree on the partition
     with no coordination protocol at all (the partition itself needs no
     consensus; only per-shard membership does, see {!Epoch}).
 
@@ -37,6 +39,6 @@ val add : t -> int -> t
     @raise Invalid_argument if it would empty the ring. *)
 val remove : t -> int -> t
 
-(** The underlying 64-bit FNV-1a hash — exposed so tests can assert
-    cross-process determinism against fixed vectors. *)
+(** The underlying 64-bit FNV-1a hash, before the finalizer — exposed so
+    tests can assert cross-process determinism against fixed vectors. *)
 val hash64 : string -> int64

@@ -15,6 +15,50 @@ type read_reply = {
   rr_value : (int * string) option;
 }
 
+(* Client frames: a tag byte, then the fields.  Write = 0, key, value;
+   Reconfig = 1, varint epoch, varint list of members; Read = 2, key.  A
+   read reply is varint epoch, varint applied, option (varint, value). *)
+module W = Net.Wire.W
+module R = Net.Wire.R
+
+let request_codec =
+  Net.Wire.codec
+    ~write:(fun buf -> function
+      | Write { key; value } ->
+        W.u8 buf 0;
+        W.string buf key;
+        W.string buf value
+      | Reconfig { epoch; members } ->
+        W.u8 buf 1;
+        W.varint buf epoch;
+        W.list W.varint buf members
+      | Read { key } ->
+        W.u8 buf 2;
+        W.string buf key)
+    ~read:(fun r ->
+      match R.u8 r with
+      | 0 ->
+        let key = R.string r in
+        Write { key; value = R.string r }
+      | 1 ->
+        let epoch = R.varint r in
+        Reconfig { epoch; members = R.list R.varint r }
+      | 2 -> Read { key = R.string r }
+      | t ->
+        raise (Net.Wire.Decode_error (Printf.sprintf "shard request tag %d" t)))
+
+let read_reply_codec =
+  Net.Wire.codec
+    ~write:(fun buf rr ->
+      W.varint buf rr.rr_epoch;
+      W.varint buf rr.rr_applied;
+      W.option (W.pair W.varint W.string) buf rr.rr_value)
+    ~read:(fun r ->
+      let rr_epoch = R.varint r in
+      let rr_applied = R.varint r in
+      let rr_value = R.option (R.pair R.varint R.string) r in
+      { rr_epoch; rr_applied; rr_value })
+
 let impl ?snap_every ?lag_gap ?detector ~period ~members () :
     (Replica.state, Replica.payload) Net.Smr_node.impl =
   Net.Smr_node.Impl
@@ -36,14 +80,14 @@ let impl ?snap_every ?lag_gap ?detector ~period ~members () :
             (String.escaped (Replica.payload_to_string cmd.Cons.Smr.payload)));
       on_request =
         (fun ~state ~inject:_ frame ->
-          match (Net.Wire.decode frame : request) with
+          match Net.Wire.of_bytes request_codec frame with
           | Write { key; value } -> `Submit (Replica.App { key; value })
           | Reconfig { epoch; members } ->
             `Submit (Replica.Reconfig { epoch; members })
           | Read { key } ->
             let st = state () in
             `Reply
-              (Net.Wire.encode
+              (Net.Wire.to_bytes read_reply_codec
                  {
                    rr_epoch = Replica.epoch st;
                    rr_applied = Replica.applied st;

@@ -1,6 +1,6 @@
 (** TCP deployment of one shard replica: {!Replica.protocol} hosted by
     [Net.Smr_node.serve_with]'s event loop, with the shard's framed
-    client protocol.
+    binary client protocol.
 
     [Write]/[Reconfig] requests enter the shard's replicated log — the
     client receives the standard [(seq, slot)] frame when its entry is
@@ -22,6 +22,13 @@ type read_reply = {
   rr_applied : int;
   rr_value : (int * string) option;
 }
+
+(** The binary client frames: a tag byte, then the fields (docs/NET.md).
+    Decoding raises [Net.Wire.Decode_error] on any malformed frame, so a
+    bad request closes only that client's connection. *)
+val request_codec : request Net.Wire.codec
+
+val read_reply_codec : read_reply Net.Wire.codec
 
 (** The hosting contract for [Net.Smr_node.serve_with]. *)
 val impl :

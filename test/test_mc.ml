@@ -339,7 +339,7 @@ let test_parallel_sampled_explorers () =
 let test_parallel_cancellation_stress () =
   (* first-counterexample cancellation must never lose a violation that a
      single-domain search reports: sweep seeds so cancellation lands at
-     different points relative to in-flight speculative work *)
+     different points relative to the helpers' in-flight runs *)
   List.iter
     (fun seed ->
       let o =
@@ -409,7 +409,15 @@ let test_parallel_budget_reaches_crash_patterns () =
             (Printf.sprintf "domains=%d: counterexample" domains)
             "crashes=0@0;choices="
             (Mc.Schedule.to_string c.Mc.Harness.schedule)))
-    [ 1; 2 ]
+    [ 1; 2 ];
+  (* the budget cuts an exhaustive search in the middle of its first
+     pattern: every domain count stops at the same schedule *)
+  let s =
+    check_domain_independent "regs.abd" ~n:3
+      { opts with Core.Runner.budget = 1_600 }
+  in
+  Alcotest.(check bool) "regs.abd n=3 budget-bounded" true
+    (contains s "budget-bounded")
 
 let test_opts_validation () =
   (match

@@ -196,13 +196,161 @@ let prop_pmsg_codec_roundtrip =
   QCheck.Test.make ~name:"codecs: full node message round-trips" ~count:500
     gen (fun m -> Net.Wire.of_bytes codec (Net.Wire.to_bytes codec m) = m)
 
+(* The 20-odd bytes [Marshal] reads as an int: a Marshal decoder that
+   expects a tuple dereferences it and crashes the process. *)
+let marshalled_int = Marshal.to_bytes 42 []
+
 let test_hello () =
   (match Net.Wire.parse_hello (Net.Wire.hello ~self:3) with
   | Ok p -> Alcotest.(check int) "hello names the sender" 3 p
   | Error e -> Alcotest.fail e);
-  match Net.Wire.parse_hello (Bytes.of_string "garbage") with
-  | Ok _ -> Alcotest.fail "garbage accepted as hello"
-  | Error _ -> ()
+  (match Net.Wire.parse_hello_ack (Net.Wire.hello_ack ~self:2) with
+  | Ok p -> Alcotest.(check int) "hello-ack names the acceptor" 2 p
+  | Error e -> Alcotest.fail e);
+  let hello = Net.Wire.hello ~self:3 in
+  List.iter
+    (fun (what, frame) ->
+      match (Net.Wire.parse_hello frame, Net.Wire.parse_hello_ack frame) with
+      | Error _, Error _ -> ()
+      | _ -> Alcotest.failf "%s accepted as hello or hello-ack" what)
+    [
+      ("garbage", Bytes.of_string "garbage");
+      ("a marshalled int", marshalled_int);
+      ("a truncated hello", Bytes.sub hello 0 (Bytes.length hello - 1));
+      ("a hello with trailing bytes", Bytes.cat hello (Bytes.of_string "x"));
+      ("the old Marshal hello", Marshal.to_bytes ("weakest-fd-net/1", 3) []);
+    ];
+  (match Net.Wire.parse_hello (Net.Wire.hello_ack ~self:3) with
+  | Ok _ -> Alcotest.fail "a hello-ack accepted as hello (wrong magic)"
+  | Error _ -> ());
+  match Net.Wire.of_bytes Shard.Server.request_codec marshalled_int with
+  | _ -> Alcotest.fail "a marshalled int accepted as a shard request"
+  | exception Net.Wire.Decode_error _ -> ()
+
+(* Every decoder that reads bytes a socket delivered, on random frames and
+   on mutated valid ones: each returns a value or an [Error], or raises
+   [Decode_error] — never anything else. *)
+let socket_decoders =
+  let codec c b = ignore (Net.Wire.of_bytes c b) in
+  let result f b = ignore (f b : (int, string) result) in
+  let pmsg = Net.Codecs.pmsg Net.Wire.string_c in
+  [
+    ("hello", result Net.Wire.parse_hello);
+    ("hello-ack", result Net.Wire.parse_hello_ack);
+    ("shard request", codec Shard.Server.request_codec);
+    ("shard read reply", codec Shard.Server.read_reply_codec);
+    ("envelope", fun b -> ignore (Net.Wire.decode_envelope_with pmsg b));
+    ("smr reply", fun b -> ignore (Net.Smr_node.decode_reply b));
+    ("mixed request", fun b -> ignore (Ec.Mixed.decode_request b));
+    ("mixed ereply", fun b -> ignore (Ec.Mixed.decode_ereply b));
+    ("mixed message", codec (Ec.Codecs.mixed Net.Wire.string_c));
+    ("omega message", codec Net.Codecs.omega_msg);
+  ]
+
+let valid_frames =
+  let with_buf f =
+    let buf = Buffer.create 64 in
+    f buf;
+    Buffer.to_bytes buf
+  in
+  let cmd = { Cons.Smr.origin = 1; seq = 7; payload = "put x 1" } in
+  [
+    Net.Wire.hello ~self:2;
+    Net.Wire.hello_ack ~self:1;
+    marshalled_int;
+    Net.Wire.to_bytes Shard.Server.request_codec
+      (Shard.Server.Reconfig { epoch = 1; members = [ 1; 2; 3 ] });
+    Net.Wire.to_bytes Shard.Server.request_codec
+      (Shard.Server.Write { key = "k000001"; value = "v" });
+    Net.Wire.to_bytes Shard.Server.read_reply_codec
+      { Shard.Server.rr_epoch = 1; rr_applied = 4; rr_value = Some (3, "v") };
+    with_buf (fun buf ->
+        Net.Wire.encode_envelope_into (Net.Codecs.pmsg Net.Wire.string_c) buf
+          {
+            Net.Wire.env_src = 1;
+            env_sent_at = 5;
+            env_vc = Some [ 1; 2; 0 ];
+            env_msg = Sim.Layered.Main (Cons.Smr.Submit [ cmd ]);
+          });
+    with_buf (fun buf ->
+        Net.Wire.W.varint buf 7;
+        Net.Wire.W.varint buf 12);
+    Ec.Mixed.encode_request (Ec.Mixed.Eput { key = "k"; value = "v" });
+    Ec.Mixed.encode_ereply
+      (Ec.Mixed.Get_hit { value = "v"; lamport = 3; origin = 2 });
+    Net.Wire.to_bytes (Ec.Codecs.mixed Net.Wire.string_c)
+      (Sim.Layered.Detector (Sim.Layered.Main (Cons.Smr.Submit [ cmd ])));
+  ]
+
+let gen_socket_frame =
+  let open QCheck.Gen in
+  (* overwrite, truncate at, insert before, or delete the byte at [i] *)
+  let mutate b (op, i, c) =
+    let n = Bytes.length b in
+    let i = if n = 0 then 0 else i mod n in
+    let c = Bytes.make 1 (Char.chr c) in
+    match op with
+    | 0 when n > 0 ->
+      let b = Bytes.copy b in
+      Bytes.blit c 0 b i 1;
+      b
+    | 1 -> Bytes.sub b 0 i
+    | 2 | 0 ->
+      Bytes.concat Bytes.empty [ Bytes.sub b 0 i; c; Bytes.sub b i (n - i) ]
+    | _ when n = 0 -> b
+    | _ -> Bytes.cat (Bytes.sub b 0 i) (Bytes.sub b (i + 1) (n - i - 1))
+  in
+  oneof
+    [
+      bytes_size (0 -- 64);
+      map2 (List.fold_left mutate) (oneofl valid_frames)
+        (list_size (1 -- 4) (triple (0 -- 3) nat (0 -- 255)));
+    ]
+
+let prop_socket_decoders_total =
+  QCheck.Test.make ~name:"wire: socket decoders reject, never crash"
+    ~count:2000
+    (QCheck.make ~print:(fun b -> String.escaped (Bytes.to_string b))
+       gen_socket_frame)
+    (fun frame ->
+      List.for_all
+        (fun (name, decode) ->
+          match decode frame with
+          | () | (exception Net.Wire.Decode_error _) -> true
+          | exception e ->
+            QCheck.Test.fail_reportf "%s raised %s" name (Printexc.to_string e))
+        socket_decoders)
+
+let prop_shard_frames_roundtrip =
+  let open QCheck in
+  let gen_request =
+    Gen.(
+      oneof
+        [
+          map2
+            (fun key value -> Shard.Server.Write { key; value })
+            string_small string_small;
+          map2
+            (fun epoch members -> Shard.Server.Reconfig { epoch; members })
+            nat (small_list nat);
+          map (fun key -> Shard.Server.Read { key }) string_small;
+        ])
+  in
+  let gen_reply =
+    Gen.(
+      map3
+        (fun rr_epoch rr_applied rr_value ->
+          { Shard.Server.rr_epoch; rr_applied; rr_value })
+        nat nat
+        (opt (pair nat string_small)))
+  in
+  let roundtrips c v = Net.Wire.(of_bytes c (to_bytes c v)) = v in
+  Test.make ~name:"shard: client request and read reply round-trip"
+    ~count:500
+    (make Gen.(pair gen_request gen_reply))
+    (fun (req, rep) ->
+      roundtrips Shard.Server.request_codec req
+      && roundtrips Shard.Server.read_reply_codec rep)
 
 (* The max-frame guard: an adversarial length prefix must raise the
    typed exception as soon as the 4 header bytes are buffered — before
@@ -714,6 +862,43 @@ let test_tcp_self_send () =
   | _ -> Alcotest.fail "self-send not delivered");
   t.Net.Transport.close ()
 
+(* A malformed hello — here the marshalled int a Marshal decoder crashes
+   on — closes that connection only; the node keeps taking peers. *)
+let test_tcp_bad_hello () =
+  let addrs = [| tmp_addr (); tmp_addr () |] in
+  let t0 = Net.Tcp.create ~self:0 ~addrs () in
+  let raw =
+    Unix.socket (Unix.domain_of_sockaddr addrs.(0)) Unix.SOCK_STREAM 0
+  in
+  Unix.connect raw addrs.(0);
+  Net.Wire.write_frame raw marshalled_int;
+  Unix.set_nonblock raw;
+  let buf = Bytes.create 64 in
+  let closed = ref false in
+  let deadline = Unix.gettimeofday () +. 5. in
+  while (not !closed) && Unix.gettimeofday () < deadline do
+    ignore (t0.Net.Transport.poll ~timeout_ms:10);
+    match Unix.read raw buf 0 64 with
+    | 0 | (exception Unix.Unix_error (ECONNRESET, _, _)) -> closed := true
+    | _ -> Alcotest.fail "a malformed hello was answered"
+    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
+  done;
+  Unix.close raw;
+  Alcotest.(check bool) "the offending connection is closed" true !closed;
+  let t1 = Net.Tcp.create ~self:1 ~addrs () in
+  t1.Net.Transport.send 0 (Bytes.of_string "after");
+  let got = ref None in
+  let deadline = Unix.gettimeofday () +. 5. in
+  while !got = None && Unix.gettimeofday () < deadline do
+    ignore (t1.Net.Transport.poll ~timeout_ms:10);
+    got := t0.Net.Transport.poll ~timeout_ms:10
+  done;
+  Alcotest.(check (option (pair int string)))
+    "a well-formed peer still gets through" (Some (1, "after"))
+    (Option.map (fun (src, b) -> (src, Bytes.to_string b)) !got);
+  t0.Net.Transport.close ();
+  t1.Net.Transport.close ()
+
 let test_tcp_reconnect () =
   let addrs = [| tmp_addr (); tmp_addr () |] in
   let t0 = Net.Tcp.create ~self:0 ~addrs () in
@@ -936,6 +1121,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_varint_roundtrip;
           QCheck_alcotest.to_alcotest prop_smr_codec_roundtrip;
           QCheck_alcotest.to_alcotest prop_pmsg_codec_roundtrip;
+          QCheck_alcotest.to_alcotest prop_socket_decoders_total;
+          QCheck_alcotest.to_alcotest prop_shard_frames_roundtrip;
         ] );
       ( "loopback-smr",
         [
@@ -999,5 +1186,7 @@ let () =
             test_tcp_reconnect;
           Alcotest.test_case "backoff resets only on completed handshake"
             `Quick test_tcp_backoff_needs_handshake;
+          Alcotest.test_case "a malformed hello closes its connection"
+            `Quick test_tcp_bad_hello;
         ] );
     ]

@@ -1,7 +1,7 @@
 (* The sharded service (docs/SHARDING.md):
    - Ring: FNV-1a determinism against fixed vectors, total coverage,
      cross-construction determinism, and minimal movement on add/remove
-     (QCheck);
+     (QCheck); the workload generator's keys reach every shard;
    - the epoch handoff: an old-epoch Σ quorum is never output once the
      next epoch activates, in-flight old-epoch acks included, and
      Epoch.check_quorum refuses stale-epoch quorums outright;
@@ -12,8 +12,7 @@
    - snapshot catch-up: a blocked straggler that missed decisions for
      good (no Rel underneath) recovers the log via Snap_req/Snap;
    - Router: linearizable per-key reads over the ring;
-   - Cluster.run_parallel: domain-per-shard driving applies the whole
-     workload;
+   - Cluster: the workload generator's keys are applied on every shard;
    - Chaos: a sharded run with partition+heal and a scripted mid-run
      reconfiguration holds every invariant. *)
 
@@ -84,16 +83,32 @@ let prop_ring_remove_minimal =
         keys)
 
 let test_ring_balance () =
-  let t = Ring.create (List.init 8 Fun.id) in
-  let hits = Array.make 8 0 in
-  for i = 0 to 9_999 do
-    let s = Ring.shard_of t (Printf.sprintf "key-%d" i) in
-    hits.(s) <- hits.(s) + 1
-  done;
-  Array.iteri
-    (fun s c ->
-      if c = 0 then Alcotest.failf "shard %d owns no keys of 10k" s)
+  let owners shards keys =
+    let t = Ring.create (List.init shards Fun.id) in
+    let hits = Array.make shards 0 in
+    List.iter
+      (fun k ->
+        let s = Ring.shard_of t k in
+        hits.(s) <- hits.(s) + 1)
+      keys;
     hits
+  in
+  let all_own what hits =
+    Array.iteri
+      (fun s c ->
+        if c = 0 then Alcotest.failf "shard %d owns no keys of %s" s what)
+      hits
+  in
+  all_own "10k" (owners 8 (List.init 10_000 (Printf.sprintf "key-%d")));
+  (* the workload generator's own keys differ only in their last bytes *)
+  let z = Shard.Zipf.create ~seed:1 ~keys:64 () in
+  let zipf_keys = List.init 64 (Shard.Zipf.key z) in
+  List.iter
+    (fun shards ->
+      all_own
+        (Printf.sprintf "k000000..k000063 (%d shards)" shards)
+        (owners shards zipf_keys))
+    [ 2; 4; 8 ]
 
 (* ------------------------------------------------------------------ *)
 (* Zipf                                                                *)
@@ -349,29 +364,33 @@ let test_router_reads () =
   | Error e -> Alcotest.fail e
 
 (* ------------------------------------------------------------------ *)
-(* Domain-parallel driving                                             *)
+(* Whole-cluster spread of the workload                                *)
 
-let test_run_parallel () =
-  let cl = Cluster.create ~period:8 ~shards:4 ~replicas:3 ~spares:0 () in
+(* Regression: keys the workload generator draws ("k000000".."k000063")
+   all used to route to one shard, leaving the other groups idle. *)
+let test_cluster_spread () =
+  let shards = 4 in
+  let cl = Cluster.create ~period:8 ~shards ~replicas:3 ~spares:0 () in
+  Cluster.run cl ~rounds:50;
   let router = Cluster.router cl in
-  let total = 40 in
-  Cluster.run_parallel cl (fun () ->
-      for i = 0 to total - 1 do
-        ignore
-          (Router.write router
-             ~key:(Printf.sprintf "pk-%d" i)
-             ~value:(string_of_int i))
-      done;
-      let deadline = Unix.gettimeofday () +. 30.0 in
-      while
-        Cluster.applied_total cl < total && Unix.gettimeofday () < deadline
-      do
-        Unix.sleepf 0.002
-      done);
-  Alcotest.(check bool)
-    (Printf.sprintf "all %d writes applied under parallel driving" total)
-    true
-    (Cluster.applied_total cl >= total)
+  let z = Shard.Zipf.create ~seed:1 ~keys:64 () in
+  let total = Shard.Zipf.keys z in
+  for i = 0 to total - 1 do
+    let key = Shard.Zipf.key z i in
+    match Router.write router ~key ~value:(string_of_int i) with
+    | Some _ -> ()
+    | None -> Alcotest.failf "write of %s rejected" key
+  done;
+  let rounds = ref 0 in
+  while Cluster.applied_total cl < total && !rounds < 5_000 do
+    Cluster.step cl;
+    incr rounds
+  done;
+  Alcotest.(check int) "every write applied" total (Cluster.applied_total cl);
+  for s = 0 to shards - 1 do
+    if Group.applied_max (Cluster.group cl s) = 0 then
+      Alcotest.failf "shard %d applied none of the %d writes" s total
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Sharded chaos with a scripted reconfiguration                       *)
@@ -456,8 +475,8 @@ let () =
       ( "router",
         [ Alcotest.test_case "linearizable reads" `Quick test_router_reads ] );
       ( "cluster",
-        [ Alcotest.test_case "domain-per-shard driving" `Quick
-            test_run_parallel ] );
+        [ Alcotest.test_case "workload keys reach every shard" `Quick
+            test_cluster_spread ] );
       ( "chaos",
         [
           Alcotest.test_case "partition+heal with mid-run reconfig" `Quick
