@@ -1,142 +1,27 @@
-(* Conformance runner: one strict check per paper claim, PASS/FAIL output,
-   non-zero exit code on any failure.  Unlike bin/experiments.exe (which
-   prints exploratory tables), this is the artifact-evaluation entry point:
+(* Runs every claim of {!Core.Claims}, prints one PASS/FAIL line each,
+   writes BENCH_weakest_fd.json and CLAIMS.md into the working directory,
+   and exits 1 if any verdict fails.
 
      dune exec bin/check_paper.exe
 *)
 
-let failures = ref 0
-
-let claim id description check =
-  let verdict =
-    try if check () then "PASS" else "FAIL"
-    with e -> Printf.sprintf "FAIL (%s)" (Printexc.to_string e)
-  in
-  if verdict <> "PASS" then incr failures;
-  Format.printf "  [%s] %-8s %s@." verdict id description
-
-let ok (s : Core.Runner.summary) =
-  s.Core.Runner.terminated && s.Core.Runner.spec_ok = Ok ()
-
-let seeds = [ 1; 2; 3 ]
+let write path text =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text)
 
 let () =
-  Format.printf
-    "Conformance checks for Delporte-Gallet et al., PODC 2004@.@.";
-
-  Format.printf "Theorem 1 (Σ is the weakest for registers):@.";
-  claim "T1-suff" "ABD+Σ linearizable in every gallery scenario" (fun () ->
-      List.for_all
-        (fun sc ->
-          List.for_all
-            (fun seed -> ok (Core.Runner.run_register_workload sc ~seed))
-            seeds)
-        (Core.Scenario.gallery ~n:5));
-  claim "T1-ctrl" "majority quorums block when no majority survives"
-    (fun () ->
-      let s =
-        Core.Runner.run_register_workload ~max_steps:8_000 ~quorums:`Majority
-          (Core.Scenario.minority_correct ~n:5)
-          ~seed:1
-      in
-      not s.Core.Runner.terminated);
-  claim "T1-nec" "Figure 1 extracts spec-conforming Σ" (fun () ->
-      List.for_all
-        (fun seed ->
-          List.for_all
-            (fun sc ->
-              (Core.Runner.run_sigma_extraction ~max_steps:40_000 sc ~seed)
-                .Core.Runner.spec_ok = Ok ())
-            [ Core.Scenario.failure_free ~n:4; Core.Scenario.one_crash ~n:4 ~at:120 ])
-        seeds);
-
-  Format.printf "@.Corollaries 2/4 ((Ω,Σ) is the weakest for consensus):@.";
-  claim "C2-msg" "quorum Paxos decides in every gallery scenario" (fun () ->
-      List.for_all
-        (fun sc ->
-          List.for_all
-            (fun seed ->
-              ok (Core.Runner.run_consensus Core.Runner.Quorum_paxos sc ~seed))
-            seeds)
-        (Core.Scenario.gallery ~n:5));
-  claim "C2-comp" "the paper's composition (ABD + Disk Paxos) decides"
-    (fun () ->
-      List.for_all
-        (fun seed ->
-          ok
-            (Core.Runner.run_consensus Core.Runner.Disk_paxos_abd
-               (Core.Scenario.one_crash ~n:3 ~at:60)
-               ~seed))
-        seeds);
-  claim "C3-omega" "Ω is extractable from the consensus algorithm [3]"
-    (fun () ->
-      List.for_all
-        (fun seed ->
-          Extract.Omega_extraction.check
-            (Sim.Failure_pattern.make ~n:3 [ (0, 50) ])
-            (Extract.Omega_extraction.run
-               ~fp:(Sim.Failure_pattern.make ~n:3 [ (0, 50) ])
-               ~seed ~rounds:3 ~chunk:200)
-          = Ok ())
-        seeds);
-
-  Format.printf "@.Theorems 5/6, Corollary 7 (Ψ is the weakest for QC):@.";
-  claim "T5" "Ψ solves QC in both branches" (fun () ->
-      List.for_all
-        (fun seed ->
-          ok
-            (Core.Runner.run_qc ~mode:Fd.Psi.Consensus_mode
-               (Core.Scenario.one_crash ~n:4 ~at:50)
-               ~seed)
-          && ok
-               (Core.Runner.run_qc ~mode:Fd.Psi.Failure_mode
-                  (Core.Scenario.one_crash ~n:4 ~at:20)
-                  ~seed))
-        seeds);
-  claim "T6" "Figure 3 extracts spec-conforming Ψ" (fun () ->
-      List.for_all
-        (fun seed ->
-          (Core.Runner.run_psi_extraction (Core.Scenario.failure_free ~n:3)
-             ~seed)
-            .Core.Runner.spec_ok = Ok ()
-          && (Core.Runner.run_psi_extraction
-                (Core.Scenario.one_crash ~n:3 ~at:30)
-                ~seed)
-               .Core.Runner.spec_ok = Ok ())
-        seeds);
-
-  Format.printf "@.Theorem 8, Corollary 10 ((Ψ,FS) is the weakest for NBAC):@.";
-  claim "T8a" "NBAC from QC+FS terminates with the right outcomes" (fun () ->
-      List.for_all
-        (fun seed ->
-          let s1 =
-            Core.Runner.run_nbac Core.Runner.Nbac_psi_fs
-              (Core.Scenario.failure_free ~n:4)
-              ~seed
-          in
-          let s2 =
-            Core.Runner.run_nbac Core.Runner.Nbac_psi_fs
-              (Core.Scenario.one_crash ~n:4 ~at:30)
-              ~seed
-          in
-          ok s1 && s1.Core.Runner.decision = "Commit" && ok s2)
-        seeds);
-  claim "T8b" "2PC blocks where NBAC terminates" (fun () ->
-      let fp = Sim.Failure_pattern.make ~n:4 [ (0, 1) ] in
-      let votes =
-        [ (1, Qcnbac.Types.Yes); (2, Qcnbac.Types.Yes); (3, Qcnbac.Types.Yes) ]
-      in
-      let sc =
-        { (Core.Scenario.failure_free ~n:4) with Core.Scenario.fp }
-      in
-      let two_pc =
-        Core.Runner.run_nbac ~max_steps:10_000 ~votes
-          Core.Runner.Two_phase_commit sc ~seed:1
-      in
-      let nbac =
-        Core.Runner.run_nbac ~votes Core.Runner.Nbac_psi_fs sc ~seed:1
-      in
-      (not two_pc.Core.Runner.terminated) && ok nbac);
-
-  Format.printf "@.%d failure(s).@." !failures;
-  exit (if !failures = 0 then 0 else 1)
+  Format.printf "Claims of Delporte-Gallet et al., PODC 2004@.@.";
+  let outcomes =
+    List.map
+      (fun (c : Core.Claims.t) ->
+        let o = Core.Claims.check c in
+        (match o.verdict with
+        | Ok () -> Format.printf "  [PASS] %-8s %s@." c.id c.title
+        | Error e -> Format.printf "  [FAIL] %-8s %s: %s@." c.id c.title e);
+        (c, o))
+      Core.Claims.all
+  in
+  write "BENCH_weakest_fd.json" (Core.Claims.bench_json ());
+  write "CLAIMS.md" (Core.Claims.markdown outcomes);
+  let failed = List.filter (fun (_, o) -> Result.is_error o.Core.Claims.verdict) outcomes in
+  Format.printf "@.%d failure(s).@." (List.length failed);
+  exit (if failed = [] then 0 else 1)

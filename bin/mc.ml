@@ -163,7 +163,7 @@ let replay_t =
     & opt (some string) None
     & info [ "replay" ] ~docv:"SCHEDULE"
         ~doc:
-          "Replay a serialized schedule (e.g. 'crashes=0\\@0;choices=1,0') \
+          "Replay a serialized schedule (e.g. 'crashes=0@0;choices=1,0') \
            instead of exploring.")
 
 let trace_t =

@@ -8,6 +8,4 @@ type t = {
 let make ?(policy = Sim.Network.Fifo) ?max_steps ?trace ~seed () =
   { policy; max_steps; seed; trace }
 
-let default = make ~seed:1 ()
-
 let steps t ~default = match t.max_steps with Some s -> s | None -> default

@@ -29,8 +29,5 @@ val make :
   unit ->
   t
 
-(** FIFO, per-workload default steps, seed 1, no trace. *)
-val default : t
-
 (** [steps t ~default] resolves the step bound. *)
 val steps : t -> default:int -> int

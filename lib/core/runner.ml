@@ -447,46 +447,8 @@ let run cfg workload (scenario : Scenario.t) =
     Obs.Jsonl.write_run ~path ~meta obs;
     { s with metrics = Obs.Collector.metric_rows obs }
 
-(* Historical per-problem entry points, now thin wrappers over [run]. *)
-
-let run_consensus ?(policy = Sim.Network.Fifo) ?max_steps ?proposals algo
-    scenario ~seed =
-  run
-    (Run_config.make ~policy ?max_steps ~seed ())
-    (Consensus { algo; proposals })
-    scenario
-
-let run_qc ?max_steps ?mode scenario ~seed =
-  run
-    (Run_config.make ?max_steps ~seed ())
-    (Quittable_consensus { mode })
-    scenario
-
-let run_nbac ?max_steps ?votes algo scenario ~seed =
-  run (Run_config.make ?max_steps ~seed ()) (Nbac { algo; votes }) scenario
-
-let run_register_workload ?max_steps ?(ops_per_proc = 3) ?(registers = 2)
-    ?(quorums = `Sigma) scenario ~seed =
-  run
-    (Run_config.make ?max_steps ~seed ())
-    (Registers { ops_per_proc; registers; quorums })
-    scenario
-
-let run_sigma_extraction ?max_steps scenario ~seed =
-  run (Run_config.make ?max_steps ~seed ()) Sigma_extraction scenario
-
-let run_psi_extraction ?(rounds = 3) ?(chunk = 220) scenario ~seed =
-  run
-    (Run_config.make ~seed ())
-    (Psi_extraction { rounds; chunk })
-    scenario
-
 (* ------------------------------------------------------------------ *)
 (* Model checking (the Mc subsystem) over the registered targets.      *)
-
-type mc_explorer = Mc.Harness.explorer
-
-let mc_explorer_name = Mc.Harness.explorer_name
 
 type mc_opts = Mc.Harness.opts = {
   explorer : Mc.Harness.explorer;

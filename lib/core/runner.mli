@@ -1,10 +1,9 @@
 (** One-call runners for every algorithm in the library, returning a uniform
-    summary — the workhorse behind the examples, the experiment tables and
-    the benchmarks.
+    summary — the workhorse behind the examples, [bin/simulate.exe] and the
+    simulator claims of {!Claims}.
 
-    The unified entry point is {!run}: a {!Run_config.t} (engine plumbing)
-    applied to a {!workload} (what to execute) under a {!Scenario.t}.  The
-    historical [run_*] functions survive as thin wrappers. *)
+    The entry point is {!run}: a {!Run_config.t} (engine plumbing) applied
+    to a {!workload} (what to execute) under a {!Scenario.t}. *)
 
 (** Outcome of one run. *)
 type summary = {
@@ -42,8 +41,6 @@ type nbac_algo =
   | Nbac_psi_fs  (** NBAC from QC + FS (Figure 4), on (Ψ, FS) *)
   | Two_phase_commit  (** blocking baseline *)
 
-val nbac_algo_name : nbac_algo -> string
-
 (** What to execute: each constructor names one of the paper's problems
     with its problem-specific inputs ([None] = the historical default).
     Engine plumbing (policy, step bound, seed) lives in {!Run_config.t}. *)
@@ -79,51 +76,6 @@ type workload =
     collected metric rows are returned in [summary.metrics]. *)
 val run : Run_config.t -> workload -> Scenario.t -> summary
 
-(** @deprecated Thin wrapper over {!run} with [Consensus]; prefer [run]. *)
-val run_consensus :
-  ?policy:Sim.Network.policy ->
-  ?max_steps:int ->
-  ?proposals:(Sim.Pid.t * int) list ->
-  consensus_algo ->
-  Scenario.t ->
-  seed:int ->
-  summary
-
-(** @deprecated Thin wrapper over {!run} with [Quittable_consensus]. *)
-val run_qc :
-  ?max_steps:int ->
-  ?mode:Fd.Psi.mode ->
-  Scenario.t ->
-  seed:int ->
-  summary
-
-(** @deprecated Thin wrapper over {!run} with [Nbac]. *)
-val run_nbac :
-  ?max_steps:int ->
-  ?votes:(Sim.Pid.t * Qcnbac.Types.vote) list ->
-  nbac_algo ->
-  Scenario.t ->
-  seed:int ->
-  summary
-
-(** @deprecated Thin wrapper over {!run} with [Registers]. *)
-val run_register_workload :
-  ?max_steps:int ->
-  ?ops_per_proc:int ->
-  ?registers:int ->
-  ?quorums:[ `Sigma | `Majority ] ->
-  Scenario.t ->
-  seed:int ->
-  summary
-
-(** @deprecated Thin wrapper over {!run} with [Sigma_extraction]. *)
-val run_sigma_extraction :
-  ?max_steps:int -> Scenario.t -> seed:int -> summary
-
-(** @deprecated Thin wrapper over {!run} with [Psi_extraction]. *)
-val run_psi_extraction :
-  ?rounds:int -> ?chunk:int -> Scenario.t -> seed:int -> summary
-
 (** {2 Model checking}
 
     The search knobs live in a single {!Mc.Harness.opts} record
@@ -132,11 +84,6 @@ val run_psi_extraction :
     [Mc] path).  All domain counts, including 1, run through the
     deterministic parallel explorer {!Mc.Parallel}: the summary is
     bit-identical whatever [opts.domains] is. *)
-
-(** Inner schedule explorer of the [Mc] subsystem. *)
-type mc_explorer = Mc.Harness.explorer
-
-val mc_explorer_name : mc_explorer -> string
 
 (** Re-export of {!Mc.Harness.opts}. *)
 type mc_opts = Mc.Harness.opts = {

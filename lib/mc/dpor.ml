@@ -357,6 +357,16 @@ let canonical prefix =
   let rec strip = function 0 :: tl -> strip tl | l -> l in
   List.rev (strip (List.rev prefix))
 
+(* The polymorphic [Hashtbl.hash] reads only the first 10 elements of a
+   list; DFS prefixes are long and share their heads, so they would pile
+   into a few buckets.  Hash the whole prefix. *)
+module Prefixes = Hashtbl.Make (struct
+  type t = int list
+
+  let equal = List.equal Int.equal
+  let hash l = Hashtbl.hash (List.fold_left (fun h x -> (h * 31) + x) 0 l)
+end)
+
 let search ?(budget = 10_000) ?(shrink = true) ?(seed = 1) target ~fp =
   (* The independence argument needs detector samples that do not depend
      on which slot a process lands in; otherwise every round falls back
@@ -366,8 +376,8 @@ let search ?(budget = 10_000) ?(shrink = true) ?(seed = 1) target ~fp =
   let input_times =
     List.map (fun (t, p, _) -> (t, p)) (target.Harness.make_inputs fp)
   in
-  let explored : (int list, unit) Hashtbl.t = Hashtbl.create 4096 in
-  Hashtbl.add explored [] ();
+  let explored = Prefixes.create 4096 in
+  Prefixes.add explored [] ();
   let cex ~reason choices =
     Harness.counterexample ~shrink ~violates:(Harness.violates ~seed target ~n)
       ~target:target.Harness.name ~n ~seed ~reason (Schedule.of_fp fp choices)
@@ -471,9 +481,9 @@ let search ?(budget = 10_000) ?(shrink = true) ?(seed = 1) target ~fp =
             if g >= Array.length choices then None
             else
               let p = canonical (take_prefix choices g @ [ alt ]) in
-              if Hashtbl.mem explored p then None
+              if Prefixes.mem explored p then None
               else begin
-                Hashtbl.add explored p ();
+                Prefixes.add explored p ();
                 Some p
               end)
           reqs

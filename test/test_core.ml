@@ -2,6 +2,14 @@
    (which also serve as end-to-end integration tests of the whole stack),
    and the claim catalogue. *)
 
+let run ?max_steps ~seed workload sc =
+  Core.Runner.run (Core.Run_config.make ?max_steps ~seed ()) workload sc
+
+let consensus algo = Core.Runner.Consensus { algo; proposals = None }
+
+let registers ?(quorums = `Sigma) () =
+  Core.Runner.Registers { ops_per_proc = 3; registers = 2; quorums }
+
 let test_scenarios_well_formed () =
   List.iter
     (fun n ->
@@ -63,7 +71,7 @@ let test_runner_consensus_matrix () =
   in
   List.iter
     (fun (algo, sc, seed) ->
-      let s = Core.Runner.run_consensus algo sc ~seed in
+      let s = run ~seed (consensus algo) sc in
       Alcotest.(check bool)
         (Core.Runner.consensus_algo_name algo ^ " terminated")
         true s.Core.Runner.terminated;
@@ -71,24 +79,27 @@ let test_runner_consensus_matrix () =
     cases
 
 let test_runner_qc_and_nbac () =
-  ok (Core.Runner.run_qc (Core.Scenario.failure_free ~n:4) ~seed:5);
   ok
-    (Core.Runner.run_qc ~mode:Fd.Psi.Failure_mode
-       (Core.Scenario.one_crash ~n:4 ~at:10)
-       ~seed:5);
+    (run ~seed:5
+       (Core.Runner.Quittable_consensus { mode = None })
+       (Core.Scenario.failure_free ~n:4));
   ok
-    (Core.Runner.run_nbac Core.Runner.Nbac_psi_fs
-       (Core.Scenario.failure_free ~n:4)
-       ~seed:5);
+    (run ~seed:5
+       (Core.Runner.Quittable_consensus { mode = Some Fd.Psi.Failure_mode })
+       (Core.Scenario.one_crash ~n:4 ~at:10));
   ok
-    (Core.Runner.run_nbac Core.Runner.Two_phase_commit
-       (Core.Scenario.failure_free ~n:4)
-       ~seed:5)
+    (run ~seed:5
+       (Core.Runner.Nbac { algo = Core.Runner.Nbac_psi_fs; votes = None })
+       (Core.Scenario.failure_free ~n:4));
+  ok
+    (run ~seed:5
+       (Core.Runner.Nbac { algo = Core.Runner.Two_phase_commit; votes = None })
+       (Core.Scenario.failure_free ~n:4))
 
 let test_runner_registers () =
   List.iter
     (fun (sc, seed) ->
-      let s = Core.Runner.run_register_workload sc ~seed in
+      let s = run ~seed (registers ()) sc in
       Alcotest.(check bool) "terminated" true s.Core.Runner.terminated;
       ok s)
     [
@@ -98,62 +109,64 @@ let test_runner_registers () =
     ];
   (* Majority quorums in the same scenario must block. *)
   let s =
-    Core.Runner.run_register_workload ~max_steps:6_000 ~quorums:`Majority
+    run ~max_steps:6_000 ~seed:2
+      (registers ~quorums:`Majority ())
       (Core.Scenario.minority_correct ~n:5)
-      ~seed:2
   in
   Alcotest.(check bool) "majority blocked" false s.Core.Runner.terminated
 
 let test_runner_extractions () =
-  ok (Core.Runner.run_sigma_extraction ~max_steps:20_000
-        (Core.Scenario.one_crash ~n:4 ~at:100)
-        ~seed:3);
   ok
-    (Core.Runner.run_psi_extraction ~rounds:2 ~chunk:180
-       (Core.Scenario.failure_free ~n:3)
-       ~seed:3)
+    (run ~max_steps:20_000 ~seed:3 Core.Runner.Sigma_extraction
+       (Core.Scenario.one_crash ~n:4 ~at:100));
+  ok
+    (run ~seed:3
+       (Core.Runner.Psi_extraction { rounds = 2; chunk = 180 })
+       (Core.Scenario.failure_free ~n:3))
 
-let test_run_config_api () =
-  (* the historical wrappers are thin aliases of [run]: same workload
-     through either entry point must produce the same summary *)
-  let sc = Core.Scenario.one_crash ~n:3 ~at:60 in
-  let via_wrapper = Core.Runner.run_consensus Core.Runner.Quorum_paxos sc ~seed:7 in
-  let via_run =
-    Core.Runner.run
-      (Core.Run_config.make ~seed:7 ())
-      (Core.Runner.Consensus
-         { algo = Core.Runner.Quorum_paxos; proposals = None })
-      sc
+(* Ids are unique, every claim backs a theorem of the table, and every
+   theorem has a claim for each direction. *)
+let test_claims () =
+  let ids = List.map (fun (c : Core.Claims.t) -> c.id) Core.Claims.all in
+  Alcotest.(check int) "unique ids" (List.length ids)
+    (List.length (List.sort_uniq compare ids));
+  let names =
+    List.map (fun (t : Core.Claims.theorem) -> t.name) Core.Claims.theorems
   in
-  Alcotest.(check string) "consensus summaries agree"
-    (Format.asprintf "%a" Core.Runner.pp_summary via_wrapper)
-    (Format.asprintf "%a" Core.Runner.pp_summary via_run);
-  let via_wrapper =
-    Core.Runner.run_register_workload ~max_steps:6_000 ~quorums:`Majority sc
-      ~seed:2
-  in
-  let via_run =
-    Core.Runner.run
-      (Core.Run_config.make ~max_steps:6_000 ~seed:2 ())
-      (Core.Runner.Registers
-         { ops_per_proc = 3; registers = 2; quorums = `Majority })
-      sc
-  in
-  Alcotest.(check string) "register summaries agree"
-    (Format.asprintf "%a" Core.Runner.pp_summary via_wrapper)
-    (Format.asprintf "%a" Core.Runner.pp_summary via_run)
-
-let test_catalogue () =
-  Alcotest.(check int) "five claims" 5 (List.length Core.Catalogue.all);
   List.iter
-    (fun (c : Core.Catalogue.claim) ->
-      Alcotest.(check bool) "id nonempty" true (String.length c.Core.Catalogue.id > 0);
-      let rendered = Format.asprintf "%a" Core.Catalogue.pp_claim c in
-      Alcotest.(check bool) "renders" true (String.length rendered > 20))
-    Core.Catalogue.all
+    (fun (c : Core.Claims.t) ->
+      List.iter
+        (fun (name, _) ->
+          Alcotest.(check bool) (c.id ^ " backs " ^ name) true (List.mem name names))
+        c.backs)
+    Core.Claims.all;
+  List.iter
+    (fun name ->
+      List.iter
+        (fun (dir, label) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s has a %s claim" name label)
+            true
+            (List.exists
+               (fun (c : Core.Claims.t) -> List.mem (name, dir) c.backs)
+               Core.Claims.all))
+        [ (Core.Claims.Sufficiency, "sufficiency"); (Core.Claims.Necessity, "necessity") ])
+    [ "Thm 1"; "Cor 4"; "Cor 7"; "Thm 8"; "Cor 10" ]
+
+let test_simulator_claims () =
+  List.iter
+    (fun (c : Core.Claims.t) ->
+      match (Core.Claims.check c).verdict with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "%s: %s" c.id e)
+    Core.Claims.simulator
 
 let test_summary_printing () =
-  let s = Core.Runner.run_qc (Core.Scenario.failure_free ~n:3) ~seed:1 in
+  let s =
+    run ~seed:1
+      (Core.Runner.Quittable_consensus { mode = None })
+      (Core.Scenario.failure_free ~n:3)
+  in
   let rendered = Format.asprintf "%a" Core.Runner.pp_summary s in
   Alcotest.(check bool) "summary renders" true
     (String.length rendered > 20)
@@ -179,8 +192,9 @@ let () =
         ] );
       ( "catalogue",
         [
-          Alcotest.test_case "run-config api" `Quick test_run_config_api;
-          Alcotest.test_case "claims" `Quick test_catalogue;
+          Alcotest.test_case "claims" `Quick test_claims;
+          Alcotest.test_case "simulator claims pass" `Quick
+            test_simulator_claims;
           Alcotest.test_case "summary printing" `Quick test_summary_printing;
         ] );
     ]
