@@ -405,7 +405,8 @@ let run_shard_tcp shards replicas spares count period detector tick_ms seed
        for s = 0 to shards - 1 do
          Printf.printf "reconfig shard %d: epoch 1 members [%s]\n%!" s
            (String.concat " " (List.map string_of_int members));
-         submit s (Shard.Server.Reconfig { epoch = 1; members });
+         submit s
+           (Shard.Server.Submit (Shard.Replica.Reconfig { epoch = 1; members }));
          epoch.(s) <- 1;
          target.(s) <- 1
        done
@@ -419,7 +420,7 @@ let run_shard_tcp shards replicas spares count period detector tick_ms seed
        let s = Shard.Ring.shard_of ring key in
        let value = Printf.sprintf "v-%06d" k in
        let t0 = Unix.gettimeofday () in
-       submit s (Shard.Server.Write { key; value });
+       submit s (Shard.Server.Submit (Shard.Replica.App { key; value }));
        lats := (Unix.gettimeofday () -. t0) :: !lats;
        Hashtbl.replace last key value
      done;

@@ -54,16 +54,6 @@ let prefix_matches st ~upto v =
    far. *)
 let viable st ~upto = List.find_opt (prefix_matches st ~upto) st.candidates
 
-let retag k acts =
-  List.filter_map
-    (fun a ->
-      match a with
-      | Sim.Protocol.Send (q, m) -> Some (Sim.Protocol.Send (q, Inner (k, m)))
-      | Sim.Protocol.Broadcast m ->
-        Some (Sim.Protocol.Broadcast (Inner (k, m)))
-      | Sim.Protocol.Output _ -> None (* harvested separately *))
-    acts
-
 (* Run one event of instance [k], harvesting its decision if it fires. *)
 let run_instance (ctx : (Sim.Pid.t * Sim.Pidset.t) Sim.Protocol.ctx) st k
     event =
@@ -91,7 +81,10 @@ let run_instance (ctx : (Sim.Pid.t * Sim.Pidset.t) Sim.Protocol.ctx) st k
     | Some b -> { st with decisions = Int_map.add k b st.decisions }
     | None -> st
   in
-  (st, retag k acts)
+  (* the decision was harvested above *)
+  ( st,
+    Sim.Protocol.map_actions ~msg:(fun m -> Inner (k, m)) ~out:(fun _ -> None)
+      acts )
 
 (* Feed the current instance a bit proposal as soon as a viable candidate
    exists; emit the final decision once all bits are in. *)

@@ -108,16 +108,6 @@ let init ~window ~batch_max ~n:_ self =
     tick = 0;
   }
 
-let retag k acts =
-  List.filter_map
-    (fun a ->
-      match a with
-      | Sim.Protocol.Send (q, m) -> Some (Sim.Protocol.Send (q, Inner (k, m)))
-      | Sim.Protocol.Broadcast m ->
-        Some (Sim.Protocol.Broadcast (Inner (k, m)))
-      | Sim.Protocol.Output _ -> None)
-    acts
-
 (* Emit decided batches in instance order as far as the log is gapless,
    numbering surviving commands with consecutive log indices.  A command
    can be decided by two different instances when leadership changes
@@ -205,7 +195,10 @@ let run_instance ctx st k event =
       (st, List.map (fun (i, c) -> Sim.Protocol.Output (i, c)) entries)
     | Some _ | None -> (st, [])
   in
-  (st, retag k acts @ outs)
+  ( st,
+    Sim.Protocol.map_actions ~msg:(fun m -> Inner (k, m)) ~out:(fun _ -> None)
+      acts
+    @ outs )
 
 (* Install decided batches received in a snapshot.  Idempotent: instances
    already decided are left untouched (consensus already fixed them — a

@@ -675,10 +675,10 @@ let closed_loop ~name ?(clients = 1) ~count ~outstanding ~submit ~step
   (!round, lat)
 
 let smr_applied t p =
-  Cons.Smr.applied (Net.Smr_node.smr_state (Net.Local.state t p))
+  Cons.Smr.applied (Net.Smr_node.smr_state (Net.Local.cluster_state t p))
 
 let smr_instances t p =
-  Cons.Smr.applied_instances (Net.Smr_node.smr_state (Net.Local.state t p))
+  Cons.Smr.applied_instances (Net.Smr_node.smr_state (Net.Local.cluster_state t p))
 
 (* [count] commands submitted at replica 0 of a fresh loopback cluster,
    after a 200-round warm-up, [tick] running before every round: rounds
@@ -689,16 +689,16 @@ let smr_loop ~name ~n ?window ?batch_max ?wrap ?(tick = ignore) ~outstanding
   let t = Net.Local.create ~period:16 ?window ?batch_max ?wrap ~n () in
   let step () =
     tick ();
-    Net.Local.step t
+    Net.Local.cluster_step t
   in
   for _ = 1 to 200 do
     step ()
   done;
-  let hub = Net.Local.hub t in
+  let hub = Net.Local.cluster_hub t in
   let s0 = Net.Loopback.sent hub and i0 = smr_instances t 0 in
   let rounds, lat =
     closed_loop ~name ~count ~outstanding
-      ~submit:(fun _ i -> Net.Local.submit t 0 (Printf.sprintf "cmd-%d" i))
+      ~submit:(fun _ i -> Net.Local.cluster_submit t 0 (Printf.sprintf "cmd-%d" i))
       ~step
       ~applied:(fun _ -> smr_applied t 0)
       ()
@@ -727,10 +727,10 @@ let net_rows =
      let idle_row ~n ~rounds =
        let t = Net.Local.create ~period:16 ~n () in
        (* let Σ's initial join rounds settle so the window is steady-state *)
-       Net.Local.run t ~rounds:200;
-       let d0 = Net.Loopback.delivered (Net.Local.hub t) in
-       Net.Local.run t ~rounds;
-       let frames = Net.Loopback.delivered (Net.Local.hub t) - d0 in
+       Net.Local.cluster_run t ~rounds:200;
+       let d0 = Net.Loopback.delivered (Net.Local.cluster_hub t) in
+       Net.Local.cluster_run t ~rounds;
+       let frames = Net.Loopback.delivered (Net.Local.cluster_hub t) - d0 in
        [ ("name", Str (Printf.sprintf "net_detector_idle_n%d" n));
          ("rounds", Int rounds); ("frames_delivered", Int frames);
          ("frames_per_round", num "%.3f" (per frames rounds)) ]

@@ -11,21 +11,9 @@ type output = (int * string Cons.Smr.cmd, Replica.output) Sim.Layered.wire
 (* [Layered.product] exposes the pair of component fds (both already unit
    here, the detectors being composed inside each side); a [Node] runs
    protocols with fd = unit, so close the pair off. *)
-let with_unit_fd (p : ('st, 'm, unit * unit, 'i, 'o) Sim.Protocol.t) :
-    ('st, 'm, unit, 'i, 'o) Sim.Protocol.t =
-  {
-    Sim.Protocol.init = p.Sim.Protocol.init;
-    on_step =
-      (fun ctx st recv ->
-        p.Sim.Protocol.on_step { ctx with Sim.Protocol.fd = ((), ()) } st recv);
-    on_input =
-      (fun ctx st i ->
-        p.Sim.Protocol.on_input { ctx with Sim.Protocol.fd = ((), ()) } st i);
-  }
-
 let protocol ?window ?batch_max ?sync_every ?emit_fp ~period () :
     (state, msg, unit, input, output) Sim.Protocol.t =
-  with_unit_fd
+  Sim.Protocol.const_fd ((), ())
     (Sim.Layered.product
        (Net.Smr_node.protocol ?window ?batch_max ~period ())
        (Sim.Layered.with_detector

@@ -41,14 +41,9 @@ let abd_proto :
 (* 64 is an upper bound on n for this transformation; register j belongs to
    process j. *)
 
-let retag acts =
-  List.filter_map
-    (fun a ->
-      match a with
-      | Sim.Protocol.Send (q, m) -> Some (Sim.Protocol.Send (q, Reg m))
-      | Sim.Protocol.Broadcast m -> Some (Sim.Protocol.Broadcast (Reg m))
-      | Sim.Protocol.Output _ -> None)
-    acts
+(* ABD's messages, tagged; its completions are harvested in [on_step]. *)
+let reg_sends acts =
+  Sim.Protocol.map_actions ~msg:(fun m -> Reg m) ~out:(fun _ -> None) acts
 
 let init ~n self =
   {
@@ -71,13 +66,13 @@ let start_write ctx st =
     abd_proto.Sim.Protocol.on_input ctx st.abd
       (Regs.Abd.Write (st.self, (k, st.e_sets)))
   in
-  ({ st with abd; k; pc = Writing }, retag acts)
+  ({ st with abd; k; pc = Writing }, reg_sends acts)
 
 let start_read ctx st j =
   let abd, acts =
     abd_proto.Sim.Protocol.on_input ctx st.abd (Regs.Abd.Read j)
   in
-  ({ st with abd; pc = Reading j }, retag acts)
+  ({ st with abd; pc = Reading j }, reg_sends acts)
 
 (* Move to probing the sets found in Reg_j, or to the next register, or
    finish the cycle. *)
@@ -142,7 +137,7 @@ let on_step (ctx : Sim.Pidset.t Sim.Protocol.ctx) st recv =
   in
   let abd, abd_acts = abd_proto.Sim.Protocol.on_step ctx st.abd abd_recv in
   let st = { st with abd } in
-  let net_acts = retag abd_acts in
+  let net_acts = reg_sends abd_acts in
   (* Harvest ABD completions. *)
   let st, acts1 =
     List.fold_left

@@ -507,15 +507,6 @@ module Omega = struct
     | HS s -> Omega_heartbeat.timeout s q
     | RS s -> Omega_ring.timeout s q
 
-  let retag f acts =
-    List.map
-      (fun act ->
-        match act with
-        | Sim.Protocol.Send (d, m) -> Sim.Protocol.Send (d, f m)
-        | Sim.Protocol.Broadcast m -> Sim.Protocol.Broadcast (f m)
-        | Sim.Protocol.Output o -> Sim.Protocol.Output o)
-      acts
-
   (* Dispatch on the state's own constructor; a frame of the other
      backend's variant (possible only if a host mixes kinds across a
      restart) is ignored, exactly as an unknown peer would be. *)
@@ -524,11 +515,13 @@ module Omega = struct
     | HS s ->
       let r = match recv with Some (q, H m) -> Some (q, m) | _ -> None in
       let s, acts = Omega_heartbeat.on_step ctx s r in
-      (HS s, retag (fun m -> H m) acts)
+      ( HS s,
+        Sim.Protocol.map_actions ~msg:(fun m -> H m) ~out:Option.some acts )
     | RS s ->
       let r = match recv with Some (q, R m) -> Some (q, m) | _ -> None in
       let s, acts = Omega_ring.on_step ctx s r in
-      (RS s, retag (fun m -> R m) acts)
+      ( RS s,
+        Sim.Protocol.map_actions ~msg:(fun m -> R m) ~out:Option.some acts )
 
   let detector ~kind ~period =
     {

@@ -91,29 +91,22 @@ end
     which every replica does at the same slot. *)
 module Sigma_epoch : sig
   type state
-  type msg
 
-  (** [init ~members self] starts epoch 0 with the given member set. *)
-  val init : members:Sim.Pidset.t -> Sim.Pid.t -> state
-
-  (** Bare step function, for hosts that compose by hand (the detector
-      needs to be told about epoch changes, which {!Sim.Layered} has no
-      channel for). *)
-  val on_step :
-    unit Sim.Protocol.ctx ->
-    state ->
-    (Sim.Pid.t * msg) option ->
-    state * (msg, unit) Sim.Protocol.action list
+  (** Public so hosts can give it a binary wire representation
+      ([Shard.Replica]); treat it as read-only. *)
+  type msg =
+    | Join of { epoch : int; round : int }
+    | Ack of { epoch : int; round : int }
 
   (** Install configuration [epoch] (members [members]), discarding any
-      quorum formed under previous epochs. *)
+      quorum formed under previous epochs.  A host calls it through
+      [Sim.Layered.with_detector]'s [feedback] hook. *)
   val set_config : state -> epoch:int -> members:Sim.Pidset.t -> state
 
   (** The current quorum — of the current epoch only. *)
   val current : state -> Sim.Pidset.t
 
-  (** Standalone detector over a fixed initial membership, for tests and
-      sim runs. *)
+  (** The detector over the epoch-0 membership [members]. *)
   val detector : members:Sim.Pidset.t -> (state, msg, Sim.Pidset.t) Sim.Layered.emulated
 
   (** Completed join-quorum rounds (across all epochs). *)

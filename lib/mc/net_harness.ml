@@ -106,6 +106,12 @@ let digest_of nodes hub events =
           (states, links, Net.Det.digest hub, events)
           [ Marshal.Closures ]))
 
+(* Every node of the in-memory hub runs this one binary, so Marshal carries
+   any target's messages faithfully; no socket ever carries it. *)
+let marshal =
+  let enc buf v = Buffer.add_string buf (Marshal.to_string v []) in
+  { Net.Wire.enc; dec = (fun b ~pos ~len:_ -> Marshal.from_bytes b pos) }
+
 let run ?round_hook target sched =
   let fp = fp_of target in
   let sched, recorded = Sim.Scheduler.recording sched in
@@ -115,7 +121,7 @@ let run ?round_hook target sched =
   let nodes =
     Array.init target.n (fun p ->
         let w = target.link (Net.Det.endpoint hub p) in
-        (Net.Node.create ~transport:w.tr target.protocol, w))
+        (Net.Node.create ~codec:marshal ~transport:w.tr target.protocol, w))
   in
   let events = ref [] (* newest first *) in
   let violation = ref None in

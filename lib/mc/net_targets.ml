@@ -261,24 +261,9 @@ let seq_broken_arq ~n ~m =
 (* ABD is written against a Σ oracle; on a real network detectors are
    emulated layers, but in a kill-free scenario the full process set is
    a legitimate (even live) quorum system sample, so a constant Σ = Π
-   closes the protocol to [fd = unit] without changing its logic. *)
-let with_const_fd fd (p : ('st, 'msg, 'fd, 'inp, 'out) Sim.Protocol.t) :
-    ('st, 'msg, unit, 'inp, 'out) Sim.Protocol.t =
-  let lift (ctx : unit Sim.Protocol.ctx) =
-    {
-      Sim.Protocol.self = ctx.self;
-      n = ctx.n;
-      now = ctx.now;
-      fd = fd ctx.n;
-    }
-  in
-  {
-    init = p.init;
-    on_step = (fun ctx st recv -> p.on_step (lift ctx) st recv);
-    on_input = (fun ctx st inp -> p.on_input (lift ctx) st inp);
-  }
+   closes the protocol to [fd = unit] without changing its logic.
 
-(* FIFO hub, slow resend clock: frame reordering and a chatty ARQ each
+   FIFO hub, slow resend clock: frame reordering and a chatty ARQ each
    multiply the state space past exhaustibility; the drop fault still
    forces a full retransmission round trip through the real stack, and
    reordering is covered by [seq_rel]. *)
@@ -287,7 +272,8 @@ let abd_rel ~n =
     Net_harness.name = "net_abd_rel";
     n;
     protocol =
-      with_const_fd Sim.Pidset.full (Regs.Abd.protocol ~registers:1);
+      Sim.Protocol.const_fd (Sim.Pidset.full n)
+        (Regs.Abd.protocol ~registers:1);
     link = Net_harness.rel_link ~resend_every:8 ();
     reorder = false;
     inputs =
@@ -309,8 +295,7 @@ let ec_converge ~n =
     Net_harness.name = "net_ec_converge";
     n;
     protocol =
-      with_const_fd
-        (fun _ -> (0, 0))
+      Sim.Protocol.const_fd (0, 0)
         (Ec.Replica.make ~sync_every:2 ~emit_fp:true ());
     link = Net_harness.raw_link;
     reorder = true;
@@ -334,8 +319,7 @@ let ec_no_sync ~n =
     t with
     Net_harness.name = "net_ec_no_sync";
     protocol =
-      with_const_fd
-        (fun _ -> (0, 0))
+      Sim.Protocol.const_fd (0, 0)
         (Ec.Replica.make ~sync_every:1_000 ~emit_fp:true ());
     faults = [];
   }

@@ -226,16 +226,6 @@ let ring_agreed fp outs =
 let fd_ring ~n:_ =
   let det = Fd.Emulated.Omega_ring.detector ~period:1 in
   let proto = det.Sim.Layered.proto in
-  (* detector actions carry unit outputs (none are emitted); retag to the
-     wrapped protocol's leader-estimate output type *)
-  let retag acts =
-    List.filter_map
-      (function
-        | Sim.Protocol.Send (q, m) -> Some (Sim.Protocol.Send (q, m))
-        | Sim.Protocol.Broadcast m -> Some (Sim.Protocol.Broadcast m)
-        | Sim.Protocol.Output () -> None)
-      acts
-  in
   let protocol =
     {
       Sim.Protocol.init =
@@ -244,7 +234,11 @@ let fd_ring ~n:_ =
         (fun ctx (st, last) m ->
           let st, acts = proto.Sim.Protocol.on_step ctx st m in
           let l = Fd.Emulated.Omega_ring.leader st in
-          let acts = retag acts in
+          (* the detector's unit outputs (it emits none) give way to the
+             leader estimate *)
+          let acts =
+            Sim.Protocol.map_actions ~msg:Fun.id ~out:(fun () -> None) acts
+          in
           if last = Some l then ((st, last), acts)
           else ((st, Some l), acts @ [ Sim.Protocol.Output l ]));
       on_input = (fun _ st (_ : unit) -> (st, []));

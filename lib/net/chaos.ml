@@ -383,8 +383,8 @@ let run ?collector (cfg : config) =
       ~sink:(fun _ -> h.sink)
       ~wrap:(wrap h 0) ?metrics:h.metrics ~n:cfg.n ()
   in
-  let log = Local.applied_log cluster in
-  let state = Local.state cluster in
+  let log = Local.cluster_outputs cluster in
+  let state = Local.cluster_state cluster in
   let leader _ p = Fd.Emulated.Omega.current (Smr_node.omega_state (state p)) in
   let quorum p =
     let si = Smr_node.sigma_state (state p) in
@@ -411,7 +411,7 @@ let run ?collector (cfg : config) =
       | [] -> ()
       | p :: _ ->
         let payload = Printf.sprintf "cmd-%d" k in
-        Local.submit cluster p payload;
+        Local.cluster_submit cluster p payload;
         submitted h 0 p payload
   in
   drive h [| local h cluster log |]

@@ -1,6 +1,6 @@
-(* Generic core: any protocol, one loopback hub, round-robin driving.
-   The SMR-specialised API below instantiates it with Smr_node.protocol;
-   Shard.Group instantiates it with the reconfigurable shard replica. *)
+(* Any protocol, one loopback hub, round-robin driving.  [create] below
+   instantiates it with Smr_node.protocol; Shard.Group instantiates it
+   with the reconfigurable shard replica. *)
 
 type ('st, 'msg, 'inp, 'out) cluster = {
   hub : Loopback.hub;
@@ -8,14 +8,14 @@ type ('st, 'msg, 'inp, 'out) cluster = {
   logs : 'out list ref array;  (* newest first *)
 }
 
-let make ?(sink = fun _ -> None) ?(wrap = fun _ t -> t) ?codec ?metrics
+let make ?(sink = fun _ -> None) ?(wrap = fun _ t -> t) ~codec ?metrics
     ?classify ~n proto =
   let hub = Loopback.create ~n in
   {
     hub;
     nodes =
       Array.init n (fun p ->
-          Node.create ?sink:(sink p) ?codec ?metrics ?classify
+          Node.create ?sink:(sink p) ~codec ?metrics ?classify
             ~transport:(wrap p (Loopback.endpoint hub p))
             proto);
     logs = Array.init n (fun _ -> ref []);
@@ -59,13 +59,3 @@ let create ?(period = 16) ?window ?batch_max ?detector ?sink ?wrap ?metrics
     ~codec:(Codecs.pmsg Wire.string_c)
     ?metrics ~classify:Smr_node.classify ~n
     (Smr_node.protocol ?window ?batch_max ?detector ~period ())
-
-let hub = cluster_hub
-let step_one = cluster_step_one
-let step = cluster_step
-let run = cluster_run
-let submit = cluster_submit
-let crash = cluster_crash
-let applied_log = cluster_outputs
-let state = cluster_state
-let now = cluster_now

@@ -3,21 +3,21 @@
 
     Deterministic — the loopback hub delivers in send order — so tests
     assert exact agreement and benchmarks measure protocol cost without
-    socket noise.  {!crash} kills a node mid-run exactly like the demo's
-    SIGKILL: its frames stop, its steps stop, and the survivors' detectors
-    notice by missing heartbeats.
+    socket noise.  {!cluster_crash} kills a node mid-run exactly like the
+    demo's SIGKILL: its frames stop, its steps stop, and the survivors'
+    detectors notice by missing heartbeats.
 
-    The {e generic core} ({!cluster}, {!make}, [cluster_*]) runs {e any}
-    [Sim.Protocol.t] — it is what lets [Shard.Group] host many independent
-    replica groups (one hub per shard) without duplicating the driver.
-    The ['c t] API below is the historical SMR instantiation used by the
-    demo, the chaos harness and the benches. *)
-
-(** {2 Generic core} *)
+    One driver API runs {e any} [Sim.Protocol.t]: {!make} builds the
+    cluster, the [cluster_*] functions drive and observe it.  This is
+    what lets [Shard.Group] host many independent replica groups (one hub
+    per shard) without duplicating the driver.  {!create} is {!make}
+    applied to the string SMR node, {!Smr_node.protocol}, on its binary
+    codec. *)
 
 type ('st, 'msg, 'inp, 'out) cluster
 
-(** [make ~n proto] builds [n] replicas of [proto] over a fresh hub.
+(** [make ~codec ~n proto] builds [n] replicas of [proto] over a fresh
+    hub; every frame the hub carries is encoded by [codec].
     [sink p] optionally installs a tracing sink per node.
     [wrap p t] interposes on each node's transport before the node is
     built — this is how {!Chaos} (and the shard chaos harness) stack
@@ -27,7 +27,7 @@ type ('st, 'msg, 'inp, 'out) cluster
 val make :
   ?sink:(Sim.Pid.t -> Sim.Event.sink option) ->
   ?wrap:(Sim.Pid.t -> Transport.t -> Transport.t) ->
-  ?codec:'msg Wire.codec ->
+  codec:'msg Wire.codec ->
   ?metrics:Obs.Metrics.t ->
   ?classify:('msg -> string option) ->
   n:int ->
@@ -36,17 +36,24 @@ val make :
 
 val cluster_hub : _ cluster -> Loopback.hub
 
-(** One step of a single node, if live. *)
+(** One step of a single node, if live ({!Chaos} uses this to slow a
+    skewed node's clock by stepping it only every k-th round). *)
 val cluster_step_one : _ cluster -> Sim.Pid.t -> unit
 
 (** One round: every live node takes one step (pid order). *)
 val cluster_step : _ cluster -> unit
 
 val cluster_run : _ cluster -> rounds:int -> unit
+
+(** [cluster_submit t p c]: inject input [c] at node [p] (its next
+    step). *)
 val cluster_submit : (_, _, 'inp, _) cluster -> Sim.Pid.t -> 'inp -> unit
+
+(** Kill a node: no more steps, frames from/to it vanish. *)
 val cluster_crash : _ cluster -> Sim.Pid.t -> unit
 
-(** Outputs emitted by [p] so far, oldest first. *)
+(** Outputs emitted by [p] so far, oldest first — for the SMR node, the
+    decided entries [p] applied, in slot order. *)
 val cluster_outputs : (_, _, _, 'out) cluster -> Sim.Pid.t -> 'out list
 
 val cluster_state : ('st, _, _, _) cluster -> Sim.Pid.t -> 'st
@@ -54,7 +61,7 @@ val cluster_state : ('st, _, _, _) cluster -> Sim.Pid.t -> 'st
 (** Local step counter of [p] (= rounds it has taken). *)
 val cluster_now : _ cluster -> Sim.Pid.t -> int
 
-(** {2 The SMR instantiation} *)
+(** {2 The SMR node} *)
 
 type 'c t =
   ('c Smr_node.pstate, 'c Smr_node.pmsg, 'c, int * 'c Cons.Smr.cmd) cluster
@@ -77,26 +84,3 @@ val create :
   ?metrics:Obs.Metrics.t ->
   n:int ->
   unit -> string t
-
-val hub : 'c t -> Loopback.hub
-val step : 'c t -> unit
-
-(** One step of a single node, if live ({!Chaos} uses this to slow a
-    skewed node's clock by stepping it only every k-th round). *)
-val step_one : 'c t -> Sim.Pid.t -> unit
-
-val run : 'c t -> rounds:int -> unit
-
-(** [submit t p c]: inject command [c] at replica [p] (its next step). *)
-val submit : 'c t -> Sim.Pid.t -> 'c -> unit
-
-(** Kill a replica: no more steps, frames from/to it vanish. *)
-val crash : 'c t -> Sim.Pid.t -> unit
-
-(** Decided entries applied by [p] so far, in slot order. *)
-val applied_log : 'c t -> Sim.Pid.t -> (int * 'c Cons.Smr.cmd) list
-
-val state : 'c t -> Sim.Pid.t -> 'c Smr_node.pstate
-
-(** Local step counter of [p] (= rounds it has taken). *)
-val now : 'c t -> Sim.Pid.t -> int

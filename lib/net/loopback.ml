@@ -1,6 +1,5 @@
 type hub = {
   n : int;
-  mu : Mutex.t;
   queues : (Sim.Pid.t * bytes) Queue.t array;  (* per destination *)
   held : (Sim.Pid.t * bytes) Queue.t array;  (* blocked sender's frames: (dst, frame) *)
   blocked : bool array;
@@ -13,7 +12,6 @@ type hub = {
 let create ~n =
   {
     n;
-    mu = Mutex.create ();
     queues = Array.init n (fun _ -> Queue.create ());
     held = Array.init n (fun _ -> Queue.create ());
     blocked = Array.make n false;
@@ -23,57 +21,49 @@ let create ~n =
     dropped = 0;
   }
 
-let locked hub f =
-  Mutex.lock hub.mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock hub.mu) f
-
-let crash hub p = locked hub (fun () -> hub.dead.(p) <- true)
-let crashed hub p = locked hub (fun () -> hub.dead.(p))
-let block hub p = locked hub (fun () -> hub.blocked.(p) <- true)
+let crash hub p = hub.dead.(p) <- true
+let crashed hub p = hub.dead.(p)
+let block hub p = hub.blocked.(p) <- true
 
 let push hub ~src ~dst frame =
   if hub.dead.(src) || hub.dead.(dst) then hub.dropped <- hub.dropped + 1
   else Queue.push (src, frame) hub.queues.(dst)
 
 let unblock hub p =
-  locked hub (fun () ->
-      hub.blocked.(p) <- false;
-      Queue.iter (fun (dst, frame) -> push hub ~src:p ~dst frame) hub.held.(p);
-      Queue.clear hub.held.(p))
+  hub.blocked.(p) <- false;
+  Queue.iter (fun (dst, frame) -> push hub ~src:p ~dst frame) hub.held.(p);
+  Queue.clear hub.held.(p)
 
-let delivered hub = locked hub (fun () -> hub.delivered)
-let sent hub = locked hub (fun () -> hub.sent)
+let delivered hub = hub.delivered
+let sent hub = hub.sent
 
 let endpoint hub self =
   let send dst frame =
-    locked hub (fun () ->
-        if Sim.Pid.valid ~n:hub.n dst then begin
-          hub.sent <- hub.sent + 1;
-          if hub.blocked.(self) then Queue.push (dst, frame) hub.held.(self)
-          else push hub ~src:self ~dst frame
-        end)
+    if Sim.Pid.valid ~n:hub.n dst then begin
+      hub.sent <- hub.sent + 1;
+      if hub.blocked.(self) then Queue.push (dst, frame) hub.held.(self)
+      else push hub ~src:self ~dst frame
+    end
   in
   let poll ~timeout_ms:_ =
-    locked hub (fun () ->
-        if hub.dead.(self) then None
-        else
-          match Queue.take_opt hub.queues.(self) with
-          | Some (src, frame) ->
-            hub.delivered <- hub.delivered + 1;
-            Some (src, frame)
-          | None -> None)
+    if hub.dead.(self) then None
+    else
+      match Queue.take_opt hub.queues.(self) with
+      | Some (src, frame) ->
+        hub.delivered <- hub.delivered + 1;
+        Some (src, frame)
+      | None -> None
   in
   let stats () =
-    locked hub (fun () ->
-        {
-          Transport.sent = hub.sent;
-          delivered = hub.delivered;
-          reconnects = 0;
-          dropped = hub.dropped;
-          down =
-            Sim.Pidset.of_list
-              (List.filter (fun p -> hub.dead.(p)) (Sim.Pid.all hub.n));
-        })
+    {
+      Transport.sent = hub.sent;
+      delivered = hub.delivered;
+      reconnects = 0;
+      dropped = hub.dropped;
+      down =
+        Sim.Pidset.of_list
+          (List.filter (fun p -> hub.dead.(p)) (Sim.Pid.all hub.n));
+    }
   in
   {
     Transport.self;

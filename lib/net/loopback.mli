@@ -11,8 +11,7 @@
     (an asynchronous period: frames are buffered, not lost, and flushed in
     order on unblock — how the detector tests provoke false suspicion).
 
-    All operations are mutex-protected, so nodes may also be driven from
-    threads/domains. *)
+    Not thread-safe: one domain drives a hub. *)
 
 type hub
 

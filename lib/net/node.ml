@@ -2,7 +2,7 @@ type ('st, 'msg, 'inp, 'out) t = {
   transport : Transport.t;
   proto : ('st, 'msg, unit, 'inp, 'out) Sim.Protocol.t;
   codec : 'msg Wire.codec;
-  scratch : Buffer.t;  (* reused across sends: one encode, no Marshal *)
+  scratch : Buffer.t;  (* reused across sends: one encode per fan-out *)
   sink : Sim.Event.sink option;
   track_vc : bool;
   render_out : 'out -> string;
@@ -15,12 +15,9 @@ type ('st, 'msg, 'inp, 'out) t = {
   outputs : 'out Queue.t;
 }
 
-let create ?sink ?(track_vc = false) ?(render_out = fun _ -> "") ?codec
+let create ?sink ?(track_vc = false) ?(render_out = fun _ -> "") ~codec
     ?metrics ?classify ~transport proto =
   let n = transport.Transport.n in
-  let codec =
-    match codec with Some c -> c | None -> Wire.marshal_codec ()
-  in
   {
     transport;
     proto;

@@ -22,11 +22,10 @@ type ('st, 'msg, 'inp, 'out) t
 (** [create ~transport proto] initialises the protocol for
     [transport.self] of [transport.n] processes.  [sink] installs event
     tracing ([track_vc] additionally maintains and ships vector clocks —
-    envelope overhead, so off by default).  [codec] fixes the wire
-    representation of ['msg] (default {!Wire.marshal_codec}); envelopes
-    are encoded into one reused scratch buffer, broadcasts encode once
-    per fan-out, and a frame the codec rejects is dropped like any
-    corrupt frame.  [metrics] with [classify] counts delivered frames
+    envelope overhead, so off by default).  [codec] fixes the binary wire
+    representation of ['msg]; envelopes are encoded into one reused
+    scratch buffer, broadcasts encode once per fan-out, and a frame the
+    codec rejects is dropped like any corrupt frame.  [metrics] with [classify] counts delivered frames
     into the [fd.frames{detector=...}] labeled counters: every delivered
     message [classify] maps to [Some lbl] bumps the series for [lbl]
     (hosts pass {!Smr_node.classify}), so harnesses read detector
@@ -35,7 +34,7 @@ val create :
   ?sink:Sim.Event.sink ->
   ?track_vc:bool ->
   ?render_out:('out -> string) ->
-  ?codec:'msg Wire.codec ->
+  codec:'msg Wire.codec ->
   ?metrics:Obs.Metrics.t ->
   ?classify:('msg -> string option) ->
   transport:Transport.t ->

@@ -202,7 +202,7 @@ module R = struct
 
   let list rd r =
     let n = varint r in
-    if n > remaining r then fail "list length %d exceeds frame" n;
+    if n < 0 || n > remaining r then fail "bad list length %d" n;
     List.init n (fun _ -> rd r)
 
   let option rd r =
@@ -234,19 +234,6 @@ let codec ~write ~read =
 let varint_c = codec ~write:W.varint ~read:R.varint
 let string_c = codec ~write:W.string ~read:R.string
 let bytes_c = codec ~write:W.bytes ~read:R.bytes
-
-(* Marshal as a [codec]: the debug / compatibility instance.  Same-binary
-   deployments (the model of [bin/cluster.ml]) can carry any value with
-   it; the binary codecs above are for the hot path and for frames that
-   must stay decodable across builds. *)
-let marshal_codec () =
-  {
-    enc = (fun buf v -> Buffer.add_string buf (Marshal.to_string v []));
-    dec =
-      (fun b ~pos ~len:_ ->
-        try Marshal.from_bytes b pos
-        with Failure m -> fail "marshal: %s" m);
-  }
 
 let to_bytes c v =
   let buf = Buffer.create 256 in

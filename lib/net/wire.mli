@@ -7,11 +7,8 @@
     force.  Client connections carry request / response frames whose
     binary layout each server defines.
 
-    Marshal survives only as the debug / compatibility codec
-    ({!marshal_codec}): it requires every node of a cluster to run the same
-    binary (the deployment model of [bin/cluster.ml]), and nothing decodes
-    it before a peer has completed the binary hello.  The binary codecs
-    carry an explicit version byte in the envelope, and the hello frame
+    Every frame is binary: nothing read from a socket is unmarshalled.
+    The envelope carries an explicit version byte, and the hello frame
     carries a magic string and version, so a mismatched peer fails loudly
     instead of corrupting state. *)
 
@@ -67,12 +64,11 @@ end
     A [codec] is a first-class binary representation of one message type:
     [enc] appends the wire form to a (preallocated, reused) [Buffer.t];
     [dec] reads one value out of a [pos,len) slice of a received frame.
-    {!Node} is codec-parametric — it never Marshals; the codec in force
-    decides the representation — and {!Transport} stays byte-oriented, so
-    any codec runs over any transport.  {!marshal_codec} is the
-    debug / compatibility instance (one-binary clusters can carry any
-    value with it); the builders below make fast, version-checked binary
-    codecs for the hot path. *)
+    {!Node} is codec-parametric — the codec in force decides the
+    representation — and {!Transport} stays byte-oriented, so any codec
+    runs over any transport.  The builders below make the binary codecs;
+    {!Codecs} and each host's own module assemble them per message
+    type. *)
 
 (** Raised by binary decoders on a malformed frame: truncation, trailing
     bytes, a bad tag, or a version mismatch.  Per-frame, not fatal —
@@ -105,8 +101,8 @@ module W : sig
 end
 
 (** Primitive readers over a cursor into one frame.  All raise
-    {!Decode_error} on malformed input; none read past the slice given to
-    {!R.make}. *)
+    {!Decode_error} on malformed input — a negative or oversized list
+    length included; none read past the slice given to {!R.make}. *)
 module R : sig
   type t
 
@@ -135,11 +131,6 @@ val codec : write:(Buffer.t -> 'a -> unit) -> read:(R.t -> 'a) -> 'a codec
 val varint_c : int codec
 val string_c : string codec
 val bytes_c : bytes codec
-
-(** The Marshal compatibility codec.  Untyped on decode (annotate call
-    sites) and same-binary only — keep it for debugging, handshakes and
-    cold paths; use binary codecs on hot paths. *)
-val marshal_codec : unit -> 'a codec
 
 (** One-shot conveniences (allocate a scratch buffer per call). *)
 val to_bytes : 'a codec -> 'a -> bytes

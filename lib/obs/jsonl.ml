@@ -127,9 +127,14 @@ let parse_json s =
   in
   let hex4 () =
     if !pos + 4 > n then fail "truncated \\u escape";
-    let v = int_of_string ("0x" ^ String.sub s !pos 4) in
+    let digits = String.sub s !pos 4 in
+    let hex = function
+      | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true
+      | _ -> false
+    in
+    if not (String.for_all hex digits) then fail "bad \\u escape";
     pos := !pos + 4;
-    v
+    int_of_string ("0x" ^ digits)
   in
   let parse_string () =
     expect '"';

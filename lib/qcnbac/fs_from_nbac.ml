@@ -32,16 +32,6 @@ let init ~n self =
     red = false;
   }
 
-let retag k acts =
-  List.filter_map
-    (fun a ->
-      match a with
-      | Sim.Protocol.Send (q, m) -> Some (Sim.Protocol.Send (q, Inst (k, m)))
-      | Sim.Protocol.Broadcast m ->
-        Some (Sim.Protocol.Broadcast (Inst (k, m)))
-      | Sim.Protocol.Output _ -> None)
-    acts
-
 let run_instance ctx st k event =
   let ist =
     match Int_map.find_opt k st.instances with
@@ -72,7 +62,10 @@ let run_instance ctx st k event =
       ({ st with k = k + 1; started = false }, [])
     | Some _ | None -> (st, [])
   in
-  (st, retag k acts @ outs)
+  ( st,
+    Sim.Protocol.map_actions ~msg:(fun m -> Inst (k, m)) ~out:(fun _ -> None)
+      acts
+    @ outs )
 
 let on_step ctx st recv =
   let st, acts0 =

@@ -27,14 +27,9 @@ let init ~n pid =
     decided = false;
   }
 
-let retag acts =
-  List.filter_map
-    (fun a ->
-      match a with
-      | Sim.Protocol.Send (q, m) -> Some (Sim.Protocol.Send (q, Inner m))
-      | Sim.Protocol.Broadcast m -> Some (Sim.Protocol.Broadcast (Inner m))
-      | Sim.Protocol.Output _ -> None (* harvested below *))
-    acts
+(* The inner QC's messages, tagged; its decision is harvested below. *)
+let inner_sends acts =
+  Sim.Protocol.map_actions ~msg:(fun m -> Inner m) ~out:(fun _ -> None) acts
 
 let harvest st acts =
   let decision =
@@ -69,12 +64,12 @@ let maybe_propose (ctx : (Fd.Psi.output * Fd.Fs.output) Sim.Protocol.ctx) st =
       let psi, _ = ctx.fd in
       let ictx = { ctx with Sim.Protocol.fd = psi } in
       let inner, acts = inner_proto.Sim.Protocol.on_input ictx st.inner 1 in
-      ({ st with proposal = Some 1; inner }, retag acts)
+      ({ st with proposal = Some 1; inner }, inner_sends acts)
     else if have_all || Fd.Fs.equal_output fs Fd.Fs.Red then
       let psi, _ = ctx.fd in
       let ictx = { ctx with Sim.Protocol.fd = psi } in
       let inner, acts = inner_proto.Sim.Protocol.on_input ictx st.inner 0 in
-      ({ st with proposal = Some 0; inner }, retag acts)
+      ({ st with proposal = Some 0; inner }, inner_sends acts)
     else (st, [])
 
 let on_step (ctx : (Fd.Psi.output * Fd.Fs.output) Sim.Protocol.ctx) st recv =
@@ -90,12 +85,12 @@ let on_step (ctx : (Fd.Psi.output * Fd.Fs.output) Sim.Protocol.ctx) st recv =
       in
       let st = { st with inner } in
       let st, outs = harvest st acts in
-      (st, retag acts @ outs)
+      (st, inner_sends acts @ outs)
     | None ->
       let inner, acts = inner_proto.Sim.Protocol.on_step ictx st.inner None in
       let st = { st with inner } in
       let st, outs = harvest st acts in
-      (st, retag acts @ outs)
+      (st, inner_sends acts @ outs)
   in
   let st, acts2 = maybe_propose ctx st in
   (st, acts1 @ acts2)

@@ -25,14 +25,9 @@ let init ~n pid =
     decided = false;
   }
 
-let retag acts =
-  List.filter_map
-    (fun a ->
-      match a with
-      | Sim.Protocol.Send (q, m) -> Some (Sim.Protocol.Send (q, Inner m))
-      | Sim.Protocol.Broadcast m -> Some (Sim.Protocol.Broadcast (Inner m))
-      | Sim.Protocol.Output _ -> None)
-    acts
+(* The inner NBAC's messages, tagged; its outcome is harvested apart. *)
+let inner_sends acts =
+  Sim.Protocol.map_actions ~msg:(fun m -> Inner m) ~out:(fun _ -> None) acts
 
 let harvest st acts =
   let decision =
@@ -81,12 +76,12 @@ let on_step ctx st recv =
       in
       let st = { st with inner } in
       let st, outs = harvest st acts in
-      (st, retag acts @ outs)
+      (st, inner_sends acts @ outs)
     | None ->
       let inner, acts = inner_proto.Sim.Protocol.on_step ctx st.inner None in
       let st = { st with inner } in
       let st, outs = harvest st acts in
-      (st, retag acts @ outs)
+      (st, inner_sends acts @ outs)
   in
   let st, acts2 = maybe_finish ctx st in
   (st, acts1 @ acts2)
@@ -98,6 +93,6 @@ let on_input ctx st v =
       inner_proto.Sim.Protocol.on_input ctx st.inner Types.Yes
     in
     ( { st with proposed = true; inner },
-      Sim.Protocol.Broadcast (Proposal v) :: retag acts )
+      Sim.Protocol.Broadcast (Proposal v) :: inner_sends acts )
 
 let protocol = { Sim.Protocol.init; on_step; on_input }

@@ -17,15 +17,6 @@ let inner :
     Sim.Protocol.t =
   Cons.Quorum_paxos.protocol
 
-let retag acts =
-  List.map
-    (fun a ->
-      match a with
-      | Sim.Protocol.Send (q, m) -> Sim.Protocol.Send (q, Inner m)
-      | Sim.Protocol.Broadcast m -> Sim.Protocol.Broadcast (Inner m)
-      | Sim.Protocol.Output v -> Sim.Protocol.Output (Types.Value v))
-    acts
-
 let init ~n:_ _self = { proposal = None; fed = false; phase = Waiting [] }
 
 (* Feed the stored proposal to the inner consensus if we have not yet. *)
@@ -49,7 +40,11 @@ let run_inner ictx st ist recv =
       acts
   in
   let st = { st with phase = (if decided then Done else Running ist) } in
-  (st, retag acts)
+  ( st,
+    Sim.Protocol.map_actions
+      ~msg:(fun m -> Inner m)
+      ~out:(fun v -> Some (Types.Value v))
+      acts )
 
 let on_step (ctx : Fd.Psi.output Sim.Protocol.ctx) st recv =
   match (st.phase, ctx.fd) with

@@ -1,5 +1,5 @@
 (* One shard's replica group: Replica.protocol over its own loopback hub
-   (Net.Local generic core). *)
+   (Net.Local generic core), on the replica's binary codec. *)
 
 type t = {
   id : int;
@@ -16,7 +16,11 @@ let create ?(period = 16) ?detector ?snap_every ?lag_gap ?sink ?wrap ~id
   let proto =
     Replica.protocol ?snap_every ?lag_gap ?detector ~period ~members ()
   in
-  { id; universe; cl = Net.Local.make ?sink ?wrap ~n:universe proto }
+  {
+    id;
+    universe;
+    cl = Net.Local.make ?sink ?wrap ~codec:Replica.codec ~n:universe proto;
+  }
 
 let id t = t.id
 let universe t = t.universe

@@ -1,5 +1,6 @@
 (** One shard's replica group: [universe] copies of {!Replica.protocol}
-    over a private loopback hub ([Net.Local]'s generic core), of which
+    over a private loopback hub ([Net.Local]'s generic core) that
+    carries {!Replica.codec} frames, as the TCP deployment does, of which
     the epoch-0 [members] form the initial configuration — the rest are
     spares a [Reconfig] can install later.  Not thread-safe: one domain
     drives a group. *)

@@ -1,9 +1,8 @@
-(* One shard replica: quorum-Paxos SMR under Ω and the epoch-aware Σ,
-   plus snapshot catch-up — composed by hand rather than through
-   Sim.Layered because the main layer must talk *back* to the detector
-   layer: applying a Reconfig entry from the decided log installs the
-   next configuration into Sigma_epoch (set_config), a channel Layered
-   does not have.
+(* One shard replica: quorum-Paxos SMR plus snapshot catch-up, under the
+   detector pair (Ω, epoch-aware Σ), composed through Sim.Layered.  The
+   main layer talks back to the detector layer through [feedback]:
+   applying a Reconfig entry from the decided log installs the next
+   configuration into Sigma_epoch (set_config).
 
    Why the epoch handoff is safe here: the replica runs Cons.Smr at
    window = 1 (the default protocol), under which a process proposes
@@ -28,16 +27,15 @@ type payload =
 type cmd = payload Cons.Smr.cmd
 type entry = int * cmd
 
-type msg =
-  | Om of Omega.msg
-  | Si of Sigma.msg
+type main_msg =
   | Smr of payload Cons.Smr.msg
   | Snap_req of { since : int }  (* since = applied *instance* count *)
   | Snap of (int * cmd list) list  (* decided batches, instance-granular *)
 
-type state = {
-  om : Omega.state;
-  si : Sigma.state;
+type msg =
+  ((Omega.msg, Sigma.msg) Sim.Layered.wire, main_msg) Sim.Layered.wire
+
+type main = {
   smr : payload Cons.Smr.state;
   cfg : Epoch.config;
   kv : (int * string) Smap.t;  (* key -> (slot of last write, value) *)
@@ -45,6 +43,8 @@ type state = {
   snaps_served : int;
   snaps_installed : int;  (* entries that became applicable via snapshots *)
 }
+
+type state = (Omega.state * Sigma.state) * main
 
 let pp_payload ppf = function
   | App { key; value } -> Format.fprintf ppf "app %s=%s" key value
@@ -55,86 +55,75 @@ let pp_payload ppf = function
 let payload_to_string p = Format.asprintf "%a" pp_payload p
 
 (* views *)
-let smr_state st = st.smr
-let omega_state st = st.om
-let sigma_state st = st.si
-let config st = st.cfg
-let epoch st = st.cfg.Epoch.epoch
-let applied st = Cons.Smr.applied st.smr
-let kv_find st key = Smap.find_opt key st.kv
-let kv_size st = Smap.cardinal st.kv
-let snaps_served st = st.snaps_served
-let snaps_installed st = st.snaps_installed
+let smr_state ((_, m) : state) = m.smr
+let sigma_state (((_, si), _) : state) = si
+let config ((_, m) : state) = m.cfg
+let epoch ((_, m) : state) = m.cfg.Epoch.epoch
+let applied ((_, m) : state) = Cons.Smr.applied m.smr
+let kv_find ((_, m) : state) key = Smap.find_opt key m.kv
+let snaps_served ((_, m) : state) = m.snaps_served
+let snaps_installed ((_, m) : state) = m.snaps_installed
 
-(* Ω restricted to the current configuration: the leader is the lowest
-   unsuspected *member*.  Non-members keep heartbeating (they may be
-   installed later) but are never elected. *)
-let leader ~n st =
-  let sus = Omega.suspects st.om in
-  let live =
-    List.filter
-      (fun q -> Epoch.is_member st.cfg q && not (Sim.Pidset.mem q sus))
-      (Sim.Pid.all n)
-  in
-  match live with
-  | q :: _ -> q
-  | [] -> (
-    match Sim.Pidset.min_elt_opt st.cfg.Epoch.members with
-    | Some q -> q
-    | None -> 0)
-
-(* Retag a detector layer's actions (their outputs are unit — dropped). *)
-let retag tag acts =
-  List.filter_map
-    (function
-      | Sim.Protocol.Send (q, m) -> Some (Sim.Protocol.Send (q, tag m))
-      | Sim.Protocol.Broadcast m -> Some (Sim.Protocol.Broadcast (tag m))
-      | Sim.Protocol.Output () -> None)
-    acts
-
-(* Apply one decided entry to the derived state.  A Reconfig that is not
-   the immediate next epoch is a deterministic no-op: every replica
-   applies the same log prefix, so every replica rejects it identically
-   and the configurations never diverge. *)
-let apply ~n st ((slot, cmd) : entry) =
+(* The configuration a decided entry installs, if any.  A Reconfig that
+   is not the immediate next epoch is a deterministic no-op: every
+   replica applies the same log prefix, so every replica rejects it
+   identically.  The main layer's [cfg] and Σ (through [feedback]) both
+   follow this one rule, so the two never diverge. *)
+let transition ~n (cfg : Epoch.config) (cmd : cmd) =
   match cmd.Cons.Smr.payload with
-  | App { key; value } -> { st with kv = Smap.add key (slot, value) st.kv }
+  | App _ -> None
   | Reconfig { epoch; members } ->
     let members =
       Sim.Pidset.of_list (List.filter (Sim.Pid.valid ~n) members)
     in
-    if Epoch.valid_transition st.cfg ~epoch ~members then
-      {
-        st with
-        cfg = { Epoch.epoch; members };
-        si = Sigma.set_config st.si ~epoch ~members;
-      }
-    else st
+    if Epoch.valid_transition cfg ~epoch ~members then
+      Some { Epoch.epoch; members }
+    else None
 
-(* Retag the SMR layer's sends and apply its outputs as they are
-   emitted, keeping them as protocol outputs for the host. *)
-let absorb ~n st acts =
-  let st, rev =
-    List.fold_left
-      (fun (st, rev) a ->
-        match a with
-        | Sim.Protocol.Send (q, m) ->
-          (st, Sim.Protocol.Send (q, Smr m) :: rev)
-        | Sim.Protocol.Broadcast m ->
-          (st, Sim.Protocol.Broadcast (Smr m) :: rev)
-        | Sim.Protocol.Output e -> (apply ~n st e, Sim.Protocol.Output e :: rev))
-      (st, []) acts
+(* Ω restricted to the current configuration: the leader is the lowest
+   unsuspected *member*.  Non-members keep heartbeating (they may be
+   installed later) but are never elected. *)
+let detectors ~kind ~period ~members =
+  let pair =
+    Sim.Layered.pair (Omega.detector ~kind ~period) (Sigma.detector ~members)
   in
-  (st, List.rev rev)
+  let current (om, si) =
+    let members = Sigma.members si in
+    let live = Sim.Pidset.diff members (Omega.suspects om) in
+    let pick = if Sim.Pidset.is_empty live then members else live in
+    (Option.value ~default:0 (Sim.Pidset.min_elt_opt pick), Sigma.current si)
+  in
+  { pair with Sim.Layered.current }
 
-let protocol ?(snap_every = 8) ?(lag_gap = 24) ?(detector = Omega.Heartbeat)
-    ~period ~members () =
-  let omega = Omega.detector ~kind:detector ~period in
+let feedback (ctx : unit Sim.Protocol.ctx) (om, si) ((_, cmd) : entry) =
+  let cfg = { Epoch.epoch = Sigma.epoch si; members = Sigma.members si } in
+  match transition ~n:ctx.n cfg cmd with
+  | Some { Epoch.epoch; members } -> (om, Sigma.set_config si ~epoch ~members)
+  | None -> (om, si)
+
+(* Apply one decided entry to the derived state. *)
+let apply ~n st ((slot, cmd) : entry) =
+  match (cmd.Cons.Smr.payload, transition ~n st.cfg cmd) with
+  | App { key; value }, _ -> { st with kv = Smap.add key (slot, value) st.kv }
+  | Reconfig _, Some cfg -> { st with cfg }
+  | Reconfig _, None -> st
+
+(* Apply the SMR layer's outputs, in order, keeping them as protocol
+   outputs for the host. *)
+let absorb ~n st acts =
+  let apply_out st = function
+    | Sim.Protocol.Output e -> apply ~n st e
+    | Sim.Protocol.Send _ | Sim.Protocol.Broadcast _ -> st
+  in
+  ( List.fold_left apply_out st acts,
+    Sim.Protocol.map_actions ~msg:(fun m -> Smr m) ~out:Option.some acts )
+
+(* The main layer: Cons.Smr, snapshot catch-up and the kv view. *)
+let main ~snap_every ~lag_gap ~members =
+  let smr = Cons.Smr.protocol in
   let init ~n self =
     {
-      om = omega.Sim.Layered.proto.Sim.Protocol.init ~n self;
-      si = Sigma.init ~members self;
-      smr = Cons.Smr.protocol.Sim.Protocol.init ~n self;
+      smr = smr.Sim.Protocol.init ~n self;
       cfg = Epoch.initial ~members;
       kv = Smap.empty;
       max_slot_seen = 0;
@@ -142,29 +131,14 @@ let protocol ?(snap_every = 8) ?(lag_gap = 24) ?(detector = Omega.Heartbeat)
       snaps_installed = 0;
     }
   in
-  let main_ctx (ctx : unit Sim.Protocol.ctx) st =
-    {
-      Sim.Protocol.self = ctx.self;
-      n = ctx.n;
-      now = ctx.now;
-      fd = (leader ~n:ctx.n st, Sigma.current st.si);
-    }
-  in
-  let on_step (ctx : unit Sim.Protocol.ctx) st recv =
+  let on_step (ctx : _ Sim.Protocol.ctx) st recv =
     let n = ctx.n in
-    let om_recv, si_recv, smr_recv, ctl =
+    let smr_recv, ctl =
       match recv with
-      | None -> (None, None, None, None)
-      | Some (q, Om m) -> (Some (q, m), None, None, None)
-      | Some (q, Si m) -> (None, Some (q, m), None, None)
-      | Some (q, Smr m) -> (None, None, Some (q, m), None)
-      | Some (_, (Snap_req _ | Snap _)) -> (None, None, None, recv)
+      | Some (q, Smr m) -> (Some (q, m), None)
+      | Some (_, (Snap_req _ | Snap _)) -> (None, recv)
+      | None -> (None, None)
     in
-    let om, om_acts =
-      omega.Sim.Layered.proto.Sim.Protocol.on_step ctx st.om om_recv
-    in
-    let si, si_acts = Sigma.on_step ctx st.si si_recv in
-    let st = { st with om; si } in
     (* lag detection: peers are deciding slots we have not applied *)
     let st =
       match smr_recv with
@@ -174,11 +148,8 @@ let protocol ?(snap_every = 8) ?(lag_gap = 24) ?(detector = Omega.Heartbeat)
         | _ -> st)
       | None -> st
     in
-    let smr, smr_acts =
-      Cons.Smr.protocol.Sim.Protocol.on_step (main_ctx ctx st) st.smr smr_recv
-    in
-    let st = { st with smr } in
-    let st, main_acts = absorb ~n st smr_acts in
+    let smr_st, smr_acts = smr.Sim.Protocol.on_step ctx st.smr smr_recv in
+    let st, smr_acts = absorb ~n { st with smr = smr_st } smr_acts in
     let st, ctl_acts =
       match ctl with
       | Some (q, Snap_req { since }) -> (
@@ -188,9 +159,13 @@ let protocol ?(snap_every = 8) ?(lag_gap = 24) ?(detector = Omega.Heartbeat)
           ( { st with snaps_served = st.snaps_served + 1 },
             [ Sim.Protocol.Send (q, Snap entries) ] ))
       | Some (_, Snap entries) ->
-        let smr, newly = Cons.Smr.install st.smr entries in
+        let smr_st, newly = Cons.Smr.install st.smr entries in
         let st =
-          { st with smr; snaps_installed = st.snaps_installed + List.length newly }
+          {
+            st with
+            smr = smr_st;
+            snaps_installed = st.snaps_installed + List.length newly;
+          }
         in
         let st = List.fold_left (fun st e -> apply ~n st e) st newly in
         (st, List.map (fun e -> Sim.Protocol.Output e) newly)
@@ -209,15 +184,94 @@ let protocol ?(snap_every = 8) ?(lag_gap = 24) ?(detector = Omega.Heartbeat)
         ]
       else []
     in
-    ( st,
-      retag (fun m -> Om m) om_acts
-      @ retag (fun m -> Si m) si_acts
-      @ main_acts @ ctl_acts @ snap_acts )
+    (st, smr_acts @ ctl_acts @ snap_acts)
   in
-  let on_input (ctx : unit Sim.Protocol.ctx) st c =
-    let smr, acts =
-      Cons.Smr.protocol.Sim.Protocol.on_input (main_ctx ctx st) st.smr c
-    in
-    absorb ~n:ctx.n { st with smr } acts
+  let on_input (ctx : _ Sim.Protocol.ctx) st c =
+    let smr_st, acts = smr.Sim.Protocol.on_input ctx st.smr c in
+    absorb ~n:ctx.n { st with smr = smr_st } acts
   in
   { Sim.Protocol.init; on_step; on_input }
+
+let protocol ?(snap_every = 8) ?(lag_gap = 24) ?(detector = Omega.Heartbeat)
+    ~period ~members () =
+  Sim.Layered.with_detector ~feedback
+    (detectors ~kind:detector ~period ~members)
+    (main ~snap_every ~lag_gap ~members)
+
+(* ---- the binary peer codec (layouts in docs/NET.md) ---- *)
+
+module W = Net.Wire.W
+module R = Net.Wire.R
+
+let bad_tag what t =
+  raise (Net.Wire.Decode_error (Printf.sprintf "%s tag %d" what t))
+
+let write_payload buf = function
+  | App { key; value } ->
+    W.u8 buf 0;
+    W.string buf key;
+    W.string buf value
+  | Reconfig { epoch; members } ->
+    W.u8 buf 1;
+    W.varint buf epoch;
+    W.list W.varint buf members
+
+let read_payload tag r =
+  match tag with
+  | 0 ->
+    let key = R.string r in
+    App { key; value = R.string r }
+  | 1 ->
+    let epoch = R.varint r in
+    Reconfig { epoch; members = R.list R.varint r }
+  | t -> bad_tag "shard payload" t
+
+let payload_c =
+  Net.Wire.codec ~write:write_payload ~read:(fun r -> read_payload (R.u8 r) r)
+
+let smr_c = Net.Codecs.smr_msg payload_c
+let cmd_c = Net.Codecs.cmd payload_c
+
+let write_msg buf (m : msg) =
+  let open Sim.Layered in
+  match m with
+  | Detector (Detector om) ->
+    W.u8 buf 0;
+    Net.Wire.write_nested Net.Codecs.omega_msg buf om
+  | Detector (Main (Sigma.Join { epoch; round })) ->
+    W.u8 buf 1;
+    W.varint buf epoch;
+    W.varint buf round
+  | Detector (Main (Sigma.Ack { epoch; round })) ->
+    W.u8 buf 2;
+    W.varint buf epoch;
+    W.varint buf round
+  | Main (Smr m) ->
+    W.u8 buf 3;
+    Net.Wire.write_nested smr_c buf m
+  | Main (Snap_req { since }) ->
+    W.u8 buf 4;
+    W.varint buf since
+  | Main (Snap entries) ->
+    W.u8 buf 5;
+    W.list (W.pair W.varint (W.list (Net.Wire.write_nested cmd_c))) buf entries
+
+let read_msg r : msg =
+  let open Sim.Layered in
+  match R.u8 r with
+  | 0 -> Detector (Detector (Net.Wire.read_nested Net.Codecs.omega_msg r))
+  | (1 | 2) as t ->
+    let epoch = R.varint r in
+    let round = R.varint r in
+    Detector
+      (Main
+         (if t = 1 then Sigma.Join { epoch; round }
+          else Sigma.Ack { epoch; round }))
+  | 3 -> Main (Smr (Net.Wire.read_nested smr_c r))
+  | 4 -> Main (Snap_req { since = R.varint r })
+  | 5 ->
+    let batch = R.list (Net.Wire.read_nested cmd_c) in
+    Main (Snap (R.list (R.pair R.varint batch) r))
+  | t -> bad_tag "shard replica" t
+
+let codec = Net.Wire.codec ~write:write_msg ~read:read_msg

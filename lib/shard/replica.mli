@@ -3,14 +3,13 @@
     [Sim.Protocol.t], so it runs unchanged over {!Net.Local},
     {!Net.Tcp} (via [Server]) or in the simulator.
 
-    Composition is by hand (not [Sim.Layered]) because applying a
-    {!payload.Reconfig} entry must call [Sigma_epoch.set_config] — the
-    main layer talking back to the detector layer, which [Layered] cannot
-    express.  Membership change therefore rides the shard's own decided
-    log: every replica applies the [Reconfig] at the same slot, installs
-    the same configuration, and hands its Σ quorum over at the same point
-    of the command sequence (docs/SHARDING.md spells out the safety
-    argument).
+    It is [Sim.Layered.with_detector ~feedback] over the pair (Ω,
+    epoch-aware Σ), with Ω's leader restricted to current members.  The
+    main layer is [Cons.Smr] plus snapshot catch-up and the key-value
+    view; [feedback] installs each applied {!payload.Reconfig} into Σ
+    ([Sigma_epoch.set_config]).  Membership change thus rides the shard's
+    own decided log: every replica hands its Σ quorum over at the same
+    slot (docs/SHARDING.md spells out the safety argument).
 
     Catch-up: a replica that notices peers deciding slots far ahead of
     its applied prefix ([lag_gap]) broadcasts [Snap_req]; any replica
@@ -27,14 +26,19 @@ type payload =
 type cmd = payload Cons.Smr.cmd
 type entry = int * cmd
 
-type msg =
-  | Om of Fd.Emulated.Omega.msg
-  | Si of Fd.Emulated.Sigma_epoch.msg
+(** The main layer's messages. *)
+type main_msg =
   | Smr of payload Cons.Smr.msg
   | Snap_req of { since : int }
       (** send me decided batches from instance [since] *)
   | Snap of (int * cmd list) list
       (** a gapless decided run of instance batches *)
+
+(** Detector traffic (Ω, Σ) and main-layer traffic. *)
+type msg =
+  ( (Fd.Emulated.Omega.msg, Fd.Emulated.Sigma_epoch.msg) Sim.Layered.wire,
+    main_msg )
+  Sim.Layered.wire
 
 type state
 
@@ -58,7 +62,6 @@ val protocol :
 (** {2 Views} (tests, router sampling, status lines) *)
 
 val smr_state : state -> payload Cons.Smr.state
-val omega_state : state -> Fd.Emulated.Omega.state
 val sigma_state : state -> Fd.Emulated.Sigma_epoch.state
 val config : state -> Epoch.config
 val epoch : state -> int
@@ -70,13 +73,20 @@ val applied : state -> int
     [(slot, value)] — the ABD-style tagged read sample. *)
 val kv_find : state -> string -> (int * string) option
 
-val kv_size : state -> int
 val snaps_served : state -> int
 val snaps_installed : state -> int
 
-(** The Ω output restricted to current members: lowest unsuspected
-    member (falls back to the lowest member). *)
-val leader : n:int -> state -> Sim.Pid.t
-
-val pp_payload : Format.formatter -> payload -> unit
 val payload_to_string : payload -> string
+
+(** {2 Wire} (layouts in docs/NET.md)
+
+    The binary peer codec; decoding raises [Net.Wire.Decode_error] on any
+    malformed frame. *)
+val codec : msg Net.Wire.codec
+
+(** A payload's binary form, also the shard client's request frame: u8
+    tag 0 [App] or 1 [Reconfig], then the fields.  [read_payload tag r]
+    reads the fields after the tag byte [tag]. *)
+val write_payload : Buffer.t -> payload -> unit
+
+val read_payload : int -> Net.Wire.R.t -> payload

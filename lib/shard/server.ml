@@ -4,10 +4,7 @@
    immediately from local state with the ABD sample the router's quorum
    read needs — no consensus on the read path. *)
 
-type request =
-  | Write of { key : string; value : string }
-  | Reconfig of { epoch : int; members : Sim.Pid.t list }
-  | Read of { key : string }
+type request = Submit of Replica.payload | Read of { key : string }
 
 type read_reply = {
   rr_epoch : int;
@@ -15,37 +12,24 @@ type read_reply = {
   rr_value : (int * string) option;
 }
 
-(* Client frames: a tag byte, then the fields.  Write = 0, key, value;
-   Reconfig = 1, varint epoch, varint list of members; Read = 2, key.  A
-   read reply is varint epoch, varint applied, option (varint, value). *)
+(* Client frames: a tag byte, then the fields.  A submitted payload is
+   its own binary form (App = 0, key, value; Reconfig = 1, varint epoch,
+   varint list of members); Read = 2, key.  A read reply is varint
+   epoch, varint applied, option (varint, value). *)
 module W = Net.Wire.W
 module R = Net.Wire.R
 
 let request_codec =
   Net.Wire.codec
     ~write:(fun buf -> function
-      | Write { key; value } ->
-        W.u8 buf 0;
-        W.string buf key;
-        W.string buf value
-      | Reconfig { epoch; members } ->
-        W.u8 buf 1;
-        W.varint buf epoch;
-        W.list W.varint buf members
+      | Submit p -> Replica.write_payload buf p
       | Read { key } ->
         W.u8 buf 2;
         W.string buf key)
     ~read:(fun r ->
       match R.u8 r with
-      | 0 ->
-        let key = R.string r in
-        Write { key; value = R.string r }
-      | 1 ->
-        let epoch = R.varint r in
-        Reconfig { epoch; members = R.list R.varint r }
       | 2 -> Read { key = R.string r }
-      | t ->
-        raise (Net.Wire.Decode_error (Printf.sprintf "shard request tag %d" t)))
+      | t -> Submit (Replica.read_payload t r))
 
 let read_reply_codec =
   Net.Wire.codec
@@ -65,10 +49,7 @@ let impl ?snap_every ?lag_gap ?detector ~period ~members () :
     {
       proto =
         Replica.protocol ?snap_every ?lag_gap ?detector ~period ~members ();
-      (* Snapshots and reconfig votes carry closed variants with lists of
-         lists; the shard's control plane is not the hot path, so it rides
-         the Marshal compat codec rather than a hand-rolled binary one. *)
-      codec = Net.Wire.marshal_codec ();
+      codec = Replica.codec;
       submitted = (fun st -> Cons.Smr.submitted (Replica.smr_state st));
       applied = Replica.applied;
       decided = (fun out -> Some out);
@@ -81,9 +62,7 @@ let impl ?snap_every ?lag_gap ?detector ~period ~members () :
       on_request =
         (fun ~state ~inject:_ frame ->
           match Net.Wire.of_bytes request_codec frame with
-          | Write { key; value } -> `Submit (Replica.App { key; value })
-          | Reconfig { epoch; members } ->
-            `Submit (Replica.Reconfig { epoch; members })
+          | Submit p -> `Submit p
           | Read { key } ->
             let st = state () in
             `Reply

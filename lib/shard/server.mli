@@ -1,8 +1,8 @@
 (** TCP deployment of one shard replica: {!Replica.protocol} hosted by
-    [Net.Smr_node.serve_with]'s event loop, with the shard's framed
-    binary client protocol.
+    [Net.Smr_node.serve]'s event loop, peers on {!Replica.codec}, with
+    the shard's framed binary client protocol.
 
-    [Write]/[Reconfig] requests enter the shard's replicated log — the
+    [Submit] requests enter the shard's replicated log — the
     client receives the standard [(seq, slot)] frame when its entry is
     decided.  [Read] is answered immediately from local state with the
     [(epoch, applied, last write)] sample, so a client-side router can
@@ -11,10 +11,7 @@
     in-process.  [bin/cluster.exe shard --transport tcp] is the driver:
     one OS process per replica per shard. *)
 
-type request =
-  | Write of { key : string; value : string }
-  | Reconfig of { epoch : int; members : Sim.Pid.t list }
-  | Read of { key : string }
+type request = Submit of Replica.payload | Read of { key : string }
 
 (** The sample behind {!Router.view}. *)
 type read_reply = {
@@ -24,13 +21,15 @@ type read_reply = {
 }
 
 (** The binary client frames: a tag byte, then the fields (docs/NET.md).
-    Decoding raises [Net.Wire.Decode_error] on any malformed frame, so a
-    bad request closes only that client's connection. *)
+    A [Submit] is its payload's binary form ({!Replica.write_payload},
+    tags 0 and 1); [Read] is tag 2, then the key.  Decoding raises
+    [Net.Wire.Decode_error] on any malformed frame, so a bad request
+    closes only that client's connection. *)
 val request_codec : request Net.Wire.codec
 
 val read_reply_codec : read_reply Net.Wire.codec
 
-(** The hosting contract for [Net.Smr_node.serve_with]. *)
+(** The hosting contract for [Net.Smr_node.serve]. *)
 val impl :
   ?snap_every:int ->
   ?lag_gap:int ->

@@ -22,7 +22,14 @@ type ('dst, 'dmsg, 'fd) emulated = {
 (** Messages of the composed protocol. *)
 type ('dmsg, 'msg) wire = Detector of 'dmsg | Main of 'msg
 
+(** [with_detector ?feedback det main] runs [main] over [det].  [feedback
+    ctx dst o], when given, is the main layer talking back: it is applied
+    to the detector state for each output [o] of the main layer, in
+    order, after the step (or input) that produced it.  [Shard.Replica]
+    uses it to install a decided configuration into its epoch-aware Σ;
+    without it, the detector layer only ever hears its own messages. *)
 val with_detector :
+  ?feedback:(unit Protocol.ctx -> 'dst -> 'out -> 'dst) ->
   ('dst, 'dmsg, 'fd) emulated ->
   ('st, 'msg, 'fd, 'inp, 'out) Protocol.t ->
   ('dst * 'st, ('dmsg, 'msg) wire, unit, 'inp, 'out) Protocol.t

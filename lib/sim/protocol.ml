@@ -14,10 +14,14 @@ type ('st, 'msg, 'fd, 'inp, 'out) t = {
 
 let no_input _ctx st _inp = (st, [])
 
-let map_action ~into = function
-  | Send (p, m) -> Send (p, into m)
-  | Broadcast m -> Broadcast (into m)
-  | Output o -> Output o
+let[@tail_mod_cons] rec map_actions ~msg ~out = function
+  | [] -> []
+  | Send (p, m) :: acts -> Send (p, msg m) :: map_actions ~msg ~out acts
+  | Broadcast m :: acts -> Broadcast (msg m) :: map_actions ~msg ~out acts
+  | Output o :: acts -> (
+    match out o with
+    | Some o -> Output o :: map_actions ~msg ~out acts
+    | None -> map_actions ~msg ~out acts)
 
 let map_msg ~into ~from t =
   {
@@ -31,9 +35,16 @@ let map_msg ~into ~from t =
             match from m2 with None -> None | Some m -> Some (p, m))
         in
         let st, acts = t.on_step ctx st recv in
-        (st, List.map (map_action ~into) acts));
+        (st, map_actions ~msg:into ~out:Option.some acts));
     on_input =
       (fun ctx st inp ->
         let st, acts = t.on_input ctx st inp in
-        (st, List.map (map_action ~into) acts));
+        (st, map_actions ~msg:into ~out:Option.some acts));
+  }
+
+let const_fd fd t =
+  {
+    init = t.init;
+    on_step = (fun ctx st recv -> t.on_step { ctx with fd } st recv);
+    on_input = (fun ctx st inp -> t.on_input { ctx with fd } st inp);
   }

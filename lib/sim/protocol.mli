@@ -40,6 +40,16 @@ type ('st, 'msg, 'fd, 'inp, 'out) t = {
     invocations. *)
 val no_input : 'fd ctx -> 'st -> 'inp -> 'st * ('msg, 'out) action list
 
+(** [map_actions ~msg ~out acts] re-tags a step's actions for a larger
+    protocol: messages go through [msg], outputs through [out], where
+    [None] drops the output.  Order is kept.  Every composition (layers,
+    products, per-instance consensus) retags its components this way. *)
+val map_actions :
+  msg:('msg -> 'msg2) ->
+  out:('out -> 'out2 option) ->
+  ('msg, 'out) action list ->
+  ('msg2, 'out2) action list
+
 (** [map_msg ~into ~from t] re-tags the wire type, embedding this protocol's
     messages into a larger message type (for protocol composition).
     [from] must return [Some] exactly on messages produced by [into]. *)
@@ -48,3 +58,9 @@ val map_msg :
   from:('msg2 -> 'msg option) ->
   ('st, 'msg, 'fd, 'inp, 'out) t ->
   ('st, 'msg2, 'fd, 'inp, 'out) t
+
+(** [const_fd fd t] closes [t]'s failure detector to the constant [fd],
+    giving the [fd = unit] shape a [Net.Node] runs — for detectors already
+    composed inside [t], or runs where a constant is a legal sample. *)
+val const_fd :
+  'fd -> ('st, 'msg, 'fd, 'inp, 'out) t -> ('st, 'msg, unit, 'inp, 'out) t

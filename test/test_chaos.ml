@@ -121,15 +121,15 @@ let fingerprint ?(nemesis = false) ~seed ~rounds ~workload n =
   for r = 1 to rounds do
     if nemesis then Net.Nemesis.tick ctrl;
     List.iter
-      (fun (at, p, payload) -> if at = r then Net.Local.submit cluster p payload)
+      (fun (at, p, payload) -> if at = r then Net.Local.cluster_submit cluster p payload)
       workload;
-    Net.Local.step cluster
+    Net.Local.cluster_step cluster
   done;
   let events =
     List.map Obs.Jsonl.event_line (Obs.Collector.events collector)
   in
   let logs =
-    List.map (fun p -> Net.Local.applied_log cluster p) (Sim.Pid.all n)
+    List.map (fun p -> Net.Local.cluster_outputs cluster p) (Sim.Pid.all n)
   in
   (events, Obs.Collector.metric_rows collector, logs)
 

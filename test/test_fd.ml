@@ -706,7 +706,7 @@ let ring_run_until cluster pred =
   let r = ref 0 in
   while not (pred ()) && !r < 20_000 do
     incr r;
-    Net.Local.run cluster ~rounds:1
+    Net.Local.cluster_run cluster ~rounds:1
   done;
   if not (pred ()) then Alcotest.fail "condition not reached in 20k rounds";
   !r
@@ -715,16 +715,16 @@ let test_ring_crash_failover_on_loopback () =
   let n = 5 in
   let cluster = Net.Local.create ~detector:Fd.Emulated.Omega.Ring ~n () in
   let leader_at p =
-    Fd.Emulated.Omega.current (Net.Smr_node.omega_state (Net.Local.state cluster p))
+    Fd.Emulated.Omega.current (Net.Smr_node.omega_state (Net.Local.cluster_state cluster p))
   in
-  Net.Local.run cluster ~rounds:500;
+  Net.Local.cluster_run cluster ~rounds:500;
   List.iter
     (fun p ->
       Alcotest.(check int)
         (Printf.sprintf "node %d trusts the head" p)
         0 (leader_at p))
     (Sim.Pid.all n);
-  Net.Local.crash cluster 0;
+  Net.Local.cluster_crash cluster 0;
   ignore
     (ring_run_until cluster (fun () ->
          List.for_all (fun p -> leader_at p = 1) [ 1; 2; 3; 4 ]));
@@ -735,7 +735,7 @@ let test_ring_crash_failover_on_loopback () =
         true
         (Sim.Pidset.mem 0
            (Fd.Emulated.Omega.suspects
-              (Net.Smr_node.omega_state (Net.Local.state cluster p)))))
+              (Net.Smr_node.omega_state (Net.Local.cluster_state cluster p)))))
     [ 1; 2; 3; 4 ]
 
 let test_ring_false_suspicion_heals_on_loopback () =
@@ -749,19 +749,19 @@ let test_ring_false_suspicion_heals_on_loopback () =
   let suspects_0 p =
     Sim.Pidset.mem 0
       (Fd.Emulated.Omega.suspects
-         (Net.Smr_node.omega_state (Net.Local.state cluster p)))
+         (Net.Smr_node.omega_state (Net.Local.cluster_state cluster p)))
   in
   let timeout_for_0 p =
     Fd.Emulated.Omega.timeout
-      (Net.Smr_node.omega_state (Net.Local.state cluster p))
+      (Net.Smr_node.omega_state (Net.Local.cluster_state cluster p))
       0
   in
-  Net.Local.run cluster ~rounds:500;
+  Net.Local.cluster_run cluster ~rounds:500;
   Alcotest.(check bool) "initially trusted" false (suspects_0 1);
   let t_before = timeout_for_0 1 in
-  Net.Loopback.block (Net.Local.hub cluster) 0;
+  Net.Loopback.block (Net.Local.cluster_hub cluster) 0;
   ignore (ring_run_until cluster (fun () -> suspects_0 1));
-  Net.Loopback.unblock (Net.Local.hub cluster) 0;
+  Net.Loopback.unblock (Net.Local.cluster_hub cluster) 0;
   ignore (ring_run_until cluster (fun () -> not (suspects_0 1)));
   Alcotest.(check bool) "false suspicion grew the timeout" true
     (timeout_for_0 1 > t_before);
@@ -771,7 +771,7 @@ let test_ring_false_suspicion_heals_on_loopback () =
          List.for_all
            (fun p ->
              Fd.Emulated.Omega.current
-               (Net.Smr_node.omega_state (Net.Local.state cluster p))
+               (Net.Smr_node.omega_state (Net.Local.cluster_state cluster p))
              = 0)
            (Sim.Pid.all n)))
 

@@ -74,18 +74,16 @@ let encode_env c env =
   Buffer.to_bytes buf
 
 let test_envelope_roundtrip () =
-  List.iter
-    (fun codec ->
-      let env =
-        { Net.Wire.env_src = 2; env_sent_at = 41; env_vc = Some [ 1; 0; 7 ];
-          env_msg = ("hello", 13) }
-      in
-      let env' = Net.Wire.decode_envelope_with codec (encode_env codec env) in
-      Alcotest.(check bool) "envelope round-trips" true (env = env');
-      let bare = { env with Net.Wire.env_vc = None } in
-      let bare' = Net.Wire.decode_envelope_with codec (encode_env codec bare) in
-      Alcotest.(check bool) "vc-less envelope round-trips" true (bare = bare'))
-    [ pair_codec; Net.Wire.marshal_codec () ]
+  let codec = pair_codec in
+  let env =
+    { Net.Wire.env_src = 2; env_sent_at = 41; env_vc = Some [ 1; 0; 7 ];
+      env_msg = ("hello", 13) }
+  in
+  let env' = Net.Wire.decode_envelope_with codec (encode_env codec env) in
+  Alcotest.(check bool) "envelope round-trips" true (env = env');
+  let bare = { env with Net.Wire.env_vc = None } in
+  let bare' = Net.Wire.decode_envelope_with codec (encode_env codec bare) in
+  Alcotest.(check bool) "vc-less envelope round-trips" true (bare = bare')
 
 let test_envelope_version_rejected () =
   (* a frame stamped with a future wire version must be refused before
@@ -133,7 +131,8 @@ let gen_cmd =
     (fun (payload, origin, seq) -> string_cmd payload origin seq)
     QCheck.(triple (string_of_size QCheck.Gen.(0 -- 64)) (0 -- 15) small_nat)
 
-let gen_qp =
+(* Quorum-Paxos and SMR messages over the commands [gen_cmd] draws. *)
+let gen_qp_of gen_cmd =
   let open Cons.Quorum_paxos in
   QCheck.(
     map
@@ -147,14 +146,16 @@ let gen_qp =
         | _ -> Decide cmds)
       (quad small_nat small_nat (small_list gen_cmd) bool))
 
-let gen_smr =
+let gen_smr_of gen_cmd =
   QCheck.(
     map
       (fun (inner, k, cmds) ->
         match inner with
         | None -> Cons.Smr.Submit cmds
         | Some qp -> Cons.Smr.Inner (k, qp))
-      (triple (option gen_qp) small_nat (small_list gen_cmd)))
+      (triple (option (gen_qp_of gen_cmd)) small_nat (small_list gen_cmd)))
+
+let gen_smr = gen_smr_of gen_cmd
 
 let prop_smr_codec_roundtrip =
   let c = Net.Codecs.smr_msg Net.Wire.string_c in
@@ -195,6 +196,53 @@ let prop_pmsg_codec_roundtrip =
   in
   QCheck.Test.make ~name:"codecs: full node message round-trips" ~count:500
     gen (fun m -> Net.Wire.of_bytes codec (Net.Wire.to_bytes codec m) = m)
+
+let gen_payload_cmd =
+  let open QCheck.Gen in
+  let payload =
+    oneof
+      [
+        map2
+          (fun key value -> Shard.Replica.App { key; value })
+          string_small string_small;
+        map2
+          (fun epoch members -> Shard.Replica.Reconfig { epoch; members })
+          small_nat (small_list small_nat);
+      ]
+  in
+  QCheck.make
+    (map3
+       (fun payload origin seq -> { Cons.Smr.origin; seq; payload })
+       payload (0 -- 15) small_nat)
+
+let prop_replica_codec_roundtrip =
+  let module L = Sim.Layered in
+  let module Om = Fd.Emulated.Omega in
+  let module Ring = Fd.Emulated.Omega_ring in
+  let module Sig = Fd.Emulated.Sigma_epoch in
+  let gen =
+    QCheck.(
+      map
+        (fun (tag, (a, b), smr, snap) : Shard.Replica.msg ->
+          let om m = L.Detector (L.Detector m) in
+          match tag mod 9 with
+          | 0 -> om (Om.H Fd.Emulated.Omega_heartbeat.Alive)
+          | 1 -> om (Om.R Ring.Hb)
+          | 2 -> om (Om.R (Ring.Suspect a))
+          | 3 -> om (Om.R (Ring.Refute a))
+          | 4 -> L.Detector (L.Main (Sig.Join { epoch = a; round = b }))
+          | 5 -> L.Detector (L.Main (Sig.Ack { epoch = a; round = b }))
+          | 6 -> L.Main (Shard.Replica.Smr smr)
+          | 7 -> L.Main (Shard.Replica.Snap_req { since = a })
+          | _ -> L.Main (Shard.Replica.Snap snap))
+        (quad small_nat (pair small_nat small_nat)
+           (gen_smr_of gen_payload_cmd)
+           (small_list (pair small_nat (small_list gen_payload_cmd)))))
+  in
+  let codec = Shard.Replica.codec in
+  QCheck.Test.make ~name:"codecs: shard replica message round-trips"
+    ~count:500 gen (fun m ->
+      Net.Wire.of_bytes codec (Net.Wire.to_bytes codec m) = m)
 
 (* The 20-odd bytes [Marshal] reads as an int: a Marshal decoder that
    expects a tuple dereferences it and crashes the process. *)
@@ -245,6 +293,7 @@ let socket_decoders =
     ("mixed ereply", fun b -> ignore (Ec.Mixed.decode_ereply b));
     ("mixed message", codec (Ec.Codecs.mixed Net.Wire.string_c));
     ("omega message", codec Net.Codecs.omega_msg);
+    ("shard replica message", codec Shard.Replica.codec);
   ]
 
 let valid_frames =
@@ -259,9 +308,10 @@ let valid_frames =
     Net.Wire.hello_ack ~self:1;
     marshalled_int;
     Net.Wire.to_bytes Shard.Server.request_codec
-      (Shard.Server.Reconfig { epoch = 1; members = [ 1; 2; 3 ] });
+      (Shard.Server.Submit
+         (Shard.Replica.Reconfig { epoch = 1; members = [ 1; 2; 3 ] }));
     Net.Wire.to_bytes Shard.Server.request_codec
-      (Shard.Server.Write { key = "k000001"; value = "v" });
+      (Shard.Server.Submit (Shard.Replica.App { key = "k000001"; value = "v" }));
     Net.Wire.to_bytes Shard.Server.read_reply_codec
       { Shard.Server.rr_epoch = 1; rr_applied = 4; rr_value = Some (3, "v") };
     with_buf (fun buf ->
@@ -280,7 +330,42 @@ let valid_frames =
       (Ec.Mixed.Get_hit { value = "v"; lamport = 3; origin = 2 });
     Net.Wire.to_bytes (Ec.Codecs.mixed Net.Wire.string_c)
       (Sim.Layered.Detector (Sim.Layered.Main (Cons.Smr.Submit [ cmd ])));
+    Net.Wire.to_bytes Shard.Replica.codec
+      (Sim.Layered.Main
+         (Shard.Replica.Snap
+            [
+              ( 0,
+                [
+                  { cmd with
+                    Cons.Smr.payload =
+                      Shard.Replica.Reconfig { epoch = 1; members = [ 1; 2 ] };
+                  };
+                ] );
+            ]));
+    Net.Wire.to_bytes Shard.Replica.codec
+      (Sim.Layered.Detector
+         (Sim.Layered.Main
+            (Fd.Emulated.Sigma_epoch.Join { epoch = 1; round = 3 })));
   ]
+
+(* Frames well formed up to a list count, which is negative: a 9-byte
+   varint reads as -1.  One per list-carrying socket decoder. *)
+let hostile_frames =
+  let neg = "\xff\xff\xff\xff\xff\xff\xff\xff\x7f" in
+  List.map Bytes.of_string
+    [
+      (* shard request: Reconfig, epoch 1, member count -1 *)
+      "\x01\x01" ^ neg;
+      (* envelope: version 1, src 0, sent_at 0, vclock count -1 *)
+      "\x01\x00\x00\x01" ^ neg;
+      (* envelope of Codecs.pmsg: main, Submit, batch count -1 *)
+      "\x01\x00\x00\x00\x01\x00" ^ neg;
+      (* Ec.Codecs.mixed: EC tower, anti-entropy, Digest rev 0, count -1 *)
+      "\x01\x01\x00\x00" ^ neg;
+      (* Replica.codec: Snap, count -1; and instance 0's batch count -1 *)
+      "\x05" ^ neg;
+      "\x05\x01\x00" ^ neg;
+    ]
 
 let gen_socket_frame =
   let open QCheck.Gen in
@@ -305,6 +390,7 @@ let gen_socket_frame =
       bytes_size (0 -- 64);
       map2 (List.fold_left mutate) (oneofl valid_frames)
         (list_size (1 -- 4) (triple (0 -- 3) nat (0 -- 255)));
+      oneofl hostile_frames;
     ]
 
 let prop_socket_decoders_total =
@@ -328,10 +414,12 @@ let prop_shard_frames_roundtrip =
       oneof
         [
           map2
-            (fun key value -> Shard.Server.Write { key; value })
+            (fun key value ->
+              Shard.Server.Submit (Shard.Replica.App { key; value }))
             string_small string_small;
           map2
-            (fun epoch members -> Shard.Server.Reconfig { epoch; members })
+            (fun epoch members ->
+              Shard.Server.Submit (Shard.Replica.Reconfig { epoch; members }))
             nat (small_list nat);
           map (fun key -> Shard.Server.Read { key }) string_small;
         ])
@@ -351,6 +439,24 @@ let prop_shard_frames_roundtrip =
     (fun (req, rep) ->
       roundtrips Shard.Server.request_codec req
       && roundtrips Shard.Server.read_reply_codec rep)
+
+(* Client frames are a wire format deployed clients speak: pin their
+   bytes.  A [Submit] is its payload's own binary form, tags 0 and 1. *)
+let test_shard_request_bytes () =
+  let hex req =
+    Net.Wire.to_bytes Shard.Server.request_codec req
+    |> Bytes.to_seq |> List.of_seq
+    |> List.map (fun c -> Printf.sprintf "%02x" (Char.code c))
+    |> String.concat " "
+  in
+  Alcotest.(check string) "App k=v" "00 01 6b 01 76"
+    (hex (Shard.Server.Submit (Shard.Replica.App { key = "k"; value = "v" })));
+  Alcotest.(check string) "Reconfig e1 [1; 2]" "01 01 02 01 02"
+    (hex
+       (Shard.Server.Submit
+          (Shard.Replica.Reconfig { epoch = 1; members = [ 1; 2 ] })));
+  Alcotest.(check string) "Read k" "02 01 6b"
+    (hex (Shard.Server.Read { key = "k" }))
 
 (* The max-frame guard: an adversarial length prefix must raise the
    typed exception as soon as the 4 header bytes are buffered — before
@@ -413,24 +519,24 @@ let run_until ?(cap = 20_000) cluster pred =
     if pred () then r
     else if r >= cap then Alcotest.fail "cluster did not converge"
     else begin
-      Net.Local.step cluster;
+      Net.Local.cluster_step cluster;
       go (r + 1)
     end
   in
   go 0
 
-let applied_at cluster p = List.length (Net.Local.applied_log cluster p)
+let applied_at cluster p = List.length (Net.Local.cluster_outputs cluster p)
 
 let test_loopback_agreement () =
   let n = 3 in
   let cluster = Net.Local.create ~n () in
   let cmds = [ (0, "a"); (1, "b"); (2, "c"); (0, "d"); (1, "e") ] in
-  List.iter (fun (p, c) -> Net.Local.submit cluster p c) cmds;
+  List.iter (fun (p, c) -> Net.Local.cluster_submit cluster p c) cmds;
   let k = List.length cmds in
   ignore
     (run_until cluster (fun () ->
          List.for_all (fun p -> applied_at cluster p >= k) (Sim.Pid.all n)));
-  let logs = List.map (fun p -> log_view (Net.Local.applied_log cluster p)) (Sim.Pid.all n) in
+  let logs = List.map (fun p -> log_view (Net.Local.cluster_outputs cluster p)) (Sim.Pid.all n) in
   (match logs with
   | l0 :: rest ->
     List.iteri
@@ -451,20 +557,20 @@ let test_loopback_agreement () =
 let test_loopback_crash () =
   let n = 3 in
   let cluster = Net.Local.create ~n () in
-  Net.Local.submit cluster 0 "pre0";
-  Net.Local.submit cluster 1 "pre1";
+  Net.Local.cluster_submit cluster 0 "pre0";
+  Net.Local.cluster_submit cluster 1 "pre1";
   ignore
     (run_until cluster (fun () ->
          List.for_all (fun p -> applied_at cluster p >= 2) (Sim.Pid.all n)));
   (* kill node 2 mid-run; the survivors are a majority and must keep going *)
-  Net.Local.crash cluster 2;
-  Net.Local.submit cluster 0 "post0";
-  Net.Local.submit cluster 1 "post1";
+  Net.Local.cluster_crash cluster 2;
+  Net.Local.cluster_submit cluster 0 "post0";
+  Net.Local.cluster_submit cluster 1 "post1";
   ignore
     (run_until cluster (fun () ->
          applied_at cluster 0 >= 4 && applied_at cluster 1 >= 4));
-  let l0 = log_view (Net.Local.applied_log cluster 0) in
-  let l1 = log_view (Net.Local.applied_log cluster 1) in
+  let l0 = log_view (Net.Local.cluster_outputs cluster 0) in
+  let l1 = log_view (Net.Local.cluster_outputs cluster 1) in
   Alcotest.(check bool) "surviving logs identical" true (l0 = l1);
   Alcotest.(check bool) "post-crash commands decided" true
     (List.exists (fun (_, _, _, p) -> p = "post0") l0
@@ -478,13 +584,13 @@ let test_loopback_pipelined_agreement () =
   let k = 60 in
   let cluster = Net.Local.create ~window:8 ~batch_max:4 ~n () in
   for i = 0 to k - 1 do
-    Net.Local.submit cluster (i mod n) (Printf.sprintf "c%03d" i)
+    Net.Local.cluster_submit cluster (i mod n) (Printf.sprintf "c%03d" i)
   done;
   ignore
     (run_until cluster (fun () ->
          List.for_all (fun p -> applied_at cluster p >= k) (Sim.Pid.all n)));
   let logs =
-    List.map (fun p -> log_view (Net.Local.applied_log cluster p)) (Sim.Pid.all n)
+    List.map (fun p -> log_view (Net.Local.cluster_outputs cluster p)) (Sim.Pid.all n)
   in
   let l0 = List.hd logs in
   List.iter
@@ -502,7 +608,7 @@ let test_loopback_pipelined_agreement () =
   (* batching really happened: fewer instances than commands *)
   let touched =
     Cons.Smr.instances_touched
-      (Net.Smr_node.smr_state (Net.Local.state cluster 0))
+      (Net.Smr_node.smr_state (Net.Local.cluster_state cluster 0))
   in
   Alcotest.(check bool)
     (Printf.sprintf "batches amortise instances (%d for %d cmds)" touched k)
@@ -517,14 +623,14 @@ let test_loopback_batch_crash_boundary () =
   (* leader 0 gets a pile of commands and a short head start, so some
      instances are mid-flight when it dies *)
   for i = 0 to 19 do
-    Net.Local.submit cluster 0 (Printf.sprintf "pre%02d" i)
+    Net.Local.cluster_submit cluster 0 (Printf.sprintf "pre%02d" i)
   done;
   for _ = 1 to 40 do
-    Net.Local.step cluster
+    Net.Local.cluster_step cluster
   done;
-  Net.Local.crash cluster 0;
+  Net.Local.cluster_crash cluster 0;
   for i = 0 to 9 do
-    Net.Local.submit cluster 1 (Printf.sprintf "post%02d" i)
+    Net.Local.cluster_submit cluster 1 (Printf.sprintf "post%02d" i)
   done;
   (* survivors must still decide everything submitted at node 1 *)
   ignore
@@ -532,15 +638,15 @@ let test_loopback_batch_crash_boundary () =
          let applied p =
            List.map
              (fun (_, _, _, payload) -> payload)
-             (log_view (Net.Local.applied_log cluster p))
+             (log_view (Net.Local.cluster_outputs cluster p))
          in
          List.for_all
            (fun i ->
              List.mem (Printf.sprintf "post%02d" i) (applied 1)
              && List.mem (Printf.sprintf "post%02d" i) (applied 2))
            [ 0; 9 ]));
-  let l1 = log_view (Net.Local.applied_log cluster 1) in
-  let l2 = log_view (Net.Local.applied_log cluster 2) in
+  let l1 = log_view (Net.Local.cluster_outputs cluster 1) in
+  let l2 = log_view (Net.Local.cluster_outputs cluster 2) in
   Alcotest.(check bool) "survivor logs identical" true (l1 = l2);
   List.iteri
     (fun i (slot, _, _, _) ->
@@ -564,20 +670,20 @@ let test_loopback_multi_origin_exactly_once () =
   let submit p =
     let c = Printf.sprintf "p%d-%02d" p (List.length submitted.(p)) in
     submitted.(p) <- c :: submitted.(p);
-    Net.Local.submit cluster p c
+    Net.Local.cluster_submit cluster p c
   in
   for i = 0 to 59 do
     submit (i mod n);
     if i mod 4 = 3 then submit ((i / 4) mod n);
-    Net.Local.step cluster
+    Net.Local.cluster_step cluster
   done;
-  Net.Local.crash cluster 0;
+  Net.Local.cluster_crash cluster 0;
   for i = 0 to 19 do
     submit (1 + (i mod 2));
-    Net.Local.step cluster
+    Net.Local.cluster_step cluster
   done;
   let payloads p =
-    List.map (fun (_, _, _, c) -> c) (log_view (Net.Local.applied_log cluster p))
+    List.map (fun (_, _, _, c) -> c) (log_view (Net.Local.cluster_outputs cluster p))
   in
   let survivors_done () =
     applied_at cluster 1 = applied_at cluster 2
@@ -588,8 +694,8 @@ let test_loopback_multi_origin_exactly_once () =
          [ 1; 2 ]
   in
   ignore (run_until cluster survivors_done);
-  let l1 = log_view (Net.Local.applied_log cluster 1) in
-  let l2 = log_view (Net.Local.applied_log cluster 2) in
+  let l1 = log_view (Net.Local.cluster_outputs cluster 1) in
+  let l2 = log_view (Net.Local.cluster_outputs cluster 2) in
   Alcotest.(check bool) "survivor logs identical" true (l1 = l2);
   List.iteri
     (fun i (slot, _, _, _) -> Alcotest.(check int) "survivor log gapless" i slot)
@@ -612,10 +718,10 @@ let test_loopback_multi_origin_exactly_once () =
 let test_loopback_idle_burns_no_instances () =
   let n = 3 in
   let cluster = Net.Local.create ~window:8 ~n () in
-  Net.Local.run cluster ~rounds:600;
+  Net.Local.cluster_run cluster ~rounds:600;
   List.iter
     (fun p ->
-      let smr = Net.Smr_node.smr_state (Net.Local.state cluster p) in
+      let smr = Net.Smr_node.smr_state (Net.Local.cluster_state cluster p) in
       Alcotest.(check int)
         (Printf.sprintf "node %d touched no instance" p)
         0
@@ -662,10 +768,10 @@ let test_install_out_of_order () =
 
 let test_idle_frame_budget () =
   let cluster = Net.Local.create ~n:3 ~period:16 () in
-  Net.Local.run cluster ~rounds:480;
-  let hub = Net.Local.hub cluster in
+  Net.Local.cluster_run cluster ~rounds:480;
+  let hub = Net.Local.cluster_hub cluster in
   let d0 = Net.Loopback.delivered hub in
-  Net.Local.run cluster ~rounds:320;
+  Net.Local.cluster_run cluster ~rounds:320;
   (* per 16-round period each node sends 2 heartbeats and runs one Σ
      join round (2 Joins out, 2 Acks back): 18 frames per period, so
      1.125 per round and 0.375 per node step *)
@@ -698,12 +804,12 @@ let test_one_command_frame_budget origin () =
   let cluster =
     Net.Local.create ~n:3 ~period:16 ~window:1 ~batch_max:1 ~wrap ()
   in
-  Net.Local.run cluster ~rounds:480;
-  Net.Local.submit cluster origin "x";
+  Net.Local.cluster_run cluster ~rounds:480;
+  Net.Local.cluster_submit cluster origin "x";
   ignore
     (run_until cluster (fun () ->
          List.for_all (fun p -> applied_at cluster p = 1) (Sim.Pid.all 3)));
-  Net.Local.run cluster ~rounds:160;
+  Net.Local.cluster_run cluster ~rounds:160;
   Alcotest.(check int) "Submit frames" 2 !submit;
   Alcotest.(check int) "Decide frames" 4 !decide;
   Alcotest.(check int) "Paxos frames" 16 !paxos;
@@ -722,19 +828,19 @@ let test_decide_relay_reaches_cut_off_node () =
       ()
   in
   for i = 0 to k - 1 do
-    Net.Local.submit cluster (i mod n) (Printf.sprintf "c%02d" i)
+    Net.Local.cluster_submit cluster (i mod n) (Printf.sprintf "c%02d" i)
   done;
   ignore
     (run_until cluster (fun () ->
          List.for_all (fun p -> applied_at cluster p >= k) (Sim.Pid.all n)));
-  let l0 = log_view (Net.Local.applied_log cluster 0) in
+  let l0 = log_view (Net.Local.cluster_outputs cluster 0) in
   Alcotest.(check int) "all commands applied" k (List.length l0);
   List.iter
     (fun p ->
       Alcotest.(check bool)
         (Printf.sprintf "log %d equals log 0" p)
         true
-        (log_view (Net.Local.applied_log cluster p) = l0))
+        (log_view (Net.Local.cluster_outputs cluster p) = l0))
     [ 1; 2 ];
   Alcotest.(check bool) "0->2 frames were dropped" true
     ((Net.Nemesis.stats ctrl).Net.Nemesis.n_dropped > 0)
@@ -746,10 +852,10 @@ let test_decide_relay_reaches_cut_off_node () =
 let test_omega_converges_on_loopback () =
   let n = 3 in
   let cluster = Net.Local.create ~n () in
-  Net.Local.run cluster ~rounds:500;
+  Net.Local.cluster_run cluster ~rounds:500;
   List.iter
     (fun p ->
-      let om = Net.Smr_node.omega_state (Net.Local.state cluster p) in
+      let om = Net.Smr_node.omega_state (Net.Local.cluster_state cluster p) in
       Alcotest.(check bool)
         (Printf.sprintf "node %d trusts nobody falsely" p)
         true
@@ -759,12 +865,12 @@ let test_omega_converges_on_loopback () =
 let test_omega_crash_detection_on_loopback () =
   let n = 3 in
   let cluster = Net.Local.create ~n () in
-  Net.Local.run cluster ~rounds:300;
-  Net.Local.crash cluster 0;
-  Net.Local.run cluster ~rounds:2_000;
+  Net.Local.cluster_run cluster ~rounds:300;
+  Net.Local.cluster_crash cluster 0;
+  Net.Local.cluster_run cluster ~rounds:2_000;
   List.iter
     (fun p ->
-      let om = Net.Smr_node.omega_state (Net.Local.state cluster p) in
+      let om = Net.Smr_node.omega_state (Net.Local.cluster_state cluster p) in
       Alcotest.(check bool)
         (Printf.sprintf "node %d suspects the crashed node" p)
         true
@@ -778,32 +884,32 @@ let test_omega_timeout_adapts_on_loopback () =
      accuracy after GST). *)
   let n = 3 in
   let cluster = Net.Local.create ~n () in
-  Net.Local.run cluster ~rounds:300;
+  Net.Local.cluster_run cluster ~rounds:300;
   let suspects_0 p =
     Sim.Pidset.mem 0
       (Fd.Emulated.Omega.suspects
-         (Net.Smr_node.omega_state (Net.Local.state cluster p)))
+         (Net.Smr_node.omega_state (Net.Local.cluster_state cluster p)))
   in
   Alcotest.(check bool) "initially trusted" false (suspects_0 1);
-  Net.Loopback.block (Net.Local.hub cluster) 0;
+  Net.Loopback.block (Net.Local.cluster_hub cluster) 0;
   ignore (run_until cluster (fun () -> suspects_0 1));
-  Net.Loopback.unblock (Net.Local.hub cluster) 0;
+  Net.Loopback.unblock (Net.Local.cluster_hub cluster) 0;
   ignore (run_until cluster (fun () -> not (suspects_0 1)));
-  Net.Loopback.block (Net.Local.hub cluster) 0;
+  Net.Loopback.block (Net.Local.cluster_hub cluster) 0;
   (* the grown timeout makes the second suspicion strictly later *)
   let r1 = run_until cluster (fun () -> suspects_0 1) in
   ignore r1;
-  Net.Loopback.unblock (Net.Local.hub cluster) 0;
+  Net.Loopback.unblock (Net.Local.cluster_hub cluster) 0;
   ignore (run_until cluster (fun () -> not (suspects_0 1)))
 
 let test_sigma_quorums_on_loopback () =
   let n = 5 in
   let cluster = Net.Local.create ~n () in
-  Net.Local.run cluster ~rounds:800;
+  Net.Local.cluster_run cluster ~rounds:800;
   let quorums =
     List.map
       (fun p ->
-        let si = Net.Smr_node.sigma_state (Net.Local.state cluster p) in
+        let si = Net.Smr_node.sigma_state (Net.Local.cluster_state cluster p) in
         Alcotest.(check bool)
           (Printf.sprintf "node %d completed join-quorum rounds" p)
           true
@@ -1121,8 +1227,11 @@ let () =
           QCheck_alcotest.to_alcotest prop_varint_roundtrip;
           QCheck_alcotest.to_alcotest prop_smr_codec_roundtrip;
           QCheck_alcotest.to_alcotest prop_pmsg_codec_roundtrip;
+          QCheck_alcotest.to_alcotest prop_replica_codec_roundtrip;
           QCheck_alcotest.to_alcotest prop_socket_decoders_total;
           QCheck_alcotest.to_alcotest prop_shard_frames_roundtrip;
+          Alcotest.test_case "shard: client frames keep their bytes" `Quick
+            test_shard_request_bytes;
         ] );
       ( "loopback-smr",
         [

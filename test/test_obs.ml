@@ -480,6 +480,8 @@ let test_jsonl_reader_rejects_garbage () =
       {|{"type":"wat"}|};
       {|{"t":0}|};
       {|{"type":"event","t":0,"round":0,"kind":"send","src":0,"dst":1}x|};
+      {|{"type":"meta","k":"\uZZZZ"}|};
+      {|{"type":"meta","k":"\u-123"}|};
     ]
 
 (* The full event vocabulary round-trips through one serialized line —

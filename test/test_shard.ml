@@ -136,7 +136,8 @@ let test_zipf () =
    every Send/Broadcast is queued to its destination, one delivery per
    step. *)
 let sigma_net ~n ~members =
-  let states = Array.init n (fun p -> Sig.init ~members p) in
+  let proto = (Sig.detector ~members).Sim.Layered.proto in
+  let states = Array.init n (fun p -> proto.Sim.Protocol.init ~n p) in
   let queues = Array.init n (fun _ -> Queue.create ()) in
   let now = ref 0 in
   let deliver p acts =
@@ -157,7 +158,7 @@ let sigma_net ~n ~members =
           else Some (Queue.pop queues.(p))
         in
         let ctx = { Sim.Protocol.self = p; n; now = !now; fd = () } in
-        let st, acts = Sig.on_step ctx st recv in
+        let st, acts = proto.Sim.Protocol.on_step ctx st recv in
         states.(p) <- st;
         deliver p acts)
       states
