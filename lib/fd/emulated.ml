@@ -2,9 +2,9 @@
    backend: one [last_heard]/[timeout] pair per peer, where each false
    suspicion (a heartbeat arriving after the timeout already fired) grows
    that peer's timeout by one period.  After GST delays are bounded, so
-   timeouts stop growing and suspicion becomes permanent-accurate.  The
-   arrays are mutated in place inside otherwise-immutable states — the
-   established idiom of this file. *)
+   timeouts stop growing and suspicion becomes permanent-accurate.  A
+   value like every protocol state: an update copies the array it
+   changes and leaves its argument as it was. *)
 module Adaptive = struct
   type t = {
     period : int;
@@ -15,18 +15,30 @@ module Adaptive = struct
   let create ~n ~period =
     { period; last_heard = Array.make n 0; timeout = Array.make n (4 * period) }
 
-  let heard t ~clock q =
-    if clock - t.last_heard.(q) > t.timeout.(q) then
-      t.timeout.(q) <- t.timeout.(q) + t.period;
-    t.last_heard.(q) <- clock
+  let set a q v =
+    if a.(q) = v then a
+    else begin
+      let a = Array.copy a in
+      a.(q) <- v;
+      a
+    end
 
   let timed_out t ~clock q = clock - t.last_heard.(q) > t.timeout.(q)
+
+  let heard t ~clock q =
+    let timeout =
+      if timed_out t ~clock q then set t.timeout q (t.timeout.(q) + t.period)
+      else t.timeout
+    in
+    { t with last_heard = set t.last_heard q clock; timeout }
 
   (* Grace reset when (re)starting to monitor [q]: without it, stale
      [last_heard] from before we were watching [q] would convict it
      instantly. *)
   let grant t ~clock q =
-    if clock > t.last_heard.(q) then t.last_heard.(q) <- clock
+    if clock > t.last_heard.(q) then
+      { t with last_heard = set t.last_heard q clock }
+    else t
 
   let timeout t q = t.timeout.(q)
 end
@@ -240,9 +252,12 @@ module Omega_heartbeat = struct
 
   let on_step _ctx st recv =
     let st = { st with clock = st.clock + 1 } in
-    (match recv with
-    | Some (q, Alive) -> Adaptive.heard st.ad ~clock:st.clock q
-    | None -> ());
+    let st =
+      match recv with
+      | Some (q, Alive) ->
+        { st with ad = Adaptive.heard st.ad ~clock:st.clock q }
+      | None -> st
+    in
     let acts =
       if st.clock mod st.period = 0 then
         Peers.send ~n:st.n ~except:[ st.self ] Alive
@@ -304,9 +319,12 @@ module Omega_ec = struct
 
   let on_step _ctx st recv =
     let st = { st with clock = st.clock + 1 } in
-    (match recv with
-    | Some (q, Alive) -> Adaptive.heard st.ad ~clock:st.clock q
-    | None -> ());
+    let st =
+      match recv with
+      | Some (q, Alive) ->
+        { st with ad = Adaptive.heard st.ad ~clock:st.clock q }
+      | None -> st
+    in
     (* Track the leader and stamp each change with a fresh epoch: the pair
        (leader, epoch) is exactly the ◇-constant output the EC paper's
        detector needs — it eventually stops changing at every correct
@@ -411,7 +429,7 @@ module Omega_ring = struct
       match recv with
       | None -> st
       | Some (q, Hb) ->
-        Adaptive.heard st.ad ~clock:st.clock q;
+        let st = { st with ad = Adaptive.heard st.ad ~clock:st.clock q } in
         if Sim.Pidset.mem q st.suspected then begin
           (* q is alive after all: retract, and tell everyone so the chain
              re-closes on the same membership everywhere.  [heard] above
@@ -434,8 +452,11 @@ module Omega_ring = struct
              heartbeat as a false suspicion and grow the timeout *)
           { st with suspected = Sim.Pidset.add p st.suspected }
       | Some (_, Refute p) ->
-        Adaptive.heard st.ad ~clock:st.clock p;
-        { st with suspected = Sim.Pidset.remove p st.suspected }
+        {
+          st with
+          ad = Adaptive.heard st.ad ~clock:st.clock p;
+          suspected = Sim.Pidset.remove p st.suspected;
+        }
     in
     (* Re-aim monitoring at the current predecessor.  On a target change
        the new predecessor gets a grace reset, so it is never convicted on
@@ -443,10 +464,8 @@ module Omega_ring = struct
     let p = pred st in
     let st =
       if Sim.Pid.equal p st.monitored then st
-      else begin
-        Adaptive.grant st.ad ~clock:st.clock p;
-        { st with monitored = p }
-      end
+      else
+        { st with ad = Adaptive.grant st.ad ~clock:st.clock p; monitored = p }
     in
     (* The one monitoring obligation: our predecessor.  At most one new
        suspicion per step; excising it moves [pred] one further back,

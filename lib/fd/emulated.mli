@@ -15,7 +15,11 @@
     one period}.  Under partial synchrony the delays are eventually
     bounded, so each timeout grows at most finitely often and false
     suspicions vanish; timeouts never shrink, so a crashed peer stays
-    convicted.  Timeouts start at [4 * period]. *)
+    convicted.  Timeouts start at [4 * period].
+
+    A [t] is a value, like every protocol state ({!Sim.Protocol}):
+    [heard] and [grant] return the updated discipline and leave their
+    argument unchanged. *)
 module Adaptive : sig
   type t
 
@@ -23,8 +27,9 @@ module Adaptive : sig
 
   (** [heard t ~clock q]: a heartbeat from [q] arrived at local time
       [clock].  If [q] was timed out, the suspicion was false — its
-      timeout grows by one period.  [last_heard.(q)] becomes [clock]. *)
-  val heard : t -> clock:int -> Sim.Pid.t -> unit
+      timeout grows by one period.  [q]'s last-heard time becomes
+      [clock]. *)
+  val heard : t -> clock:int -> Sim.Pid.t -> t
 
   (** Has [q]'s silence exceeded its timeout? *)
   val timed_out : t -> clock:int -> Sim.Pid.t -> bool
@@ -33,7 +38,7 @@ module Adaptive : sig
       false-suspicion growth — the grace given when a host {e starts}
       monitoring [q] (the ring detector re-aiming at a new predecessor),
       so stale pre-monitoring silence never convicts. *)
-  val grant : t -> clock:int -> Sim.Pid.t -> unit
+  val grant : t -> clock:int -> Sim.Pid.t -> t
 
   (** Current timeout of [q], in local steps. *)
   val timeout : t -> Sim.Pid.t -> int

@@ -54,10 +54,11 @@
    truncated the round), any process's crash time or an external-input
    time falls inside the round's slot window (reordering moves events
    across it, and QC-style invariants compare output times against
-   crash times), a non-[Round_order] choice appeared (non-Fifo
-   policy), or the target's failure detector is time-varying
+   crash times), or a non-[Round_order] choice appeared (non-Fifo
+   policy).  A target whose failure detector is time-varying
    ([time_invariant_fd = false]: a reorder changes the [now] each
-   process queries at).  Sends to a process already crashed at the
+   process queries at) falls back everywhere, so [search] hands it to
+   {!Exhaustive.search} outright.  Sends to a process already crashed at the
    round's start are invisible forever (a crash is permanent and the
    round is crash-free) and are dropped from destination sets before
    the race check.
@@ -257,7 +258,7 @@ let scheduled_of seg =
 (* Backtrack requests of one segment: [(g, alt)] pairs naming an
    alternative pick at an earlier choice node.  Falls back to full
    sibling expansion when the round is not reduction-safe. *)
-let seg_requests ~fp ~n ~input_times ~reduce seg =
+let seg_requests ~fp ~n ~input_times seg =
   let full () =
     List.concat_map
       (fun (g, _, picked, ar, _) ->
@@ -266,85 +267,83 @@ let seg_requests ~fp ~n ~input_times ~reduce seg =
           (List.init ar Fun.id))
       seg.sg_choices
   in
-  if not reduce then full ()
-  else
-    match scheduled_of seg with
-    | None -> full ()
-    | Some scheduled ->
-      let slots = Array.of_list seg.sg_slots in
-      let k = List.length scheduled in
-      let stepped_match =
-        Array.length slots = k
-        && List.for_all2
-             (fun p s -> Sim.Pid.equal p s.sl_pid)
-             scheduled (Array.to_list slots)
+  match scheduled_of seg with
+  | None -> full ()
+  | Some scheduled ->
+    let slots = Array.of_list seg.sg_slots in
+    let k = List.length scheduled in
+    let stepped_match =
+      Array.length slots = k
+      && List.for_all2
+           (fun p s -> Sim.Pid.equal p s.sl_pid)
+           scheduled (Array.to_list slots)
+    in
+    if not stepped_match then full ()
+    else if k <= 1 then []
+    else begin
+      let round_start = slots.(0).sl_now in
+      let window_end = round_start + k - 1 in
+      (* unsafe if ANY process's crash time lands in the slot window:
+         a scheduled one would vanish mid-reorder, and QC compares
+         output times against crash times *)
+      let crash_unsafe =
+        List.exists
+          (fun p ->
+            Sim.Failure_pattern.crashed_at fp ~time:window_end p
+            && (round_start = 0
+               || not
+                    (Sim.Failure_pattern.crashed_at fp
+                       ~time:(round_start - 1) p)))
+          (Sim.Pid.all n)
       in
-      if not stepped_match then full ()
-      else if k <= 1 then []
+      let input_unsafe =
+        List.exists
+          (fun (tau, p) ->
+            tau > round_start && tau <= window_end && mem p scheduled)
+          input_times
+      in
+      if crash_unsafe || input_unsafe then full ()
       else begin
-        let round_start = slots.(0).sl_now in
-        let window_end = round_start + k - 1 in
-        (* unsafe if ANY process's crash time lands in the slot window:
-           a scheduled one would vanish mid-reorder, and QC compares
-           output times against crash times *)
-        let crash_unsafe =
-          List.exists
-            (fun p ->
-              Sim.Failure_pattern.crashed_at fp ~time:window_end p
-              && (round_start = 0
-                 || not
-                      (Sim.Failure_pattern.crashed_at fp
-                         ~time:(round_start - 1) p)))
-            (Sim.Pid.all n)
+        (* drop sends to processes crashed since before this round:
+           permanently crashed, those messages are never delivered *)
+        let slots =
+          Array.map
+            (fun s ->
+              {
+                s with
+                sl_dests =
+                  List.filter
+                    (fun d ->
+                      not
+                        (Sim.Failure_pattern.crashed_at fp ~time:round_start
+                           d))
+                    s.sl_dests;
+              })
+            slots
         in
-        let input_unsafe =
-          List.exists
-            (fun (tau, p) ->
-              tau > round_start && tau <= window_end && mem p scheduled)
-            input_times
-        in
-        if crash_unsafe || input_unsafe then full ()
-        else begin
-          (* drop sends to processes crashed since before this round:
-             permanently crashed, those messages are never delivered *)
-          let slots =
-            Array.map
-              (fun s ->
-                {
-                  s with
-                  sl_dests =
-                    List.filter
-                      (fun d ->
-                        not
-                          (Sim.Failure_pattern.crashed_at fp ~time:round_start
-                             d))
-                      s.sl_dests;
-                })
-              slots
-          in
-          let choices = Array.of_list seg.sg_choices in
-          let reqs = ref [] in
-          for b = 1 to k - 1 do
-            (* Flanagan–Godefroid: one request, at the last race *)
-            let a = ref (min (b - 1) (k - 2)) in
-            let hit = ref false in
-            while (not !hit) && !a >= 0 do
-              if races ~round_start slots.(!a) slots.(b) then hit := true
-              else decr a
-            done;
-            if !hit then begin
-              let g, cand, _, _, _ = choices.(!a) in
-              let pb = slots.(b).sl_pid in
-              let alt = ref (-1) in
-              List.iteri
-                (fun j p -> if Sim.Pid.equal p pb then alt := j)
-                cand;
-              if !alt >= 0 then reqs := (g, !alt) :: !reqs
-            end
+        let choices = Array.of_list seg.sg_choices in
+        let reqs = ref [] in
+        for b = 1 to k - 1 do
+          (* Flanagan–Godefroid: one request, at the last race *)
+          let a = ref (min (b - 1) (k - 2)) in
+          let hit = ref false in
+          while (not !hit) && !a >= 0 do
+            if races ~round_start slots.(!a) slots.(b) then hit := true
+            else decr a
           done;
-          List.rev !reqs
-        end
+          if !hit then begin
+            let g, cand, _, _, _ = choices.(!a) in
+            let pb = slots.(b).sl_pid in
+            let alt = ref (-1) in
+            List.iteri
+              (fun j p -> if Sim.Pid.equal p pb then alt := j)
+              cand;
+            if !alt >= 0 then reqs := (g, !alt) :: !reqs
+          end
+        done;
+        List.rev !reqs
       end
+    end
 
 (* ---- search --------------------------------------------------------- *)
 
@@ -367,11 +366,7 @@ module Prefixes = Hashtbl.Make (struct
   let hash l = Hashtbl.hash (List.fold_left (fun h x -> (h * 31) + x) 0 l)
 end)
 
-let search ?(budget = 10_000) ?(shrink = true) ?(seed = 1) target ~fp =
-  (* The independence argument needs detector samples that do not depend
-     on which slot a process lands in; otherwise every round falls back
-     to full expansion and the search degenerates to {!Exhaustive}. *)
-  let reduce = target.Harness.time_invariant_fd in
+let reduced ~budget ~shrink ~seed target ~fp =
   let n = Sim.Failure_pattern.n fp in
   let input_times =
     List.map (fun (t, p, _) -> (t, p)) (target.Harness.make_inputs fp)
@@ -469,9 +464,9 @@ let search ?(budget = 10_000) ?(shrink = true) ?(seed = 1) target ~fp =
       let next ~depth:_ ~arities:_ =
         let choices = Array.of_list r.Harness.choices in
         let segs = segments (List.rev !log) in
-        if reduce then resolve_deliveries ~n segs;
+        resolve_deliveries ~n segs;
         let reqs =
-          List.concat_map (seg_requests ~fp ~n ~input_times ~reduce) segs
+          List.concat_map (seg_requests ~fp ~n ~input_times) segs
           |> List.sort_uniq compare
         in
         (* Shallow divergences first — the order Exhaustive explores
@@ -494,3 +489,11 @@ let search ?(budget = 10_000) ?(shrink = true) ?(seed = 1) target ~fp =
         steps = r.Harness.steps;
         next;
       })
+
+(* The independence argument needs detector samples that do not depend on
+   which slot a process lands in; otherwise every round falls back to full
+   expansion, which is {!Exhaustive}'s search. *)
+let search ?(budget = 10_000) ?(shrink = true) ?(seed = 1) target ~fp =
+  if target.Harness.time_invariant_fd then
+    reduced ~budget ~shrink ~seed target ~fp
+  else Exhaustive.search ~budget ~shrink ~seed target ~fp

@@ -12,8 +12,11 @@
     canonicalised so re-interleavings collapse onto explored paths), and
     rounds the independence argument cannot cover — crash or input times
     inside the round's slot window, truncated rounds, non-Fifo choice
-    points, time-varying detectors — fall back to the full sibling
-    expansion {!Exhaustive} performs everywhere.
+    points — fall back to the full sibling expansion {!Exhaustive}
+    performs everywhere.  A target with a time-varying detector
+    ([time_invariant_fd = false]) would fall back in every round, so it
+    gets {!Exhaustive.search} itself: the same report, without the
+    per-run race analysis.
 
     The payoff is measured by the [mc_dpor_abd_*] rows of
     BENCH_weakest_fd.json: exhaustive ABD n=2 shrinks from 420 schedules

@@ -12,7 +12,13 @@
     include the output history, so no run that could still produce a
     different observable outcome is pruned.  The clock is left out of the
     key exactly when the target's sampled detector history is
-    time-invariant ([time_invariant_fd]). *)
+    time-invariant ([time_invariant_fd]).
+
+    Every run of {!dfs} replays its prefix from time 0, and so do its
+    callers: {!search}, {!Dpor.search}, whose race analysis reads each
+    run's whole log, and {!Net_harness.search}, which drives mutable
+    [Net.Node]s.  Only {!Parallel.search}'s exhaustive explorer resumes
+    runs from round snapshots ({!Sim.Engine.run}'s [?resume]). *)
 
 type report = {
   counterexample : Harness.counterexample option;

@@ -77,7 +77,7 @@ let pp_events pp_out events =
            e.value))
     events
 
-let run ?(seed = 1) ?round_hook ?sink target ~fp scheduler =
+let run ?(seed = 1) ?round_hook ?sink ?resume ?save target ~fp scheduler =
   let sched, recorded = Sim.Scheduler.recording scheduler in
   let violation = ref None in
   let inv = target.invariant in
@@ -108,7 +108,7 @@ let run ?(seed = 1) ?round_hook ?sink target ~fp scheduler =
       ~render_out:(fun v -> Format.asprintf "%a" target.pp_out v)
       ~fd:(target.make_fd fp ~seed) fp
   in
-  let trace = Sim.Engine.run cfg target.protocol in
+  let trace = Sim.Engine.run ?resume ?save cfg target.protocol in
   let violation =
     match !violation with
     | Some _ as v -> v

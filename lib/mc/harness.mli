@@ -90,11 +90,18 @@ val validate_opts : opts -> (unit, string) result
     additionally brackets invariant evaluation in an [Invariant_check]
     phase span.  Exploration never passes one (the parallel explorer's
     helper domains would race on it); tracing a counterexample means
-    replaying it with a sink — see [Core.Runner.model_check]'s [~trace]. *)
+    replaying it with a sink — see [Core.Runner.model_check]'s [~trace].
+
+    [?save] and [?resume] are {!Sim.Engine.run}'s round-boundary
+    snapshots, under the same contract.  A resumed run's [choices] are
+    only those made after its snapshot; its [steps], outputs and verdict
+    count from time 0. *)
 val run :
   ?seed:int ->
   ?round_hook:(now:int -> digest:(unit -> int) -> steps:int -> bool) ->
   ?sink:Sim.Event.sink ->
+  ?resume:('st, 'msg, 'inp, 'out) Sim.Engine.snapshot ->
+  ?save:(('st, 'msg, 'inp, 'out) Sim.Engine.snapshot -> unit) ->
   ('st, 'msg, 'fd, 'inp, 'out) target ->
   fp:Sim.Failure_pattern.t ->
   Sim.Scheduler.t ->

@@ -73,33 +73,47 @@ end
 
 (* ---- the work list --------------------------------------------------- *)
 
-type job = Prefix of int list | Run of int
+(* A round boundary an earlier run passed: the [n_taken] choices made
+   before it, latest first, and the engine's snapshot there.  Every
+   sibling branching in the round after it shares one, and boundaries
+   along one path share the tails of [taken]. *)
+type 'snap boundary = { taken : int list; n_taken : int; snap : 'snap }
 
-(* A run's trajectory.  [rounds] holds one (raw digest key, choices
-   consumed, steps executed) triple per round past the prefix; [cut] marks
-   a run its cut predicate (the salted filter or the exact seen-set)
-   stopped at a key. *)
-type traj = {
-  choices : int list;
+(* An exhaustive job resumes at [from] (time 0 if [None]), replays
+   [suffix] and then takes alternative 0: its prefix is [from]'s choices
+   followed by [suffix]. *)
+type 'snap job =
+  | Prefix of { from : 'snap boundary option; suffix : int list }
+  | Run of int
+
+(* A run's trajectory.  [taken] holds every choice from time 0, latest
+   first; [arities] the arity of each choice from the job's boundary on.
+   [rounds] holds one (raw digest key, choices consumed, steps executed)
+   triple per round past the prefix, [passed] every boundary the run
+   continued past, latest first; [cut] marks a run its cut predicate
+   (the salted filter or the exact seen-set) stopped at a key. *)
+type 'snap traj = {
+  taken : int list;
   arities : int array;
   rounds : (int * int * int) array;
+  passed : 'snap boundary list;
   cut : bool;
   violation : string option;
   steps : int;
 }
 
-type state = Free | Claimed | Done of traj
+type 'snap state = Free | Claimed | Done of 'snap traj
 
 (* Entries are linked through [next], and published through it and the
    state [Atomic]s.  [id] grows along a list and from one pattern's list
    to the next, so a cursor can tell which of two entries lies further
    on. *)
-type entry = {
+type 'snap entry = {
   id : int;
   pat : int;
-  job : job;
-  state : state Atomic.t;
-  next : entry option Atomic.t;
+  job : 'snap job;
+  state : 'snap state Atomic.t;
+  next : 'snap entry option Atomic.t;
 }
 
 let entry ~id ~pat job state =
@@ -121,6 +135,38 @@ let claim ~pos cursor =
 
 let salt ~pat key = Hashtbl.hash (pat, key)
 
+let base = function Some b -> b.n_taken | None -> 0
+let from_of = function Prefix { from; _ } -> from | Run _ -> None
+
+let depth = function
+  | Prefix { from; suffix } -> base from + List.length suffix
+  | Run _ -> 0
+
+(* The children of [job]'s trajectory [t]: every unexplored alternative
+   of the choices past the job's prefix and before [upto], shallowest
+   first (the order of {!Exhaustive.siblings}), each resuming at the
+   latest boundary at or before its branching choice. *)
+let children job ~upto t =
+  let from = from_of job and lowest = depth job in
+  let choices = Array.of_list (List.rev t.taken) in
+  let rec go i bounds acc =
+    if i < lowest then acc
+    else
+      match bounds with
+      | b :: older when b.n_taken > i -> go i older acc
+      | _ ->
+        let at = match bounds with b :: _ -> Some b | [] -> from in
+        let suffix k =
+          Array.to_list (Array.sub choices (base at) (i - base at)) @ [ k ]
+        in
+        let alts = ref acc in
+        for k = t.arities.(i - base from) - 1 downto 1 do
+          alts := Prefix { from = at; suffix = suffix k } :: !alts
+        done;
+        go (i - 1) bounds !alts
+  in
+  go (upto - 1) t.passed []
+
 (* ---- search ---------------------------------------------------------- *)
 
 let clamp_domains requested =
@@ -136,25 +182,34 @@ let search ~opts:(o : Harness.opts) ?fps target ~n =
           ~horizon:o.horizon ~stride:o.stride)
   in
   let d = Option.value o.d ~default:3 in
-  let filter = Filter.create ~stripes:8 17 in
+  let n_helpers = clamp_domains o.domains - 1 in
+  (* Only helpers read the filter. *)
+  let filter =
+    if n_helpers = 0 then None else Some (Filter.create ~stripes:8 17)
+  in
   let over = Atomic.make false in
 
   (* -- one run, on any domain: a pure function of the entry, cut short
      where [mem] reports a round key seen -- *)
   let exec ~mem e =
+    let from = from_of e.job in
+    let taken = ref (match from with Some b -> b.taken | None -> []) in
     let arities = ref [] in
-    let consumed = ref 0 in
+    let consumed = ref (base from) in
     let rounds = ref [] in
+    let passed = ref [] in
     let cut = ref false in
-    let sched, round_hook =
+    let sched, round_hook, save =
       match e.job with
-      | Prefix prefix ->
-        let depth = List.length prefix in
-        let base = Sim.Scheduler.replay prefix ~rest:Sim.Scheduler.first in
+      | Prefix { suffix; _ } ->
+        let depth = depth e.job in
+        let replay = Sim.Scheduler.replay suffix ~rest:Sim.Scheduler.first in
         let choose c =
           arities := Sim.Scheduler.arity c :: !arities;
           incr consumed;
-          base.Sim.Scheduler.choose c
+          let i = replay.Sim.Scheduler.choose c in
+          taken := i :: !taken;
+          i
         in
         (* A run still going when the search ends is abandoned unread. *)
         let hook ~now ~digest ~steps =
@@ -167,7 +222,10 @@ let search ~opts:(o : Harness.opts) ?fps target ~n =
             not !cut
           end
         in
-        ({ Sim.Scheduler.choose }, Some hook)
+        let save snap =
+          passed := { taken = !taken; n_taken = !consumed; snap } :: !passed
+        in
+        ({ Sim.Scheduler.choose }, Some hook, Some save)
       | Run i ->
         (* per-run stream derived from the root seed, independent of
            which domain executes the run *)
@@ -178,13 +236,22 @@ let search ~opts:(o : Harness.opts) ?fps target ~n =
           | `Pct ->
             Pct.scheduler ~d ~horizon:(max 1 target.Harness.max_steps) rng ~n
           | `Random | `Exhaustive | `Dpor -> Sim.Scheduler.random rng),
+          None,
           None )
     in
-    let r = Harness.run ~seed:o.seed target ~fp:fps.(e.pat) ?round_hook sched in
+    let r =
+      Harness.run ~seed:o.seed target ~fp:fps.(e.pat) ?round_hook
+        ?resume:(Option.map (fun b -> b.snap) from)
+        ?save sched
+    in
     {
-      choices = r.Harness.choices;
+      taken =
+        (match e.job with
+        | Prefix _ -> !taken
+        | Run _ -> List.rev r.Harness.choices);
       arities = Array.of_list (List.rev !arities);
       rounds = Array.of_list (List.rev !rounds);
+      passed = !passed;
       cut = !cut;
       violation = r.Harness.violation;
       steps = r.Harness.steps;
@@ -204,7 +271,7 @@ let search ~opts:(o : Harness.opts) ?fps target ~n =
     Condition.broadcast wake;
     Mutex.unlock mutex
   in
-  let rec helper cursor =
+  let rec helper filter cursor =
     if not (Atomic.get over) then
       let epoch = Atomic.get appended in
       match claim ~pos cursor with
@@ -213,7 +280,7 @@ let search ~opts:(o : Harness.opts) ?fps target ~n =
         match exec ~mem e with
         | t ->
           Atomic.set e.state (Done t);
-          helper cursor
+          helper filter cursor
         (* hand the entry back and stop: the coordinator runs it, and
            raises, only if the report needs it *)
         | exception _ -> Atomic.set e.state Free)
@@ -227,11 +294,14 @@ let search ~opts:(o : Harness.opts) ?fps target ~n =
         done;
         Mutex.unlock mutex;
         Atomic.decr sleepers;
-        helper cursor
+        helper filter cursor
   in
   let helpers =
-    Array.init (clamp_domains o.domains - 1) (fun _ ->
-        Domain.spawn (fun () -> helper (ref sentinel)))
+    match filter with
+    | None -> [||]
+    | Some f ->
+      Array.init n_helpers (fun _ ->
+          Domain.spawn (fun () -> helper f (ref sentinel)))
   in
 
   (* -- the coordinator: entry [e]'s trajectory.  Run it if nobody has
@@ -305,7 +375,7 @@ let search ~opts:(o : Harness.opts) ?fps target ~n =
   let adjudicate_exhaustive ~pat ~budget =
     let seen = Hashtbl.create 4096 in
     let mem = Hashtbl.mem seen in
-    explore ~pat ~budget [ Prefix [] ] (fun e ->
+    explore ~pat ~budget [ Prefix { from = None; suffix = [] } ] (fun e ->
         let t = obtain ~mem e in
         (* A filter cut no key in the exact seen-set justifies (a salted
            hash collision) is run again against the exact set. *)
@@ -323,33 +393,29 @@ let search ~opts:(o : Harness.opts) ?fps target ~n =
             if mem key then Some (consumed, steps)
             else begin
               Hashtbl.add seen key ();
-              Filter.add filter (salt ~pat key);
+              Option.iter (fun f -> Filter.add f (salt ~pat key)) filter;
               walk (i + 1)
             end
-        in
-        let depth = match e.job with Prefix p -> List.length p | Run _ -> 0 in
-        let children choices =
-          List.map (fun p -> Prefix p)
-            (Exhaustive.siblings choices ~depth ~arities:t.arities)
         in
         match walk 0 with
         | Some (consumed, steps) ->
           total_steps := !total_steps + steps;
-          children (List.filteri (fun i _ -> i < consumed) t.choices)
+          children e.job ~upto:consumed t
         | None -> (
           total_steps := !total_steps + t.steps;
           match t.violation with
           | Some reason ->
-            record_violation ~pat reason t.choices;
+            record_violation ~pat reason (List.rev t.taken);
             []
-          | None -> children t.choices))
+          | None -> children e.job ~upto:(List.length t.taken) t))
   in
 
   let adjudicate_sampled ~pat ~budget =
     explore ~pat ~budget (List.init budget (fun i -> Run i)) (fun e ->
         let t = obtain ~mem:(fun _ -> false) e in
         total_steps := !total_steps + t.steps;
-        Option.iter (fun reason -> record_violation ~pat reason t.choices)
+        Option.iter
+          (fun reason -> record_violation ~pat reason (List.rev t.taken))
           t.violation;
         []);
     complete := false

@@ -10,8 +10,18 @@
     prefixes for [`Exhaustive], run indices for [`Pct]/[`Random].  An
     entry is free, claimed or done; a done entry holds the run's
     trajectory (choices, arities, one [(digest, choices consumed, steps)]
-    triple per round past the prefix, cut flag, violation, steps), a pure
+    triple per round past the prefix, one {!Sim.Engine.snapshot} per
+    round boundary it passed, cut flag, violation, steps), a pure
     function of [(target, pattern, prefix or index, seed)].
+
+    An exhaustive job does not replay its prefix from time 0.  It carries
+    the snapshot of the latest round boundary at or before its branching
+    choice, taken by the run that discovered it, resumes there and
+    replays only the choices after that boundary; the root job starts
+    from [init].  Siblings branching in one round share one snapshot.
+    Digest keys, cuts and step counts still count from time 0, so the
+    report is the one a search replaying every prefix would give.  This
+    needs the target's protocol states to be values ({!Sim.Protocol}).
 
     - {b Helpers} (the other domains) claim the first free entry past the
       coordinator's position with one compare-and-set, run it with a
@@ -25,13 +35,16 @@
       first round key already seen is the cut; every earlier key joins
       the seen-set and the filter, whose one writer it is.  A filter cut
       no seen key justifies (a salted-hash collision) is re-run.  It
-      counts steps, records the violation and appends the children,
-      {!Exhaustive.siblings} of the choices up to the cut.
+      counts steps, records the violation and appends the children, the
+      siblings ({!Exhaustive.siblings}) of the choices up to the cut,
+      each with its snapshot.
 
     The filter is a subset of the seen-set, so a hit only saves helper
-    work.  A list never grows past its pattern's budget, and consumed
-    entries are released.  The first counterexample ends the search;
-    helper runs in flight stop at their next round, unread.
+    work; it is built only when helper domains exist.  A list never
+    grows past its pattern's budget, and consumed entries, with the
+    snapshots only they held, are released.  The first counterexample
+    ends the search; helper runs in flight stop at their next round,
+    unread.
 
     [opts.domains] is a cap: the pool never exceeds
     [Domain.recommended_domain_count ()], and 1 spawns no domain.

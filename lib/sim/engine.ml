@@ -72,21 +72,61 @@ let state_digest states net inputs outputs =
       Hashtbl.hash_param 1024 1024 inputs,
       Hashtbl.hash_param 1024 1024 outputs )
 
-let run cfg (proto : _ Protocol.t) =
+(* Everything a run carries from one round to the next, at a round
+   boundary.  The arrays and the buffer are private copies; the process
+   states, envelopes, inputs and outputs inside them are shared values. *)
+type ('st, 'msg, 'inp, 'out) snapshot = {
+  s_states : 'st array;
+  s_net : 'msg Network.t;
+  s_inputs : 'inp pending_inputs;
+  s_outputs : 'out Trace.event list;
+  s_steps : int;
+  s_now : int;
+  s_round : int;
+}
+
+let run ?resume ?save cfg (proto : _ Protocol.t) =
   let n = Failure_pattern.n cfg.fp in
-  let rng = Rng.make cfg.seed in
+  if (resume <> None || save <> None) && cfg.sink <> None then
+    invalid_arg "Engine.run: snapshots are taken only without a sink";
   let sched =
-    match cfg.scheduler with
-    | Some s -> s
-    | None -> Scheduler.random (Rng.split rng 1)
+    match (cfg.scheduler, resume) with
+    | Some s, _ -> s
+    | None, None -> Scheduler.random (Rng.split (Rng.make cfg.seed) 1)
+    | None, Some _ -> invalid_arg "Engine.run: resuming needs a scheduler"
   in
-  let net = Network.create cfg.policy sched in
-  let states = Array.init n (fun p -> proto.init ~n p) in
-  let inputs = prepare_inputs ~n cfg.inputs in
-  let outputs = ref [] in
-  let steps = ref 0 in
-  let now = ref 0 in
-  let round = ref 0 in
+  let start =
+    match resume with
+    | Some s -> s
+    | None ->
+      {
+        s_states = Array.init n (fun p -> proto.init ~n p);
+        s_net = Network.create cfg.policy Scheduler.first;
+        s_inputs = prepare_inputs ~n cfg.inputs;
+        s_outputs = [];
+        s_steps = 0;
+        s_now = 0;
+        s_round = 0;
+      }
+  in
+  let net = Network.copy start.s_net ~sched in
+  let states = Array.copy start.s_states in
+  let inputs = Array.copy start.s_inputs in
+  let outputs = ref start.s_outputs in
+  let steps = ref start.s_steps in
+  let now = ref start.s_now in
+  let round = ref start.s_round in
+  let snapshot () =
+    {
+      s_states = Array.copy states;
+      s_net = Network.copy net ~sched:Scheduler.first;
+      s_inputs = Array.copy inputs;
+      s_outputs = !outputs;
+      s_steps = !steps;
+      s_now = !now;
+      s_round = !round;
+    }
+  in
   let stop_flag = ref false in
   let round_actions = ref 0 in
   (* Observability.  With the default [sink = None], every emit site below
@@ -178,11 +218,14 @@ let run cfg (proto : _ Protocol.t) =
     states.(p) <- st;
     apply_actions p acts
   in
-  (* Inputs addressed to crashed processes are lost. *)
-  let inputs_pending () =
-    List.exists
-      (fun p -> inputs.(p) <> [])
-      (Failure_pattern.alive_at cfg.fp ~time:!now)
+  (* Quiescence: nothing in flight to a live process (messages to crashed
+     ones can never be delivered) and no pending input of a live one
+     (inputs addressed to crashed processes are lost). *)
+  let quiescent () =
+    let alive = Failure_pattern.alive_at cfg.fp ~time:!now in
+    List.for_all
+      (fun p -> Network.pending net ~dst:p = 0 && inputs.(p) = [])
+      alive
   in
   let stopped = ref `Step_limit in
   (try
@@ -218,18 +261,7 @@ let run cfg (proto : _ Protocol.t) =
          stopped := `Condition;
          raise Exit
        end;
-       (* Messages addressed to crashed processes can never be delivered:
-          ignore them when checking for quiescence. *)
-       let in_flight_live =
-         List.fold_left
-           (fun acc p -> acc + Network.pending net ~dst:p)
-           0
-           (Failure_pattern.alive_at cfg.fp ~time:!now)
-       in
-       if
-         cfg.detect_quiescence && !round_actions = 0 && in_flight_live = 0
-         && not (inputs_pending ())
-       then begin
+       if cfg.detect_quiescence && !round_actions = 0 && quiescent () then begin
          stopped := `Quiescent;
          raise Exit
        end;
@@ -244,7 +276,8 @@ let run cfg (proto : _ Protocol.t) =
        (* An empty round (everyone crashed mid-round accounting) still must
           advance time so pending crash-dependent conditions progress. *)
        if order = [] then raise Exit;
-       incr round
+       incr round;
+       Option.iter (fun f -> f (snapshot ())) save
      done
    with Exit -> ());
   {

@@ -84,8 +84,33 @@ val stop_when_all_correct_output :
 (** Stop once at least [k] outputs have been produced. *)
 val stop_after_outputs : int -> 'out Trace.event list -> bool
 
-(** [run config protocol] executes the protocol to completion. *)
+(** A run's state at a round boundary: the process states, the message
+    buffer, the pending inputs, the outputs so far and the step, clock and
+    round counters.  It is a shallow copy — the arrays and the buffer's
+    queues are the snapshot's own, the values in them are shared with the
+    run — so it stays valid only because protocol states are values
+    ({!Protocol}: a step never mutates the state it is given).  Nothing of
+    a sink's (vector clocks, crash events) is kept. *)
+type ('st, 'msg, 'inp, 'out) snapshot
+
+(** [run config protocol] executes the protocol to completion.
+
+    [?save] is called at every round boundary the run continues past —
+    after [round_hook], if any, returned [true] — with the snapshot of
+    that boundary.  [?resume] starts the run from such a snapshot instead
+    of from [protocol.init]: it continues exactly as the run that took
+    the snapshot did from there, under the same [config] and [protocol],
+    provided [config.scheduler] is positioned after the choices that run
+    resolved before the snapshot.  Its counters, clock, outputs, digests
+    and trace all read as if the run had started at time 0, and one
+    snapshot can be resumed any number of times, from any domain.
+
+    Snapshots are taken only at round boundaries and never with a sink:
+    [?save] or [?resume] with [config.sink] set, or [?resume] without
+    [config.scheduler], raises [Invalid_argument]. *)
 val run :
+  ?resume:('st, 'msg, 'inp, 'out) snapshot ->
+  ?save:(('st, 'msg, 'inp, 'out) snapshot -> unit) ->
   ('msg, 'fd, 'inp, 'out) config ->
   ('st, 'msg, 'fd, 'inp, 'out) Protocol.t ->
   ('st, 'out) Trace.t

@@ -27,22 +27,35 @@ type 'msg envelope = {
 type 'msg t = {
   policy : policy;
   sched : Scheduler.t;
-  queues : (Pid.t, 'msg envelope list ref) Hashtbl.t;
+  mutable queues : 'msg envelope list option array;
+      (* by destination, [None] until first touched: the digest tells a
+         touched empty queue from an untouched one *)
   mutable next_seq : int;
   mutable sent : int;
   mutable delivered : int;
 }
 
 let create policy sched =
-  { policy; sched; queues = Hashtbl.create 16; next_seq = 0; sent = 0; delivered = 0 }
+  { policy; sched; queues = [||]; next_seq = 0; sent = 0; delivered = 0 }
+
+(* Envelopes and their lists are immutable, so a copy of the array is an
+   independent buffer. *)
+let copy t ~sched = { t with sched; queues = Array.copy t.queues }
 
 let queue t dst =
-  match Hashtbl.find_opt t.queues dst with
+  let len = Array.length t.queues in
+  if dst >= len then begin
+    let a = Array.make (dst + 1) None in
+    Array.blit t.queues 0 a 0 len;
+    t.queues <- a
+  end;
+  match t.queues.(dst) with
   | Some q -> q
   | None ->
-    let q = ref [] in
-    Hashtbl.add t.queues dst q;
-    q
+    t.queues.(dst) <- Some [];
+    []
+
+let set_queue t dst q = t.queues.(dst) <- Some q
 
 let delay_bounds t ~now =
   match t.policy with
@@ -78,8 +91,7 @@ let send ?vc t ~now ~src ~dst msg =
   let env = { src; payload = msg; seq = t.next_seq; ready_at; deadline; sent_at = now; vc } in
   t.next_seq <- t.next_seq + 1;
   t.sent <- t.sent + 1;
-  let q = queue t dst in
-  q := env :: !q
+  set_queue t dst (env :: queue t dst)
 
 type 'msg delivery = {
   d_src : Pid.t;
@@ -88,8 +100,8 @@ type 'msg delivery = {
   d_vc : Vclock.t option;
 }
 
-let take_envelope t q env =
-  q := List.filter (fun e -> e.seq <> env.seq) !q;
+let take_envelope t ~dst q env =
+  set_queue t dst (List.filter (fun e -> e.seq <> env.seq) q);
   t.delivered <- t.delivered + 1;
   Some { d_src = env.src; d_msg = env.payload; d_sent_at = env.sent_at; d_vc = env.vc }
 
@@ -113,7 +125,7 @@ let pick_ready t ~dst ready =
 
 let deliver_env t ~now ~dst =
   let q = queue t dst in
-  let ready = List.filter (fun e -> e.ready_at <= now) !q in
+  let ready = List.filter (fun e -> e.ready_at <= now) q in
   let overdue = List.filter (fun e -> e.deadline <= now) ready in
   let lambda_prob =
     match t.policy with
@@ -123,10 +135,10 @@ let deliver_env t ~now ~dst =
   in
   match t.policy with
   | Fifo | Partition _ -> (
-    match oldest ready with None -> None | Some e -> take_envelope t q e)
+    match oldest ready with None -> None | Some e -> take_envelope t ~dst q e)
   | Random_delay _ | Partial_synchrony _ -> (
     match oldest overdue with
-    | Some e -> take_envelope t q e
+    | Some e -> take_envelope t ~dst q e
     | None -> (
       match ready with
       | [] -> None
@@ -137,35 +149,35 @@ let deliver_env t ~now ~dst =
       | _ -> (
         match pick_ready t ~dst ready with
         | None -> None
-        | Some e -> take_envelope t q e)))
+        | Some e -> take_envelope t ~dst q e)))
 
 let deliver t ~now ~dst =
   match deliver_env t ~now ~dst with
   | None -> None
   | Some d -> Some (d.d_src, d.d_msg)
 
-let pending t ~dst = List.length !(queue t dst)
+let pending t ~dst = List.length (queue t dst)
 
 let in_flight t =
-  Hashtbl.fold (fun _ q acc -> acc + List.length !q) t.queues 0
+  Array.fold_left
+    (fun acc q -> acc + List.length (Option.value q ~default:[]))
+    0 t.queues
 
 let digest t =
-  let qs =
-    Hashtbl.fold
-      (fun dst q acc ->
-        let envs =
-          List.sort (fun a b -> Int.compare a.seq b.seq) !q
-          |> List.map (fun e ->
-                 ( e.src,
-                   Hashtbl.hash_param 256 256 e.payload,
-                   e.seq,
-                   e.ready_at,
-                   e.deadline ))
-        in
-        (dst, envs) :: acc)
-      t.queues []
+  let envs q =
+    List.sort (fun a b -> Int.compare a.seq b.seq) q
+    |> List.map (fun e ->
+           ( e.src,
+             Hashtbl.hash_param 256 256 e.payload,
+             e.seq,
+             e.ready_at,
+             e.deadline ))
   in
-  Hashtbl.hash_param 1024 1024 (List.sort compare qs)
+  (* in destination order, which is the order [compare] puts them in *)
+  Array.to_list t.queues
+  |> List.mapi (fun dst q -> Option.map (fun q -> (dst, envs q)) q)
+  |> List.filter_map Fun.id
+  |> Hashtbl.hash_param 1024 1024
 
 let sent_count t = t.sent
 let delivered_count t = t.delivered

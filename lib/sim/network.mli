@@ -39,6 +39,12 @@ type policy =
     seeded behaviour. *)
 val create : policy -> Scheduler.t -> 'msg t
 
+(** [copy t ~sched] is an independent buffer holding [t]'s messages and
+    counters, whose further choices [sched] resolves.  Sending to or
+    delivering from either leaves the other unchanged.  {!Engine}'s
+    snapshots are made of it. *)
+val copy : 'msg t -> sched:Scheduler.t -> 'msg t
+
 (** [send t ~now ~src ~dst msg] enqueues a message.  [?vc] stamps the
     envelope with the sender's vector clock (the engine passes it when a
     tracing sink is installed; it does not affect delivery or digests). *)

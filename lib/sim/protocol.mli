@@ -1,6 +1,10 @@
 (** Protocols: the algorithm automata of the paper's model.
 
-    A protocol is a pure description of one process's behaviour.  One
+    A protocol is a pure description of one process's behaviour.  Its
+    states are values: [on_step] and [on_input] return the next state and
+    never mutate the one they are given (a state holding an array copies
+    it before changing it).  {!Engine}'s snapshots share states with the
+    run that took them, and resumed runs share them with each other.  One
     engine-scheduled step corresponds exactly to the paper's atomic step: the
     process receives one message (or the empty message), queries its failure
     detector module, then sends messages and moves to a new state.  External

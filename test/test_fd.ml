@@ -540,36 +540,45 @@ let test_omega_ec_emulation () =
 (* The Adaptive timeout discipline in isolation: silence beyond the
    timeout convicts; a heartbeat that arrives while convicted (a false
    suspicion) grows the timeout by one period; timeouts never shrink, and
-   growth stops as soon as heartbeats keep arriving inside the window. *)
+   growth stops as soon as heartbeats keep arriving inside the window.
+   [heard] and [grant] return a new discipline and leave their argument
+   as it was. *)
 let test_adaptive_monotone_growth_then_stabilize () =
+  let module A = Fd.Emulated.Adaptive in
   let period = 4 in
-  let ad = Fd.Emulated.Adaptive.create ~n:2 ~period in
-  let t0 = Fd.Emulated.Adaptive.timeout ad 1 in
+  let ad = A.create ~n:2 ~period in
+  let t0 = A.timeout ad 1 in
   Alcotest.(check int) "initial timeout is 4 periods" (4 * period) t0;
   Alcotest.(check bool) "silent within the window: trusted" false
-    (Fd.Emulated.Adaptive.timed_out ad ~clock:t0 1);
+    (A.timed_out ad ~clock:t0 1);
   Alcotest.(check bool) "silent beyond the window: convicted" true
-    (Fd.Emulated.Adaptive.timed_out ad ~clock:(t0 + 1) 1);
+    (A.timed_out ad ~clock:(t0 + 1) 1);
   (* the late heartbeat proves the suspicion false: timeout grows *)
-  Fd.Emulated.Adaptive.heard ad ~clock:(t0 + 1) 1;
+  let ad' = A.heard ad ~clock:(t0 + 1) 1 in
   Alcotest.(check int) "false suspicion grows the timeout by one period"
-    (t0 + period)
-    (Fd.Emulated.Adaptive.timeout ad 1);
+    (t0 + period) (A.timeout ad' 1);
+  Alcotest.(check (pair int bool)) "heard leaves its argument unchanged"
+    (t0, true)
+    (A.timeout ad 1, A.timed_out ad ~clock:(t0 + 1) 1);
   (* timely heartbeats from now on: the timeout stabilizes *)
-  let clock = ref (t0 + 1) in
+  let ad = ref ad' and clock = ref (t0 + 1) in
   for _ = 1 to 50 do
     clock := !clock + period;
     Alcotest.(check bool) "timely: never convicted" false
-      (Fd.Emulated.Adaptive.timed_out ad ~clock:!clock 1);
-    Fd.Emulated.Adaptive.heard ad ~clock:!clock 1
+      (A.timed_out !ad ~clock:!clock 1);
+    ad := A.heard !ad ~clock:!clock 1
   done;
   Alcotest.(check int) "timeout stable under timely heartbeats"
-    (t0 + period)
-    (Fd.Emulated.Adaptive.timeout ad 1);
+    (t0 + period) (A.timeout !ad 1);
   (* grant resets the silence clock without growth *)
-  Fd.Emulated.Adaptive.grant ad ~clock:(!clock + 2 * period) 1;
+  let late = !clock + (2 * A.timeout !ad 1) in
+  let granted = A.grant !ad ~clock:late 1 in
   Alcotest.(check int) "grant does not grow the timeout" (t0 + period)
-    (Fd.Emulated.Adaptive.timeout ad 1)
+    (A.timeout granted 1);
+  Alcotest.(check bool) "grant resets the silence clock" false
+    (A.timed_out granted ~clock:late 1);
+  Alcotest.(check bool) "grant leaves its argument unchanged" true
+    (A.timed_out !ad ~clock:late 1)
 
 (* Shared driver: run the ring detector under partial synchrony over a
    failure pattern, return the trace (outputs are per-step leader

@@ -267,6 +267,64 @@ let test_runner_model_check () =
         Alcotest.(check bool) "CLI-level replay reproduces" true
           (rep.Core.Runner.re_violation <> None)))
 
+(* ---- resuming from round snapshots ---------------------------------- *)
+
+(* [Mc.Parallel] resumes each exhaustive job from a round-boundary
+   snapshot, which is sound only if every target's states are values.
+   For each registered target at n = 3 under one crash pattern (the
+   leader crashes at time 10, late enough for every target to run three
+   rounds or more): record a seeded random run with a snapshot per
+   round, resume it from each snapshot with the choices made after it,
+   and compare verdict, steps, outputs, choices and the digests of the
+   later rounds.  A protocol that mutates a state it was given — say, a
+   timeout array updated in place — fails here. *)
+let test_resume_every_target () =
+  let fp = Sim.Failure_pattern.make ~n:3 [ (0, 10) ] in
+  List.iter
+    (fun (name, Mc.Targets.Packed t) ->
+      let run ?resume ?save sched =
+        let digests = ref [] in
+        let round_hook ~now:_ ~digest ~steps:_ =
+          digests := digest () :: !digests;
+          true
+        in
+        let r = Mc.Harness.run ?resume ?save ~round_hook t ~fp sched in
+        (r, List.rev !digests)
+      in
+      let sched, consumed =
+        Sim.Scheduler.counting (Sim.Scheduler.random (Sim.Rng.make 3))
+      in
+      let snaps = ref [] in
+      let save s = snaps := (consumed (), s) :: !snaps in
+      let full, digests = run ~save sched in
+      Alcotest.(check bool) (name ^ ": several rounds") true
+        (List.length !snaps >= 3);
+      List.iteri
+        (fun r (c, snap) ->
+          let before, after =
+            ( List.filteri (fun i _ -> i < c) full.Mc.Harness.choices,
+              List.filteri (fun i _ -> i >= c) full.Mc.Harness.choices )
+          in
+          let t, ds =
+            run ~resume:snap
+              (Sim.Scheduler.replay after ~rest:Sim.Scheduler.first)
+          in
+          let at = Printf.sprintf "%s resumed after round %d" name r in
+          Alcotest.(check (option string))
+            (at ^ ": verdict") full.violation t.Mc.Harness.violation;
+          Alcotest.(check int) (at ^ ": steps") full.steps t.steps;
+          Alcotest.(check bool) (at ^ ": stopped") true (full.stopped = t.stopped);
+          Alcotest.(check string)
+            (at ^ ": outputs") (Lazy.force full.outputs) (Lazy.force t.outputs);
+          Alcotest.(check (list int))
+            (at ^ ": choices") full.choices (before @ t.choices);
+          Alcotest.(check (list int))
+            (at ^ ": digests of the later rounds")
+            (List.filteri (fun i _ -> i > r) digests)
+            ds)
+        (List.rev !snaps))
+    (Mc.Targets.all ~n:3)
+
 (* ---- parallel exploration ------------------------------------------- *)
 
 let contains s affix =
@@ -506,20 +564,32 @@ let test_dpor_2pc_adversary_parity () =
 
 let test_dpor_time_varying_fd_degenerates () =
   (* Psi's sampled history is time-varying ([time_invariant_fd = false]),
-     which disables the reduction's soundness precondition: DPOR must
-     degenerate to exactly the exhaustive search, same counts and all. *)
-  let t = Mc.Targets.qc_psi ~n:2 in
-  let ex = Mc.Exhaustive.search ~budget:100 t ~fp:(ff 2) in
-  let dp = Mc.Dpor.search ~budget:100 t ~fp:(ff 2) in
-  Alcotest.(check int)
-    "identical schedule count" ex.Mc.Exhaustive.schedules
-    dp.Mc.Exhaustive.schedules;
-  Alcotest.(check int)
-    "identical step count" ex.Mc.Exhaustive.steps dp.Mc.Exhaustive.steps;
-  Alcotest.(check bool)
-    "identical verdict" true
-    (ex.Mc.Exhaustive.counterexample = None
-    && dp.Mc.Exhaustive.counterexample = None)
+     which disables the reduction's soundness precondition: DPOR must be
+     exactly the exhaustive search — same schedules, steps, pruned runs
+     and verdict — under every failure pattern of the default crash
+     adversary at n = 2 and n = 3. *)
+  List.iter
+    (fun n ->
+      let t = Mc.Targets.qc_psi ~n in
+      List.iter
+        (fun fp ->
+          let ex = Mc.Exhaustive.search ~budget:10_000 t ~fp in
+          let dp = Mc.Dpor.search ~budget:10_000 t ~fp in
+          let counts (r : Mc.Exhaustive.report) =
+            [ r.schedules; r.steps; r.pruned ]
+          in
+          let name = Format.asprintf "n=%d %a" n Sim.Failure_pattern.pp fp in
+          Alcotest.(check (list int))
+            (name ^ ": schedules, steps, pruned")
+            (counts ex) (counts dp);
+          Alcotest.(check bool)
+            (name ^ ": exhausted, no violation")
+            true
+            (ex.complete && dp.complete && ex.counterexample = None
+            && dp.counterexample = None))
+        (Mc.Crash_adversary.patterns ~n ~max_crashes:mc.max_crashes
+           ~horizon:mc.horizon ~stride:mc.stride))
+    [ 2; 3 ]
 
 (* Soundness of the independence relation, property-style: for random
    (target, failure pattern) configurations, DPOR and exhaustive search
@@ -791,6 +861,8 @@ let () =
           Alcotest.test_case "budget reaches the crash patterns" `Quick
             test_parallel_budget_reaches_crash_patterns;
           Alcotest.test_case "opts validation" `Quick test_opts_validation;
+          Alcotest.test_case "every target resumes from round snapshots"
+            `Quick test_resume_every_target;
         ] );
       ( "dpor",
         [

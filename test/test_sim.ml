@@ -338,6 +338,100 @@ let test_engine_lazy_digest () =
     (List.filter (fun (r, _) -> r >= k) every_digest)
     late_digests
 
+(* A run resumed from a round-boundary snapshot, with the choices the
+   original run made after it, is that run from there on: same outputs,
+   counters, final states and per-round digests.  Under [Random_delay]
+   the [Send_delay] and [Deliver_*] choices fall mid-round, between
+   snapshots, so a resumed run starts inside the choice stream of a
+   round's steps. *)
+let test_engine_resume_from_snapshots () =
+  let fp = Sim.Failure_pattern.make ~n:3 [ (2, 150) ] in
+  let run ?resume ?save sched =
+    let digests = ref [] in
+    let round_hook ~now:_ ~digest ~steps:_ =
+      digests := digest () :: !digests;
+      true
+    in
+    let t =
+      Sim.Engine.run ?resume ?save
+        (Sim.Engine.config
+           ~policy:(Sim.Network.Random_delay { max_delay = 5; lambda_prob = 0.3 })
+           ~inputs:[ (0, 0, 1); (10, 1, 10); (25, 2, 100); (60, 0, 1_000) ]
+           ~scheduler:sched ~round_hook
+           ~fd:(fun _ _ -> ())
+           fp)
+        Relay.proto
+    in
+    (t, List.rev !digests)
+  in
+  let mid_round = ref 0 in
+  let random = Sim.Scheduler.random (Sim.Rng.make 7) in
+  let sched, choices =
+    Sim.Scheduler.recording
+      {
+        Sim.Scheduler.choose =
+          (fun c ->
+            (match c with
+            | Sim.Scheduler.Round_order _ -> ()
+            | Send_delay _ | Deliver_pick _ | Deliver_skip _ -> incr mid_round);
+            random.Sim.Scheduler.choose c);
+      }
+  in
+  let snaps = ref [] in
+  let save s = snaps := (List.length (choices ()), s) :: !snaps in
+  let full, digests = run ~save sched in
+  let choices = choices () in
+  let snaps = List.rev !snaps in
+  Alcotest.(check bool) "the run spans many rounds" true (List.length snaps >= 40);
+  Alcotest.(check bool) "choices fall mid-round" true (!mid_round > 0);
+  Alcotest.(check int) "one snapshot per round" (List.length digests)
+    (List.length snaps);
+  let events (t : (int, int) Sim.Trace.t) =
+    List.map (fun (e : _ Sim.Trace.event) -> (e.time, e.pid, e.value)) t.outputs
+  in
+  List.iteri
+    (fun r (consumed, snap) ->
+      let rest = List.filteri (fun i _ -> i >= consumed) choices in
+      let t, ds =
+        run ~resume:snap (Sim.Scheduler.replay rest ~rest:Sim.Scheduler.first)
+      in
+      let name = Printf.sprintf "resumed after round %d" r in
+      Alcotest.(check (list (triple int int int)))
+        (name ^ ": outputs") (events full) (events t);
+      Alcotest.(check (list int))
+        (name ^ ": steps, ticks, sent, delivered")
+        [ full.steps; full.ticks; full.messages_sent; full.messages_delivered ]
+        [ t.steps; t.ticks; t.messages_sent; t.messages_delivered ];
+      Alcotest.(check bool) (name ^ ": stopped") true (full.stopped = t.stopped);
+      Alcotest.(check (array int))
+        (name ^ ": final states") full.final_states t.final_states;
+      Alcotest.(check (list int))
+        (name ^ ": digests of the later rounds")
+        (List.filteri (fun i _ -> i > r) digests)
+        ds)
+    snaps;
+  let _, snap = List.hd snaps in
+  let cfg = Sim.Engine.config ~fd:(fun _ _ -> ()) fp in
+  Alcotest.check_raises "resuming needs a scheduler"
+    (Invalid_argument "Engine.run: resuming needs a scheduler") (fun () ->
+      ignore (Sim.Engine.run ~resume:snap cfg Relay.proto));
+  Alcotest.check_raises "no snapshots with a sink"
+    (Invalid_argument "Engine.run: snapshots are taken only without a sink")
+    (fun () ->
+      ignore
+        (Sim.Engine.run ~save:ignore
+           {
+             cfg with
+             sink =
+               Some
+                 {
+                   Sim.Event.emit = ignore;
+                   phase_enter = ignore;
+                   phase_exit = ignore;
+                 };
+           }
+           Relay.proto))
+
 let test_vclock () =
   let open Sim.Vclock in
   let a = zero 3 in
@@ -649,6 +743,8 @@ let () =
             test_engine_inputs_delivered;
           Alcotest.test_case "lazy digest never changes the run" `Quick
             test_engine_lazy_digest;
+          Alcotest.test_case "resume from round snapshots" `Quick
+            test_engine_resume_from_snapshots;
         ] );
       ("vclock", [ Alcotest.test_case "laws" `Quick test_vclock ]);
       ( "network",
