@@ -37,8 +37,9 @@ let run_scenario ~title ~fp ~votes ~seed =
       Format.printf "   t=%-5d %-12s returns %a@." e.time
         managers.(e.pid) Qcnbac.Types.pp_outcome e.value)
     trace.Sim.Trace.outputs;
-  let decisions = Qcnbac.Nbac_spec.decisions_of_trace trace in
-  match Qcnbac.Nbac_spec.check ~votes ~decisions fp with
+  match
+    Cons.Spec.check (Qcnbac.Nbac_spec.problem ~votes) fp trace.Sim.Trace.outputs
+  with
   | Ok () -> Format.printf "   NBAC spec: OK@."
   | Error e -> Format.printf "   NBAC spec VIOLATED: %s@." e
 

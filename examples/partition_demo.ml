@@ -42,8 +42,8 @@ let () =
         (if e.time <= heal_at then "(during partition!)" else "(after heal)"))
     trace.Sim.Trace.outputs;
 
-  let decisions = Cons.Spec.decisions_of_trace trace in
-  (match Cons.Spec.check ~proposals ~decisions fp with
+  let consensus = Cons.Spec.consensus ~pp:Format.pp_print_int ~proposals in
+  (match Cons.Spec.check consensus fp trace.Sim.Trace.outputs with
   | Ok () -> Format.printf "@.Consensus spec: OK@."
   | Error e -> Format.printf "@.Consensus spec VIOLATED: %s@." e);
   match Sim.Trace.latency trace with

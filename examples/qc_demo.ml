@@ -32,8 +32,8 @@ let run ~title ~fp ~mode ~seed =
         (Qcnbac.Types.pp_qc_decision Format.pp_print_int)
         e.value)
     trace.Sim.Trace.outputs;
-  let decisions = Qcnbac.Qc_spec.decisions_of_trace trace in
-  match Qcnbac.Qc_spec.check ~proposals ~decisions fp with
+  let qc = Qcnbac.Qc_spec.problem ~pp:Format.pp_print_int ~proposals in
+  match Cons.Spec.check qc fp trace.Sim.Trace.outputs with
   | Ok () -> Format.printf "   QC spec: OK@."
   | Error e -> Format.printf "   QC spec VIOLATED: %s@." e
 

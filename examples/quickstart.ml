@@ -42,8 +42,8 @@ let () =
       Format.printf "  t=%-5d %a decides %d@." e.time Sim.Pid.pp e.pid e.value)
     trace.Sim.Trace.outputs;
 
-  let decisions = Cons.Spec.decisions_of_trace trace in
-  (match Cons.Spec.check ~proposals ~decisions fp with
+  let consensus = Cons.Spec.consensus ~pp:Format.pp_print_int ~proposals in
+  (match Cons.Spec.check consensus fp trace.Sim.Trace.outputs with
   | Ok () -> Format.printf "@.Consensus spec: OK@."
   | Error e -> Format.printf "@.Consensus spec VIOLATED: %s@." e);
   Format.printf "steps=%d messages=%d latency=%s@." trace.Sim.Trace.steps

@@ -87,6 +87,6 @@ let () =
   Format.printf "@.All operations completed: %b@."
     (trace.Sim.Trace.stopped = `Condition);
   Format.printf "History linearizable:     %b@."
-    (Regs.Linearizability.check_trace trace);
+    (Regs.Linearizability.check_trace trace.Sim.Trace.outputs);
   Format.printf "(majority quorums would have blocked after t=400: only 2 \
                  replicas remain)@."

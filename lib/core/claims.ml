@@ -134,17 +134,10 @@ let adopt_commit (sc : Scenario.t) =
       cfg
       (Cons.Round_consensus.proto ~max_rounds)
   in
-  let decisions = Cons.Spec.decisions_of_trace trace in
   ( n,
-    { Runner.algorithm = "adopt-commit/shm"; detector = "Omega";
-      scenario = sc.name; terminated = Sim.Trace.all_correct_output trace;
-      spec_ok = Cons.Spec.check ~proposals ~decisions fp;
-      decision =
-        (match List.sort_uniq compare (List.map snd decisions) with
-        | [] -> "-"
-        | ds -> String.concat "," (List.map string_of_int ds));
-      latency = Sim.Trace.latency trace; steps = trace.steps;
-      messages = trace.messages_sent; metrics = [] } )
+    Runner.decision_summary ~algorithm:"adopt-commit/shm" ~detector:"Omega" sc
+      (Cons.Spec.consensus ~pp:Format.pp_print_int ~proposals)
+      trace )
 
 (* one table of judged rows: the verdict names the first row not ok *)
 let judged_rows header runs =
@@ -233,8 +226,8 @@ let e9 () =
          ~detect_quiescence:false ~fd:(nbac_fd fp) fp)
       Qcnbac.Qc_from_nbac.protocol
   in
-  let decisions = Qcnbac.Qc_spec.decisions_of_trace trace in
-  let qc_spec = Qcnbac.Qc_spec.check ~proposals ~decisions fp in
+  let qc = Qcnbac.Qc_spec.problem ~pp:Format.pp_print_int ~proposals in
+  let qc_spec = Cons.Spec.check qc fp trace.outputs in
   (* FS over repeated NBAC instances: accurate (green until the first
      crash) and complete (red after it) *)
   let fs name fp =
@@ -272,11 +265,9 @@ let e9 () =
           "decisions "
           ^ String.concat ","
               (List.map
-                 (fun (_, _, d) ->
-                   Format.asprintf "%a"
-                     (Qcnbac.Types.pp_qc_decision Format.pp_print_int)
-                     d)
-                 decisions);
+                 (fun (e : _ Sim.Trace.event) ->
+                   Format.asprintf "%a" qc.pp e.value)
+                 trace.outputs);
           (match qc_spec with Ok () -> "spec ok" | Error e -> "spec VIOLATED: " ^ e) ] );
       fs "failure-free" (Sim.Failure_pattern.failure_free 3);
       fs "one-crash" (Sim.Failure_pattern.make ~n:3 [ (1, 150) ]) ]
@@ -297,8 +288,11 @@ let e12 () =
         fp
     in
     let trace = Sim.Engine.run cfg Cons.Quorum_paxos.protocol in
-    let decisions = Cons.Spec.decisions_of_trace trace in
-    let spec = Cons.Spec.check ~proposals ~decisions fp in
+    let spec =
+      Cons.Spec.check
+        (Cons.Spec.consensus ~pp:Format.pp_print_int ~proposals)
+        fp trace.outputs
+    in
     ( spec = Ok (),
       [ name;
         (match Sim.Trace.latency trace with Some l -> string_of_int l | None -> "-");
@@ -503,10 +497,10 @@ let rec json_text = function
   | Int i -> string_of_int i
   | Num s -> s
   | Bool b -> string_of_bool b
-  | Str s -> Printf.sprintf "%S" s
+  | Str s -> Obs.Jsonl.str s
   | Arr l -> "[" ^ String.concat ", " (List.map json_text l) ^ "]"
   | Obj fields ->
-    let field (k, v) = Printf.sprintf "%S: %s" k (json_text v) in
+    let field (k, v) = Obs.Jsonl.str k ^ ": " ^ json_text v in
     "{ " ^ String.concat ", " (List.map field fields) ^ " }"
 
 let num fmt x = Num (Printf.sprintf fmt x)

@@ -63,20 +63,24 @@ let default_proposals n = List.map (fun p -> (p, p mod 2)) (Sim.Pid.all n)
 
 let inputs_at_zero xs = List.map (fun (p, v) -> (0, p, v)) xs
 
-let decision_string decisions =
-  match List.sort_uniq compare (List.map snd decisions) with
-  | [] -> "-"
-  | ds -> String.concat "," (List.map string_of_int ds)
-
-let mk_summary ~algorithm ~detector ~(scenario : Scenario.t) ~spec_ok
-    ~decision (trace : ('st, 'out) Sim.Trace.t) =
+let decision_summary ~algorithm ~detector (scenario : Scenario.t) problem
+    (trace : ('st, 'v) Sim.Trace.t) =
+  let outputs = trace.Sim.Trace.outputs in
   {
     algorithm;
     detector;
     scenario = scenario.Scenario.name;
     terminated = Sim.Trace.all_correct_output trace;
-    spec_ok;
-    decision;
+    spec_ok = Cons.Spec.check problem scenario.Scenario.fp outputs;
+    decision =
+      (match
+         List.sort_uniq compare
+           (List.map (fun (e : _ Sim.Trace.event) -> e.value) outputs)
+       with
+      | [] -> "-"
+      | ds ->
+        String.concat ","
+          (List.map (Format.asprintf "%a" problem.Cons.Spec.pp) ds));
     latency = Sim.Trace.latency trace;
     steps = trace.Sim.Trace.steps;
     messages = trace.Sim.Trace.messages_sent;
@@ -114,8 +118,7 @@ let run_consensus_w ?obs (cfg : Run_config.t) algo proposals
   let inputs = inputs_at_zero proposals in
   let stop = Sim.Engine.stop_when_all_correct_output fp in
   let finish trace =
-    let decisions = Cons.Spec.decisions_of_trace trace in
-    mk_summary
+    decision_summary
       ~algorithm:(consensus_algo_name algo)
       ~detector:
         (match algo with
@@ -123,9 +126,9 @@ let run_consensus_w ?obs (cfg : Run_config.t) algo proposals
         | Disk_paxos_shm -> "Omega"
         | Disk_paxos_abd -> "(Omega,Sigma)"
         | Chandra_toueg -> "<>S")
-      ~scenario
-      ~spec_ok:(Cons.Spec.check ~proposals ~decisions fp)
-      ~decision:(decision_string decisions) trace
+      scenario
+      (Cons.Spec.consensus ~pp:Format.pp_print_int ~proposals)
+      trace
   in
   match algo with
   | Quorum_paxos ->
@@ -183,20 +186,6 @@ let run_consensus_w ?obs (cfg : Run_config.t) algo proposals
     in
     finish (Sim.Engine.run cfg Cons.Chandra_toueg.protocol)
 
-let qc_decision_string decisions =
-  match
-    List.sort_uniq compare (List.map (fun (_, _, d) -> d) decisions)
-  with
-  | [] -> "-"
-  | ds ->
-    String.concat ","
-      (List.map
-         (fun d ->
-           Format.asprintf "%a"
-             (Qcnbac.Types.pp_qc_decision Format.pp_print_int)
-             d)
-         ds)
-
 let run_qc_w ?obs (cfg : Run_config.t) mode (scenario : Scenario.t) =
   let seed = cfg.Run_config.seed in
   let max_steps = Run_config.steps cfg ~default:150_000 in
@@ -220,23 +209,10 @@ let run_qc_w ?obs (cfg : Run_config.t) mode (scenario : Scenario.t) =
           d)
       ~fd:psi fp
   in
-  let trace = Sim.Engine.run cfg Qcnbac.Qc_psi.protocol in
-  let decisions = Qcnbac.Qc_spec.decisions_of_trace trace in
-  mk_summary ~algorithm:"qc-from-psi" ~detector:(Fd.Oracle.name oracle)
-    ~scenario
-    ~spec_ok:(Qcnbac.Qc_spec.check ~proposals ~decisions fp)
-    ~decision:(qc_decision_string decisions) trace
-
-let outcome_string decisions =
-  match
-    List.sort_uniq compare (List.map (fun (_, _, d) -> d) decisions)
-  with
-  | [] -> "-"
-  | ds ->
-    String.concat ","
-      (List.map
-         (fun d -> Format.asprintf "%a" Qcnbac.Types.pp_outcome d)
-         ds)
+  decision_summary ~algorithm:"qc-from-psi" ~detector:(Fd.Oracle.name oracle)
+    scenario
+    (Qcnbac.Qc_spec.problem ~pp:Format.pp_print_int ~proposals)
+    (Sim.Engine.run cfg Qcnbac.Qc_psi.protocol)
 
 let run_nbac_w ?obs (cfg : Run_config.t) algo votes (scenario : Scenario.t) =
   let sink = sink_of obs in
@@ -254,10 +230,9 @@ let run_nbac_w ?obs (cfg : Run_config.t) algo votes (scenario : Scenario.t) =
   let inputs = inputs_at_zero votes in
   let stop = Sim.Engine.stop_when_all_correct_output fp in
   let finish detector trace =
-    let decisions = Qcnbac.Nbac_spec.decisions_of_trace trace in
-    mk_summary ~algorithm:(nbac_algo_name algo) ~detector ~scenario
-      ~spec_ok:(Qcnbac.Nbac_spec.check ~votes ~decisions fp)
-      ~decision:(outcome_string decisions) trace
+    decision_summary ~algorithm:(nbac_algo_name algo) ~detector scenario
+      (Qcnbac.Nbac_spec.problem ~votes)
+      trace
   in
   match algo with
   | Nbac_psi_fs ->
@@ -338,7 +313,7 @@ let run_registers_w ?obs (cfg : Run_config.t) ~ops_per_proc ~registers
       ~render_out:render_op ~fd fp
   in
   let trace = Sim.Engine.run ecfg (Regs.Abd.protocol ~registers) in
-  let lin = Regs.Linearizability.check_trace trace in
+  let lin = Regs.Linearizability.check_trace trace.Sim.Trace.outputs in
   {
     algorithm = "abd-registers";
     detector;

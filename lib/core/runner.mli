@@ -24,6 +24,17 @@ type summary = {
 
 val pp_summary : Format.formatter -> summary -> unit
 
+(** [decision_summary ~algorithm ~detector scenario problem trace]
+    summarises a run of a decision problem under [scenario]: its verdict
+    under {!Cons.Spec.check} and its distinct decided values. *)
+val decision_summary :
+  algorithm:string ->
+  detector:string ->
+  Scenario.t ->
+  'v Cons.Spec.problem ->
+  ('st, 'v) Sim.Trace.t ->
+  summary
+
 (** Consensus algorithms on the message-passing engine (plus the
     shared-memory Disk Paxos). *)
 type consensus_algo =

@@ -17,6 +17,8 @@ type ('st, 'msg, 'fd, 'inp, 'out) target = {
   make_inputs : Sim.Failure_pattern.t -> (int * Sim.Pid.t * 'inp) list;
   invariant : 'out Invariant.t;
   stop : Sim.Failure_pattern.t -> 'out Sim.Trace.event list -> bool;
+      (** ends the run once true; called after every output with all
+          outputs so far, newest first (the engine's order). *)
   policy : Sim.Network.policy;
   max_steps : int;
   detect_quiescence : bool;
@@ -84,7 +86,9 @@ val default_opts : opts
 val validate_opts : opts -> (unit, string) result
 
 (** [run target ~fp scheduler] executes one run under [scheduler], checking
-    the invariant online (a violation ends the run) and at the end.
+    the invariant online (a violation ends the run) and at the end.  Like
+    [stop], the invariant's [on_output] gets the outputs newest first; its
+    [final] gets them oldest first.
 
     [?sink] installs an observability sink on the underlying engine run and
     additionally brackets invariant evaluation in an [Invariant_check]

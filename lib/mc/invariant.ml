@@ -13,167 +13,13 @@ type 'out t = {
 
 let ( let* ) r f = match r with Ok () -> f () | Error _ as e -> e
 
-(* Each process outputs at most one decision. *)
-let integrity events =
-  let rec go = function
-    | [] -> Ok ()
-    | (e : _ Sim.Trace.event) :: rest ->
-      if List.exists (fun (e' : _ Sim.Trace.event) -> Sim.Pid.equal e'.pid e.pid) rest
-      then
-        Error
-          (Format.asprintf "integrity violated: %a decided more than once"
-             Sim.Pid.pp e.pid)
-      else go rest
-  in
-  go events
-
-let agreement pp events =
-  match
-    List.sort_uniq compare (List.map (fun (e : _ Sim.Trace.event) -> e.value) events)
-  with
-  | [] | [ _ ] -> Ok ()
-  | d1 :: d2 :: _ ->
-    Error
-      (Format.asprintf "agreement violated: decisions %a and %a coexist" pp d1
-         pp d2)
-
-let termination fp events =
-  match
-    List.find_opt
-      (fun p ->
-        not
-          (List.exists
-             (fun (e : _ Sim.Trace.event) -> Sim.Pid.equal e.pid p)
-             events))
-      (Sim.Pidset.elements (Sim.Failure_pattern.correct fp))
-  with
-  | Some p ->
-    Error
-      (Format.asprintf
-         "termination violated: correct %a never decided (run blocked)"
-         Sim.Pid.pp p)
-  | None -> Ok ()
-
-(* ------------------------------------------------------------------ *)
-(* Consensus: validity / uniform agreement / integrity online,
-   termination when the run provably cannot progress any more.         *)
-
-let generic_pp fmt _ = Format.pp_print_string fmt "<value>"
-
-let consensus ?(pp = generic_pp) ~proposals () =
-  let prefix _fp events =
-    let* () = integrity events in
-    let* () = agreement pp events in
-    match
-      List.find_opt
-        (fun (e : _ Sim.Trace.event) ->
-          not (List.exists (fun (_, w) -> w = e.value) proposals))
-        events
-    with
-    | Some e ->
-      Error
-        (Format.asprintf "validity violated: %a decided unproposed value %a"
-           Sim.Pid.pp e.pid pp e.value)
-    | None -> Ok ()
-  in
+let decision (p : _ Cons.Spec.problem) =
   {
-    name = "consensus";
-    on_output = prefix;
+    name = p.name;
+    on_output = Cons.Spec.safety p;
     final =
-      (fun fp ~must_terminate events ->
-        let* () = prefix fp events in
-        if must_terminate then termination fp events else Ok ());
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Quittable consensus (paper Section 2.3): a Quit decision needs a
-   prior failure; Value decisions must be proposed.                    *)
-
-let qc ?(pp = generic_pp) ~proposals () =
-  let pp_d = Qcnbac.Types.pp_qc_decision pp in
-  let prefix fp events =
-    let* () = integrity events in
-    let* () = agreement pp_d events in
-    let first_crash = Sim.Failure_pattern.first_crash fp in
-    match
-      List.find_opt
-        (fun (e : _ Sim.Trace.event) ->
-          match e.value with
-          | Qcnbac.Types.Quit -> (
-            match first_crash with None -> true | Some t0 -> t0 >= e.time)
-          | Qcnbac.Types.Value v ->
-            not (List.exists (fun (_, w) -> w = v) proposals))
-        events
-    with
-    | Some ({ value = Qcnbac.Types.Quit; _ } as e) ->
-      Error
-        (Format.asprintf "validity violated: %a quit without a prior failure"
-           Sim.Pid.pp e.pid)
-    | Some e ->
-      Error
-        (Format.asprintf "validity violated: %a decided unproposed value %a"
-           Sim.Pid.pp e.pid pp_d e.value)
-    | None -> Ok ()
-  in
-  {
-    name = "quittable-consensus";
-    on_output = prefix;
-    final =
-      (fun fp ~must_terminate events ->
-        let* () = prefix fp events in
-        if must_terminate then termination fp events else Ok ());
-  }
-
-(* ------------------------------------------------------------------ *)
-(* NBAC: Commit needs unanimous Yes; Abort needs a No vote or a prior
-   failure; agreement and termination as usual.  Blocking — a correct
-   process that never decides although the run cannot progress — is the
-   termination violation the paper builds QC to avoid.                 *)
-
-let nbac ~votes () =
-  let pp_d = Qcnbac.Types.pp_outcome in
-  let n_voted_yes =
-    List.for_all (fun (_, v) -> Qcnbac.Types.equal_vote v Qcnbac.Types.Yes) votes
-  in
-  let some_voted_no =
-    List.exists (fun (_, v) -> Qcnbac.Types.equal_vote v Qcnbac.Types.No) votes
-  in
-  let prefix fp events =
-    let* () = integrity events in
-    let* () = agreement pp_d events in
-    let n = Sim.Failure_pattern.n fp in
-    let all_yes = List.length votes = n && n_voted_yes in
-    let first_crash = Sim.Failure_pattern.first_crash fp in
-    match
-      List.find_opt
-        (fun (e : _ Sim.Trace.event) ->
-          match e.value with
-          | Qcnbac.Types.Commit -> not all_yes
-          | Qcnbac.Types.Abort ->
-            (not some_voted_no)
-            && (match first_crash with None -> true | Some t0 -> t0 >= e.time))
-        events
-    with
-    | Some ({ value = Qcnbac.Types.Commit; _ } as e) ->
-      Error
-        (Format.asprintf
-           "validity violated: %a committed though not all voted Yes"
-           Sim.Pid.pp e.pid)
-    | Some e ->
-      Error
-        (Format.asprintf
-           "validity violated: %a aborted with neither a No vote nor a prior \
-            failure"
-           Sim.Pid.pp e.pid)
-    | None -> Ok ()
-  in
-  {
-    name = "nbac";
-    on_output = prefix;
-    final =
-      (fun fp ~must_terminate events ->
-        let* () = prefix fp events in
-        if must_terminate then termination fp events else Ok ());
+      (fun fp ~must_terminate ->
+        if must_terminate then Cons.Spec.check p fp else Cons.Spec.safety p fp);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -183,18 +29,6 @@ let nbac ~votes () =
    process invoked must have completed.                                *)
 
 let linearizable () =
-  let as_trace fp events =
-    {
-      Sim.Trace.outputs = List.rev events;
-      final_states = [||];
-      fp;
-      steps = 0;
-      ticks = 0;
-      messages_sent = 0;
-      messages_delivered = 0;
-      stopped = `Condition;
-    }
-  in
   let ops_complete fp events =
     let count pid f =
       List.length
@@ -222,7 +56,7 @@ let linearizable () =
     final =
       (fun fp ~must_terminate events ->
         let* () =
-          if Regs.Linearizability.check_trace (as_trace fp events) then Ok ()
+          if Regs.Linearizability.check_trace events then Ok ()
           else Error "linearizability violated: history admits no legal order"
         in
         if must_terminate then ops_complete fp events else Ok ());

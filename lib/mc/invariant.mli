@@ -7,7 +7,15 @@
     the run has ended; with [must_terminate = true] (the run quiesced, or
     the caller treats the step budget as a liveness deadline) it must also
     check the termination clause of the spec — this is how 2PC's blocking
-    run becomes a reportable violation. *)
+    run becomes a reportable violation.
+
+    The order of the events each hook receives depends on the harness:
+    [on_output] gets them newest first under {!Harness.run} (the engine's
+    order, as its [stop] sees them) and oldest first under
+    {!Net_harness.run}; [final] gets them oldest first under both.  The
+    decision invariants read events as a set, so the order does not move
+    their verdicts; an invariant that reads order (say, a log's) must
+    follow this contract. *)
 
 type 'out t = {
   name : string;
@@ -22,29 +30,12 @@ type 'out t = {
     (unit, string) result;
 }
 
-(** Uniform consensus: validity (decisions were proposed), uniform
-    agreement, integrity (at most one decision per process), termination of
-    correct processes. *)
-val consensus :
-  ?pp:(Format.formatter -> 'v -> unit) ->
-  proposals:(Sim.Pid.t * 'v) list ->
-  unit ->
-  'v t
-
-(** Quittable consensus (paper Section 2.3): like consensus, plus [Quit] is
-    valid only after a failure. *)
-val qc :
-  ?pp:(Format.formatter -> 'v -> unit) ->
-  proposals:(Sim.Pid.t * 'v) list ->
-  unit ->
-  'v Qcnbac.Types.qc_decision t
-
-(** Non-blocking atomic commit: Commit needs unanimous Yes votes, Abort
-    needs a No vote or a prior failure, agreement, termination. *)
-val nbac :
-  votes:(Sim.Pid.t * Qcnbac.Types.vote) list ->
-  unit ->
-  Qcnbac.Types.outcome t
+(** A decision problem's specification ({!Cons.Spec}): [on_output] is
+    {!Cons.Spec.safety}, and [final] is {!Cons.Spec.check} when
+    [must_terminate] is set, {!Cons.Spec.safety} otherwise.  Consensus,
+    quittable consensus ({!Qcnbac.Qc_spec}) and NBAC ({!Qcnbac.Nbac_spec})
+    all come through here. *)
+val decision : 'v Cons.Spec.problem -> 'v t
 
 (** Atomic registers: linearizability of the invocation/response history
     (reusing {!Regs.Linearizability}), plus completion of every operation

@@ -63,6 +63,8 @@ type ('st, 'msg, 'inp, 'out) target = {
   inputs : (int * Sim.Pid.t * 'inp) list;  (** [(round, pid, input)] *)
   faults : (int * fault) list;  (** [(round, fault)] *)
   invariant : 'out Invariant.t;
+      (** [on_output] and [final] both get the events oldest first (under
+          {!Harness.run}, [on_output] gets them newest first). *)
   max_rounds : int;
   pp_out : Format.formatter -> 'out -> unit;
 }

@@ -23,7 +23,9 @@ let quorum_paxos ~n =
     protocol = Cons.Quorum_paxos.protocol;
     make_fd = (fun fp ~seed -> Fd.Oracle.history cons_oracle fp ~seed);
     make_inputs = (fun _ -> at_zero proposals);
-    invariant = Invariant.consensus ~pp:Format.pp_print_int ~proposals ();
+    invariant =
+      Invariant.decision
+        (Cons.Spec.consensus ~pp:Format.pp_print_int ~proposals);
     stop = Sim.Engine.stop_when_all_correct_output;
     policy = Sim.Network.Fifo;
     max_steps = 600;
@@ -124,7 +126,7 @@ let two_phase_commit ~n =
     protocol = Qcnbac.Two_phase_commit.protocol;
     make_fd = (fun _ ~seed:_ _ _ -> ());
     make_inputs = (fun _ -> at_zero votes);
-    invariant = Invariant.nbac ~votes ();
+    invariant = Invariant.decision (Qcnbac.Nbac_spec.problem ~votes);
     stop = Sim.Engine.stop_when_all_correct_output;
     policy = Sim.Network.Fifo;
     max_steps = 600;
@@ -141,7 +143,9 @@ let qc_psi ~n =
     protocol = Qcnbac.Qc_psi.protocol;
     make_fd = (fun fp ~seed -> Fd.Oracle.history Fd.Psi.oracle fp ~seed);
     make_inputs = (fun _ -> at_zero proposals);
-    invariant = Invariant.qc ~pp:Format.pp_print_int ~proposals ();
+    invariant =
+      Invariant.decision
+        (Qcnbac.Qc_spec.problem ~pp:Format.pp_print_int ~proposals);
     stop = Sim.Engine.stop_when_all_correct_output;
     policy = Sim.Network.Fifo;
     (* Ψ outputs ⊥ for a while before committing to a mode, so the run

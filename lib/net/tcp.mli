@@ -1,6 +1,6 @@
 (** The real-socket transport backend: length-prefixed frames over TCP or
-    Unix-domain stream sockets, driven by a [Unix.select] event loop that
-    lives inside {!Transport.t}[.poll].
+    Unix-domain stream sockets, driven by a [poll(2)] event loop
+    ({!Poll.wait}) that lives inside {!Transport.t}[.poll].
 
     Topology: every node listens on its own address and opens one outbound
     connection to each peer, so each ordered pair of nodes has a dedicated

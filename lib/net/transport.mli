@@ -3,7 +3,7 @@
     the paper's links, implemented twice.
 
     {!Tcp} runs over real sockets (TCP or Unix-domain) with a
-    [Unix.select] event loop, per-peer outbound queues, reconnection with
+    [poll(2)] event loop, per-peer outbound queues, reconnection with
     exponential backoff and liveness accounting.  {!Loopback} is a
     deterministic in-process hub for tests and benchmarks.  The node main
     loop ({!Node}) is written against this record only. *)

@@ -9,6 +9,9 @@
 (** JSON string escaping (quotes, backslash, control characters). *)
 val escape : string -> string
 
+(** [escape], quoted: a JSON string literal. *)
+val str : string -> string
+
 (** One record rendered as one JSON line, no trailing newline — the
     building blocks of {!output_collector}, exposed so tests and tools
     can render (and diff) records individually. *)

@@ -1,57 +1,18 @@
-let check ~votes ~decisions fp =
-  let correct = Sim.Failure_pattern.correct fp in
-  let n = Sim.Failure_pattern.n fp in
-  let first_crash = Sim.Failure_pattern.first_crash fp in
-  let all_voted_yes =
-    List.length votes = n
-    && List.for_all (fun (_, v) -> Types.equal_vote v Types.Yes) votes
-  in
-  let some_voted_no =
-    List.exists (fun (_, v) -> Types.equal_vote v Types.No) votes
-  in
-  let invalid =
-    List.find_opt
-      (fun (_, time, d) ->
-        match d with
-        | Types.Commit -> not all_voted_yes
-        | Types.Abort ->
-          (not some_voted_no)
-          && (match first_crash with None -> true | Some t0 -> t0 >= time))
-      decisions
-  in
-  match invalid with
-  | Some (p, _, Types.Commit) ->
-    Error
-      (Format.asprintf
-         "validity violated: %a committed though not all voted Yes" Sim.Pid.pp
-         p)
-  | Some (p, _, Types.Abort) ->
-    Error
-      (Format.asprintf
-         "validity violated: %a aborted with neither a No vote nor a prior \
-          failure"
-         Sim.Pid.pp p)
-  | None -> (
-    let values = List.map (fun (_, _, d) -> d) decisions in
-    match List.sort_uniq compare values with
-    | _ :: _ :: _ -> Error "uniform agreement violated"
-    | [] | [ _ ] ->
-      if Sim.Pidset.for_all (fun p -> List.mem_assoc p votes) correct then begin
-        match
-          List.find_opt
-            (fun p -> not (List.exists (fun (q, _, _) -> q = p) decisions))
-            (Sim.Pidset.elements correct)
-        with
-        | Some p ->
-          Error
-            (Format.asprintf "termination violated: correct %a never decided"
-               Sim.Pid.pp p)
-        | None -> Ok ()
-      end
-      else Ok ())
-
-let decisions_of_trace trace =
-  List.map
-    (fun (e : _ Sim.Trace.event) ->
-      (e.Sim.Trace.pid, e.Sim.Trace.time, e.Sim.Trace.value))
-    trace.Sim.Trace.outputs
+let problem ~votes =
+  let some_no = List.exists (fun (_, v) -> Types.equal_vote v Types.No) votes in
+  {
+    Cons.Spec.name = "nbac";
+    inputs = List.map fst votes;
+    pp = Types.pp_outcome;
+    validity =
+      (fun fp (e : _ Sim.Trace.event) ->
+        match (e.value, Sim.Failure_pattern.first_crash fp) with
+        | Types.Commit, _ ->
+          if List.length votes = Sim.Failure_pattern.n fp && not some_no then
+            None
+          else Some "committed though not all voted Yes"
+        | Types.Abort, _ when some_no -> None
+        | Types.Abort, Some t0 when t0 < e.time -> None
+        | Types.Abort, (Some _ | None) ->
+          Some "aborted with neither a No vote nor a prior failure");
+  }

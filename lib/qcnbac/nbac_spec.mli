@@ -1,18 +1,14 @@
-(** The non-blocking atomic commit specification (Section 7.1) as a
-    checkable predicate over finished runs.
+(** The non-blocking atomic commit specification (Section 7.1): each
+    process votes Yes or No and decides Commit or Abort.
 
-    - Termination: if every correct process votes, every correct process
-      eventually returns a value.
-    - Uniform Agreement: no two processes return different values.
-    - Validity: Commit requires that all processes previously voted Yes;
-      Abort requires that some process previously voted No or that a
-      failure previously occurred. *)
+    Integrity, uniform agreement and termination are {!Cons.Spec}'s shared
+    clauses; this module holds only validity: Commit requires that all
+    processes previously voted Yes; Abort requires that some process
+    previously voted No or that a failure previously occurred.  Runs are
+    judged with [Cons.Spec.check (problem ~votes)]; the model checker's
+    invariant is the adapter [Mc.Invariant.decision] over the same
+    problem, whose termination clause is what convicts 2PC's blocking
+    run. *)
 
-val check :
-  votes:(Sim.Pid.t * Types.vote) list ->
-  decisions:(Sim.Pid.t * int * Types.outcome) list ->
-  Sim.Failure_pattern.t ->
-  (unit, string) result
-
-val decisions_of_trace :
-  ('st, Types.outcome) Sim.Trace.t -> (Sim.Pid.t * int * Types.outcome) list
+val problem :
+  votes:(Sim.Pid.t * Types.vote) list -> Types.outcome Cons.Spec.problem

@@ -1,46 +1,15 @@
-let check ~proposals ~decisions fp =
-  let correct = Sim.Failure_pattern.correct fp in
-  let first_crash = Sim.Failure_pattern.first_crash fp in
-  (* Validity. *)
-  let invalid =
-    List.find_opt
-      (fun (_, time, d) ->
-        match d with
+let problem ~pp ~proposals =
+  let cons = Cons.Spec.consensus ~pp ~proposals in
+  {
+    cons with
+    Cons.Spec.name = "quittable-consensus";
+    pp = Types.pp_qc_decision pp;
+    validity =
+      (fun fp (e : _ Sim.Trace.event) ->
+        match e.value with
+        | Types.Value v -> cons.validity fp { e with value = v }
         | Types.Quit -> (
-          match first_crash with None -> true | Some t0 -> t0 >= time)
-        | Types.Value v -> not (List.exists (fun (_, w) -> w = v) proposals))
-      decisions
-  in
-  match invalid with
-  | Some (p, _, Types.Quit) ->
-    Error
-      (Format.asprintf "validity violated: %a quit without a prior failure"
-         Sim.Pid.pp p)
-  | Some (p, _, Types.Value _) ->
-    Error
-      (Format.asprintf "validity violated: %a decided an unproposed value"
-         Sim.Pid.pp p)
-  | None -> (
-    let values = List.map (fun (_, _, d) -> d) decisions in
-    match List.sort_uniq compare values with
-    | _ :: _ :: _ -> Error "uniform agreement violated: two decision values"
-    | [] | [ _ ] ->
-      if Sim.Pidset.for_all (fun p -> List.mem_assoc p proposals) correct
-      then begin
-        match
-          List.find_opt
-            (fun p -> not (List.exists (fun (q, _, _) -> q = p) decisions))
-            (Sim.Pidset.elements correct)
-        with
-        | Some p ->
-          Error
-            (Format.asprintf "termination violated: correct %a never decided"
-               Sim.Pid.pp p)
-        | None -> Ok ()
-      end
-      else Ok ())
-
-let decisions_of_trace trace =
-  List.map
-    (fun (e : _ Sim.Trace.event) -> (e.Sim.Trace.pid, e.Sim.Trace.time, e.Sim.Trace.value))
-    trace.Sim.Trace.outputs
+          match Sim.Failure_pattern.first_crash fp with
+          | Some t0 when t0 < e.time -> None
+          | Some _ | None -> Some "quit without a prior failure"));
+  }

@@ -1,22 +1,16 @@
-(** The quittable consensus specification (Section 5) as a checkable
-    predicate over finished runs.
+(** The quittable consensus specification (Section 5): consensus whose
+    processes may also decide Q, the special "quit" value.
 
-    - Termination: if every correct process proposes, every correct process
-      eventually returns a value.
-    - Uniform Agreement: no two processes return different values.
-    - Validity: a returned value is a proposed value or Q; Q only if a
-      failure previously occurred.
+    Integrity, uniform agreement and termination are {!Cons.Spec}'s shared
+    clauses; this module holds only validity: a decision is a proposed
+    value, or Q if a failure previously occurred.  The Q-timing clause is
+    checked against the decision's emission time: deciding Q at time [t]
+    requires a crash at some time [< t].  Runs are judged with
+    [Cons.Spec.check (problem ~pp ~proposals)]; the model checker's
+    invariant is the adapter [Mc.Invariant.decision] over the same
+    problem. *)
 
-    The Q-timing clause is checked against the decision's emission time:
-    deciding Q at time [t] requires a crash at some time [< t]. *)
-
-val check :
+val problem :
+  pp:(Format.formatter -> 'v -> unit) ->
   proposals:(Sim.Pid.t * 'v) list ->
-  decisions:(Sim.Pid.t * int * 'v Types.qc_decision) list ->
-  Sim.Failure_pattern.t ->
-  (unit, string) result
-
-(** Decisions with their emission times, from a QC run's trace. *)
-val decisions_of_trace :
-  ('st, 'v Types.qc_decision) Sim.Trace.t ->
-  (Sim.Pid.t * int * 'v Types.qc_decision) list
+  'v Types.qc_decision Cons.Spec.problem

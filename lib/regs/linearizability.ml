@@ -69,7 +69,7 @@ let check ops =
     search 0 None
   end
 
-let of_trace (trace : ('st, 'v Abd.output) Sim.Trace.t) =
+let of_trace events =
   (* Pair Invoked/Responded events by (pid, op_seq). *)
   let invocations = Hashtbl.create 64 in
   let responses = Hashtbl.create 64 in
@@ -80,7 +80,7 @@ let of_trace (trace : ('st, 'v Abd.output) Sim.Trace.t) =
         Hashtbl.replace invocations (e.pid, op_seq) (e.time, op)
       | Abd.Responded { op_seq; resp } ->
         Hashtbl.replace responses (e.pid, op_seq) (e.time, resp))
-    trace.Sim.Trace.outputs;
+    events;
   let by_rid = Hashtbl.create 8 in
   Hashtbl.iter
     (fun (pid, op_seq) (inv, op) ->
@@ -106,5 +106,5 @@ let of_trace (trace : ('st, 'v Abd.output) Sim.Trace.t) =
     invocations;
   Hashtbl.fold (fun rid ops acc -> (rid, ops) :: acc) by_rid []
 
-let check_trace trace =
-  List.for_all (fun (_rid, ops) -> check ops) (of_trace trace)
+let check_trace events =
+  List.for_all (fun (_rid, ops) -> check ops) (of_trace events)

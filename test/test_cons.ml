@@ -10,20 +10,96 @@ let check_ok name = function
 
 (* --- spec checker -------------------------------------------------------- *)
 
+(* Every clause of every decision problem, one row per case: the simulator's
+   [Cons.Spec.check] and the model checker's [final ~must_terminate:true]
+   must name the same violated clause (or none), whichever order the
+   events come in.  Decisions are (pid, time, value); p2 crashes at time 5
+   in [crash]. *)
 let test_spec_checker () =
-  let fp = Sim.Failure_pattern.make ~n:3 [ (2, 5) ] in
-  let proposals = [ (0, 1); (1, 0); (2, 1) ] in
-  check_ok "valid outcome"
-    (Cons.Spec.check ~proposals ~decisions:[ (0, 1); (1, 1) ] fp);
-  (match Cons.Spec.check ~proposals ~decisions:[ (0, 1); (1, 0) ] fp with
-  | Ok () -> Alcotest.fail "accepted disagreement"
-  | Error _ -> ());
-  (match Cons.Spec.check ~proposals ~decisions:[ (0, 7); (1, 7) ] fp with
-  | Ok () -> Alcotest.fail "accepted invalid value"
-  | Error _ -> ());
-  match Cons.Spec.check ~proposals ~decisions:[ (0, 1) ] fp with
-  | Ok () -> Alcotest.fail "accepted missing decision"
-  | Error _ -> ()
+  let ff = Sim.Failure_pattern.failure_free 3 in
+  let crash = Sim.Failure_pattern.make ~n:3 [ (2, 5) ] in
+  let pp = Format.pp_print_int in
+  let cons = Cons.Spec.consensus ~pp ~proposals:[ (0, 1); (1, 0); (2, 1) ] in
+  let cons_no_p2 = Cons.Spec.consensus ~pp ~proposals:[ (0, 1); (1, 1) ] in
+  let qc = Qcnbac.Qc_spec.problem ~pp ~proposals:[ (0, 1); (1, 0); (2, 1) ] in
+  let nbac votes =
+    Qcnbac.Nbac_spec.problem ~votes:(List.mapi (fun p v -> (p, v)) votes)
+  in
+  let yes3 = nbac Qcnbac.Types.[ Yes; Yes; Yes ]
+  and one_no = nbac Qcnbac.Types.[ Yes; No; Yes ]
+  and p2_silent = nbac Qcnbac.Types.[ Yes; Yes ] in
+  let clause = function
+    | Ok () -> "ok"
+    | Error m -> List.hd (String.split_on_char ':' m)
+  in
+  let case name problem fp decisions expected =
+    let events =
+      List.map
+        (fun (pid, time, value) -> { Sim.Trace.time; pid; value })
+        decisions
+    in
+    let inv = Mc.Invariant.decision problem in
+    List.iter
+      (fun (order, events) ->
+        Alcotest.(check string)
+          (Printf.sprintf "%s, Cons.Spec.check, %s" name order)
+          expected
+          (clause (Cons.Spec.check problem fp events));
+        Alcotest.(check string)
+          (Printf.sprintf "%s, Invariant.final, %s" name order)
+          expected
+          (clause (inv.Mc.Invariant.final fp ~must_terminate:true events)))
+      [ ("oldest first", events); ("newest first", List.rev events) ]
+  in
+  let ok = "ok" and integrity = "integrity violated"
+  and agreement = "uniform agreement violated"
+  and validity = "validity violated"
+  and termination = "termination violated" in
+  let open Qcnbac.Types in
+  case "consensus decided" cons crash [ (0, 6, 1); (1, 7, 1) ] ok;
+  case "same value twice" cons ff
+    [ (0, 1, 1); (0, 2, 1); (1, 3, 1); (2, 3, 1) ] integrity;
+  case "two values at one process" cons ff
+    [ (0, 1, 1); (0, 2, 0); (1, 3, 1) ] integrity;
+  case "consensus disagreement" cons ff
+    [ (0, 1, 1); (1, 2, 0); (2, 3, 1) ] agreement;
+  case "a faulty process disagrees" cons crash
+    [ (2, 1, 0); (0, 6, 1); (1, 6, 1) ] agreement;
+  case "unproposed value" cons ff
+    [ (0, 1, 7); (1, 1, 7); (2, 1, 7) ] validity;
+  case "correct undecided" cons ff [ (0, 1, 1); (1, 1, 1) ] termination;
+  case "a correct process has no input" cons_no_p2 ff
+    [ (0, 1, 1); (1, 1, 1) ] ok;
+  case "qc value" qc ff
+    [ (0, 1, Value 1); (1, 1, Value 1); (2, 2, Value 1) ] ok;
+  case "qc unproposed value" qc ff
+    [ (0, 1, Value 9); (1, 1, Value 9); (2, 1, Value 9) ] validity;
+  case "quit after the crash" qc crash [ (0, 6, Quit); (1, 7, Quit) ] ok;
+  case "quit at the crash time" qc crash
+    [ (0, 5, Quit); (1, 6, Quit) ] validity;
+  case "quit without a failure" qc ff
+    [ (0, 1, Quit); (1, 1, Quit); (2, 1, Quit) ] validity;
+  case "quit and a value" qc crash [ (0, 6, Quit); (1, 6, Value 1) ] agreement;
+  case "qc correct undecided" qc crash [ (0, 6, Quit) ] termination;
+  case "commit on all Yes" yes3 ff
+    [ (0, 1, Commit); (1, 1, Commit); (2, 1, Commit) ] ok;
+  case "commit despite a No" one_no ff
+    [ (0, 1, Commit); (1, 1, Commit); (2, 1, Commit) ] validity;
+  case "commit without every vote" p2_silent crash
+    [ (0, 6, Commit); (1, 6, Commit) ] validity;
+  case "abort on a No" one_no ff
+    [ (0, 1, Abort); (1, 1, Abort); (2, 1, Abort) ] ok;
+  case "abort after the crash" yes3 crash [ (0, 6, Abort); (1, 6, Abort) ] ok;
+  case "abort at the crash time" yes3 crash
+    [ (0, 5, Abort); (1, 6, Abort) ] validity;
+  case "abort without a cause" yes3 ff
+    [ (0, 1, Abort); (1, 1, Abort); (2, 1, Abort) ] validity;
+  case "commit twice" yes3 ff
+    [ (0, 1, Commit); (0, 2, Commit); (1, 2, Commit); (2, 2, Commit) ]
+    integrity;
+  case "nbac correct undecided" yes3 ff
+    [ (0, 1, Commit); (1, 1, Commit) ] termination;
+  case "a correct process never voted" p2_silent ff [] ok
 
 (* --- helpers ------------------------------------------------------------- *)
 
@@ -32,9 +108,13 @@ let proposals_for ~n ~rng = List.map (fun p -> (p, Sim.Rng.int rng 2)) (Sim.Pid.
 let inputs_of_proposals proposals =
   List.map (fun (p, v) -> (0, p, v)) proposals
 
+let spec_check ~fp ~proposals trace =
+  Cons.Spec.check
+    (Cons.Spec.consensus ~pp:Format.pp_print_int ~proposals)
+    fp trace.Sim.Trace.outputs
+
 let run_and_check ~name ~fp ~proposals trace =
-  let decisions = Cons.Spec.decisions_of_trace trace in
-  check_ok name (Cons.Spec.check ~proposals ~decisions fp)
+  check_ok name (spec_check ~fp ~proposals trace)
 
 (* --- Disk Paxos on shared memory ---------------------------------------- *)
 
@@ -368,8 +448,7 @@ let test_ct_blocks_without_majority () =
   Alcotest.(check bool) "blocked" true
     (trace.Sim.Trace.stopped = `Step_limit);
   (* Safety must still hold for whatever decisions exist (none expected). *)
-  let decisions = Cons.Spec.decisions_of_trace trace in
-  Alcotest.(check int) "no decisions" 0 (List.length decisions);
+  Alcotest.(check int) "no decisions" 0 (List.length trace.Sim.Trace.outputs);
   ignore proposals
 
 (* --- multivalued --------------------------------------------------------- *)
@@ -412,8 +491,7 @@ let prop_quorum_paxos_safe =
           (Sim.Rng.make (seed * 23))
       in
       let proposals, trace = run_quorum_paxos ~seed fp in
-      let decisions = Cons.Spec.decisions_of_trace trace in
-      match Cons.Spec.check ~proposals ~decisions fp with
+      match spec_check ~fp ~proposals trace with
       | Ok () -> true
       | Error _ -> false)
 
@@ -426,8 +504,7 @@ let prop_disk_paxos_safe =
           (Sim.Rng.make (seed * 29))
       in
       let proposals, trace = run_disk_paxos ~seed fp in
-      let decisions = Cons.Spec.decisions_of_trace trace in
-      match Cons.Spec.check ~proposals ~decisions fp with
+      match spec_check ~fp ~proposals trace with
       | Ok () -> true
       | Error _ -> false)
 

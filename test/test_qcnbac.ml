@@ -8,6 +8,14 @@ let check_ok name = function
 
 let inputs_at_zero xs = List.map (fun (p, v) -> (0, p, v)) xs
 
+let qc_check ~proposals fp trace =
+  Cons.Spec.check
+    (Qcnbac.Qc_spec.problem ~pp:Format.pp_print_int ~proposals)
+    fp trace.Sim.Trace.outputs
+
+let nbac_check ~votes fp trace =
+  Cons.Spec.check (Qcnbac.Nbac_spec.problem ~votes) fp trace.Sim.Trace.outputs
+
 (* --- QC from Ψ (Figure 2) ------------------------------------------------ *)
 
 let run_qc_psi ?psi_oracle ~seed fp =
@@ -39,15 +47,14 @@ let test_qc_psi_consensus_mode () =
       (Printf.sprintf "terminated (seed %d)" seed)
       true
       (trace.Sim.Trace.stopped = `Condition);
-    let decisions = Qcnbac.Qc_spec.decisions_of_trace trace in
-    check_ok "qc cons-mode" (Qcnbac.Qc_spec.check ~proposals ~decisions fp);
+    check_ok "qc cons-mode" (qc_check ~proposals fp trace);
     (* In consensus mode no process may quit. *)
     List.iter
-      (fun (_, _, d) ->
-        match d with
+      (fun (e : _ Sim.Trace.event) ->
+        match e.value with
         | Qcnbac.Types.Quit -> Alcotest.fail "quit in consensus mode"
         | Qcnbac.Types.Value _ -> ())
-      decisions
+      trace.outputs
   done
 
 let test_qc_psi_failure_mode () =
@@ -59,16 +66,15 @@ let test_qc_psi_failure_mode () =
     in
     Alcotest.(check bool) "terminated" true
       (trace.Sim.Trace.stopped = `Condition);
-    let decisions = Qcnbac.Qc_spec.decisions_of_trace trace in
-    check_ok "qc fs-mode" (Qcnbac.Qc_spec.check ~proposals ~decisions fp);
+    check_ok "qc fs-mode" (qc_check ~proposals fp trace);
     (* In failure mode every decision is Q. *)
     List.iter
-      (fun (p, _, d) ->
-        match d with
+      (fun (e : _ Sim.Trace.event) ->
+        match e.value with
         | Qcnbac.Types.Quit -> ()
         | Qcnbac.Types.Value _ ->
-          Alcotest.failf "p%d decided a value in failure mode" p)
-      decisions
+          Alcotest.failf "p%d decided a value in failure mode" e.pid)
+      trace.outputs
   done
 
 let test_qc_psi_random_mode () =
@@ -82,8 +88,7 @@ let test_qc_psi_random_mode () =
       (Printf.sprintf "terminated (seed %d)" seed)
       true
       (trace.Sim.Trace.stopped = `Condition);
-    let decisions = Qcnbac.Qc_spec.decisions_of_trace trace in
-    check_ok "qc random" (Qcnbac.Qc_spec.check ~proposals ~decisions fp)
+    check_ok "qc random" (qc_check ~proposals fp trace)
   done
 
 let test_qc_psi_multivalued () =
@@ -109,8 +114,7 @@ let test_qc_psi_multivalued () =
     let trace = Sim.Engine.run cfg Qcnbac.Qc_psi.protocol in
     Alcotest.(check bool) "terminated" true
       (trace.Sim.Trace.stopped = `Condition);
-    let decisions = Qcnbac.Qc_spec.decisions_of_trace trace in
-    check_ok "multivalued qc" (Qcnbac.Qc_spec.check ~proposals ~decisions fp)
+    check_ok "multivalued qc" (qc_check ~proposals fp trace)
   done
 
 (* --- NBAC from QC + FS (Figure 4) ---------------------------------------- *)
@@ -136,7 +140,7 @@ let run_nbac ?votes ~seed fp =
 
 let all_outcomes trace =
   List.sort_uniq compare
-    (List.map (fun (_, _, d) -> d) (Qcnbac.Nbac_spec.decisions_of_trace trace))
+    (List.map (fun (e : _ Sim.Trace.event) -> e.value) trace.Sim.Trace.outputs)
 
 let test_nbac_all_yes_failure_free_commits () =
   for seed = 1 to 10 do
@@ -145,9 +149,7 @@ let test_nbac_all_yes_failure_free_commits () =
     Alcotest.(check bool) "terminated" true
       (trace.Sim.Trace.stopped = `Condition);
     check_ok "nbac spec"
-      (Qcnbac.Nbac_spec.check ~votes
-         ~decisions:(Qcnbac.Nbac_spec.decisions_of_trace trace)
-         fp);
+      (nbac_check ~votes fp trace);
     (* All-Yes and failure-free: Commit is forced (validity b). *)
     Alcotest.(check bool) "committed" true
       (all_outcomes trace = [ Qcnbac.Types.Commit ])
@@ -168,9 +170,7 @@ let test_nbac_no_vote_aborts () =
     Alcotest.(check bool) "terminated" true
       (trace.Sim.Trace.stopped = `Condition);
     check_ok "nbac spec"
-      (Qcnbac.Nbac_spec.check ~votes
-         ~decisions:(Qcnbac.Nbac_spec.decisions_of_trace trace)
-         fp);
+      (nbac_check ~votes fp trace);
     Alcotest.(check bool) "aborted" true
       (all_outcomes trace = [ Qcnbac.Types.Abort ])
   done
@@ -186,9 +186,7 @@ let test_nbac_crash_before_vote_aborts () =
     Alcotest.(check bool) "terminated" true
       (trace.Sim.Trace.stopped = `Condition);
     check_ok "nbac spec"
-      (Qcnbac.Nbac_spec.check ~votes
-         ~decisions:(Qcnbac.Nbac_spec.decisions_of_trace trace)
-         fp);
+      (nbac_check ~votes fp trace);
     Alcotest.(check bool) "aborted" true
       (all_outcomes trace = [ Qcnbac.Types.Abort ])
   done
@@ -212,9 +210,7 @@ let test_nbac_random_runs () =
       true
       (trace.Sim.Trace.stopped = `Condition);
     check_ok "nbac spec"
-      (Qcnbac.Nbac_spec.check ~votes
-         ~decisions:(Qcnbac.Nbac_spec.decisions_of_trace trace)
-         fp)
+      (nbac_check ~votes fp trace)
   done
 
 (* --- QC from NBAC (Figure 5) --------------------------------------------- *)
@@ -240,21 +236,19 @@ let test_qc_from_nbac () =
       (Printf.sprintf "terminated (seed %d)" seed)
       true
       (trace.Sim.Trace.stopped = `Condition);
-    let decisions = Qcnbac.Qc_spec.decisions_of_trace trace in
-    check_ok "qc-from-nbac spec"
-      (Qcnbac.Qc_spec.check ~proposals ~decisions fp);
+    check_ok "qc-from-nbac spec" (qc_check ~proposals fp trace);
     (* If a value was decided it must be the smallest proposal (the
        algorithm returns the smallest of all n proposals). *)
     let smallest =
       List.fold_left (fun acc (_, v) -> min acc v) max_int proposals
     in
     List.iter
-      (fun (_, _, d) ->
-        match d with
+      (fun (e : _ Sim.Trace.event) ->
+        match e.value with
         | Qcnbac.Types.Value v ->
           Alcotest.(check int) "smallest proposal" smallest v
         | Qcnbac.Types.Quit -> ())
-      decisions
+      trace.outputs
   done
 
 (* --- FS from NBAC --------------------------------------------------------- *)
@@ -336,15 +330,20 @@ let test_consensus_is_not_nbac () =
   let outcomes =
     List.map
       (fun (e : int Sim.Trace.event) ->
-        ( e.pid,
-          e.time,
-          if e.value = 1 then Qcnbac.Types.Commit else Qcnbac.Types.Abort ))
+        let value =
+          if e.value = 1 then Qcnbac.Types.Commit else Qcnbac.Types.Abort
+        in
+        { e with value })
       trace.Sim.Trace.outputs
   in
+  let nbac = Qcnbac.Nbac_spec.problem ~votes in
   (* If consensus picked 0, the NBAC spec must reject the outcome. *)
-  match List.sort_uniq compare (List.map (fun (_, _, o) -> o) outcomes) with
+  match
+    List.sort_uniq compare
+      (List.map (fun (e : _ Sim.Trace.event) -> e.value) outcomes)
+  with
   | [ Qcnbac.Types.Abort ] -> (
-    match Qcnbac.Nbac_spec.check ~votes ~decisions:outcomes fp with
+    match Cons.Spec.check nbac fp outcomes with
     | Ok () -> Alcotest.fail "spec accepted an abort without cause"
     | Error _ -> ())
   | _ ->
@@ -352,9 +351,8 @@ let test_consensus_is_not_nbac () =
        demonstration still holds whenever 0 wins, so force the bad case by
        checking the checker directly. *)
     (match
-       Qcnbac.Nbac_spec.check ~votes
-         ~decisions:[ (0, 50, Qcnbac.Types.Abort) ]
-         fp
+       Cons.Spec.check nbac fp
+         [ { Sim.Trace.time = 50; pid = 0; value = Qcnbac.Types.Abort } ]
      with
     | Ok () -> Alcotest.fail "spec accepted an abort without cause"
     | Error _ -> ())
@@ -383,9 +381,7 @@ let test_2pc_failure_free () =
   Alcotest.(check bool) "terminated" true
     (trace.Sim.Trace.stopped = `Condition);
   check_ok "2pc commit path"
-    (Qcnbac.Nbac_spec.check ~votes
-       ~decisions:(Qcnbac.Nbac_spec.decisions_of_trace trace)
-       fp);
+    (nbac_check ~votes fp trace);
   Alcotest.(check bool) "committed" true
     (all_outcomes trace = [ Qcnbac.Types.Commit ])
 
@@ -414,9 +410,7 @@ let test_2pc_blocks_on_coordinator_crash () =
   Alcotest.(check bool) "nbac terminated" true
     (trace_nbac.Sim.Trace.stopped = `Condition);
   check_ok "nbac spec"
-    (Qcnbac.Nbac_spec.check ~votes
-       ~decisions:(Qcnbac.Nbac_spec.decisions_of_trace trace_nbac)
-       fp)
+    (nbac_check ~votes fp trace_nbac)
 
 let prop_nbac_safe =
   QCheck.Test.make ~name:"NBAC outcome satisfies the spec in any environment"
@@ -436,11 +430,7 @@ let prop_nbac_safe =
           (Sim.Pid.all 3)
       in
       let votes, trace = run_nbac ~votes ~seed fp in
-      match
-        Qcnbac.Nbac_spec.check ~votes
-          ~decisions:(Qcnbac.Nbac_spec.decisions_of_trace trace)
-          fp
-      with
+      match nbac_check ~votes fp trace with
       | Ok () -> true
       | Error _ -> false)
 

@@ -163,7 +163,7 @@ let test_abd_linearizable_fifo () =
     Alcotest.(check bool)
       (Printf.sprintf "linearizable (seed %d)" seed)
       true
-      (Regs.Linearizability.check_trace trace)
+      (Regs.Linearizability.check_trace trace.Sim.Trace.outputs)
   done
 
 let test_abd_linearizable_random_delay () =
@@ -180,7 +180,7 @@ let test_abd_linearizable_random_delay () =
     Alcotest.(check bool) "ops complete" true
       (trace.Sim.Trace.stopped = `Condition);
     Alcotest.(check bool) "linearizable" true
-      (Regs.Linearizability.check_trace trace)
+      (Regs.Linearizability.check_trace trace.Sim.Trace.outputs)
   done
 
 let test_abd_survives_minority_correct () =
@@ -191,7 +191,7 @@ let test_abd_survives_minority_correct () =
   Alcotest.(check bool) "ops complete despite 3/5 crashes" true
     (trace.Sim.Trace.stopped = `Condition);
   Alcotest.(check bool) "linearizable" true
-    (Regs.Linearizability.check_trace trace)
+    (Regs.Linearizability.check_trace trace.Sim.Trace.outputs)
 
 let test_abd_majority_blocks_when_minority_correct () =
   (* Same crash pattern but quorums are strict majorities (Σ emulated
@@ -331,7 +331,8 @@ let test_abd_split_brain_detected () =
         ~detect_quiescence:false ~fd:broken_sigma fp
     in
     let trace = Sim.Engine.run cfg (Regs.Abd.protocol ~registers:1) in
-    if not (Regs.Linearizability.check_trace trace) then incr violations
+    if not (Regs.Linearizability.check_trace trace.Sim.Trace.outputs) then
+      incr violations
   done;
   Alcotest.(check bool)
     "split-brain produced detectable violations" true (!violations > 0)
@@ -607,7 +608,7 @@ let prop_abd_linearizable =
           fp
       in
       trace.Sim.Trace.stopped = `Condition
-      && Regs.Linearizability.check_trace trace)
+      && Regs.Linearizability.check_trace trace.Sim.Trace.outputs)
 
 let () =
   Alcotest.run "regs"
