@@ -1,8 +1,9 @@
 (* Shared plumbing for bin/cluster.ml's subcommands: the per-cluster
-   socket/log namespace, client-side framing for the binary protocol,
-   latency accounting, schedule loading, and the cmdliner specs that
-   demo/node/client/chaos/shard/bench all re-use — one definition per
-   flag, so `--nodes 5` means the same thing everywhere. *)
+   socket/log namespace, the lifecycle of a forked cluster, client-side
+   framing for the binary protocol, latency accounting, schedule loading,
+   and the cmdliner specs that demo/node/client/chaos/shard/bench all
+   re-use — one definition per flag, so `--nodes 5` means the same thing
+   everywhere. *)
 
 open Cmdliner
 
@@ -33,6 +34,85 @@ let node_config ~dir ~self ~n ~period ~detector ~window ~batch_max ~tick_ms
     trace_path = (if trace then Some (trace_path dir self) else None);
   }
 
+(* The string-command SMR replica of [demo], [bench] and [node]. *)
+let serve_node ~dir ~n ~period ~detector ~window ~batch_max ~tick_ms ~trace
+    self =
+  let cfg =
+    node_config ~dir ~self ~n ~period ~detector ~window ~batch_max ~tick_ms
+      ~trace
+  in
+  Net.Smr_node.serve (Net.Smr_node.string_impl cfg) cfg
+
+(* ------------------------------------------------- forked clusters *)
+
+(* Server processes forked by one tool, and the one lifecycle every
+   socket subcommand drives them through: spawn, SIGKILL one, fail
+   (SIGKILL the rest, exit 1) or stop (SIGTERM, reap). *)
+type cluster = { tool : string; pids : int array; live : bool array }
+
+let spawn ~tool k serve =
+  (* a write to a dead server must raise EPIPE into [guard], not end the
+     client by signal with every other server left running *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let pids =
+    Array.init k (fun i ->
+        match Unix.fork () with
+        | 0 ->
+          (try serve i
+           with e ->
+             Printf.eprintf "%s node %d died: %s\n%!" tool i
+               (Printexc.to_string e));
+          Stdlib.exit 0
+        | pid -> pid)
+  in
+  { tool; pids; live = Array.make k true }
+
+let signal_live c signal =
+  Array.iteri
+    (fun i pid ->
+      if c.live.(i) then try Unix.kill pid signal with Unix.Unix_error _ -> ())
+    c.pids
+
+let reap c i =
+  (try ignore (Unix.waitpid [] c.pids.(i)) with Unix.Unix_error _ -> ());
+  c.live.(i) <- false
+
+let kill c i =
+  (try Unix.kill c.pids.(i) Sys.sigkill with Unix.Unix_error _ -> ());
+  reap c i
+
+let fail c msg =
+  Printf.eprintf "%s FAILED: %s\n%!" c.tool msg;
+  signal_live c Sys.sigkill;
+  Stdlib.exit 1
+
+(* Clean shutdown: servers flush their logs and traces on SIGTERM. *)
+let stop c =
+  signal_live c Sys.sigterm;
+  Array.iteri (fun i live -> if live then reap c i) c.live
+
+(* Run a client body; whatever it raises fails the run. *)
+let guard c f =
+  try f () with
+  | Failure msg -> fail c msg
+  | Unix.Unix_error (e, fn, _) ->
+    fail c (Printf.sprintf "%s: %s" fn (Unix.error_message e))
+  | e -> fail c (Printexc.to_string e)
+
+(* Poll [p] every [every] seconds until it holds (true) or [timeout]
+   seconds have passed (false). *)
+let settle ~every ~timeout p =
+  let deadline = Unix.gettimeofday () +. timeout in
+  let rec go () =
+    p ()
+    || Unix.gettimeofday () <= deadline
+       && begin
+         Unix.sleepf every;
+         go ()
+       end
+  in
+  go ()
+
 (* ------------------------------------------------- client plumbing *)
 
 let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
@@ -52,16 +132,17 @@ let connect_retry addr ~attempts ~delay_s =
   in
   go attempts
 
-let read_frame_blocking fd =
+(* One request frame out, its reply frame back. *)
+let roundtrip fd request =
+  Net.Wire.write_frame fd request;
   match Net.Wire.read_frame fd with
-  | Some b -> b
+  | Some reply -> reply
   | None -> failwith "server closed the connection"
 
 (* One command through the binary client protocol: the request frame is
    the raw payload, the decided reply is varint (seq, slot). *)
 let submit_blocking fd payload =
-  Net.Wire.write_frame fd (Bytes.of_string payload);
-  Net.Smr_node.decode_reply (read_frame_blocking fd)
+  Net.Smr_node.decode_reply (roundtrip fd (Bytes.of_string payload))
 
 (* Closed loop: send one command, wait for its decided (seq, slot),
    repeat.  Returns per-command latencies (seconds), in order. *)
@@ -225,11 +306,8 @@ let trace_flag =
     & info [ "trace" ]
         ~doc:"Write per-node JSONL observability traces (on clean shutdown).")
 
-let trace_path_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace" ] ~docv:"PATH" ~doc:"Write the run's JSONL trace here.")
+let trace_path_arg ~doc =
+  Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"PATH" ~doc)
 
 let count_arg =
   Arg.(
@@ -238,10 +316,8 @@ let count_arg =
 
 let seed_arg ~doc = Arg.(value & opt int 0 & info [ "seed" ] ~docv:"SEED" ~doc)
 
-let rounds_arg =
-  Arg.(
-    value & opt int 2500
-    & info [ "rounds" ] ~docv:"R" ~doc:"Round-robin rounds to drive.")
+let rounds_arg ~doc =
+  Arg.(value & opt int 2500 & info [ "rounds" ] ~docv:"R" ~doc)
 
 let cmds_arg ~default ~doc =
   Arg.(value & opt int default & info [ "cmds" ] ~docv:"K" ~doc)

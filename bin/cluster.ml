@@ -21,11 +21,7 @@ open Cli_common
 (* ---------------------------------------------------------------- node *)
 
 let run_node dir self n period detector window batch_max tick_ms trace =
-  let cfg =
-    node_config ~dir ~self ~n ~period ~detector ~window ~batch_max ~tick_ms
-      ~trace
-  in
-  Net.Smr_node.serve (Net.Smr_node.string_impl cfg) cfg
+  serve_node ~dir ~n ~period ~detector ~window ~batch_max ~tick_ms ~trace self
 
 (* -------------------------------------------------------------- client *)
 
@@ -42,83 +38,49 @@ let run_demo n count period detector window batch_max tick_ms trace dir_opt =
   if n < 3 then failwith "demo needs n >= 3 (a majority must survive)";
   let dir = ensure_dir dir_opt in
   Printf.printf "demo: n=%d count=%d window=%d dir=%s\n%!" n count window dir;
-  (* spawn replicas *)
-  let pids =
-    Array.init n (fun i ->
-        match Unix.fork () with
-        | 0 ->
-          (try run_node dir i n period detector window batch_max tick_ms trace
-           with e ->
-             Printf.eprintf "node %d died: %s\n%!" i (Printexc.to_string e));
-          Stdlib.exit 0
-        | pid -> pid)
+  let c =
+    spawn ~tool:"demo" n
+      (serve_node ~dir ~n ~period ~detector ~window ~batch_max ~tick_ms ~trace)
   in
   let victim = n - 1 in
-  let killed = ref false in
-  let cleanup signal =
-    Array.iteri
-      (fun i pid ->
-        if not (!killed && i = victim) then
-          try Unix.kill pid signal with Unix.Unix_error _ -> ())
-      pids
-  in
-  let fail msg =
-    Printf.eprintf "demo FAILED: %s\n%!" msg;
-    cleanup Sys.sigkill;
-    Stdlib.exit 1
-  in
-  (try
-     (* closed-loop client against node 0; SIGKILL the victim halfway *)
-     let fd = connect_retry (client_addr dir 0) ~attempts:100 ~delay_s:0.1 in
-     let lats =
-       closed_loop fd ~count ~prefix:"cmd" ~on_progress:(fun k ->
-           if (not !killed) && k >= count / 2 then begin
-             killed := true;
-             Printf.printf "killing node %d (SIGKILL) after %d commands\n%!"
-               victim (k + 1);
-             Unix.kill pids.(victim) Sys.sigkill;
-             ignore (Unix.waitpid [] pids.(victim))
-           end)
-     in
-     Unix.close fd;
-     print_latencies lats
-   with e -> fail (Printexc.to_string e));
+  guard c (fun () ->
+      (* closed-loop client against node 0; SIGKILL the victim halfway *)
+      let fd = connect_retry (client_addr dir 0) ~attempts:100 ~delay_s:0.1 in
+      let killed = ref false in
+      let lats =
+        closed_loop fd ~count ~prefix:"cmd" ~on_progress:(fun k ->
+            if (not !killed) && k >= count / 2 then begin
+              killed := true;
+              Printf.printf "killing node %d (SIGKILL) after %d commands\n%!"
+                victim (k + 1);
+              kill c victim
+            end)
+      in
+      Unix.close fd;
+      print_latencies lats);
   (* wait until every survivor has applied all [count] commands *)
   let survivors = List.filter (fun i -> i <> victim) (Sim.Pid.all n) in
-  let deadline = Unix.gettimeofday () +. 30. in
-  let rec settle () =
-    let logs = List.map (fun i -> read_log (log_path dir i)) survivors in
-    let done_ =
-      List.for_all (fun l -> List.length l >= count) logs
-      && List.for_all (fun l -> l = List.hd logs) logs
-    in
-    if done_ then logs
-    else if Unix.gettimeofday () > deadline then begin
-      List.iter2
-        (fun i l -> Printf.eprintf "  node %d applied %d\n%!" i (List.length l))
-        survivors logs;
-      fail "survivors did not converge on the full log"
-    end
-    else begin
-      Unix.sleepf 0.2;
-      settle ()
-    end
-  in
-  let logs = settle () in
+  let logs () = List.map (fun i -> read_log (log_path dir i)) survivors in
+  let identical ls = List.for_all (fun l -> l = List.hd ls) ls in
+  if
+    not
+      (settle ~every:0.2 ~timeout:30. (fun () ->
+           let ls = logs () in
+           List.for_all (fun l -> List.length l >= count) ls && identical ls))
+  then begin
+    List.iter2
+      (fun i l -> Printf.eprintf "  node %d applied %d\n%!" i (List.length l))
+      survivors (logs ());
+    fail c "survivors did not converge on the full log"
+  end;
   (* clean shutdown (flushes traces), then final byte-for-byte comparison *)
-  cleanup Sys.sigterm;
-  Array.iteri
-    (fun i pid ->
-      if i <> victim then
-        try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
-    pids;
-  let final = List.map (fun i -> read_log (log_path dir i)) survivors in
-  let identical = List.for_all (fun l -> l = List.hd final) final in
-  if not identical then fail "final logs differ";
-  let l0 = List.hd logs in
+  stop c;
+  let final = logs () in
+  if not (identical final) then fail c "final logs differ";
   Printf.printf
     "agreement: %d surviving replicas, identical logs, %d entries\n%!"
-    (List.length survivors) (List.length l0);
+    (List.length survivors)
+    (List.length (List.hd final));
   if trace then
     List.iter
       (fun i -> Printf.printf "trace: %s\n%!" (trace_path dir i))
@@ -185,115 +147,81 @@ let run_chaos n seed rounds period detector window cmds cmd_every schedule_file
    against every node (read-your-writes over real sockets), then waits
    for anti-entropy to converge an eventually-written key everywhere. *)
 
+let ec_request fd req = roundtrip fd (Ec.Mixed.encode_request req)
+
 let lin_blocking fd payload =
-  Net.Wire.write_frame fd (Ec.Mixed.encode_request (Ec.Mixed.Lin payload));
-  Net.Smr_node.decode_reply (read_frame_blocking fd)
+  Net.Smr_node.decode_reply (ec_request fd (Ec.Mixed.Lin payload))
 
 let eput_blocking fd ~key ~value =
-  Net.Wire.write_frame fd
-    (Ec.Mixed.encode_request (Ec.Mixed.Eput { key; value }));
-  match Ec.Mixed.decode_ereply (read_frame_blocking fd) with
+  match
+    Ec.Mixed.decode_ereply (ec_request fd (Ec.Mixed.Eput { key; value }))
+  with
   | Ec.Mixed.Put_ack { lamport; origin } -> (lamport, origin)
   | _ -> failwith "eput: unexpected reply"
 
 let eget_blocking fd ~key =
-  Net.Wire.write_frame fd (Ec.Mixed.encode_request (Ec.Mixed.Eget { key }));
-  match Ec.Mixed.decode_ereply (read_frame_blocking fd) with
+  match Ec.Mixed.decode_ereply (ec_request fd (Ec.Mixed.Eget { key })) with
   | Ec.Mixed.Get_hit { value; _ } -> Some value
   | Ec.Mixed.Get_miss -> None
   | Ec.Mixed.Put_ack _ -> failwith "eget: unexpected reply"
 
-let run_ec_tcp n count period window tick_ms dir_opt =
+let run_ec_tcp n count period window sync_every tick_ms dir_opt =
   if n < 3 then failwith "ec tcp needs n >= 3";
   let dir = ensure_dir dir_opt in
   Printf.printf "ec: n=%d count=%d dir=%s\n%!" n count dir;
-  let pids =
-    Array.init n (fun i ->
-        match Unix.fork () with
-        | 0 ->
-          (let cfg =
-             node_config ~dir ~self:i ~n ~period
-               ~detector:Fd.Emulated.Omega.Heartbeat ~window ~batch_max:1024
-               ~tick_ms ~trace:false
-           in
-           try
-             Net.Smr_node.serve
-               (Ec.Mixed.impl ~window ~period ())
-               cfg
-           with e ->
-             Printf.eprintf "ec node %d died: %s\n%!" i (Printexc.to_string e));
-          Stdlib.exit 0
-        | pid -> pid)
+  let c =
+    spawn ~tool:"ec" n (fun i ->
+        Net.Smr_node.serve
+          (Ec.Mixed.impl ~window ~sync_every ~period ())
+          (node_config ~dir ~self:i ~n ~period
+             ~detector:Fd.Emulated.Omega.Heartbeat ~window ~batch_max:1024
+             ~tick_ms ~trace:false))
   in
-  let cleanup signal =
-    Array.iter
-      (fun pid -> try Unix.kill pid signal with Unix.Unix_error _ -> ())
-      pids
-  in
-  let fail msg =
-    Printf.eprintf "ec FAILED: %s\n%!" msg;
-    cleanup Sys.sigkill;
-    Stdlib.exit 1
-  in
-  (try
-     let fds =
-       Array.init n (fun i ->
-           connect_retry (client_addr dir i) ~attempts:100 ~delay_s:0.1)
-     in
-     (* linearizable path through node 0 *)
-     for k = 0 to count - 1 do
-       ignore (lin_blocking fds.(0) (Printf.sprintf "lin-%d" k))
-     done;
-     Printf.printf "lin: %d commands decided via node 0\n%!" count;
-     (* eventual path: a session per node, read-your-writes over sockets *)
-     Array.iteri
-       (fun p fd ->
-         for i = 0 to 4 do
-           let key = Printf.sprintf "s%d-k%d" p (i mod 2) in
-           let value = Printf.sprintf "v%d-%d" p i in
-           ignore (eput_blocking fd ~key ~value);
-           match eget_blocking fd ~key with
-           | Some v when v = value -> ()
-           | Some v ->
-             fail
-               (Printf.sprintf "RYW violated at node %d: wrote %s, read %s"
-                  p value v)
-           | None ->
-             fail (Printf.sprintf "RYW violated at node %d: key %s lost" p key)
-         done)
-       fds;
-     Printf.printf "ec: read-your-writes held at all %d nodes\n%!" n;
-     (* anti-entropy must converge every session's last write everywhere *)
-     let deadline = Unix.gettimeofday () +. 30. in
-     let expect p = (Printf.sprintf "s%d-k0" p, Printf.sprintf "v%d-4" p) in
-     let converged () =
-       List.for_all
-         (fun p ->
-           let key, value = expect p in
-           Array.for_all
-             (fun fd -> eget_blocking fd ~key = Some value)
-             fds)
-         (Sim.Pid.all n)
-     in
-     let t0 = Unix.gettimeofday () in
-     let rec settle () =
-       if converged () then
-         Printf.printf "ec: all replicas converged in %.0f ms\n%!"
-           ((Unix.gettimeofday () -. t0) *. 1000.)
-       else if Unix.gettimeofday () > deadline then
-         fail "replicas did not converge"
-       else begin
-         Unix.sleepf 0.05;
-         settle ()
-       end
-     in
-     settle ();
-     Array.iter close_quiet fds
-   with e -> fail (Printexc.to_string e));
-  cleanup Sys.sigterm;
-  Array.iter
-    (fun pid -> try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
-    pids;
+  guard c (fun () ->
+      let fds =
+        Array.init n (fun i ->
+            connect_retry (client_addr dir i) ~attempts:100 ~delay_s:0.1)
+      in
+      (* linearizable path through node 0 *)
+      for k = 0 to count - 1 do
+        ignore (lin_blocking fds.(0) (Printf.sprintf "lin-%d" k))
+      done;
+      Printf.printf "lin: %d commands decided via node 0\n%!" count;
+      (* eventual path: a session per node, read-your-writes over sockets *)
+      Array.iteri
+        (fun p fd ->
+          for i = 0 to 4 do
+            let key = Printf.sprintf "s%d-k%d" p (i mod 2) in
+            let value = Printf.sprintf "v%d-%d" p i in
+            ignore (eput_blocking fd ~key ~value);
+            match eget_blocking fd ~key with
+            | Some v when v = value -> ()
+            | Some v ->
+              failwith
+                (Printf.sprintf "RYW violated at node %d: wrote %s, read %s" p
+                   value v)
+            | None ->
+              failwith
+                (Printf.sprintf "RYW violated at node %d: key %s lost" p key)
+          done)
+        fds;
+      Printf.printf "ec: read-your-writes held at all %d nodes\n%!" n;
+      (* anti-entropy must converge every session's last write everywhere *)
+      let converged () =
+        List.for_all
+          (fun p ->
+            let key = Printf.sprintf "s%d-k0" p in
+            let value = Printf.sprintf "v%d-4" p in
+            Array.for_all (fun fd -> eget_blocking fd ~key = Some value) fds)
+          (Sim.Pid.all n)
+      in
+      let t0 = Unix.gettimeofday () in
+      if not (settle ~every:0.05 ~timeout:30. converged) then
+        failwith "replicas did not converge";
+      Printf.printf "ec: all replicas converged in %.0f ms\n%!"
+        ((Unix.gettimeofday () -. t0) *. 1000.);
+      Array.iter close_quiet fds);
+  stop c;
   Printf.printf "ec OK\n%!"
 
 (* --------------------------------------------------------------- shard *)
@@ -310,9 +238,10 @@ let run_ec_tcp n count period window tick_ms dir_opt =
 
    [--transport tcp] forks shards × (replicas + spares) OS processes
    (Shard.Server over Unix-domain sockets, per-shard socket namespace),
-   runs a Zipfian closed-loop client through the ring, optionally
-   submits the membership rotation mid-run, then checks quorum reads
-   and per-shard log agreement over the final configuration. *)
+   runs a Zipfian closed-loop client through Shard.Router over
+   Shard.Server.ops, optionally submits the membership rotation mid-run,
+   then checks quorum reads and per-shard log agreement over the final
+   configuration. *)
 
 let shard_node_addr dir s i =
   Unix.ADDR_UNIX (Filename.concat dir (Printf.sprintf "node-%d-%d.sock" s i))
@@ -322,6 +251,10 @@ let shard_client_addr dir s i =
 
 let shard_log_path dir s i =
   Filename.concat dir (Printf.sprintf "log-%d-%d.txt" s i)
+
+(* Over sockets a waiting read polls its samples every 50 ms, for 20 s. *)
+let read_every_s = 0.05
+let read_within_s = 20.
 
 let run_shard_tcp shards replicas spares count period detector tick_ms seed
     keys reconfig_at dir_opt =
@@ -335,182 +268,124 @@ let run_shard_tcp shards replicas spares count period detector tick_ms seed
   let dir = ensure_dir dir_opt in
   Printf.printf "shard: %d shards x %d nodes (tcp) count=%d dir=%s\n%!" shards
     universe count dir;
-  let members0 = Sim.Pidset.of_list (List.init replicas Fun.id) in
-  let pids =
-    Array.init shards (fun s ->
-        Array.init universe (fun i ->
-            match Unix.fork () with
-            | 0 ->
-              (try
-                 Shard.Server.serve ~members:members0
-                   {
-                     (Net.Smr_node.default_config ~self:i
-                        ~addrs:(Array.init universe (shard_node_addr dir s))
-                        ~client_addr:(shard_client_addr dir s i))
-                     with
-                     Net.Smr_node.period;
-                     detector;
-                     tick_s = float_of_int tick_ms /. 1000.;
-                     log_path = Some (shard_log_path dir s i);
-                   }
-               with e ->
-                 Printf.eprintf "shard %d node %d died: %s\n%!" s i
-                   (Printexc.to_string e));
-              Stdlib.exit 0
-            | pid -> pid))
+  let cfg0 =
+    Shard.Epoch.initial
+      ~members:(Sim.Pidset.of_list (List.init replicas Fun.id))
   in
-  let cleanup signal =
-    Array.iter
-      (Array.iter (fun pid ->
-           try Unix.kill pid signal with Unix.Unix_error _ -> ()))
-      pids
+  let c =
+    spawn ~tool:"shard" (shards * universe) (fun k ->
+        let s = k / universe and i = k mod universe in
+        Shard.Server.serve ~members:cfg0.members
+          {
+            (Net.Smr_node.default_config ~self:i
+               ~addrs:(Array.init universe (shard_node_addr dir s))
+               ~client_addr:(shard_client_addr dir s i))
+            with
+            Net.Smr_node.period;
+            detector;
+            tick_s = float_of_int tick_ms /. 1000.;
+            log_path = Some (shard_log_path dir s i);
+          })
   in
-  let fail msg =
-    Printf.eprintf "shard FAILED: %s\n%!" msg;
-    cleanup Sys.sigkill;
-    Stdlib.exit 1
-  in
-  let epoch = Array.make shards 0 in
+  (* the configuration in force per shard, as this client installed it *)
+  let configs = Array.make shards cfg0 in
   let per_shard = Array.make shards 0 in
-  (* lowest member of the configuration in force — where writes go *)
-  let target = Array.make shards 0 in
-  let last : (string, string) Hashtbl.t = Hashtbl.create 64 in
-  (try
-     let conns =
-       Array.init shards (fun s ->
-           Array.init universe (fun i ->
-               connect_retry (shard_client_addr dir s i) ~attempts:100
-                 ~delay_s:0.1))
-     in
-     let ring = Shard.Ring.create (List.init shards Fun.id) in
-     let z = Shard.Zipf.create ~seed ~keys () in
-     let roundtrip s i (req : Shard.Server.request) =
-       let fd = conns.(s).(i) in
-       Net.Wire.write_frame fd
-         (Net.Wire.to_bytes Shard.Server.request_codec req);
-       read_frame_blocking fd
-     in
-     let submit s (req : Shard.Server.request) =
-       (* writes/reconfigs enter the log; decided replies are binary *)
-       let _seq, _slot =
-         Net.Smr_node.decode_reply (roundtrip s target.(s) req)
-       in
-       per_shard.(s) <- per_shard.(s) + 1
-     in
-     let reconfig_all () =
-       (* the canonical rotation: drop the lowest member, install the
-          lowest spare — submitted through the outgoing configuration's
-          own log, acknowledged when decided *)
-       let members = List.init replicas (fun j -> j + 1) in
-       for s = 0 to shards - 1 do
-         Printf.printf "reconfig shard %d: epoch 1 members [%s]\n%!" s
-           (String.concat " " (List.map string_of_int members));
-         submit s
-           (Shard.Server.Submit (Shard.Replica.Reconfig { epoch = 1; members }));
-         epoch.(s) <- 1;
-         target.(s) <- 1
-       done
-     in
-     let lats = ref [] in
-     for k = 0 to count - 1 do
-       (match reconfig_at with
-       | Some r when r = k -> reconfig_all ()
-       | _ -> ());
-       let key = Shard.Zipf.next_key z in
-       let s = Shard.Ring.shard_of ring key in
-       let value = Printf.sprintf "v-%06d" k in
-       let t0 = Unix.gettimeofday () in
-       submit s (Shard.Server.Submit (Shard.Replica.App { key; value }));
-       lats := (Unix.gettimeofday () -. t0) :: !lats;
-       Hashtbl.replace last key value
-     done;
-     print_latencies (List.rev !lats);
-     (* quorum reads over the final configuration: a member majority must
-        agree on the epoch and on the key's last write (the system is
-        quiescent, so retries only wait out apply lag) *)
-     let final_members s =
-       if epoch.(s) = 0 then List.init replicas Fun.id
-       else List.init replicas (fun j -> j + 1)
-     in
-     let read_quorum s key =
-       let majority = (replicas / 2) + 1 in
-       let deadline = Unix.gettimeofday () +. 20. in
-       let rec go () =
-         let views =
-           List.filter_map
-             (fun i ->
-               let r =
-                 Net.Wire.of_bytes Shard.Server.read_reply_codec
-                   (roundtrip s i (Shard.Server.Read { key }))
-               in
-               if r.Shard.Server.rr_epoch = epoch.(s) then Some r else None)
-             (final_members s)
-         in
-         let agreed =
-           match views with
-           | v :: rest ->
-             List.length views >= majority
-             && List.for_all
-                  (fun r -> r.Shard.Server.rr_value = v.Shard.Server.rr_value)
-                  rest
-           | [] -> false
-         in
-         match views with
-         | v :: _ when agreed -> Option.map snd v.Shard.Server.rr_value
-         | _ ->
-           if Unix.gettimeofday () > deadline then
-             fail
-               (Printf.sprintf "no epoch-%d read quorum on shard %d" epoch.(s)
-                  s)
-           else begin
-             Unix.sleepf 0.05;
-             go ()
-           end
-       in
-       go ()
-     in
-     let sampled = Hashtbl.fold (fun k v acc -> (k, v) :: acc) last [] in
-     let sampled = List.filteri (fun i _ -> i < 8) sampled in
-     List.iter
-       (fun (key, expect) ->
-         let s = Shard.Ring.shard_of ring key in
-         match read_quorum s key with
-         | Some got when got = expect -> ()
-         | got ->
-           fail
-             (Printf.sprintf "read %S on shard %d: got %s, wanted %S" key s
-                (match got with
-                | Some g -> Printf.sprintf "%S" g
-                | None -> "nothing")
-                expect))
-       sampled;
-     Printf.printf "quorum reads: %d keys verified\n%!" (List.length sampled);
-     Array.iter (Array.iter close_quiet) conns
-   with
-  | Failure msg -> fail msg
-  | e -> fail (Printexc.to_string e));
+  guard c (fun () ->
+      let conns =
+        Array.init shards (fun s ->
+            Array.init universe (fun i ->
+                connect_retry (shard_client_addr dir s i) ~attempts:100
+                  ~delay_s:0.1))
+      in
+      let ops =
+        Array.init shards (fun s ->
+            Shard.Server.ops
+              ~config:(fun () -> configs.(s))
+              ~roundtrip:(fun i -> roundtrip conns.(s).(i)))
+      in
+      let router =
+        Shard.Router.create
+          ~ring:(Shard.Ring.create (List.init shards Fun.id))
+          ~ops:(Array.get ops)
+          ~step:(fun () -> Unix.sleepf read_every_s)
+      in
+      let submitted s = per_shard.(s) <- per_shard.(s) + 1 in
+      let reconfig_all () =
+        for s = 0 to shards - 1 do
+          match Shard.Epoch.rotate configs.(s) ~universe with
+          | None -> failwith "no spare to rotate in"
+          | Some next ->
+            let members = Sim.Pidset.elements next.members in
+            Printf.printf "reconfig shard %d: epoch %d members [%s]\n%!" s
+              next.epoch
+              (String.concat " " (List.map string_of_int members));
+            ignore
+              (ops.(s).submit
+                 (Shard.Replica.Reconfig { epoch = next.epoch; members }));
+            configs.(s) <- next;
+            submitted s
+        done
+      in
+      let z = Shard.Zipf.create ~seed ~keys () in
+      let last = Hashtbl.create 64 in
+      let lats = ref [] in
+      for k = 0 to count - 1 do
+        if reconfig_at = Some k then reconfig_all ();
+        let key = Shard.Zipf.next_key z in
+        let value = Printf.sprintf "v-%06d" k in
+        let t0 = Unix.gettimeofday () in
+        (match Shard.Router.write router ~key ~value with
+        | Some s -> submitted s
+        | None -> failwith "write not accepted");
+        lats := (Unix.gettimeofday () -. t0) :: !lats;
+        Hashtbl.replace last key value
+      done;
+      print_latencies (List.rev !lats);
+      (* quorum reads over the final configuration; the system is
+         quiescent, so retries only wait out apply lag *)
+      let sampled =
+        Hashtbl.fold (fun k v acc -> (k, v) :: acc) last []
+        |> List.filteri (fun i _ -> i < 8)
+      in
+      List.iter
+        (fun (key, expect) ->
+          let s = Shard.Router.shard_of router key in
+          match
+            Shard.Router.read
+              ~max_rounds:(int_of_float (read_within_s /. read_every_s))
+              router ~key
+          with
+          | Ok (Some got) when got = expect -> ()
+          | Ok got ->
+            failwith
+              (Printf.sprintf "read %S on shard %d: got %s, wanted %S" key s
+                 (match got with
+                 | Some g -> Printf.sprintf "%S" g
+                 | None -> "nothing")
+                 expect)
+          | Error e ->
+            failwith (Printf.sprintf "read %S on shard %d: %s" key s e))
+        sampled;
+      Printf.printf "quorum reads: %d keys verified\n%!" (List.length sampled);
+      Array.iter (Array.iter close_quiet) conns);
   (* clean shutdown, then per-shard log agreement over the final config *)
-  cleanup Sys.sigterm;
-  Array.iter
-    (Array.iter (fun pid ->
-         try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()))
-    pids;
-  for s = 0 to shards - 1 do
-    let members =
-      if epoch.(s) = 0 then List.init replicas Fun.id
-      else List.init replicas (fun j -> j + 1)
-    in
-    let logs = List.map (fun i -> read_log (shard_log_path dir s i)) members in
-    let l0 = List.hd logs in
-    if not (List.for_all (fun l -> l = l0) logs) then
-      fail (Printf.sprintf "shard %d: final logs differ" s);
-    if List.length l0 < per_shard.(s) then
-      fail
-        (Printf.sprintf "shard %d: %d entries logged, %d submitted" s
-           (List.length l0) per_shard.(s));
-    Printf.printf "shard %d: %d replicas agree on %d entries (epoch %d)\n%!" s
-      (List.length members) (List.length l0) epoch.(s)
-  done;
+  stop c;
+  Array.iteri
+    (fun s (cfg : Shard.Epoch.config) ->
+      let members = Sim.Pidset.elements cfg.members in
+      let logs =
+        List.map (fun i -> read_log (shard_log_path dir s i)) members
+      in
+      let l0 = List.hd logs in
+      if not (List.for_all (fun l -> l = l0) logs) then
+        fail c (Printf.sprintf "shard %d: final logs differ" s);
+      if List.length l0 < per_shard.(s) then
+        fail c
+          (Printf.sprintf "shard %d: %d entries logged, %d submitted" s
+             (List.length l0) per_shard.(s));
+      Printf.printf "shard %d: %d replicas agree on %d entries (epoch %d)\n%!"
+        s (List.length members) (List.length l0) cfg.epoch)
+    configs;
   Printf.printf "shard demo OK\n%!"
 
 (* ----------------------------------------------------------- cmdliner *)
@@ -619,14 +494,15 @@ let chaos_cmd =
     Term.(
       const run_chaos $ n_arg
       $ seed_arg ~doc:"Nemesis RNG seed."
-      $ rounds_arg $ period_arg $ detector_arg $ window_arg ~default:4
+      $ rounds_arg ~doc:"Round-robin rounds to drive."
+      $ period_arg $ detector_arg $ window_arg ~default:4
       $ cmds_arg ~default:20 ~doc:"Client commands submitted over the run."
       $ cmd_every_arg ~default:100 ~doc:"Rounds between command submissions."
       $ schedule_arg
           ~doc:
             "Fault schedule (docs/FAULTS.md grammar). Default: partition a \
              majority at round 300, heal at 900."
-      $ trace_path_arg)
+      $ trace_path_arg ~doc:"Write the run's JSONL trace here.")
 
 let shard_cmd =
   let transport =
@@ -713,7 +589,8 @@ let shard_cmd =
     Term.(
       const run $ transport $ shards $ replicas $ spares
       $ seed_arg ~doc:"Nemesis / Zipfian RNG seed."
-      $ rounds_arg $ period_arg $ detector_arg
+      $ rounds_arg ~doc:"Loopback: round-robin rounds to drive."
+      $ period_arg $ detector_arg
       $ cmds_arg ~default:40
           ~doc:"Writes submitted over the run (loopback and tcp)."
       $ cmd_every_arg ~default:50
@@ -723,7 +600,8 @@ let shard_cmd =
           ~doc:
             "Loopback: per-shard fault schedule (docs/FAULTS.md grammar). \
              Default: partition a majority at round 300, heal at 900."
-      $ trace_path_arg $ keys $ tick_arg $ dir_opt)
+      $ trace_path_arg ~doc:"Loopback: write the run's JSONL trace here."
+      $ keys $ tick_arg $ dir_opt)
 
 let ec_cmd =
   let transport =
@@ -756,8 +634,8 @@ let ec_cmd =
       & opt (some int) None
       & info [ "rounds" ] ~docv:"R"
           ~doc:
-            "Round-robin rounds to drive. Default scales with n: after \
-             the full-isolation heal, the ARQ layer redelivers the whole \
+            "Loopback: round-robin rounds to drive. Default scales with n: \
+             after the full-isolation heal, the ARQ layer redelivers the whole \
              cut-era backlog at the model's one-receive-per-round rate, \
              so the post-heal tail grows with n-1.")
   in
@@ -792,7 +670,7 @@ let ec_cmd =
           lin_cmds = cmds;
           lin_every = cmd_every;
         }
-    | `Tcp -> run_ec_tcp n cmds period window tick_ms dir_opt
+    | `Tcp -> run_ec_tcp n cmds period window sync_every tick_ms dir_opt
   in
   Cmd.v
     (Cmd.info "ec"
@@ -807,7 +685,7 @@ let ec_cmd =
           replay bit-for-bit.")
     Term.(
       const run $ transport $ n_arg
-      $ seed_arg ~doc:"Nemesis RNG seed."
+      $ seed_arg ~doc:"Loopback: nemesis RNG seed."
       $ ec_rounds $ period_arg $ window_arg ~default:4 $ sync_every
       $ puts_every
       $ cmds_arg ~default:12
@@ -818,9 +696,10 @@ let ec_cmd =
           ~doc:"Loopback: rounds between linearizable submissions."
       $ schedule_arg
           ~doc:
-            "Fault schedule (docs/FAULTS.md grammar). Default: isolate \
-             every node at round 400, heal at 1600."
-      $ trace_path_arg $ tick_arg $ dir_opt)
+            "Loopback: fault schedule (docs/FAULTS.md grammar). Default: \
+             isolate every node at round 400, heal at 1600."
+      $ trace_path_arg ~doc:"Loopback: write the run's JSONL trace here."
+      $ tick_arg $ dir_opt)
 
 let () =
   let info =

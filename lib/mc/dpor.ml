@@ -1,9 +1,9 @@
 (* Dynamic partial-order reduction over the round scheduler's choice
    points.
 
-   Under the [Fifo] policy the only choice points a run makes are
-   [Round_order] picks: each engine round asks "who steps next?" k - 1
-   times for k alive processes.  Exhaustive search branches on every
+   Every {!Harness.run} delivers under [Fifo], so the only choice points
+   a run makes are [Round_order] picks: each engine round asks "who steps
+   next?" k - 1 times for k alive processes.  Exhaustive search branches on every
    pick; most of those branches only permute steps that cannot observe
    each other.  This explorer runs the same prefix-replay DFS as
    {!Exhaustive} but, instead of enqueuing every sibling of every choice
@@ -54,8 +54,7 @@
    truncated the round), any process's crash time or an external-input
    time falls inside the round's slot window (reordering moves events
    across it, and QC-style invariants compare output times against
-   crash times), or a non-[Round_order] choice appeared (non-Fifo
-   policy).  A target whose failure detector is time-varying
+   crash times).  A target whose failure detector is time-varying
    ([time_invariant_fd = false]: a reorder changes the [now] each
    process queries at) falls back everywhere, so [search] hands it to
    {!Exhaustive.search} outright.  Sends to a process already crashed at the
@@ -84,7 +83,6 @@ type entry =
       cand : Sim.Pid.t list;
       picked : int;
       ar : int;
-      round_order : bool;
     }
   | E_step of {
       now : int;
@@ -113,8 +111,8 @@ type slot = {
 (* One engine round, reassembled: the [Round_order] picks made by
    [Scheduler.order], then the slots that actually executed. *)
 type seg = {
-  sg_choices : (int * Sim.Pid.t list * int * int * bool) list;
-      (* g, candidates, picked, arity, is-round-order *)
+  sg_choices : (int * Sim.Pid.t list * int * int) list;
+      (* g, candidates, picked, arity *)
   sg_slots : slot list;
 }
 
@@ -138,8 +136,8 @@ let segments entries =
     (fun e ->
       match e with
       | E_hook -> flush ()
-      | E_choice { g; cand; picked; ar; round_order } ->
-        cur_choices := (g, cand, picked, ar, round_order) :: !cur_choices
+      | E_choice { g; cand; picked; ar } ->
+        cur_choices := (g, cand, picked, ar) :: !cur_choices
       | E_step { now; pid; dests; output; delivered } -> (
         match !cur_slots with
         | s :: tl when s.sl_now = now ->
@@ -243,9 +241,8 @@ let scheduled_of seg =
         | [], [ s ] -> Some [ s.sl_pid ]
         | _ -> None)
       | _ -> None)
-    | (_, cand, picked, _, ro) :: tl ->
-      if not ro then None
-      else if remaining <> [] && cand <> remaining then None
+    | (_, cand, picked, _) :: tl ->
+      if remaining <> [] && cand <> remaining then None
       else if picked < 0 || picked >= List.length cand then None
       else
         let p = List.nth cand picked in
@@ -253,7 +250,7 @@ let scheduled_of seg =
   in
   match seg.sg_choices with
   | [] -> go [] [] []
-  | (_, cand0, _, _, _) :: _ -> go [] cand0 seg.sg_choices
+  | (_, cand0, _, _) :: _ -> go [] cand0 seg.sg_choices
 
 (* Backtrack requests of one segment: [(g, alt)] pairs naming an
    alternative pick at an earlier choice node.  Falls back to full
@@ -261,7 +258,7 @@ let scheduled_of seg =
 let seg_requests ~fp ~n ~input_times seg =
   let full () =
     List.concat_map
-      (fun (g, _, picked, ar, _) ->
+      (fun (g, _, picked, ar) ->
         List.filter_map
           (fun alt -> if alt <> picked then Some (g, alt) else None)
           (List.init ar Fun.id))
@@ -332,7 +329,7 @@ let seg_requests ~fp ~n ~input_times seg =
             else decr a
           done;
           if !hit then begin
-            let g, cand, _, _, _ = choices.(!a) in
+            let g, cand, _, _ = choices.(!a) in
             let pb = slots.(b).sl_pid in
             let alt = ref (-1) in
             List.iteri
@@ -435,23 +432,9 @@ let reduced ~budget ~shrink ~seed target ~fp =
               | Sim.Scheduler.Round_order cand ->
                 push
                   (E_choice
-                     {
-                       g = !g;
-                       cand;
-                       picked = i;
-                       ar = List.length cand;
-                       round_order = true;
-                     })
-              | _ ->
-                push
-                  (E_choice
-                     {
-                       g = !g;
-                       cand = [];
-                       picked = i;
-                       ar = Sim.Scheduler.arity c;
-                       round_order = false;
-                     }));
+                     { g = !g; cand; picked = i; ar = List.length cand })
+              | Send_delay _ | Deliver_pick _ | Deliver_skip _ ->
+                invalid_arg "Dpor: a delivery choice under Fifo");
               incr g;
               i);
         }

@@ -11,8 +11,7 @@
     Per-node explored-alternative sets act as sleep sets (prefixes are
     canonicalised so re-interleavings collapse onto explored paths), and
     rounds the independence argument cannot cover — crash or input times
-    inside the round's slot window, truncated rounds, non-Fifo choice
-    points — fall back to the full sibling expansion {!Exhaustive}
+    inside the round's slot window, truncated rounds — fall back to the full sibling expansion {!Exhaustive}
     performs everywhere.  A target with a time-varying detector
     ([time_invariant_fd = false]) would fall back in every round, so it
     gets {!Exhaustive.search} itself: the same report, without the

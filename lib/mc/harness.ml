@@ -6,10 +6,8 @@ type ('st, 'msg, 'fd, 'inp, 'out) target = {
   make_inputs : Sim.Failure_pattern.t -> (int * Sim.Pid.t * 'inp) list;
   invariant : 'out Invariant.t;
   stop : Sim.Failure_pattern.t -> 'out Sim.Trace.event list -> bool;
-  policy : Sim.Network.policy;
   max_steps : int;
   detect_quiescence : bool;
-  require_termination : bool;
   time_invariant_fd : bool;
   pp_out : Format.formatter -> 'out -> unit;
 }
@@ -101,7 +99,7 @@ let run ?(seed = 1) ?round_hook ?sink ?resume ?save target ~fp scheduler =
     | Ok () -> target.stop fp outputs
   in
   let cfg =
-    Sim.Engine.config ~policy:target.policy ~seed ~max_steps:target.max_steps
+    Sim.Engine.config ~seed ~max_steps:target.max_steps
       ~inputs:(target.make_inputs fp) ~stop
       ~detect_quiescence:target.detect_quiescence ~scheduler:sched ?round_hook
       ?sink
@@ -115,8 +113,7 @@ let run ?(seed = 1) ?round_hook ?sink ?resume ?save target ~fp scheduler =
     | None -> (
       let must_terminate =
         match trace.Sim.Trace.stopped with
-        | `Quiescent -> true
-        | `Step_limit -> target.require_termination
+        | `Quiescent | `Step_limit -> true
         | `Condition | `Hook -> false
       in
       match

@@ -1,9 +1,12 @@
 (** The system-under-test abstraction shared by all explorers.
 
     A [target] packages a protocol with everything a run needs — failure
-    detector history sampler, external inputs, delivery policy, bounds —
-    plus the {!Invariant} to check.  Explorers vary only the scheduler and
-    the failure pattern.
+    detector history sampler, external inputs, bounds — plus the
+    {!Invariant} to check.  Explorers vary only the scheduler and the
+    failure pattern.  Every run delivers under [Sim.Network.Fifo], so a
+    schedule's only choices are [Round_order] picks, and a run that
+    exhausts [max_steps] must have terminated: bounded liveness, for
+    protocols that never quiesce (retry loops).
 
     Failure detector histories are sampled from [(fp, seed)] and are *not*
     part of the explored nondeterminism: an explorer quantifies over
@@ -19,13 +22,8 @@ type ('st, 'msg, 'fd, 'inp, 'out) target = {
   stop : Sim.Failure_pattern.t -> 'out Sim.Trace.event list -> bool;
       (** ends the run once true; called after every output with all
           outputs so far, newest first (the engine's order). *)
-  policy : Sim.Network.policy;
   max_steps : int;
   detect_quiescence : bool;
-  require_termination : bool;
-      (** treat a run that exhausts [max_steps] as a termination violation
-          if correct processes are still undecided — bounded liveness for
-          protocols that never quiesce (retry loops). *)
   time_invariant_fd : bool;
       (** the sampled detector history returns the same value at every
           time — lets {!Exhaustive} prune states modulo the clock.  Must be

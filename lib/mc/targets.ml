@@ -27,10 +27,8 @@ let quorum_paxos ~n =
       Invariant.decision
         (Cons.Spec.consensus ~pp:Format.pp_print_int ~proposals);
     stop = Sim.Engine.stop_when_all_correct_output;
-    policy = Sim.Network.Fifo;
     max_steps = 600;
     detect_quiescence = true;
-    require_termination = true;
     time_invariant_fd = true;
     pp_out = Format.pp_print_int;
   }
@@ -109,10 +107,8 @@ let abd ~n =
         Sim.Pidset.for_all
           (fun p -> List.length (List.filter (fun e -> responded e p) outs) >= 2)
           (Sim.Failure_pattern.correct fp));
-    policy = Sim.Network.Fifo;
     max_steps = 600;
     detect_quiescence = true;
-    require_termination = true;
     time_invariant_fd = true;
     pp_out = pp_abd_out;
   }
@@ -128,10 +124,8 @@ let two_phase_commit ~n =
     make_inputs = (fun _ -> at_zero votes);
     invariant = Invariant.decision (Qcnbac.Nbac_spec.problem ~votes);
     stop = Sim.Engine.stop_when_all_correct_output;
-    policy = Sim.Network.Fifo;
     max_steps = 600;
     detect_quiescence = true;
-    require_termination = true;
     time_invariant_fd = true;
     pp_out = Qcnbac.Types.pp_outcome;
   }
@@ -147,12 +141,10 @@ let qc_psi ~n =
       Invariant.decision
         (Qcnbac.Qc_spec.problem ~pp:Format.pp_print_int ~proposals);
     stop = Sim.Engine.stop_when_all_correct_output;
-    policy = Sim.Network.Fifo;
     (* Ψ outputs ⊥ for a while before committing to a mode, so the run
        cannot quiesce early; the step bound must cover the ⊥ period. *)
     max_steps = 4_000;
     detect_quiescence = false;
-    require_termination = true;
     (* Psi's history is *not* time-invariant: it reads bot before the
        switch time, so states may not be merged modulo the clock *)
     time_invariant_fd = false;
@@ -190,10 +182,8 @@ let ec_store ~n =
        so those runs end at the step bound instead — [must_terminate]
        still arms there, and the correct replicas must have converged. *)
     stop = (fun _ _ -> false);
-    policy = Sim.Network.Fifo;
     max_steps = 600;
     detect_quiescence = true;
-    require_termination = true;
     time_invariant_fd = true;
     pp_out = pp_fp_out;
   }
@@ -207,7 +197,7 @@ let ec_store ~n =
    is the detector's own emulated layer, wrapped to emit its leader
    estimate as an output whenever the estimate changes.
 
-   Liveness is encoded through [stop]/[require_termination]: a run stops
+   Liveness is encoded through [stop] and the step bound: a run stops
    (and is vacuously fine) the moment all correct processes agree on the
    smallest *correct* id — pre-crash agreement on a process that is due
    to crash does not stop the run — and a run that exhausts [max_steps]
@@ -270,13 +260,11 @@ let fd_ring ~n:_ =
                    (Sim.Pidset.min_elt_opt (Sim.Failure_pattern.correct fp))));
       };
     stop = ring_agreed;
-    policy = Sim.Network.Fifo;
     (* with period 1 the initial Adaptive timeout is 4 steps: a crash at
        the default horizon (4) is convicted by ~step 10 and the Suspect
        broadcast settles everyone within a few more rounds *)
     max_steps = 32;
     detect_quiescence = false;
-    require_termination = true;
     time_invariant_fd = true;
     pp_out = Sim.Pid.pp;
   }

@@ -90,8 +90,7 @@ val ec_store :
     moment every correct process's last estimate is the smallest {e
     correct} id (so pre-crash agreement on a process that is due to crash
     does not end the run), and a run that exhausts the step budget without
-    reaching that agreement is reported as a violation
-    ([require_termination]).  Exhausts clean at [n = 3] under the default
+    reaching that agreement is reported as a violation.  Exhausts clean at [n = 3] under the default
     crash adversary (docs/DETECTORS.md). *)
 val fd_ring :
   n:int ->

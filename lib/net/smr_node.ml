@@ -67,6 +67,7 @@ let default_config ~self ~addrs ~client_addr =
 type client = {
   fd : Unix.file_descr;
   dec : Wire.Decoder.t;
+  out : Wire.Writer.t;  (* replies the kernel has not taken yet *)
 }
 
 let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
@@ -96,16 +97,6 @@ type ('st, 'c) impl =
         [ `Submit of 'c | `Reply of bytes ];
     }
       -> ('st, 'c) impl
-
-let write_frame fd payload =
-  let frame = Wire.frame payload in
-  try
-    let len = Bytes.length frame in
-    let rec go off =
-      if off < len then go (off + Unix.write fd frame off (len - off))
-    in
-    go 0
-  with Unix.Unix_error _ -> ()
 
 (* Decided-submission replies are binary: varint seq, varint slot. *)
 let encode_reply buf ~seq ~slot =
@@ -152,7 +143,7 @@ let serve (type st c) (Impl impl : (st, c) impl) cfg =
   Unix.bind listen_fd cfg.client_addr;
   Unix.listen listen_fd 256;
   let clients = ref [] in
-  let pending : (int, Unix.file_descr) Hashtbl.t = Hashtbl.create 64 in
+  let pending : (int, client) Hashtbl.t = Hashtbl.create 64 in
   let next_seq = ref (impl.submitted (Node.state node)) in
   let log_oc = Option.map open_out cfg.log_path in
   let rbuf = Bytes.create 65536 in
@@ -163,7 +154,9 @@ let serve (type st c) (Impl impl : (st, c) impl) cfg =
       match Unix.accept listen_fd with
       | fd, _ ->
         Unix.set_nonblock fd;
-        clients := { fd; dec = Wire.Decoder.create () } :: !clients
+        clients :=
+          { fd; dec = Wire.Decoder.create (); out = Wire.Writer.create () }
+          :: !clients
       | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
         continue := false
       | exception Unix.Unix_error (EINTR, _, _) -> ()
@@ -193,9 +186,9 @@ let serve (type st c) (Impl impl : (st, c) impl) cfg =
             | `Submit payload ->
               let seq = !next_seq in
               incr next_seq;
-              Hashtbl.replace pending seq c.fd;
+              Hashtbl.replace pending seq c;
               Node.inject node (impl.submit payload)
-            | `Reply bytes -> write_frame c.fd bytes)
+            | `Reply bytes -> Wire.Writer.push c.out bytes)
         done;
         true
       with Wire.Frame_too_large _ | Wire.Decode_error _ -> false)
@@ -218,9 +211,10 @@ let serve (type st c) (Impl impl : (st, c) impl) cfg =
           if cmd.Cons.Smr.origin = cfg.self then
             match Hashtbl.find_opt pending cmd.Cons.Smr.seq with
             | None -> ()
-            | Some fd ->
+            | Some c ->
               Hashtbl.remove pending cmd.Cons.Smr.seq;
-              write_frame fd (encode_reply rebuf ~seq:cmd.Cons.Smr.seq ~slot)))
+              Wire.Writer.push c.out
+                (encode_reply rebuf ~seq:cmd.Cons.Smr.seq ~slot)))
       (Node.drain_outputs node)
   in
   let tick_ms = int_of_float (Float.max 1. (cfg.tick_s *. 1000.)) in
@@ -232,10 +226,17 @@ let serve (type st c) (Impl impl : (st, c) impl) cfg =
     | exception Unix.Unix_error (EINTR, _, _) -> ());
     handle_outputs ();
     accept_clients ();
+    (* a client is closed on EOF, a bad frame or a failed write; a full
+       socket only holds its replies back until a later iteration *)
     clients :=
       List.filter
         (fun c ->
-          if read_client c then true
+          if
+            read_client c
+            && match Wire.Writer.flush c.out c.fd with
+               | () -> true
+               | exception Unix.Unix_error _ -> false
+          then true
           else begin
             close_quiet c.fd;
             false

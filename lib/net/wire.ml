@@ -107,6 +107,28 @@ module Decoder = struct
     end
 end
 
+module Writer = struct
+  (* [off] bytes of the head frame have reached the kernel. *)
+  type t = { q : bytes Queue.t; mutable off : int }
+
+  let create () = { q = Queue.create (); off = 0 }
+  let push t payload = Queue.push (frame payload) t.q
+  let pending t = not (Queue.is_empty t.q)
+
+  let flush t fd =
+    try
+      while pending t do
+        let head = Queue.peek t.q in
+        let len = Bytes.length head in
+        t.off <- t.off + Unix.write fd head t.off (len - t.off);
+        if t.off = len then begin
+          ignore (Queue.pop t.q);
+          t.off <- 0
+        end
+      done
+    with Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
+end
+
 exception Decode_error of string
 
 let () =

@@ -59,6 +59,27 @@ module Decoder : sig
   val buffered : t -> int
 end
 
+(** The non-blocking frame writer: frames queue in order and reach the
+    socket as fast as the kernel takes them, so a reader that is slow to
+    drain its end delays frames but never loses one, or a frame's tail. *)
+module Writer : sig
+  type t
+
+  val create : unit -> t
+
+  (** [push t payload] queues [payload]'s frame behind every earlier one. *)
+  val push : t -> bytes -> unit
+
+  (** Some queued byte has not reached the kernel yet. *)
+  val pending : t -> bool
+
+  (** [flush t fd] writes queued bytes until the queue is empty or the
+      kernel pushes back ([EAGAIN], [EWOULDBLOCK], [EINTR]); the rest
+      waits for the next [flush].
+      @raise Unix.Unix_error on any other error: the connection is dead. *)
+  val flush : t -> Unix.file_descr -> unit
+end
+
 (** {2 Codecs}
 
     A [codec] is a first-class binary representation of one message type:

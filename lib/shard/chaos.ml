@@ -113,17 +113,12 @@ let run ?collector cfg =
          Chaos.submitted h s origin value);
     if cfg.reconfig_at = Some r then
       shards (fun s ->
-          match Cluster.rotated_members cluster ~shard:s with
+          let g = group s in
+          match Epoch.rotate (Group.config g) ~universe:(Group.universe g) with
           | None -> Chaos.fail h "round %d shard %d: no spare to rotate in" r s
-          | Some members ->
-            let cur = Group.config (group s) in
-            if Cluster.reconfig cluster ~shard:s ~members then
-              expected_cfg.(s) <-
-                Some
-                  {
-                    Epoch.epoch = cur.Epoch.epoch + 1;
-                    members = Sim.Pidset.of_list members;
-                  }
+          | Some next ->
+            if Cluster.reconfig cluster ~shard:s next then
+              expected_cfg.(s) <- Some next
             else Chaos.fail h "round %d shard %d: reconfig not accepted" r s)
   in
   (* the epoch handoff, per shard: same-epoch quorums intersect,

@@ -41,39 +41,17 @@ let run t ~rounds =
 let ops t s =
   let g = t.groups.(s) in
   {
-    Router.universe = Group.universe g;
-    config = (fun () -> Group.config g);
-    sample =
-      (fun p ~key ->
-        Group.sample g p ~key
-        |> Option.map (fun (v_epoch, v_applied, v_value) ->
-               { Router.v_epoch; v_applied; v_value }));
-    submit = (fun c -> Group.submit_any g c);
+    Router.config = (fun () -> Group.config g);
+    sample = Group.sample g;
+    submit = Group.submit_any g;
   }
 
 let router t = Router.create ~ring:t.ring ~ops:(ops t) ~step:(fun () -> step t)
 
-(* Submit the next-epoch Reconfig through the shard's own log. *)
-let reconfig t ~shard ~members =
-  let g = t.groups.(shard) in
-  let cfg = Group.config g in
-  Group.submit_any g
-    (Replica.Reconfig { epoch = cfg.Epoch.epoch + 1; members })
-
-(* The canonical membership rotation used by the chaos harness and the
-   demo: drop the lowest member, install the lowest non-member spare. *)
-let rotated_members t ~shard =
-  let g = t.groups.(shard) in
-  let cfg = Group.config g in
-  let members = Sim.Pidset.elements cfg.Epoch.members in
-  let outside =
-    List.filter
-      (fun p -> not (Epoch.is_member cfg p))
-      (Sim.Pid.all (Group.universe g))
-  in
-  match (members, outside) with
-  | _ :: keep, fresh :: _ -> Some (keep @ [ fresh ])
-  | _ -> None
+let reconfig t ~shard (next : Epoch.config) =
+  Group.submit_any t.groups.(shard)
+    (Replica.Reconfig
+       { epoch = next.epoch; members = Sim.Pidset.elements next.members })
 
 let applied_total t =
   Array.fold_left (fun acc g -> acc + Group.applied_max g) 0 t.groups

@@ -42,13 +42,10 @@ val router : t -> Router.t
 (** The shard-reach callbacks for building custom routers. *)
 val ops : t -> int -> Router.ops
 
-(** Submit [Reconfig {epoch = current + 1; members}] through shard
+(** Submit the [Reconfig] that installs [next] (normally
+    {!Epoch.rotate} of the shard's configuration) through shard
     [shard]'s own log; false if no live member accepted the command. *)
-val reconfig : t -> shard:int -> members:Sim.Pid.t list -> bool
-
-(** The canonical rotation: drop the lowest member, add the lowest
-    spare.  [None] if no spare is available. *)
-val rotated_members : t -> shard:int -> Sim.Pid.t list option
+val reconfig : t -> shard:int -> Epoch.config -> bool
 
 (** Sum over shards of the longest live applied log. *)
 val applied_total : t -> int

@@ -25,5 +25,12 @@ let check_quorum c ~epoch q =
 let valid_transition c ~epoch ~members =
   epoch = c.epoch + 1 && not (Sim.Pidset.is_empty members)
 
+let rotate c ~universe =
+  match List.filter (fun p -> not (is_member c p)) (Sim.Pid.all universe) with
+  | [] -> None
+  | fresh :: _ ->
+    let members = Sim.Pidset.remove (Sim.Pidset.min_elt c.members) c.members in
+    Some { epoch = c.epoch + 1; members = Sim.Pidset.add fresh members }
+
 let pp ppf c =
   Format.fprintf ppf "epoch %d %a" c.epoch Sim.Pidset.pp c.members

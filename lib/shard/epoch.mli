@@ -34,4 +34,9 @@ val check_quorum :
     epochs advance one at a time everywhere. *)
 val valid_transition : config -> epoch:int -> members:Sim.Pidset.t -> bool
 
+(** The canonical membership rotation: the next epoch, without [c]'s
+    lowest member and with the lowest of pids [0 .. universe - 1] outside
+    [c].  [None] if every pid of the universe is a member. *)
+val rotate : config -> universe:int -> config option
+
 val pp : Format.formatter -> config -> unit

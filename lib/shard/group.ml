@@ -49,13 +49,8 @@ let config t =
   | cfg :: _ -> cfg
   | [] -> Replica.config (state t 0)
 
-(* ABD-style sample of replica [p]: epoch, applied prefix length, and the
-   tagged last write to [key].  None if [p] is crashed. *)
 let sample t p ~key =
-  if crashed t p then None
-  else
-    let st = state t p in
-    Some (Replica.epoch st, Replica.applied st, Replica.kv_find st key)
+  if crashed t p then None else Some (Router.view_of (state t p) ~key)
 
 (* Submit at the lowest live member of the current configuration (any
    member disseminates to the leader).  False if no member is live. *)

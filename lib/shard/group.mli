@@ -45,10 +45,8 @@ val now : t -> Sim.Pid.t -> int
 (** The highest-epoch configuration any live replica has installed. *)
 val config : t -> Epoch.config
 
-(** [(epoch, applied, last write to key)] of replica [p]; [None] if
-    crashed.  The router's quorum-read sample. *)
-val sample :
-  t -> Sim.Pid.t -> key:string -> (int * int * (int * string) option) option
+(** Replica [p]'s quorum-read sample for [key]; [None] if crashed. *)
+val sample : t -> Sim.Pid.t -> key:string -> Router.view option
 
 (** Submit at the lowest live member of the current configuration;
     false if no member is live. *)

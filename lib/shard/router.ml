@@ -24,8 +24,14 @@ type view = {
   v_value : (int * string) option;
 }
 
+let view_of st ~key =
+  {
+    v_epoch = Replica.epoch st;
+    v_applied = Replica.applied st;
+    v_value = Replica.kv_find st key;
+  }
+
 type ops = {
-  universe : int;
   config : unit -> Epoch.config;
   sample : Sim.Pid.t -> key:string -> view option;
   submit : Replica.payload -> bool;

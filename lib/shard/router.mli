@@ -10,19 +10,24 @@
     write-back that makes reads linearizable (never travel backwards).
 
     The router is transport-agnostic: it talks to shards only through
-    {!ops} callbacks, so the same code fronts an in-process
-    {!Cluster} and the TCP deployment ([Server] read replies). *)
+    {!ops} callbacks, so the same [read] fronts an in-process {!Cluster}
+    ({!Cluster.ops}) and the TCP deployment, whose client reads with
+    [read] over {!Server.ops}: each sample is one [Read] round trip
+    answered by a {!view}. *)
 
-(** One replica's read sample. *)
+(** One replica's read sample: the same record in process, in
+    {!Group.sample}, and on the wire, as {!Server.read_reply_codec}. *)
 type view = {
   v_epoch : int;
   v_applied : int;  (** applied log prefix length *)
   v_value : (int * string) option;  (** last applied write: (slot, value) *)
 }
 
+(** Replica state [st]'s sample for [key]. *)
+val view_of : Replica.state -> key:string -> view
+
 (** How to reach one shard. *)
 type ops = {
-  universe : int;
   config : unit -> Epoch.config;
   sample : Sim.Pid.t -> key:string -> view option;
   submit : Replica.payload -> bool;
@@ -31,8 +36,8 @@ type ops = {
 type t
 
 (** [step] advances the world while a read waits for its quorum (steps
-    the in-process cluster; a no-op over sockets where replicas run
-    concurrently). *)
+    the in-process cluster; a short sleep over sockets, where replicas
+    run concurrently). *)
 val create : ring:Ring.t -> ops:(int -> ops) -> step:(unit -> unit) -> t
 
 val ring : t -> Ring.t

@@ -1,16 +1,11 @@
 (* The TCP deployment of one shard replica: Replica.protocol hosted by
    Net.Smr_node's generic event loop.  Writes and Reconfigs enter the
    shard's log ((seq, slot) reply when decided); Reads are answered
-   immediately from local state with the ABD sample the router's quorum
-   read needs — no consensus on the read path. *)
+   immediately from local state with the Router.view sample the router's
+   quorum read needs — no consensus on the read path.  [ops] is the
+   client side: Router.ops over request/reply round trips. *)
 
 type request = Submit of Replica.payload | Read of { key : string }
-
-type read_reply = {
-  rr_epoch : int;
-  rr_applied : int;
-  rr_value : (int * string) option;
-}
 
 (* Client frames: a tag byte, then the fields.  A submitted payload is
    its own binary form (App = 0, key, value; Reconfig = 1, varint epoch,
@@ -33,15 +28,15 @@ let request_codec =
 
 let read_reply_codec =
   Net.Wire.codec
-    ~write:(fun buf rr ->
-      W.varint buf rr.rr_epoch;
-      W.varint buf rr.rr_applied;
-      W.option (W.pair W.varint W.string) buf rr.rr_value)
+    ~write:(fun buf (v : Router.view) ->
+      W.varint buf v.v_epoch;
+      W.varint buf v.v_applied;
+      W.option (W.pair W.varint W.string) buf v.v_value)
     ~read:(fun r ->
-      let rr_epoch = R.varint r in
-      let rr_applied = R.varint r in
-      let rr_value = R.option (R.pair R.varint R.string) r in
-      { rr_epoch; rr_applied; rr_value })
+      let v_epoch = R.varint r in
+      let v_applied = R.varint r in
+      let v_value = R.option (R.pair R.varint R.string) r in
+      { Router.v_epoch; v_applied; v_value })
 
 let impl ?snap_every ?lag_gap ?detector ~period ~members () :
     (Replica.state, Replica.payload) Net.Smr_node.impl =
@@ -64,14 +59,9 @@ let impl ?snap_every ?lag_gap ?detector ~period ~members () :
           match Net.Wire.of_bytes request_codec frame with
           | Submit p -> `Submit p
           | Read { key } ->
-            let st = state () in
             `Reply
               (Net.Wire.to_bytes read_reply_codec
-                 {
-                   rr_epoch = Replica.epoch st;
-                   rr_applied = Replica.applied st;
-                   rr_value = Replica.kv_find st key;
-                 }));
+                 (Router.view_of (state ()) ~key)));
     }
 
 let serve ?snap_every ?lag_gap ~members cfg =
@@ -79,3 +69,17 @@ let serve ?snap_every ?lag_gap ~members cfg =
     (impl ?snap_every ?lag_gap ~detector:cfg.Net.Smr_node.detector
        ~period:cfg.Net.Smr_node.period ~members ())
     cfg
+
+let ops ~config ~roundtrip =
+  let call p req = roundtrip p (Net.Wire.to_bytes request_codec req) in
+  {
+    Router.config;
+    sample =
+      (fun p ~key ->
+        Some (Net.Wire.of_bytes read_reply_codec (call p (Read { key }))));
+    submit =
+      (fun c ->
+        let lowest = Sim.Pidset.min_elt (config ()).Epoch.members in
+        ignore (Net.Smr_node.decode_reply (call lowest (Submit c)));
+        true);
+  }

@@ -5,20 +5,13 @@
     [Submit] requests enter the shard's replicated log — the
     client receives the standard [(seq, slot)] frame when its entry is
     decided.  [Read] is answered immediately from local state with the
-    [(epoch, applied, last write)] sample, so a client-side router can
-    run the quorum-read (phase 1 sample + phase 2 write-back wait)
-    against a member majority — the same algorithm {!Router} runs
-    in-process.  [bin/cluster.exe shard --transport tcp] is the driver:
-    one OS process per replica per shard. *)
+    replica's {!Router.view}.  The client side is {!ops}: the TCP client
+    ([bin/cluster.exe shard --transport tcp], one OS process per replica
+    per shard) reads with {!Router.read} over it — the quorum read
+    (phase 1 sample, phase 2 write-back wait) the in-process {!Cluster}
+    runs, with one [Read] round trip per sample. *)
 
 type request = Submit of Replica.payload | Read of { key : string }
-
-(** The sample behind {!Router.view}. *)
-type read_reply = {
-  rr_epoch : int;
-  rr_applied : int;
-  rr_value : (int * string) option;
-}
 
 (** The binary client frames: a tag byte, then the fields (docs/NET.md).
     A [Submit] is its payload's binary form ({!Replica.write_payload},
@@ -27,7 +20,9 @@ type read_reply = {
     closes only that client's connection. *)
 val request_codec : request Net.Wire.codec
 
-val read_reply_codec : read_reply Net.Wire.codec
+(** A [Read]'s reply: varint epoch, varint applied, then the optional
+    [(varint slot, value)] of the last write. *)
+val read_reply_codec : Router.view Net.Wire.codec
 
 (** The hosting contract for [Net.Smr_node.serve]. *)
 val impl :
@@ -47,3 +42,13 @@ val serve :
   members:Sim.Pidset.t ->
   Net.Smr_node.config ->
   unit
+
+(** The client's {!Router.ops} for one shard over [roundtrip p frame],
+    which sends an encoded {!request} to replica [p] and returns its
+    reply frame.  A sample is one [Read] round trip; [submit] sends to
+    the lowest member of [config ()] and returns once the entry is
+    decided.  Whatever [roundtrip] or a decoder raises propagates. *)
+val ops :
+  config:(unit -> Epoch.config) ->
+  roundtrip:(Sim.Pid.t -> bytes -> bytes) ->
+  Router.ops

@@ -45,6 +45,55 @@ let test_decoder_reassembles () =
       Alcotest.(check (list string)) "frames survive rechunking" payloads got)
     [ [ 1 ]; [ 2; 3 ]; [ 7 ]; [ 1000 ]; [ 3; 1; 4; 1; 5 ] ]
 
+(* The non-blocking writer under backpressure: fill a socket pair until
+   the kernel pushes back, queue more behind it, and only then start
+   reading, flushing between reads.  Frames of up to 200 KB also take
+   partial writes.  Every frame decodes whole and in order; none is
+   dropped, and no tail is lost. *)
+let test_writer_backpressure () =
+  let wr, rd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.set_nonblock wr;
+  Unix.set_nonblock rd;
+  let w = Net.Wire.Writer.create () in
+  let payload i =
+    Printf.sprintf "%06d:%s" i (String.make (i * 7919 mod 200_000) 'x')
+  in
+  let pushed = ref 0 in
+  let push () =
+    Net.Wire.Writer.push w (Bytes.of_string (payload !pushed));
+    incr pushed
+  in
+  while (not (Net.Wire.Writer.pending w)) && !pushed < 100_000 do
+    push ();
+    Net.Wire.Writer.flush w wr
+  done;
+  Alcotest.(check bool) "the kernel pushed back" true
+    (Net.Wire.Writer.pending w);
+  for _ = 1 to 20 do
+    push ()
+  done;
+  let dec = Net.Wire.Decoder.create () in
+  let buf = Bytes.create 4096 in
+  let got = ref 0 and idle = ref 0 in
+  while !got < !pushed && !idle < 100 do
+    Net.Wire.Writer.flush w wr;
+    match Unix.read rd buf 0 (Bytes.length buf) with
+    | k ->
+      idle := 0;
+      Net.Wire.Decoder.feed dec buf k;
+      List.iter
+        (fun f ->
+          Alcotest.(check string) "next frame, whole" (payload !got)
+            (Bytes.to_string f);
+          incr got)
+        (drain dec)
+    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> incr idle
+  done;
+  Alcotest.(check int) "every frame arrived" !pushed !got;
+  Alcotest.(check bool) "nothing left queued" false (Net.Wire.Writer.pending w);
+  Unix.close wr;
+  Unix.close rd
+
 let prop_decoder_roundtrip =
   QCheck.Test.make ~name:"wire: decoder round-trips any chunking" ~count:200
     QCheck.(pair (small_list (string_of_size Gen.(0 -- 200))) (small_list (1 -- 64)))
@@ -313,7 +362,7 @@ let valid_frames =
     Net.Wire.to_bytes Shard.Server.request_codec
       (Shard.Server.Submit (Shard.Replica.App { key = "k000001"; value = "v" }));
     Net.Wire.to_bytes Shard.Server.read_reply_codec
-      { Shard.Server.rr_epoch = 1; rr_applied = 4; rr_value = Some (3, "v") };
+      { Shard.Router.v_epoch = 1; v_applied = 4; v_value = Some (3, "v") };
     with_buf (fun buf ->
         Net.Wire.encode_envelope_into (Net.Codecs.pmsg Net.Wire.string_c) buf
           {
@@ -427,8 +476,8 @@ let prop_shard_frames_roundtrip =
   let gen_reply =
     Gen.(
       map3
-        (fun rr_epoch rr_applied rr_value ->
-          { Shard.Server.rr_epoch; rr_applied; rr_value })
+        (fun v_epoch v_applied v_value ->
+          { Shard.Router.v_epoch; v_applied; v_value })
         nat nat
         (opt (pair nat string_small)))
   in
@@ -443,20 +492,24 @@ let prop_shard_frames_roundtrip =
 (* Client frames are a wire format deployed clients speak: pin their
    bytes.  A [Submit] is its payload's own binary form, tags 0 and 1. *)
 let test_shard_request_bytes () =
-  let hex req =
-    Net.Wire.to_bytes Shard.Server.request_codec req
-    |> Bytes.to_seq |> List.of_seq
+  let hex b =
+    Bytes.to_seq b |> List.of_seq
     |> List.map (fun c -> Printf.sprintf "%02x" (Char.code c))
     |> String.concat " "
   in
+  let req r = hex (Net.Wire.to_bytes Shard.Server.request_codec r) in
   Alcotest.(check string) "App k=v" "00 01 6b 01 76"
-    (hex (Shard.Server.Submit (Shard.Replica.App { key = "k"; value = "v" })));
+    (req (Shard.Server.Submit (Shard.Replica.App { key = "k"; value = "v" })));
   Alcotest.(check string) "Reconfig e1 [1; 2]" "01 01 02 01 02"
-    (hex
+    (req
        (Shard.Server.Submit
           (Shard.Replica.Reconfig { epoch = 1; members = [ 1; 2 ] })));
   Alcotest.(check string) "Read k" "02 01 6b"
-    (hex (Shard.Server.Read { key = "k" }))
+    (req (Shard.Server.Read { key = "k" }));
+  Alcotest.(check string) "read reply e1 applied 4 (3, v)" "01 04 01 03 01 76"
+    (hex
+       (Net.Wire.to_bytes Shard.Server.read_reply_codec
+          { Shard.Router.v_epoch = 1; v_applied = 4; v_value = Some (3, "v") }))
 
 (* The max-frame guard: an adversarial length prefix must raise the
    typed exception as soon as the 4 header bytes are buffered — before
@@ -1214,6 +1267,8 @@ let () =
         [
           Alcotest.test_case "decoder reassembles chunked frames" `Quick
             test_decoder_reassembles;
+          Alcotest.test_case "writer: backpressure tears no frame" `Quick
+            test_writer_backpressure;
           Alcotest.test_case "envelope round-trip" `Quick
             test_envelope_roundtrip;
           Alcotest.test_case "envelope: future version refused" `Quick

@@ -11,7 +11,9 @@
      a stale Reconfig is a no-op everywhere;
    - snapshot catch-up: a blocked straggler that missed decisions for
      good (no Rel underneath) recovers the log via Snap_req/Snap;
-   - Router: linearizable per-key reads over the ring;
+   - Router: linearizable per-key reads over the ring, and the TCP
+     client's reads (Router over Server.ops) equal to the in-process
+     ones, through a rotation;
    - Cluster: the workload generator's keys are applied on every shard;
    - Chaos: a sharded run with partition+heal and a scripted mid-run
      reconfiguration holds every invariant. *)
@@ -364,6 +366,66 @@ let test_router_reads () =
   | Ok (Some v) -> Alcotest.failf "phantom value %s" v
   | Error e -> Alcotest.fail e
 
+(* The TCP client's read path without sockets: Router.read over
+   Server.ops, whose round trip hands each encoded request to
+   Server.impl's on_request against the replica's state and returns the
+   reply frame, must read what Router.read over Cluster.ops reads —
+   before and after a rotation. *)
+let test_server_ops_reads () =
+  let cl = Cluster.create ~period:8 ~shards:1 ~replicas:3 ~spares:1 () in
+  Cluster.run cl ~rounds:50;
+  let g = Cluster.group cl 0 in
+  let roundtrip =
+    match Shard.Server.impl ~period:8 ~members:members012 () with
+    | Net.Smr_node.Impl impl -> (
+      fun p frame ->
+        match
+          impl.on_request
+            ~state:(fun () -> Group.state g p)
+            ~inject:(fun _ -> ())
+            frame
+        with
+        | `Reply reply -> reply
+        | `Submit _ -> Alcotest.fail "a read entered the log")
+  in
+  let local = Cluster.router cl in
+  let wire =
+    Router.create ~ring:(Cluster.ring cl)
+      ~ops:(fun _ ->
+        Shard.Server.ops ~config:(fun () -> Group.config g) ~roundtrip)
+      ~step:(fun () -> Cluster.step cl)
+  in
+  let show = function
+    | Ok (Some v) -> v
+    | Ok None -> "(unwritten)"
+    | Error e -> "error: " ^ e
+  in
+  let write value keys =
+    List.iter
+      (fun key -> ignore (Router.write local ~key ~value:(value ^ key)))
+      keys;
+    Cluster.run cl ~rounds:1_500
+  in
+  let reads_agree expected =
+    List.iter
+      (fun (key, want) ->
+        let got = show (Router.read local ~key) in
+        Alcotest.(check string) ("in process: " ^ key) want got;
+        Alcotest.(check string) ("over the wire: " ^ key) got
+          (show (Router.read wire ~key)))
+      (("never-written", "(unwritten)") :: expected)
+  in
+  write "v1:" [ "a"; "b"; "c" ];
+  reads_agree [ ("a", "v1:a"); ("b", "v1:b"); ("c", "v1:c") ];
+  (match Epoch.rotate (Group.config g) ~universe:4 with
+  | Some next ->
+    Alcotest.(check bool) "rotation submitted" true
+      (Cluster.reconfig cl ~shard:0 next)
+  | None -> Alcotest.fail "no spare to rotate in");
+  write "v2:" [ "b"; "d" ];
+  Alcotest.(check int) "rotation installed" 1 (Group.config g).Epoch.epoch;
+  reads_agree [ ("a", "v1:a"); ("b", "v2:b"); ("c", "v1:c"); ("d", "v2:d") ]
+
 (* ------------------------------------------------------------------ *)
 (* Whole-cluster spread of the workload                                *)
 
@@ -474,7 +536,11 @@ let () =
             test_group_snapshot_catchup;
         ] );
       ( "router",
-        [ Alcotest.test_case "linearizable reads" `Quick test_router_reads ] );
+        [
+          Alcotest.test_case "linearizable reads" `Quick test_router_reads;
+          Alcotest.test_case "the socket client's reads, without sockets"
+            `Quick test_server_ops_reads;
+        ] );
       ( "cluster",
         [ Alcotest.test_case "workload keys reach every shard" `Quick
             test_cluster_spread ] );
