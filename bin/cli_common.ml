@@ -50,14 +50,34 @@ let serve_node ~dir ~n ~period ~detector ~window ~batch_max ~tick_ms ~trace
    (SIGKILL the rest, exit 1) or stop (SIGTERM, reap). *)
 type cluster = { tool : string; pids : int array; live : bool array }
 
+(* A server reads its side of the client's pipe ten times a second, on
+   a timer signal (the serve loop retries whatever call a signal
+   interrupts): EOF means the client is gone, however it ended, and
+   stops the server the way the client's [stop] does. *)
+let watch_client fd =
+  Unix.set_nonblock fd;
+  Sys.set_signal Sys.sigalrm
+    (Sys.Signal_handle
+       (fun _ ->
+         match Unix.read fd (Bytes.create 1) 0 1 with
+         | 0 -> Unix.kill (Unix.getpid ()) Sys.sigterm
+         | _ | (exception Unix.Unix_error _) -> ()));
+  ignore
+    (Unix.setitimer Unix.ITIMER_REAL
+       { Unix.it_interval = 0.1; it_value = 0.1 })
+
 let spawn ~tool k serve =
   (* a write to a dead server must raise EPIPE into [guard], not end the
      client by signal with every other server left running *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  (* only the client holds the write end *)
+  let server_end, client_end = Unix.pipe () in
   let pids =
     Array.init k (fun i ->
         match Unix.fork () with
         | 0 ->
+          Unix.close client_end;
+          watch_client server_end;
           (try serve i
            with e ->
              Printf.eprintf "%s node %d died: %s\n%!" tool i
@@ -65,6 +85,7 @@ let spawn ~tool k serve =
           Stdlib.exit 0
         | pid -> pid)
   in
+  Unix.close server_end;
   { tool; pids; live = Array.make k true }
 
 let signal_live c signal =
@@ -86,6 +107,17 @@ let fail c msg =
   signal_live c Sys.sigkill;
   Stdlib.exit 1
 
+(* Whether server [i] still runs: one that died on its own, killed from
+   outside say, is reaped and marked dead. *)
+let running c i =
+  c.live.(i)
+  &&
+  match Unix.waitpid [ Unix.WNOHANG ] c.pids.(i) with
+  | 0, _ -> true
+  | _ | (exception Unix.Unix_error _) ->
+    c.live.(i) <- false;
+    false
+
 (* Clean shutdown: servers flush their logs and traces on SIGTERM. *)
 let stop c =
   signal_live c Sys.sigterm;
@@ -95,6 +127,7 @@ let stop c =
 let guard c f =
   try f () with
   | Failure msg -> fail c msg
+  | End_of_file -> fail c "server closed the connection"
   | Unix.Unix_error (e, fn, _) ->
     fail c (Printf.sprintf "%s: %s" fn (Unix.error_message e))
   | e -> fail c (Printexc.to_string e)
@@ -132,17 +165,21 @@ let connect_retry addr ~attempts ~delay_s =
   in
   go attempts
 
-(* One request frame out, its reply frame back. *)
+(* One request frame out, its reply frame back; End_of_file if the
+   server closed the connection. *)
 let roundtrip fd request =
   Net.Wire.write_frame fd request;
   match Net.Wire.read_frame fd with
   | Some reply -> reply
-  | None -> failwith "server closed the connection"
+  | None -> raise End_of_file
 
 (* One command through the binary client protocol: the request frame is
    the raw payload, the decided reply is varint (seq, slot). *)
 let submit_blocking fd payload =
   Net.Smr_node.decode_reply (roundtrip fd (Bytes.of_string payload))
+
+(* The [k]-th command of a closed loop. *)
+let command ~prefix k = Printf.sprintf "%s-%d" prefix k
 
 (* Closed loop: send one command, wait for its decided (seq, slot),
    repeat.  Returns per-command latencies (seconds), in order. *)
@@ -150,7 +187,7 @@ let closed_loop fd ~count ~prefix ~on_progress =
   let lats = ref [] in
   for k = 0 to count - 1 do
     let t0 = Unix.gettimeofday () in
-    let _seq, _slot = submit_blocking fd (Printf.sprintf "%s-%d" prefix k) in
+    let _seq, _slot = submit_blocking fd (command ~prefix k) in
     lats := (Unix.gettimeofday () -. t0) :: !lats;
     on_progress k
   done;
@@ -189,6 +226,34 @@ let read_log path =
         List.rev acc
     in
     go []
+
+(* The log specification's verdict on survivors' applied-log files
+   ("slot\torigin\tseq\tpayload" lines, payload escaped), keyed by
+   payload over the [submitted] payloads: [None] if it holds, else the
+   first violation.  The client that submitted them never crashed, so
+   validity owes each one to every survivor: they are attributed to the
+   first survivor.  A SIGKILLed node's file may end in a torn line, so
+   only survivors are judged. *)
+let log_verdict ~submitted logs =
+  let payload line =
+    match String.split_on_char '\t' line with
+    | [ _; _; _; p ] -> Some p
+    | _ -> None
+  in
+  match List.map fst logs with
+  | [] -> Some "no survivor"
+  | first :: _ as correct -> (
+    let submitted = List.map (fun c -> (first, String.escaped c)) submitted in
+    match
+      Cons.Log_spec.check ~live:true
+        { Cons.Log_spec.logs; correct; submitted; key = payload }
+    with
+    | [] -> None
+    | v :: _ ->
+      Some
+        (Format.asprintf "%a"
+           (Cons.Log_spec.pp_violation Format.pp_print_string)
+           v))
 
 let rec mkdtemp () =
   let path =

@@ -125,60 +125,58 @@ let local h cluster log =
 let pp_group h ppf g =
   if Array.length h.ctrls > 1 then Format.fprintf ppf " shard %d" g
 
-(* one of two logs (slot order) is a prefix of the other *)
-let rec consistent a b =
-  match (a, b) with
-  | [], _ | _, [] -> true
-  | x :: a, y :: b -> x = y && consistent a b
+(* Group [g] as the log specification sees it: every pid's log, crashed
+   ones included, and the live pids as the correct ones. *)
+let spec_run h g =
+  let v = h.groups.(g) in
+  let mine (g', origin, c) = if g' = g then Some (origin, c) else None in
+  {
+    Cons.Log_spec.logs = List.map (fun p -> (p, v.log p)) (Sim.Pid.all h.n);
+    correct = live h g;
+    submitted = List.filter_map mine (List.rev h.submitted);
+    key = v.cmd;
+  }
 
-let check_prefix h r =
-  Array.iteri
-    (fun g v ->
-      pairs
-        (fun (p, lp) (q, lq) ->
-          if not (consistent lp lq) then
-            fail h "round %d%a: %s of %d and %d not prefix-consistent" r
-              (pp_group h) g h.logs_label p q)
-        (List.map (fun p -> (p, v.log p)) (live h g)))
-    h.groups
+let group_ids h = List.init (Array.length h.groups) Fun.id
 
-let identical h =
-  Array.for_all Fun.id
-    (Array.mapi
-       (fun g v ->
-         match List.map v.log (live h g) with
-         | l :: rest when not (List.for_all (( = ) l) rest) ->
-           fail h "end of run%a: survivor %s differ" (pp_group h) g
-             h.logs_label;
-           false
-         | _ -> true)
-       h.groups)
+let pp_violation =
+  Cons.Log_spec.pp_violation (fun ppf -> Format.fprintf ppf "%S")
 
-(* Commands the model owes: submitted at a live origin, in a group whose
-   member majority is alive, and still missing from a live member. *)
-let owed h =
-  List.filter
-    (fun (g, origin, c) ->
-      let v = h.groups.(g) in
-      v.alive origin && quorate h g
-      && List.exists
-           (fun p ->
-             v.alive p
-             && not (List.exists (fun e -> v.cmd e = Some c) (v.log p)))
-           (v.members ()))
-    h.submitted
+(* The specification's safety half, every 50 rounds and at the end. *)
+let safety h =
+  sampled h (fun r ->
+      List.iter
+        (fun g ->
+          List.iter
+            (fail h "round %d%a: %a" r (pp_group h) g pp_violation)
+            (Cons.Log_spec.safety (spec_run h g)))
+        (group_ids h))
 
-let completion h =
-  let owed = owed h in
-  Array.iteri
-    (fun g _ ->
-      if List.exists (fun (g', _, _) -> g' = g) owed then
-        fail h "end of run%a: submitted %s missing" (pp_group h) g h.cmds_label)
-    h.groups;
-  owed = []
+(* The whole specification at the end of the run, its safety half
+   reported above: whether every group's logs met safety and agreement,
+   and whether none missed a command. *)
+let judge h =
+  let liveness = function
+    | Cons.Log_spec.Lost _ | Missing _ -> true
+    | _ -> false
+  and differ = function Cons.Log_spec.Differ _ -> true | _ -> false in
+  List.fold_left
+    (fun (same, complete) g ->
+      let missing, broken =
+        List.partition liveness
+          (Cons.Log_spec.check ~live:(quorate h g) (spec_run h g))
+      in
+      if List.exists differ broken then
+        fail h "end of run%a: survivor %s differ" (pp_group h) g h.logs_label;
+      if missing <> [] then
+        fail h "end of run%a: submitted %s missing" (pp_group h) g
+          h.cmds_label;
+      (same && broken = [], complete && missing = []))
+    (true, true) (group_ids h)
 
-(* While the network delivers and commands are owed, the applied total
-   must grow within [bound] rounds. *)
+(* While the network delivers and the model owes a command (its group's
+   member majority lives and the specification finds it missing at a live
+   replica), the applied total must grow within [bound] rounds. *)
 let watchdog h bound =
   let last_total = ref 0 and last_progress = ref 0 in
   let total () =
@@ -197,7 +195,13 @@ let watchdog h bound =
           last_progress := r
         end;
         if not (Array.for_all Nemesis.healthy h.ctrls) then last_progress := r
-        else if r - !last_progress > bound && owed h <> [] then begin
+        else if
+          r - !last_progress > bound
+          && List.exists
+               (fun g ->
+                 quorate h g && Cons.Log_spec.missing (spec_run h g) <> [])
+               (group_ids h)
+        then begin
           fail h "round %d: no progress for %d rounds on a healthy network" r
             bound;
           last_progress := r
@@ -281,14 +285,13 @@ let drive h groups ?reagree ~watchdog:bound ~rounds ~workload ~detail
   h.invariants <-
     Option.to_list (Option.map (heal_clock h heals) reagree)
     @ (watchdog h bound :: invariants)
-    @ [ sampled h (check_prefix h) ];
+    @ [ safety h ];
   while h.round < rounds do
     round h;
     workload h.round
   done;
   List.iter (fun i -> i.final ()) h.invariants;
-  let logs_identical = identical h in
-  let all_applied = completion h in
+  let logs_identical, all_applied = judge h in
   let sum f = Array.fold_left (fun a c -> a + f (Nemesis.stats c)) 0 h.ctrls in
   {
     rounds_run = h.round;

@@ -9,16 +9,19 @@
     ticks once per round, so a run — logs and event trace alike — is a
     deterministic function of [(seed, schedule, workload)].
 
-    Besides the harness's invariants the core checks {b agreement} (live
-    logs pairwise prefix-consistent every 50 rounds and at the end,
-    survivors identical), {b reconvergence} (with [reagree]: one common
-    live leader within [heal_bound] rounds of each [Heal], observed in
-    the [metric] histogram), {b progress} (while {!Nemesis.healthy} and
-    commands are owed, the applied total grows within [watchdog] rounds)
-    and {b completion} (no command owed at the end).  A command is owed
-    while its origin is alive, a majority of its group's current members
-    is alive, and a live member lacks it: without a live majority the
-    model owes nothing. *)
+    Besides the harness's invariants the core judges every group's logs
+    by {!Cons.Log_spec}, keyed by [cmd] over the [submitted] commands:
+    its safety half (integrity, total order over every log, crashed
+    replicas' included) every 50 rounds and at the end, the whole
+    specification at the end (survivors' logs identical, and no command
+    missing at a live replica).  Uniform agreement and validity are owed only while a
+    majority of the group's current members is alive: without a live
+    majority the model owes nothing.  The core also checks {b
+    reconvergence} (with [reagree]: one common live leader within
+    [heal_bound] rounds of each [Heal], observed in the [metric]
+    histogram) and {b progress} (while {!Nemesis.healthy} and the
+    specification finds a command missing, the applied total grows
+    within [watchdog] rounds). *)
 
 (** One replica group whose logs hold ['e] entries. *)
 type 'e group = {
@@ -27,7 +30,9 @@ type 'e group = {
   alive : Sim.Pid.t -> bool;
   members : unit -> Sim.Pid.t list;  (** the current configuration *)
   log : Sim.Pid.t -> 'e list;  (** applied log, in slot order *)
-  cmd : 'e -> string option;  (** the workload command of an entry *)
+  cmd : 'e -> string option;
+      (** the workload command an entry applies: its key in
+          {!Cons.Log_spec} *)
 }
 
 (** [online r] runs after every round [r], [final] after the last; both
@@ -48,7 +53,9 @@ type 'a report = {
   rounds_run : int;
   submitted : int;
   logs_identical : bool;
-  all_applied : bool;
+      (** every group's final logs met integrity, total order and
+          agreement *)
+  all_applied : bool;  (** no group's specification found a command missing *)
   heals : heal list;  (** in schedule order; empty without [reagree] *)
   failures : string list;  (** empty = every invariant held *)
   nemesis : Nemesis.stats;  (** summed over groups *)

@@ -44,7 +44,6 @@ type detail = {
   reconfig_done : bool;
   reads_ok : int;
   reads_bad : int;
-  no_duplicates : bool;
 }
 
 type report = detail Chaos.report
@@ -54,12 +53,11 @@ let pp_report =
       let d = r.detail in
       Format.fprintf ppf
         "submitted   %d@,applied     %a@,epochs      %a@,reconfig    \
-         %s@,reads       %d ok, %d bad@,%aduplicates  %s@,"
+         %s@,reads       %d ok, %d bad@,%a"
         r.submitted Chaos.pp_ints d.applied Chaos.pp_ints d.epochs
         (if d.reconfig_done then "completed" else "none/incomplete")
         d.reads_ok d.reads_bad
-        (Chaos.pp_agreement " per shard") r
-        (if d.no_duplicates then "none" else "DUPLICATED COMMANDS"))
+        (Chaos.pp_agreement " per shard") r)
 
 let run ?collector cfg =
   let h =
@@ -221,23 +219,6 @@ let run ?collector cfg =
                 members))
       expected_cfg
   in
-  (* nothing applied twice across the reconfiguration *)
-  let no_duplicates = ref true in
-  let unduplicated () =
-    shards (fun s ->
-        List.iter
-          (fun p ->
-            let values =
-              List.filter_map value (Group.applied_log (group s) p)
-            in
-            if List.length values <> List.length (List.sort_uniq compare values)
-            then begin
-              no_duplicates := false;
-              Chaos.fail h
-                "end of run shard %d: replica %d applied a command twice" s p
-            end)
-          (Chaos.live h s))
-  in
   let report =
     Chaos.drive h views ~watchdog ~rounds:cfg.rounds ~workload
       ~detail:(fun () ->
@@ -250,7 +231,6 @@ let run ?collector cfg =
           reconfig_done = !reconfig_done;
           reads_ok = !reads_ok;
           reads_bad = !reads_bad;
-          no_duplicates = !no_duplicates;
         })
       [
         Chaos.at_end (fun () ->
@@ -258,9 +238,7 @@ let run ?collector cfg =
             |> List.filteri (fun i _ -> i < cfg.reads)
             |> List.iter read);
         handoff;
-        Chaos.at_end (fun () ->
-            reconfigured ();
-            unduplicated ());
+        Chaos.at_end reconfigured;
       ]
   in
   Option.iter

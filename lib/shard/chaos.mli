@@ -6,14 +6,16 @@
     spare) through the shards' own logs.  The watchdog bound is 900
     rounds.
 
-    Its own invariants: the {b epoch handoff}, online (each replica's Σ
+    The core judges each shard's logs by [Cons.Log_spec], keyed by the
+    written value (a reconfiguration entry has no key), so integrity
+    covers the reconfiguration: no replica applies a write twice.  Its
+    own invariants: the {b epoch handoff}, online (each replica's Σ
     quorum is of its own epoch, same-epoch quorums of one shard
     intersect, different-epoch replicas have different applied counts);
-    at the end, {b no duplicates} across the reconfiguration, the
-    expected {b configuration installed}, and {b quiescent reads}: the
-    router's quorum reads, which advance the core's round function,
-    return the last applied write of each sampled key.  The catalogue is
-    in docs/FAULTS.md. *)
+    at the end, the expected {b configuration installed}, and {b
+    quiescent reads}: the router's quorum reads, which advance the core's
+    round function, return the last applied write of each sampled key.
+    The catalogue is in docs/FAULTS.md. *)
 
 type config = {
   shards : int;
@@ -41,7 +43,6 @@ type detail = {
   reconfig_done : bool;
   reads_ok : int;
   reads_bad : int;
-  no_duplicates : bool;
 }
 
 type report = detail Net.Chaos.report

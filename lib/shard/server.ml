@@ -76,7 +76,11 @@ let ops ~config ~roundtrip =
     Router.config;
     sample =
       (fun p ~key ->
-        Some (Net.Wire.of_bytes read_reply_codec (call p (Read { key }))));
+        (* a failed round trip (EPIPE, reset, EOF) is a dead replica's
+           missing sample, as a crashed one's is in process *)
+        match call p (Read { key }) with
+        | reply -> Some (Net.Wire.of_bytes read_reply_codec reply)
+        | exception (Unix.Unix_error _ | End_of_file) -> None);
     submit =
       (fun c ->
         let lowest = Sim.Pidset.min_elt (config ()).Epoch.members in

@@ -45,9 +45,12 @@ val serve :
 
 (** The client's {!Router.ops} for one shard over [roundtrip p frame],
     which sends an encoded {!request} to replica [p] and returns its
-    reply frame.  A sample is one [Read] round trip; [submit] sends to
-    the lowest member of [config ()] and returns once the entry is
-    decided.  Whatever [roundtrip] or a decoder raises propagates. *)
+    reply frame.  A sample is one [Read] round trip, and [None] if the
+    round trip raises [Unix.Unix_error] or [End_of_file]: over sockets
+    that is how a dead replica answers, and [Router.read] needs only a
+    member majority.  [submit] sends to the lowest member of [config ()]
+    and returns once the entry is decided.  Whatever else [roundtrip] or
+    a decoder raises propagates. *)
 val ops :
   config:(unit -> Epoch.config) ->
   roundtrip:(Sim.Pid.t -> bytes -> bytes) ->

@@ -6,8 +6,9 @@
    - same seed + schedule replays bit-for-bit (JSONL minus profile);
    - Rel restores reliable in-order exactly-once delivery over heavy loss;
    - schedules naming a process outside the cluster are rejected;
-   - the harness core's checks fire on a scripted cluster view, and the
-     watchdog stays quiet once no live majority is left;
+   - the log specification's positive controls: a table of scripted
+     cluster views, each judged by Cons.Log_spec.check and by the harness
+     core, and the core's leader re-agreement check;
    - chaos runs survive partition+heal, sustained loss, skew, a kill and
      a majority crash with every online invariant green, and a run cut
      at the heal reports its failures. *)
@@ -344,11 +345,11 @@ let test_majority_component () =
 (* ------------------------------------------------------------------ *)
 (* The harness core against a scripted cluster view                    *)
 
-(* A scripted three-replica group: [logs.(p)] is replica p's applied log
-   (the workload may rewrite it), nodes die when the schedule kills them,
-   and every log entry is its own command. *)
-let scripted ?(schedule = "") ?reagree ?(rounds = 300)
-    ?(workload = fun _ _ -> ()) logs =
+(* A scripted three-replica group: [logs.(p)] is replica p's applied log,
+   every entry its own command; [submitted] (origin, command) pairs are
+   registered at round 1, and nodes die when the schedule kills them. *)
+let scripted ?(schedule = "") ?reagree ?(rounds = 300) ?(submitted = []) logs
+    =
   let h = Net.Chaos.create ~seed:0 ~n:3 (ok_schedule schedule) in
   let dead = Array.make 3 false in
   let group =
@@ -361,8 +362,12 @@ let scripted ?(schedule = "") ?reagree ?(rounds = 300)
       cmd = Option.some;
     }
   in
-  (Net.Chaos.drive h [| group |] ?reagree ~watchdog:100 ~rounds
-     ~workload:(workload h) ~detail:ignore [])
+  let workload r =
+    if r = 1 then
+      List.iter (fun (o, c) -> Net.Chaos.submitted h 0 o c) submitted
+  in
+  (Net.Chaos.drive h [| group |] ?reagree ~watchdog:100 ~rounds ~workload
+     ~detail:ignore [])
     .Net.Chaos.failures
 
 let reports label msg failures =
@@ -371,35 +376,175 @@ let reports label msg failures =
        (String.concat "; " failures))
     true (List.mem msg failures)
 
-let test_core_diverging_logs () =
-  let failures = scripted [| [ "a"; "b" ]; [ "a"; "c" ]; [ "a" ] |] in
-  reports "diverging" "round 50: logs of 0 and 1 not prefix-consistent"
-    failures;
-  reports "diverging" "end of run: survivor logs differ" failures
+(* The positive controls of the log specification: each row is a
+   scripted group, judged by Cons.Log_spec.check (live while a majority
+   is unkilled) and by the harness core.  A convicted row names the
+   violation the spec reports, the lines the harness reports, and text
+   no harness line may contain; a row without a conviction must pass
+   both with nothing reported. *)
+type conviction = { spec : string; harness : string list; absent : string list }
 
-let test_core_survivors_differ () =
-  let failures = scripted [| [ "a" ]; [ "a"; "b" ]; [ "a"; "b" ] |] in
-  Alcotest.(check bool) "prefix-consistent online" false
-    (List.exists (fun f -> contains f "prefix-consistent") failures);
-  reports "differ" "end of run: survivor logs differ" failures
+type row = {
+  name : string;
+  schedule : string;
+  logs : string list array;
+  submitted : (Sim.Pid.t * string) list;
+  convicts : conviction option;
+}
 
-(* One command submitted at round 1 that no replica ever applies. *)
-let stalled ?schedule () =
-  scripted ?schedule
-    ~workload:(fun h r -> if r = 1 then Net.Chaos.submitted h 0 0 "x")
-    [| []; []; [] |]
+let rows =
+  let stall = [| []; []; [] |] in
+  (* a safety violation: the harness reports it from round 50 on *)
+  let online ?(harness = []) spec =
+    Some { spec; harness = ("round 50: " ^ spec) :: harness; absent = [] }
+  in
+  let missing = "end of run: submitted commands missing" in
+  let never_applied =
+    "validity violated: correct p0 lacks \"x\", which a correct process \
+     submitted"
+  in
+  [
+    {
+      name = "diverging logs";
+      schedule = "";
+      logs = [| [ "a"; "b" ]; [ "a"; "c" ]; [ "a" ] |];
+      submitted = [ (0, "a"); (0, "b"); (1, "c") ];
+      convicts =
+        online
+          "total order violated: logs of p0 and p1 are not prefix-compatible"
+          ~harness:[ "end of run: survivor logs differ" ];
+    };
+    {
+      name = "survivor logs differ";
+      schedule = "";
+      logs = [| [ "a" ]; [ "a"; "b" ]; [ "a"; "b" ] |];
+      submitted = [ (1, "a"); (1, "b") ];
+      convicts =
+        Some
+          {
+            spec = "agreement violated: correct p0 and p1 hold different logs";
+            harness = [ "end of run: survivor logs differ" ];
+            absent = [ "total order" ];
+          };
+    };
+    {
+      name = "duplicate apply";
+      schedule = "";
+      logs = [| [ "a"; "a" ]; [ "a"; "a" ]; [ "a"; "a" ] |];
+      submitted = [ (0, "a") ];
+      convicts = online "integrity violated: p0 applied \"a\" twice";
+    };
+    {
+      name = "unsubmitted key";
+      schedule = "";
+      logs = [| [ "a"; "z" ]; [ "a"; "z" ]; [ "a"; "z" ] |];
+      submitted = [ (0, "a") ];
+      convicts =
+        online "integrity violated: p0 applied \"z\", which nobody submitted";
+    };
+    (* a correct origin's command that no replica ever applies *)
+    {
+      name = "watchdog";
+      schedule = "";
+      logs = stall;
+      submitted = [ (0, "x") ];
+      convicts =
+        Some
+          {
+            spec = never_applied;
+            harness =
+              [
+                "round 101: no progress for 100 rounds on a healthy network";
+                missing;
+              ];
+            absent = [];
+          };
+    };
+    (* a lossy network owes no progress, but the command is still owed *)
+    {
+      name = "missing under loss";
+      schedule = "at 0 drop * 0.5\n";
+      logs = stall;
+      submitted = [ (0, "x") ];
+      convicts =
+        Some
+          {
+            spec = never_applied;
+            harness = [ missing ];
+            absent = [ "no progress" ];
+          };
+    };
+    (* replica 2 applied its own command and was killed; the live
+       majority never applies it *)
+    {
+      name = "killed replica's key lost";
+      schedule = "at 5 kill 2\n";
+      logs = [| []; []; [ "k" ] |];
+      submitted = [ (2, "k") ];
+      convicts =
+        Some
+          {
+            spec =
+              "uniform agreement violated: correct p0 lacks \"k\", which a \
+               process applied";
+            harness = [ missing ];
+            absent = [];
+          };
+    };
+    {
+      name = "clean run";
+      schedule = "";
+      logs = [| [ "a"; "b" ]; [ "a"; "b" ]; [ "a"; "b" ] |];
+      submitted = [ (0, "a"); (1, "b") ];
+      convicts = None;
+    };
+    (* nothing is owed once a majority crashed *)
+    {
+      name = "missing after a majority crash";
+      schedule = "at 5 kill 1\nat 5 kill 2\n";
+      logs = stall;
+      submitted = [ (0, "x") ];
+      convicts = None;
+    };
+  ]
 
-let test_core_watchdog () =
-  let failures = stalled () in
-  reports "stall" "round 101: no progress for 100 rounds on a healthy network"
-    failures;
-  reports "stall" "end of run: submitted commands missing" failures;
-  Alcotest.(check (list string)) "a lossy network owes no progress" []
-    (List.filter
-       (fun f -> contains f "no progress")
-       (stalled ~schedule:"at 0 drop * 0.5\n" ()));
-  Alcotest.(check (list string)) "nothing is owed once a majority crashed" []
-    (stalled ~schedule:"at 5 kill 1\nat 5 kill 2\n" ())
+let judge_row ({ logs; _ } as row) () =
+  let killed =
+    List.filter_map
+      (function _, Net.Nemesis.Kill p -> Some p | _ -> None)
+      (ok_schedule row.schedule)
+  in
+  let correct = List.filter (fun p -> not (List.mem p killed)) [ 0; 1; 2 ] in
+  let spec =
+    Cons.Log_spec.check
+      ~live:(2 * List.length correct > 3)
+      {
+        Cons.Log_spec.logs = List.mapi (fun p l -> (p, l)) (Array.to_list logs);
+        correct;
+        submitted = row.submitted;
+        key = Option.some;
+      }
+    |> List.map
+         (Format.asprintf "%a"
+            (Cons.Log_spec.pp_violation (fun ppf -> Format.fprintf ppf "%S")))
+  in
+  let failures =
+    scripted ~schedule:row.schedule ~submitted:row.submitted logs
+  in
+  match row.convicts with
+  | None ->
+    Alcotest.(check (list string)) "the spec finds nothing" [] spec;
+    Alcotest.(check (list string)) "the harness reports nothing" [] failures
+  | Some c ->
+    reports "spec" c.spec spec;
+    List.iter (fun msg -> reports "harness" msg failures) c.harness;
+    List.iter
+      (fun text ->
+        Alcotest.(check (list string))
+          (Printf.sprintf "no harness line mentions %S" text)
+          []
+          (List.filter (fun f -> contains f text) failures))
+      c.absent
 
 let test_core_reagreement () =
   let schedule = "at 10 partition 0 | 1 2\nat 20 heal\n" in
@@ -475,14 +620,13 @@ let () =
             test_majority_component;
         ] );
       ( "core",
-        [
-          Alcotest.test_case "diverging logs" `Quick test_core_diverging_logs;
-          Alcotest.test_case "survivor logs differ" `Quick
-            test_core_survivors_differ;
-          Alcotest.test_case "watchdog" `Quick test_core_watchdog;
-          Alcotest.test_case "leader re-agreement" `Quick
-            test_core_reagreement;
-        ] );
+        List.map
+          (fun row -> Alcotest.test_case row.name `Quick (judge_row row))
+          rows
+        @ [
+            Alcotest.test_case "leader re-agreement" `Quick
+              test_core_reagreement;
+          ] );
       ( "harness",
         [
           Alcotest.test_case "partition + heal converges" `Quick

@@ -370,15 +370,20 @@ let test_router_reads () =
    Server.ops, whose round trip hands each encoded request to
    Server.impl's on_request against the replica's state and returns the
    reply frame, must read what Router.read over Cluster.ops reads —
-   before and after a rotation. *)
+   before and after a rotation, with member 2 dead: crashed in process,
+   and over the wire a round trip that raises, as a write to a killed
+   server does. *)
 let test_server_ops_reads () =
   let cl = Cluster.create ~period:8 ~shards:1 ~replicas:3 ~spares:1 () in
   Cluster.run cl ~rounds:50;
   let g = Cluster.group cl 0 in
+  let dead = 2 in
+  Group.crash g dead;
   let roundtrip =
     match Shard.Server.impl ~period:8 ~members:members012 () with
     | Net.Smr_node.Impl impl -> (
       fun p frame ->
+        if p = dead then raise (Unix.Unix_error (Unix.EPIPE, "write", ""));
         match
           impl.on_request
             ~state:(fun () -> Group.state g p)

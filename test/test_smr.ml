@@ -30,6 +30,38 @@ let stop_applied fp k outputs =
       >= k)
     (Sim.Failure_pattern.correct fp)
 
+(* The log specification's view of an SMR run.  An entry's key is its
+   (origin, seq, payload): each process numbers its submissions 0, 1, ...
+   in submission order. *)
+let spec_run ~inputs fp trace =
+  let pids = Sim.Pid.all (Sim.Failure_pattern.n fp) in
+  let by_time = List.stable_sort (fun (t, _, _) (t', _, _) -> compare t t') in
+  let submitted =
+    List.concat_map
+      (fun p ->
+        List.filter (fun (_, q, _) -> Sim.Pid.equal q p) (by_time inputs)
+        |> List.mapi (fun seq (_, _, v) -> (p, (p, seq, v))))
+      pids
+  in
+  {
+    Cons.Log_spec.logs =
+      List.map (fun p -> (p, Sim.Trace.outputs_of trace p)) pids;
+    correct = Sim.Pidset.elements (Sim.Failure_pattern.correct fp);
+    submitted;
+    key =
+      (fun (_, (c : _ Cons.Smr.cmd)) ->
+        Some (c.Cons.Smr.origin, c.Cons.Smr.seq, c.Cons.Smr.payload));
+  }
+
+let pp_key ppf (o, s, v) = Format.fprintf ppf "(%d, %d, %d)" o s v
+
+let holds label = function
+  | [] -> ()
+  | vs ->
+    Alcotest.failf "%s: %a" label
+      (Format.pp_print_list (Cons.Log_spec.pp_violation pp_key))
+      vs
+
 let test_total_order () =
   for seed = 1 to 8 do
     let fp =
@@ -51,22 +83,12 @@ let test_total_order () =
       (Printf.sprintf "applied everything (seed %d)" seed)
       true
       (trace.Sim.Trace.stopped = `Condition);
-    (* Every pair of correct processes agrees on a common prefix. *)
+    holds
+      (Printf.sprintf "integrity and total order (seed %d)" seed)
+      (Cons.Log_spec.safety (spec_run ~inputs fp trace));
     let logs =
       List.map (fun p -> log_of trace p) (Sim.Pidset.elements correct)
     in
-    let rec common_prefix a b =
-      match (a, b) with
-      | x :: a', y :: b' -> x = y && common_prefix a' b'
-      | _, [] | [], _ -> true
-    in
-    List.iter
-      (fun l1 ->
-        List.iter
-          (fun l2 ->
-            Alcotest.(check bool) "logs agree" true (common_prefix l1 l2))
-          logs)
-      logs;
     (* Slots are consecutive from 0. *)
     List.iter
       (fun l ->
@@ -195,30 +217,9 @@ let test_smr_satisfies_to_broadcast_spec () =
     let trace = run_smr ~inputs ~stop:(stop_applied fp expected) fp seed in
     Alcotest.(check bool) "completed" true
       (trace.Sim.Trace.stopped = `Condition);
-    (* Submissions: (origin, seq, payload); our SMR numbers each process's
-       submissions 0, 1, ... in submission order. *)
-    let submitted =
-      List.concat_map (fun p -> [ (p, 0, p); (p, 1, p + 100) ]) correct
-    in
-    let deliveries =
-      List.map
-        (fun p ->
-          ( p,
-            List.mapi
-              (fun pos (slot, (c : int Cons.Smr.cmd)) ->
-                ignore slot;
-                {
-                  Bcast.To_spec.pos;
-                  origin = c.Cons.Smr.origin;
-                  seq = c.Cons.Smr.seq;
-                  payload = c.Cons.Smr.payload;
-                })
-              (Sim.Trace.outputs_of trace p) ))
-        (Sim.Pid.all 4)
-    in
-    match Bcast.To_spec.check ~submitted ~deliveries fp with
-    | Ok () -> ()
-    | Error e -> Alcotest.failf "TO spec (seed %d): %s" seed e
+    holds
+      (Printf.sprintf "TO spec (seed %d)" seed)
+      (Cons.Log_spec.check ~live:true (spec_run ~inputs fp trace))
   done
 
 let prop_smr_total_order =
@@ -235,20 +236,7 @@ let prop_smr_total_order =
         run_smr ~inputs ~stop:(stop_applied fp (List.length inputs)) fp seed
       in
       trace.Sim.Trace.stopped = `Condition
-      &&
-      let logs = List.map (fun p -> log_of trace p) correct in
-      List.for_all
-        (fun l1 ->
-          List.for_all
-            (fun l2 ->
-              let rec prefix a b =
-                match (a, b) with
-                | x :: a', y :: b' -> x = y && prefix a' b'
-                | _, [] | [], _ -> true
-              in
-              prefix l1 l2)
-            logs)
-        logs)
+      && Cons.Log_spec.safety (spec_run ~inputs fp trace) = [])
 
 (* --- Cons.Seen against a reference set of (origin, seq) pairs ------------ *)
 
