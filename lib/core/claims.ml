@@ -165,12 +165,6 @@ let e5 () =
          fp)
       (Sim.Layered.with_detector Fd.Emulated.Sigma_majority.detector observer)
   in
-  let last trace p =
-    List.find_opt
-      (fun (e : Sim.Pidset.t Sim.Trace.event) -> Sim.Pid.equal e.pid p)
-      (List.rev trace.Sim.Trace.outputs)
-  in
-  let sample (e : Sim.Pidset.t Sim.Trace.event) = (e.pid, e.time, e.value) in
   let majority name crashes =
     let fp = Sim.Failure_pattern.make ~n:5 crashes in
     let trace =
@@ -178,36 +172,27 @@ let e5 () =
         ~policy:(Sim.Network.Random_delay { max_delay = 4; lambda_prob = 0.2 })
         fp
     in
-    match
-      Fd.Sigma.check fp ~horizon:trace.Sim.Trace.ticks
-        (List.filteri (fun i _ -> i mod 13 = 0) (List.map sample trace.outputs)
-        @ List.filter_map
-            (fun p -> Option.map sample (last trace p))
-            (Sim.Pidset.elements (Sim.Failure_pattern.correct fp)))
-    with
+    match Fd.Sigma.check fp ~horizon:trace.Sim.Trace.ticks trace.outputs with
     | Ok () -> (true, [ name; "conforms to Sigma" ])
     | Error e -> (false, [ name; "VIOLATES Sigma: " ^ e ])
   in
   (* Minority-correct: the emulation's quorums go stale (they keep naming
-     crashed processes), violating completeness — as the paper predicts. *)
+     crashed processes), violating completeness — as the paper predicts:
+     the quorums intersect, yet the spec fails. *)
   let fp = Sim.Failure_pattern.make ~n:5 [ (0, 40); (1, 40); (2, 40) ] in
   let trace = emulate fp in
-  let correct = Sim.Failure_pattern.correct fp in
-  let complete =
-    Sim.Pidset.for_all
-      (fun p ->
-        match last trace p with
-        | Some e -> Sim.Pidset.subset e.value correct
-        | None -> false)
-      correct
+  let stale =
+    Fd.Sigma.safety trace.outputs = Ok ()
+    && Fd.Sigma.check fp ~horizon:trace.ticks trace.outputs <> Ok ()
   in
   judged_rows [ "run"; "join-quorum emulation" ]
     [ majority "one-crash (maj.)" [ (0, 50) ];
       majority "two-crash (maj.)" [ (0, 50); (1, 90) ];
-      ( not complete,
+      ( stale,
         [ "minority-correct";
-          (if complete then "unexpectedly complete"
-           else "stale quorums (completeness FAILS — Sigma is not free here)") ] ) ]
+          (if stale then
+             "stale quorums (completeness FAILS — Sigma is not free here)"
+           else "unexpectedly complete") ] ) ]
 
 (* E9: QC from NBAC, and FS from NBAC *)
 let e9 () =
@@ -237,8 +222,8 @@ let e9 () =
            ~fd:(nbac_fd fp) fp)
         Qcnbac.Fs_from_nbac.protocol
     in
-    let red_times =
-      List.filter_map
+    let first_red =
+      List.find_map
         (fun (e : Fd.Fs.output Sim.Trace.event) ->
           match e.value with Fd.Fs.Red -> Some e.time | Fd.Fs.Green -> None)
         trace.outputs
@@ -248,16 +233,19 @@ let e9 () =
         (fun acc st -> max acc (Qcnbac.Fs_from_nbac.instance st))
         0 trace.final_states
     in
-    let ok, signal =
-      match (Sim.Failure_pattern.first_crash fp, red_times) with
-      | None, [] -> (true, "stays green (accurate)")
-      | None, _ :: _ -> (false, "VIOLATION: red without failure")
-      | Some t0, t :: _ when t > t0 ->
-        (true, Printf.sprintf "red at t=%d (crash at %d) — complete & accurate" t t0)
-      | Some _, t :: _ -> (false, Printf.sprintf "VIOLATION: red at t=%d too early" t)
-      | Some _, [] -> (false, "VIOLATION: never turned red")
+    let spec =
+      Fd.Fs.check fp ~horizon:trace.ticks
+        (Fd.Oracle.of_outputs ~init:Fd.Fs.Green trace.outputs)
     in
-    (ok, [ "fs-from-nbac"; name; Printf.sprintf "instances=%d" instances; signal ])
+    let signal =
+      match (spec, Sim.Failure_pattern.first_crash fp, first_red) with
+      | Error e, _, _ -> "VIOLATION: " ^ e
+      | Ok (), Some t0, Some t ->
+        Printf.sprintf "red at t=%d (crash at %d) — complete & accurate" t t0
+      | Ok (), _, _ -> "stays green (accurate)"
+    in
+    ( spec = Ok (),
+      [ "fs-from-nbac"; name; Printf.sprintf "instances=%d" instances; signal ] )
   in
   judged_rows [ "algorithm"; "scenario"; "result"; "verdict" ]
     [ ( qc_spec = Ok (),
@@ -448,8 +436,12 @@ let simulator =
         let fp = Sim.Failure_pattern.make ~n:3 [ (0, 50) ] in
         List.map
           (fun seed ->
-            ( Extract.Omega_extraction.check fp
-                (Extract.Omega_extraction.run ~fp ~seed ~rounds:3 ~chunk:200)
+            let r =
+              Extract.Omega_extraction.run ~fp ~seed ~rounds:3 ~chunk:200
+            in
+            (* Ω may output any pid before it stabilises *)
+            ( Fd.Omega.check fp ~horizon:r.horizon
+                (Fd.Oracle.of_outputs ~init:0 r.outputs)
               = Ok (),
               Printf.sprintf "no correct leader extracted (seed %d)" seed ))
           [ 1; 2; 3 ]);

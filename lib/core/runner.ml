@@ -340,27 +340,23 @@ let run_sigma_extraction_w ?obs (cfg : Run_config.t) (scenario : Scenario.t) =
       ~fd:sigma fp
   in
   let trace = Sim.Engine.run ecfg Extract.Sigma_extraction.protocol in
-  let samples =
-    List.map
-      (fun (e : Sim.Pidset.t Sim.Trace.event) -> (e.pid, e.time, e.value))
-      trace.Sim.Trace.outputs
-  in
-  let spec_ok = Fd.Sigma.check fp ~horizon:trace.Sim.Trace.ticks samples in
+  let quorums = trace.Sim.Trace.outputs in
+  let spec_ok = Fd.Sigma.check fp ~horizon:trace.ticks quorums in
   (match obs with
   | None -> ()
   | Some c ->
     List.iter
-      (fun (_, _, q) ->
+      (fun (e : _ Sim.Trace.event) ->
         Obs.Metrics.observe c.Obs.Collector.metrics "sigma.extracted_size"
-          (Sim.Pidset.cardinal q))
-      samples);
+          (Sim.Pidset.cardinal e.value))
+      quorums);
   {
     algorithm = "extract-sigma";
     detector = "D=Sigma via ABD";
     scenario = scenario.Scenario.name;
-    terminated = samples <> [];
+    terminated = quorums <> [];
     spec_ok;
-    decision = Printf.sprintf "%d quorums" (List.length samples);
+    decision = Printf.sprintf "%d quorums" (List.length quorums);
     latency = Sim.Trace.latency trace;
     steps = trace.Sim.Trace.steps;
     messages = trace.Sim.Trace.messages_sent;
@@ -374,7 +370,10 @@ let run_psi_extraction_w ?obs (cfg : Run_config.t) ~rounds ~chunk
     Extract.Psi_extraction.run ?sink:(sink_of obs) ~fp
       ~seed:cfg.Run_config.seed ~rounds ~chunk ()
   in
-  let spec_ok = Extract.Psi_extraction.check fp result in
+  let spec_ok =
+    Fd.Psi.check fp ~horizon:result.Extract.Psi_extraction.horizon
+      (Fd.Oracle.of_outputs ~init:Fd.Psi.Bot result.outputs)
+  in
   {
     algorithm = "extract-psi";
     detector = "D=Psi via QC";
@@ -382,7 +381,7 @@ let run_psi_extraction_w ?obs (cfg : Run_config.t) ~rounds ~chunk
     terminated = true;
     spec_ok;
     decision =
-      (match result.Extract.Psi_extraction.mode with
+      (match result.mode with
       | `Red -> "FS(red)"
       | `Cons -> "(Omega,Sigma)");
     latency = None;

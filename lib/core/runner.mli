@@ -74,9 +74,9 @@ type workload =
       quorums : [ `Sigma | `Majority ];
           (** quorum source: Σ oracle or fixed majorities *)
     }
-  | Sigma_extraction  (** Figure 1 transformation, checked against Σ *)
+  | Sigma_extraction  (** Figure 1 transformation, judged by [Fd.Sigma.check] *)
   | Psi_extraction of { rounds : int; chunk : int }
-      (** Figure 3 transformation, checked against Ψ *)
+      (** Figure 3 transformation, judged by [Fd.Psi.check] *)
 
 (** [run cfg workload scenario] executes one workload instance and checks
     its problem specification.  ([Psi_extraction] drives its own engine

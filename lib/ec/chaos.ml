@@ -271,12 +271,11 @@ let run ?collector cfg =
                   match Store.get (store_of p) key with
                   | Some e when String.equal e.Entry.value value -> ()
                   | Some e ->
-                    Chaos.fail h
-                      "round %d: node %d reads %S for its own key %s, wrote %S"
-                      r p e.Entry.value key value
+                    Chaos.fail_at h r
+                      ": node %d reads %S for its own key %s, wrote %S" p
+                      e.Entry.value key value
                   | None ->
-                    Chaos.fail h "round %d: node %d lost its own key %s" r p
-                      key)
+                    Chaos.fail_at h r ": node %d lost its own key %s" p key)
               last_put.(p))
           (live ());
         Option.iter sample_gauges metrics)

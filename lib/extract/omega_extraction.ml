@@ -1,4 +1,4 @@
-type result = { rounds : (int * Sim.Pid.t) list }
+type result = { outputs : Sim.Pid.t Sim.Trace.event list; horizon : int }
 
 (* Consensus-under-test: quorum Paxos wrapped so its decisions are the
    plain int it decides (the Cht machinery is generic in the output). *)
@@ -19,42 +19,23 @@ let run ~fp ~seed ~rounds ~chunk =
   let fd0 = (0, Sim.Pidset.full n) in
   let t = Cht.make algorithm ~n ~fd0 in
   let correct = Sim.Failure_pattern.correct fp in
-  let extracted =
-    List.init rounds (fun r ->
-        let horizon = (r + 1) * chunk in
-        let cut =
-          let rec count i =
-            if
-              i < Array.length samples_full
-              && samples_full.(i).Dag.time <= horizon
-            then count (i + 1)
-            else i
-          in
-          count 0
-        in
-        let samples_r = Array.sub samples_full 0 cut in
-        let fresh_from =
-          Dag.suffix_from samples_r ~time:(max 0 (horizon - chunk))
-        in
-        let window =
-          Array.sub samples_r fresh_from (cut - fresh_from)
-        in
-        let leader =
-          match Cht.extract_leader t window with
-          | Some l -> l
-          | None -> Sim.Pidset.min_elt correct
-        in
-        (horizon, leader))
+  let round r =
+    let horizon = (r + 1) * chunk in
+    (* the samples of (horizon - chunk, horizon] *)
+    let window =
+      let cut = Dag.suffix_from samples_full ~time:(horizon + 1) in
+      let from = Dag.suffix_from samples_full ~time:(max 0 (horizon - chunk)) in
+      Array.sub samples_full from (cut - from)
+    in
+    let leader =
+      match Cht.extract_leader t window with
+      | Some l -> l
+      | None -> Sim.Pidset.min_elt correct
+    in
+    List.filter_map
+      (fun p ->
+        if Sim.Failure_pattern.crashed_at fp ~time:horizon p then None
+        else Some { Sim.Trace.time = horizon; pid = p; value = leader })
+      (Sim.Pid.all n)
   in
-  { rounds = extracted }
-
-let check fp result =
-  let correct = Sim.Failure_pattern.correct fp in
-  match List.rev result.rounds with
-  | [] -> Error "no rounds extracted"
-  | (_, final) :: _ ->
-    if not (Sim.Pidset.mem final correct) then
-      Error
-        (Format.asprintf "final extracted leader %a is faulty" Sim.Pid.pp
-           final)
-    else Ok ()
+  { outputs = List.concat (List.init rounds round); horizon = rounds * chunk }

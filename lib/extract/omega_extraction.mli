@@ -12,19 +12,16 @@
     the consensus algorithm really carries the full strength of Ω. *)
 
 type result = {
-  rounds : (int * Sim.Pid.t) list;
-      (** (sample horizon, extracted leader) per round, oldest first *)
+  outputs : Sim.Pid.t Sim.Trace.event list;
+      (** round [r]'s extracted leader ([r = 1 .. rounds]) at every
+          process alive at the round's horizon [r * chunk], stamped there,
+          oldest round first *)
+  horizon : int;  (** the last round's horizon, [rounds * chunk] *)
 }
 
 (** [run ~fp ~seed ~rounds ~chunk] builds the sample DAG of the (Ω, Σ)
     oracle, simulates the consensus forest, and extracts a leader per
-    round. *)
+    round.  The stream is judged by {!Fd.Omega.check} through
+    {!Fd.Oracle.of_outputs} at [horizon]. *)
 val run :
   fp:Sim.Failure_pattern.t -> seed:int -> rounds:int -> chunk:int -> result
-
-(** [check fp result] validates the leader stream against Ω, reading
-    rounds as time: the final leader must be the same correct process at
-    every... — with the shared sample sequence the stream is common by
-    construction, so the check is that the last extracted leader is a
-    correct process and that the stream is eventually constant. *)
-val check : Sim.Failure_pattern.t -> result -> (unit, string) Stdlib.result

@@ -1,11 +1,7 @@
-type round_outputs = {
-  horizon : int;
-  outputs : (Sim.Pid.t * Fd.Psi.output) list;
-}
-
 type result = {
   mode : [ `Red | `Cons ];
-  rounds : round_outputs list;
+  outputs : Fd.Psi.output Sim.Trace.event list;
+  horizon : int;
   real_decision : int Qcnbac.Types.qc_decision;
 }
 
@@ -81,23 +77,20 @@ let run ?sink ~fp ~seed ~rounds ~chunk () =
     | Qcnbac.Types.Value 1 -> `Cons
     | Qcnbac.Types.Value _ | Qcnbac.Types.Quit -> `Red
   in
-  (* Phase 3: produce per-round outputs. *)
-  let alive_at time =
-    List.filter
-      (fun p -> not (Sim.Failure_pattern.crashed_at fp ~time p))
+  (* Phase 3: per round, one output at each process alive at the round's
+     horizon, stamped there. *)
+  let round_outputs horizon output =
+    List.filter_map
+      (fun p ->
+        if Sim.Failure_pattern.crashed_at fp ~time:horizon p then None
+        else Some { Sim.Trace.time = horizon; pid = p; value = output p })
       (Sim.Pid.all n)
   in
-  let bot_round = { horizon = 0; outputs = [] } in
   let rounds_out =
     match mode with
     | `Red ->
       List.init rounds (fun r ->
-          let horizon = (r + 1) * chunk in
-          {
-            horizon;
-            outputs =
-              List.map (fun p -> (p, Fd.Psi.Fs_mode Fd.Fs.Red)) (alive_at horizon);
-          })
+          round_outputs ((r + 1) * chunk) (fun _ -> Fd.Psi.Fs_mode Fd.Fs.Red))
     | `Cons ->
       (* The agreed (I0, I1, S0, S1): the first adjacent trees whose
          canonical runs decide differently; their deciding prefixes form
@@ -125,18 +118,11 @@ let run ?sink ~fp ~seed ~rounds ~chunk () =
       let last_sigma = Hashtbl.create 8 in
       List.init rounds (fun r ->
           let horizon = (r + 1) * chunk in
-          let cut =
-            (* samples with time <= horizon *)
-            let rec count i =
-              if
-                i < Array.length samples_full
-                && samples_full.(i).Dag.time <= horizon
-              then count (i + 1)
-              else i
-            in
-            count 0
+          (* samples with time <= horizon *)
+          let samples_r =
+            Array.sub samples_full 0
+              (Dag.suffix_from samples_full ~time:(horizon + 1))
           in
-          let samples_r = Array.sub samples_full 0 cut in
           let fresh_from =
             Dag.suffix_from samples_r ~time:(max 0 (horizon - chunk))
           in
@@ -146,36 +132,32 @@ let run ?sink ~fp ~seed ~rounds ~chunk () =
              process.  The finite analogue is to use recent samples, where
              already-crashed processes take no steps. *)
           let window =
-            Array.sub samples_r fresh_from (cut - fresh_from)
+            Array.sub samples_r fresh_from
+              (Array.length samples_r - fresh_from)
           in
           let leader =
             match Cht.extract_leader t window with
             | Some l -> l
             | None -> Sim.Pidset.min_elt correct
           in
-          let outputs =
-            List.map
-              (fun p ->
-                let quorum =
-                  match
-                    Cht.sigma_quorum t samples_r ~configs ~from_:fresh_from
-                      ~pid:p
-                  with
-                  | Some q ->
-                    Hashtbl.replace last_sigma p q;
-                    q
-                  | None -> (
-                    (* Keep the previous quorum until fresh samples let us
-                       re-decide (the paper's loop also repeats until it
-                       succeeds). *)
-                    match Hashtbl.find_opt last_sigma p with
-                    | Some q -> q
-                    | None -> Sim.Pidset.full n)
-                in
-                (p, Fd.Psi.Cons_mode (leader, quorum)))
-              (alive_at horizon)
-          in
-          { horizon; outputs })
+          round_outputs horizon (fun p ->
+              let quorum =
+                match
+                  Cht.sigma_quorum t samples_r ~configs ~from_:fresh_from
+                    ~pid:p
+                with
+                | Some q ->
+                  Hashtbl.replace last_sigma p q;
+                  q
+                | None -> (
+                  (* Keep the previous quorum until fresh samples let us
+                     re-decide (the paper's loop also repeats until it
+                     succeeds). *)
+                  match Hashtbl.find_opt last_sigma p with
+                  | Some q -> q
+                  | None -> Sim.Pidset.full n)
+              in
+              Fd.Psi.Cons_mode (leader, quorum)))
   in
   (match sink with
   | None -> ()
@@ -183,79 +165,16 @@ let run ?sink ~fp ~seed ~rounds ~chunk () =
     emit_metric sink ~round:0 ~time:0 "psi.dag_total"
       (Array.length samples_full);
     List.iteri
-      (fun i (r : round_outputs) ->
-        let cut =
-          Array.fold_left
-            (fun acc (s : _ Dag.sample) ->
-              if s.Dag.time <= r.horizon then acc + 1 else acc)
-            0 samples_full
-        in
-        emit_metric sink ~round:(i + 1) ~time:r.horizon "psi.dag_samples" cut;
-        emit_metric sink ~round:(i + 1) ~time:r.horizon "psi.round_outputs"
-          (List.length r.outputs))
+      (fun i outs ->
+        let horizon = (i + 1) * chunk in
+        emit_metric sink ~round:(i + 1) ~time:horizon "psi.dag_samples"
+          (Dag.suffix_from samples_full ~time:(horizon + 1));
+        emit_metric sink ~round:(i + 1) ~time:horizon "psi.round_outputs"
+          (List.length outs))
       rounds_out);
-  { mode; rounds = bot_round :: rounds_out; real_decision }
-
-let check fp result =
-  let correct = Sim.Failure_pattern.correct fp in
-  let failure = Option.is_some (Sim.Failure_pattern.first_crash fp) in
-  match result.mode with
-  | `Red ->
-    if not failure then Error "extracted red without any failure"
-    else Ok ()
-  | `Cons -> (
-    (* Gather all quorums and the final leaders. *)
-    let all_quorums =
-      List.concat_map
-        (fun r ->
-          List.filter_map
-            (fun (_, o) ->
-              match o with
-              | Fd.Psi.Cons_mode (_, q) -> Some q
-              | Fd.Psi.Bot | Fd.Psi.Fs_mode _ -> None)
-            r.outputs)
-        result.rounds
-    in
-    let disjoint =
-      List.exists
-        (fun q1 ->
-          List.exists (fun q2 -> not (Sim.Pidset.intersects q1 q2)) all_quorums)
-        all_quorums
-    in
-    if disjoint then Error "two extracted quorums are disjoint"
-    else
-      match List.rev result.rounds with
-      | [] -> Error "no rounds"
-      | last :: _ -> (
-        let final_leaders =
-          List.filter_map
-            (fun (p, o) ->
-              if Sim.Pidset.mem p correct then
-                match o with
-                | Fd.Psi.Cons_mode (l, _) -> Some l
-                | Fd.Psi.Bot | Fd.Psi.Fs_mode _ -> None
-              else None)
-            last.outputs
-          |> List.sort_uniq Sim.Pid.compare
-        in
-        let final_quorums =
-          List.filter_map
-            (fun (p, o) ->
-              if Sim.Pidset.mem p correct then
-                match o with
-                | Fd.Psi.Cons_mode (_, q) -> Some q
-                | Fd.Psi.Bot | Fd.Psi.Fs_mode _ -> None
-              else None)
-            last.outputs
-        in
-        match final_leaders with
-        | [ l ] when Sim.Pidset.mem l correct ->
-          if
-            List.for_all (fun q -> Sim.Pidset.subset q correct) final_quorums
-          then Ok ()
-          else Error "a final quorum still contains a faulty process"
-        | [ l ] ->
-          Error
-            (Format.asprintf "final leader %a is faulty" Sim.Pid.pp l)
-        | [] -> Error "no final leader"
-        | _ :: _ :: _ -> Error "correct processes disagree on the leader"))
+  {
+    mode;
+    outputs = List.concat rounds_out;
+    horizon = rounds * chunk;
+    real_decision;
+  }

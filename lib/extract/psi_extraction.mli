@@ -18,18 +18,17 @@
       prefix configurations using only fresh samples
       ({!Cht.sigma_quorum}).
 
-    The result is, per process, a Ψ-style output stream over rounds,
-    checkable against the Ψ specification. *)
-
-type round_outputs = {
-  horizon : int;  (** the sample-time horizon of this round *)
-  outputs : (Sim.Pid.t * Fd.Psi.output) list;
-      (** one entry per process alive at the horizon *)
-}
+    The result is an output stream, judged by {!Fd.Psi.check} through
+    {!Fd.Oracle.of_outputs} with [init] [Bot] at [horizon]. *)
 
 type result = {
   mode : [ `Red | `Cons ];  (** what the real execution of A agreed on *)
-  rounds : round_outputs list;  (** round 0 is the all-⊥ round *)
+  outputs : Fd.Psi.output Sim.Trace.event list;
+      (** round [r]'s outputs ([r = 1 .. rounds]), one at each process
+          alive at the round's horizon [r * chunk] and stamped there,
+          oldest round first; before round 1 a process outputs ⊥, the
+          [init] the stream is read with *)
+  horizon : int;  (** the last round's horizon, [rounds * chunk] *)
   real_decision : int Qcnbac.Types.qc_decision;
       (** the decision of the real execution of A *)
 }
@@ -45,9 +44,3 @@ val run :
   chunk:int ->
   unit ->
   result
-
-(** [check fp result] validates the extracted stream against the Ψ
-    specification, reading rounds as time: a ⊥ prefix, a common mode, red
-    only after a failure, a common correct eventual leader, pairwise
-    intersecting quorums that eventually contain only correct processes. *)
-val check : Sim.Failure_pattern.t -> result -> (unit, string) Stdlib.result

@@ -37,13 +37,10 @@ let oracle_instant =
       fun _p _t -> leader)
 
 let check fp ~horizon h =
-  let correct = Sim.Pidset.elements (Sim.Failure_pattern.correct fp) in
   let correct_set = Sim.Failure_pattern.correct fp in
-  (* Find the last time at which some correct process disagrees with the
-     final common value, scanning backwards. *)
-  match correct with
+  match Sim.Pidset.elements correct_set with
   | [] -> Error "no correct process"
-  | p0 :: _ ->
+  | p0 :: _ as correct ->
     let final = h p0 horizon in
     if not (Sim.Pidset.mem final correct_set) then
       Error
@@ -51,13 +48,4 @@ let check fp ~horizon h =
            final)
     else if List.exists (fun q -> h q horizon <> final) correct then
       Error "correct processes disagree at the horizon"
-    else
-      (* Stabilization point: last disagreement must be < horizon. *)
-      let rec stable_from t =
-        if t < 0 then 0
-        else if List.for_all (fun q -> h q t = final) correct then
-          stable_from (t - 1)
-        else t + 1
-      in
-      let s = stable_from (horizon - 1) in
-      if s <= horizon then Ok () else Error "did not stabilize within horizon"
+    else Ok ()

@@ -19,12 +19,11 @@ val oracle_with : leader:Sim.Pid.t -> stabilize_at:int -> output Oracle.t
     correct process at every time.  Still a legal Ω history. *)
 val oracle_instant : output Oracle.t
 
-(** [check fp ~horizon h] verifies the Ω specification on the finite prefix
-    [0 .. horizon] of history [h]: there must be a time [t <= horizon] from
-    which all correct processes output the same correct process up to
-    [horizon].  (A finite check of an eventual property: sound for histories
-    that stabilize within the horizon.)  Returns an explanation on
-    failure. *)
+(** [check fp ~horizon h] verifies the Ω specification on the finite
+    prefix [0 .. horizon] of history [h]: at [horizon] every correct
+    process outputs the same correct process.  (A finite check of an
+    eventual property: on a prefix, the horizon itself is a time from
+    which the clause holds.)  Returns an explanation on failure. *)
 val check :
   Sim.Failure_pattern.t -> horizon:int -> output Oracle.history ->
   (unit, string) result

@@ -40,6 +40,13 @@ val map : name:string -> ('a -> 'b) -> 'a t -> 'b t
     kick in. *)
 val default_stabilization : Sim.Failure_pattern.t -> Sim.Rng.t -> int
 
+(** [of_outputs ~init events] reads an output stream as a history, so
+    the detectors' [check]s judge what an emulation or an extraction
+    output: at [(p, t)] it is [p]'s latest output at or before [t] (of
+    two at one time, the later in [events]), or [init] before [p]'s first
+    output.  [events] may come in any order. *)
+val of_outputs : init:'a -> 'a Sim.Trace.event list -> 'a history
+
 (** [per_query rng p t] derives a deterministic random stream for query
     [(p, t)] — this is how oracles produce history-consistent noise. *)
 val per_query : Sim.Rng.t -> Sim.Pid.t -> int -> Sim.Rng.t

@@ -165,17 +165,17 @@ let check fp ~horizon h =
         in
         (match leaders with
         | [ l ] when Sim.Pidset.mem l correct ->
-          let sigma_samples =
+          let sigma_outputs =
             List.concat_map
-              (fun p ->
-                List.init (horizon + 1) (fun t ->
-                    match h p t with
-                    | Cons_mode (_, q) -> [ (p, t, q) ]
+              (fun pid ->
+                List.init (horizon + 1) (fun time ->
+                    match h pid time with
+                    | Cons_mode (_, value) -> [ { Sim.Trace.time; pid; value } ]
                     | Bot | Fs_mode _ -> [])
                 |> List.concat)
               (Sim.Pid.all n)
           in
-          Sigma.check fp ~horizon sigma_samples
+          Sigma.check fp ~horizon sigma_outputs
         | [ l ] ->
           Error
             (Format.asprintf "eventual leader %a is faulty" Sim.Pid.pp l)

@@ -45,58 +45,70 @@ let oracle_exact =
       let correct = Sim.Failure_pattern.correct fp in
       fun _p _t -> correct)
 
-let check fp ~horizon:_ samples =
+module Quorums = Set.Make (Sim.Pidset)
+
+let distinct outputs =
+  let _, firsts =
+    List.fold_left
+      (fun (seen, firsts) (e : output Sim.Trace.event) ->
+        if Quorums.mem e.value seen then (seen, firsts)
+        else (Quorums.add e.value seen, e :: firsts))
+      (Quorums.empty, []) outputs
+  in
+  List.rev firsts
+
+let safety outputs =
+  let rec scan = function
+    | [] -> Ok ()
+    | (a : output Sim.Trace.event) :: rest -> (
+      match
+        List.find_opt
+          (fun (b : output Sim.Trace.event) ->
+            not (Sim.Pidset.intersects a.value b.value))
+          (a :: rest)
+      with
+      | Some b ->
+        Error
+          (Format.asprintf
+             "intersection violated: %a@@%d output %a vs %a@@%d output %a"
+             Sim.Pid.pp a.pid a.time Sim.Pidset.pp a.value Sim.Pid.pp b.pid
+             b.time Sim.Pidset.pp b.value)
+      | None -> scan rest)
+  in
+  scan (distinct outputs)
+
+let check fp ~horizon:_ outputs =
   let correct = Sim.Failure_pattern.correct fp in
-  (* Intersection: every pair of sampled quorums intersects. *)
-  let arr = Array.of_list samples in
-  let m = Array.length arr in
-  let bad = ref None in
-  (try
-     for i = 0 to m - 1 do
-       let _, _, qi = arr.(i) in
-       for j = i + 1 to m - 1 do
-         let _, _, qj = arr.(j) in
-         if not (Sim.Pidset.intersects qi qj) then begin
-           bad := Some (i, j);
-           raise Exit
-         end
-       done
-     done
-   with Exit -> ());
-  match !bad with
-  | Some (i, j) ->
-    let pi, ti, qi = arr.(i) and pj, tj, qj = arr.(j) in
-    Error
-      (Format.asprintf
-         "intersection violated: %a@@%d output %a vs %a@@%d output %a"
-         Sim.Pid.pp pi ti Sim.Pidset.pp qi Sim.Pid.pp pj tj Sim.Pidset.pp qj)
-  | None ->
-    (* Completeness: for every correct process, the suffix of its samples
-       (ordered by time) must land inside the correct set — we require the
-       last sample to be contained, a finite-horizon proxy. *)
-    let violations =
-      Sim.Pidset.elements correct
-      |> List.filter_map (fun p ->
-             let mine =
-               List.filter (fun (q, _, _) -> Sim.Pid.equal q p) samples
-               |> List.sort (fun (_, t1, _) (_, t2, _) -> Int.compare t1 t2)
-             in
-             match List.rev mine with
-             | [] -> None (* no samples for p: vacuously fine *)
-             | (_, t, last) :: _ ->
-               if Sim.Pidset.subset last correct then None
-               else
-                 Some
-                   (Format.asprintf
-                      "completeness violated: %a's last sample (t=%d) %a \
-                       contains faulty processes"
-                      Sim.Pid.pp p t Sim.Pidset.pp last))
-    in
-    (match violations with [] -> Ok () | e :: _ -> Error e)
+  (* each process's last output: the later of two at one time *)
+  let last = Hashtbl.create 8 in
+  List.iter
+    (fun (e : output Sim.Trace.event) ->
+      match Hashtbl.find_opt last e.pid with
+      | Some (l : output Sim.Trace.event) when l.time > e.time -> ()
+      | _ -> Hashtbl.replace last e.pid e)
+    outputs;
+  let stale p =
+    match Hashtbl.find_opt last p with
+    | Some (e : output Sim.Trace.event)
+      when not (Sim.Pidset.subset e.value correct) ->
+      Some
+        (Format.asprintf
+           "completeness violated: %a's last sample (t=%d) %a contains \
+            faulty processes"
+           Sim.Pid.pp p e.time Sim.Pidset.pp e.value)
+    | Some _ | None -> None (* no outputs at p: vacuously fine *)
+  in
+  match safety outputs with
+  | Error _ as e -> e
+  | Ok () -> (
+    match List.find_map stale (Sim.Pidset.elements correct) with
+    | Some e -> Error e
+    | None -> Ok ())
 
 let sample_history fp ~horizon h =
   let n = Sim.Failure_pattern.n fp in
   List.concat_map
-    (fun p ->
-      List.init (horizon + 1) (fun t -> (p, t, h p t)))
+    (fun pid ->
+      List.init (horizon + 1) (fun time ->
+          { Sim.Trace.time; pid; value = h pid time }))
     (Sim.Pid.all n)

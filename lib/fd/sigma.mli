@@ -21,17 +21,29 @@ val oracle_majority : output Oracle.t
 (** Oracle that always outputs exactly the set of correct processes. *)
 val oracle_exact : output Oracle.t
 
-(** [check fp ~horizon samples] verifies the Σ specification on a finite set
-    of sampled outputs: [samples] lists [(pid, time, quorum)] triples (e.g.
-    every query a run performed, or a grid sample of a history).
-    Intersection is checked on all pairs; completeness requires each correct
-    process's outputs to be contained in the correct set from some sampled
-    time on (and its last sample must be).  Returns an explanation on
+(** [distinct outputs] keeps the first output of each distinct quorum, in
+    order: all that {!safety} reads of [outputs].  A caller that judges a
+    growing stream can keep this instead of the stream. *)
+val distinct : output Sim.Trace.event list -> output Sim.Trace.event list
+
+(** [safety outputs] is Σ's intersection clause alone, which holds on
+    every prefix of a run, so callers judge it online: any two of
+    [outputs] intersect, an output with itself included (an empty quorum
+    fails).  It is judged over the distinct quorums, each kept with its
+    first output, so a failure names the first two outputs that fail.
+    Returns an explanation on failure. *)
+val safety : output Sim.Trace.event list -> (unit, string) result
+
+(** [check fp ~horizon outputs] verifies the Σ specification on a finite
+    set of sampled outputs (every output of a run, or a grid sample of a
+    history): {!safety}, then completeness, which asks that each correct
+    process's last output contain only correct processes (a
+    finite-horizon proxy for "eventually").  Returns an explanation on
     failure. *)
 val check :
   Sim.Failure_pattern.t ->
   horizon:int ->
-  (Sim.Pid.t * int * output) list ->
+  output Sim.Trace.event list ->
   (unit, string) result
 
 (** [sample_history fp ~horizon h] collects the grid of all [(p, t)] queries
@@ -40,4 +52,4 @@ val sample_history :
   Sim.Failure_pattern.t ->
   horizon:int ->
   output Oracle.history ->
-  (Sim.Pid.t * int * output) list
+  output Sim.Trace.event list

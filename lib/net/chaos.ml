@@ -47,6 +47,7 @@ type 'e t = {
   mutable invariants : invariant list;
   mutable round : int;
   mutable failures : string list;  (* newest first *)
+  mutable reported : string list;  (* their texts apart from the round *)
   mutable submitted : (int * Sim.Pid.t * string) list;  (* newest first *)
 }
 
@@ -71,6 +72,7 @@ let create ?collector ?(groups = 1) ?(logs = "logs") ?(cmds = "commands")
     invariants = [];
     round = 0;
     failures = [];
+    reported = [];
     submitted = [];
   }
 
@@ -85,7 +87,21 @@ let wrap h g _ raw =
   h.rels <- r :: h.rels;
   Rel.transport r
 
-let fail h fmt = Format.kasprintf (fun s -> h.failures <- s :: h.failures) fmt
+(* Each violation is reported once: a failure whose text, apart from its
+   round, an earlier one had is dropped. *)
+let report h ~text line =
+  if not (List.mem text h.reported) then begin
+    h.reported <- text :: h.reported;
+    h.failures <- line :: h.failures
+  end
+
+let fail h fmt = Format.kasprintf (fun s -> report h ~text:s s) fmt
+
+let fail_at h r fmt =
+  Format.kasprintf
+    (fun s -> report h ~text:("round" ^ s) (Printf.sprintf "round %d%s" r s))
+    fmt
+
 let live h g = List.filter h.groups.(g).alive (Sim.Pid.all h.n)
 
 let quorate h g =
@@ -148,7 +164,7 @@ let safety h =
       List.iter
         (fun g ->
           List.iter
-            (fail h "round %d%a: %a" r (pp_group h) g pp_violation)
+            (fail_at h r "%a: %a" (pp_group h) g pp_violation)
             (Cons.Log_spec.safety (spec_run h g)))
         (group_ids h))
 
@@ -202,7 +218,7 @@ let watchdog h bound =
                  quorate h g && Cons.Log_spec.missing (spec_run h g) <> [])
                (group_ids h)
         then begin
-          fail h "round %d: no progress for %d rounds on a healthy network" r
+          fail_at h r ": no progress for %d rounds on a healthy network"
             bound;
           last_progress := r
         end);
@@ -389,22 +405,26 @@ let run ?collector (cfg : config) =
   let log = Local.cluster_outputs cluster in
   let state = Local.cluster_state cluster in
   let leader _ p = Fd.Emulated.Omega.current (Smr_node.omega_state (state p)) in
-  let quorum p =
-    let si = Smr_node.sigma_state (state p) in
-    if Fd.Emulated.Sigma_majority.rounds si > 0 then
-      Some (Fd.Emulated.Sigma_majority.detector.Sim.Layered.current si)
-    else None
-  in
-  (* Σ: no two live replicas ever hold disjoint quorums *)
+  (* Σ: no two quorums the live replicas held at sampled rounds are
+     disjoint; [held] keeps each distinct quorum's first sample, so a
+     failure names the rounds the two were first seen and keeps its text
+     while it persists *)
+  let held = ref [] in
   let sigma =
     sampled h (fun r ->
-        pairs
-          (fun p q ->
-            match (quorum p, quorum q) with
-            | Some a, Some b when not (Sim.Pidset.intersects a b) ->
-              fail h "round %d: disjoint quorums at %d and %d" r p q
-            | _ -> ())
-          (live h 0))
+        let quorum pid =
+          let si = Smr_node.sigma_state (state pid) in
+          if Fd.Emulated.Sigma_majority.rounds si = 0 then None
+          else
+            Some
+              {
+                Sim.Trace.time = r;
+                pid;
+                value = Fd.Emulated.Sigma_majority.detector.current si;
+              }
+        in
+        held := Fd.Sigma.distinct (!held @ List.filter_map quorum (live h 0));
+        Result.iter_error (fail_at h r ": %s") (Fd.Sigma.safety !held))
   in
   (* workload: a command every [cmd_every] rounds at the lowest live one *)
   let workload r =

@@ -85,7 +85,15 @@ val ctrl : _ t -> int -> Nemesis.ctrl
 (** [wrap h g p raw]: node [p] of group [g] over [Rel] over [Nemesis]. *)
 val wrap : _ t -> int -> Sim.Pid.t -> Transport.t -> Transport.t
 
+(** [fail h fmt] reports a failure of the run or of one event, such as a
+    heal or a read; [fail_at h r fmt] one seen at round [r], whose line
+    is "round r" followed by the text ([fail_at h r ": %s" e] reads
+    "round r: e").  Each violation is reported once: a failure whose
+    text, apart from its round, an earlier one had is dropped. *)
 val fail : _ t -> ('a, Format.formatter, unit, unit) format4 -> 'a
+
+val fail_at : _ t -> int -> ('a, Format.formatter, unit, unit) format4 -> 'a
+
 val live : _ t -> int -> Sim.Pid.t list
 
 (** A majority of the group's current members is alive. *)
@@ -152,8 +160,9 @@ val pp_heals : string -> Format.formatter -> _ report -> unit
 (** {2 The SMR configuration}
 
     The {!Local} SMR cluster with one invariant of its own, {b Σ
-    intersection}: no two live replicas ever hold disjoint quorums
-    (paper Section 2).  Heal bound 1200 rounds
+    intersection} (paper Section 2): every 50 rounds [Fd.Sigma.safety]
+    over every quorum a live replica held at a sampled round, each timed
+    by the round it was first seen.  Heal bound 1200 rounds
     ([net.partition_heal_ms]), watchdog 800. *)
 
 type config = {

@@ -18,7 +18,6 @@ let inner :
     Sim.Protocol.t =
   Nbac_from_qc.protocol
 
-let current st = if st.red then Fd.Fs.Red else Fd.Fs.Green
 let instance st = st.k
 
 let init ~n self =

@@ -8,7 +8,8 @@
     vote from *all* processes) and must eventually abort.
 
     The protocol emits an output event at every signal change (plus an
-    initial Green), and also exposes its current signal for layering. *)
+    initial Green); [Fd.Fs.check] judges that stream through
+    [Fd.Oracle.of_outputs]. *)
 
 type state
 type msg
@@ -16,9 +17,6 @@ type msg
 val protocol :
   (state, msg, Fd.Psi.output * Fd.Fs.output, unit, Fd.Fs.output)
   Sim.Protocol.t
-
-(** Current emitted signal. *)
-val current : state -> Fd.Fs.output
 
 (** Index of the NBAC instance currently running. *)
 val instance : state -> int

@@ -113,32 +113,52 @@ let run ?collector cfg =
       shards (fun s ->
           let g = group s in
           match Epoch.rotate (Group.config g) ~universe:(Group.universe g) with
-          | None -> Chaos.fail h "round %d shard %d: no spare to rotate in" r s
+          | None -> Chaos.fail_at h r " shard %d: no spare to rotate in" s
           | Some next ->
             if Cluster.reconfig cluster ~shard:s next then
               expected_cfg.(s) <- Some next
-            else Chaos.fail h "round %d shard %d: reconfig not accepted" r s)
+            else Chaos.fail_at h r " shard %d: reconfig not accepted" s)
   in
-  (* the epoch handoff, per shard: same-epoch quorums intersect,
+  (* the epoch handoff, per shard: same-epoch quorums intersect (judged
+     by Fd.Sigma.safety once per epoch over [held], each distinct quorum
+     of that shard and epoch with its first sample, as in Net.Chaos),
      different-epoch replicas differ in applied count, and every held
      quorum is of the replica's own, installed epoch *)
+  let held = Hashtbl.create 8 in
   let handoff =
     Chaos.sampled h (fun r ->
         shards (fun s ->
             let g = group s in
-            let fail_here fmt =
-              Chaos.fail h ("round %d shard %d: " ^^ fmt) r s
-            in
-            let quorum st =
-              Fd.Emulated.Sigma_epoch.current (Replica.sigma_state st)
-            in
+            let fail_here fmt = Chaos.fail_at h r (" shard %d: " ^^ fmt) s in
             let ps = Chaos.live h s in
+            let epoch p = Replica.epoch (Group.state g p) in
+            let quorum e pid =
+              if epoch pid <> e then None
+              else
+                Some
+                  {
+                    Sim.Trace.time = r;
+                    pid;
+                    value =
+                      Fd.Emulated.Sigma_epoch.current
+                        (Replica.sigma_state (Group.state g pid));
+                  }
+            in
+            List.iter
+              (fun e ->
+                let quorums =
+                  Fd.Sigma.distinct
+                    (Option.value ~default:[] (Hashtbl.find_opt held (s, e))
+                    @ List.filter_map (quorum e) ps)
+                in
+                Hashtbl.replace held (s, e) quorums;
+                Result.iter_error (fail_here "epoch %d: %s" e)
+                  (Fd.Sigma.safety quorums))
+              (List.sort_uniq Int.compare (List.map epoch ps));
             Chaos.pairs
               (fun p q ->
                 let sp = Group.state g p and sq = Group.state g q in
                 let ep = Replica.epoch sp and eq = Replica.epoch sq in
-                if ep = eq && not (Sim.Pidset.intersects (quorum sp) (quorum sq))
-                then fail_here "disjoint quorums at %d and %d" p q;
                 if ep <> eq && Replica.applied sp = Replica.applied sq then
                   fail_here
                     "%d and %d in epochs %d/%d with equal applied count %d" p q

@@ -113,30 +113,24 @@ let run_sigma_extraction ?(oracle = Fd.Sigma.oracle) ~seed ~max_steps fp =
   in
   Sim.Engine.run cfg Extract.Sigma_extraction.protocol
 
-let samples_of_trace (trace : (_, Sim.Pidset.t) Sim.Trace.t) =
-  List.map
-    (fun (e : Sim.Pidset.t Sim.Trace.event) -> (e.pid, e.time, e.value))
-    trace.Sim.Trace.outputs
-
 let test_sigma_extraction_failure_free () =
   let fp = Sim.Failure_pattern.failure_free 4 in
   let trace = run_sigma_extraction ~seed:3 ~max_steps:30_000 fp in
-  let samples = samples_of_trace trace in
-  Alcotest.(check bool) "some outputs" true (List.length samples > 8);
+  Alcotest.(check bool) "some outputs" true
+    (List.length trace.Sim.Trace.outputs > 8);
   check_ok "sigma extraction spec"
-    (Fd.Sigma.check fp ~horizon:trace.Sim.Trace.ticks samples)
+    (Fd.Sigma.check fp ~horizon:trace.ticks trace.outputs)
 
 let test_sigma_extraction_with_crashes () =
   for seed = 1 to 8 do
     let fp = Sim.Failure_pattern.make ~n:4 [ (seed mod 4, 120) ] in
     let trace = run_sigma_extraction ~seed ~max_steps:60_000 fp in
-    let samples = samples_of_trace trace in
     Alcotest.(check bool)
       (Printf.sprintf "outputs exist (seed %d)" seed)
       true
-      (List.length samples > 4);
+      (List.length trace.Sim.Trace.outputs > 4);
     check_ok "sigma extraction spec"
-      (Fd.Sigma.check fp ~horizon:trace.Sim.Trace.ticks samples);
+      (Fd.Sigma.check fp ~horizon:trace.ticks trace.outputs);
     (* Every correct process must keep refreshing its output (the paper's
        "permanently updated" property): it must complete several cycles. *)
     Sim.Pidset.iter
@@ -153,11 +147,16 @@ let test_sigma_extraction_minority_correct () =
      output — because the underlying registers (ABD over Σ) stay live. *)
   let fp = Sim.Failure_pattern.make ~n:5 [ (0, 150); (1, 300); (2, 450) ] in
   let trace = run_sigma_extraction ~seed:5 ~max_steps:80_000 fp in
-  let samples = samples_of_trace trace in
   check_ok "sigma extraction spec"
-    (Fd.Sigma.check fp ~horizon:trace.Sim.Trace.ticks samples)
+    (Fd.Sigma.check fp ~horizon:trace.Sim.Trace.ticks trace.outputs)
 
 (* --- Figure 3: Ψ extraction ---------------------------------------------- *)
+
+(* Each extraction's stream, read as a history, is judged by its target
+   detector's own spec at the last round's horizon. *)
+let psi_spec fp (r : Extract.Psi_extraction.result) =
+  Fd.Psi.check fp ~horizon:r.horizon
+    (Fd.Oracle.of_outputs ~init:Fd.Psi.Bot r.outputs)
 
 let test_psi_extraction_failure_free () =
   (* No failure: Ψ oracles are forcibly in (Ω,Σ) mode, the simulated runs
@@ -168,8 +167,8 @@ let test_psi_extraction_failure_free () =
     let result = Extract.Psi_extraction.run ~fp ~seed ~rounds:3 ~chunk:220 () in
     Alcotest.(check bool)
       (Printf.sprintf "cons mode (seed %d)" seed)
-      true (result.Extract.Psi_extraction.mode = `Cons);
-    check_ok "psi extraction spec" (Extract.Psi_extraction.check fp result)
+      true (result.mode = `Cons);
+    check_ok "psi extraction spec" (psi_spec fp result)
   done
 
 let test_psi_extraction_with_crash () =
@@ -178,49 +177,41 @@ let test_psi_extraction_with_crash () =
     let result = Extract.Psi_extraction.run ~fp ~seed ~rounds:3 ~chunk:220 () in
     check_ok
       (Printf.sprintf "psi extraction spec (seed %d)" seed)
-      (Extract.Psi_extraction.check fp result)
+      (psi_spec fp result)
   done
 
 let test_psi_extraction_rounds_shape () =
   let fp = Sim.Failure_pattern.failure_free 3 in
   let result = Extract.Psi_extraction.run ~fp ~seed:2 ~rounds:4 ~chunk:220 () in
-  Alcotest.(check int) "rounds+bot" 5
-    (List.length result.Extract.Psi_extraction.rounds);
-  (* Round 0 is the ⊥ round: no outputs yet. *)
-  match result.Extract.Psi_extraction.rounds with
-  | r0 :: _ ->
-    Alcotest.(check int) "bot round empty" 0
-      (List.length r0.Extract.Psi_extraction.outputs)
-  | [] -> Alcotest.fail "no rounds"
+  Alcotest.(check int) "horizon" 880 result.horizon;
+  (* one output per process per round, stamped at the round's horizon:
+     nothing before the first (the ⊥ round) *)
+  Alcotest.(check (list int)) "stamps"
+    (List.concat_map (fun h -> [ h; h; h ]) [ 220; 440; 660; 880 ])
+    (List.map (fun (e : _ Sim.Trace.event) -> e.time) result.outputs)
 
 (* --- Omega from consensus (CHT [3], used by Corollary 3) ----------------- *)
+
+(* Ω may output any pid before it stabilises *)
+let omega_spec fp (r : Extract.Omega_extraction.result) =
+  Fd.Omega.check fp ~horizon:r.horizon (Fd.Oracle.of_outputs ~init:0 r.outputs)
 
 let test_omega_extraction_failure_free () =
   for seed = 1 to 5 do
     let fp = Sim.Failure_pattern.failure_free 3 in
-    let result =
-      Extract.Omega_extraction.run ~fp ~seed ~rounds:3 ~chunk:200
-    in
     check_ok
       (Printf.sprintf "omega extraction (seed %d)" seed)
-      (Extract.Omega_extraction.check fp result)
+      (omega_spec fp
+         (Extract.Omega_extraction.run ~fp ~seed ~rounds:3 ~chunk:200))
   done
 
 let test_omega_extraction_with_crash () =
   for seed = 1 to 6 do
     let fp = Sim.Failure_pattern.make ~n:3 [ (seed mod 3, 50) ] in
-    let result =
-      Extract.Omega_extraction.run ~fp ~seed ~rounds:3 ~chunk:200
-    in
     check_ok
       (Printf.sprintf "omega extraction crash (seed %d)" seed)
-      (Extract.Omega_extraction.check fp result);
-    (* The final leader must be correct. *)
-    match List.rev result.Extract.Omega_extraction.rounds with
-    | (_, l) :: _ ->
-      Alcotest.(check bool) "leader correct" true
-        (Sim.Pidset.mem l (Sim.Failure_pattern.correct fp))
-    | [] -> Alcotest.fail "no rounds"
+      (omega_spec fp
+         (Extract.Omega_extraction.run ~fp ~seed ~rounds:3 ~chunk:200))
   done
 
 let prop_sigma_extraction_conforms =
@@ -233,8 +224,7 @@ let prop_sigma_extraction_conforms =
           (Sim.Rng.make (seed * 43))
       in
       let trace = run_sigma_extraction ~seed ~max_steps:50_000 fp in
-      let samples = samples_of_trace trace in
-      match Fd.Sigma.check fp ~horizon:trace.Sim.Trace.ticks samples with
+      match Fd.Sigma.check fp ~horizon:trace.Sim.Trace.ticks trace.outputs with
       | Ok () -> true
       | Error _ -> false)
 

@@ -1,7 +1,9 @@
 (* Tests for the failure detector library: every oracle must generate
    histories that its own spec checker accepts, across randomized failure
-   patterns; the emulated detectors must converge to spec-conforming
-   behaviour in the environments where the paper says they exist. *)
+   patterns; a control table of hand-built output streams pins every
+   clause of the four specs; the emulated detectors must converge to
+   spec-conforming behaviour in the environments where the paper says
+   they exist. *)
 
 let sample_fp ?(env = Sim.Environment.any) ~seed ~n () =
   Sim.Environment.sample env ~n ~horizon:40 (Sim.Rng.make seed)
@@ -40,19 +42,6 @@ let test_omega_fixed_rejects_faulty_leader () =
        false
      with Invalid_argument _ -> true)
 
-let test_omega_check_catches_bad_history () =
-  let fp = Sim.Failure_pattern.make ~n:3 [ (0, 5) ] in
-  (* Constant output of a faulty process: must be rejected. *)
-  let bad _p _t = 0 in
-  (match Fd.Omega.check fp ~horizon bad with
-  | Ok () -> Alcotest.fail "accepted faulty leader"
-  | Error _ -> ());
-  (* Correct processes never agreeing: must be rejected. *)
-  let split p _t = if p = 1 then 1 else 2 in
-  match Fd.Omega.check fp ~horizon split with
-  | Ok () -> Alcotest.fail "accepted disagreement"
-  | Error _ -> ()
-
 let test_sigma_oracle () =
   for seed = 1 to 40 do
     let fp = sample_fp ~seed ~n:5 () in
@@ -79,27 +68,6 @@ let test_sigma_majority_rejects_minority () =
        false
      with Invalid_argument _ -> true)
 
-let test_sigma_check_catches_disjoint () =
-  let fp = Sim.Failure_pattern.failure_free 4 in
-  let samples =
-    [
-      (0, 0, Sim.Pidset.of_list [ 0; 1 ]);
-      (1, 5, Sim.Pidset.of_list [ 2; 3 ]);
-    ]
-  in
-  match Fd.Sigma.check fp ~horizon:10 samples with
-  | Ok () -> Alcotest.fail "accepted disjoint quorums"
-  | Error _ -> ()
-
-let test_sigma_check_catches_faulty_suffix () =
-  let fp = Sim.Failure_pattern.make ~n:3 [ (2, 0) ] in
-  (* Quorum {2} forever at a correct process: completeness violated (and
-     intersection holds trivially since all samples equal). *)
-  let samples = [ (0, 100, Sim.Pidset.singleton 2) ] in
-  match Fd.Sigma.check fp ~horizon:100 samples with
-  | Ok () -> Alcotest.fail "accepted faulty quorum at horizon"
-  | Error _ -> ()
-
 let test_fs_oracle () =
   for seed = 1 to 40 do
     let fp = sample_fp ~seed ~n:5 () in
@@ -118,20 +86,6 @@ let test_fs_failure_free_stays_green () =
         | Fd.Fs.Red -> Alcotest.fail "red without failure")
       (Sim.Pid.all 3)
   done
-
-let test_fs_check_catches_early_red () =
-  let fp = Sim.Failure_pattern.make ~n:3 [ (0, 50) ] in
-  let h _p _t = Fd.Fs.Red in
-  match Fd.Fs.check fp ~horizon h with
-  | Ok () -> Alcotest.fail "accepted premature red"
-  | Error _ -> ()
-
-let test_fs_check_catches_missing_red () =
-  let fp = Sim.Failure_pattern.make ~n:3 [ (0, 5) ] in
-  let h _p _t = Fd.Fs.Green in
-  match Fd.Fs.check fp ~horizon h with
-  | Ok () -> Alcotest.fail "accepted missing red"
-  | Error _ -> ()
 
 let test_psi_oracle () =
   for seed = 1 to 60 do
@@ -161,27 +115,6 @@ let test_psi_failure_mode_needs_failure () =
        in
        false
      with Invalid_argument _ -> true)
-
-let test_psi_check_catches_mode_mixing () =
-  let fp = Sim.Failure_pattern.make ~n:2 [ (1, 0) ] in
-  let h p t =
-    if t < 5 then Fd.Psi.Bot
-    else if p = 0 then Fd.Psi.Fs_mode Fd.Fs.Red
-    else Fd.Psi.Cons_mode (0, Sim.Pidset.singleton 0)
-  in
-  match Fd.Psi.check fp ~horizon h with
-  | Ok () -> Alcotest.fail "accepted processes in different modes"
-  | Error _ -> ()
-
-let test_psi_check_catches_bot_relapse () =
-  let fp = Sim.Failure_pattern.failure_free 2 in
-  let h _p t =
-    if t = 3 then Fd.Psi.Bot
-    else Fd.Psi.Cons_mode (0, Sim.Pidset.singleton 0)
-  in
-  match Fd.Psi.check fp ~horizon h with
-  | Ok () -> Alcotest.fail "accepted ⊥ after switch"
-  | Error _ -> ()
 
 let test_perfect_oracle () =
   for seed = 1 to 40 do
@@ -241,6 +174,173 @@ let test_oracle_const_and_map () =
   Alcotest.(check int) "map" 84 (h2 0 0);
   Alcotest.(check string) "names" "d" (Fd.Oracle.name doubled)
 
+(* --- The control table ------------------------------------------------- *)
+
+(* Each row is a hand-built output stream, a failure pattern and a
+   horizon, judged by one detector's spec (Ω, FS and Ψ read the stream
+   through Fd.Oracle.of_outputs); it names the error the spec must
+   report, or passes.  Deleting any clause of a spec fails a row. *)
+type control = {
+  spec : string;  (** the test group: omega, sigma, fs or psi *)
+  name : string;
+  fp : Sim.Failure_pattern.t;
+  horizon : int;
+  judge : Sim.Failure_pattern.t -> horizon:int -> (unit, string) result;
+  convicts : string option;  (** the error text; [None]: the row passes *)
+}
+
+let ev pid time value = { Sim.Trace.time; pid; value }
+let at time pids value = List.map (fun p -> ev p time value) pids
+let q = Sim.Pidset.of_list
+
+let omega ~init events fp ~horizon =
+  Fd.Omega.check fp ~horizon (Fd.Oracle.of_outputs ~init events)
+
+let fs events fp ~horizon =
+  Fd.Fs.check fp ~horizon (Fd.Oracle.of_outputs ~init:Fd.Fs.Green events)
+
+let psi events fp ~horizon =
+  Fd.Psi.check fp ~horizon (Fd.Oracle.of_outputs ~init:Fd.Psi.Bot events)
+
+let sigma events fp ~horizon = Fd.Sigma.check fp ~horizon events
+let sigma_safety events _ ~horizon:_ = Fd.Sigma.safety events
+
+let controls =
+  let ff = Sim.Failure_pattern.failure_free in
+  let crash n p t = Sim.Failure_pattern.make ~n [ (p, t) ] in
+  let row ?(horizon = 100) ?convicts spec name fp judge =
+    { spec; name; fp; horizon; judge; convicts }
+  in
+  let cons l ps = Fd.Psi.Cons_mode (l, q ps) in
+  let red = Fd.Psi.Fs_mode Fd.Fs.Red in
+  let disjoint =
+    "intersection violated: p0@0 output {p0,p1} vs p1@5 output {p2,p3}"
+  in
+  [
+    (* Ω *)
+    row "omega" "checker catches a faulty final leader" (crash 3 0 5)
+      (omega ~init:1 (at 0 [ 0; 1; 2 ] 0))
+      ~convicts:"final output p0 is not a correct process";
+    row "omega" "checker catches disagreement at the horizon" (crash 3 0 5)
+      (omega ~init:0 [ ev 1 0 1; ev 2 0 2 ])
+      ~convicts:"correct processes disagree at the horizon";
+    (* the latest output at the horizon is the one with the latest time,
+       wherever it stands in the list *)
+    row "omega" "adapter: events out of time order" (crash 3 2 5)
+      (omega ~init:2 [ ev 0 90 0; ev 0 10 2; ev 1 90 0; ev 1 10 2 ]);
+    (* Σ *)
+    row "sigma" "safety catches disjoint" (ff 4)
+      (sigma_safety [ ev 0 0 (q [ 0; 1 ]); ev 1 5 (q [ 2; 3 ]) ])
+      ~convicts:disjoint;
+    row "sigma" "checker catches disjoint" (ff 4)
+      (sigma [ ev 0 0 (q [ 0; 1 ]); ev 1 5 (q [ 2; 3 ]) ])
+      ~convicts:disjoint;
+    row "sigma" "checker catches faulty suffix" (crash 3 2 0)
+      (sigma [ ev 0 100 (q [ 2 ]) ])
+      ~convicts:
+        "completeness violated: p0's last sample (t=100) {p2} contains faulty \
+         processes";
+    (* E5's shape: majorities that intersect but name crashed processes *)
+    row "sigma" "checker catches a stale quorum, minority correct"
+      (Sim.Failure_pattern.make ~n:5 [ (0, 40); (1, 40); (2, 40) ])
+      (sigma
+         [ ev 3 10 (q [ 0; 1; 3 ]); ev 4 20 (q [ 0; 1; 4 ]);
+           ev 3 90 (q [ 0; 1; 3 ]) ])
+      ~convicts:
+        "completeness violated: p3's last sample (t=90) {p0,p1,p3} contains \
+         faulty processes";
+    (* FS *)
+    row "fs" "checker catches early red" (crash 3 0 50)
+      (fs (at 10 [ 0; 1; 2 ] Fd.Fs.Red))
+      ~convicts:"accuracy violated: p0 red at t=10 with no prior crash";
+    row "fs" "checker catches missing red" (crash 3 0 5)
+      (fs (at 0 [ 0; 1; 2 ] Fd.Fs.Green))
+      ~convicts:
+        "completeness violated: correct p1 still green at horizon 100 despite \
+         a failure";
+    (* red at the crash time itself is accurate *)
+    row "fs" "checker passes red after a crash" (crash 3 0 50)
+      (fs
+         (at 0 [ 0; 1; 2 ] Fd.Fs.Green
+         @ [ ev 1 50 Fd.Fs.Red; ev 2 70 Fd.Fs.Red ]));
+    row "fs" "checker passes failure-free green" (ff 3)
+      (fs (at 0 [ 0; 1; 2 ] Fd.Fs.Green));
+    (* red is read from its time on: green, the init, before *)
+    row "fs" "adapter: init before the first output" (crash 3 0 50)
+      (fs [ ev 1 60 Fd.Fs.Red; ev 2 60 Fd.Fs.Red ]);
+    (* Ψ *)
+    row "psi" "checker catches red without a failure" (ff 3)
+      (psi (at 10 [ 0; 1; 2 ] red))
+      ~convicts:"FS mode without any failure";
+    (* Figure 3's stream under crash 1@300: red from the first round *)
+    row "psi" "checker catches FS before the first crash" (crash 3 1 300)
+      ~horizon:660
+      (psi
+         (at 220 [ 0; 1; 2 ] red @ at 440 [ 0; 2 ] red @ at 660 [ 0; 2 ] red))
+      ~convicts:"p0 switched to FS at t=220 before the first crash (t=300)";
+    row "psi" "checker catches disjoint quorums" (ff 4)
+      (psi
+         (at 10 [ 0; 1 ] (cons 0 [ 0; 1 ]) @ at 10 [ 2; 3 ] (cons 0 [ 2; 3 ])))
+      ~convicts:
+        "intersection violated: p0@10 output {p0,p1} vs p2@10 output {p2,p3}";
+    row "psi" "checker catches a faulty final leader" (crash 3 2 5)
+      (psi (at 10 [ 0; 1; 2 ] (cons 2 [ 0; 1 ])))
+      ~convicts:"eventual leader p2 is faulty";
+    row "psi" "checker catches different final leaders" (ff 3)
+      (psi
+         [ ev 0 10 (cons 0 [ 0; 1 ]); ev 1 10 (cons 1 [ 0; 1 ]);
+           ev 2 10 (cons 0 [ 0; 1 ]) ])
+      ~convicts:"correct processes disagree on the leader";
+    row "psi" "checker catches a faulty process in a final quorum" (crash 3 2 5)
+      (psi (at 10 [ 0; 1 ] (cons 0 [ 0; 2 ])))
+      ~convicts:
+        "completeness violated: p0's last sample (t=100) {p0,p2} contains \
+         faulty processes";
+    row "psi" "checker catches mode mixing" (crash 2 1 0)
+      (psi [ ev 0 5 red; ev 1 5 (cons 0 [ 0 ]) ])
+      ~convicts:"processes switched to different modes";
+    row "psi" "checker catches ⊥ relapse" (ff 2)
+      (psi
+         (at 0 [ 0; 1 ] (cons 0 [ 0 ]) @ at 3 [ 0; 1 ] Fd.Psi.Bot
+         @ at 4 [ 0; 1 ] (cons 0 [ 0 ])))
+      ~convicts:"p0 output ⊥ at t=3 after switching";
+    row "psi" "checker catches one process in both modes" (crash 2 1 0)
+      (psi [ ev 0 5 red; ev 0 6 (cons 0 [ 0 ]) ])
+      ~convicts:"p0 mixed FS and (Ω,Σ) outputs";
+    row "psi" "checker catches no switch" (ff 2) (psi [])
+      ~convicts:"no process switched within the horizon";
+    row "psi" "checker catches green at the horizon in FS mode" (crash 3 0 50)
+      (psi (at 60 [ 1; 2 ] (Fd.Psi.Fs_mode Fd.Fs.Green) @ [ ev 1 70 red ]))
+      ~convicts:
+        "completeness violated: correct p2 still green at horizon 100 despite \
+         a failure";
+    row "psi" "checker catches no (Ω,Σ) output at the horizon" (crash 3 2 50)
+      (psi [ ev 2 10 (cons 0 [ 0; 1 ]) ])
+      ~convicts:"no (Ω,Σ) samples at the horizon";
+    (* Figure 3's (Ω, Σ) stream: one output per live process per round *)
+    row "psi" "checker passes an extraction-shaped (Ω,Σ) stream"
+      (crash 3 2 100) ~horizon:660
+      (psi
+         (at 220 [ 0; 1 ] (cons 0 [ 0; 1; 2 ])
+         @ at 440 [ 0; 1 ] (cons 0 [ 0; 1 ])
+         @ at 660 [ 0; 1 ] (cons 0 [ 0; 1 ])));
+  ]
+
+let judge_control c () =
+  match (c.judge c.fp ~horizon:c.horizon, c.convicts) with
+  | Ok (), None -> ()
+  | Ok (), Some e -> Alcotest.failf "accepted; expected %S" e
+  | Error e, None -> Alcotest.failf "rejected: %s" e
+  | Error e, Some expected -> Alcotest.(check string) "error" expected e
+
+let control_cases spec =
+  List.filter_map
+    (fun c ->
+      if c.spec = spec then
+        Some (Alcotest.test_case c.name `Quick (judge_control c))
+      else None)
+    controls
+
 (* --- Emulated detectors ------------------------------------------------ *)
 
 (* Run an emulated detector with a trivial main protocol that just records
@@ -269,22 +369,8 @@ let test_sigma_majority_emulation () =
           ~detect_quiescence:false fp
       in
       let trace = Sim.Engine.run cfg layered in
-      (* Intersection ignores who output a quorum and when, so every pair
-         of outputs is covered by the distinct (pid, quorum) pairs; each
-         keeps its latest time, so each process's last sample survives
-         for the completeness check. *)
-      let latest = Hashtbl.create 64 in
-      List.iter
-        (fun (e : _ Sim.Trace.event) ->
-          let key = (e.pid, Sim.Pidset.elements e.value) in
-          match Hashtbl.find_opt latest key with
-          | Some (t, _) when t >= e.time -> ()
-          | _ -> Hashtbl.replace latest key (e.time, e.value))
-        trace.Sim.Trace.outputs;
-      let samples =
-        Hashtbl.fold (fun (p, _) (t, q) acc -> (p, t, q) :: acc) latest []
-      in
-      check_ok name (Fd.Sigma.check fp ~horizon:trace.Sim.Trace.ticks samples))
+      check_ok name
+        (Fd.Sigma.check fp ~horizon:trace.Sim.Trace.ticks trace.outputs))
     [
       ("emulated sigma", Fd.Emulated.Sigma_majority.detector);
       ( "emulated sigma, paced 16",
@@ -307,21 +393,9 @@ let test_omega_heartbeat_emulation () =
       ~detect_quiescence:false fp
   in
   let trace = Sim.Engine.run cfg layered in
-  (* Take each correct process's last output as its stabilized leader. *)
-  let leaders =
-    List.filter_map
-      (fun p ->
-        match List.rev (Sim.Trace.outputs_of trace p) with
-        | l :: _ -> Some l
-        | [] -> None)
-      (Sim.Pidset.elements (Sim.Failure_pattern.correct fp))
-  in
-  (match List.sort_uniq compare leaders with
-  | [ l ] ->
-    Alcotest.(check bool) "leader correct" true
-      (Sim.Pidset.mem l (Sim.Failure_pattern.correct fp))
-  | ls ->
-    Alcotest.failf "no common leader: %d distinct values" (List.length ls))
+  check_ok "heartbeat omega"
+    (Fd.Omega.check fp ~horizon:trace.Sim.Trace.ticks
+       (Fd.Oracle.of_outputs ~init:0 trace.outputs))
 
 (* Σ staleness sweep: with only a minority correct, every majority quorum
    contains a process that is going to crash, and once the crashes land no
@@ -817,9 +891,8 @@ let () =
           Alcotest.test_case "fixed leader" `Quick test_omega_fixed;
           Alcotest.test_case "rejects faulty leader" `Quick
             test_omega_fixed_rejects_faulty_leader;
-          Alcotest.test_case "checker catches violations" `Quick
-            test_omega_check_catches_bad_history;
-        ] );
+        ]
+        @ control_cases "omega" );
       ( "sigma",
         [
           Alcotest.test_case "oracle conforms" `Quick test_sigma_oracle;
@@ -827,32 +900,23 @@ let () =
             test_sigma_majority_oracle;
           Alcotest.test_case "majority oracle needs majority" `Quick
             test_sigma_majority_rejects_minority;
-          Alcotest.test_case "checker catches disjoint" `Quick
-            test_sigma_check_catches_disjoint;
-          Alcotest.test_case "checker catches faulty suffix" `Quick
-            test_sigma_check_catches_faulty_suffix;
-        ] );
+        ]
+        @ control_cases "sigma" );
       ( "fs",
         [
           Alcotest.test_case "oracle conforms" `Quick test_fs_oracle;
           Alcotest.test_case "green without failure" `Quick
             test_fs_failure_free_stays_green;
-          Alcotest.test_case "checker catches early red" `Quick
-            test_fs_check_catches_early_red;
-          Alcotest.test_case "checker catches missing red" `Quick
-            test_fs_check_catches_missing_red;
-        ] );
+        ]
+        @ control_cases "fs" );
       ( "psi",
         [
           Alcotest.test_case "oracle conforms" `Quick test_psi_oracle;
           Alcotest.test_case "forced modes" `Quick test_psi_forced_modes;
           Alcotest.test_case "failure mode needs failure" `Quick
             test_psi_failure_mode_needs_failure;
-          Alcotest.test_case "checker catches mode mixing" `Quick
-            test_psi_check_catches_mode_mixing;
-          Alcotest.test_case "checker catches ⊥ relapse" `Quick
-            test_psi_check_catches_bot_relapse;
-        ] );
+        ]
+        @ control_cases "psi" );
       ( "suspects",
         [
           Alcotest.test_case "perfect conforms" `Quick test_perfect_oracle;

@@ -961,23 +961,26 @@ let test_sigma_quorums_on_loopback () =
   Net.Local.cluster_run cluster ~rounds:800;
   let quorums =
     List.map
-      (fun p ->
-        let si = Net.Smr_node.sigma_state (Net.Local.cluster_state cluster p) in
+      (fun pid ->
+        let si =
+          Net.Smr_node.sigma_state (Net.Local.cluster_state cluster pid)
+        in
         Alcotest.(check bool)
-          (Printf.sprintf "node %d completed join-quorum rounds" p)
+          (Printf.sprintf "node %d completed join-quorum rounds" pid)
           true
           (Fd.Emulated.Sigma_majority.rounds si > 0);
-        (Fd.Emulated.Sigma_majority.detector.Sim.Layered.current si))
+        {
+          Sim.Trace.time = 800;
+          pid;
+          value = Fd.Emulated.Sigma_majority.detector.current si;
+        })
       (Sim.Pid.all n)
   in
-  List.iter
-    (fun a ->
-      List.iter
-        (fun b ->
-          Alcotest.(check bool) "quorums intersect" true
-            (Sim.Pidset.intersects a b))
-        quorums)
-    quorums
+  match
+    Fd.Sigma.check (Sim.Failure_pattern.failure_free n) ~horizon:800 quorums
+  with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e
 
 (* ------------------------------------------------------------------ *)
 (* Tcp transport                                                       *)
