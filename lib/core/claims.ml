@@ -172,7 +172,7 @@ let e5 () =
         ~policy:(Sim.Network.Random_delay { max_delay = 4; lambda_prob = 0.2 })
         fp
     in
-    match Fd.Sigma.check fp ~horizon:trace.Sim.Trace.ticks trace.outputs with
+    match Fd.Sigma.check fp trace.outputs with
     | Ok () -> (true, [ name; "conforms to Sigma" ])
     | Error e -> (false, [ name; "VIOLATES Sigma: " ^ e ])
   in
@@ -183,7 +183,7 @@ let e5 () =
   let trace = emulate fp in
   let stale =
     Fd.Sigma.safety trace.outputs = Ok ()
-    && Fd.Sigma.check fp ~horizon:trace.ticks trace.outputs <> Ok ()
+    && Fd.Sigma.check fp trace.outputs <> Ok ()
   in
   judged_rows [ "run"; "join-quorum emulation" ]
     [ majority "one-crash (maj.)" [ (0, 50) ];
@@ -820,7 +820,7 @@ let shard_rows =
        let c = Shard.Cluster.create ~period:16 ~shards ~replicas:3 ~spares:0 () in
        Shard.Cluster.run c ~rounds:200;
        let group = Array.init shards (Shard.Cluster.group c) in
-       let base = Array.map Shard.Group.applied_max group in
+       let base = Array.map Shard.Cluster.applied_max group in
        let zipf =
          Array.init shards (fun s ->
              Shard.Zipf.create ~seed:(17 + s) ~prefix:(Printf.sprintf "s%d-" s)
@@ -833,11 +833,11 @@ let shard_rows =
              let key = Shard.Zipf.next_key zipf.(s) in
              if
                not
-                 (Shard.Group.submit_any group.(s)
+                 (Shard.Cluster.submit_any group.(s)
                     (Shard.Replica.App { key; value = Printf.sprintf "v%d" i }))
              then failwith (name ^ ": no live member"))
            ~step:(fun () -> Shard.Cluster.step c)
-           ~applied:(fun s -> Shard.Group.applied_max group.(s) - base.(s))
+           ~applied:(fun s -> Shard.Cluster.applied_max group.(s) - base.(s))
            ()
        in
        let total = each * shards in

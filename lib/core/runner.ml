@@ -341,7 +341,7 @@ let run_sigma_extraction_w ?obs (cfg : Run_config.t) (scenario : Scenario.t) =
   in
   let trace = Sim.Engine.run ecfg Extract.Sigma_extraction.protocol in
   let quorums = trace.Sim.Trace.outputs in
-  let spec_ok = Fd.Sigma.check fp ~horizon:trace.ticks quorums in
+  let spec_ok = Fd.Sigma.check fp quorums in
   (match obs with
   | None -> ()
   | Some c ->

@@ -60,7 +60,7 @@ let oracle_forced m =
 
 type observed = No_switch | Saw_fs | Saw_cons
 
-let classify fp ~horizon h p =
+let classify ~horizon h p =
   (* Check the ⊥-prefix shape for process [p] and report what it switched
      to, with the switch time. *)
   let rec scan t saw switch_time =
@@ -80,7 +80,6 @@ let classify fp ~horizon h p =
         Error
           (Format.asprintf "%a mixed FS and (Ω,Σ) outputs" Sim.Pid.pp p)
   in
-  ignore fp;
   scan 0 No_switch None
 
 let check fp ~horizon h =
@@ -88,7 +87,7 @@ let check fp ~horizon h =
   let correct = Sim.Failure_pattern.correct fp in
   let first_crash = Sim.Failure_pattern.first_crash fp in
   let classifications =
-    List.map (fun p -> (p, classify fp ~horizon h p)) (Sim.Pid.all n)
+    List.map (fun p -> (p, classify ~horizon h p)) (Sim.Pid.all n)
   in
   let errors =
     List.filter_map
@@ -118,8 +117,7 @@ let check fp ~horizon h =
       (* Nobody switched within the horizon: legal prefix only if some
          correct process could still switch later; we flag it because our
          oracles always switch well within test horizons. *)
-      if Sim.Pidset.is_empty correct then Error "no correct process"
-      else Error "no process switched within the horizon"
+      Error "no process switched within the horizon"
     | [ `Fs ] | [ `Cons ] -> (
       let mode = List.hd distinct in
       match mode with
@@ -175,7 +173,7 @@ let check fp ~horizon h =
                 |> List.concat)
               (Sim.Pid.all n)
           in
-          Sigma.check fp ~horizon sigma_outputs
+          Sigma.check fp sigma_outputs
         | [ l ] ->
           Error
             (Format.asprintf "eventual leader %a is faulty" Sim.Pid.pp l)

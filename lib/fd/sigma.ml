@@ -77,7 +77,7 @@ let safety outputs =
   in
   scan (distinct outputs)
 
-let check fp ~horizon:_ outputs =
+let check fp outputs =
   let correct = Sim.Failure_pattern.correct fp in
   (* each process's last output: the later of two at one time *)
   let last = Hashtbl.create 8 in

@@ -34,7 +34,7 @@ val distinct : output Sim.Trace.event list -> output Sim.Trace.event list
     Returns an explanation on failure. *)
 val safety : output Sim.Trace.event list -> (unit, string) result
 
-(** [check fp ~horizon outputs] verifies the Σ specification on a finite
+(** [check fp outputs] verifies the Σ specification on a finite
     set of sampled outputs (every output of a run, or a grid sample of a
     history): {!safety}, then completeness, which asks that each correct
     process's last output contain only correct processes (a
@@ -42,7 +42,6 @@ val safety : output Sim.Trace.event list -> (unit, string) result
     failure. *)
 val check :
   Sim.Failure_pattern.t ->
-  horizon:int ->
   output Sim.Trace.event list ->
   (unit, string) result
 

@@ -3,9 +3,9 @@
    The sim-side explorers check protocol automata under the engine's
    idealized message semantics.  This harness closes the gap to the code
    that actually ships: it drives real [Net.Node] values — the same main
-   loop production transports run — over [Net.Det], the deterministic
-   in-memory hub whose every delivery decision is a [Sim.Scheduler]
-   choice point.  The same DFS + visited-digest machinery as
+   loop production transports run — over [Net.Loopback] given a
+   scheduler, so every delivery decision of the in-memory hub is a
+   [Sim.Scheduler] choice point.  The same DFS + visited-digest machinery as
    [Exhaustive] then enumerates delivery interleavings (and, with
    [reorder], reorderings and duplications around faults) of the real
    wire path: codec, envelopes, [Net.Rel] ARQ, node step loop.
@@ -20,13 +20,14 @@
    same shape they read from the simulator.
 
    Quiescence — the [must_terminate] trigger for final invariant
-   checks — requires an idle round, an empty hub AND every link layer
-   reporting itself drained ([link_idle]): an ARQ with unacked frames
-   is still working even when nothing is in flight, and declaring
-   quiescence before its resend timer fires would fabricate message
-   loss.  A link that never drains (retransmitting to a killed peer)
-   ends the run at [max_rounds] with [`Round_limit], where
-   [must_terminate = false] keeps termination checks sound.
+   checks — requires an idle round, a hub holding no frame a live node
+   can receive AND every link layer reporting itself drained
+   ([link_idle]): an ARQ with unacked frames is still working even
+   when nothing is in flight, and declaring quiescence before its
+   resend timer fires would fabricate message loss.  A link that never
+   drains (retransmitting to a killed peer) ends the run at
+   [max_rounds] with [`Round_limit], where [must_terminate = false]
+   keeps termination checks sound.
 
    Protocols driven here must not read [ctx.now] (node-local step
    counts are excluded from the state digest; see [digest_of]). *)
@@ -103,7 +104,7 @@ let digest_of nodes hub events =
   Hashtbl.hash
     (Digest.bytes
        (Marshal.to_bytes
-          (states, links, Net.Det.digest hub, events)
+          (states, links, Net.Loopback.digest hub, events)
           [ Marshal.Closures ]))
 
 (* Every node of the in-memory hub runs this one binary, so Marshal carries
@@ -116,11 +117,11 @@ let run ?round_hook target sched =
   let fp = fp_of target in
   let sched, recorded = Sim.Scheduler.recording sched in
   let hub =
-    Net.Det.create ~reorder:target.reorder ~n:target.n ~sched ()
+    Net.Loopback.create ~sched ~reorder:target.reorder ~n:target.n ()
   in
   let nodes =
     Array.init target.n (fun p ->
-        let w = target.link (Net.Det.endpoint hub p) in
+        let w = target.link (Net.Loopback.endpoint hub p) in
         (Net.Node.create ~codec:marshal ~transport:w.tr target.protocol, w))
   in
   let events = ref [] (* newest first *) in
@@ -134,15 +135,15 @@ let run ?round_hook target sched =
       (fun (fr, f) ->
         if fr = !r then
           match f with
-          | Block p -> Net.Det.block hub p
-          | Unblock p -> Net.Det.unblock hub p
-          | Dup_next p -> Net.Det.dup_next hub p
-          | Drop_next p -> Net.Det.drop_next hub p
-          | Kill p -> Net.Det.kill hub p)
+          | Block p -> Net.Loopback.block hub p
+          | Unblock p -> Net.Loopback.unblock hub p
+          | Dup_next p -> Net.Loopback.dup_next hub p
+          | Drop_next p -> Net.Loopback.drop_next hub p
+          | Kill p -> Net.Loopback.crash hub p)
       target.faults;
     let alive =
       List.filter
-        (fun p -> not (Net.Det.killed hub p))
+        (fun p -> not (Net.Loopback.crashed hub p))
         (Sim.Pid.all target.n)
     in
     if alive = [] then begin
@@ -152,7 +153,7 @@ let run ?round_hook target sched =
     else begin
       List.iter
         (fun (ir, p, inp) ->
-          if ir = !r && not (Net.Det.killed hub p) then
+          if ir = !r && not (Net.Loopback.crashed hub p) then
             Net.Node.inject (fst nodes.(p)) inp)
         target.inputs;
       let order = Sim.Scheduler.order sched alive in
@@ -197,7 +198,7 @@ let run ?round_hook target sched =
           if
             (not !progress)
             && idle
-            && Net.Det.in_flight hub = 0
+            && Net.Loopback.in_flight hub = 0
             && not later_script
           then begin
             stopped := `Quiescent;

@@ -1,7 +1,7 @@
 (** Model-checking the production network stack: real {!Net.Node} main
     loops (codec, envelopes, optional {!Net.Rel} ARQ) over the
-    deterministic {!Net.Det} hub, explored with the same DFS +
-    visited-digest machinery as {!Exhaustive}.
+    in-memory {!Net.Loopback} hub given a scheduler, explored with the
+    same DFS + visited-digest machinery as {!Exhaustive}.
 
     A run proceeds in rounds that mirror the engine's atomic-step
     semantics: scripted {!fault}s and inputs apply at the round
@@ -12,8 +12,9 @@
     {!Invariant}s apply unchanged.
 
     The run ends [`Quiescent] — arming [must_terminate] for the final
-    invariant check — only when a whole round did nothing, the hub is
-    empty {e and} every link layer reports itself drained; an ARQ
+    invariant check — only when a whole round did nothing, the hub
+    holds no frame a live node can receive ({!Net.Loopback.in_flight})
+    {e and} every link layer reports itself drained; an ARQ
     holding unacked frames still has retransmissions to make, and
     calling that state quiescent would fabricate message loss.  A link
     that can never drain (e.g. retransmitting to a killed peer) ends
@@ -26,7 +27,8 @@
     from the pruning digest); kills happen at round boundaries only. *)
 
 (** One scripted hub fault, applied at the start of its round — the
-    {!Net.Det} fault vocabulary. *)
+    {!Net.Loopback} fault vocabulary.  [Kill p] is {!Net.Loopback.crash}:
+    frames [p] sent before the kill may still arrive. *)
 type fault =
   | Block of Sim.Pid.t
   | Unblock of Sim.Pid.t
@@ -59,7 +61,7 @@ type ('st, 'msg, 'inp, 'out) target = {
   n : int;
   protocol : ('st, 'msg, unit, 'inp, 'out) Sim.Protocol.t;
   link : link;
-  reorder : bool;  (** {!Net.Det}'s frame-level reordering mode *)
+  reorder : bool;  (** {!Net.Loopback}'s frame-level reordering mode *)
   inputs : (int * Sim.Pid.t * 'inp) list;  (** [(round, pid, input)] *)
   faults : (int * fault) list;  (** [(round, fault)] *)
   invariant : 'out Invariant.t;

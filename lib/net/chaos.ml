@@ -126,12 +126,11 @@ let sampled h check =
 let at_end final = { online = ignore; final }
 
 let local h cluster log =
-  let hub = Local.cluster_hub cluster in
   let all = Sim.Pid.all h.n in
   {
     step = Local.cluster_step_one cluster;
     crash = Local.cluster_crash cluster;
-    alive = (fun p -> not (Loopback.crashed hub p));
+    alive = (fun p -> not (Local.cluster_crashed cluster p));
     members = (fun () -> all);
     log;
     cmd = (fun (_, (c : string Cons.Smr.cmd)) -> Some c.payload);

@@ -1,6 +1,6 @@
 (* Any protocol, one loopback hub, round-robin driving.  [create] below
-   instantiates it with Smr_node.protocol; Shard.Group instantiates it
-   with the reconfigurable shard replica. *)
+   instantiates it with Smr_node.protocol; Shard.Cluster instantiates it
+   with the reconfigurable shard replica, one cluster per shard. *)
 
 type ('st, 'msg, 'inp, 'out) cluster = {
   hub : Loopback.hub;
@@ -10,7 +10,7 @@ type ('st, 'msg, 'inp, 'out) cluster = {
 
 let make ?(sink = fun _ -> None) ?(wrap = fun _ t -> t) ~codec ?metrics
     ?classify ~n proto =
-  let hub = Loopback.create ~n in
+  let hub = Loopback.create ~n () in
   {
     hub;
     nodes =
@@ -22,9 +22,15 @@ let make ?(sink = fun _ -> None) ?(wrap = fun _ t -> t) ~codec ?metrics
   }
 
 let cluster_hub t = t.hub
+let cluster_crashed t p = Loopback.crashed t.hub p
+
+let cluster_live t =
+  List.filter
+    (fun p -> not (cluster_crashed t p))
+    (Sim.Pid.all (Array.length t.nodes))
 
 let cluster_step_one t p =
-  if not (Loopback.crashed t.hub p) then begin
+  if not (cluster_crashed t p) then begin
     let node = t.nodes.(p) in
     ignore (Node.step node);
     match Node.drain_outputs node with

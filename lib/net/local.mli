@@ -9,10 +9,10 @@
 
     One driver API runs {e any} [Sim.Protocol.t]: {!make} builds the
     cluster, the [cluster_*] functions drive and observe it.  This is
-    what lets [Shard.Group] host many independent replica groups (one hub
-    per shard) without duplicating the driver.  {!create} is {!make}
-    applied to the string SMR node, {!Smr_node.protocol}, on its binary
-    codec. *)
+    what lets [Shard.Cluster] host many independent replica groups, one
+    such cluster per shard, with one copy of the round-robin loop.
+    {!create} is {!make} applied to the string SMR node,
+    {!Smr_node.protocol}, on its binary codec. *)
 
 type ('st, 'msg, 'inp, 'out) cluster
 
@@ -49,8 +49,14 @@ val cluster_run : _ cluster -> rounds:int -> unit
     step). *)
 val cluster_submit : (_, _, 'inp, _) cluster -> Sim.Pid.t -> 'inp -> unit
 
-(** Kill a node: no more steps, frames from/to it vanish. *)
+(** Kill a node: no more steps, and frames sent to it or by it from now
+    on vanish ({!Loopback.crash}). *)
 val cluster_crash : _ cluster -> Sim.Pid.t -> unit
+
+val cluster_crashed : _ cluster -> Sim.Pid.t -> bool
+
+(** The pids not crashed, in pid order. *)
+val cluster_live : _ cluster -> Sim.Pid.t list
 
 (** Outputs emitted by [p] so far, oldest first — for the SMR node, the
     decided entries [p] applied, in slot order. *)

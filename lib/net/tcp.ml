@@ -8,6 +8,9 @@
 let backoff_min = 0.05
 let backoff_max = 2.0
 
+(* Per-peer outbound bytes; a frame past the cap is dropped. *)
+let queue_cap = 4 * 1024 * 1024
+
 type out_state =
   | Down of { mutable next_try : float }
   | Connecting of Unix.file_descr
@@ -20,13 +23,7 @@ type peer = {
   mutable failed : bool;  (* a connect/write has failed since last Up *)
   mutable acked : bool;  (* the peer's hello-ack arrived on this conn *)
   mutable dec : Wire.Decoder.t;  (* read side of the outbound conn *)
-  (* Frames before [outq]: the hello of a fresh connection.  A frame is
-     removed only once fully written, so [head_off] bytes of the head have
-     reached the kernel. *)
-  mutable front : bytes list;
-  outq : bytes Queue.t;
-  mutable out_bytes : int;
-  mutable head_off : int;
+  out : Wire.Writer.t;  (* frames for the peer, across reconnects *)
 }
 
 type in_conn = {
@@ -39,7 +36,6 @@ type t = {
   self : Sim.Pid.t;
   n : int;
   addrs : Unix.sockaddr array;
-  queue_cap : int;
   listen_fd : Unix.file_descr;
   pl : Poll.t;
   peers : peer array;  (* index self unused *)
@@ -62,10 +58,7 @@ let new_peer () =
     failed = false;
     acked = false;
     dec = Wire.Decoder.create ();
-    front = [];
-    outq = Queue.create ();
-    out_bytes = 0;
-    head_off = 0;
+    out = Wire.Writer.create ();
   }
 
 let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
@@ -79,12 +72,13 @@ let mark_down t q =
   | Down _ -> ());
   p.failed <- true;
   p.acked <- false;
-  p.head_off <- 0;
-  p.front <- [];
+  Wire.Writer.rewind p.out;
   p.conn <- Down { next_try = now () +. p.backoff };
   p.backoff <- Float.min backoff_max (p.backoff *. 2.)
 
-(* Connect succeeded: start writing, but the handshake is not complete
+(* Connect succeeded: write the hello whole (it is tiny, so a fresh
+   connection's socket buffer takes it — if not, the connection goes
+   down and the dialer backs off), but the handshake is not complete
    until the acceptor's hello-ack arrives ([mark_acked]).  In particular
    the backoff does NOT reset here — a listener that accepts connections
    and then rejects the hello must keep meeting exponential delays, not a
@@ -94,8 +88,8 @@ let mark_up t q fd =
   p.acked <- false;
   p.dec <- Wire.Decoder.create ();
   p.conn <- Up fd;
-  p.front <- [ Wire.frame (Wire.hello ~self:t.self) ];
-  p.head_off <- 0
+  try Wire.write_frame fd (Wire.hello ~self:t.self)
+  with Unix.Unix_error _ -> mark_down t q
 
 let mark_acked t q =
   let p = t.peers.(q) in
@@ -132,47 +126,15 @@ let flush_peer t q =
   match p.conn with
   | Down _ | Connecting _ -> ()
   | Up fd -> (
-    let head () =
-      match p.front with
-      | b :: _ -> Some b
-      | [] -> Queue.peek_opt p.outq
-    in
-    let pop () =
-      match p.front with
-      | _ :: rest -> p.front <- rest
-      | [] ->
-        let b = Queue.pop p.outq in
-        p.out_bytes <- p.out_bytes - Bytes.length b
-    in
-    try
-      let continue = ref true in
-      while !continue do
-        match head () with
-        | None -> continue := false
-        | Some b ->
-          let len = Bytes.length b - p.head_off in
-          let n = Unix.write fd b p.head_off len in
-          if n = len then begin
-            pop ();
-            p.head_off <- 0
-          end
-          else begin
-            p.head_off <- p.head_off + n;
-            continue := false
-          end
-      done
-    with
-    | Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-    | Unix.Unix_error (_, _, _) -> mark_down t q)
+    try Wire.Writer.flush p.out fd with Unix.Unix_error _ -> mark_down t q)
 
-let enqueue t q frame =
-  let p = t.peers.(q) in
-  if p.out_bytes + Bytes.length frame > t.queue_cap then
+(* Queue [payload]'s frame, its 4-byte length prefix included, unless
+   the peer's queue would pass the cap. *)
+let enqueue t q payload =
+  let out = t.peers.(q).out in
+  if Wire.Writer.bytes out + 4 + Bytes.length payload > queue_cap then
     t.dropped <- t.dropped + 1
-  else begin
-    Queue.push frame p.outq;
-    p.out_bytes <- p.out_bytes + Bytes.length frame
-  end
+  else Wire.Writer.push out payload
 
 let handle_readable t ic =
   let rec drain () =
@@ -240,8 +202,8 @@ let step t ~timeout =
       | Up fd ->
         (* read side to notice EOF / reset (and the hello-ack) promptly;
            write side only while there is something queued *)
-        let want_write = p.front <> [] || not (Queue.is_empty p.outq) in
-        peer_idx.(q) <- Poll.add t.pl fd ~read:true ~write:want_write
+        peer_idx.(q) <-
+          Poll.add t.pl fd ~read:true ~write:(Wire.Writer.pending p.out)
       | Down d ->
         let dt = d.next_try -. now () in
         if dt > 0. && dt < !soonest then soonest := dt
@@ -326,7 +288,7 @@ let step t ~timeout =
     in
     t.inbound <- !fresh @ survivors
 
-let create ?(queue_cap = 4 * 1024 * 1024) ~self ~addrs () =
+let create ~self ~addrs () =
   (* a write to a reset connection must surface as EPIPE, not kill us *)
   (try ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore)
    with Invalid_argument _ -> ());
@@ -346,7 +308,6 @@ let create ?(queue_cap = 4 * 1024 * 1024) ~self ~addrs () =
       self;
       n;
       addrs;
-      queue_cap;
       listen_fd;
       pl = Poll.create ();
       peers = Array.init n (fun _ -> new_peer ());
@@ -362,9 +323,8 @@ let create ?(queue_cap = 4 * 1024 * 1024) ~self ~addrs () =
   let send dst payload =
     if Sim.Pid.valid ~n dst then begin
       t.sent <- t.sent + 1;
-      let frame = Wire.frame payload in
       if dst = t.self then Queue.push (t.self, payload) t.ready
-      else enqueue t dst frame
+      else enqueue t dst payload
     end
   in
   let poll ~timeout_ms =

@@ -108,12 +108,20 @@ module Decoder = struct
 end
 
 module Writer = struct
-  (* [off] bytes of the head frame have reached the kernel. *)
-  type t = { q : bytes Queue.t; mutable off : int }
+  (* [off] bytes of the head frame have reached the kernel; [bytes]
+     counts the queued frames whole, the head's included. *)
+  type t = { q : bytes Queue.t; mutable off : int; mutable bytes : int }
 
-  let create () = { q = Queue.create (); off = 0 }
-  let push t payload = Queue.push (frame payload) t.q
+  let create () = { q = Queue.create (); off = 0; bytes = 0 }
+
+  let push t payload =
+    let f = frame payload in
+    Queue.push f t.q;
+    t.bytes <- t.bytes + Bytes.length f
+
   let pending t = not (Queue.is_empty t.q)
+  let bytes t = t.bytes
+  let rewind t = t.off <- 0
 
   let flush t fd =
     try
@@ -123,7 +131,8 @@ module Writer = struct
         t.off <- t.off + Unix.write fd head t.off (len - t.off);
         if t.off = len then begin
           ignore (Queue.pop t.q);
-          t.off <- 0
+          t.off <- 0;
+          t.bytes <- t.bytes - len
         end
       done
     with Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()

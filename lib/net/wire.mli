@@ -73,6 +73,15 @@ module Writer : sig
   (** Some queued byte has not reached the kernel yet. *)
   val pending : t -> bool
 
+  (** Bytes of the queued frames, length prefixes included; a frame
+      counts whole until its last byte reaches the kernel. *)
+  val bytes : t -> int
+
+  (** [rewind t]: the head frame restarts from its first byte at the
+      next {!flush} — for a writer that outlives its connection, whose
+      next connection must not begin mid-frame. *)
+  val rewind : t -> unit
+
   (** [flush t fd] writes queued bytes until the queue is empty or the
       kernel pushes back ([EAGAIN], [EWOULDBLOCK], [EINTR]); the rest
       waits for the next [flush].

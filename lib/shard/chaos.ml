@@ -3,6 +3,7 @@
    reconfiguration and the sharded invariants (lib/shard/chaos.mli). *)
 
 module Chaos = Net.Chaos
+module Local = Net.Local
 
 type config = {
   shards : int;
@@ -80,12 +81,12 @@ let run ?collector cfg =
     Array.init cfg.shards (fun s ->
         let g = group s in
         {
-          Chaos.step = Group.step_one g;
-          crash = Group.crash g;
-          alive = (fun p -> not (Group.crashed g p));
+          Chaos.step = Local.cluster_step_one g;
+          crash = Local.cluster_crash g;
+          alive = (fun p -> not (Local.cluster_crashed g p));
           members =
-            (fun () -> Sim.Pidset.elements (Group.config g).Epoch.members);
-          log = Group.applied_log g;
+            (fun () -> Sim.Pidset.elements (Cluster.config g).Epoch.members);
+          log = Local.cluster_outputs g;
           cmd = value;
         })
   in
@@ -102,17 +103,18 @@ let run ?collector cfg =
        let key = Zipf.next_key zipf in
        let s = Ring.shard_of (Cluster.ring cluster) key in
        let g = group s in
-       match List.filter (Epoch.is_member (Group.config g)) (Group.live g) with
+       let member = Epoch.is_member (Cluster.config g) in
+       match List.filter member (Local.cluster_live g) with
        | [] -> ()
        | origin :: _ ->
          let value = Printf.sprintf "v-%d" k in
-         Group.submit g origin (Replica.App { key; value });
+         Local.cluster_submit g origin (Replica.App { key; value });
          written := key :: !written;
          Chaos.submitted h s origin value);
     if cfg.reconfig_at = Some r then
       shards (fun s ->
-          let g = group s in
-          match Epoch.rotate (Group.config g) ~universe:(Group.universe g) with
+          let universe = cfg.replicas + cfg.spares in
+          match Epoch.rotate (Cluster.config (group s)) ~universe with
           | None -> Chaos.fail_at h r " shard %d: no spare to rotate in" s
           | Some next ->
             if Cluster.reconfig cluster ~shard:s next then
@@ -131,7 +133,7 @@ let run ?collector cfg =
             let g = group s in
             let fail_here fmt = Chaos.fail_at h r (" shard %d: " ^^ fmt) s in
             let ps = Chaos.live h s in
-            let epoch p = Replica.epoch (Group.state g p) in
+            let epoch p = Replica.epoch (Local.cluster_state g p) in
             let quorum e pid =
               if epoch pid <> e then None
               else
@@ -141,7 +143,7 @@ let run ?collector cfg =
                     pid;
                     value =
                       Fd.Emulated.Sigma_epoch.current
-                        (Replica.sigma_state (Group.state g pid));
+                        (Replica.sigma_state (Local.cluster_state g pid));
                   }
             in
             List.iter
@@ -157,7 +159,8 @@ let run ?collector cfg =
               (List.sort_uniq Int.compare (List.map epoch ps));
             Chaos.pairs
               (fun p q ->
-                let sp = Group.state g p and sq = Group.state g q in
+                let sp = Local.cluster_state g p
+                and sq = Local.cluster_state g q in
                 let ep = Replica.epoch sp and eq = Replica.epoch sq in
                 if ep <> eq && Replica.applied sp = Replica.applied sq then
                   fail_here
@@ -166,7 +169,7 @@ let run ?collector cfg =
               ps;
             List.iter
               (fun p ->
-                let st = Group.state g p in
+                let st = Local.cluster_state g p in
                 let si = Replica.sigma_state st in
                 let epoch = Fd.Emulated.Sigma_epoch.epoch si in
                 if Fd.Emulated.Sigma_epoch.quorum_epoch si <> epoch then
@@ -190,9 +193,9 @@ let run ?collector cfg =
       let longest =
         List.fold_left
           (fun acc q ->
-            let l = Group.applied_log g q in
+            let l = Local.cluster_outputs g q in
             if List.length l > List.length acc then l else acc)
-          [] (Group.live g)
+          [] (Local.cluster_live g)
       in
       let expected =
         List.fold_left
@@ -222,13 +225,15 @@ let run ?collector cfg =
       (fun s ->
         Option.iter (fun exp ->
             let g = group s in
-            let members = List.filter (Epoch.is_member exp) (Group.live g) in
+            let members =
+              List.filter (Epoch.is_member exp) (Local.cluster_live g)
+            in
             if List.length members < Epoch.majority exp then
               reconfig_done := false
             else
               List.iter
                 (fun p ->
-                  let got = Replica.config (Group.state g p) in
+                  let got = Replica.config (Local.cluster_state g p) in
                   if got <> exp then begin
                     reconfig_done := false;
                     Chaos.fail h
@@ -244,10 +249,10 @@ let run ?collector cfg =
       ~detail:(fun () ->
         {
           applied =
-            Array.init cfg.shards (fun s -> Group.applied_max (group s));
+            Array.init cfg.shards (fun s -> Cluster.applied_max (group s));
           epochs =
             Array.init cfg.shards (fun s ->
-                (Group.config (group s)).Epoch.epoch);
+                (Cluster.config (group s)).Epoch.epoch);
           reconfig_done = !reconfig_done;
           reads_ok = !reads_ok;
           reads_bad = !reads_bad;

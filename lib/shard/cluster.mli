@@ -1,12 +1,20 @@
 (** The in-process sharded service: [shards] replica groups of
-    [replicas] members (+ [spares] installable by reconfiguration) over
-    one loopback hub {e each}, a {!Ring} partitioning the keyspace, and
-    a {!Router} front-end.
+    [replicas] members (+ [spares] installable by reconfiguration), each
+    a {!Net.Local} cluster of {!Replica.protocol} over its own loopback
+    hub carrying {!Replica.codec} frames, as the TCP deployment does; a
+    {!Ring} partitioning the keyspace; and a {!Router} front-end.
 
     Groups are fully independent — no shared state, no cross-shard
-    messages; {!step} drives them all, one round each. *)
+    messages; {!step} drives them all, one round each.  Not thread-safe:
+    one domain drives a cluster. *)
 
 type t
+
+(** One shard's replica group: pids [0 .. replicas-1] form the epoch-0
+    configuration, the rest are spares.  The [Net.Local.cluster_*]
+    functions drive and observe it. *)
+type group =
+  (Replica.state, Replica.msg, Replica.payload, Replica.entry) Net.Local.cluster
 
 (** [sink] and [wrap] are per-shard versions of [Net.Local.make]'s
     parameters — [wrap ~shard p tr] lets the chaos harness stack
@@ -28,8 +36,19 @@ val create :
 val shards : t -> int
 val replicas : t -> int
 val spares : t -> int
-val group : t -> int -> Group.t
+val group : t -> int -> group
 val ring : t -> Ring.t
+
+(** The highest-epoch configuration any live replica of the group has
+    installed. *)
+val config : group -> Epoch.config
+
+(** Submit at the lowest live member of the group's current
+    configuration; false if no member is live. *)
+val submit_any : group -> Replica.payload -> bool
+
+(** The longest applied prefix over the group's live replicas. *)
+val applied_max : group -> int
 
 (** One round of every group, sequentially. *)
 val step : t -> unit

@@ -16,7 +16,7 @@
     answered by a {!view}. *)
 
 (** One replica's read sample: the same record in process, in
-    {!Group.sample}, and on the wire, as {!Server.read_reply_codec}. *)
+    {!Cluster.ops}, and on the wire, as {!Server.read_reply_codec}. *)
 type view = {
   v_epoch : int;
   v_applied : int;  (** applied log prefix length *)

@@ -150,7 +150,7 @@ let test_rel_reliable_over_loss () =
   let n = 2 in
   let schedule = ok_schedule "at 0 drop * 0.4\nat 0 dup * 0.2\n" in
   let ctrl = Net.Nemesis.create ~seed:7 ~n schedule in
-  let hub = Net.Loopback.create ~n in
+  let hub = Net.Loopback.create ~n () in
   let rel p =
     Net.Rel.wrap ~resend_every:4
       (Net.Nemesis.wrap ctrl (Net.Loopback.endpoint hub p))

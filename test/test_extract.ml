@@ -119,7 +119,7 @@ let test_sigma_extraction_failure_free () =
   Alcotest.(check bool) "some outputs" true
     (List.length trace.Sim.Trace.outputs > 8);
   check_ok "sigma extraction spec"
-    (Fd.Sigma.check fp ~horizon:trace.ticks trace.outputs)
+    (Fd.Sigma.check fp trace.outputs)
 
 let test_sigma_extraction_with_crashes () =
   for seed = 1 to 8 do
@@ -130,7 +130,7 @@ let test_sigma_extraction_with_crashes () =
       true
       (List.length trace.Sim.Trace.outputs > 4);
     check_ok "sigma extraction spec"
-      (Fd.Sigma.check fp ~horizon:trace.ticks trace.outputs);
+      (Fd.Sigma.check fp trace.outputs);
     (* Every correct process must keep refreshing its output (the paper's
        "permanently updated" property): it must complete several cycles. *)
     Sim.Pidset.iter
@@ -148,7 +148,7 @@ let test_sigma_extraction_minority_correct () =
   let fp = Sim.Failure_pattern.make ~n:5 [ (0, 150); (1, 300); (2, 450) ] in
   let trace = run_sigma_extraction ~seed:5 ~max_steps:80_000 fp in
   check_ok "sigma extraction spec"
-    (Fd.Sigma.check fp ~horizon:trace.Sim.Trace.ticks trace.outputs)
+    (Fd.Sigma.check fp trace.outputs)
 
 (* --- Figure 3: Ψ extraction ---------------------------------------------- *)
 
@@ -224,7 +224,7 @@ let prop_sigma_extraction_conforms =
           (Sim.Rng.make (seed * 43))
       in
       let trace = run_sigma_extraction ~seed ~max_steps:50_000 fp in
-      match Fd.Sigma.check fp ~horizon:trace.Sim.Trace.ticks trace.outputs with
+      match Fd.Sigma.check fp trace.outputs with
       | Ok () -> true
       | Error _ -> false)
 

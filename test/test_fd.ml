@@ -47,7 +47,7 @@ let test_sigma_oracle () =
     let fp = sample_fp ~seed ~n:5 () in
     let h = Fd.Oracle.history Fd.Sigma.oracle fp ~seed in
     let samples = Fd.Sigma.sample_history fp ~horizon:120 h in
-    check_ok "sigma" (Fd.Sigma.check fp ~horizon:120 samples)
+    check_ok "sigma" (Fd.Sigma.check fp samples)
   done
 
 let test_sigma_majority_oracle () =
@@ -55,7 +55,7 @@ let test_sigma_majority_oracle () =
     let fp = sample_fp ~env:Sim.Environment.majority_correct ~seed ~n:5 () in
     let h = Fd.Oracle.history Fd.Sigma.oracle_majority fp ~seed in
     let samples = Fd.Sigma.sample_history fp ~horizon:120 h in
-    check_ok "sigma-majority" (Fd.Sigma.check fp ~horizon:120 samples)
+    check_ok "sigma-majority" (Fd.Sigma.check fp samples)
   done
 
 let test_sigma_majority_rejects_minority () =
@@ -139,8 +139,7 @@ let test_product_oracle () =
   let sigma_part p t = snd (h p t) in
   check_ok "product omega" (Fd.Omega.check fp ~horizon omega_part);
   check_ok "product sigma"
-    (Fd.Sigma.check fp ~horizon:120
-       (Fd.Sigma.sample_history fp ~horizon:120 sigma_part))
+    (Fd.Sigma.check fp (Fd.Sigma.sample_history fp ~horizon:120 sigma_part))
 
 let test_fs_lazy_oracle () =
   let fp = Sim.Failure_pattern.make ~n:3 [ (1, 40) ] in
@@ -202,7 +201,7 @@ let fs events fp ~horizon =
 let psi events fp ~horizon =
   Fd.Psi.check fp ~horizon (Fd.Oracle.of_outputs ~init:Fd.Psi.Bot events)
 
-let sigma events fp ~horizon = Fd.Sigma.check fp ~horizon events
+let sigma events fp ~horizon:_ = Fd.Sigma.check fp events
 let sigma_safety events _ ~horizon:_ = Fd.Sigma.safety events
 
 let controls =
@@ -370,7 +369,7 @@ let test_sigma_majority_emulation () =
       in
       let trace = Sim.Engine.run cfg layered in
       check_ok name
-        (Fd.Sigma.check fp ~horizon:trace.Sim.Trace.ticks trace.outputs))
+        (Fd.Sigma.check fp trace.outputs))
     [
       ("emulated sigma", Fd.Emulated.Sigma_majority.detector);
       ( "emulated sigma, paced 16",

@@ -94,6 +94,53 @@ let test_writer_backpressure () =
   Unix.close wr;
   Unix.close rd
 
+(* A writer outlives its connection, as a Tcp peer's does: a frame cut
+   part-way on one socket pair restarts from its first byte on the next
+   after [rewind], so the fresh reader decodes it whole and first.
+   [bytes] counts the cut frame whole until it is written, then falls
+   to 0. *)
+let test_writer_rewind () =
+  let pair () =
+    let wr, rd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.set_nonblock wr;
+    Unix.set_nonblock rd;
+    (wr, rd)
+  in
+  let wr, rd = pair () in
+  Unix.setsockopt_int wr Unix.SO_SNDBUF 4096;
+  let w = Net.Wire.Writer.create () in
+  let big = String.init 1_000_000 (fun i -> Char.chr (i mod 251)) in
+  Net.Wire.Writer.push w (Bytes.of_string big);
+  Net.Wire.Writer.push w (Bytes.of_string "next");
+  let queued = 4 + String.length big + 4 + 4 in
+  Net.Wire.Writer.flush w wr;
+  let buf = Bytes.create 65536 in
+  let cut = Unix.read rd buf 0 (Bytes.length buf) in
+  Alcotest.(check bool) "the big frame was cut part-way" true
+    (cut > 0 && cut < 4 + String.length big);
+  Alcotest.(check int) "a cut frame still counts whole" queued
+    (Net.Wire.Writer.bytes w);
+  Unix.close wr;
+  Unix.close rd;
+  Net.Wire.Writer.rewind w;
+  let wr, rd = pair () in
+  let dec = Net.Wire.Decoder.create () in
+  let got = ref [] and idle = ref 0 in
+  while List.length !got < 2 && !idle < 100 do
+    Net.Wire.Writer.flush w wr;
+    match Unix.read rd buf 0 (Bytes.length buf) with
+    | k ->
+      idle := 0;
+      Net.Wire.Decoder.feed dec buf k;
+      got := !got @ List.map Bytes.to_string (drain dec)
+    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> incr idle
+  done;
+  Alcotest.(check (list string)) "the cut frame arrives whole, first"
+    [ big; "next" ] !got;
+  Alcotest.(check int) "nothing queued" 0 (Net.Wire.Writer.bytes w);
+  Unix.close wr;
+  Unix.close rd
+
 let prop_decoder_roundtrip =
   QCheck.Test.make ~name:"wire: decoder round-trips any chunking" ~count:200
     QCheck.(pair (small_list (string_of_size Gen.(0 -- 200))) (small_list (1 -- 64)))
@@ -976,9 +1023,7 @@ let test_sigma_quorums_on_loopback () =
         })
       (Sim.Pid.all n)
   in
-  match
-    Fd.Sigma.check (Sim.Failure_pattern.failure_free n) ~horizon:800 quorums
-  with
+  match Fd.Sigma.check (Sim.Failure_pattern.failure_free n) quorums with
   | Ok () -> ()
   | Error e -> Alcotest.fail e
 
@@ -1138,21 +1183,52 @@ let test_tcp_backoff_needs_handshake () =
     true
     (!attempts >= 2 && !attempts <= 8)
 
+(* The 4 MiB per-peer cap: frames to a peer that is not up queue until
+   the next frame would pass the cap; that one is dropped and counted.
+   The queued ones arrive in order once the peer comes up. *)
+let test_tcp_queue_cap () =
+  let addrs = [| tmp_addr (); tmp_addr () |] in
+  let t0 = Net.Tcp.create ~self:0 ~addrs () in
+  let payload i = Printf.sprintf "%06d:%s" i (String.make 65_529 'x') in
+  (* 64 KiB payloads, 65,540 bytes framed: 63 fit under 4 MiB *)
+  let fits = 4 * 1024 * 1024 / (65_536 + 4) in
+  let dropped () = (t0.Net.Transport.stats ()).Net.Transport.dropped in
+  for i = 0 to fits - 1 do
+    t0.Net.Transport.send 1 (Bytes.of_string (payload i))
+  done;
+  ignore (t0.Net.Transport.poll ~timeout_ms:0);
+  Alcotest.(check int) "frames under the cap are queued" 0 (dropped ());
+  t0.Net.Transport.send 1 (Bytes.of_string (payload fits));
+  Alcotest.(check int) "the first overflow is dropped" 1 (dropped ());
+  let t1 = Net.Tcp.create ~self:1 ~addrs () in
+  let got = ref [] in
+  let deadline = Unix.gettimeofday () +. 10. in
+  while List.length !got < fits && Unix.gettimeofday () < deadline do
+    ignore (t0.Net.Transport.poll ~timeout_ms:0);
+    match t1.Net.Transport.poll ~timeout_ms:10 with
+    | Some (src, b) -> got := (src, Bytes.to_string b) :: !got
+    | None -> ()
+  done;
+  Alcotest.(check bool) "the queued frames arrive in order" true
+    (List.rev !got = List.init fits (fun i -> (0, payload i)));
+  t0.Net.Transport.close ();
+  t1.Net.Transport.close ()
+
 (* ------------------------------------------------------------------ *)
 (* ARQ edge cases on the deterministic hub                             *)
 
-(* [Net.Rel] driven directly over [Net.Det]: each scenario scripts a
-   hub fault and a fixed scheduler resolves every delivery pick, so
-   the runs are deterministic and replayable by construction — the
-   reorder case records its choices and replays them to prove it.
-   These are the frame-level edge cases [Mc.Net_harness] explores
-   exhaustively, pinned here as unit tests with the Rel counters
-   asserted. *)
+(* [Net.Rel] driven directly over [Net.Loopback] given a scheduler:
+   each scenario scripts a hub fault and a fixed scheduler resolves
+   every delivery pick, so the runs are deterministic and replayable by
+   construction — the reorder case records its choices and replays them
+   to prove it.  These are the frame-level edge cases [Mc.Net_harness]
+   explores exhaustively, pinned here as unit tests with the Rel
+   counters asserted. *)
 
 let det_rel_pair ?reorder ?(resend_every = 64) ~sched () =
-  let hub = Net.Det.create ?reorder ~n:2 ~sched () in
-  let r0 = Net.Rel.wrap ~resend_every (Net.Det.endpoint hub 0) in
-  let r1 = Net.Rel.wrap ~resend_every (Net.Det.endpoint hub 1) in
+  let hub = Net.Loopback.create ~sched ?reorder ~n:2 () in
+  let r0 = Net.Rel.wrap ~resend_every (Net.Loopback.endpoint hub 0) in
+  let r1 = Net.Rel.wrap ~resend_every (Net.Loopback.endpoint hub 1) in
   (hub, r0, r1)
 
 let drain_rel tr =
@@ -1170,7 +1246,7 @@ let deliveries = Alcotest.(list (pair int string))
 let test_det_dup_data_filtered () =
   let hub, r0, r1 = det_rel_pair ~sched:Sim.Scheduler.first () in
   let t0 = Net.Rel.transport r0 and t1 = Net.Rel.transport r1 in
-  Net.Det.dup_next hub 0;
+  Net.Loopback.dup_next hub 0;
   t0.Net.Transport.send 1 (Bytes.of_string "once");
   Alcotest.check deliveries "delivered exactly once" [ (0, "once") ]
     (drain_rel t1);
@@ -1184,7 +1260,7 @@ let test_det_dup_ack_flood () =
   let hub, r0, r1 = det_rel_pair ~sched:Sim.Scheduler.first () in
   let t0 = Net.Rel.transport r0 and t1 = Net.Rel.transport r1 in
   t0.Net.Transport.send 1 (Bytes.of_string "pay");
-  Net.Det.dup_next hub 1 (* the receiver's next outbound frame: its ack *);
+  Net.Loopback.dup_next hub 1 (* the receiver's next outbound frame: its ack *);
   Alcotest.check deliveries "payload delivered once" [ (0, "pay") ]
     (drain_rel t1);
   ignore (drain_rel t0) (* both ack copies processed *);
@@ -1203,7 +1279,7 @@ let test_det_resend_races_blocked_original () =
     det_rel_pair ~resend_every:2 ~sched:Sim.Scheduler.first ()
   in
   let t0 = Net.Rel.transport r0 and t1 = Net.Rel.transport r1 in
-  Net.Det.block hub 0;
+  Net.Loopback.block hub 0;
   t0.Net.Transport.send 1 (Bytes.of_string "m0");
   (* unackable: polling p0 ticks the resend clock until the scan
      retransmits (the copy is held behind the original) *)
@@ -1216,7 +1292,7 @@ let test_det_resend_races_blocked_original () =
   tick 8;
   Alcotest.(check bool) "resend scan fired while blocked" true
     ((Net.Rel.stats r0).Net.Rel.retransmits >= 1);
-  Net.Det.unblock hub 0;
+  Net.Loopback.unblock hub 0;
   Alcotest.check deliveries "delivered exactly once after unblock"
     [ (0, "m0") ] (drain_rel t1);
   Alcotest.(check bool) "retransmitted copy filtered" true
@@ -1263,6 +1339,114 @@ let test_det_reorder_resequenced_and_replayed () =
   Alcotest.(check int) "replayed seed reproduces the resequencing" reseq
     reseq'
 
+(* ------------------------------------------------------------------ *)
+(* The hub itself                                                      *)
+
+type hub_op =
+  | Send of Sim.Pid.t * Sim.Pid.t
+  | Poll of Sim.Pid.t
+  | Block of Sim.Pid.t
+  | Unblock of Sim.Pid.t
+  | Crash of Sim.Pid.t
+
+let pp_hub_op = function
+  | Send (s, d) -> Printf.sprintf "send %d->%d" s d
+  | Poll p -> Printf.sprintf "poll %d" p
+  | Block p -> Printf.sprintf "block %d" p
+  | Unblock p -> Printf.sprintf "unblock %d" p
+  | Crash p -> Printf.sprintf "crash %d" p
+
+(* Run a script on a fresh hub, then drain every node in pid order;
+   the k-th op's frame is "k".  Returns every delivery as
+   (dst, src, frame). *)
+let run_hub ?sched ?reorder (n, ops) =
+  let hub = Net.Loopback.create ?sched ?reorder ~n () in
+  let ends = Array.init n (Net.Loopback.endpoint hub) in
+  let got = ref [] in
+  let poll p =
+    match ends.(p).Net.Transport.poll ~timeout_ms:0 with
+    | Some (src, f) ->
+      got := (p, src, Bytes.to_string f) :: !got;
+      true
+    | None -> false
+  in
+  List.iteri
+    (fun k -> function
+      | Send (s, d) ->
+        ends.(s).Net.Transport.send d (Bytes.of_string (string_of_int k))
+      | Poll p -> ignore (poll p)
+      | Block p -> Net.Loopback.block hub p
+      | Unblock p -> Net.Loopback.unblock hub p
+      | Crash p -> Net.Loopback.crash hub p)
+    ops;
+  List.iter (fun p -> while poll p do () done) (Sim.Pid.all n);
+  List.rev !got
+
+(* The fact the one hub rests on: a scheduler that always picks the
+   first candidate delivers exactly what the FIFO hub delivers, with or
+   without [reorder], crashes and held frames included. *)
+let prop_hub_first_pick_is_fifo =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 4 >>= fun n ->
+      let pid = int_bound (n - 1) in
+      let op =
+        frequency
+          [
+            (6, map2 (fun s d -> Send (s, d)) pid pid);
+            (6, map (fun p -> Poll p) pid);
+            (1, map (fun p -> Block p) pid);
+            (1, map (fun p -> Unblock p) pid);
+            (1, map (fun p -> Crash p) pid);
+          ]
+      in
+      pair (return n) (list_size (int_bound 60) op))
+  in
+  let print (n, ops) =
+    Printf.sprintf "n=%d: %s" n (String.concat "; " (List.map pp_hub_op ops))
+  in
+  let shrink = QCheck.Shrink.(pair nil list) in
+  QCheck.Test.make ~name:"hub: first-pick scheduler delivers as FIFO"
+    ~count:500 (QCheck.make ~print ~shrink gen) (fun script ->
+      let fifo = run_hub script in
+      fifo = run_hub ~sched:Sim.Scheduler.first script
+      && fifo = run_hub ~sched:Sim.Scheduler.first ~reorder:true script)
+
+(* A crash stops the node, not the frames it already sent: those still
+   arrive; frames it sends later, or that are sent to it, are dropped;
+   its polls return nothing; and [in_flight] counts only frames a live
+   node can receive — here the one frame held by a blocked live
+   sender. *)
+let test_hub_crash_contract () =
+  let hub = Net.Loopback.create ~n:3 () in
+  let ends = Array.init 3 (Net.Loopback.endpoint hub) in
+  let send s d frame = ends.(s).Net.Transport.send d (Bytes.of_string frame) in
+  let poll p =
+    Option.map
+      (fun (src, f) -> (src, Bytes.to_string f))
+      (ends.(p).Net.Transport.poll ~timeout_ms:0)
+  in
+  let got = Alcotest.(option (pair int string)) in
+  send 0 1 "before";
+  send 1 0 "to-0";
+  Net.Loopback.crash hub 0;
+  send 0 1 "after";
+  send 2 0 "late";
+  Net.Loopback.block hub 2;
+  send 2 0 "held-for-0";
+  send 2 1 "held-for-1";
+  Alcotest.(check int) "in flight: live receivers only" 2
+    (Net.Loopback.in_flight hub);
+  Alcotest.check got "the crashed node polls nothing" None (poll 0);
+  Alcotest.check got "sent before the crash, delivered" (Some (0, "before"))
+    (poll 1);
+  Alcotest.check got "sent after the crash, dropped" None (poll 1);
+  Net.Loopback.unblock hub 2;
+  Alcotest.check got "held for a live node, delivered"
+    (Some (2, "held-for-1")) (poll 1);
+  Alcotest.(check int) "nothing left for a live node" 0
+    (Net.Loopback.in_flight hub)
+
 let () =
   Alcotest.run "net"
     [
@@ -1272,6 +1456,8 @@ let () =
             test_decoder_reassembles;
           Alcotest.test_case "writer: backpressure tears no frame" `Quick
             test_writer_backpressure;
+          Alcotest.test_case "writer: rewind restarts a cut frame" `Quick
+            test_writer_rewind;
           Alcotest.test_case "envelope round-trip" `Quick
             test_envelope_roundtrip;
           Alcotest.test_case "envelope: future version refused" `Quick
@@ -1344,6 +1530,12 @@ let () =
           Alcotest.test_case "reorder resequenced; seed replays" `Quick
             test_det_reorder_resequenced_and_replayed;
         ] );
+      ( "loopback-hub",
+        [
+          QCheck_alcotest.to_alcotest prop_hub_first_pick_is_fifo;
+          Alcotest.test_case "crash: sent frames arrive, later ones drop"
+            `Quick test_hub_crash_contract;
+        ] );
       ( "tcp",
         [
           Alcotest.test_case "ordered delivery between two endpoints" `Quick
@@ -1353,6 +1545,8 @@ let () =
             test_tcp_reconnect;
           Alcotest.test_case "backoff resets only on completed handshake"
             `Quick test_tcp_backoff_needs_handshake;
+          Alcotest.test_case "queue cap drops the first overflow" `Quick
+            test_tcp_queue_cap;
           Alcotest.test_case "a malformed hello closes its connection"
             `Quick test_tcp_bad_hello;
         ] );

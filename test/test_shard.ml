@@ -5,10 +5,10 @@
    - the epoch handoff: an old-epoch Σ quorum is never output once the
      next epoch activates, in-flight old-epoch acks included, and
      Epoch.check_quorum refuses stale-epoch quorums outright;
-   - Group: a shard's replicas agree on writes; a Reconfig decided
-     through the shard's own log installs the next configuration, the
-     removed member can crash and the rotated group keeps deciding, and
-     a stale Reconfig is a no-op everywhere;
+   - a group (one shard's Net.Local cluster): its replicas agree on
+     writes; a Reconfig decided through the shard's own log installs the
+     next configuration, the removed member can crash and the rotated
+     group keeps deciding, and a stale Reconfig is a no-op everywhere;
    - snapshot catch-up: a blocked straggler that missed decisions for
      good (no Rel underneath) recovers the log via Snap_req/Snap;
    - Router: linearizable per-key reads over the ring, and the TCP
@@ -21,7 +21,7 @@
 module Ring = Shard.Ring
 module Epoch = Shard.Epoch
 module Replica = Shard.Replica
-module Group = Shard.Group
+module Local = Net.Local
 module Cluster = Shard.Cluster
 module Router = Shard.Router
 module Sig = Fd.Emulated.Sigma_epoch
@@ -231,64 +231,70 @@ let test_epoch_handoff () =
 
 let members012 = Sim.Pidset.of_list [ 0; 1; 2 ]
 
+(* A standalone group: members 0-2, the rest of [universe] spares. *)
+let group ?snap_every ?lag_gap ?wrap ~universe () =
+  Local.make ?wrap ~codec:Replica.codec ~n:universe
+    (Replica.protocol ?snap_every ?lag_gap ~period:8 ~members:members012 ())
+
 let kv_check g p key expected =
-  match Replica.kv_find (Group.state g p) key with
+  match Replica.kv_find (Local.cluster_state g p) key with
   | Some (_, v) -> Alcotest.(check string) (key ^ " at " ^ string_of_int p) expected v
   | None -> Alcotest.failf "replica %d never applied %s" p key
 
 let test_group_agreement () =
-  let g = Group.create ~period:8 ~id:0 ~universe:4 ~members:members012 () in
-  Group.run g ~rounds:50;
+  let g = group ~universe:4 () in
+  Local.cluster_run g ~rounds:50;
   for i = 0 to 4 do
-    Group.submit g 0
+    Local.cluster_submit g 0
       (Replica.App { key = "k"; value = Printf.sprintf "v%d" i });
-    Group.run g ~rounds:120
+    Local.cluster_run g ~rounds:120
   done;
-  Group.run g ~rounds:600;
+  Local.cluster_run g ~rounds:600;
   List.iter
     (fun p ->
       Alcotest.(check int)
         (Printf.sprintf "member %d applied all" p)
         5
-        (Replica.applied (Group.state g p));
+        (Replica.applied (Local.cluster_state g p));
       kv_check g p "k" "v4")
     [ 0; 1; 2 ];
-  let l0 = Group.applied_log g 0 in
+  let l0 = Local.cluster_outputs g 0 in
   List.iter
     (fun p ->
       Alcotest.(check bool)
         (Printf.sprintf "log of %d identical to 0" p)
         true
-        (Group.applied_log g p = l0))
+        (Local.cluster_outputs g p = l0))
     [ 1; 2 ]
 
 let test_group_reconfig () =
-  let g = Group.create ~period:8 ~id:0 ~universe:4 ~members:members012 () in
-  Group.run g ~rounds:50;
-  Group.submit g 0 (Replica.App { key = "a"; value = "before" });
-  Group.run g ~rounds:400;
+  let g = group ~universe:4 () in
+  Local.cluster_run g ~rounds:50;
+  Local.cluster_submit g 0 (Replica.App { key = "a"; value = "before" });
+  Local.cluster_run g ~rounds:400;
   (* rotate: drop 0, install spare 3 — through the shard's own log *)
-  Group.submit g 1 (Replica.Reconfig { epoch = 1; members = [ 1; 2; 3 ] });
-  Group.run g ~rounds:1_000;
+  Local.cluster_submit g 1
+    (Replica.Reconfig { epoch = 1; members = [ 1; 2; 3 ] });
+  Local.cluster_run g ~rounds:1_000;
   List.iter
     (fun p ->
       Alcotest.(check int)
         (Printf.sprintf "replica %d installed epoch 1" p)
         1
-        (Replica.epoch (Group.state g p)))
+        (Replica.epoch (Local.cluster_state g p)))
     [ 1; 2; 3 ];
   (* the removed member crashes; the rotated group keeps deciding *)
-  Group.crash g 0;
-  Group.submit g 1 (Replica.App { key = "b"; value = "after" });
-  Group.run g ~rounds:1_200;
+  Local.cluster_crash g 0;
+  Local.cluster_submit g 1 (Replica.App { key = "b"; value = "after" });
+  Local.cluster_run g ~rounds:1_200;
   List.iter (fun p -> kv_check g p "b" "after") [ 1; 2; 3 ];
   List.iter (fun p -> kv_check g p "a" "before") [ 1; 2; 3 ];
   (* a stale Reconfig (not current + 1) is a deterministic no-op *)
-  Group.submit g 1 (Replica.Reconfig { epoch = 1; members = [ 0; 1 ] });
-  Group.run g ~rounds:600;
+  Local.cluster_submit g 1 (Replica.Reconfig { epoch = 1; members = [ 0; 1 ] });
+  Local.cluster_run g ~rounds:600;
   List.iter
     (fun p ->
-      let st = Group.state g p in
+      let st = Local.cluster_state g p in
       Alcotest.(check int) "epoch unchanged" 1 (Replica.epoch st);
       Alcotest.(check bool) "members unchanged" true
         (Sim.Pidset.equal (Replica.config st).Epoch.members
@@ -310,34 +316,33 @@ let test_group_snapshot_catchup () =
           else tr.Net.Transport.send dst frame);
     }
   in
-  let g =
-    Group.create ~period:8 ~snap_every:4 ~lag_gap:8 ~wrap ~id:0 ~universe:3
-      ~members:members012 ()
-  in
-  Group.run g ~rounds:50;
+  let g = group ~snap_every:4 ~lag_gap:8 ~wrap ~universe:3 () in
+  Local.cluster_run g ~rounds:50;
   dark := true;
   for i = 0 to 19 do
-    Group.submit g 0
+    Local.cluster_submit g 0
       (Replica.App { key = Printf.sprintf "k%d" i; value = string_of_int i });
-    Group.run g ~rounds:60
+    Local.cluster_run g ~rounds:60
   done;
-  Group.run g ~rounds:400;
+  Local.cluster_run g ~rounds:400;
   Alcotest.(check int) "majority decided while 2 was dark" 20
-    (Replica.applied (Group.state g 0));
+    (Replica.applied (Local.cluster_state g 0));
   Alcotest.(check int) "2 missed everything" 0
-    (Replica.applied (Group.state g 2));
+    (Replica.applied (Local.cluster_state g 2));
   dark := false;
   (* a nudge write generates slot traffic that reveals the lag *)
-  Group.submit g 0 (Replica.App { key = "nudge"; value = "x" });
-  Group.run g ~rounds:1_500;
+  Local.cluster_submit g 0 (Replica.App { key = "nudge"; value = "x" });
+  Local.cluster_run g ~rounds:1_500;
   Alcotest.(check int) "straggler caught up" 21
-    (Replica.applied (Group.state g 2));
+    (Replica.applied (Local.cluster_state g 2));
   Alcotest.(check bool) "catch-up went through a snapshot" true
-    (Replica.snaps_installed (Group.state g 2) > 0);
+    (Replica.snaps_installed (Local.cluster_state g 2) > 0);
   Alcotest.(check bool) "someone served it" true
-    (List.exists (fun p -> Replica.snaps_served (Group.state g p) > 0) [ 0; 1 ]);
+    (List.exists
+       (fun p -> Replica.snaps_served (Local.cluster_state g p) > 0)
+       [ 0; 1 ]);
   Alcotest.(check bool) "logs identical after catch-up" true
-    (Group.applied_log g 2 = Group.applied_log g 0)
+    (Local.cluster_outputs g 2 = Local.cluster_outputs g 0)
 
 (* ------------------------------------------------------------------ *)
 (* Router over a small cluster                                         *)
@@ -378,7 +383,7 @@ let test_server_ops_reads () =
   Cluster.run cl ~rounds:50;
   let g = Cluster.group cl 0 in
   let dead = 2 in
-  Group.crash g dead;
+  Local.cluster_crash g dead;
   let roundtrip =
     match Shard.Server.impl ~period:8 ~members:members012 () with
     | Net.Smr_node.Impl impl -> (
@@ -386,7 +391,7 @@ let test_server_ops_reads () =
         if p = dead then raise (Unix.Unix_error (Unix.EPIPE, "write", ""));
         match
           impl.on_request
-            ~state:(fun () -> Group.state g p)
+            ~state:(fun () -> Local.cluster_state g p)
             ~inject:(fun _ -> ())
             frame
         with
@@ -397,7 +402,7 @@ let test_server_ops_reads () =
   let wire =
     Router.create ~ring:(Cluster.ring cl)
       ~ops:(fun _ ->
-        Shard.Server.ops ~config:(fun () -> Group.config g) ~roundtrip)
+        Shard.Server.ops ~config:(fun () -> Cluster.config g) ~roundtrip)
       ~step:(fun () -> Cluster.step cl)
   in
   let show = function
@@ -422,13 +427,13 @@ let test_server_ops_reads () =
   in
   write "v1:" [ "a"; "b"; "c" ];
   reads_agree [ ("a", "v1:a"); ("b", "v1:b"); ("c", "v1:c") ];
-  (match Epoch.rotate (Group.config g) ~universe:4 with
+  (match Epoch.rotate (Cluster.config g) ~universe:4 with
   | Some next ->
     Alcotest.(check bool) "rotation submitted" true
       (Cluster.reconfig cl ~shard:0 next)
   | None -> Alcotest.fail "no spare to rotate in");
   write "v2:" [ "b"; "d" ];
-  Alcotest.(check int) "rotation installed" 1 (Group.config g).Epoch.epoch;
+  Alcotest.(check int) "rotation installed" 1 (Cluster.config g).Epoch.epoch;
   reads_agree [ ("a", "v1:a"); ("b", "v2:b"); ("c", "v1:c"); ("d", "v2:d") ]
 
 (* ------------------------------------------------------------------ *)
@@ -456,7 +461,7 @@ let test_cluster_spread () =
   done;
   Alcotest.(check int) "every write applied" total (Cluster.applied_total cl);
   for s = 0 to shards - 1 do
-    if Group.applied_max (Cluster.group cl s) = 0 then
+    if Cluster.applied_max (Cluster.group cl s) = 0 then
       Alcotest.failf "shard %d applied none of the %d writes" s total
   done
 
