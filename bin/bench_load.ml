@@ -239,6 +239,11 @@ let run ~n ~clients ~outstanding ~rate ~duration ~size ~period ~window
         output_char oc '\n';
         close_out oc;
         Printf.printf "json: %s\n%!" path);
-      if completed = 0 then failwith "no command completed");
+      if completed = 0 then failwith "no command completed";
+      let timeouts = Obs.Metrics.counter metrics "bench.timeouts" in
+      if timeouts > 0 then
+        failwith
+          (Printf.sprintf "%d requests unanswered %.0f s past the deadline"
+             timeouts drain_grace));
   Cli_common.stop cluster;
   Printf.printf "bench OK\n%!"

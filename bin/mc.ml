@@ -2,10 +2,10 @@
 
    Examples:
      mc --list
-     mc --protocol cons.quorum_paxos --n 3 --explorer pct --budget 100000
-     mc --protocol qcnbac.two_phase_commit --n 2 --max-crashes 1
-     mc --protocol cons.broken_validity --n 2 --explorer exhaustive
-     mc --protocol qcnbac.two_phase_commit --n 2 \
+     mc --protocol cons.quorum_paxos -n 3 --explorer pct --budget 100000
+     mc --protocol qcnbac.two_phase_commit -n 2 --max-crashes 1
+     mc --protocol cons.broken_validity -n 2 --explorer exhaustive
+     mc --protocol qcnbac.two_phase_commit -n 2 \
         --replay 'crashes=0@0;choices='
 
    Exit status: 0 = no violation, 1 = violation found, 124 = usage error.

@@ -541,48 +541,40 @@ let chaos_schedule text =
    exhausted its space within budget.  Every count is a search metric
    (Mc.Parallel's report is bit-identical at every domain count). *)
 
-let exhaustive (r : Mc.Exhaustive.report) =
-  (r.schedules, r.steps, r.counterexample <> None, r.complete)
-
 let parallel (r : Mc.Crash_adversary.report) =
   (r.schedules, r.steps, r.counterexample <> None, r.complete)
 
 let ff n = Sim.Failure_pattern.failure_free n
 
+(* One explorer under the failure-free pattern, with the whole budget. *)
+let failure_free explorer ~budget target ~n =
+  parallel
+    (Mc.Parallel.search
+       ~opts:
+         { Mc.Harness.default_opts with
+           explorer; budget; inner_budget = budget; shrink = false }
+       ~fps:[ ff n ] target ~n)
+
 let mc_workloads =
   [
     ( "mc_exhaustive_quorum_paxos_n2",
       fun () ->
-        exhaustive
-          (Mc.Exhaustive.search ~budget:50_000 (Mc.Targets.quorum_paxos ~n:2)
-             ~fp:(ff 2)) );
+        failure_free `Exhaustive ~budget:50_000 (Mc.Targets.quorum_paxos ~n:2)
+          ~n:2 );
     ( "mc_exhaustive_abd_n2",
       fun () ->
-        exhaustive
-          (Mc.Exhaustive.search ~budget:50_000 (Mc.Targets.abd ~n:2) ~fp:(ff 2))
-    );
+        failure_free `Exhaustive ~budget:50_000 (Mc.Targets.abd ~n:2) ~n:2 );
     (* the DPOR rows pair with mc_exhaustive_abd_n2: same target, same
        verdict, and the schedule count is the reduction; n=3 — out of the
        plain explorer's reach — completes *)
     ( "mc_dpor_abd_n2",
-      fun () ->
-        exhaustive
-          (Mc.Dpor.search ~budget:50_000 ~shrink:false (Mc.Targets.abd ~n:2)
-             ~fp:(ff 2)) );
+      fun () -> failure_free `Dpor ~budget:50_000 (Mc.Targets.abd ~n:2) ~n:2 );
     ( "mc_dpor_abd_n3",
-      fun () ->
-        exhaustive
-          (Mc.Dpor.search ~budget:200_000 ~shrink:false (Mc.Targets.abd ~n:3)
-             ~fp:(ff 3)) );
+      fun () -> failure_free `Dpor ~budget:200_000 (Mc.Targets.abd ~n:3) ~n:3 );
     (* PCT runs under one failure pattern: the whole budget goes to it *)
     ( "mc_pct_quorum_paxos_n3",
       fun () ->
-        parallel
-          (Mc.Parallel.search
-             ~opts:
-               { Mc.Harness.default_opts with
-                 explorer = `Pct; budget = 200; inner_budget = 200 }
-             ~fps:[ ff 3 ] (Mc.Targets.quorum_paxos ~n:3) ~n:3) );
+        failure_free `Pct ~budget:200 (Mc.Targets.quorum_paxos ~n:3) ~n:3 );
     (* the crash adversary must find 2PC's blocking run *)
     ( "mc_crash_adversary_2pc_n3",
       fun () ->

@@ -10,6 +10,7 @@ type report = {
   counterexample : Harness.counterexample option;
   patterns : int;
   schedules : int;
+  pruned : int;
   steps : int;
   complete : bool;
 }

@@ -5,13 +5,13 @@
    a run makes are [Round_order] picks: each engine round asks "who steps
    next?" k - 1 times for k alive processes.  Exhaustive search branches on every
    pick; most of those branches only permute steps that cannot observe
-   each other.  This explorer runs the same prefix-replay DFS as
-   {!Exhaustive} but, instead of enqueuing every sibling of every choice
-   taken, records what each step actually *did* (message destinations,
-   the message it delivered, outputs) and enqueues an alternative order
-   only where two steps of the same round race — the Flanagan–Godefroid
-   backtrack-set construction, specialised to the round-barrier
-   structure of the engine.
+   each other.  This analysis, instead of opening every sibling of every
+   choice taken, records what each step actually *did* (message
+   destinations, the message it delivered, outputs) and requests an
+   alternative order only where two steps of the same round race — the
+   Flanagan–Godefroid backtrack-set construction, specialised to the
+   round-barrier structure of the engine.  {!Parallel.search} explores
+   the requested alternatives as its children rule.
 
    Two steps [a] before [b] of the same round are independent (their
    adjacent swap is behaviour-preserving) when all of:
@@ -49,18 +49,18 @@
    (sends to a process conflict with its step unconditionally) instead.
 
    Rounds where the independence argument does not apply fall back to
-   full sibling expansion (exactly what {!Exhaustive} does for every
+   full sibling expansion (exactly what exhaustive search does for every
    round): a scheduled process did not step (crash or step budget
    truncated the round), any process's crash time or an external-input
    time falls inside the round's slot window (reordering moves events
    across it, and QC-style invariants compare output times against
    crash times).  A target whose failure detector is time-varying
    ([time_invariant_fd = false]: a reorder changes the [now] each
-   process queries at) falls back everywhere, so [search] hands it to
-   {!Exhaustive.search} outright.  Sends to a process already crashed at the
-   round's start are invisible forever (a crash is permanent and the
-   round is crash-free) and are dropped from destination sets before
-   the race check.
+   process queries at) falls back everywhere, so {!Parallel.search}
+   gives it the exhaustive children rule outright.  Sends to a process
+   already crashed at the round's start are invisible forever (a crash
+   is permanent and the round is crash-free) and are dropped from
+   destination sets before the race check.
 
    Backtrack points follow Flanagan–Godefroid: for each slot [b], one
    request at the *last* earlier slot it races with (recursion on the
@@ -71,27 +71,16 @@
    acts as the node's sleep set: prefixes are canonical (trailing
    default-0 picks stripped), so an interleaving a previous branch
    already covers collapses onto the explored path and is never
-   re-entered. *)
+   re-entered.
 
-let take_prefix arr i = Array.to_list (Array.sub arr 0 i)
+   A run resumed from a round snapshot ({!Parallel}) analyses only the
+   rounds it executes.  The rounds before the snapshot are the rounds of
+   the run that took it, whose requests — and those of its own resumed
+   ancestors — are already in the explored-prefix table, so they would
+   yield nothing new.  The queue model resumes from the [state] kept
+   with the snapshot, and choice indices keep counting from time 0. *)
 
-(* ---- per-run instrumentation log ----------------------------------- *)
-
-type entry =
-  | E_choice of {
-      g : int;  (* global choice index within the run *)
-      cand : Sim.Pid.t list;
-      picked : int;
-      ar : int;
-    }
-  | E_step of {
-      now : int;
-      pid : Sim.Pid.t;
-      dests : Sim.Pid.t list;
-      output : bool;
-      delivered : Sim.Pid.t option;  (* src of the consumed message *)
-    }
-  | E_hook
+(* ---- the per-run log ------------------------------------------------ *)
 
 (* What a slot's delivery resolved to under the queue model. *)
 type del_info =
@@ -104,7 +93,7 @@ type slot = {
   sl_pid : Sim.Pid.t;
   sl_dests : Sim.Pid.t list;
   sl_output : bool;
-  sl_delivered : Sim.Pid.t option;
+  sl_delivered : Sim.Pid.t option;  (* src of the consumed message *)
   mutable sl_del : del_info;
 }
 
@@ -116,100 +105,55 @@ type seg = {
   sg_slots : slot list;
 }
 
-let segments entries =
-  (* [entries] oldest-first; merge E_step records of the same slot (the
-     engine calls on_input then on_step at the same [now]; nothing sent
-     at a slot is deliverable at that slot, so the within-slot send
-     order does not matter to the queue model). *)
-  let segs = ref [] in
-  let cur_choices = ref [] in
-  let cur_slots = ref [] in
-  let flush () =
-    if !cur_choices <> [] || !cur_slots <> [] then
-      segs :=
-        { sg_choices = List.rev !cur_choices; sg_slots = List.rev !cur_slots }
-        :: !segs;
-    cur_choices := [];
-    cur_slots := []
-  in
-  List.iter
-    (fun e ->
-      match e with
-      | E_hook -> flush ()
-      | E_choice { g; cand; picked; ar } ->
-        cur_choices := (g, cand, picked, ar) :: !cur_choices
-      | E_step { now; pid; dests; output; delivered } -> (
-        match !cur_slots with
-        | s :: tl when s.sl_now = now ->
-          assert (Sim.Pid.equal pid s.sl_pid);
-          cur_slots :=
-            {
-              s with
-              sl_dests = s.sl_dests @ dests;
-              sl_output = s.sl_output || output;
-              sl_delivered =
-                (match s.sl_delivered with Some _ as d -> d | None -> delivered);
-            }
-            :: tl
-        | _ ->
-          cur_slots :=
-            {
-              sl_now = now;
-              sl_pid = pid;
-              sl_dests = dests;
-              sl_output = output;
-              sl_delivered = delivered;
-              sl_del = D_unknown;
-            }
-            :: !cur_slots))
-    entries;
-  flush ();
-  List.rev !segs
+(* The engine's Fifo discipline as the analysis replays it: per-destination
+   queues of (seq, src, sent_at), oldest (smallest seq) first, the global
+   sequence = send order, a message ready one slot after sending.  [ok]
+   turns false for good at the first delivery the model disagrees with;
+   [g] counts the choices made so far.  Kept at every round boundary with
+   the engine's snapshot, so a resumed run's analysis starts where the
+   run that took it stood. *)
+type state = {
+  queues : (int * Sim.Pid.t * int) list array;
+  seq : int;
+  ok : bool;
+  g : int;
+}
 
-(* Replay the run's sends and deliveries through the engine's Fifo
-   discipline (per-destination queues, global seq = send order, ready
-   one slot after sending) to resolve each slot's [sl_del].  On any
-   disagreement with the observed delivery, leave every remaining slot
-   [D_unknown]. *)
-let resolve_deliveries ~n segs =
-  let queues = Array.make n [] in
-  (* each queue: (seq, src, sent_at) list, oldest (smallest seq) first *)
-  let seq = ref 0 in
-  let ok = ref true in
+(* Resolve each slot's [sl_del] against the queue model, advancing it.  On
+   any disagreement with the observed delivery, leave every remaining
+   slot [D_unknown]. *)
+let resolve_deliveries queues ~seq ~ok sg =
   List.iter
-    (fun sg ->
-      List.iter
-        (fun s ->
-          if !ok then begin
-            (match s.sl_delivered with
-            | None ->
-              (* the engine found nothing ready: check the model agrees *)
-              if
-                List.exists
-                  (fun (_, _, sent_at) -> sent_at + 1 <= s.sl_now)
-                  queues.(s.sl_pid)
-              then ok := false
-              else s.sl_del <- D_none
-            | Some src -> (
-              let ready =
-                List.filter
-                  (fun (_, _, sent_at) -> sent_at + 1 <= s.sl_now)
-                  queues.(s.sl_pid)
-              in
-              match ready with
-              | (q, src', sent_at) :: _ when Sim.Pid.equal src src' ->
-                s.sl_del <- D_msg (src', sent_at);
-                queues.(s.sl_pid) <-
-                  List.filter (fun (q', _, _) -> q' <> q) queues.(s.sl_pid)
-              | _ -> ok := false));
-            List.iter
-              (fun d ->
-                queues.(d) <- queues.(d) @ [ (!seq, s.sl_pid, s.sl_now) ];
-                incr seq)
-              s.sl_dests
-          end)
-        sg.sg_slots)
-    segs
+    (fun s ->
+      if !ok then begin
+        (match s.sl_delivered with
+        | None ->
+          (* the engine found nothing ready: check the model agrees *)
+          if
+            List.exists
+              (fun (_, _, sent_at) -> sent_at + 1 <= s.sl_now)
+              queues.(s.sl_pid)
+          then ok := false
+          else s.sl_del <- D_none
+        | Some src -> (
+          let ready =
+            List.filter
+              (fun (_, _, sent_at) -> sent_at + 1 <= s.sl_now)
+              queues.(s.sl_pid)
+          in
+          match ready with
+          | (q, src', sent_at) :: _ when Sim.Pid.equal src src' ->
+            s.sl_del <- D_msg (src', sent_at);
+            queues.(s.sl_pid) <-
+              List.filter (fun (q', _, _) -> q' <> q) queues.(s.sl_pid)
+          | _ -> ok := false));
+        List.iter
+          (fun d ->
+            queues.(d) <- queues.(d) @ [ (!seq, s.sl_pid, s.sl_now) ];
+            incr seq)
+          s.sl_dests
+      end)
+    sg.sg_slots
 
 (* ---- one round's backtrack requests -------------------------------- *)
 
@@ -342,19 +286,139 @@ let seg_requests ~fp ~n ~input_times seg =
       end
     end
 
-(* ---- search --------------------------------------------------------- *)
+
+(* ---- runs and their requests ----------------------------------------- *)
+
+let run ~seed ~round_hook ?resume ?save target ~fp sched =
+  let n = Sim.Failure_pattern.n fp in
+  let input_times =
+    List.map (fun (t, p, _) -> (t, p)) (target.Harness.make_inputs fp)
+  in
+  let st =
+    match resume with
+    | Some (_, st) -> st
+    | None -> { queues = Array.make n []; seq = 0; ok = true; g = 0 }
+  in
+  let queues = Array.copy st.queues in
+  let seq = ref st.seq and ok = ref st.ok and g = ref st.g in
+  let choices = ref [] and slots = ref [] and reqs = ref [] in
+  (* Close the current round: resolve its deliveries and take its
+     requests.  Nothing sent at a slot is deliverable at that slot, so
+     the order of sends within one slot does not matter to the model. *)
+  let flush () =
+    if !choices <> [] || !slots <> [] then begin
+      let sg = { sg_choices = List.rev !choices; sg_slots = List.rev !slots } in
+      resolve_deliveries queues ~seq ~ok sg;
+      reqs := seg_requests ~fp ~n ~input_times sg :: !reqs;
+      choices := [];
+      slots := []
+    end
+  in
+  (* instrumented protocol: record each slot's pid, destination set,
+     consumed message and output flag; the engine calls on_input and
+     then on_step at one [now], and both land in that slot *)
+  let record ctx recv acts =
+    let dests =
+      List.concat_map
+        (function
+          | Sim.Protocol.Send (d, _) -> if Sim.Pid.valid ~n d then [ d ] else []
+          | Sim.Protocol.Broadcast _ -> Sim.Pid.all n
+          | Sim.Protocol.Output _ -> [])
+        acts
+    in
+    let output =
+      List.exists (function Sim.Protocol.Output _ -> true | _ -> false) acts
+    in
+    let now = ctx.Sim.Protocol.now and pid = ctx.Sim.Protocol.self in
+    let delivered = Option.map fst recv in
+    match !slots with
+    | s :: tl when s.sl_now = now ->
+      assert (Sim.Pid.equal pid s.sl_pid);
+      slots :=
+        {
+          s with
+          sl_dests = s.sl_dests @ dests;
+          sl_output = s.sl_output || output;
+          sl_delivered =
+            (match s.sl_delivered with Some _ as d -> d | None -> delivered);
+        }
+        :: tl
+    | _ ->
+      slots :=
+        {
+          sl_now = now;
+          sl_pid = pid;
+          sl_dests = dests;
+          sl_output = output;
+          sl_delivered = delivered;
+          sl_del = D_unknown;
+        }
+        :: !slots
+  in
+  let proto = target.Harness.protocol in
+  let instrumented =
+    {
+      proto with
+      Sim.Protocol.on_step =
+        (fun ctx st recv ->
+          let st, acts = proto.Sim.Protocol.on_step ctx st recv in
+          record ctx recv acts;
+          (st, acts));
+      on_input =
+        (fun ctx st inp ->
+          let st, acts = proto.Sim.Protocol.on_input ctx st inp in
+          record ctx None acts;
+          (st, acts));
+    }
+  in
+  let sched =
+    {
+      Sim.Scheduler.choose =
+        (fun c ->
+          let i = sched.Sim.Scheduler.choose c in
+          (match c with
+          | Sim.Scheduler.Round_order cand ->
+            choices := (!g, cand, i, List.length cand) :: !choices
+          | Send_delay _ | Deliver_pick _ | Deliver_skip _ ->
+            invalid_arg "Dpor: a delivery choice under Fifo");
+          incr g;
+          i);
+    }
+  in
+  let round_hook ~now ~digest ~steps =
+    flush ();
+    round_hook ~now ~digest ~steps
+  in
+  let save =
+    Option.map
+      (fun save snap ->
+        save
+          (snap, { queues = Array.copy queues; seq = !seq; ok = !ok; g = !g }))
+      save
+  in
+  let r =
+    Harness.run ~seed ~round_hook
+      ?resume:(Option.map fst resume)
+      ?save
+      { target with Harness.protocol = instrumented }
+      ~fp sched
+  in
+  flush ();
+  (r, List.sort_uniq compare (List.concat !reqs))
+
+(* ---- the explored-prefix table -------------------------------------- *)
 
 (* Canonical prefixes: a run extends its prefix with default (index 0)
    picks, so the path [p @ zeros] is the path of prefix [p] — strip
    trailing zeros before using a prefix as a tree-node identity.  The
-   [explored] table over canonical prefixes is both the worklist dedup
-   and the per-node sleep set. *)
+   table over canonical prefixes is both the work list's dedup and the
+   per-node sleep set. *)
 let canonical prefix =
   let rec strip = function 0 :: tl -> strip tl | l -> l in
   List.rev (strip (List.rev prefix))
 
 (* The polymorphic [Hashtbl.hash] reads only the first 10 elements of a
-   list; DFS prefixes are long and share their heads, so they would pile
+   list; prefixes are long and share their heads, so they would pile
    into a few buckets.  Hash the whole prefix. *)
 module Prefixes = Hashtbl.Make (struct
   type t = int list
@@ -363,120 +427,22 @@ module Prefixes = Hashtbl.Make (struct
   let hash l = Hashtbl.hash (List.fold_left (fun h x -> (h * 31) + x) 0 l)
 end)
 
-let reduced ~budget ~shrink ~seed target ~fp =
-  let n = Sim.Failure_pattern.n fp in
-  let input_times =
-    List.map (fun (t, p, _) -> (t, p)) (target.Harness.make_inputs fp)
-  in
-  let explored = Prefixes.create 4096 in
-  Prefixes.add explored [] ();
-  let cex ~reason choices =
-    Harness.counterexample ~shrink ~violates:(Harness.violates ~seed target ~n)
-      ~target:target.Harness.name ~n ~seed ~reason (Schedule.of_fp fp choices)
-  in
-  Exhaustive.dfs ~budget ~cex (fun base ~fresh ->
-      let log = ref [] in
-      let push e = log := e :: !log in
-      (* instrumented protocol: record each slot's pid, destination set,
-         consumed message and output flag (on_input fires at the same
-         [now] as the slot's on_step; [segments] merges them) *)
-      let record ctx recv acts =
-        let dests =
-          List.concat_map
-            (function
-              | Sim.Protocol.Send (d, _) ->
-                if Sim.Pid.valid ~n d then [ d ] else []
-              | Sim.Protocol.Broadcast _ -> Sim.Pid.all n
-              | Sim.Protocol.Output _ -> [])
-            acts
-        in
-        let output =
-          List.exists
-            (function Sim.Protocol.Output _ -> true | _ -> false)
-            acts
-        in
-        push
-          (E_step
-             {
-               now = ctx.Sim.Protocol.now;
-               pid = ctx.Sim.Protocol.self;
-               dests;
-               output;
-               delivered = Option.map fst recv;
-             })
-      in
-      let proto = target.Harness.protocol in
-      let instrumented =
-        {
-          proto with
-          Sim.Protocol.on_step =
-            (fun ctx st recv ->
-              let st, acts = proto.Sim.Protocol.on_step ctx st recv in
-              record ctx recv acts;
-              (st, acts));
-          on_input =
-            (fun ctx st inp ->
-              let st, acts = proto.Sim.Protocol.on_input ctx st inp in
-              record ctx None acts;
-              (st, acts));
-        }
-      in
-      let itarget = { target with Harness.protocol = instrumented } in
-      let g = ref 0 in
-      let sched =
-        {
-          Sim.Scheduler.choose =
-            (fun c ->
-              let i = base.Sim.Scheduler.choose c in
-              (match c with
-              | Sim.Scheduler.Round_order cand ->
-                push
-                  (E_choice
-                     { g = !g; cand; picked = i; ar = List.length cand })
-              | Send_delay _ | Deliver_pick _ | Deliver_skip _ ->
-                invalid_arg "Dpor: a delivery choice under Fifo");
-              incr g;
-              i);
-        }
-      in
-      let round_hook ~now ~digest ~steps:_ =
-        push E_hook;
-        fresh (Exhaustive.key target ~now digest)
-      in
-      let r = Harness.run ~seed itarget ~fp ~round_hook sched in
-      let next ~depth:_ ~arities:_ =
-        let choices = Array.of_list r.Harness.choices in
-        let segs = segments (List.rev !log) in
-        resolve_deliveries ~n segs;
-        let reqs =
-          List.concat_map (seg_requests ~fp ~n ~input_times) segs
-          |> List.sort_uniq compare
-        in
-        (* Shallow divergences first — the order Exhaustive explores
-           siblings in. *)
-        List.filter_map
-          (fun (g, alt) ->
-            if g >= Array.length choices then None
-            else
-              let p = canonical (take_prefix choices g @ [ alt ]) in
-              if Prefixes.mem explored p then None
-              else begin
-                Prefixes.add explored p ();
-                Some p
-              end)
-          reqs
-      in
-      {
-        Exhaustive.violation = r.Harness.violation;
-        choices = r.Harness.choices;
-        steps = r.Harness.steps;
-        next;
-      })
+type explored = unit Prefixes.t
 
-(* The independence argument needs detector samples that do not depend on
-   which slot a process lands in; otherwise every round falls back to full
-   expansion, which is {!Exhaustive}'s search. *)
-let search ?(budget = 10_000) ?(shrink = true) ?(seed = 1) target ~fp =
-  if target.Harness.time_invariant_fd then
-    reduced ~budget ~shrink ~seed target ~fp
-  else Exhaustive.search ~budget ~shrink ~seed target ~fp
+let explored () =
+  let t = Prefixes.create 4096 in
+  Prefixes.add t [] ();
+  t
+
+let openings explored ~choices ~upto reqs =
+  List.filter_map
+    (fun (g, alt) ->
+      if g >= upto then None
+      else
+        let p = canonical (Array.to_list (Array.sub choices 0 g) @ [ alt ]) in
+        if Prefixes.mem explored p then None
+        else begin
+          Prefixes.add explored p ();
+          Some p
+        end)
+    reqs

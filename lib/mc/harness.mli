@@ -26,7 +26,7 @@ type ('st, 'msg, 'fd, 'inp, 'out) target = {
   detect_quiescence : bool;
   time_invariant_fd : bool;
       (** the sampled detector history returns the same value at every
-          time — lets {!Exhaustive} prune states modulo the clock.  Must be
+          time — lets {!Parallel} prune states modulo the clock.  Must be
           false for detectors with ⊥-prefixes or stabilization times
           (e.g. Ψ). *)
   pp_out : Format.formatter -> 'out -> unit;
@@ -41,10 +41,10 @@ type run_report = {
       (** rendered output events, for reporting; rendered when forced *)
 }
 
-(** The per-pattern schedule explorer {!Parallel.search} runs.  Defined
-    once here; [Core.Runner] re-exports this type rather than declaring
-    its own copy.
-    [`Dpor] is [`Exhaustive] with dynamic partial-order reduction
+(** The per-pattern schedule explorer {!Parallel.search} runs: the
+    children rule of its one search loop.  Defined once here;
+    [Core.Runner] re-exports this type rather than declaring its own
+    copy.  [`Dpor] is [`Exhaustive] with dynamic partial-order reduction
     ({!Dpor}): identical verdicts, strictly fewer schedules. *)
 type explorer = [ `Exhaustive | `Pct | `Random | `Dpor ]
 

@@ -5,8 +5,8 @@
    that actually ships: it drives real [Net.Node] values — the same main
    loop production transports run — over [Net.Loopback] given a
    scheduler, so every delivery decision of the in-memory hub is a
-   [Sim.Scheduler] choice point.  The same DFS + visited-digest machinery as
-   [Exhaustive] then enumerates delivery interleavings (and, with
+   [Sim.Scheduler] choice point.  The model checker's one search loop
+   ([Parallel.exhaust]) then enumerates delivery interleavings (and, with
    [reorder], reorderings and duplications around faults) of the real
    wire path: codec, envelopes, [Net.Rel] ARQ, node step loop.
 
@@ -241,16 +241,11 @@ let search ?(budget = 10_000) ?(shrink = true) ?(seed = 1) target =
       ~target:target.name ~n:target.n ~seed ~reason
       (Schedule.make ~crashes:[] choices)
   in
-  Exhaustive.dfs ~budget ~cex (fun sched ~fresh ->
+  Parallel.exhaust ~budget ~cex (fun ~hook sched ->
       (* Scripts index by round, so states only merge at equal rounds:
          the key pairs the digest with the round counter. *)
-      let round_hook ~round ~digest ~steps:_ =
-        fresh (fun () -> Hashtbl.hash (digest (), round))
+      let round_hook ~round ~digest ~steps =
+        hook ~key:(fun () -> Hashtbl.hash (digest (), round)) ~steps
       in
       let r = run ~round_hook target sched in
-      {
-        Exhaustive.violation = r.violation;
-        choices = r.choices;
-        steps = r.steps;
-        next = Exhaustive.siblings r.choices;
-      })
+      (r.violation, r.steps))

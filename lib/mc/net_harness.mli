@@ -1,7 +1,7 @@
 (** Model-checking the production network stack: real {!Net.Node} main
     loops (codec, envelopes, optional {!Net.Rel} ARQ) over the
-    in-memory {!Net.Loopback} hub given a scheduler, explored with the
-    same DFS + visited-digest machinery as {!Exhaustive}.
+    in-memory {!Net.Loopback} hub given a scheduler, explored by the
+    model checker's one search loop ({!Parallel.exhaust}).
 
     A run proceeds in rounds that mirror the engine's atomic-step
     semantics: scripted {!fault}s and inputs apply at the round
@@ -105,15 +105,17 @@ val replay :
 (** Does replaying [schedule] still violate the invariant? *)
 val violates : ('st, 'msg, 'inp, 'out) target -> Schedule.t -> bool
 
-(** Exhaustive DFS ({!Exhaustive.dfs}) over the target's delivery
+(** Exhaustive search ({!Parallel.exhaust}) over the target's delivery
     interleavings, with visited-digest pruning (keyed on
     [(digest, round)] — fault/input scripts are round-indexed, so states
     only merge at equal rounds), schedule [budget], and counterexample
-    shrinking over the choice sequence.  Returns the same report shape
-    as {!Exhaustive.search}. *)
+    shrinking over the choice sequence.  [Net.Node]s are mutable, so
+    every run starts at time 0 rather than from a round snapshot; new
+    prefixes go at the tail of the work list.  The report has one
+    pattern. *)
 val search :
   ?budget:int ->
   ?shrink:bool ->
   ?seed:int ->
   ('st, 'msg, 'inp, 'out) target ->
-  Exhaustive.report
+  Crash_adversary.report

@@ -10,6 +10,13 @@ let ff n = Sim.Failure_pattern.failure_free n
    0, 2, 4, the exhaustive explorer under each pattern. *)
 let mc = Mc.Harness.default_opts
 
+(* One explorer under the one failure pattern [fp], which gets the whole
+   budget. *)
+let search ?(budget = 10_000) ?(shrink = true) explorer t ~fp =
+  Mc.Parallel.search
+    ~opts:{ mc with explorer; budget; inner_budget = budget; shrink }
+    ~fps:[ fp ] t ~n:(Sim.Failure_pattern.n fp)
+
 (* ---- schedules round-trip ----------------------------------------- *)
 
 let test_schedule_roundtrip () =
@@ -37,13 +44,13 @@ let test_schedule_roundtrip () =
 
 let test_exhaustive_quorum_paxos () =
   let t = Mc.Targets.quorum_paxos ~n:2 in
-  let r = Mc.Exhaustive.search ~budget:50_000 t ~fp:(ff 2) in
-  Alcotest.(check bool) "space exhausted" true r.Mc.Exhaustive.complete;
+  let r = search `Exhaustive ~budget:50_000 t ~fp:(ff 2) in
+  Alcotest.(check bool) "space exhausted" true r.Mc.Crash_adversary.complete;
   Alcotest.(check bool)
     "no violation in any schedule" true
-    (r.Mc.Exhaustive.counterexample = None);
+    (r.Mc.Crash_adversary.counterexample = None);
   Alcotest.(check bool) "explored more than one schedule" true
-    (r.Mc.Exhaustive.schedules > 1)
+    (r.Mc.Crash_adversary.schedules > 1)
 
 let test_exhaustive_quorum_paxos_with_crash () =
   let t = Mc.Targets.quorum_paxos ~n:2 in
@@ -58,18 +65,18 @@ let test_exhaustive_quorum_paxos_with_crash () =
 
 let test_exhaustive_abd () =
   let t = Mc.Targets.abd ~n:2 in
-  let r = Mc.Exhaustive.search ~budget:50_000 t ~fp:(ff 2) in
-  Alcotest.(check bool) "space exhausted" true r.Mc.Exhaustive.complete;
+  let r = search `Exhaustive ~budget:50_000 t ~fp:(ff 2) in
+  Alcotest.(check bool) "space exhausted" true r.Mc.Crash_adversary.complete;
   Alcotest.(check bool)
     "every schedule linearizable" true
-    (r.Mc.Exhaustive.counterexample = None)
+    (r.Mc.Crash_adversary.counterexample = None)
 
 (* ---- the falsification direction: planted bugs are caught ----------- *)
 
 let test_exhaustive_catches_broken_validity () =
   let t = Mc.Targets.broken_validity ~n:2 in
-  let r = Mc.Exhaustive.search ~budget:10_000 t ~fp:(ff 2) in
-  match r.Mc.Exhaustive.counterexample with
+  let r = search `Exhaustive ~budget:10_000 t ~fp:(ff 2) in
+  match r.Mc.Crash_adversary.counterexample with
   | None -> Alcotest.fail "planted validity bug not found"
   | Some c ->
     Alcotest.(check bool) "counterexample was shrunk" true c.Mc.Harness.shrunk;
@@ -185,8 +192,8 @@ let check_shrink_quality name t ~n (c : Mc.Harness.counterexample) =
 
 let test_shrunk_counterexample_quality () =
   (let t = Mc.Targets.broken_validity ~n:2 in
-   let r = Mc.Exhaustive.search ~budget:10_000 t ~fp:(ff 2) in
-   match r.Mc.Exhaustive.counterexample with
+   let r = search `Exhaustive ~budget:10_000 t ~fp:(ff 2) in
+   match r.Mc.Crash_adversary.counterexample with
    | None -> Alcotest.fail "broken validity not found"
    | Some c -> check_shrink_quality "broken-validity" t ~n:2 c);
   let t = Mc.Targets.two_phase_commit ~n:2 in
@@ -475,6 +482,13 @@ let test_parallel_budget_reaches_crash_patterns () =
       { opts with Core.Runner.budget = 1_600 }
   in
   Alcotest.(check bool) "regs.abd n=3 budget-bounded" true
+    (contains s "budget-bounded");
+  (* the same for DPOR, whose children go right after their parent *)
+  let s =
+    check_domain_independent "regs.abd" ~n:3
+      { opts with Core.Runner.explorer = `Dpor; budget = 3_000 }
+  in
+  Alcotest.(check bool) "dpor regs.abd n=3 budget-bounded" true
     (contains s "budget-bounded")
 
 let test_opts_validation () =
@@ -504,38 +518,41 @@ let test_opts_validation () =
 
 let test_dpor_abd_reduction () =
   let t = Mc.Targets.abd ~n:2 in
-  let ex = Mc.Exhaustive.search ~budget:50_000 t ~fp:(ff 2) in
-  let dp = Mc.Dpor.search ~budget:50_000 t ~fp:(ff 2) in
-  Alcotest.(check bool) "exhaustive complete" true ex.Mc.Exhaustive.complete;
-  Alcotest.(check bool) "dpor complete" true dp.Mc.Exhaustive.complete;
+  let ex = search `Exhaustive ~budget:50_000 t ~fp:(ff 2) in
+  let dp = search `Dpor ~budget:50_000 t ~fp:(ff 2) in
+  Alcotest.(check bool) "exhaustive complete" true
+    ex.Mc.Crash_adversary.complete;
+  Alcotest.(check bool) "dpor complete" true dp.Mc.Crash_adversary.complete;
   Alcotest.(check bool)
     "both clean" true
-    (ex.Mc.Exhaustive.counterexample = None
-    && dp.Mc.Exhaustive.counterexample = None);
+    (ex.Mc.Crash_adversary.counterexample = None
+    && dp.Mc.Crash_adversary.counterexample = None);
   Alcotest.(check bool)
     (Printf.sprintf "dpor explores >= 3x fewer schedules (%d vs %d)"
-       dp.Mc.Exhaustive.schedules ex.Mc.Exhaustive.schedules)
+       dp.Mc.Crash_adversary.schedules ex.Mc.Crash_adversary.schedules)
     true
-    (dp.Mc.Exhaustive.schedules * 3 <= ex.Mc.Exhaustive.schedules)
+    (dp.Mc.Crash_adversary.schedules * 3 <= ex.Mc.Crash_adversary.schedules)
 
 let test_dpor_paxos_parity () =
   let t = Mc.Targets.quorum_paxos ~n:2 in
-  let ex = Mc.Exhaustive.search ~budget:50_000 t ~fp:(ff 2) in
-  let dp = Mc.Dpor.search ~budget:50_000 t ~fp:(ff 2) in
+  let ex = search `Exhaustive ~budget:50_000 t ~fp:(ff 2) in
+  let dp = search `Dpor ~budget:50_000 t ~fp:(ff 2) in
   Alcotest.(check bool) "both complete" true
-    (ex.Mc.Exhaustive.complete && dp.Mc.Exhaustive.complete);
+    (ex.Mc.Crash_adversary.complete && dp.Mc.Crash_adversary.complete);
   Alcotest.(check bool)
     "both clean" true
-    (ex.Mc.Exhaustive.counterexample = None
-    && dp.Mc.Exhaustive.counterexample = None);
+    (ex.Mc.Crash_adversary.counterexample = None
+    && dp.Mc.Crash_adversary.counterexample = None);
   Alcotest.(check bool) "dpor explores a subset" true
-    (dp.Mc.Exhaustive.schedules <= ex.Mc.Exhaustive.schedules)
+    (dp.Mc.Crash_adversary.schedules <= ex.Mc.Crash_adversary.schedules)
 
 let test_dpor_broken_validity_same_cex () =
   let t = Mc.Targets.broken_validity ~n:2 in
-  let ex = Mc.Exhaustive.search ~budget:10_000 t ~fp:(ff 2) in
-  let dp = Mc.Dpor.search ~budget:10_000 t ~fp:(ff 2) in
-  match (ex.Mc.Exhaustive.counterexample, dp.Mc.Exhaustive.counterexample) with
+  let ex = search `Exhaustive ~budget:10_000 t ~fp:(ff 2) in
+  let dp = search `Dpor ~budget:10_000 t ~fp:(ff 2) in
+  match
+    (ex.Mc.Crash_adversary.counterexample, dp.Mc.Crash_adversary.counterexample)
+  with
   | Some ec, Some dc ->
     Alcotest.(check string)
       "identical violation reason" ec.Mc.Harness.reason dc.Mc.Harness.reason;
@@ -573,9 +590,9 @@ let test_dpor_time_varying_fd_degenerates () =
       let t = Mc.Targets.qc_psi ~n in
       List.iter
         (fun fp ->
-          let ex = Mc.Exhaustive.search ~budget:10_000 t ~fp in
-          let dp = Mc.Dpor.search ~budget:10_000 t ~fp in
-          let counts (r : Mc.Exhaustive.report) =
+          let ex = search `Exhaustive ~budget:10_000 t ~fp in
+          let dp = search `Dpor ~budget:10_000 t ~fp in
+          let counts (r : Mc.Crash_adversary.report) =
             [ r.schedules; r.steps; r.pruned ]
           in
           let name = Format.asprintf "n=%d %a" n Sim.Failure_pattern.pp fp in
@@ -591,11 +608,54 @@ let test_dpor_time_varying_fd_degenerates () =
            ~horizon:mc.horizon ~stride:mc.stride))
     [ 2; 3 ]
 
+(* DPOR's race analysis resumes with its run.  For each time-invariant
+   target at n = 3 under one crash (the leader at time 10): record a
+   seeded random run with the analysis state at every round boundary,
+   resume it from each boundary with the choices made after it, and
+   compare the resumed run's requests with the from-zero run's requests
+   at those choices. *)
+let test_dpor_resumed_analysis () =
+  let fp = Sim.Failure_pattern.make ~n:3 [ (0, 10) ] in
+  List.iter
+    (fun (name, Mc.Targets.Packed t) ->
+      if t.Mc.Harness.time_invariant_fd then begin
+        let sched, consumed =
+          Sim.Scheduler.counting (Sim.Scheduler.random (Sim.Rng.make 3))
+        in
+        let bounds = ref [] in
+        let save b = bounds := (consumed (), b) :: !bounds in
+        let run =
+          Mc.Dpor.run ~seed:1 ~round_hook:(fun ~now:_ ~digest:_ ~steps:_ -> true)
+        in
+        let full, requests = run ~save t ~fp sched in
+        Alcotest.(check bool) (name ^ ": several rounds") true
+          (List.length !bounds >= 3);
+        List.iter
+          (fun (c, b) ->
+            let after =
+              List.filteri (fun i _ -> i >= c) full.Mc.Harness.choices
+            in
+            let _, resumed =
+              run ~resume:b t ~fp
+                (Sim.Scheduler.replay after ~rest:Sim.Scheduler.first)
+            in
+            Alcotest.(check (list (pair int int)))
+              (Printf.sprintf "%s resumed after %d choices" name c)
+              (List.filter (fun (g, _) -> g >= c) requests)
+              resumed)
+          (List.rev !bounds)
+      end)
+    (Mc.Targets.all ~n:3)
+
 (* Soundness of the independence relation, property-style: for random
    (target, failure pattern) configurations, DPOR and exhaustive search
    must agree on completeness and verdict, and DPOR must never explore
-   more schedules.  A reduction that swapped two dependent steps would
-   show up here as a verdict mismatch. *)
+   more schedules of a clean space.  A search that found a violation
+   ended there, so it is judged like a complete one, but not by its
+   schedule count: where a search stops depends on its list order
+   (exhaustive appends at the tail, DPOR goes depth-first).  A reduction
+   that swapped two dependent steps would show up here as a verdict
+   mismatch. *)
 let prop_dpor_verdict_parity =
   QCheck.Test.make ~name:"dpor: verdict parity on random crash patterns"
     ~count:12
@@ -612,13 +672,18 @@ let prop_dpor_verdict_parity =
       match Mc.Targets.find name ~n:2 with
       | None -> false
       | Some (Mc.Targets.Packed t) ->
-        let ex = Mc.Exhaustive.search ~budget:2_000 ~shrink:false t ~fp in
-        let dp = Mc.Dpor.search ~budget:2_000 ~shrink:false t ~fp in
-        if ex.Mc.Exhaustive.complete then
-          dp.Mc.Exhaustive.complete
-          && (ex.Mc.Exhaustive.counterexample = None)
-             = (dp.Mc.Exhaustive.counterexample = None)
-          && dp.Mc.Exhaustive.schedules <= ex.Mc.Exhaustive.schedules
+        let ex = search `Exhaustive ~budget:2_000 ~shrink:false t ~fp in
+        let dp = search `Dpor ~budget:2_000 ~shrink:false t ~fp in
+        let settled (r : Mc.Crash_adversary.report) =
+          r.complete || r.counterexample <> None
+        in
+        if settled ex then
+          settled dp
+          && (ex.Mc.Crash_adversary.counterexample = None)
+             = (dp.Mc.Crash_adversary.counterexample = None)
+          && (ex.Mc.Crash_adversary.counterexample <> None
+             || dp.Mc.Crash_adversary.schedules
+                <= ex.Mc.Crash_adversary.schedules)
         else true)
 
 (* ---- the production net stack, model-checked ------------------------ *)
@@ -628,7 +693,7 @@ let test_net_raw_reorder_caught_and_shrunk () =
      link axiom, and the harness finds, shrinks and replays it *)
   let t = Mc.Net_targets.seq_raw_reorder ~n:2 ~m:2 in
   let r = Mc.Net_harness.search ~budget:2_000 t in
-  match r.Mc.Exhaustive.counterexample with
+  match r.Mc.Crash_adversary.counterexample with
   | None -> Alcotest.fail "raw reordering hub passed the link axiom"
   | Some c ->
     Alcotest.(check bool) "counterexample was shrunk" true c.Mc.Harness.shrunk;
@@ -650,7 +715,7 @@ let test_net_broken_arq_loses_message () =
      of cumulatively loses the dropped frame forever *)
   let t = Mc.Net_targets.seq_broken_arq ~n:2 ~m:2 in
   let r = Mc.Net_harness.search ~budget:2_000 t in
-  match r.Mc.Exhaustive.counterexample with
+  match r.Mc.Crash_adversary.counterexample with
   | None -> Alcotest.fail "broken ARQ passed the link axiom"
   | Some c ->
     Alcotest.(check bool)
@@ -666,24 +731,24 @@ let test_net_rel_restores_link_axiom () =
      duplicated frame: every schedule satisfies the link axiom *)
   let t = Mc.Net_targets.seq_rel ~n:2 ~m:1 in
   let r = Mc.Net_harness.search ~budget:5_000 t in
-  Alcotest.(check bool) "space exhausted" true r.Mc.Exhaustive.complete;
+  Alcotest.(check bool) "space exhausted" true r.Mc.Crash_adversary.complete;
   Alcotest.(check bool)
     "no violation in any schedule" true
-    (r.Mc.Exhaustive.counterexample = None);
+    (r.Mc.Crash_adversary.counterexample = None);
   Alcotest.(check bool) "nontrivial exploration" true
-    (r.Mc.Exhaustive.schedules > 100)
+    (r.Mc.Crash_adversary.schedules > 100)
 
 let test_net_abd_over_node_rel_linearizable () =
   (* the paper's register algorithm through the real wire path: Node main
      loop, marshal codec, Rel ARQ, a dropped frame forcing a resend *)
   let t = Mc.Net_targets.abd_rel ~n:2 in
   let r = Mc.Net_harness.search ~budget:20_000 t in
-  Alcotest.(check bool) "space exhausted" true r.Mc.Exhaustive.complete;
+  Alcotest.(check bool) "space exhausted" true r.Mc.Crash_adversary.complete;
   Alcotest.(check bool)
     "linearizable in every schedule" true
-    (r.Mc.Exhaustive.counterexample = None);
+    (r.Mc.Crash_adversary.counterexample = None);
   Alcotest.(check bool) "nontrivial exploration" true
-    (r.Mc.Exhaustive.schedules > 1_000)
+    (r.Mc.Crash_adversary.schedules > 1_000)
 
 (* ---- the eventually-consistent store -------------------------------- *)
 
@@ -691,13 +756,13 @@ let test_ec_store_exhausted () =
   (* two replicas write the same key concurrently; every delivery
      schedule must drain to equal fingerprints *)
   let t = Mc.Targets.ec_store ~n:2 in
-  let r = Mc.Exhaustive.search ~budget:50_000 t ~fp:(ff 2) in
-  Alcotest.(check bool) "space exhausted" true r.Mc.Exhaustive.complete;
+  let r = search `Exhaustive ~budget:50_000 t ~fp:(ff 2) in
+  Alcotest.(check bool) "space exhausted" true r.Mc.Crash_adversary.complete;
   Alcotest.(check bool)
     "every schedule converges" true
-    (r.Mc.Exhaustive.counterexample = None);
+    (r.Mc.Crash_adversary.counterexample = None);
   Alcotest.(check bool) "explored more than one schedule" true
-    (r.Mc.Exhaustive.schedules > 1)
+    (r.Mc.Crash_adversary.schedules > 1)
 
 let test_ec_store_crash_adversary () =
   (* a crashed replica's write may be lost, but the survivors must still
@@ -757,16 +822,16 @@ let test_net_ec_converge () =
   let r = Mc.Net_harness.search ~budget:3_000 t in
   Alcotest.(check bool)
     "no divergence in any schedule" true
-    (r.Mc.Exhaustive.counterexample = None);
+    (r.Mc.Crash_adversary.counterexample = None);
   Alcotest.(check bool) "nontrivial exploration" true
-    (r.Mc.Exhaustive.schedules > 100)
+    (r.Mc.Crash_adversary.schedules > 100)
 
 let test_net_ec_no_sync_caught () =
   (* positive control: with anti-entropy off the writes never propagate
      and the checker reports divergent stores on the first schedule *)
   let t = Mc.Net_targets.ec_no_sync ~n:3 in
   let r = Mc.Net_harness.search ~budget:1_000 t in
-  match r.Mc.Exhaustive.counterexample with
+  match r.Mc.Crash_adversary.counterexample with
   | None -> Alcotest.fail "divergent stores not caught"
   | Some c ->
     Alcotest.(check bool)
@@ -782,7 +847,8 @@ let test_net_ec_no_sync_caught () =
    decision hangs on a state digest.  When and how often the explorers
    compute digests must not move a single decision, so these must not
    move; a change to the digest itself moves them on purpose. *)
-let check_counts name (r : Mc.Exhaustive.report) ~schedules ~pruned ~steps =
+let check_counts name (r : Mc.Crash_adversary.report) ~schedules ~pruned
+    ~steps =
   Alcotest.(check bool) (name ^ ": complete") true r.complete;
   Alcotest.(check bool) (name ^ ": clean") true (r.counterexample = None);
   Alcotest.(check (list int))
@@ -793,18 +859,81 @@ let check_counts name (r : Mc.Exhaustive.report) ~schedules ~pruned ~steps =
 let test_pinned_explorer_counts () =
   let ring = Mc.Targets.fd_ring ~n:3 in
   check_counts "exhaustive fd.ring n=3 failure-free"
-    (Mc.Exhaustive.search ~budget:100_000 ring ~fp:(ff 3))
+    (search `Exhaustive ~budget:100_000 ring ~fp:(ff 3))
     ~schedules:6 ~pruned:0 ~steps:18;
   check_counts "exhaustive fd.ring n=3 crashes=0@0"
-    (Mc.Exhaustive.search ~budget:100_000 ring
+    (search `Exhaustive ~budget:100_000 ring
        ~fp:(Sim.Failure_pattern.make ~n:3 [ (0, 0) ]))
     ~schedules:2_272 ~pruned:2_020 ~steps:58_528;
   check_counts "dpor regs.abd n=2"
-    (Mc.Dpor.search ~budget:50_000 (Mc.Targets.abd ~n:2) ~fp:(ff 2))
+    (search `Dpor ~budget:50_000 (Mc.Targets.abd ~n:2) ~fp:(ff 2))
     ~schedules:34 ~pruned:10 ~steps:1_027;
   check_counts "net-harness abd over node+rel n=2"
     (Mc.Net_harness.search ~budget:20_000 (Mc.Net_targets.abd_rel ~n:2))
     ~schedules:6_593 ~pruned:6_577 ~steps:165_802
+
+(* DPOR's schedules, pruned runs, steps and verdict under each default
+   crash pattern at n = 2, in [Crash_adversary.patterns] order: failure-
+   free, then p0 and p1 crashing at times 0, 2 and 4.  Every
+   time-invariant target has a row. *)
+let dpor_pins =
+  [
+    ( "cons.quorum_paxos",
+      [ (10, 6, 118, false); (1, 0, 5, false); (2, 0, 13, false);
+        (3, 1, 21, false); (1, 0, 5, false); (2, 0, 13, false);
+        (3, 1, 22, false) ] );
+    ( "cons.broken_validity",
+      [ (1, 0, 13, true); (1, 0, 5, false); (2, 0, 13, false);
+        (3, 1, 21, false); (1, 0, 5, true); (1, 0, 7, true); (1, 0, 8, true) ]
+    );
+    ( "regs.abd",
+      [ (34, 10, 1_027, false); (1, 0, 9, false); (2, 0, 22, false);
+        (2, 0, 24, false); (1, 0, 9, false); (2, 0, 22, false);
+        (2, 0, 24, false) ] );
+    ( "qcnbac.two_phase_commit",
+      [ (4, 0, 24, false); (1, 0, 2, true); (1, 0, 3, true); (1, 0, 4, true);
+        (1, 0, 2, true); (2, 0, 7, false); (3, 0, 12, false) ] );
+    ( "ec.store",
+      [ (18, 0, 264, false); (1, 0, 3, false); (2, 0, 8, false);
+        (4, 0, 24, false); (1, 0, 3, false); (2, 0, 8, false);
+        (4, 0, 24, false) ] );
+    ( "fd.ring",
+      [ (2, 0, 4, false); (1, 0, 32, false); (2, 0, 64, false);
+        (4, 0, 128, false); (1, 0, 1, false); (2, 0, 3, false);
+        (2, 0, 3, false) ] );
+  ]
+
+let test_pinned_dpor_counts () =
+  let fps =
+    Mc.Crash_adversary.patterns ~n:2 ~max_crashes:mc.max_crashes
+      ~horizon:mc.horizon ~stride:mc.stride
+  in
+  List.iter
+    (fun (name, Mc.Targets.Packed t) ->
+      if t.Mc.Harness.time_invariant_fd then
+        match List.assoc_opt name dpor_pins with
+        | None -> Alcotest.failf "%s: no pinned DPOR counts" name
+        | Some pins ->
+          List.iter2
+            (fun fp (schedules, pruned, steps, violation) ->
+              let r = search `Dpor ~shrink:false t ~fp in
+              let at =
+                Format.asprintf "dpor %s %a" name Sim.Failure_pattern.pp fp
+              in
+              Alcotest.(check (list int))
+                (at ^ ": schedules, pruned, steps")
+                [ schedules; pruned; steps ]
+                [ r.schedules; r.pruned; r.steps ];
+              Alcotest.(check bool)
+                (at ^ ": violation") violation (r.counterexample <> None);
+              Alcotest.(check bool)
+                (at ^ ": complete") (not violation) r.complete)
+            fps pins)
+    (Mc.Targets.all ~n:2);
+  check_counts "dpor cons.quorum_paxos n=3 crashes=0@2"
+    (search `Dpor ~shrink:false (Mc.Targets.quorum_paxos ~n:3)
+       ~fp:(Sim.Failure_pattern.make ~n:3 [ (0, 2) ]))
+    ~schedules:37 ~pruned:12 ~steps:523
 
 let () =
   Alcotest.run "mc"
@@ -876,6 +1005,8 @@ let () =
             test_dpor_2pc_adversary_parity;
           Alcotest.test_case "time-varying fd degenerates to exhaustive"
             `Quick test_dpor_time_varying_fd_degenerates;
+          Alcotest.test_case "resumed analysis matches the run from time 0"
+            `Quick test_dpor_resumed_analysis;
           QCheck_alcotest.to_alcotest prop_dpor_verdict_parity;
         ] );
       ( "net-harness",
@@ -910,5 +1041,6 @@ let () =
         [
           Alcotest.test_case "explorer counts" `Quick
             test_pinned_explorer_counts;
+          Alcotest.test_case "dpor counts" `Quick test_pinned_dpor_counts;
         ] );
     ]
