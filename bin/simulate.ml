@@ -54,7 +54,6 @@ let scenario_of ~n ~crashes =
     Core.Scenario.name = Format.asprintf "%a" Sim.Failure_pattern.pp fp;
     n;
     fp;
-    description = "command-line scenario";
   }
 
 let report s =
@@ -70,11 +69,12 @@ let report s =
     Format.printf "spec violation detail: %s@." e;
     exit 1
 
-(* One run = one [Run_config.t] + one workload; every subcommand funnels
-   through here so [--trace] behaves identically everywhere. *)
+(* One run = one [Core.Runner.run] of one workload; every subcommand
+   funnels through here so [--trace] behaves identically everywhere. *)
 let execute ?max_steps ~n ~seed ~crashes ~trace workload =
-  let cfg = Core.Run_config.make ?max_steps ?trace ~seed () in
-  report (Core.Runner.run cfg workload (scenario_of ~n ~crashes))
+  report
+    (Core.Runner.run ?max_steps ?trace ~seed workload
+       (scenario_of ~n ~crashes))
 
 let consensus_cmd =
   let algo_arg =
@@ -145,9 +145,10 @@ let nbac_cmd =
           else Some (p, Qcnbac.Types.Yes))
         (Sim.Pid.all n)
     in
-    let cfg = Core.Run_config.make ~max_steps:60_000 ?trace ~seed () in
     report
-      (Core.Runner.run cfg (Core.Runner.Nbac { algo; votes = Some votes }) sc)
+      (Core.Runner.run ~max_steps:60_000 ?trace ~seed
+         (Core.Runner.Nbac { algo; votes = Some votes })
+         sc)
   in
   Cmd.v (Cmd.info "nbac" ~doc:"Run non-blocking atomic commit")
     Term.(

@@ -62,29 +62,13 @@ let run_instance (ctx : (Sim.Pid.t * Sim.Pidset.t) Sim.Protocol.ctx) st k
     | Some s -> s
     | None -> inner.Sim.Protocol.init ~n:ctx.n st.self
   in
-  let ist, acts =
-    match event with
-    | `Step recv -> inner.Sim.Protocol.on_step ctx ist recv
-    | `Input v -> inner.Sim.Protocol.on_input ctx ist v
+  let ist, sends, decisions =
+    Sim.Protocol.apply inner ctx ist event ~msg:(fun m -> Inner (k, m))
   in
   let st = { st with instances = Int_map.add k ist st.instances } in
-  let decision =
-    List.find_map
-      (fun a ->
-        match a with
-        | Sim.Protocol.Output v -> Some v
-        | Sim.Protocol.Send _ | Sim.Protocol.Broadcast _ -> None)
-      acts
-  in
-  let st =
-    match decision with
-    | Some b -> { st with decisions = Int_map.add k b st.decisions }
-    | None -> st
-  in
-  (* the decision was harvested above *)
-  ( st,
-    Sim.Protocol.map_actions ~msg:(fun m -> Inner (k, m)) ~out:(fun _ -> None)
-      acts )
+  match decisions with
+  | b :: _ -> ({ st with decisions = Int_map.add k b st.decisions }, sends)
+  | [] -> (st, sends)
 
 (* Feed the current instance a bit proposal as soon as a viable candidate
    exists; emit the final decision once all bits are in. *)
@@ -108,7 +92,7 @@ let drive ctx st =
       match viable st ~upto:k with
       | Some c ->
         let st = { st with proposed_to = k } in
-        run_instance ctx st k (`Input (bit c k))
+        run_instance ctx st k (Sim.Protocol.Input (bit c k))
       | None -> (st, [])
     else (st, [])
 
@@ -119,12 +103,12 @@ let on_step ctx st recv =
       (* Give the current instance an empty step so its leader logic runs. *)
       let k = current st in
       if st.finished || k >= st.width || st.proposed_to < k then (st, [])
-      else run_instance ctx st k (`Step None)
+      else run_instance ctx st k (Sim.Protocol.Step None)
     | Some (_, Candidate v) ->
       ( { st with candidates = List.sort_uniq Int.compare (v :: st.candidates) },
         [] )
     | Some (from, Inner (k, m)) ->
-      run_instance ctx st k (`Step (Some (from, m)))
+      run_instance ctx st k (Sim.Protocol.Step (Some (from, m)))
   in
   let st, acts2 = drive ctx st in
   (st, acts1 @ acts2)

@@ -174,31 +174,18 @@ let run_instance ctx st k event =
       in
       (s, st)
   in
-  let ist, acts =
-    match event with
-    | `Step recv -> inner.Sim.Protocol.on_step ctx ist recv
-    | `Input b -> inner.Sim.Protocol.on_input ctx ist b
+  let ist, sends, decisions =
+    Sim.Protocol.apply inner ctx ist event ~msg:(fun m -> Inner (k, m))
   in
   let st = { st with instances = Int_map.add k ist st.instances } in
-  let decision =
-    List.find_map
-      (fun a ->
-        match a with
-        | Sim.Protocol.Output b -> Some b
-        | Sim.Protocol.Send _ | Sim.Protocol.Broadcast _ -> None)
-      acts
-  in
   let st, outs =
-    match decision with
-    | Some b when not (Int_map.mem k st.decided) ->
+    match decisions with
+    | b :: _ when not (Int_map.mem k st.decided) ->
       let st, entries = apply_ready (record_decision st k b) in
       (st, List.map (fun (i, c) -> Sim.Protocol.Output (i, c)) entries)
-    | Some _ | None -> (st, [])
+    | _ :: _ | [] -> (st, [])
   in
-  ( st,
-    Sim.Protocol.map_actions ~msg:(fun m -> Inner (k, m)) ~out:(fun _ -> None)
-      acts
-    @ outs )
+  (st, sends @ outs)
 
 (* Install decided batches received in a snapshot.  Idempotent: instances
    already decided are left untouched (consensus already fixed them — a
@@ -253,7 +240,7 @@ let rec drive ctx st =
     else begin
       let k = next_open st in
       let st = { st with inflight = Int_map.add k batch st.inflight } in
-      let st, acts = run_instance ctx st k (`Input batch) in
+      let st, acts = run_instance ctx st k (Sim.Protocol.Input batch) in
       let st, more = drive ctx st in
       (st, acts @ more)
     end
@@ -274,7 +261,8 @@ let on_step ctx st recv =
               })
           st cs,
         [] )
-    | Some (from, Inner (k, m)) -> run_instance ctx st k (`Step (Some (from, m)))
+    | Some (from, Inner (k, m)) ->
+      run_instance ctx st k (Sim.Protocol.Step (Some (from, m)))
     | None ->
       (* Idle step for every undecided instance we know of (≤ window plus
          stragglers — never the full instance history), so leaders make
@@ -299,7 +287,7 @@ let on_step ctx st recv =
           in
           if tick mod interval <> 0 then (st, acc)
           else
-            let st, acts = run_instance ctx st k (`Step None) in
+            let st, acts = run_instance ctx st k (Sim.Protocol.Step None) in
             (st, acc @ acts))
         st.active (st, [])
   in

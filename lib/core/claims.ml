@@ -53,7 +53,7 @@ let verdict conds =
    table row prints. *)
 
 let run ?max_steps ~seed workload (sc : Scenario.t) =
-  (sc.n, Runner.run (Run_config.make ?max_steps ~seed ()) workload sc)
+  (sc.n, Runner.run ?max_steps ~seed workload sc)
 
 let registers quorums =
   Runner.Registers { ops_per_proc = 3; registers = 2; quorums }
@@ -1125,7 +1125,7 @@ let runtime =
         let traced =
           Fun.protect
             ~finally:(fun () -> Sys.remove path)
-            (fun () -> Runner.run (Run_config.make ~trace:path ~seed:3 ()) w sc)
+            (fun () -> Runner.run ~trace:path ~seed:3 w sc)
         in
         let n, untraced = run ~seed:3 w sc in
         { tables =

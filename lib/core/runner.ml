@@ -104,12 +104,9 @@ let observe_quorums obs name fd =
       Obs.Metrics.observe c.Obs.Collector.metrics name (Sim.Pidset.cardinal q);
       q
 
-let run_consensus_w ?obs (cfg : Run_config.t) algo proposals
+let run_consensus_w ?obs ~seed ?(max_steps = 150_000) algo proposals
     (scenario : Scenario.t) =
   let sink = sink_of obs in
-  let policy = cfg.Run_config.policy in
-  let seed = cfg.Run_config.seed in
-  let max_steps = Run_config.steps cfg ~default:150_000 in
   let fp = scenario.Scenario.fp in
   let n = Sim.Failure_pattern.n fp in
   let proposals =
@@ -136,7 +133,7 @@ let run_consensus_w ?obs (cfg : Run_config.t) algo proposals
     let sigma = Fd.Oracle.history Fd.Sigma.oracle fp ~seed:(seed + 1) in
     let sigma = observe_quorums obs "sigma.quorum_size" sigma in
     let cfg =
-      Sim.Engine.config ~policy ~seed ~max_steps ~inputs ~stop
+      Sim.Engine.config ~seed ~max_steps ~inputs ~stop
         ~detect_quiescence:false ?sink ~render_out:string_of_int
         ~fd:(fun p t -> (omega p t, sigma p t))
         fp
@@ -147,7 +144,7 @@ let run_consensus_w ?obs (cfg : Run_config.t) algo proposals
     let sigma = Fd.Oracle.history Fd.Sigma.oracle fp ~seed:(seed + 1) in
     let sigma = observe_quorums obs "sigma.quorum_size" sigma in
     let cfg =
-      Sim.Engine.config ~policy ~seed ~max_steps ~inputs ~stop
+      Sim.Engine.config ~seed ~max_steps ~inputs ~stop
         ~detect_quiescence:false ?sink ~render_out:string_of_int
         ~fd:(fun p t -> (omega p t, sigma p t))
         fp
@@ -167,7 +164,7 @@ let run_consensus_w ?obs (cfg : Run_config.t) algo proposals
     let sigma = Fd.Oracle.history Fd.Sigma.oracle fp ~seed:(seed + 1) in
     let sigma = observe_quorums obs "sigma.quorum_size" sigma in
     let cfg =
-      Sim.Engine.config ~policy ~seed ~max_steps ~inputs ~stop
+      Sim.Engine.config ~seed ~max_steps ~inputs ~stop
         ~detect_quiescence:false ?sink
         ~fd:(fun p t -> (omega p t, sigma p t))
         fp
@@ -180,15 +177,13 @@ let run_consensus_w ?obs (cfg : Run_config.t) algo proposals
   | Chandra_toueg ->
     let suspects = Fd.Oracle.history Fd.Suspects.eventually_strong fp ~seed in
     let cfg =
-      Sim.Engine.config ~policy ~seed ~max_steps ~inputs ~stop
+      Sim.Engine.config ~seed ~max_steps ~inputs ~stop
         ~detect_quiescence:false ?sink ~render_out:string_of_int ~fd:suspects
         fp
     in
     finish (Sim.Engine.run cfg Cons.Chandra_toueg.protocol)
 
-let run_qc_w ?obs (cfg : Run_config.t) mode (scenario : Scenario.t) =
-  let seed = cfg.Run_config.seed in
-  let max_steps = Run_config.steps cfg ~default:150_000 in
+let run_qc_w ?obs ~seed ?(max_steps = 150_000) mode (scenario : Scenario.t) =
   let fp = scenario.Scenario.fp in
   let n = Sim.Failure_pattern.n fp in
   let proposals = default_proposals n in
@@ -199,8 +194,7 @@ let run_qc_w ?obs (cfg : Run_config.t) mode (scenario : Scenario.t) =
   in
   let psi = Fd.Oracle.history oracle fp ~seed in
   let cfg =
-    Sim.Engine.config ~policy:cfg.Run_config.policy ~seed ~max_steps
-      ~inputs:(inputs_at_zero proposals)
+    Sim.Engine.config ~seed ~max_steps ~inputs:(inputs_at_zero proposals)
       ~stop:(Sim.Engine.stop_when_all_correct_output fp)
       ~detect_quiescence:false ?sink:(sink_of obs)
       ~render_out:(fun d ->
@@ -214,12 +208,10 @@ let run_qc_w ?obs (cfg : Run_config.t) mode (scenario : Scenario.t) =
     (Qcnbac.Qc_spec.problem ~pp:Format.pp_print_int ~proposals)
     (Sim.Engine.run cfg Qcnbac.Qc_psi.protocol)
 
-let run_nbac_w ?obs (cfg : Run_config.t) algo votes (scenario : Scenario.t) =
+let run_nbac_w ?obs ~seed ?(max_steps = 150_000) algo votes
+    (scenario : Scenario.t) =
   let sink = sink_of obs in
   let render_outcome d = Format.asprintf "%a" Qcnbac.Types.pp_outcome d in
-  let policy = cfg.Run_config.policy in
-  let seed = cfg.Run_config.seed in
-  let max_steps = Run_config.steps cfg ~default:150_000 in
   let fp = scenario.Scenario.fp in
   let n = Sim.Failure_pattern.n fp in
   let votes =
@@ -239,7 +231,7 @@ let run_nbac_w ?obs (cfg : Run_config.t) algo votes (scenario : Scenario.t) =
     let psi = Fd.Oracle.history Fd.Psi.oracle fp ~seed in
     let fs = Fd.Oracle.history Fd.Fs.oracle fp ~seed:(seed + 1) in
     let cfg =
-      Sim.Engine.config ~policy ~seed ~max_steps ~inputs ~stop
+      Sim.Engine.config ~seed ~max_steps ~inputs ~stop
         ~detect_quiescence:false ?sink ~render_out:render_outcome
         ~fd:(fun p t -> (psi p t, fs p t))
         fp
@@ -247,7 +239,7 @@ let run_nbac_w ?obs (cfg : Run_config.t) algo votes (scenario : Scenario.t) =
     finish "(Psi,FS)" (Sim.Engine.run cfg Qcnbac.Nbac_from_qc.protocol)
   | Two_phase_commit ->
     let cfg =
-      Sim.Engine.config ~policy ~seed ~max_steps ~inputs ~stop
+      Sim.Engine.config ~seed ~max_steps ~inputs ~stop
         ~detect_quiescence:false ?sink ~render_out:render_outcome
         ~fd:(fun _ _ -> ())
         fp
@@ -267,10 +259,8 @@ let register_workload ~rng ~n ~registers ~ops_per_proc =
           (time, p, input)))
     (Sim.Pid.all n)
 
-let run_registers_w ?obs (cfg : Run_config.t) ~ops_per_proc ~registers
-    ~quorums (scenario : Scenario.t) =
-  let seed = cfg.Run_config.seed in
-  let max_steps = Run_config.steps cfg ~default:80_000 in
+let run_registers_w ?obs ~seed ?(max_steps = 80_000) ~ops_per_proc
+    ~registers ~quorums (scenario : Scenario.t) =
   let fp = scenario.Scenario.fp in
   let n = Sim.Failure_pattern.n fp in
   let fd, detector =
@@ -308,9 +298,8 @@ let run_registers_w ?obs (cfg : Run_config.t) ~ops_per_proc ~registers
     | Regs.Abd.Responded { op_seq; _ } -> Printf.sprintf "respond#%d" op_seq
   in
   let ecfg =
-    Sim.Engine.config ~policy:cfg.Run_config.policy ~seed ~max_steps ~inputs
-      ~stop ~detect_quiescence:false ?sink:(sink_of obs)
-      ~render_out:render_op ~fd fp
+    Sim.Engine.config ~seed ~max_steps ~inputs ~stop ~detect_quiescence:false
+      ?sink:(sink_of obs) ~render_out:render_op ~fd fp
   in
   let trace = Sim.Engine.run ecfg (Regs.Abd.protocol ~registers) in
   let lin = Regs.Linearizability.check_trace trace.Sim.Trace.outputs in
@@ -327,15 +316,14 @@ let run_registers_w ?obs (cfg : Run_config.t) ~ops_per_proc ~registers
     metrics = [];
   }
 
-let run_sigma_extraction_w ?obs (cfg : Run_config.t) (scenario : Scenario.t) =
-  let seed = cfg.Run_config.seed in
-  let max_steps = Run_config.steps cfg ~default:60_000 in
+let run_sigma_extraction_w ?obs ~seed ?(max_steps = 60_000)
+    (scenario : Scenario.t) =
   let fp = scenario.Scenario.fp in
   let sigma = Fd.Oracle.history Fd.Sigma.oracle fp ~seed in
   let sigma = observe_quorums obs "sigma.quorum_size" sigma in
   let ecfg =
-    Sim.Engine.config ~policy:cfg.Run_config.policy ~seed ~max_steps
-      ~detect_quiescence:false ?sink:(sink_of obs)
+    Sim.Engine.config ~seed ~max_steps ~detect_quiescence:false
+      ?sink:(sink_of obs)
       ~render_out:(fun q -> Format.asprintf "%a" Sim.Pidset.pp q)
       ~fd:sigma fp
   in
@@ -363,12 +351,10 @@ let run_sigma_extraction_w ?obs (cfg : Run_config.t) (scenario : Scenario.t) =
     metrics = [];
   }
 
-let run_psi_extraction_w ?obs (cfg : Run_config.t) ~rounds ~chunk
-    (scenario : Scenario.t) =
+let run_psi_extraction_w ?obs ~seed ~rounds ~chunk (scenario : Scenario.t) =
   let fp = scenario.Scenario.fp in
   let result =
-    Extract.Psi_extraction.run ?sink:(sink_of obs) ~fp
-      ~seed:cfg.Run_config.seed ~rounds ~chunk ()
+    Extract.Psi_extraction.run ?sink:(sink_of obs) ~fp ~seed ~rounds ~chunk ()
   in
   let spec_ok =
     Fd.Psi.check fp ~horizon:result.Extract.Psi_extraction.horizon
@@ -390,31 +376,33 @@ let run_psi_extraction_w ?obs (cfg : Run_config.t) ~rounds ~chunk
     metrics = [];
   }
 
-let dispatch ?obs cfg workload scenario =
+let dispatch ?obs ?max_steps ~seed workload scenario =
   match workload with
   | Consensus { algo; proposals } ->
-    run_consensus_w ?obs cfg algo proposals scenario
-  | Quittable_consensus { mode } -> run_qc_w ?obs cfg mode scenario
-  | Nbac { algo; votes } -> run_nbac_w ?obs cfg algo votes scenario
+    run_consensus_w ?obs ~seed ?max_steps algo proposals scenario
+  | Quittable_consensus { mode } ->
+    run_qc_w ?obs ~seed ?max_steps mode scenario
+  | Nbac { algo; votes } -> run_nbac_w ?obs ~seed ?max_steps algo votes scenario
   | Registers { ops_per_proc; registers; quorums } ->
-    run_registers_w ?obs cfg ~ops_per_proc ~registers ~quorums scenario
-  | Sigma_extraction -> run_sigma_extraction_w ?obs cfg scenario
+    run_registers_w ?obs ~seed ?max_steps ~ops_per_proc ~registers ~quorums
+      scenario
+  | Sigma_extraction -> run_sigma_extraction_w ?obs ~seed ?max_steps scenario
   | Psi_extraction { rounds; chunk } ->
-    run_psi_extraction_w ?obs cfg ~rounds ~chunk scenario
+    run_psi_extraction_w ?obs ~seed ~rounds ~chunk scenario
 
-let run cfg workload (scenario : Scenario.t) =
-  match cfg.Run_config.trace with
-  | None -> dispatch cfg workload scenario
+let run ?max_steps ?trace ~seed workload (scenario : Scenario.t) =
+  match trace with
+  | None -> dispatch ?max_steps ~seed workload scenario
   | Some path ->
     let obs = Obs.Collector.create () in
-    let s = dispatch ~obs cfg workload scenario in
+    let s = dispatch ~obs ?max_steps ~seed workload scenario in
     let meta =
       [
         ("kind", "run");
         ("algorithm", s.algorithm);
         ("detector", s.detector);
         ("scenario", s.scenario);
-        ("seed", string_of_int cfg.Run_config.seed);
+        ("seed", string_of_int seed);
         ("spec", match s.spec_ok with Ok () -> "ok" | Error e -> e);
       ]
     in

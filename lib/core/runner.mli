@@ -2,8 +2,9 @@
     summary — the workhorse behind the examples, [bin/simulate.exe] and the
     simulator claims of {!Claims}.
 
-    The entry point is {!run}: a {!Run_config.t} (engine plumbing) applied
-    to a {!workload} (what to execute) under a {!Scenario.t}. *)
+    The entry point is {!run}: a {!workload} (what to execute) under a
+    {!Scenario.t}, driven by a seed, an optional step bound and an optional
+    trace path.  Every message-passing run delivers FIFO. *)
 
 (** Outcome of one run. *)
 type summary = {
@@ -18,8 +19,8 @@ type summary = {
   messages : int;
   metrics : (string * int) list;
       (** observability metric rows (name-sorted; see docs/OBSERVABILITY.md
-          for the glossary).  Empty unless the run was traced
-          ([Run_config.trace]). *)
+          for the glossary).  Empty unless the run was traced ({!run}'s
+          [?trace]). *)
 }
 
 val pp_summary : Format.formatter -> summary -> unit
@@ -54,7 +55,7 @@ type nbac_algo =
 
 (** What to execute: each constructor names one of the paper's problems
     with its problem-specific inputs ([None] = the historical default).
-    Engine plumbing (policy, step bound, seed) lives in {!Run_config.t}. *)
+    Engine plumbing (seed, step bound, trace) is {!run}'s arguments. *)
 type workload =
   | Consensus of {
       algo : consensus_algo;
@@ -78,14 +79,20 @@ type workload =
   | Psi_extraction of { rounds : int; chunk : int }
       (** Figure 3 transformation, judged by [Fd.Psi.check] *)
 
-(** [run cfg workload scenario] executes one workload instance and checks
-    its problem specification.  ([Psi_extraction] drives its own engine
-    instances: it ignores [cfg.policy] and [cfg.max_steps].)
+(** [run ~seed workload scenario] executes one workload instance and
+    checks its problem specification.  [seed] is the root seed for the
+    oracles, schedulers and workloads; [max_steps] bounds the engine's
+    steps (default: the workload's own bound).  ([Psi_extraction] drives
+    its own engine instances: it ignores [max_steps].)
 
-    When [cfg.trace] is set, the run is executed with an observability
-    collector installed: its JSONL trace is written to that path and the
-    collected metric rows are returned in [summary.metrics]. *)
-val run : Run_config.t -> workload -> Scenario.t -> summary
+    When [trace] is set, the run is executed with an observability
+    collector installed: its JSONL trace (events, metrics, profile — see
+    docs/OBSERVABILITY.md) is written to that path and the collected
+    metric rows are returned in [summary.metrics].  Without it the run is
+    fully uninstrumented. *)
+val run :
+  ?max_steps:int -> ?trace:string -> seed:int -> workload -> Scenario.t ->
+  summary
 
 (** {2 Model checking}
 

@@ -2,23 +2,16 @@ type t = {
   name : string;
   n : int;
   fp : Sim.Failure_pattern.t;
-  description : string;
 }
 
 let failure_free ~n =
-  {
-    name = "failure-free";
-    n;
-    fp = Sim.Failure_pattern.failure_free n;
-    description = "no process ever crashes";
-  }
+  { name = "failure-free"; n; fp = Sim.Failure_pattern.failure_free n }
 
 let one_crash ~n ~at =
   {
     name = Printf.sprintf "one-crash@%d" at;
     n;
     fp = Sim.Failure_pattern.make ~n [ (0, at) ];
-    description = Printf.sprintf "process 0 crashes at time %d" at;
   }
 
 let minority_correct ~n =
@@ -29,9 +22,6 @@ let minority_correct ~n =
     name = "minority-correct";
     n;
     fp = Sim.Failure_pattern.make ~n crashes;
-    description =
-      Printf.sprintf "%d of %d processes crash in a cascade; no correct \
-                      majority remains" crashed n;
   }
 
 let lone_survivor ~n =
@@ -40,7 +30,6 @@ let lone_survivor ~n =
     name = "lone-survivor";
     n;
     fp = Sim.Failure_pattern.make ~n crashes;
-    description = "every process but one crashes";
   }
 
 let half_down ~n ~at =
@@ -49,7 +38,6 @@ let half_down ~n ~at =
     name = Printf.sprintf "half-down@%d" at;
     n;
     fp = Sim.Failure_pattern.make ~n crashes;
-    description = Printf.sprintf "%d processes crash together at time %d" (n / 2) at;
   }
 
 let random env ~n ~seed =
@@ -58,9 +46,6 @@ let random env ~n ~seed =
     name = Printf.sprintf "random(%s,seed=%d)" (Sim.Environment.name env) seed;
     n;
     fp;
-    description =
-      Format.asprintf "sampled from %s: %a" (Sim.Environment.name env)
-        Sim.Failure_pattern.pp fp;
   }
 
 let gallery ~n =

@@ -6,7 +6,6 @@ type t = {
   name : string;
   n : int;
   fp : Sim.Failure_pattern.t;
-  description : string;
 }
 
 (** No crashes. *)

@@ -41,9 +41,7 @@ let abd_proto :
 (* 64 is an upper bound on n for this transformation; register j belongs to
    process j. *)
 
-(* ABD's messages, tagged; its completions are harvested in [on_step]. *)
-let reg_sends acts =
-  Sim.Protocol.map_actions ~msg:(fun m -> Reg m) ~out:(fun _ -> None) acts
+let reg m = Reg m
 
 let init ~n self =
   {
@@ -60,19 +58,24 @@ let init ~n self =
     cycles = 0;
   }
 
+(* Starting an operation drops ABD's [Invoked] output: only completions
+   move this algorithm on. *)
 let start_write ctx st =
   let k = st.k + 1 in
-  let abd, acts =
-    abd_proto.Sim.Protocol.on_input ctx st.abd
-      (Regs.Abd.Write (st.self, (k, st.e_sets)))
+  let abd, sends, _invoked =
+    Sim.Protocol.apply abd_proto ctx st.abd
+      (Sim.Protocol.Input (Regs.Abd.Write (st.self, (k, st.e_sets))))
+      ~msg:reg
   in
-  ({ st with abd; k; pc = Writing }, reg_sends acts)
+  ({ st with abd; k; pc = Writing }, sends)
 
 let start_read ctx st j =
-  let abd, acts =
-    abd_proto.Sim.Protocol.on_input ctx st.abd (Regs.Abd.Read j)
+  let abd, sends, _invoked =
+    Sim.Protocol.apply abd_proto ctx st.abd
+      (Sim.Protocol.Input (Regs.Abd.Read j))
+      ~msg:reg
   in
-  ({ st with abd; pc = Reading j }, reg_sends acts)
+  ({ st with abd; pc = Reading j }, sends)
 
 (* Move to probing the sets found in Reg_j, or to the next register, or
    finish the cycle. *)
@@ -135,19 +138,16 @@ let on_step (ctx : Sim.Pidset.t Sim.Protocol.ctx) st recv =
   let abd_recv =
     match recv with Some (from, Reg m) -> Some (from, m) | Some _ | None -> None
   in
-  let abd, abd_acts = abd_proto.Sim.Protocol.on_step ctx st.abd abd_recv in
-  let st = { st with abd } in
-  let net_acts = reg_sends abd_acts in
-  (* Harvest ABD completions. *)
+  let abd, net_acts, completions =
+    Sim.Protocol.apply abd_proto ctx st.abd (Sim.Protocol.Step abd_recv)
+      ~msg:reg
+  in
   let st, acts1 =
     List.fold_left
-      (fun (st, acc) a ->
-        match a with
-        | Sim.Protocol.Output o ->
-          let st, acts = on_abd_output ctx st o in
-          (st, acc @ acts)
-        | Sim.Protocol.Send _ | Sim.Protocol.Broadcast _ -> (st, acc))
-      (st, []) abd_acts
+      (fun (st, acc) o ->
+        let st, acts = on_abd_output ctx st o in
+        (st, acc @ acts))
+      ({ st with abd }, []) completions
   in
   (* Then the probe plane. *)
   let st, acts2 =

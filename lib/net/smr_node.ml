@@ -44,7 +44,6 @@ type config = {
   window : int;
   batch_max : int;
   tick_s : float;
-  max_burst : int;
   log_path : string option;
   trace_path : string option;
 }
@@ -59,7 +58,6 @@ let default_config ~self ~addrs ~client_addr =
     window = 16;
     batch_max = 1024;
     tick_s = 1e-3;
-    max_burst = 64;
     log_path = None;
     trace_path = None;
   }
@@ -111,6 +109,10 @@ let decode_reply frame =
   let slot = Wire.R.varint r in
   Wire.R.expect_end r;
   (seq, slot)
+
+(* Steps a busy node takes back-to-back, polling without a timeout,
+   before it waits a tick again. *)
+let max_burst = 64
 
 let serve (type st c) (Impl impl : (st, c) impl) cfg =
   let stop = ref false in
@@ -222,7 +224,7 @@ let serve (type st c) (Impl impl : (st, c) impl) cfg =
   while not !stop do
     let timeout_ms = if !burst > 0 then 0 else tick_ms in
     (match Node.step node ~timeout_ms with
-    | busy -> if busy && !burst < cfg.max_burst then incr burst else burst := 0
+    | busy -> if busy && !burst < max_burst then incr burst else burst := 0
     | exception Unix.Unix_error (EINTR, _, _) -> ());
     handle_outputs ();
     accept_clients ();

@@ -75,7 +75,6 @@ type config = {
   window : int;  (** in-flight consensus instances (default 16) *)
   batch_max : int;  (** max commands per instance (default 1024) *)
   tick_s : float;  (** seconds per idle step (default 1e-3) *)
-  max_burst : int;  (** steps taken back-to-back while busy (default 64) *)
   log_path : string option;  (** applied-log file *)
   trace_path : string option;  (** JSONL trace, written on SIGTERM *)
 }

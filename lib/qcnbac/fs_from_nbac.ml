@@ -37,34 +37,21 @@ let run_instance ctx st k event =
     | Some s -> s
     | None -> inner.Sim.Protocol.init ~n:ctx.Sim.Protocol.n st.self
   in
-  let ist, acts =
-    match event with
-    | `Step recv -> inner.Sim.Protocol.on_step ctx ist recv
-    | `Input v -> inner.Sim.Protocol.on_input ctx ist v
+  let ist, sends, decisions =
+    Sim.Protocol.apply inner ctx ist event ~msg:(fun m -> Inst (k, m))
   in
   let st = { st with instances = Int_map.add k ist st.instances } in
-  let decision =
-    List.find_map
-      (fun a ->
-        match a with
-        | Sim.Protocol.Output d -> Some d
-        | Sim.Protocol.Send _ | Sim.Protocol.Broadcast _ -> None)
-      acts
-  in
   let st, outs =
-    match decision with
-    | Some Types.Abort when not st.red ->
+    match decisions with
+    | Types.Abort :: _ when not st.red ->
       ({ st with red = true }, [ Sim.Protocol.Output Fd.Fs.Red ])
-    | Some Types.Commit when k = st.k ->
+    | Types.Commit :: _ when k = st.k ->
       (* Our current instance committed: everyone is alive enough to have
          voted; move to the next instance. *)
       ({ st with k = k + 1; started = false }, [])
-    | Some _ | None -> (st, [])
+    | _ :: _ | [] -> (st, [])
   in
-  ( st,
-    Sim.Protocol.map_actions ~msg:(fun m -> Inst (k, m)) ~out:(fun _ -> None)
-      acts
-    @ outs )
+  (st, sends @ outs)
 
 let on_step ctx st recv =
   let st, acts0 =
@@ -79,13 +66,14 @@ let on_step ctx st recv =
   else
     let st, acts1 =
       match recv with
-      | Some (from, Inst (k, m)) -> run_instance ctx st k (`Step (Some (from, m)))
-      | None -> run_instance ctx st st.k (`Step None)
+      | Some (from, Inst (k, m)) ->
+        run_instance ctx st k (Sim.Protocol.Step (Some (from, m)))
+      | None -> run_instance ctx st st.k (Sim.Protocol.Step None)
     in
     let st, acts2 =
       if (not st.started) && not st.red then
         let st = { st with started = true } in
-        run_instance ctx st st.k (`Input Types.Yes)
+        run_instance ctx st st.k (Sim.Protocol.Input Types.Yes)
       else (st, [])
     in
     (st, acts0 @ acts1 @ acts2)

@@ -27,28 +27,26 @@ let init ~n pid =
     decided = false;
   }
 
-(* The inner QC's messages, tagged; its decision is harvested below. *)
-let inner_sends acts =
-  Sim.Protocol.map_actions ~msg:(fun m -> Inner m) ~out:(fun _ -> None) acts
-
-let harvest st acts =
-  let decision =
-    List.find_map
-      (fun a ->
-        match a with
-        | Sim.Protocol.Output d -> Some d
-        | Sim.Protocol.Send _ | Sim.Protocol.Broadcast _ -> None)
-      acts
+(* One event of the inner QC, on the Ψ half of the detector: its messages
+   go out tagged, its decision is harvested here. *)
+let run_inner (ctx : (Fd.Psi.output * Fd.Fs.output) Sim.Protocol.ctx) st ev =
+  let psi, _ = ctx.fd in
+  let inner, sends, decisions =
+    Sim.Protocol.apply inner_proto
+      { ctx with Sim.Protocol.fd = psi }
+      st.inner ev
+      ~msg:(fun m -> Inner m)
   in
-  match decision with
-  | Some d when not st.decided ->
+  let st = { st with inner } in
+  match decisions with
+  | d :: _ when not st.decided ->
     let outcome =
       match d with
       | Types.Value 1 -> Types.Commit
       | Types.Value _ | Types.Quit -> Types.Abort
     in
-    ({ st with decided = true }, [ Sim.Protocol.Output outcome ])
-  | Some _ | None -> (st, [])
+    ({ st with decided = true }, sends @ [ Sim.Protocol.Output outcome ])
+  | _ :: _ | [] -> (st, sends)
 
 (* Line 2-6 of Figure 4: close the vote-collection phase on a full tally or
    on a red failure signal. *)
@@ -60,37 +58,23 @@ let maybe_propose (ctx : (Fd.Psi.output * Fd.Fs.output) Sim.Protocol.ctx) st =
     let all_yes =
       Pid_map.for_all (fun _ v -> Types.equal_vote v Types.Yes) st.votes
     in
-    if have_all && all_yes then
-      let psi, _ = ctx.fd in
-      let ictx = { ctx with Sim.Protocol.fd = psi } in
-      let inner, acts = inner_proto.Sim.Protocol.on_input ictx st.inner 1 in
-      ({ st with proposal = Some 1; inner }, inner_sends acts)
-    else if have_all || Fd.Fs.equal_output fs Fd.Fs.Red then
-      let psi, _ = ctx.fd in
-      let ictx = { ctx with Sim.Protocol.fd = psi } in
-      let inner, acts = inner_proto.Sim.Protocol.on_input ictx st.inner 0 in
-      ({ st with proposal = Some 0; inner }, inner_sends acts)
-    else (st, [])
+    let proposal =
+      if have_all && all_yes then Some 1
+      else if have_all || Fd.Fs.equal_output fs Fd.Fs.Red then Some 0
+      else None
+    in
+    match proposal with
+    | Some v -> run_inner ctx { st with proposal } (Sim.Protocol.Input v)
+    | None -> (st, [])
 
 let on_step (ctx : (Fd.Psi.output * Fd.Fs.output) Sim.Protocol.ctx) st recv =
-  let psi, _ = ctx.fd in
-  let ictx = { ctx with Sim.Protocol.fd = psi } in
   let st, acts1 =
     match recv with
     | Some (from, Vote_msg v) ->
       ({ st with votes = Pid_map.add from v st.votes }, [])
     | Some (from, Inner m) ->
-      let inner, acts =
-        inner_proto.Sim.Protocol.on_step ictx st.inner (Some (from, m))
-      in
-      let st = { st with inner } in
-      let st, outs = harvest st acts in
-      (st, inner_sends acts @ outs)
-    | None ->
-      let inner, acts = inner_proto.Sim.Protocol.on_step ictx st.inner None in
-      let st = { st with inner } in
-      let st, outs = harvest st acts in
-      (st, inner_sends acts @ outs)
+      run_inner ctx st (Sim.Protocol.Step (Some (from, m)))
+    | None -> run_inner ctx st (Sim.Protocol.Step None)
   in
   let st, acts2 = maybe_propose ctx st in
   (st, acts1 @ acts2)

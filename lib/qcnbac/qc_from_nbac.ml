@@ -25,24 +25,18 @@ let init ~n pid =
     decided = false;
   }
 
-(* The inner NBAC's messages, tagged; its outcome is harvested apart. *)
-let inner_sends acts =
-  Sim.Protocol.map_actions ~msg:(fun m -> Inner m) ~out:(fun _ -> None) acts
-
-let harvest st acts =
-  let decision =
-    List.find_map
-      (fun a ->
-        match a with
-        | Sim.Protocol.Output d -> Some d
-        | Sim.Protocol.Send _ | Sim.Protocol.Broadcast _ -> None)
-      acts
+(* One event of the inner NBAC: its messages go out tagged, its outcome
+   is harvested here. *)
+let run_inner ctx st ev =
+  let inner, sends, outcomes =
+    Sim.Protocol.apply inner_proto ctx st.inner ev ~msg:(fun m -> Inner m)
   in
-  match decision with
-  | Some Types.Abort when not st.decided ->
-    ({ st with decided = true }, [ Sim.Protocol.Output Types.Quit ])
-  | Some Types.Commit -> ({ st with committed = true }, [])
-  | Some Types.Abort | None -> (st, [])
+  let st = { st with inner } in
+  match outcomes with
+  | Types.Abort :: _ when not st.decided ->
+    ({ st with decided = true }, sends @ [ Sim.Protocol.Output Types.Quit ])
+  | Types.Commit :: _ -> ({ st with committed = true }, sends)
+  | Types.Abort :: _ | [] -> (st, sends)
 
 (* Once committed, wait for every process's proposal and return the
    smallest (line 6-7 of Figure 5). *)
@@ -71,17 +65,8 @@ let on_step ctx st recv =
     | Some (from, Proposal v) ->
       ({ st with proposals = Pid_map.add from v st.proposals }, [])
     | Some (from, Inner m) ->
-      let inner, acts =
-        inner_proto.Sim.Protocol.on_step ctx st.inner (Some (from, m))
-      in
-      let st = { st with inner } in
-      let st, outs = harvest st acts in
-      (st, inner_sends acts @ outs)
-    | None ->
-      let inner, acts = inner_proto.Sim.Protocol.on_step ctx st.inner None in
-      let st = { st with inner } in
-      let st, outs = harvest st acts in
-      (st, inner_sends acts @ outs)
+      run_inner ctx st (Sim.Protocol.Step (Some (from, m)))
+    | None -> run_inner ctx st (Sim.Protocol.Step None)
   in
   let st, acts2 = maybe_finish ctx st in
   (st, acts1 @ acts2)
@@ -89,10 +74,9 @@ let on_step ctx st recv =
 let on_input ctx st v =
   if st.proposed then (st, [])
   else
-    let inner, acts =
-      inner_proto.Sim.Protocol.on_input ctx st.inner Types.Yes
+    let st, acts =
+      run_inner ctx { st with proposed = true } (Sim.Protocol.Input Types.Yes)
     in
-    ( { st with proposed = true; inner },
-      Sim.Protocol.Broadcast (Proposal v) :: inner_sends acts )
+    (st, Sim.Protocol.Broadcast (Proposal v) :: acts)
 
 let protocol = { Sim.Protocol.init; on_step; on_input }

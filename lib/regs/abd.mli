@@ -32,7 +32,8 @@ and 'v response = Read_value of rid * 'v option | Written of rid
 
 type 'v state
 
-(** The wire messages (exposed for composition via {!Protocol.map_msg}). *)
+(** The wire messages (exposed so a host can embed them in its own message
+    type, as {!Sim.Protocol.apply}'s [~msg] does). *)
 type 'v msg
 
 (** [protocol ~registers] builds the protocol.  Its failure detector input

@@ -7,6 +7,13 @@ type ('st, 'v) state = {
 
 let app_state st = st.app
 
+let complete st = function
+  | Abd.Invoked _ -> st
+  | Abd.Responded { resp = Abd.Read_value (_, v); _ } ->
+    { st with busy = false; resp = Some v }
+  | Abd.Responded { resp = Abd.Written _; _ } ->
+    { st with busy = false; resp = None }
+
 let protocol ~registers (p : _ Shm.proto) =
   let abd = Abd.protocol ~registers in
   let split_ctx (ctx : ('afd * Sim.Pidset.t) Sim.Protocol.ctx) =
@@ -14,26 +21,13 @@ let protocol ~registers (p : _ Shm.proto) =
     ( { ctx with Sim.Protocol.fd = afd },
       { ctx with Sim.Protocol.fd = sigma } )
   in
-  (* Interpret ABD actions: network actions pass through; completion events
+  (* One event of the ABD layer: its messages pass through; its completions
      unblock the app and carry read results. *)
-  let absorb st acts =
-    List.fold_left
-      (fun (st, out_acts) act ->
-        match act with
-        | Sim.Protocol.Send (q, m) ->
-          (st, Sim.Protocol.Send (q, m) :: out_acts)
-        | Sim.Protocol.Broadcast m ->
-          (st, Sim.Protocol.Broadcast m :: out_acts)
-        | Sim.Protocol.Output (Abd.Invoked _) -> (st, out_acts)
-        | Sim.Protocol.Output (Abd.Responded { resp; _ }) ->
-          let st =
-            match resp with
-            | Abd.Read_value (_, v) -> { st with busy = false; resp = Some v }
-            | Abd.Written _ -> { st with busy = false; resp = None }
-          in
-          (st, out_acts))
-      (st, []) acts
-    |> fun (st, acts) -> (st, List.rev acts)
+  let run_abd ctx st ev =
+    let abd_st, sends, outs =
+      Sim.Protocol.apply abd ctx st.abd ev ~msg:Fun.id
+    in
+    (List.fold_left complete { st with abd = abd_st } outs, sends)
   in
   (* Let the app take one shared-memory step if no register operation is in
      flight, issuing its command to the ABD layer. *)
@@ -42,24 +36,16 @@ let protocol ~registers (p : _ Shm.proto) =
     else
       let app, cmd, outs = p.Shm.step actx st.app ~resp:st.resp in
       let st = { st with app; resp = None } in
+      let invoke op =
+        run_abd
+          { actx with Sim.Protocol.fd = Sim.Pidset.empty }
+          { st with busy = true } (Sim.Protocol.Input op)
+      in
       let st, acts =
         match cmd with
         | Shm.Skip -> (st, [])
-        | Shm.Read rid ->
-          let abd_st, acts =
-            abd.Sim.Protocol.on_input
-              { actx with Sim.Protocol.fd = Sim.Pidset.empty }
-              st.abd (Abd.Read rid)
-          in
-          absorb { st with abd = abd_st; busy = true } acts
-        | Shm.Write (rid, v) ->
-          let abd_st, acts =
-            abd.Sim.Protocol.on_input
-              { actx with Sim.Protocol.fd = Sim.Pidset.empty }
-              st.abd
-              (Abd.Write (rid, v))
-          in
-          absorb { st with abd = abd_st; busy = true } acts
+        | Shm.Read rid -> invoke (Abd.Read rid)
+        | Shm.Write (rid, v) -> invoke (Abd.Write (rid, v))
       in
       (st, acts @ List.map (fun o -> Sim.Protocol.Output o) outs)
   in
@@ -77,8 +63,7 @@ let protocol ~registers (p : _ Shm.proto) =
         let actx, sctx = split_ctx ctx in
         (* The ABD layer runs on every step (it must answer replica
            requests and detect quorum completion with fresh Σ samples). *)
-        let abd_st, abd_acts = abd.Sim.Protocol.on_step sctx st.abd recv in
-        let st, acts1 = absorb { st with abd = abd_st } abd_acts in
+        let st, acts1 = run_abd sctx st (Sim.Protocol.Step recv) in
         let st, acts2 = app_step actx st in
         (st, acts1 @ acts2));
     on_input =

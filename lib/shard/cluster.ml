@@ -12,8 +12,8 @@ type t = {
   spares : int;
 }
 
-let create ?(period = 16) ?detector ?snap_every ?lag_gap ?points ?sink ?wrap
-    ~shards ~replicas ?(spares = 1) () =
+let create ?(period = 16) ?detector ?sink ?wrap ~shards ~replicas
+    ?(spares = 1) () =
   if shards <= 0 then invalid_arg "Cluster.create: shards must be positive";
   if replicas <= 0 then invalid_arg "Cluster.create: replicas must be positive";
   if spares < 0 then invalid_arg "Cluster.create: spares must be non-negative";
@@ -24,10 +24,9 @@ let create ?(period = 16) ?detector ?snap_every ?lag_gap ?points ?sink ?wrap
           ?sink:(Option.map (fun f -> f ~shard:id) sink)
           ?wrap:(Option.map (fun f -> f ~shard:id) wrap)
           ~codec:Replica.codec ~n:(replicas + spares)
-          (Replica.protocol ?snap_every ?lag_gap ?detector ~period ~members ()))
+          (Replica.protocol ?detector ~period ~members ()))
   in
-  { groups; ring = Ring.create ?points (List.init shards Fun.id); replicas;
-    spares }
+  { groups; ring = Ring.create (List.init shards Fun.id); replicas; spares }
 
 let shards t = Array.length t.groups
 let replicas t = t.replicas

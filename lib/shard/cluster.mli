@@ -22,9 +22,6 @@ type group =
 val create :
   ?period:int ->
   ?detector:Fd.Emulated.Omega.kind ->
-  ?snap_every:int ->
-  ?lag_gap:int ->
-  ?points:int ->
   ?sink:(shard:int -> Sim.Pid.t -> Sim.Event.sink option) ->
   ?wrap:(shard:int -> Sim.Pid.t -> Net.Transport.t -> Net.Transport.t) ->
   shards:int ->

@@ -1,4 +1,4 @@
-(* Consistent-hash ring: every shard id contributes [points] virtual
+(* Consistent-hash ring: every shard id contributes [points] (64) virtual
    points, a key belongs to the shard owning the first point at or after
    the key's position (wrapping).  Positions are FNV-1a/64 computed by
    hand, then MurmurHash3's fmix64 finalizer, so the mapping is a pure
@@ -26,15 +26,16 @@ let position s =
   let h = mix (mix (hash64 s) 0xff51afd7ed558ccdL) 0xc4ceb9fe1a85ec53L in
   logxor h (shift_right_logical h 33)
 
+let points = 64
+
 type t = {
-  points : int;
   shards : int list;  (* ascending, distinct *)
   ring : (int64 * int) array;  (* (point, shard), ascending unsigned *)
 }
 
 let point_of shard i = position (Printf.sprintf "shard-%d/%d" shard i)
 
-let build ~points shards =
+let build shards =
   let shards = List.sort_uniq compare shards in
   let ring =
     List.concat_map
@@ -46,14 +47,13 @@ let build ~points shards =
     (fun (a, sa) (b, sb) ->
       match Int64.unsigned_compare a b with 0 -> compare sa sb | c -> c)
     ring;
-  { points; shards; ring }
+  { shards; ring }
 
-let create ?(points = 64) shards =
+let create shards =
   if shards = [] then invalid_arg "Ring.create: no shards";
-  build ~points shards
+  build shards
 
 let shards t = t.shards
-let points t = t.points
 
 let shard_of t key =
   let h = position key in
@@ -68,10 +68,10 @@ let shard_of t key =
   snd t.ring.(if !lo = len then 0 else !lo)
 
 let add t s =
-  if List.mem s t.shards then t else build ~points:t.points (s :: t.shards)
+  if List.mem s t.shards then t else build (s :: t.shards)
 
 let remove t s =
   let rest = List.filter (fun x -> x <> s) t.shards in
   if rest = [] then invalid_arg "Ring.remove: would empty the ring";
   if List.length rest = List.length t.shards then t
-  else build ~points:t.points rest
+  else build rest

@@ -1,6 +1,6 @@
 (** Deterministic keyspace partitioner: a consistent-hash ring.
 
-    Each shard id contributes a fixed number of virtual points placed by
+    Each shard id contributes 64 virtual points placed by
     hashing ["shard-<id>/<i>"]; a key belongs to the shard owning the
     first point at or after the key's own position, wrapping around.  A
     position is a hand-rolled FNV-1a/64 over the raw bytes passed through
@@ -18,16 +18,12 @@
 
 type t
 
-(** [create ids] builds a ring over the given shard ids.  [points] is the
-    number of virtual points per shard (default 64); more points give a
-    more even split at the cost of a bigger ring.
+(** [create ids] builds a ring over the given shard ids.
     @raise Invalid_argument if [ids] is empty. *)
-val create : ?points:int -> int list -> t
+val create : int list -> t
 
 (** The shard ids on the ring, ascending. *)
 val shards : t -> int list
-
-val points : t -> int
 
 (** [shard_of t key] is the shard that owns [key].  Pure and total. *)
 val shard_of : t -> string -> int

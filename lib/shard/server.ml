@@ -38,12 +38,11 @@ let read_reply_codec =
       let v_value = R.option (R.pair R.varint R.string) r in
       { Router.v_epoch; v_applied; v_value })
 
-let impl ?snap_every ?lag_gap ?detector ~period ~members () :
+let impl ?detector ~period ~members () :
     (Replica.state, Replica.payload) Net.Smr_node.impl =
   Net.Smr_node.Impl
     {
-      proto =
-        Replica.protocol ?snap_every ?lag_gap ?detector ~period ~members ();
+      proto = Replica.protocol ?detector ~period ~members ();
       codec = Replica.codec;
       submitted = (fun st -> Cons.Smr.submitted (Replica.smr_state st));
       applied = Replica.applied;
@@ -64,10 +63,10 @@ let impl ?snap_every ?lag_gap ?detector ~period ~members () :
                  (Router.view_of (state ()) ~key)));
     }
 
-let serve ?snap_every ?lag_gap ~members cfg =
+let serve ~members cfg =
   Net.Smr_node.serve
-    (impl ?snap_every ?lag_gap ~detector:cfg.Net.Smr_node.detector
-       ~period:cfg.Net.Smr_node.period ~members ())
+    (impl ~detector:cfg.Net.Smr_node.detector ~period:cfg.Net.Smr_node.period
+       ~members ())
     cfg
 
 let ops ~config ~roundtrip =

@@ -26,8 +26,6 @@ val read_reply_codec : Router.view Net.Wire.codec
 
 (** The hosting contract for [Net.Smr_node.serve]. *)
 val impl :
-  ?snap_every:int ->
-  ?lag_gap:int ->
   ?detector:Fd.Emulated.Omega.kind ->
   period:int ->
   members:Sim.Pidset.t ->
@@ -36,12 +34,7 @@ val impl :
 
 (** Run one shard replica until SIGTERM ([cfg.period] paces Ω;
     [cfg.detector] picks the Ω backend). *)
-val serve :
-  ?snap_every:int ->
-  ?lag_gap:int ->
-  members:Sim.Pidset.t ->
-  Net.Smr_node.config ->
-  unit
+val serve : members:Sim.Pidset.t -> Net.Smr_node.config -> unit
 
 (** The client's {!Router.ops} for one shard over [roundtrip p frame],
     which sends an encoded {!request} to replica [p] and returns its

@@ -23,24 +23,22 @@ let[@tail_mod_cons] rec map_actions ~msg ~out = function
     | Some o -> Output o :: map_actions ~msg ~out acts
     | None -> map_actions ~msg ~out acts)
 
-let map_msg ~into ~from t =
-  {
-    init = t.init;
-    on_step =
-      (fun ctx st recv ->
-        let recv =
-          match recv with
-          | None -> None
-          | Some (p, m2) -> (
-            match from m2 with None -> None | Some m -> Some (p, m))
-        in
-        let st, acts = t.on_step ctx st recv in
-        (st, map_actions ~msg:into ~out:Option.some acts));
-    on_input =
-      (fun ctx st inp ->
-        let st, acts = t.on_input ctx st inp in
-        (st, map_actions ~msg:into ~out:Option.some acts));
-  }
+type ('msg, 'inp) event = Step of (Pid.t * 'msg) option | Input of 'inp
+
+let[@tail_mod_cons] rec outputs = function
+  | [] -> []
+  | Output o :: acts -> o :: outputs acts
+  | (Send _ | Broadcast _) :: acts -> outputs acts
+
+let drop _ = None
+
+let apply t ctx st ev ~msg =
+  let st, acts =
+    match ev with
+    | Step recv -> t.on_step ctx st recv
+    | Input inp -> t.on_input ctx st inp
+  in
+  (st, map_actions ~msg ~out:drop acts, outputs acts)
 
 let const_fd fd t =
   {

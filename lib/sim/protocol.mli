@@ -46,22 +46,36 @@ val no_input : 'fd ctx -> 'st -> 'inp -> 'st * ('msg, 'out) action list
 
 (** [map_actions ~msg ~out acts] re-tags a step's actions for a larger
     protocol: messages go through [msg], outputs through [out], where
-    [None] drops the output.  Order is kept.  Every composition (layers,
-    products, per-instance consensus) retags its components this way. *)
+    [None] drops the output.  Order is kept.  Compositions that pass a
+    component's outputs through in place, interleaved with its sends
+    ({!Layered}, detector products, Figure 2's QC), retag it this way; a
+    host that consumes its sub-protocol's outputs (per-instance
+    consensus, the paper's transformations) runs it through {!apply}. *)
 val map_actions :
   msg:('msg -> 'msg2) ->
   out:('out -> 'out2 option) ->
   ('msg, 'out) action list ->
   ('msg2, 'out2) action list
 
-(** [map_msg ~into ~from t] re-tags the wire type, embedding this protocol's
-    messages into a larger message type (for protocol composition).
-    [from] must return [Some] exactly on messages produced by [into]. *)
-val map_msg :
-  into:('msg -> 'msg2) ->
-  from:('msg2 -> 'msg option) ->
+(** One event of a hosted protocol: a step receiving a message (or λ),
+    or an operation invocation. *)
+type ('msg, 'inp) event = Step of (Pid.t * 'msg) option | Input of 'inp
+
+(** [apply t ctx st ev ~msg] runs [ev] through [t] as a sub-algorithm of a
+    larger protocol, its host: it returns [t]'s next state, its sends
+    re-tagged by [msg] and its outputs, each in the order [t] produced
+    them.  A hosted protocol's outputs go to its host, never to the
+    environment: the host decides what, if anything, to output in turn
+    (the composition of I/O automata that hides the inner automaton's
+    outputs as internal actions).  A step that outputs nothing returns
+    [[]] as its outputs without allocating. *)
+val apply :
   ('st, 'msg, 'fd, 'inp, 'out) t ->
-  ('st, 'msg2, 'fd, 'inp, 'out) t
+  'fd ctx ->
+  'st ->
+  ('msg, 'inp) event ->
+  msg:('msg -> 'msg2) ->
+  'st * ('msg2, 'out2) action list * 'out list
 
 (** [const_fd fd t] closes [t]'s failure detector to the constant [fd],
     giving the [fd = unit] shape a [Net.Node] runs — for detectors already

@@ -3,7 +3,7 @@
    and the claim catalogue. *)
 
 let run ?max_steps ~seed workload sc =
-  Core.Runner.run (Core.Run_config.make ?max_steps ~seed ()) workload sc
+  Core.Runner.run ?max_steps ~seed workload sc
 
 let consensus algo = Core.Runner.Consensus { algo; proposals = None }
 

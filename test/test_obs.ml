@@ -551,11 +551,10 @@ let strip_profile lines =
 let test_runner_run_trace () =
   let path = Filename.temp_file "obs_runner" ".jsonl" in
   let scenario = Core.Scenario.one_crash ~n:4 ~at:40 in
-  let cfg = Core.Run_config.make ~trace:path ~seed:3 () in
   let workload =
     Core.Runner.Consensus { algo = Core.Runner.Quorum_paxos; proposals = None }
   in
-  let s = Core.Runner.run cfg workload scenario in
+  let s = Core.Runner.run ~trace:path ~seed:3 workload scenario in
   Alcotest.(check bool) "spec ok" true (s.Core.Runner.spec_ok = Ok ());
   Alcotest.(check bool) "metric rows returned" true
     (s.Core.Runner.metrics <> []);
@@ -568,7 +567,7 @@ let test_runner_run_trace () =
   Alcotest.(check bool) "meta names the algorithm" true
     (contains (List.hd lines1) {|"algorithm":"quorum-paxos"|});
   (* identical run -> identical trace, modulo the profile record *)
-  let s2 = Core.Runner.run cfg workload scenario in
+  let s2 = Core.Runner.run ~trace:path ~seed:3 workload scenario in
   let lines2 = read_lines path in
   Sys.remove path;
   Alcotest.(check (list string))
@@ -578,9 +577,7 @@ let test_runner_run_trace () =
     "re-run reproduces the metrics" s.Core.Runner.metrics
     s2.Core.Runner.metrics;
   (* the untraced run reports the same outcome, just without metrics *)
-  let s3 =
-    Core.Runner.run (Core.Run_config.make ~seed:3 ()) workload scenario
-  in
+  let s3 = Core.Runner.run ~seed:3 workload scenario in
   Alcotest.(check string) "decision unchanged without tracing"
     s.Core.Runner.decision s3.Core.Runner.decision;
   Alcotest.(check int) "messages unchanged without tracing"

@@ -527,23 +527,127 @@ let test_engine_fairness () =
   let mx = Array.fold_left max 0 counts in
   Alcotest.(check bool) "balanced steps" true (mx - mn <= 1)
 
-let test_protocol_map_msg () =
-  let proto =
-    Sim.Protocol.map_msg
-      ~into:(fun Flood.Token -> `Wrapped)
-      ~from:(fun `Wrapped -> Some Flood.Token)
-      Flood.proto
+(* A sub-protocol for [Sim.Protocol.apply]'s contract: its state is the
+   trail of events it was handed, each step returns [script], and each
+   input outputs 0. *)
+let scripted script : (string list, string, unit, string, int) Sim.Protocol.t
+    =
+  {
+    init = (fun ~n:_ _ -> []);
+    on_step =
+      (fun _ctx trail recv ->
+        let event =
+          match recv with
+          | Some (p, m) -> Printf.sprintf "step %d %s" p m
+          | None -> "step λ"
+        in
+        (event :: trail, script));
+    on_input =
+      (fun _ctx trail inp ->
+        (("input " ^ inp) :: trail, [ Sim.Protocol.Output 0 ]));
+  }
+
+let script =
+  Sim.Protocol.
+    [
+      Send (1, "a"); Output 1; Broadcast "b"; Output 2; Send (0, "c"); Output 3;
+    ]
+
+let host_ctx = { Sim.Protocol.self = 0; n = 3; now = 0; fd = () }
+
+let show_action : (string, int) Sim.Protocol.action -> string = function
+  | Sim.Protocol.Send (p, m) -> Printf.sprintf "send %d %s" p m
+  | Sim.Protocol.Broadcast m -> "broadcast " ^ m
+  | Sim.Protocol.Output o -> Printf.sprintf "output %d" o
+
+let test_apply_retags_sends () =
+  let _, sends, _ =
+    Sim.Protocol.apply (scripted script) host_ctx [] (Sim.Protocol.Step None)
+      ~msg:(fun m -> "<" ^ m ^ ">")
   in
-  let fp = Sim.Failure_pattern.failure_free 3 in
-  let cfg =
-    Sim.Engine.config ~seed:2
-      ~stop:(Sim.Engine.stop_when_all_correct_output fp)
-      ~fd:(fun _ _ -> ())
-      fp
+  Alcotest.(check (list string))
+    "sends and broadcasts, re-tagged, in order"
+    [ "send 1 <a>"; "broadcast <b>"; "send 0 <c>" ]
+    (List.map show_action sends)
+
+let test_apply_keeps_outputs () =
+  let _, _, outs =
+    Sim.Protocol.apply (scripted script) host_ctx [] (Sim.Protocol.Step None)
+      ~msg:Fun.id
   in
-  let trace = Sim.Engine.run cfg proto in
-  Alcotest.(check bool) "mapped protocol works" true
-    (Sim.Trace.all_correct_output trace)
+  Alcotest.(check (list int)) "every output, in order" [ 1; 2; 3 ] outs;
+  let _, sends, outs =
+    Sim.Protocol.apply
+      (scripted [ Sim.Protocol.Broadcast "x" ])
+      host_ctx [] (Sim.Protocol.Step None) ~msg:Fun.id
+  in
+  Alcotest.(check (list int)) "a step that outputs nothing" [] outs;
+  Alcotest.(check (list string)) "its send" [ "broadcast x" ]
+    (List.map show_action sends)
+
+let test_apply_routes_events () =
+  let proto = scripted [] in
+  let st, _, outs =
+    Sim.Protocol.apply proto host_ctx [] (Sim.Protocol.Input "w") ~msg:Fun.id
+  in
+  Alcotest.(check (list string)) "Input reaches on_input" [ "input w" ] st;
+  Alcotest.(check (list int)) "on_input's output" [ 0 ] outs;
+  let st, _, _ =
+    Sim.Protocol.apply proto host_ctx st
+      (Sim.Protocol.Step (Some (2, "m")))
+      ~msg:Fun.id
+  in
+  let st, _, _ =
+    Sim.Protocol.apply proto host_ctx st (Sim.Protocol.Step None) ~msg:Fun.id
+  in
+  Alcotest.(check (list string))
+    "Step reaches on_step, with its message"
+    [ "step λ"; "step 2 m"; "input w" ]
+    st
+
+(* A host that runs Flood through [apply] and passes its outputs on: the
+   run must be the bare protocol's, output for output. *)
+type hosted = Hosted of Flood.msg
+
+let test_apply_hosted_run () =
+  let host : (Flood.state, hosted, unit, unit, int) Sim.Protocol.t =
+    {
+      init = Flood.proto.Sim.Protocol.init;
+      on_step =
+        (fun ctx st recv ->
+          let recv = Option.map (fun (p, Hosted m) -> (p, m)) recv in
+          let st, sends, outs =
+            Sim.Protocol.apply Flood.proto ctx st (Sim.Protocol.Step recv)
+              ~msg:(fun m -> Hosted m)
+          in
+          (st, sends @ List.map (fun o -> Sim.Protocol.Output o) outs));
+      on_input = Sim.Protocol.no_input;
+    }
+  in
+  let fp = Sim.Failure_pattern.make ~n:5 [ (1, 4) ] in
+  List.iter
+    (fun policy ->
+      let cfg =
+        Sim.Engine.config ~policy ~seed:11
+          ~stop:(Sim.Engine.stop_when_all_correct_output fp)
+          ~fd:(fun _ _ -> ())
+          fp
+      in
+      let bare = Sim.Engine.run cfg Flood.proto in
+      let hosted = Sim.Engine.run cfg host in
+      Alcotest.(check bool) "bare run completes" true
+        (Sim.Trace.all_correct_output bare);
+      Alcotest.(check bool) "same outputs" true
+        (bare.Sim.Trace.outputs = hosted.Sim.Trace.outputs);
+      Alcotest.(check int) "same steps" bare.Sim.Trace.steps
+        hosted.Sim.Trace.steps;
+      Alcotest.(check int) "same messages" bare.Sim.Trace.messages_sent
+        hosted.Sim.Trace.messages_sent)
+    [
+      Sim.Network.Fifo;
+      Sim.Network.Random_delay { max_delay = 7; lambda_prob = 0.3 };
+      Sim.Network.Partial_synchrony { gst = 40; delta = 3 };
+    ]
 
 (* Property: the network delivers every message under every policy when the
    destination keeps stepping. *)
@@ -756,7 +860,14 @@ let () =
         [
           Alcotest.test_case "layered isolation" `Quick test_layered_isolation;
           Alcotest.test_case "engine fairness" `Quick test_engine_fairness;
-          Alcotest.test_case "map_msg" `Quick test_protocol_map_msg;
+          Alcotest.test_case "apply re-tags sends in order" `Quick
+            test_apply_retags_sends;
+          Alcotest.test_case "apply keeps every output" `Quick
+            test_apply_keeps_outputs;
+          Alcotest.test_case "apply routes step and input" `Quick
+            test_apply_routes_events;
+          Alcotest.test_case "hosted run equals bare run" `Quick
+            test_apply_hosted_run;
         ] );
       ( "properties",
         [
