@@ -8,68 +8,137 @@
      mc --protocol qcnbac.two_phase_commit -n 2 \
         --replay 'crashes=0@0;choices='
 
-   Exit status: 0 = no violation, 1 = violation found, 124 = usage error.
+   Exit status: 0 = no violation, 1 = violation found, 124 = usage error. *)
 
-   (The executable goes through [Core.Runner] only: its own compilation
-   unit is [Mc], which shadows the library module of the same name.) *)
+let usage_error e =
+  Printf.eprintf "mc: %s\n" e;
+  124
 
 let list_targets () =
   print_endline "registered targets:";
-  List.iter (fun name -> Printf.printf "  %s\n" name) Core.Runner.mc_targets;
+  List.iter (fun name -> Printf.printf "  %s\n" name) Mc.Targets.names;
   0
 
+let with_target name ~n k =
+  match Mc.Targets.find name ~n with
+  | Some packed -> k packed
+  | None ->
+    usage_error
+      (Printf.sprintf "unknown target %S (known: %s)" name
+         (String.concat ", " Mc.Targets.names))
+
 let replay_schedule ?trace name ~n ~seed spec =
-  match Core.Runner.mc_replay ?trace name ~n ~seed ~schedule:spec with
-  | Error e ->
-    Printf.eprintf "mc: %s\n" e;
-    124
-  | Ok r ->
-    Format.printf "replay %s n=%d %s@." name n r.Core.Runner.re_schedule;
-    Format.printf "outputs:@.%s@." r.Core.Runner.re_outputs;
-    (match r.Core.Runner.re_violation with
+  (* An illegal crash list is a usage error, not a clean replay:
+     [Mc.Harness.replay] would turn it into a report with no violation. *)
+  match
+    let sched = Mc.Schedule.of_string spec in
+    ignore (Mc.Schedule.fp ~n sched);
+    sched
+  with
+  | exception Invalid_argument e -> usage_error ("bad schedule: " ^ e)
+  | sched ->
+    with_target name ~n @@ fun (Mc.Targets.Packed t) ->
+    let schedule = Mc.Schedule.to_string sched in
+    let obs = Option.map (fun path -> (path, Obs.Collector.create ())) trace in
+    let sink = Option.map (fun (_, (c : Obs.Collector.t)) -> c.sink) obs in
+    let r = Mc.Harness.replay ~seed ?sink t ~n sched in
+    Option.iter
+      (fun (path, c) ->
+        Obs.Jsonl.write_run ~path
+          ~meta:
+            [
+              ("kind", "mc-replay");
+              ("target", name);
+              ("n", string_of_int n);
+              ("seed", string_of_int seed);
+              ("schedule", schedule);
+              ("violation", Option.value ~default:"" r.violation);
+            ]
+          c)
+      obs;
+    Format.printf "replay %s n=%d %s@." name n schedule;
+    Format.printf "outputs:@.%s@." (Lazy.force r.outputs);
+    match r.violation with
     | Some reason ->
       Format.printf "VIOLATION: %s@." reason;
       1
     | None ->
       Format.printf "no violation@.";
-      0)
+      0
 
-let explore ?trace name ~n ~(opts : Core.Runner.mc_opts) =
-  match Core.Runner.model_check ~opts ?trace name ~n with
-  | Error e ->
-    Printf.eprintf "mc: %s\n" e;
-    124
-  | Ok s ->
-    Format.printf "%a@." Core.Runner.pp_mc_summary s;
-    (match s.Core.Runner.counterexample with Some _ -> 1 | None -> 0)
+(* Tracing the search itself would let the explorer's helper domains race
+   on the collector, so [--trace] records the search summary plus the
+   deterministic replay of its counterexample, if any: the file minus its
+   profile record is the same for every [--domains]. *)
+let write_search_trace path t name ~n ~(opts : Mc.Harness.opts)
+    (r : Mc.Crash_adversary.report) =
+  let obs = Obs.Collector.create () in
+  Option.iter
+    (fun (c : Mc.Harness.counterexample) ->
+      ignore (Mc.Harness.replay ~seed:opts.seed ~sink:obs.sink t ~n c.schedule))
+    r.counterexample;
+  let cex f = Option.fold ~none:"" ~some:f r.counterexample in
+  Obs.Jsonl.write_run ~path
+    ~meta:
+      [
+        ("kind", "mc");
+        ("target", name);
+        ("explorer", Mc.Harness.explorer_name opts.explorer);
+        ("n", string_of_int n);
+        ("seed", string_of_int opts.seed);
+        ("patterns", string_of_int r.patterns);
+        ("schedules", string_of_int r.schedules);
+        ("steps", string_of_int r.steps);
+        ("exhausted", string_of_bool r.complete);
+        ("violation", cex (fun c -> c.reason));
+        ("schedule", cex (fun c -> Mc.Schedule.to_string c.schedule));
+      ]
+    obs
+
+let explore ?trace name ~n ~opts =
+  match Mc.Harness.validate_opts opts with
+  | Error e -> usage_error e
+  | Ok () when n < 1 -> usage_error (Printf.sprintf "n must be >= 1 (got %d)" n)
+  | Ok () ->
+    with_target name ~n @@ fun (Mc.Targets.Packed t) ->
+    let r = Mc.Parallel.search ~opts t ~n in
+    Option.iter (fun path -> write_search_trace path t name ~n ~opts r) trace;
+    Format.printf
+      "@[<v>%-24s %-10s patterns=%-4d schedules=%-8d steps=%-9d %s: %s%a@]@."
+      name
+      (Mc.Harness.explorer_name opts.explorer)
+      r.patterns r.schedules r.steps
+      (if r.complete then "exhausted" else "budget-bounded")
+      (if r.counterexample = None then "no violation" else "VIOLATION")
+      (Format.pp_print_option (fun fmt c ->
+           Format.fprintf fmt "@ %a" Mc.Harness.pp_counterexample c))
+      r.counterexample;
+    if r.counterexample = None then 0 else 1
 
 let run list protocol n explorer domains budget inner_budget depth seed
     max_crashes horizon stride no_shrink replay trace =
   if list then list_targets ()
   else
     match protocol with
-    | None ->
-      Printf.eprintf "mc: --protocol is required (or use --list)\n";
-      124
+    | None -> usage_error "--protocol is required (or use --list)"
     | Some name -> (
       match replay with
       | Some spec -> replay_schedule ?trace name ~n ~seed spec
       | None ->
-        let opts =
-          {
-            Core.Runner.explorer;
-            domains;
-            budget;
-            inner_budget;
-            d = depth;
-            seed;
-            max_crashes;
-            horizon;
-            stride;
-            shrink = not no_shrink;
-          }
-        in
-        explore ?trace name ~n ~opts)
+        explore ?trace name ~n
+          ~opts:
+            {
+              Mc.Harness.explorer;
+              domains;
+              budget;
+              inner_budget;
+              d = depth;
+              seed;
+              max_crashes;
+              horizon;
+              stride;
+              shrink = not no_shrink;
+            })
 
 open Cmdliner
 

@@ -27,8 +27,6 @@ type 'v state = {
   coord : 'v coord_round Round_map.t;  (* our coordinator role, per round *)
 }
 
-let round st = st.round
-
 let majority n = (n / 2) + 1
 
 let coordinator st r = r mod st.n

@@ -17,6 +17,3 @@ type 'v msg
 (** Failure detector input: a ◇S suspect set.  Inputs: proposals.
     Outputs: decisions, once per process. *)
 val protocol : ('v state, 'v msg, Sim.Pidset.t, 'v, 'v) Sim.Protocol.t
-
-(** The round a process is currently in — exposed for benches. *)
-val round : 'v state -> int

@@ -31,8 +31,6 @@ let registers ~n = n + 1
 
 let dec_rid st = st.n
 
-let current_ballot st = st.ballot
-
 let init ~n self =
   {
     self;

@@ -26,7 +26,3 @@ val registers : n:int -> int
 (** The shared-memory protocol.  Failure detector input: Ω (a leader id).
     Inputs are proposals; each process outputs its decision exactly once. *)
 val proto : ('v state, 'v reg, Sim.Pid.t, 'v, 'v) Regs.Shm.proto
-
-(** Ballot counter of a process — exposed for tests/benches (how many
-    ballots were needed). *)
-val current_ballot : 'v state -> int

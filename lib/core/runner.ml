@@ -408,185 +408,3 @@ let run ?max_steps ?trace ~seed workload (scenario : Scenario.t) =
     in
     Obs.Jsonl.write_run ~path ~meta obs;
     { s with metrics = Obs.Collector.metric_rows obs }
-
-(* ------------------------------------------------------------------ *)
-(* Model checking (the Mc subsystem) over the registered targets.      *)
-
-type mc_opts = Mc.Harness.opts = {
-  explorer : Mc.Harness.explorer;
-  domains : int;
-  budget : int;
-  inner_budget : int;
-  max_crashes : int;
-  horizon : int;
-  stride : int;
-  d : int option;
-  shrink : bool;
-  seed : int;
-}
-
-let mc_default_opts = Mc.Harness.default_opts
-
-type mc_summary = {
-  target : string;
-  explorer : string;
-  patterns : int;
-  schedules : int;
-  mc_steps : int;
-  exhausted : bool;
-  counterexample : Mc.Harness.counterexample option;
-}
-
-let pp_mc_summary fmt s =
-  Format.fprintf fmt
-    "@[<v>%-24s %-10s patterns=%-4d schedules=%-8d steps=%-9d %s: %s%a@]"
-    s.target s.explorer s.patterns s.schedules s.mc_steps
-    (if s.exhausted then "exhausted" else "budget-bounded")
-    (match s.counterexample with
-    | None -> "no violation"
-    | Some _ -> "VIOLATION")
-    (Format.pp_print_option (fun fmt c ->
-         Format.fprintf fmt "@ %a" Mc.Harness.pp_counterexample c))
-    s.counterexample
-
-let summarize name (opts : Mc.Harness.opts) (r : Mc.Crash_adversary.report) =
-  {
-    target = name;
-    explorer = Mc.Harness.explorer_name opts.Mc.Harness.explorer;
-    patterns = r.Mc.Crash_adversary.patterns;
-    schedules = r.Mc.Crash_adversary.schedules;
-    mc_steps = r.Mc.Crash_adversary.steps;
-    exhausted = r.Mc.Crash_adversary.complete;
-    counterexample = r.Mc.Crash_adversary.counterexample;
-  }
-
-(* Tracing an exploration must not instrument the parallel explorer (its
-   helper domains would race on the collector and break the bit-identical
-   summary contract), so [--trace] records the search summary plus — when a
-   counterexample was found — the fully deterministic replay of its
-   schedule, events and all. *)
-let write_mc_trace path name ~n ~(opts : Mc.Harness.opts) (s : mc_summary) =
-  let obs = Obs.Collector.create () in
-  (match s.counterexample with
-  | Some c -> (
-    match Mc.Targets.find name ~n with
-    | Some (Mc.Targets.Packed t) ->
-      ignore
-        (Mc.Harness.replay ~seed:opts.Mc.Harness.seed
-           ~sink:obs.Obs.Collector.sink t ~n c.Mc.Harness.schedule)
-    | None -> ())
-  | None -> ());
-  let meta =
-    [
-      ("kind", "mc");
-      ("target", s.target);
-      ("explorer", s.explorer);
-      ("n", string_of_int n);
-      ("seed", string_of_int opts.Mc.Harness.seed);
-      ("patterns", string_of_int s.patterns);
-      ("schedules", string_of_int s.schedules);
-      ("steps", string_of_int s.mc_steps);
-      ("exhausted", string_of_bool s.exhausted);
-      ( "violation",
-        match s.counterexample with
-        | None -> ""
-        | Some c -> c.Mc.Harness.reason );
-      ( "schedule",
-        match s.counterexample with
-        | None -> ""
-        | Some c -> Mc.Schedule.to_string c.Mc.Harness.schedule );
-    ]
-  in
-  Obs.Jsonl.write_run ~path ~meta obs
-
-let model_check ?(opts = Mc.Harness.default_opts) ?trace name ~n =
-  match Mc.Harness.validate_opts opts with
-  | Error e -> Error e
-  | Ok () -> (
-    match Mc.Targets.find name ~n with
-    | None ->
-      Error
-        (Printf.sprintf "unknown target %S (known: %s)" name
-           (String.concat ", " Mc.Targets.names))
-    | Some (Mc.Targets.Packed t) ->
-      let s = summarize name opts (Mc.Parallel.search ~opts t ~n) in
-      (match trace with
-      | None -> ()
-      | Some path -> write_mc_trace path name ~n ~opts s);
-      Ok s)
-
-let model_check_scenario ?(opts = Mc.Harness.default_opts) ?trace name
-    (scenario : Scenario.t) =
-  match Mc.Harness.validate_opts opts with
-  | Error e -> Error e
-  | Ok () -> (
-    let n = scenario.Scenario.n in
-    let fp = scenario.Scenario.fp in
-    match Mc.Targets.find name ~n with
-    | None ->
-      Error
-        (Printf.sprintf "unknown target %S (known: %s)" name
-           (String.concat ", " Mc.Targets.names))
-    | Some (Mc.Targets.Packed t) ->
-      (* the single fixed pattern gets the whole budget *)
-      let opts = { opts with Mc.Harness.inner_budget = opts.Mc.Harness.budget } in
-      let s = summarize name opts (Mc.Parallel.search ~opts ~fps:[ fp ] t ~n) in
-      (match trace with
-      | None -> ()
-      | Some path -> write_mc_trace path name ~n ~opts s);
-      Ok s)
-
-(* Re-exports so the [mc] executable (whose compilation unit shadows the
-   [Mc] library module) can stay entirely within [Core]. *)
-
-let mc_targets = Mc.Targets.names
-
-type mc_replay_report = {
-  re_schedule : string;
-  re_outputs : string;
-  re_violation : string option;
-}
-
-let mc_replay ?trace name ~n ~seed ~schedule =
-  (* An illegal crash list is a usage error, not a clean replay:
-     [Mc.Harness.replay] would turn it into a report with no violation. *)
-  match
-    try
-      let s = Mc.Schedule.of_string schedule in
-      ignore (Mc.Schedule.fp ~n s);
-      Ok s
-    with Invalid_argument e -> Error e
-  with
-  | Error e -> Error (Printf.sprintf "bad schedule: %s" e)
-  | Ok sched -> (
-    match Mc.Targets.find name ~n with
-    | None ->
-      Error
-        (Printf.sprintf "unknown target %S (known: %s)" name
-           (String.concat ", " mc_targets))
-    | Some (Mc.Targets.Packed t) ->
-      let obs =
-        match trace with None -> None | Some _ -> Some (Obs.Collector.create ())
-      in
-      let r = Mc.Harness.replay ~seed ?sink:(sink_of obs) t ~n sched in
-      (match (trace, obs) with
-      | Some path, Some c ->
-        Obs.Jsonl.write_run ~path
-          ~meta:
-            [
-              ("kind", "mc-replay");
-              ("target", name);
-              ("n", string_of_int n);
-              ("seed", string_of_int seed);
-              ("schedule", Mc.Schedule.to_string sched);
-              ( "violation",
-                Option.value ~default:"" r.Mc.Harness.violation );
-            ]
-          c
-      | _ -> ());
-      Ok
-        {
-          re_schedule = Mc.Schedule.to_string sched;
-          re_outputs = Lazy.force r.Mc.Harness.outputs;
-          re_violation = r.Mc.Harness.violation;
-        })

@@ -1,6 +1,6 @@
 (** One-call runners for every algorithm in the library, returning a uniform
-    summary — the workhorse behind the examples, [bin/simulate.exe] and the
-    simulator claims of {!Claims}.
+    summary — the workhorse behind [bin/simulate.exe] and the simulator
+    claims of {!Claims}.
 
     The entry point is {!run}: a {!workload} (what to execute) under a
     {!Scenario.t}, driven by a seed, an optional step bound and an optional
@@ -93,92 +93,3 @@ type workload =
 val run :
   ?max_steps:int -> ?trace:string -> seed:int -> workload -> Scenario.t ->
   summary
-
-(** {2 Model checking}
-
-    The search knobs live in a single {!Mc.Harness.opts} record
-    (re-exported here as {!mc_opts} so the [mc] executable — whose own
-    compilation unit shadows the [Mc] library module — never needs the
-    [Mc] path).  All domain counts, including 1, run through the
-    deterministic parallel explorer {!Mc.Parallel}: the summary is
-    bit-identical whatever [opts.domains] is. *)
-
-(** Re-export of {!Mc.Harness.opts}. *)
-type mc_opts = Mc.Harness.opts = {
-  explorer : Mc.Harness.explorer;
-  domains : int;
-  budget : int;
-  inner_budget : int;
-  max_crashes : int;
-  horizon : int;
-  stride : int;
-  d : int option;
-  shrink : bool;
-  seed : int;
-}
-
-(** {!Mc.Harness.default_opts}. *)
-val mc_default_opts : mc_opts
-
-type mc_summary = {
-  target : string;
-  explorer : string;
-  patterns : int;  (** failure patterns explored *)
-  schedules : int;  (** runs executed *)
-  mc_steps : int;  (** total process steps across all runs *)
-  exhausted : bool;  (** the (bounded) space was fully explored *)
-  counterexample : Mc.Harness.counterexample option;
-}
-
-val pp_mc_summary : Format.formatter -> mc_summary -> unit
-
-(** [model_check ?opts name ~n] runs the crash-injection adversary
-    (patterns with at most [opts.max_crashes] crashes on the
-    [opts.stride]-spaced time grid up to [opts.horizon]) with the
-    configured inner schedule explorer against the registered target
-    [name] (see {!Mc.Targets.names}), on [opts.domains] domains.
-    [Error _] on an unknown target name or invalid [opts] (e.g. a PCT
-    depth [d] combined with a non-PCT explorer — it would be silently
-    ignored).
-
-    [?trace] writes a JSONL observability record to the given path: the
-    search summary as metadata plus, when a counterexample was found, the
-    event trace of its deterministic replay.  The search itself is never
-    instrumented — the explorer's helper domains would race on a collector —
-    so the summary (and the trace file minus its profile record) is
-    bit-identical across domain counts. *)
-val model_check :
-  ?opts:mc_opts -> ?trace:string -> string -> n:int -> (mc_summary, string) result
-
-(** [model_check_scenario ?opts name scenario] explores schedules under the
-    scenario's fixed failure pattern only; the whole [opts.budget] goes to
-    that single pattern.  [?trace] as in {!model_check}. *)
-val model_check_scenario :
-  ?opts:mc_opts ->
-  ?trace:string ->
-  string ->
-  Scenario.t ->
-  (mc_summary, string) result
-
-(** The registered model-checking target names ({!Mc.Targets.names}). *)
-val mc_targets : string list
-
-type mc_replay_report = {
-  re_schedule : string;  (** the parsed schedule, re-serialized *)
-  re_outputs : string;  (** rendered output events of the replayed run *)
-  re_violation : string option;
-}
-
-(** [mc_replay name ~n ~seed ~schedule] replays a serialized counterexample
-    schedule against a registered target.  A schedule that does not parse,
-    or whose crash list is not a legal failure pattern for [n] processes
-    (a pid out of range, a pid crashed twice, a negative time, no correct
-    process), is an [Error "bad schedule: …"].  [?trace] writes the
-    replayed run's JSONL observability record to the given path. *)
-val mc_replay :
-  ?trace:string ->
-  string ->
-  n:int ->
-  seed:int ->
-  schedule:string ->
-  (mc_replay_report, string) result

@@ -21,8 +21,6 @@ let protocol ?window ?batch_max ?sync_every ?emit_fp ~period () :
           (Replica.make ?sync_every ?emit_fp ())))
 
 let smr_state ((p, _) : state) = Net.Smr_node.smr_state p
-let omega_state ((p, _) : state) = Net.Smr_node.omega_state p
-let sigma_state ((p, _) : state) = Net.Smr_node.sigma_state p
 let ec_detector ((_, (om, _)) : state) = om
 let store ((_, (_, r)) : state) = Replica.store r
 

@@ -33,8 +33,6 @@ val protocol :
 (** Views into the layers, for harnesses and status lines. *)
 val smr_state : state -> string Cons.Smr.state
 
-val omega_state : state -> Fd.Emulated.Omega.state
-val sigma_state : state -> Fd.Emulated.Sigma_majority.state
 val ec_detector : state -> Fd.Emulated.Omega_ec.state
 val store : state -> Store.t
 

@@ -10,8 +10,6 @@ type t = {
 let create ~n self = { self; n; entries = M.empty; rev = 0 }
 
 let rev t = t.rev
-let self t = t.self
-let size t = M.cardinal t.entries
 
 let get t key = M.find_opt key t.entries
 

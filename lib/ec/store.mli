@@ -19,8 +19,6 @@ val create : n:int -> Sim.Pid.t -> t
     quiet. *)
 val rev : t -> int
 
-val self : t -> Sim.Pid.t
-val size : t -> int
 val get : t -> string -> Entry.t option
 val keys : t -> string list
 

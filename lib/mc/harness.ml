@@ -56,9 +56,20 @@ let default_opts =
   }
 
 let validate_opts o =
-  if o.domains < 1 then
-    Error (Printf.sprintf "domains must be >= 1 (got %d)" o.domains)
-  else
+  let least =
+    [
+      ("domains", o.domains, 1);
+      ("budget", o.budget, 1);
+      ("inner_budget", o.inner_budget, 1);
+      ("max_crashes", o.max_crashes, 0);
+      ("horizon", o.horizon, 0);
+      ("stride", o.stride, 1);
+    ]
+  in
+  match List.find_opt (fun (_, v, min) -> v < min) least with
+  | Some (name, v, min) ->
+    Error (Printf.sprintf "%s must be >= %d (got %d)" name min v)
+  | None -> (
     match (o.d, o.explorer) with
     | Some _, (`Exhaustive | `Random | `Dpor) ->
       Error
@@ -66,7 +77,7 @@ let validate_opts o =
            "the PCT depth d is only meaningful for the pct explorer (got \
             explorer=%s): it would be silently ignored"
            (explorer_name o.explorer))
-    | _ -> Ok ()
+    | _ -> Ok ())
 
 let pp_events pp_out events =
   Format.asprintf "@[<v>%a@]"

@@ -42,17 +42,16 @@ type run_report = {
 }
 
 (** The per-pattern schedule explorer {!Parallel.search} runs: the
-    children rule of its one search loop.  Defined once here;
-    [Core.Runner] re-exports this type rather than declaring its own
-    copy.  [`Dpor] is [`Exhaustive] with dynamic partial-order reduction
-    ({!Dpor}): identical verdicts, strictly fewer schedules. *)
+    children rule of its one search loop.  [`Dpor] is [`Exhaustive] with
+    dynamic partial-order reduction ({!Dpor}): identical verdicts,
+    strictly fewer schedules. *)
 type explorer = [ `Exhaustive | `Pct | `Random | `Dpor ]
 
 val explorer_name : explorer -> string
 
 (** One record carrying every knob a search accepts — the single
-    configuration surface of {!Parallel.search} and of
-    [Core.Runner.model_check].  Build it as
+    configuration surface of {!Parallel.search}, and of the [mc] CLI's
+    options.  Build it as
     [{ Harness.default_opts with budget = ...; domains = 4 }]. *)
 type opts = {
   explorer : explorer;
@@ -79,8 +78,11 @@ type opts = {
     max_crashes 1, horizon 4, stride 2, no d, shrink on, seed 1. *)
 val default_opts : opts
 
-(** Reject inconsistent option combinations: [domains < 1], or a PCT depth
-    [d] supplied to an explorer that would ignore it. *)
+(** Reject options that would explore nothing or be silently changed:
+    [domains], [budget], [inner_budget] or [stride] below 1,
+    [max_crashes] or [horizon] below 0, or a PCT depth [d] supplied to an
+    explorer that would ignore it.  ({!Crash_adversary.patterns} still
+    clamps [stride] and [horizon] for callers that skip this check.) *)
 val validate_opts : opts -> (unit, string) result
 
 (** [run target ~fp scheduler] executes one run under [scheduler], checking
@@ -92,7 +94,7 @@ val validate_opts : opts -> (unit, string) result
     additionally brackets invariant evaluation in an [Invariant_check]
     phase span.  Exploration never passes one (the parallel explorer's
     helper domains would race on it); tracing a counterexample means
-    replaying it with a sink — see [Core.Runner.model_check]'s [~trace].
+    replaying it with a sink, as the [mc] CLI's [--trace] does.
 
     [?save] and [?resume] are {!Sim.Engine.run}'s round-boundary
     snapshots, under the same contract.  A resumed run's [choices] are

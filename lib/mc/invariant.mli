@@ -9,13 +9,12 @@
     check the termination clause of the spec — this is how 2PC's blocking
     run becomes a reportable violation.
 
-    The order of the events each hook receives depends on the harness:
-    [on_output] gets them newest first under {!Harness.run} (the engine's
-    order, as its [stop] sees them) and oldest first under
-    {!Net_harness.run}; [final] gets them oldest first under both.  The
-    decision invariants read events as a set, so the order does not move
-    their verdicts; an invariant that reads order (say, a log's) must
-    follow this contract. *)
+    Both harnesses, {!Harness.run} and {!Net_harness.run}, follow one
+    order: [on_output] gets the events newest first (the engine's order,
+    as a target's [stop] sees them), and [final] gets them oldest first.
+    The decision invariants read events as a set, so the order does not
+    move their verdicts; an invariant that reads order (say, a log's)
+    reverses what [on_output] gets. *)
 
 type 'out t = {
   name : string;

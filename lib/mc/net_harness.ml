@@ -172,9 +172,7 @@ let run ?round_hook target sched =
                 (fun value ->
                   events := { Sim.Trace.time; pid = p; value } :: !events)
                 outs;
-              (match
-                 target.invariant.Invariant.on_output fp (List.rev !events)
-               with
+              (match target.invariant.Invariant.on_output fp !events with
               | Ok () -> ()
               | Error msg -> violation := Some msg)
           end)

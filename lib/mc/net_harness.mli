@@ -65,8 +65,8 @@ type ('st, 'msg, 'inp, 'out) target = {
   inputs : (int * Sim.Pid.t * 'inp) list;  (** [(round, pid, input)] *)
   faults : (int * fault) list;  (** [(round, fault)] *)
   invariant : 'out Invariant.t;
-      (** [on_output] and [final] both get the events oldest first (under
-          {!Harness.run}, [on_output] gets them newest first). *)
+      (** [on_output] gets the events newest first and [final] oldest
+          first, as under {!Harness.run}. *)
   max_rounds : int;
   pp_out : Format.formatter -> 'out -> unit;
 }

@@ -85,7 +85,7 @@ let seq_invariant ~n ~m =
   in
   {
     Invariant.name = "in-order exactly-once delivery";
-    on_output = (fun _fp events -> check ~complete:false events);
+    on_output = (fun _fp events -> check ~complete:false (List.rev events));
     final = (fun _fp ~must_terminate events -> check ~complete:must_terminate events);
   }
 

@@ -16,8 +16,8 @@ val seq_protocol :
   m:int -> (seq_state, seq_msg, unit, unit, seq_out) Sim.Protocol.t
 
 (** The link axiom as an invariant (assumes a kill-free target).  It
-    reads delivery order, so it relies on {!Net_harness.run} passing the
-    events oldest first to both hooks. *)
+    reads delivery order, so its [on_output] reverses the events it gets
+    newest first ({!Invariant}). *)
 val seq_invariant : n:int -> m:int -> seq_out Invariant.t
 
 (** Sequencing over the raw hub with frame reordering on: the axiom

@@ -231,48 +231,26 @@ let test_shrink_idempotent_under_noise () =
   Alcotest.(check bool) "sweep exercised violating schedules" true
     (!exercised > 0)
 
-(* ---- core integration ----------------------------------------------- *)
+(* ---- registry, scenario search, serialized replay ---------------- *)
 
-let opts = Core.Runner.mc_default_opts
-
-let test_runner_model_check () =
-  (match
-     Core.Runner.model_check
-       ~opts:{ opts with Core.Runner.budget = 50_000 }
-       "cons.quorum_paxos" ~n:2
-   with
-  | Error e -> Alcotest.fail e
-  | Ok s ->
-    Alcotest.(check bool) "quorum paxos clean" true
-      (s.Core.Runner.counterexample = None);
-    Alcotest.(check bool) "exhausted" true s.Core.Runner.exhausted);
-  (match
-     Core.Runner.model_check
-       ~opts:{ opts with Core.Runner.explorer = `Random }
-       "no.such.target" ~n:2
-   with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "unknown target accepted");
-  match
-    Core.Runner.model_check_scenario
-      ~opts:{ opts with Core.Runner.budget = 5_000 }
-      "cons.broken_validity"
-      (Core.Scenario.failure_free ~n:2)
-  with
-  | Error e -> Alcotest.fail e
-  | Ok s -> (
-    match s.Core.Runner.counterexample with
-    | None -> Alcotest.fail "scenario model check missed the planted bug"
+(* The [mc] CLI's path through the library: a name finds a target (or
+   nothing), a search under one fixed failure pattern catches the planted
+   bug, and its serialized schedule, parsed back, replays the violation. *)
+let test_registry_scenario_replay () =
+  Alcotest.(check bool) "unknown target" true
+    (Mc.Targets.find "no.such.target" ~n:2 = None);
+  match Mc.Targets.find "cons.broken_validity" ~n:2 with
+  | None -> Alcotest.fail "cons.broken_validity not registered"
+  | Some (Mc.Targets.Packed t) -> (
+    let r = search `Exhaustive ~budget:5_000 t ~fp:(ff 2) in
+    match r.Mc.Crash_adversary.counterexample with
+    | None -> Alcotest.fail "scenario search missed the planted bug"
     | Some c ->
-      let r =
-        Core.Runner.mc_replay "cons.broken_validity" ~n:2 ~seed:1
-          ~schedule:(Mc.Schedule.to_string c.Mc.Harness.schedule)
+      let sched =
+        Mc.Schedule.of_string (Mc.Schedule.to_string c.Mc.Harness.schedule)
       in
-      (match r with
-      | Error e -> Alcotest.fail e
-      | Ok rep ->
-        Alcotest.(check bool) "CLI-level replay reproduces" true
-          (rep.Core.Runner.re_violation <> None)))
+      Alcotest.(check bool) "parsed replay reproduces" true
+        ((Mc.Harness.replay t ~n:2 sched).Mc.Harness.violation <> None))
 
 (* ---- resuming from round snapshots ---------------------------------- *)
 
@@ -339,67 +317,74 @@ let contains s affix =
   let rec go i = i + la <= ls && (String.sub s i la = affix || go (i + 1)) in
   go 0
 
-(* The whole determinism contract in one string: pattern/schedule/step
-   counts, exhaustion, and the (shrunk) counterexample. *)
-let summary_string name ~n o =
-  match Core.Runner.model_check ~opts:o name ~n with
-  | Error e -> Alcotest.fail e
-  | Ok s -> Format.asprintf "%a" Core.Runner.pp_mc_summary s
+(* The whole determinism contract in one value: pattern, schedule,
+   pruned-run and step counts, exhaustion, and the (shrunk)
+   counterexample. *)
+let report =
+  Alcotest.testable
+    (fun fmt (r : Mc.Crash_adversary.report) ->
+      Format.fprintf fmt "patterns=%d schedules=%d pruned=%d steps=%d %b %a"
+        r.patterns r.schedules r.pruned r.steps r.complete
+        (Format.pp_print_option Mc.Harness.pp_counterexample)
+        r.counterexample)
+    ( = )
+
+let search_target name ~n opts =
+  match Mc.Targets.find name ~n with
+  | None -> Alcotest.failf "unknown target %s" name
+  | Some (Mc.Targets.Packed t) -> Mc.Parallel.search ~opts t ~n
 
 let check_domain_independent ?(domains = [ 2; 4 ]) name ~n o =
-  let reference = summary_string name ~n { o with Core.Runner.domains = 1 } in
+  let reference = search_target name ~n { o with domains = 1 } in
   List.iter
     (fun k ->
-      Alcotest.(check string)
+      Alcotest.check report
         (Printf.sprintf "%s: domains=%d == domains=1" name k)
         reference
-        (summary_string name ~n { o with Core.Runner.domains = k }))
+        (search_target name ~n { o with domains = k }))
     domains;
   reference
 
 let test_parallel_matches_sequential_2pc () =
   (* the exhaustive and DPOR crash adversaries find the 2PC blocking
-     counterexample; every domain count must report the same one, byte
-     for byte *)
+     counterexample; every domain count must report the same one *)
   List.iter
     (fun explorer ->
-      let s =
+      let r =
         check_domain_independent "qcnbac.two_phase_commit" ~n:2
-          { opts with Core.Runner.explorer; budget = 50_000 }
+          { mc with explorer; budget = 50_000 }
       in
-      Alcotest.(check bool) "blocking found" true (contains s "VIOLATION"))
+      Alcotest.(check bool) "blocking found" true (r.counterexample <> None))
     [ `Exhaustive; `Dpor ]
 
 let test_parallel_matches_sequential_broken_validity () =
-  let s =
+  let r =
     check_domain_independent "cons.broken_validity" ~n:2
-      { opts with Core.Runner.budget = 10_000 }
+      { mc with budget = 10_000 }
   in
-  Alcotest.(check bool) "planted bug found" true
-    (contains s "VIOLATION")
+  Alcotest.(check bool) "planted bug found" true (r.counterexample <> None)
 
 let test_parallel_matches_sequential_clean_exhausted () =
   (* no-counterexample direction: patterns/schedules counts of a fully
      exhausted space must also be domain-count independent *)
-  let s =
+  let r =
     check_domain_independent "cons.quorum_paxos" ~n:2
-      { opts with Core.Runner.budget = 50_000 }
+      { mc with budget = 50_000 }
   in
-  Alcotest.(check bool) "space exhausted" true
-    (contains s "exhausted");
-  let s =
+  Alcotest.(check bool) "space exhausted" true r.complete;
+  let r =
     check_domain_independent "cons.quorum_paxos" ~n:3
-      { opts with Core.Runner.explorer = `Dpor; budget = 50_000 }
+      { mc with explorer = `Dpor; budget = 50_000 }
   in
-  Alcotest.(check bool) "dpor space exhausted" true (contains s "exhausted")
+  Alcotest.(check bool) "dpor space exhausted" true r.complete
 
 let test_parallel_sampled_explorers () =
   ignore
     (check_domain_independent "cons.broken_validity" ~n:3
-       { opts with Core.Runner.explorer = `Pct; d = Some 3; budget = 400 });
+       { mc with explorer = `Pct; d = Some 3; budget = 400 });
   ignore
     (check_domain_independent "cons.broken_validity" ~n:2
-       { opts with Core.Runner.explorer = `Random; budget = 400 })
+       { mc with explorer = `Random; budget = 400 })
 
 let test_parallel_cancellation_stress () =
   (* first-counterexample cancellation must never lose a violation that a
@@ -407,22 +392,17 @@ let test_parallel_cancellation_stress () =
      different points relative to the helpers' in-flight runs *)
   List.iter
     (fun seed ->
-      let o =
-        { opts with Core.Runner.explorer = `Random; budget = 300; seed }
-      in
+      let o = { mc with explorer = `Random; budget = 300; seed } in
       let reference =
-        summary_string "cons.broken_validity" ~n:2
-          { o with Core.Runner.domains = 1 }
+        search_target "cons.broken_validity" ~n:2 { o with domains = 1 }
       in
       Alcotest.(check bool)
         (Printf.sprintf "seed %d: single-domain search finds the bug" seed)
-        true
-        (contains reference "VIOLATION");
-      Alcotest.(check string)
+        true (reference.counterexample <> None);
+      Alcotest.check report
         (Printf.sprintf "seed %d: domains=4 reports the same violation" seed)
         reference
-        (summary_string "cons.broken_validity" ~n:2
-           { o with Core.Runner.domains = 4 }))
+        (search_target "cons.broken_validity" ~n:2 { o with domains = 4 }))
     (List.init 12 (fun i -> i + 1))
 
 let test_parallel_sampled_accounting () =
@@ -431,17 +411,12 @@ let test_parallel_sampled_accounting () =
      domain count. *)
   List.iter
     (fun domains ->
-      match
-        Core.Runner.model_check
-          ~opts:
-            { opts with Core.Runner.explorer = `Random; budget = 300; domains }
-          "cons.quorum_paxos" ~n:2
-      with
-      | Error e -> Alcotest.fail e
-      | Ok s ->
-        Alcotest.(check int)
-          (Printf.sprintf "domains=%d: schedules == budget" domains)
-          300 s.Core.Runner.schedules)
+      Alcotest.(check int)
+        (Printf.sprintf "domains=%d: schedules == budget" domains)
+        300
+        (search_target "cons.quorum_paxos" ~n:2
+           { mc with explorer = `Random; budget = 300; domains })
+          .schedules)
     [ 1; 4 ]
 
 let test_parallel_budget_reaches_crash_patterns () =
@@ -450,69 +425,69 @@ let test_parallel_budget_reaches_crash_patterns () =
      patterns and find the blocking run, at every domain count. *)
   List.iter
     (fun domains ->
-      match
-        Core.Runner.model_check
-          ~opts:
-            {
-              opts with
-              Core.Runner.budget = 2_000;
-              inner_budget = 2_000;
-              domains;
-            }
-          "qcnbac.two_phase_commit" ~n:2
-      with
-      | Error e -> Alcotest.fail e
-      | Ok s -> (
-        Alcotest.(check int)
-          (Printf.sprintf "domains=%d: schedules" domains)
-          8 s.Core.Runner.schedules;
-        match s.Core.Runner.counterexample with
-        | None ->
-          Alcotest.failf "domains=%d: 2PC blocking not found" domains
-        | Some c ->
-          Alcotest.(check string)
-            (Printf.sprintf "domains=%d: counterexample" domains)
-            "crashes=0@0;choices="
-            (Mc.Schedule.to_string c.Mc.Harness.schedule)))
+      let r =
+        search_target "qcnbac.two_phase_commit" ~n:2
+          { mc with budget = 2_000; inner_budget = 2_000; domains }
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "domains=%d: schedules" domains)
+        8 r.schedules;
+      match r.counterexample with
+      | None -> Alcotest.failf "domains=%d: 2PC blocking not found" domains
+      | Some c ->
+        Alcotest.(check string)
+          (Printf.sprintf "domains=%d: counterexample" domains)
+          "crashes=0@0;choices="
+          (Mc.Schedule.to_string c.Mc.Harness.schedule))
     [ 1; 2 ];
   (* the budget cuts an exhaustive search in the middle of its first
      pattern: every domain count stops at the same schedule *)
-  let s =
-    check_domain_independent "regs.abd" ~n:3
-      { opts with Core.Runner.budget = 1_600 }
-  in
-  Alcotest.(check bool) "regs.abd n=3 budget-bounded" true
-    (contains s "budget-bounded");
+  let r = check_domain_independent "regs.abd" ~n:3 { mc with budget = 1_600 } in
+  Alcotest.(check bool) "regs.abd n=3 budget-bounded" false r.complete;
   (* the same for DPOR, whose children go right after their parent *)
-  let s =
+  let r =
     check_domain_independent "regs.abd" ~n:3
-      { opts with Core.Runner.explorer = `Dpor; budget = 3_000 }
+      { mc with explorer = `Dpor; budget = 3_000 }
   in
-  Alcotest.(check bool) "dpor regs.abd n=3 budget-bounded" true
-    (contains s "budget-bounded")
+  Alcotest.(check bool) "dpor regs.abd n=3 budget-bounded" false r.complete
 
+(* Every clause of [validate_opts] rejects its case, and each bound's
+   least legal value passes. *)
 let test_opts_validation () =
-  (match
-     Core.Runner.model_check
-       ~opts:{ opts with Core.Runner.d = Some 3 }
-       "cons.quorum_paxos" ~n:2
-   with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "PCT depth with exhaustive explorer accepted");
-  (match
-     Core.Runner.model_check
-       ~opts:{ opts with Core.Runner.explorer = `Random; d = Some 2 }
-       "cons.quorum_paxos" ~n:2
-   with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "PCT depth with random explorer accepted");
-  match
-    Core.Runner.model_check
-      ~opts:{ opts with Core.Runner.domains = 0 }
-      "cons.quorum_paxos" ~n:2
-  with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "domains=0 accepted"
+  List.iter
+    (fun (what, o) ->
+      match Mc.Harness.validate_opts o with
+      | Error _ -> ()
+      | Ok () -> Alcotest.failf "%s accepted" what)
+    [
+      ("PCT depth with the exhaustive explorer", { mc with d = Some 3 });
+      ("PCT depth with the random explorer", { mc with explorer = `Random; d = Some 2 });
+      ("domains=0", { mc with domains = 0 });
+      ("budget=0", { mc with budget = 0 });
+      ("inner_budget=0", { mc with inner_budget = 0 });
+      ("max_crashes=-1", { mc with max_crashes = -1 });
+      ("horizon=-1", { mc with horizon = -1 });
+      ("stride=0", { mc with stride = 0 });
+    ];
+  List.iter
+    (fun (what, o) ->
+      match Mc.Harness.validate_opts o with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "%s rejected: %s" what e)
+    [
+      ("the defaults", mc);
+      ("PCT depth with the pct explorer", { mc with explorer = `Pct; d = Some 3 });
+      ( "the least legal values",
+        {
+          mc with
+          domains = 1;
+          budget = 1;
+          inner_budget = 1;
+          max_crashes = 0;
+          horizon = 0;
+          stride = 1;
+        } );
+    ]
 
 (* ---- dpor: partial-order reduction, identical verdicts -------------- *)
 
@@ -971,8 +946,6 @@ let () =
           Alcotest.test_case "idempotent under noise" `Quick
             test_shrink_idempotent_under_noise;
         ] );
-      ( "core",
-        [ Alcotest.test_case "runner integration" `Quick test_runner_model_check ] );
       ( "parallel",
         [
           Alcotest.test_case "2pc blocking domain-independent" `Quick
@@ -990,6 +963,8 @@ let () =
           Alcotest.test_case "budget reaches the crash patterns" `Quick
             test_parallel_budget_reaches_crash_patterns;
           Alcotest.test_case "opts validation" `Quick test_opts_validation;
+          Alcotest.test_case "lookup, scenario search, replay" `Quick
+            test_registry_scenario_replay;
           Alcotest.test_case "every target resumes from round snapshots"
             `Quick test_resume_every_target;
         ] );

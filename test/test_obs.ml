@@ -2,8 +2,8 @@
    the span profiler (with an injected fake clock), the collector wired
    into a real engine run — including the zero-interference contract that
    an instrumented run is byte-identical to an uninstrumented one — the
-   JSONL serialization, and the [--trace] plumbing of [Core.Runner] for
-   both plain runs and model-checking searches. *)
+   JSONL serialization, and the [--trace] plumbing of [Core.Runner.run].
+   (The [mc] CLI's [--trace] records are checked by rules in test/dune.) *)
 
 (* --- ring ------------------------------------------------------------- *)
 
@@ -585,70 +585,6 @@ let test_runner_run_trace () =
   Alcotest.(check (list (pair string int)))
     "untraced summary has no metric rows" [] s3.Core.Runner.metrics
 
-let mc_opts = Core.Runner.mc_default_opts
-
-let test_runner_mc_trace () =
-  let trace_with domains path =
-    match
-      Core.Runner.model_check
-        ~opts:{ mc_opts with Core.Runner.budget = 10_000; domains }
-        ~trace:path "cons.broken_validity" ~n:2
-    with
-    | Error e -> Alcotest.fail e
-    | Ok s ->
-      Alcotest.(check bool) "violation found" true
-        (s.Core.Runner.counterexample <> None);
-      read_lines path
-  in
-  let p1 = Filename.temp_file "obs_mc1" ".jsonl" in
-  let p2 = Filename.temp_file "obs_mc2" ".jsonl" in
-  let l1 = trace_with 1 p1 and l2 = trace_with 2 p2 in
-  Sys.remove p1;
-  Sys.remove p2;
-  let meta = List.hd l1 in
-  Alcotest.(check bool) "meta carries the search summary" true
-    (contains meta {|"kind":"mc"|}
-    && contains meta {|"target":"cons.broken_validity"|}
-    && contains meta {|"violation":|});
-  Alcotest.(check bool) "counterexample replay events present" true
-    (List.exists (fun l -> contains l {|"type":"event"|}) l1);
-  Alcotest.(check (list string))
-    "trace identical across domain counts (minus profile)"
-    (strip_profile l1) (strip_profile l2)
-
-let test_runner_mc_trace_clean () =
-  (* no counterexample: the trace is just the summary (plus empty
-     collector records) — and mc_replay can write a trace of its own *)
-  let path = Filename.temp_file "obs_mc_clean" ".jsonl" in
-  (match
-     Core.Runner.model_check
-       ~opts:{ mc_opts with Core.Runner.budget = 50_000 }
-       ~trace:path "cons.quorum_paxos" ~n:2
-   with
-  | Error e -> Alcotest.fail e
-  | Ok s ->
-    Alcotest.(check bool) "clean" true (s.Core.Runner.counterexample = None));
-  let lines = read_lines path in
-  Sys.remove path;
-  Alcotest.(check bool) "meta says no violation" true
-    (contains (List.hd lines) {|"violation":""|});
-  Alcotest.(check bool) "no event lines" true
-    (not (List.exists (fun l -> contains l {|"type":"event"|}) lines));
-  let rpath = Filename.temp_file "obs_mc_replay" ".jsonl" in
-  (match
-     Core.Runner.mc_replay ~trace:rpath "cons.broken_validity" ~n:2 ~seed:1
-       ~schedule:"crashes=;choices="
-   with
-  | Error e -> Alcotest.fail e
-  | Ok r ->
-    Alcotest.(check bool) "replay reproduces the violation" true
-      (r.Core.Runner.re_violation <> None));
-  let rlines = read_lines rpath in
-  Sys.remove rpath;
-  Alcotest.(check bool) "replay trace has meta + events" true
-    (contains (List.hd rlines) {|"kind":"mc-replay"|}
-    && List.exists (fun l -> contains l {|"type":"event"|}) rlines)
-
 let () =
   Alcotest.run "obs"
     [
@@ -705,9 +641,5 @@ let () =
       ( "runner",
         [
           Alcotest.test_case "run --trace" `Quick test_runner_run_trace;
-          Alcotest.test_case "mc --trace, domain-independent" `Quick
-            test_runner_mc_trace;
-          Alcotest.test_case "mc --trace clean + replay trace" `Quick
-            test_runner_mc_trace_clean;
         ] );
     ]
