@@ -221,6 +221,23 @@ module Sigma_epoch = struct
   let quorum_epoch st = st.quorum_epoch
 end
 
+(* Ω read off a backend's suspicion predicate [suspected st q], shared
+   by every Ω backend.  The leader is the first pid that is [self] or
+   unsuspected ([self] if there is none); the suspect set is the pids the
+   predicate marks.  Hosts read the leader on every node step, so
+   [leader] is one pass over the pids that builds no list, set or
+   closure: a backend passes its top-level [suspected], which allocates
+   nothing. *)
+module Read = struct
+  let rec leader suspected st ~self ~n q =
+    if q >= n then self
+    else if q = self || not (suspected st q) then q
+    else leader suspected st ~self ~n (q + 1)
+
+  let suspects suspected st ~n =
+    Sim.Pidset.filter (suspected st) (Sim.Pidset.full n)
+end
+
 module Omega_heartbeat = struct
   type msg = Alive
 
@@ -235,20 +252,11 @@ module Omega_heartbeat = struct
   let init ~period ~n self =
     { self; n; period; clock = 0; ad = Adaptive.create ~n ~period }
 
-  let suspects st =
-    Sim.Pid.all st.n
-    |> List.filter (fun q ->
-           (not (Sim.Pid.equal q st.self))
-           && Adaptive.timed_out st.ad ~clock:st.clock q)
-    |> Sim.Pidset.of_list
+  let suspected st q =
+    q <> st.self && Adaptive.timed_out st.ad ~clock:st.clock q
 
-  let leader st =
-    let trusted =
-      List.filter
-        (fun q -> not (Sim.Pidset.mem q (suspects st)))
-        (Sim.Pid.all st.n)
-    in
-    match trusted with q :: _ -> q | [] -> st.self
+  let suspects st = Read.suspects suspected st ~n:st.n
+  let leader st = Read.leader suspected st ~self:st.self ~n:st.n 0
 
   let on_step _ctx st recv =
     let st = { st with clock = st.clock + 1 } in
@@ -303,19 +311,10 @@ module Omega_ec = struct
       epoch = 0;
     }
 
-  let suspects st =
-    Sim.Pid.all st.n
-    |> List.filter (fun q ->
-           (not (Sim.Pid.equal q st.self))
-           && Adaptive.timed_out st.ad ~clock:st.clock q)
-    |> Sim.Pidset.of_list
+  let suspected st q =
+    q <> st.self && Adaptive.timed_out st.ad ~clock:st.clock q
 
-  let trusted_leader st =
-    let sus = suspects st in
-    let trusted =
-      List.filter (fun q -> not (Sim.Pidset.mem q sus)) (Sim.Pid.all st.n)
-    in
-    match trusted with q :: _ -> q | [] -> st.self
+  let suspects st = Read.suspects suspected st ~n:st.n
 
   let on_step _ctx st recv =
     let st = { st with clock = st.clock + 1 } in
@@ -329,7 +328,7 @@ module Omega_ec = struct
        (leader, epoch) is exactly the ◇-constant output the EC paper's
        detector needs — it eventually stops changing at every correct
        process, and any two changes are ordered by the epoch. *)
-    let ldr = trusted_leader st in
+    let ldr = Read.leader suspected st ~self:st.self ~n:st.n 0 in
     let st =
       if Sim.Pid.equal ldr st.leader then st
       else { st with leader = ldr; epoch = st.epoch + 1 }
@@ -395,14 +394,8 @@ module Omega_ring = struct
     in
     go 1
 
-  let leader st =
-    let rec go q =
-      if q >= st.n then st.self
-      else if Sim.Pid.equal q st.self || not (Sim.Pidset.mem q st.suspected)
-      then q
-      else go (q + 1)
-    in
-    go 0
+  let suspected st q = Sim.Pidset.mem q st.suspected
+  let leader st = Read.leader suspected st ~self:st.self ~n:st.n 0
 
   let init ~period ~n self =
     let st =
@@ -516,6 +509,11 @@ module Omega = struct
   let current = function
     | HS s -> Omega_heartbeat.leader s
     | RS s -> Omega_ring.leader s
+
+  let suspected st q =
+    match st with
+    | HS s -> Omega_heartbeat.suspected s q
+    | RS s -> Omega_ring.suspected s q
 
   let suspects = function
     | HS s -> Omega_heartbeat.suspects s

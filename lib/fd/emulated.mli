@@ -140,10 +140,17 @@ module Omega_heartbeat : sig
 
   (** [detector ~period] emits a heartbeat every [period] local steps.
       The initial timeout is [4 * period]; each false suspicion bumps the
-      timeout for the wrongly suspected process. *)
+      timeout for the wrongly suspected process.  Its [current] is the
+      first pid that is this process or unsuspected: a host reads it on
+      every node step, so it is one O(n) scan over {!suspected} that
+      allocates nothing. *)
   val detector : period:int -> (state, msg, Sim.Pid.t) Sim.Layered.emulated
 
-  (** Current suspect set — exposed for tests. *)
+  (** [suspected st q]: [q] is another process whose silence exceeds its
+      {!Adaptive} timeout.  O(1); never holds for this process itself. *)
+  val suspected : state -> Sim.Pid.t -> bool
+
+  (** The pids {!suspected} marks, as a set (built on each call). *)
   val suspects : state -> Sim.Pidset.t
 
   (** Current timeout for heartbeats of [q], in local steps — exposed so
@@ -172,9 +179,15 @@ module Omega_ec : sig
   type msg = Alive
 
   (** [detector ~period] emits a heartbeat every [period] local steps,
-      with the same adaptive-timeout discipline as {!Omega_heartbeat}. *)
+      with the same adaptive-timeout discipline as {!Omega_heartbeat}.
+      Each step reads the leader by the same allocation-free scan over
+      {!suspected}; [current] returns the pair that step recorded. *)
   val detector : period:int -> (state, msg, Sim.Pid.t * int) Sim.Layered.emulated
 
+  (** As {!Omega_heartbeat.suspected}: another process timed out. *)
+  val suspected : state -> Sim.Pid.t -> bool
+
+  (** The pids {!suspected} marks, as a set (built on each call). *)
   val suspects : state -> Sim.Pidset.t
 
   (** Number of local leader changes so far — exposed for tests and the
@@ -220,10 +233,15 @@ module Omega_ring : sig
   val detector : period:int -> (state, msg, Sim.Pid.t) Sim.Layered.emulated
 
   (** The smallest unsuspected id — what {!detector}'s [current]
-      outputs. *)
+      outputs: one O(n) scan over {!suspected} that allocates nothing. *)
   val leader : state -> Sim.Pid.t
 
-  (** Current suspect set — exposed for tests. *)
+  (** [suspected st q]: [q] is in this process's suspect set (convicted
+      or learnt through [Suspect], not yet refuted).  O(log n); never
+      holds for this process itself. *)
+  val suspected : state -> Sim.Pid.t -> bool
+
+  (** The current suspect set, the one {!suspected} reads. *)
   val suspects : state -> Sim.Pidset.t
 
   (** Ring successor / predecessor in the current local view — exposed so
@@ -263,9 +281,18 @@ module Omega : sig
       {!Omega_ring.detector} behind the shared types. *)
   val detector : kind:kind -> period:int -> (state, msg, Sim.Pid.t) Sim.Layered.emulated
 
-  (** The current leader estimate, whichever backend runs. *)
+  (** The current leader estimate, whichever backend runs: the first
+      pid that is this process or not {!suspected}.  A host reads it on
+      every node step ({!Sim.Layered.with_detector}); it is one O(n)
+      scan that allocates nothing. *)
   val current : state -> Sim.Pid.t
 
+  (** The running backend's suspicion predicate, never true of this
+      process itself.  Hosts that restrict the leader to a subset of
+      pids ([Shard.Replica]'s members) scan through it. *)
+  val suspected : state -> Sim.Pid.t -> bool
+
+  (** The pids {!suspected} marks, as a set. *)
   val suspects : state -> Sim.Pidset.t
   val timeout : state -> Sim.Pid.t -> int
 end

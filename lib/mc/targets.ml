@@ -273,17 +273,21 @@ let fd_ring ~n:_ =
 
 type packed = Packed : ('st, 'msg, 'fd, 'inp, 'out) Harness.target -> packed
 
-let all ~n =
+(* Name -> constructor: a lookup builds only the target it names. *)
+let registry : (string * (n:int -> packed)) list =
   [
-    ("cons.quorum_paxos", Packed (quorum_paxos ~n));
-    ("cons.broken_validity", Packed (broken_validity ~n));
-    ("regs.abd", Packed (abd ~n));
-    ("qcnbac.two_phase_commit", Packed (two_phase_commit ~n));
-    ("qcnbac.qc_psi", Packed (qc_psi ~n));
-    ("ec.store", Packed (ec_store ~n));
-    ("fd.ring", Packed (fd_ring ~n));
+    ("cons.quorum_paxos", fun ~n -> Packed (quorum_paxos ~n));
+    ("cons.broken_validity", fun ~n -> Packed (broken_validity ~n));
+    ("regs.abd", fun ~n -> Packed (abd ~n));
+    ("qcnbac.two_phase_commit", fun ~n -> Packed (two_phase_commit ~n));
+    ("qcnbac.qc_psi", fun ~n -> Packed (qc_psi ~n));
+    ("ec.store", fun ~n -> Packed (ec_store ~n));
+    ("fd.ring", fun ~n -> Packed (fd_ring ~n));
   ]
 
-let find name ~n = List.assoc_opt name (all ~n)
+let all ~n = List.map (fun (name, make) -> (name, make ~n)) registry
 
-let names = List.map fst (all ~n:2)
+let find name ~n =
+  Option.map (fun make -> make ~n) (List.assoc_opt name registry)
+
+let names = List.map fst registry

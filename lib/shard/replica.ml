@@ -81,17 +81,28 @@ let transition ~n (cfg : Epoch.config) (cmd : cmd) =
     else None
 
 (* Ω restricted to the current configuration: the leader is the lowest
-   unsuspected *member*.  Non-members keep heartbeating (they may be
-   installed later) but are never elected. *)
+   unsuspected *member*, or the lowest member if Ω suspects them all.
+   Non-members keep heartbeating (they may be installed later) but are
+   never elected.  Read on every step, so it scans the member range
+   through Ω's suspicion predicate and builds no set. *)
+let rec lowest_live om members ~hi q =
+  if q > hi then Sim.Pidset.min_elt members
+  else if Sim.Pidset.mem q members && not (Omega.suspected om q) then q
+  else lowest_live om members ~hi (q + 1)
+
 let detectors ~kind ~period ~members =
   let pair =
     Sim.Layered.pair (Omega.detector ~kind ~period) (Sigma.detector ~members)
   in
   let current (om, si) =
     let members = Sigma.members si in
-    let live = Sim.Pidset.diff members (Omega.suspects om) in
-    let pick = if Sim.Pidset.is_empty live then members else live in
-    (Option.value ~default:0 (Sim.Pidset.min_elt_opt pick), Sigma.current si)
+    let leader =
+      if Sim.Pidset.is_empty members then 0
+      else
+        lowest_live om members ~hi:(Sim.Pidset.max_elt members)
+          (Sim.Pidset.min_elt members)
+    in
+    (leader, Sigma.current si)
   in
   { pair with Sim.Layered.current }
 

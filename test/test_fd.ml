@@ -857,6 +857,197 @@ let test_ring_false_suspicion_heals_on_loopback () =
              = 0)
            (Sim.Pid.all n)))
 
+(* --- Reading Ω ------------------------------------------------------------ *)
+
+(* Every emulated Ω backend reads its leader and its suspect set off one
+   suspicion predicate.  Random step scripts drive each backend, and the
+   [Omega] selector over both kinds, at n = 1..6.  After every step the
+   leader is the smallest pid outside the suspect set, the process itself
+   is never suspected, [suspected q] holds exactly for the members of the
+   suspect set, and Ω-EC's epoch bumps exactly when its leader changes. *)
+type script_ev =
+  | Idle
+  | Silence of int  (** that many idle steps *)
+  | Alive of Sim.Pid.t  (** an all-to-all heartbeat from the pid *)
+  | Hb of Sim.Pid.t  (** a ring heartbeat from the pid *)
+  | Suspect of Sim.Pid.t * Sim.Pid.t  (** sender, convicted pid *)
+  | Refute of Sim.Pid.t * Sim.Pid.t  (** sender, retracted pid *)
+
+let pp_script_ev = function
+  | Idle -> "idle"
+  | Silence k -> Printf.sprintf "silence %d" k
+  | Alive q -> Printf.sprintf "alive<-%d" q
+  | Hb q -> Printf.sprintf "hb<-%d" q
+  | Suspect (q, p) -> Printf.sprintf "suspect %d<-%d" p q
+  | Refute (q, p) -> Printf.sprintf "refute %d<-%d" p q
+
+(* (n, self, period, script) *)
+let arb_script =
+  let open QCheck.Gen in
+  let gen =
+    int_range 1 6 >>= fun n ->
+    let pid = int_bound (n - 1) in
+    pid >>= fun self ->
+    int_range 1 4 >>= fun period ->
+    list_size (int_bound 80)
+      (frequency
+         [
+           (3, return Idle);
+           (1, map (fun k -> Silence k) (int_range 1 40));
+           (3, map (fun q -> Alive q) pid);
+           (3, map (fun q -> Hb q) pid);
+           (1, map2 (fun q p -> Suspect (q, p)) pid pid);
+           (1, map2 (fun q p -> Refute (q, p)) pid pid);
+         ])
+    >|= fun evs -> (n, self, period, evs)
+  in
+  QCheck.make gen
+    ~print:(fun (n, self, period, evs) ->
+      Printf.sprintf "n=%d self=%d period=%d [%s]" n self period
+        (String.concat "; " (List.map pp_script_ev evs)))
+    ~shrink:(fun (n, self, period, evs) ->
+      QCheck.Iter.map
+        (fun evs -> (n, self, period, evs))
+        (QCheck.Shrink.list evs))
+
+(* One backend under test: its detector, how it reads a script event (a
+   message from a sender, or [None] for an idle step), and its views. *)
+type omega_reader =
+  | Reader : {
+      name : string;
+      det : period:int -> ('st, 'm, 'fd) Sim.Layered.emulated;
+      recv : script_ev -> (Sim.Pid.t * 'm) option;
+      leader : 'fd -> Sim.Pid.t;
+      epoch : ('fd -> int) option;
+      suspected : 'st -> Sim.Pid.t -> bool;
+      suspects : 'st -> Sim.Pidset.t;
+    }
+      -> omega_reader
+
+let omega_readers =
+  let module E = Fd.Emulated in
+  let heartbeat = function
+    | Alive q | Hb q -> Some (q, E.Omega_heartbeat.Alive)
+    | Idle | Silence _ | Suspect _ | Refute _ -> None
+  in
+  let ring = function
+    | Alive q | Hb q -> Some (q, E.Omega_ring.Hb)
+    | Suspect (q, p) -> Some (q, E.Omega_ring.Suspect p)
+    | Refute (q, p) -> Some (q, E.Omega_ring.Refute p)
+    | Idle | Silence _ -> None
+  in
+  (* Under the selector each kind also receives the other kind's frames,
+     which it must ignore. *)
+  let selector = function
+    | Alive q -> Some (q, E.Omega.H E.Omega_heartbeat.Alive)
+    | ev -> Option.map (fun (q, m) -> (q, E.Omega.R m)) (ring ev)
+  in
+  let omega kind =
+    Reader
+      {
+        name = "omega " ^ E.Omega.kind_name kind;
+        det = E.Omega.detector ~kind;
+        recv = selector;
+        leader = Fun.id;
+        epoch = None;
+        suspected = E.Omega.suspected;
+        suspects = E.Omega.suspects;
+      }
+  in
+  [
+    Reader
+      {
+        name = "heartbeat";
+        det = E.Omega_heartbeat.detector;
+        recv = heartbeat;
+        leader = Fun.id;
+        epoch = None;
+        suspected = E.Omega_heartbeat.suspected;
+        suspects = E.Omega_heartbeat.suspects;
+      };
+    Reader
+      {
+        name = "omega-ec";
+        det = E.Omega_ec.detector;
+        recv =
+          (fun ev ->
+            Option.map (fun (q, _) -> (q, E.Omega_ec.Alive)) (heartbeat ev));
+        leader = fst;
+        epoch = Some snd;
+        suspected = E.Omega_ec.suspected;
+        suspects = E.Omega_ec.suspects;
+      };
+    Reader
+      {
+        name = "ring";
+        det = E.Omega_ring.detector;
+        recv = ring;
+        leader = Fun.id;
+        epoch = None;
+        suspected = E.Omega_ring.suspected;
+        suspects = E.Omega_ring.suspects;
+      };
+    omega E.Omega.Heartbeat;
+    omega E.Omega.Ring;
+  ]
+
+let reads_off_one_predicate (Reader r) (n, self, period, evs) =
+  let det = r.det ~period in
+  let proto = det.Sim.Layered.proto in
+  let fail clock fmt =
+    QCheck.Test.fail_reportf ("%s, p%d at step %d: " ^^ fmt) r.name self clock
+  in
+  let check clock st prev =
+    let sus = r.suspects st and out = det.Sim.Layered.current st in
+    let leader = r.leader out in
+    if Sim.Pidset.mem self sus then fail clock "suspects itself";
+    List.iter
+      (fun q ->
+        if r.suspected st q <> Sim.Pidset.mem q sus then
+          fail clock "suspected %d disagrees with suspects" q)
+      (Sim.Pid.all n);
+    (match List.find_opt (fun q -> not (Sim.Pidset.mem q sus)) (Sim.Pid.all n) with
+    | Some q when Sim.Pid.equal q leader -> ()
+    | _ -> fail clock "leader %d is not the smallest unsuspected pid" leader);
+    match r.epoch with
+    | None -> ()
+    | Some epoch ->
+      let bumps = if Sim.Pid.equal leader (r.leader prev) then 0 else 1 in
+      if epoch out <> epoch prev + bumps then
+        fail clock "epoch %d -> %d across leader %d -> %d" (epoch prev)
+          (epoch out) (r.leader prev) leader
+  in
+  let step (clock, st) recv =
+    let prev = det.Sim.Layered.current st in
+    let ctx = { Sim.Protocol.self; n; now = clock; fd = () } in
+    let st, _ = proto.Sim.Protocol.on_step ctx st recv in
+    check (clock + 1) st prev;
+    (clock + 1, st)
+  in
+  let st = proto.Sim.Protocol.init ~n self in
+  check 0 st (det.Sim.Layered.current st);
+  ignore
+    (List.fold_left
+       (fun acc ev ->
+         match ev with
+         | Silence k ->
+           let acc = ref acc in
+           for _ = 1 to k do
+             acc := step !acc None
+           done;
+           !acc
+         | ev -> step acc (r.recv ev))
+       (0, st) evs);
+  true
+
+let prop_omega_reads =
+  List.map
+    (fun (Reader r as reader) ->
+      QCheck.Test.make ~count:150
+        ~name:(Printf.sprintf "%s: leader and suspects read off suspected" r.name)
+        arb_script (reads_off_one_predicate reader))
+    omega_readers
+
 let prop_psi_oracle_conforms =
   QCheck.Test.make ~name:"Psi histories conform to the Psi spec" ~count:80
     QCheck.(pair small_nat (int_bound 3))
@@ -965,5 +1156,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_psi_oracle_conforms;
           QCheck_alcotest.to_alcotest prop_sigma_kernel_intersection;
-        ] );
+        ]
+        @ List.map QCheck_alcotest.to_alcotest prop_omega_reads );
     ]

@@ -252,6 +252,23 @@ let test_registry_scenario_replay () =
       Alcotest.(check bool) "parsed replay reproduces" true
         ((Mc.Harness.replay t ~n:2 sched).Mc.Harness.violation <> None))
 
+(* A lookup builds only the target it names: an unknown name is [None]
+   even at a size no target can be built at, and a known name builds its
+   target at the size asked for.  [names] lists the registry in order. *)
+let test_registry_find () =
+  Alcotest.(check bool) "unknown name at n = -2" true
+    (Mc.Targets.find "no.such.target" ~n:(-2) = None);
+  (match Mc.Targets.find "cons.quorum_paxos" ~n:3 with
+  | None -> Alcotest.fail "cons.quorum_paxos not registered"
+  | Some (Mc.Targets.Packed t) ->
+    Alcotest.(check string) "the named target" "cons.quorum_paxos"
+      t.Mc.Harness.name;
+    Alcotest.(check int) "built at n = 3" 3
+      (List.length (t.Mc.Harness.make_inputs (ff 3))));
+  Alcotest.(check (list string)) "names follow the registry"
+    (List.map fst (Mc.Targets.all ~n:3))
+    Mc.Targets.names
+
 (* ---- resuming from round snapshots ---------------------------------- *)
 
 (* [Mc.Parallel] resumes each exhaustive job from a round-boundary
@@ -965,6 +982,8 @@ let () =
           Alcotest.test_case "opts validation" `Quick test_opts_validation;
           Alcotest.test_case "lookup, scenario search, replay" `Quick
             test_registry_scenario_replay;
+          Alcotest.test_case "lookup builds only the named target" `Quick
+            test_registry_find;
           Alcotest.test_case "every target resumes from round snapshots"
             `Quick test_resume_every_target;
         ] );
