@@ -1,18 +1,21 @@
 (** Sets of command keys [(origin, seq)] — the exactly-once bookkeeping
     of {!Smr}.
 
-    Every origin numbers its commands 0, 1, 2, … and nearly all of them
-    reach a replica in that order, so a key set is stored per origin as a
-    watermark: [floor], meaning seqs [\[0, floor)] are all present, plus
-    the few present seqs that are not below it ([above]).  {!mem} is one
-    map lookup and an int compare; {!add} bumps [floor] and absorbs any
-    [above] entries that became contiguous.  Memory is O(origins +
-    out-of-order keys), not O(keys).
+    Keys reach a replica in runs: every origin numbers its commands 0,
+    1, 2, … and nearly all of them arrive in that order, and a decided
+    batch drained from a FIFO queue holds consecutive seqs of each
+    origin, starting wherever that origin's previous batch stopped.  So a
+    key set is stored per origin as one run [\[base, floor)] of present
+    seqs plus the few present seqs outside it (the stragglers).  The run
+    opens at the first seq added and grows at either end, absorbing the
+    stragglers it reaches.  {!mem} is one map lookup and two int
+    compares; {!add} of a seq next to the run is one map update.  Memory
+    is O(origins + stragglers), not O(keys).
 
-    Any int is a valid seq: negative seqs (which no origin generates, but
-    a decoded frame may carry) are kept in [above] and never count as
-    present just because they are below [floor]; [floor] never wraps past
-    [max_int]. *)
+    Any int is a valid seq, negative ones and [max_int] included: {!mem}
+    answers exactly, and the run never wraps past [min_int] or
+    [max_int].  Only the run is cheap, so keys far from an origin's
+    first one cost a straggler each until the run reaches them. *)
 
 type t
 
@@ -26,7 +29,8 @@ val mem : t -> Sim.Pid.t -> int -> bool
 val add : t -> Sim.Pid.t -> int -> t
 
 (** [watermarks t] is the representation, per origin with at least one
-    key, in origin order: [(origin, floor, above)] with [above]
-    ascending.  Canonical form: no element of [above] lies in
-    [\[0, floor\]]. *)
-val watermarks : t -> (Sim.Pid.t * int * int list) list
+    key, in origin order: [(origin, base, floor, stragglers)] with the
+    stragglers ascending.  Canonical form: [base <= floor], and no
+    straggler lies in [\[base - 1, floor\]] (read without wrapping), save
+    [max_int] when [floor = max_int]. *)
+val watermarks : t -> (Sim.Pid.t * int * int * int list) list

@@ -108,34 +108,34 @@ let init ~window ~batch_max ~n:_ self =
     tick = 0;
   }
 
+(* Number the commands of [batch] not yet in [keys] from [applied] on,
+   consing each entry onto [acc] (newest first). *)
+let rec apply_batch applied keys acc = function
+  | [] -> (applied, keys, acc)
+  | c :: batch ->
+    if seen keys c then apply_batch applied keys acc batch
+    else apply_batch (applied + 1) (see keys c) ((applied, c) :: acc) batch
+
 (* Emit decided batches in instance order as far as the log is gapless,
    numbering surviving commands with consecutive log indices.  A command
    can be decided by two different instances when leadership changes
    mid-batch (the Paxos value-inheritance rule can resurrect a batch its
    proposer already re-proposed elsewhere), so each command applies
-   exactly once: the second decision is skipped here, by key. *)
+   exactly once: the second decision is skipped here, by key.  The
+   counters and the key set are threaded through the batches, so the
+   state is written once per call. *)
 let apply_ready st =
-  let rec loop st acc =
-    match Int_map.find_opt st.applied_inst st.decided with
-    | None -> (st, List.rev acc)
+  let rec loop inst applied keys acc =
+    match Int_map.find_opt inst st.decided with
     | Some batch ->
-      let st, acc =
-        List.fold_left
-          (fun (st, acc) c ->
-            if seen st.applied_keys c then (st, acc)
-            else
-              let idx = st.applied in
-              ( {
-                  st with
-                  applied = idx + 1;
-                  applied_keys = see st.applied_keys c;
-                },
-                (idx, c) :: acc ))
-          (st, acc) batch
-      in
-      loop { st with applied_inst = st.applied_inst + 1 } acc
+      let applied, keys, acc = apply_batch applied keys acc batch in
+      loop (inst + 1) applied keys acc
+    | None when inst = st.applied_inst -> (st, [])
+    | None ->
+      ( { st with applied_inst = inst; applied; applied_keys = keys },
+        List.rev acc )
   in
-  loop st []
+  loop st.applied_inst st.applied st.applied_keys []
 
 (* Record instance [k]'s decision.  Commands of ours that lost (we
    proposed them at [k] but a competing leader's batch won) go back to
@@ -250,17 +250,13 @@ let on_step ctx st recv =
   let st, acts1 =
     match recv with
     | Some (_, Submit cs) ->
-      ( List.fold_left
-          (fun st c ->
-            if seen st.known c then st
-            else
-              {
-                st with
-                pending = Fq.push st.pending c;
-                known = see st.known c;
-              })
-          st cs,
-        [] )
+      let rec enqueue pending known = function
+        | [] -> { st with pending; known }
+        | c :: cs ->
+          if seen known c then enqueue pending known cs
+          else enqueue (Fq.push pending c) (see known c) cs
+      in
+      (enqueue st.pending st.known cs, [])
     | Some (from, Inner (k, m)) ->
       run_instance ctx st k (Sim.Protocol.Step (Some (from, m)))
     | None ->

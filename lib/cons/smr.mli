@@ -24,15 +24,17 @@
     the second decision.
 
     Exactly-once bookkeeping — the commands a process has seen and the
-    ones it has applied — is kept in {!Seen} key sets: per origin, a
-    watermark below which every seq is present, plus the few keys that
-    arrived out of order.  Origins number their commands 0, 1, 2, … and
-    nearly all arrive in order, so each check or insertion costs O(1)
-    (one map lookup over the n origins and an int compare), and the key
-    sets take O(n + out-of-order keys) memory rather than O(commands
-    ever submitted).  The decided batches and the per-instance consensus
-    states still grow without bound: {!decided_from} serves catch-up from
-    instance 0, and truncating them needs a checkpoint.
+    ones it has applied, and the keys of each decided batch — is kept in
+    {!Seen} key sets: per origin, one run of consecutive seqs, plus the
+    few keys outside it.  Origins number their commands 0, 1, 2, …,
+    nearly all arrive in order, and a batch drained from the FIFO
+    pending queue holds one run per origin, so each check or insertion
+    costs one map lookup over the n origins and an int compare or two,
+    and the key sets take O(n + out-of-order keys) memory rather than
+    O(commands ever submitted).  The decided batches and the
+    per-instance consensus states still grow without bound:
+    {!decided_from} serves catch-up from instance 0, and truncating them
+    needs a checkpoint.
 
     The consensus box is the (Ω, Σ) quorum Paxos, so SMR runs in any
     environment. *)

@@ -432,6 +432,9 @@ module Omega_ring = struct
           { st with suspected = Sim.Pidset.remove q st.suspected }
         end
         else st
+      | Some (_, (Suspect p | Refute p)) when not (Sim.Pid.valid ~n:st.n p) ->
+        (* a decoded frame may name a pid outside the cluster *)
+        st
       | Some (_, Suspect p) ->
         if Sim.Pid.equal p st.self then begin
           (* someone convicted us while we are demonstrably stepping *)

@@ -225,7 +225,9 @@ module Omega_ring : sig
 
   (** Public so hosts can give it a binary wire representation
       ([Net.Codecs]); treat it as read-only.  [Hb] flows point-to-point
-      along the ring; [Suspect]/[Refute] are broadcast repair traffic. *)
+      along the ring; [Suspect]/[Refute] are broadcast repair traffic.
+      A [Suspect] or [Refute] naming a pid outside [0 .. n-1] is
+      ignored. *)
   type msg = Hb | Suspect of Sim.Pid.t | Refute of Sim.Pid.t
 
   (** [detector ~period] heartbeats the successor every [period] local

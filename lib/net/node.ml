@@ -55,54 +55,51 @@ let ctx t =
   { Sim.Protocol.self = t.transport.Transport.self; n = t.transport.Transport.n;
     now = t.now; fd = () }
 
-let send_envelope t dst msg =
-  let env =
-    { Wire.env_src = t.transport.Transport.self;
-      env_sent_at = t.now;
-      env_vc = (if t.track_vc then Some (Sim.Vclock.to_list t.vc) else None);
-      env_msg = msg }
-  in
-  Buffer.clear t.scratch;
-  Wire.encode_envelope_into t.codec t.scratch env;
-  t.transport.Transport.send dst (Buffer.to_bytes t.scratch)
-
-(* Broadcast envelopes carry no destination: encode once, hand every peer
-   the same (never-mutated) bytes. *)
-let broadcast_envelope t msg =
-  let env =
-    { Wire.env_src = t.transport.Transport.self;
-      env_sent_at = t.now;
-      env_vc = (if t.track_vc then Some (Sim.Vclock.to_list t.vc) else None);
-      env_msg = msg }
-  in
-  Buffer.clear t.scratch;
-  Wire.encode_envelope_into t.codec t.scratch env;
-  let b = Buffer.to_bytes t.scratch in
-  fun dst -> t.transport.Transport.send dst b
+(* [msg]'s envelope bytes.  Within one [apply_actions] call src, sent_at
+   and vc are fixed, so when the message encoded last in the call
+   ([last]) is [msg] itself its bytes serve again: a fan-out re-tagged by
+   [Sim.Protocol.map_actions] carries one physical message, and a
+   broadcast hands every peer the same bytes.  No transport mutates a
+   frame. *)
+let encode t last msg =
+  match last with
+  | Some (m, b) when m == msg -> b
+  | Some _ | None ->
+    let env =
+      { Wire.env_src = t.transport.Transport.self;
+        env_sent_at = t.now;
+        env_vc = (if t.track_vc then Some (Sim.Vclock.to_list t.vc) else None);
+        env_msg = msg }
+    in
+    Buffer.clear t.scratch;
+    Wire.encode_envelope_into t.codec t.scratch env;
+    Buffer.to_bytes t.scratch
 
 let apply_actions t acts =
   let self = t.transport.Transport.self in
   let n = t.transport.Transport.n in
-  List.iter
-    (fun act ->
-      match act with
-      | Sim.Protocol.Send (dst, m) ->
-        if Sim.Pid.valid ~n dst then begin
-          send_envelope t dst m;
-          emit t (Sim.Event.Send { src = self; dst })
-        end
-      | Sim.Protocol.Broadcast m ->
-        let send = broadcast_envelope t m in
-        List.iter
-          (fun dst ->
-            send dst;
-            emit t (Sim.Event.Send { src = self; dst }))
-          (Sim.Pid.all n)
-      | Sim.Protocol.Output v ->
-        Queue.push v t.outputs;
-        let info = try t.render_out v with _ -> "" in
-        emit t (Sim.Event.Output { pid = self; info }))
-    acts
+  let send b dst =
+    t.transport.Transport.send dst b;
+    emit t (Sim.Event.Send { src = self; dst })
+  in
+  let rec go last = function
+    | [] -> ()
+    | Sim.Protocol.Send (dst, m) :: acts when Sim.Pid.valid ~n dst ->
+      let b = encode t last m in
+      send b dst;
+      go (Some (m, b)) acts
+    | Sim.Protocol.Send _ :: acts -> go last acts
+    | Sim.Protocol.Broadcast m :: acts ->
+      let b = encode t last m in
+      List.iter (send b) (Sim.Pid.all n);
+      go (Some (m, b)) acts
+    | Sim.Protocol.Output v :: acts ->
+      Queue.push v t.outputs;
+      let info = try t.render_out v with _ -> "" in
+      emit t (Sim.Event.Output { pid = self; info });
+      go last acts
+  in
+  go None acts
 
 (* Synchronous variant of input delivery: runs [on_input] now, against the
    current state, instead of queueing for the next step.  This is what
@@ -137,6 +134,9 @@ let step ?(timeout_ms = 0) t =
     | Some (_, frame) -> (
       match Wire.decode_envelope_with t.codec frame with
       | exception _ -> None (* corrupt frame: drop, as the net would *)
+      | env when not (Sim.Pid.valid ~n:t.transport.Transport.n env.Wire.env_src)
+        ->
+        None (* a sender outside the cluster: dropped the same way *)
       | env ->
         busy := true;
         (match env.Wire.env_vc with

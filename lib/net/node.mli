@@ -24,12 +24,15 @@ type ('st, 'msg, 'inp, 'out) t
     tracing ([track_vc] additionally maintains and ships vector clocks —
     envelope overhead, so off by default).  [codec] fixes the binary wire
     representation of ['msg]; envelopes are encoded into one reused
-    scratch buffer, broadcasts encode once per fan-out, and a frame the
-    codec rejects is dropped like any corrupt frame.  [metrics] with [classify] counts delivered frames
-    into the [fd.frames{detector=...}] labeled counters: every delivered
-    message [classify] maps to [Some lbl] bumps the series for [lbl]
-    (hosts pass {!Smr_node.classify}), so harnesses read detector
-    traffic off {!Obs.Metrics} instead of parsing traces. *)
+    scratch buffer, once per fan-out (a [Broadcast], or consecutive
+    [Send]s of one physical message, as {!Sim.Protocol.map_actions}
+    keeps them), and a frame the codec rejects, or whose sender is not a
+    pid of the cluster, is dropped like any corrupt frame.  [metrics]
+    with [classify] counts delivered frames into the
+    [fd.frames{detector=...}] labeled counters: every delivered message
+    [classify] maps to [Some lbl] bumps the series for [lbl] (hosts pass
+    {!Smr_node.classify}), so harnesses read detector traffic off
+    {!Obs.Metrics} instead of parsing traces. *)
 val create :
   ?sink:Sim.Event.sink ->
   ?track_vc:bool ->

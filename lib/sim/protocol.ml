@@ -16,12 +16,22 @@ let no_input _ctx st _inp = (st, [])
 
 let[@tail_mod_cons] rec map_actions ~msg ~out = function
   | [] -> []
-  | Send (p, m) :: acts -> Send (p, msg m) :: map_actions ~msg ~out acts
+  | Send (p, m) :: acts ->
+    let m' = msg m in
+    Send (p, m') :: fan_out ~msg ~out m m' acts
   | Broadcast m :: acts -> Broadcast (msg m) :: map_actions ~msg ~out acts
   | Output o :: acts -> (
     match out o with
     | Some o -> Output o :: map_actions ~msg ~out acts
     | None -> map_actions ~msg ~out acts)
+
+(* The [Send]s right after a [Send] of [m] that carry [m] itself (one
+   fan-out) share its re-tagged [m'], so the fan-out still carries one
+   physical message, which a host encodes once. *)
+and[@tail_mod_cons] fan_out ~msg ~out m m' = function
+  | Send (p, m2) :: acts when m2 == m ->
+    Send (p, m') :: fan_out ~msg ~out m m' acts
+  | acts -> map_actions ~msg ~out acts
 
 type ('msg, 'inp) event = Step of (Pid.t * 'msg) option | Input of 'inp
 

@@ -46,11 +46,14 @@ val no_input : 'fd ctx -> 'st -> 'inp -> 'st * ('msg, 'out) action list
 
 (** [map_actions ~msg ~out acts] re-tags a step's actions for a larger
     protocol: messages go through [msg], outputs through [out], where
-    [None] drops the output.  Order is kept.  Compositions that pass a
-    component's outputs through in place, interleaved with its sends
-    ({!Layered}, detector products, Figure 2's QC), retag it this way; a
-    host that consumes its sub-protocol's outputs (per-instance
-    consensus, the paper's transformations) runs it through {!apply}. *)
+    [None] drops the output.  Order is kept.  Consecutive [Send]s of one
+    physical message (a fan-out such as [Fd.Peers.send]'s) get one
+    physical re-tagged message, so a host can encode it once.
+    Compositions that pass a component's outputs through in place,
+    interleaved with its sends ({!Layered}, detector products, Figure
+    2's QC), retag it this way; a host that consumes its sub-protocol's
+    outputs (per-instance consensus, the paper's transformations) runs
+    it through {!apply}. *)
 val map_actions :
   msg:('msg -> 'msg2) ->
   out:('out -> 'out2 option) ->

@@ -1027,6 +1027,107 @@ let test_sigma_quorums_on_loopback () =
   | Ok () -> ()
   | Error e -> Alcotest.fail e
 
+(* Frames that decode but name a pid outside an n = 3 cluster: as the
+   envelope's sender, or as a ring [Suspect]/[Refute] argument.  Handed
+   to the protocol, the first three would index the receiver's
+   per-pid detector arrays out of bounds. *)
+let foreign_pid_frames =
+  let open Sim.Layered in
+  let omega m = Detector (Detector m) in
+  let ring m = omega (Fd.Emulated.Omega.R m) in
+  [
+    (7, omega (Fd.Emulated.Omega.H Fd.Emulated.Omega_heartbeat.Alive));
+    (7, ring Fd.Emulated.Omega_ring.Hb);
+    (0, ring (Fd.Emulated.Omega_ring.Refute 99));
+    (0, ring (Fd.Emulated.Omega_ring.Suspect 99));
+    (-1, Detector (Main (Fd.Emulated.Sigma_majority.Join 1)));
+    (5, Main (Cons.Smr.Inner (0, Cons.Quorum_paxos.Prepare 1)));
+  ]
+
+let test_foreign_pids_dropped detector () =
+  let n = 3 in
+  let cluster = Net.Local.create ~detector ~n () in
+  Net.Local.cluster_run cluster ~rounds:100;
+  let codec = Net.Codecs.pmsg Net.Wire.string_c in
+  let to_1 = Net.Loopback.endpoint (Net.Local.cluster_hub cluster) 0 in
+  List.iter
+    (fun (src, msg) ->
+      let buf = Buffer.create 16 in
+      Net.Wire.encode_envelope_into codec buf
+        { Net.Wire.env_src = src; env_sent_at = 0; env_vc = None;
+          env_msg = msg };
+      to_1.Net.Transport.send 1 (Buffer.to_bytes buf);
+      Net.Local.cluster_run cluster ~rounds:20)
+    foreign_pid_frames;
+  Net.Local.cluster_submit cluster 1 "after";
+  ignore
+    (run_until cluster (fun () ->
+         List.for_all (fun p -> applied_at cluster p = 1) (Sim.Pid.all n)));
+  List.iter
+    (fun p ->
+      let om = Net.Smr_node.omega_state (Net.Local.cluster_state cluster p) in
+      Alcotest.(check bool)
+        (Printf.sprintf "node %d suspects only pids of the cluster" p)
+        true
+        (Sim.Pidset.subset (Fd.Emulated.Omega.suspects om) (Sim.Pidset.full n)))
+    (Sim.Pid.all n)
+
+(* A fan-out is encoded once: a step that sends one message to its 4
+   peers through [Fd.Peers.send] and broadcasts another encodes 2
+   envelopes, not 5, and every receiver of a message gets the same
+   bytes. *)
+let test_one_encode_per_fan_out () =
+  let n = 5 in
+  let encodes = ref 0 in
+  let codec =
+    let c = Net.Wire.string_c in
+    { c with
+      Net.Wire.enc =
+        (fun buf v ->
+          incr encodes;
+          c.Net.Wire.enc buf v) }
+  in
+  let proto =
+    {
+      Sim.Protocol.init = (fun ~n:_ _ -> ());
+      on_step =
+        (fun ctx () _ ->
+          ( (),
+            Fd.Peers.send ~n ~except:[ ctx.Sim.Protocol.self ] "fan-out"
+            @ [ Sim.Protocol.Broadcast "broadcast" ] ));
+      on_input = Sim.Protocol.no_input;
+    }
+  in
+  let hub = Net.Loopback.create ~n () in
+  let node =
+    Net.Node.create ~codec ~transport:(Net.Loopback.endpoint hub 0) proto
+  in
+  ignore (Net.Node.step node);
+  Alcotest.(check int) "encodes" 2 !encodes;
+  let received p =
+    let ep = Net.Loopback.endpoint hub p in
+    let rec go acc =
+      match ep.Net.Transport.poll ~timeout_ms:0 with
+      | Some (_, b) -> go (b :: acc)
+      | None -> List.rev acc
+    in
+    go []
+  in
+  let frames = List.map received (Sim.Pid.all n) in
+  let decoded b = (Net.Wire.decode_envelope_with codec b).Net.Wire.env_msg in
+  Alcotest.(check (list (list string))) "what each process received"
+    ([ "broadcast" ] :: List.init (n - 1) (fun _ -> [ "fan-out"; "broadcast" ]))
+    (List.map (List.map decoded) frames);
+  let all_equal = function
+    | [] -> true
+    | b :: bs -> List.for_all (Bytes.equal b) bs
+  in
+  let peers = List.tl frames in
+  Alcotest.(check bool) "the peers' fan-out frames are identical" true
+    (all_equal (List.map List.hd peers));
+  Alcotest.(check bool) "every broadcast frame is identical" true
+    (all_equal (List.map (fun l -> List.nth l (List.length l - 1)) frames))
+
 (* ------------------------------------------------------------------ *)
 (* Tcp transport                                                       *)
 
@@ -1467,6 +1568,8 @@ let () =
           Alcotest.test_case "hello" `Quick test_hello;
           Alcotest.test_case "oversized frames refused at the header" `Quick
             test_decoder_frame_cap;
+          Alcotest.test_case "node: one encode per fan-out" `Quick
+            test_one_encode_per_fan_out;
           QCheck_alcotest.to_alcotest prop_decoder_roundtrip;
           QCheck_alcotest.to_alcotest prop_varint_roundtrip;
           QCheck_alcotest.to_alcotest prop_smr_codec_roundtrip;
@@ -1518,6 +1621,10 @@ let () =
             `Quick test_omega_timeout_adapts_on_loopback;
           Alcotest.test_case "sigma: rounds complete, quorums intersect"
             `Quick test_sigma_quorums_on_loopback;
+          Alcotest.test_case "heartbeat: foreign pids dropped" `Quick
+            (test_foreign_pids_dropped Fd.Emulated.Omega.Heartbeat);
+          Alcotest.test_case "ring: foreign pids dropped" `Quick
+            (test_foreign_pids_dropped Fd.Emulated.Omega.Ring);
         ] );
       ( "det-rel-arq",
         [

@@ -570,6 +570,41 @@ let test_apply_retags_sends () =
     [ "send 1 <a>"; "broadcast <b>"; "send 0 <c>" ]
     (List.map show_action sends)
 
+(* A fan-out keeps one physical message through every re-tagging: the
+   consecutive [Send]s of one message share its wrapped message, through
+   a host's [apply] and then a [Layered] tag, however many peers it has.
+   A different message starts a new run, even an equal one. *)
+let test_map_actions_shares_fan_out () =
+  let m = "m" and m2 = String.make 1 'm' in
+  let script =
+    Fd.Peers.send ~n:5 ~except:[ 0 ] m
+    @ (Sim.Protocol.Output 1 :: Fd.Peers.send ~n:5 ~except:[ 0; 1 ] m2)
+  in
+  let _, sends, _ =
+    Sim.Protocol.apply (scripted script) host_ctx [] (Sim.Protocol.Step None)
+      ~msg:(fun m -> (7, m))
+  in
+  let wrapped =
+    List.map
+      (function
+        | Sim.Protocol.Send (_, w) -> w
+        | Sim.Protocol.Broadcast _ | Sim.Protocol.Output _ ->
+          Alcotest.fail "only sends expected")
+      (Sim.Protocol.map_actions
+         ~msg:(fun m -> Sim.Layered.Main m)
+         ~out:Option.some sends)
+  in
+  Alcotest.(check int) "every send" 7 (List.length wrapped);
+  Alcotest.(check bool) "each carries m, re-tagged twice" true
+    (List.for_all (( = ) (Sim.Layered.Main (7, "m"))) wrapped);
+  let first = List.filteri (fun i _ -> i < 4) wrapped
+  and second = List.filteri (fun i _ -> i >= 4) wrapped in
+  let shared l = List.for_all (fun w -> w == List.hd l) l in
+  Alcotest.(check bool) "4 peers share one wrapped message" true (shared first);
+  Alcotest.(check bool) "the next fan-out shares its own" true (shared second);
+  Alcotest.(check bool) "an equal message is not merged" false
+    (List.hd first == List.hd second)
+
 let test_apply_keeps_outputs () =
   let _, _, outs =
     Sim.Protocol.apply (scripted script) host_ctx [] (Sim.Protocol.Step None)
@@ -864,6 +899,8 @@ let () =
             test_apply_retags_sends;
           Alcotest.test_case "apply keeps every output" `Quick
             test_apply_keeps_outputs;
+          Alcotest.test_case "a fan-out keeps one physical message" `Quick
+            test_map_actions_shares_fan_out;
           Alcotest.test_case "apply routes step and input" `Quick
             test_apply_routes_events;
           Alcotest.test_case "hosted run equals bare run" `Quick

@@ -246,7 +246,13 @@ module Pair_set = Set.Make (struct
   let compare = compare
 end)
 
-type seen_op = Add of int * int | Next of int
+(* [Run (o, first, len, up)] adds seqs [first .. first + len - 1] of [o],
+   ascending if [up], else descending: a decided batch's keys, or the
+   same keys arriving newest first. *)
+type seen_op =
+  | Add of int * int
+  | Next of int
+  | Run of int * int * int * bool
 
 let interesting_seqs = [ -2; -1; 0; 1; 2; max_int - 1; max_int; min_int ]
 
@@ -261,15 +267,36 @@ let seen_op_gen =
         (1, int_range (-5) (-1));
       ]
   in
+  let run =
+    let* o = origin and* len = int_range 1 12 and* up = bool in
+    let+ first =
+      frequency
+        [
+          (3, int_range (-20) 40);
+          (1, int);
+          (1, map (fun k -> max_int - len + 1 - k) (int_range 0 2));
+          (1, map (fun k -> min_int + k) (int_range 0 2));
+        ]
+    in
+    (* the run's last seq must not wrap past max_int *)
+    Run (o, min first (max_int - len + 1), len, up)
+  in
   frequency
     [
       (5, map (fun o -> Next o) origin);
       (3, map2 (fun o s -> Add (o, s)) origin seq);
+      (2, run);
     ]
 
 let pp_seen_op = function
   | Add (o, s) -> Printf.sprintf "add %d %d" o s
   | Next o -> Printf.sprintf "next %d" o
+  | Run (o, first, len, up) ->
+    Printf.sprintf "run %d %d+%d %s" o first len (if up then "up" else "down")
+
+let run_seqs first len up =
+  let seqs = List.init len (fun i -> first + i) in
+  if up then seqs else List.rev seqs
 
 (* The in-order case: the smallest non-negative seq of [o] not yet
    present. *)
@@ -278,23 +305,35 @@ let next_seq ref_set o =
   go 0
 
 (* [seen] is in canonical form, holds exactly [ref_set]'s keys per origin
-   it lists, and [mem] agrees with the reference on every present key and
-   on a fixed probe set. *)
+   it lists, and [mem] agrees with the reference on every present key, on
+   its neighbours and on a fixed probe set. *)
 let seen_agrees seen ref_set =
   let canonical =
     List.for_all
-      (fun (o, floor, above) ->
+      (fun (o, base, floor, stragglers) ->
         let ref_o = Pair_set.filter (fun (o', _) -> o' = o) ref_set in
-        floor >= 0
-        && List.for_all (fun s -> s < 0 || s > floor) above
+        (* [base - 1, floor], read without wrapping *)
+        let touches s = (base = min_int || s >= base - 1) && s <= floor in
+        let rec run_present s =
+          s >= floor || (Pair_set.mem (o, s) ref_o && run_present (s + 1))
+        in
+        base <= floor
         && List.for_all
-             (fun s -> Pair_set.mem (o, s) ref_o)
-             (above @ List.init floor Fun.id)
-        && floor + List.length above = Pair_set.cardinal ref_o)
+             (fun s -> (not (touches s)) || (s = max_int && floor = max_int))
+             stragglers
+        && List.sort_uniq compare stragglers = stragglers
+        && List.for_all (fun s -> Pair_set.mem (o, s) ref_o) stragglers
+        && floor - base + List.length stragglers = Pair_set.cardinal ref_o
+        && run_present base)
       (Cons.Seen.watermarks seen)
   in
+  let neighbours (o, s) =
+    [ (o, s) ]
+    @ (if s > min_int then [ (o, s - 1) ] else [])
+    @ if s < max_int then [ (o, s + 1) ] else []
+  in
   let probes =
-    Pair_set.elements ref_set
+    List.concat_map neighbours (Pair_set.elements ref_set)
     @ List.concat_map
         (fun o ->
           List.map (fun s -> (o, s)) (interesting_seqs @ List.init 30 Fun.id))
@@ -314,28 +353,53 @@ let prop_seen_model =
     (fun ops ->
       let rec go seen ref_set = function
         | [] -> true
-        | Next o :: rest -> add seen ref_set o (next_seq ref_set o) rest
-        | Add (o, s) :: rest -> add seen ref_set o s rest
-      and add seen ref_set o s rest =
-        let seen = Cons.Seen.add seen o s in
-        let ref_set = Pair_set.add (o, s) ref_set in
-        seen_agrees seen ref_set && go seen ref_set rest
+        | Next o :: rest -> add seen ref_set o [ next_seq ref_set o ] rest
+        | Add (o, s) :: rest -> add seen ref_set o [ s ] rest
+        | Run (o, first, len, up) :: rest ->
+          add seen ref_set o (run_seqs first len up) rest
+      and add seen ref_set o seqs rest =
+        match seqs with
+        | [] -> go seen ref_set rest
+        | s :: seqs ->
+          let seen = Cons.Seen.add seen o s in
+          let ref_set = Pair_set.add (o, s) ref_set in
+          seen_agrees seen ref_set && add seen ref_set o seqs rest
       in
       go Cons.Seen.empty Pair_set.empty ops)
 
-(* A contiguous run collapses to its watermark, whatever the arrival order. *)
+(* [Cons.Seen.watermarks] as [(origin, (base, floor, stragglers))]. *)
+let watermarks_t = Alcotest.(list (pair int (triple int int (list int))))
+
+let watermarks seen =
+  List.map (fun (o, b, f, s) -> (o, (b, f, s))) (Cons.Seen.watermarks seen)
+
+(* A contiguous run collapses to one run, whatever the arrival order. *)
 let test_seen_collapses () =
   let seen =
     List.fold_left
       (fun t s -> Cons.Seen.add t 3 s)
       Cons.Seen.empty [ 4; 2; 0; 3; 1; 7; 5 ]
   in
-  Alcotest.(check (list (triple int int (list int))))
-    "floor 6, one straggler" [ (3, 6, [ 7 ]) ] (Cons.Seen.watermarks seen);
+  Alcotest.check watermarks_t "run [0, 6), one straggler"
+    [ (3, (0, 6, [ 7 ])) ]
+    (watermarks seen);
   let seen = Cons.Seen.add seen 3 (-1) in
   Alcotest.(check bool) "-1 present once added" true
     (Cons.Seen.mem seen 3 (-1));
   Alcotest.(check bool) "-2 still absent" false (Cons.Seen.mem seen 3 (-2))
+
+(* A decided batch's key set: one origin's seqs 10,000 .. 10,499, as a
+   batch drained from the middle of a FIFO queue holds them.  One run, no
+   straggler, in either arrival order. *)
+let test_seen_batch_is_one_run () =
+  let seqs = List.init 500 (fun i -> 10_000 + i) in
+  List.iter
+    (fun (order, seqs) ->
+      Alcotest.check watermarks_t order
+        [ (2, (10_000, 10_500, [])) ]
+        (watermarks
+           (List.fold_left (fun t s -> Cons.Seen.add t 2 s) Cons.Seen.empty seqs)))
+    [ ("ascending", seqs); ("descending", List.rev seqs) ]
 
 (* Keys a decoded frame may carry but no origin generates (seq -1,
    max_int) are deduplicated exactly like ordinary ones: stepping the
@@ -409,6 +473,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_seen_model;
           Alcotest.test_case "contiguous runs collapse" `Quick
             test_seen_collapses;
+          Alcotest.test_case "a batch's keys are one run" `Quick
+            test_seen_batch_is_one_run;
           Alcotest.test_case "seq -1 and max_int deduplicated like any key"
             `Quick test_edge_seqs_dedup;
         ] );
