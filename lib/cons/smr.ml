@@ -249,11 +249,14 @@ let rec drive ctx st =
 let on_step ctx st recv =
   let st, acts1 =
     match recv with
-    | Some (_, Submit cs) ->
+    | Some (from, Submit cs) ->
+      (* Only [on_input] fills [announce], so a Submit from p carries
+         origin-p commands alone: one naming another origin is forged or
+         corrupt, and dropped. *)
       let rec enqueue pending known = function
         | [] -> { st with pending; known }
         | c :: cs ->
-          if seen known c then enqueue pending known cs
+          if c.origin <> from || seen known c then enqueue pending known cs
           else enqueue (Fq.push pending c) (see known c) cs
       in
       (enqueue st.pending st.known cs, [])

@@ -49,7 +49,8 @@ type 'c state
     representation (see [Net.Codecs]); treat it as read-only. *)
 type 'c msg =
   | Submit of 'c cmd list
-      (** every command accepted between two steps, one frame *)
+      (** every command accepted between two steps, one frame; a
+          receiver drops the commands whose origin is not the sender *)
   | Inner of int * 'c cmd list Quorum_paxos.msg
 
 (** Outputs: decided log entries, emitted by every process in log order

@@ -11,11 +11,12 @@ module R = Wire.R
 
 let bad_tag what t = raise (Wire.Decode_error (Printf.sprintf "%s tag %d" what t))
 
-(* cmd: varint origin, varint seq, nested payload *)
-let write_cmd pc buf (c : _ Cons.Smr.cmd) =
+(* cmd: varint origin, varint seq, nested payload (written through the
+   scratch [tmp]) *)
+let write_cmd tmp pc buf (c : _ Cons.Smr.cmd) =
   W.varint buf c.Cons.Smr.origin;
   W.varint buf c.Cons.Smr.seq;
-  Wire.write_nested pc buf c.Cons.Smr.payload
+  Wire.write_nested_via tmp pc buf c.Cons.Smr.payload
 
 let read_cmd pc r =
   let origin = R.varint r in
@@ -23,9 +24,13 @@ let read_cmd pc r =
   let payload = Wire.read_nested pc r in
   { Cons.Smr.origin; seq; payload }
 
-let cmd pc = Wire.codec ~write:(write_cmd pc) ~read:(read_cmd pc)
+let cmd pc =
+  Wire.codec
+    ~write:(fun buf c -> write_cmd (Buffer.create 64) pc buf c)
+    ~read:(read_cmd pc)
 
-let write_batch pc buf b = W.list (write_cmd pc) buf b
+(* One payload scratch per batch, not one per command. *)
+let write_batch pc buf b = W.list (write_cmd (Buffer.create 64) pc) buf b
 let read_batch pc r = R.list (read_cmd pc) r
 
 (* Quorum-Paxos over command batches:

@@ -159,18 +159,12 @@ module W = struct
      int round-trips, small non-negative ones in one byte, negative ones
      in nine.  The protocol fields this format carries (pids, steps,
      slots, ballots, sequence numbers) are all non-negative. *)
-  let varint buf n =
-    let n = ref n in
-    let continue = ref true in
-    while !continue do
-      let b = !n land 0x7f in
-      n := !n lsr 7;
-      if !n = 0 then begin
-        u8 buf b;
-        continue := false
-      end
-      else u8 buf (b lor 0x80)
-    done
+  let rec varint buf n =
+    if n land lnot 0x7f = 0 then u8 buf n
+    else begin
+      u8 buf ((n land 0x7f) lor 0x80);
+      varint buf (n lsr 7)
+    end
 
   let string buf s =
     varint buf (String.length s);
@@ -212,14 +206,25 @@ module R = struct
     r.pos <- r.pos + 1;
     c
 
+  (* Top-level recursion: a local [let rec] over [r] would allocate a
+     closure per varint read, several per decoded command. *)
+  let rec varint_from r shift acc =
+    if shift > 62 then fail "varint too long";
+    let b = u8 r in
+    let acc = acc lor ((b land 0x7f) lsl shift) in
+    if b land 0x80 = 0 then acc else varint_from r (shift + 7) acc
+
+  (* A one-byte varint, the common case, is read without the loop. *)
   let varint r =
-    let rec go shift acc =
-      if shift > 62 then fail "varint too long";
-      let b = u8 r in
-      let acc = acc lor ((b land 0x7f) lsl shift) in
-      if b land 0x80 = 0 then acc else go (shift + 7) acc
+    let pos = r.pos in
+    let b =
+      if pos < r.limit then Char.code (Bytes.unsafe_get r.buf pos) else 0x80
     in
-    go 0 0
+    if b < 0x80 then begin
+      r.pos <- pos + 1;
+      b
+    end
+    else varint_from r 0 0
 
   let take r n =
     if n < 0 || remaining r < n then fail "truncated frame (want %d bytes)" n;
@@ -263,8 +268,25 @@ let codec ~write ~read =
   }
 
 let varint_c = codec ~write:W.varint ~read:R.varint
-let string_c = codec ~write:W.string ~read:R.string
-let bytes_c = codec ~write:W.bytes ~read:R.bytes
+
+(* A slice that is a one-byte length prefix followed by exactly that many
+   bytes — a value under 128 bytes alone in its slice, as a nested
+   payload is — is read with one copy [sub] and no cursor.  Any other
+   slice takes the cursor path, with its checks and messages. *)
+let length_prefixed ~write ~read sub =
+  let c = codec ~write ~read in
+  let dec b ~pos ~len =
+    if
+      pos >= 0 && len >= 1 && len <= 128
+      && pos <= Bytes.length b - len
+      && Char.code (Bytes.unsafe_get b pos) = len - 1
+    then sub b (pos + 1) (len - 1)
+    else c.dec b ~pos ~len
+  in
+  { c with dec }
+
+let string_c = length_prefixed ~write:W.string ~read:R.string Bytes.sub_string
+let bytes_c = length_prefixed ~write:W.bytes ~read:R.bytes Bytes.sub
 
 let to_bytes c v =
   let buf = Buffer.create 256 in
@@ -275,12 +297,15 @@ let of_bytes c b = c.dec b ~pos:0 ~len:(Bytes.length b)
 
 (* A length-prefixed embedding of one codec inside another stream — how a
    generic ['c] payload travels mid-frame (codecs are otherwise only
-   self-delimiting at the tail of a frame). *)
-let write_nested c buf v =
-  let tmp = Buffer.create 64 in
+   self-delimiting at the tail of a frame).  The value is written through
+   the scratch [tmp] first, since its length goes in front of it. *)
+let write_nested_via tmp c buf v =
+  Buffer.clear tmp;
   c.enc tmp v;
   W.varint buf (Buffer.length tmp);
   Buffer.add_buffer buf tmp
+
+let write_nested c buf v = write_nested_via (Buffer.create 64) c buf v
 
 let read_nested c (r : R.t) =
   let n = R.varint r in

@@ -132,7 +132,8 @@ end
 
 (** Primitive readers over a cursor into one frame.  All raise
     {!Decode_error} on malformed input — a negative or oversized list
-    length included; none read past the slice given to {!R.make}. *)
+    length included; none read past the slice given to {!R.make}, and
+    none allocates per field beyond the value it returns. *)
 module R : sig
   type t
 
@@ -159,7 +160,11 @@ end
 val codec : write:(Buffer.t -> 'a -> unit) -> read:(R.t -> 'a) -> 'a codec
 
 val varint_c : int codec
+
+(** A slice that holds one value of under 128 bytes, as a nested payload
+    does, decodes with one copy and no cursor. *)
 val string_c : string codec
+
 val bytes_c : bytes codec
 
 (** One-shot conveniences (allocate a scratch buffer per call). *)
@@ -169,8 +174,15 @@ val of_bytes : 'a codec -> bytes -> 'a
 
 (** Length-prefixed embedding of one codec's value inside another stream —
     how a generic payload travels mid-frame (codecs are otherwise only
-    self-delimiting at the tail of a frame). *)
+    self-delimiting at the tail of a frame).  Allocates a scratch buffer
+    per call. *)
 val write_nested : 'a codec -> Buffer.t -> 'a -> unit
+
+(** [write_nested_via tmp] is {!write_nested} through the caller's scratch
+    [tmp] (cleared first): a writer of a list of nested values makes one
+    scratch per call and passes it to each.  Never share one across
+    calls at module level: codec values are shared between domains. *)
+val write_nested_via : Buffer.t -> 'a codec -> Buffer.t -> 'a -> unit
 
 val read_nested : 'a codec -> R.t -> 'a
 

@@ -265,7 +265,8 @@ let write_msg buf (m : msg) =
     W.varint buf since
   | Main (Snap entries) ->
     W.u8 buf 5;
-    W.list (W.pair W.varint (W.list (Net.Wire.write_nested cmd_c))) buf entries
+    let cmd = Net.Wire.write_nested_via (Buffer.create 64) cmd_c in
+    W.list (W.pair W.varint (W.list cmd)) buf entries
 
 let read_msg r : msg =
   let open Sim.Layered in

@@ -392,6 +392,31 @@ let socket_decoders =
     ("shard replica message", codec Shard.Replica.codec);
   ]
 
+(* The densest frames a peer sends: every field a one- or two-byte
+   varint, so a decoder's per-field overhead shows against the bytes.  A
+   batch of 300 empty-payload commands, and a 300-entry vector clock. *)
+let dense_submit =
+  {
+    Net.Wire.env_src = 1;
+    env_sent_at = 5;
+    env_vc = None;
+    env_msg =
+      Sim.Layered.Main
+        (Cons.Smr.Submit
+           (List.init 300 (fun seq ->
+                { Cons.Smr.origin = 1; seq; payload = "" })));
+  }
+
+let dense_vclock =
+  {
+    dense_submit with
+    Net.Wire.env_vc = Some (List.init 300 (fun i -> i mod 128));
+    env_msg =
+      Sim.Layered.Detector
+        (Sim.Layered.Detector
+           (Fd.Emulated.Omega.H Fd.Emulated.Omega_heartbeat.Alive));
+  }
+
 let valid_frames =
   let with_buf f =
     let buf = Buffer.create 64 in
@@ -442,6 +467,8 @@ let valid_frames =
       (Sim.Layered.Detector
          (Sim.Layered.Main
             (Fd.Emulated.Sigma_epoch.Join { epoch = 1; round = 3 })));
+    encode_env (Net.Codecs.pmsg Net.Wire.string_c) dense_submit;
+    encode_env (Net.Codecs.pmsg Net.Wire.string_c) dense_vclock;
   ]
 
 (* Frames well formed up to a list count, which is negative: a 9-byte
@@ -502,6 +529,148 @@ let prop_socket_decoders_total =
           | exception e ->
             QCheck.Test.fail_reportf "%s raised %s" name (Printexc.to_string e))
         socket_decoders)
+
+(* Minor-heap words [f ()] allocates.  The minor heap is emptied first,
+   so no collection runs mid-call: OCaml 5.1's [Gc.counters] and
+   [Gc.allocated_bytes] jump by about the minor heap's size when one
+   does, and [Gc.minor_words] read around a collection-free call is
+   exact. *)
+let minor_words f =
+  Gc.minor ();
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+(* A decoder may allocate what it returns, which a frame's bytes bound,
+   plus a constant: nothing per field beyond the value it builds. *)
+let alloc_bound frame = 256 + (4 * Bytes.length frame)
+
+let decode_words decode frame =
+  minor_words (fun () ->
+      try decode frame with Net.Wire.Decode_error _ -> ())
+
+let prop_socket_decoders_linear =
+  QCheck.Test.make ~name:"wire: socket decoders allocate linearly in the frame"
+    ~count:500
+    (QCheck.make ~print:(fun b -> String.escaped (Bytes.to_string b))
+       gen_socket_frame)
+    (fun frame ->
+      List.for_all
+        (fun (name, decode) ->
+          let w = decode_words decode frame in
+          w <= float_of_int (alloc_bound frame)
+          || QCheck.Test.fail_reportf
+               "%s allocated %.0f words for a %d-byte frame (bound %d)" name w
+               (Bytes.length frame) (alloc_bound frame))
+        socket_decoders)
+
+(* [dense_submit] alone: each of its commands is 4–5 bytes on the wire,
+   so the words a decoder spends per field show. *)
+let test_batch_decode_allocation () =
+  let pmsg = Net.Codecs.pmsg Net.Wire.string_c in
+  let frame = encode_env pmsg dense_submit in
+  Alcotest.(check bool) "decodes" true
+    (Net.Wire.decode_envelope_with pmsg frame = dense_submit);
+  let w =
+    decode_words (fun b -> ignore (Net.Wire.decode_envelope_with pmsg b)) frame
+  in
+  if w > float_of_int (alloc_bound frame) then
+    Alcotest.failf "%.0f words for a %d-byte frame (bound %d)" w
+      (Bytes.length frame) (alloc_bound frame)
+
+(* [string_c] and [bytes_c] read a slice holding one short value without
+   a cursor.  On any slice they must agree with the cursor read: the
+   same value, or the same [Decode_error] message. *)
+let cursor_read read b ~pos ~len =
+  let r = Net.Wire.R.make b ~pos ~len in
+  let v = read r in
+  Net.Wire.R.expect_end r;
+  v
+
+let outcome f =
+  match f () with v -> Ok v | exception Net.Wire.Decode_error m -> Error m
+
+let gen_slice =
+  let open QCheck.Gen in
+  (* a value of 0..300 bytes behind its length prefix (one byte below
+     128, two from 128 on), then left whole, cut short, given trailing
+     bytes, emptied, or with its first byte set to the slice length - 1 *)
+  let* body = string_size (0 -- 300) in
+  let value = Net.Wire.to_bytes Net.Wire.string_c body in
+  let n = Bytes.length value in
+  let* slice =
+    oneof
+      [
+        return value;
+        map (fun k -> Bytes.sub value 0 (n - 1 - (k mod n))) nat;
+        map
+          (fun t -> Bytes.cat value (Bytes.of_string t))
+          (string_size (1 -- 3));
+        return Bytes.empty;
+        return
+          (let b = Bytes.copy value in
+           Bytes.set b 0 (Char.unsafe_chr ((n - 1) land 0xff));
+           b);
+      ]
+  in
+  let* before = string_size (0 -- 3) and* after = string_size (0 -- 3) in
+  let b =
+    Bytes.concat Bytes.empty
+      [ Bytes.of_string before; slice; Bytes.of_string after ]
+  in
+  let pos = String.length before and len = Bytes.length slice in
+  (* and now and then a slice outside the bytes *)
+  let+ pos, len =
+    frequency
+      [
+        (8, return (pos, len));
+        (1, return (-1, len));
+        (1, return (pos, len + String.length after + 1));
+      ]
+  in
+  (b, pos, len)
+
+let prop_direct_read_is_cursor_read =
+  QCheck.Test.make ~name:"wire: string_c/bytes_c read as the cursor does"
+    ~count:1000
+    (QCheck.make
+       ~print:(fun (b, pos, len) ->
+         Printf.sprintf "%S pos %d len %d" (Bytes.to_string b) pos len)
+       gen_slice)
+    (fun (b, pos, len) ->
+      outcome (fun () -> Net.Wire.string_c.dec b ~pos ~len)
+      = outcome (fun () -> cursor_read Net.Wire.R.string b ~pos ~len)
+      && outcome (fun () -> Net.Wire.bytes_c.dec b ~pos ~len)
+         = outcome (fun () -> cursor_read Net.Wire.R.bytes b ~pos ~len))
+
+let test_varint_edges () =
+  let read s =
+    let b = Bytes.of_string s in
+    let r = Net.Wire.R.make b ~pos:0 ~len:(Bytes.length b) in
+    outcome (fun () ->
+        let v = Net.Wire.R.varint r in
+        (v, Net.Wire.R.remaining r))
+  in
+  let ff8 = String.make 8 '\xff' in
+  List.iter
+    (fun (name, s, want) ->
+      Alcotest.(check (result (pair int int) string)) name want (read s);
+      match want with
+      | Ok (v, 0) ->
+        Alcotest.(check string) (name ^ " is how it is written") s
+          (Bytes.to_string Net.Wire.(to_bytes varint_c v))
+      | _ -> ())
+    [
+      ("0", "\x00", Ok (0, 0));
+      ("127", "\x7f", Ok (127, 0));
+      ("128", "\x80\x01", Ok (128, 0));
+      ("max_int", ff8 ^ "\x3f", Ok (max_int, 0));
+      ("-1", ff8 ^ "\x7f", Ok (-1, 0));
+      ("the next byte is left", "\x05\x01", Ok (5, 1));
+      ("overlong", String.make 9 '\x80' ^ "\x01", Error "varint too long");
+      ("truncated", "\x80", Error "truncated frame");
+      ("empty", "", Error "truncated frame");
+    ]
 
 let prop_shard_frames_roundtrip =
   let open QCheck in
@@ -1576,6 +1745,11 @@ let () =
           QCheck_alcotest.to_alcotest prop_pmsg_codec_roundtrip;
           QCheck_alcotest.to_alcotest prop_replica_codec_roundtrip;
           QCheck_alcotest.to_alcotest prop_socket_decoders_total;
+          QCheck_alcotest.to_alcotest prop_socket_decoders_linear;
+          Alcotest.test_case "a batch decodes in linear words" `Quick
+            test_batch_decode_allocation;
+          QCheck_alcotest.to_alcotest prop_direct_read_is_cursor_read;
+          Alcotest.test_case "varint edges" `Quick test_varint_edges;
           QCheck_alcotest.to_alcotest prop_shard_frames_roundtrip;
           Alcotest.test_case "shard: client frames keep their bytes" `Quick
             test_shard_request_bytes;

@@ -447,6 +447,29 @@ let test_edge_seqs_dedup () =
     (dedup_script (-1, max_int) = dedup_script (3, 7)
     && dedup_script (min_int, max_int - 1) = dedup_script (3, 7))
 
+(* Only [on_input] fills a replica's announcements, so a Submit from p
+   carries origin-p commands alone.  A command naming another origin is
+   forged: it must reach neither the pending queue nor [known], where a
+   far seq would pin its origin's run. *)
+let test_submit_keeps_sender_commands () =
+  let proto = Cons.Smr.make ~window:4 () in
+  (* Ω trusts process 1, so process 2 only queues *)
+  let ctx =
+    { Sim.Protocol.self = 2; n = 3; now = 0; fd = (1, Sim.Pidset.full 3) }
+  in
+  let cmd origin seq = { Cons.Smr.origin; seq; payload = "x" } in
+  let submit from st cs =
+    fst (proto.Sim.Protocol.on_step ctx st (Some (from, Cons.Smr.Submit cs)))
+  in
+  let st = proto.Sim.Protocol.init ~n:3 2 in
+  let forged = submit 1 st [ cmd 0 1_000_000 ] in
+  Alcotest.(check int) "another origin's command dropped" 0
+    (Cons.Smr.backlog forged);
+  Alcotest.(check int) "the sender's own commands kept" 1
+    (Cons.Smr.backlog (submit 1 st [ cmd 0 1_000_000; cmd 1 0; cmd 2 4 ]));
+  Alcotest.(check int) "the forged key was not marked seen" 1
+    (Cons.Smr.backlog (submit 0 forged [ cmd 0 1_000_000 ]))
+
 let () =
   Alcotest.run "smr"
     [
@@ -477,6 +500,8 @@ let () =
             test_seen_batch_is_one_run;
           Alcotest.test_case "seq -1 and max_int deduplicated like any key"
             `Quick test_edge_seqs_dedup;
+          Alcotest.test_case "a Submit carries only its sender's commands"
+            `Quick test_submit_keeps_sender_commands;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_smr_total_order ]);
     ]
