@@ -3,7 +3,7 @@
    framing for the binary protocol, latency accounting, schedule loading,
    and the cmdliner specs that demo/node/client/chaos/shard/bench all
    re-use — one definition per flag, so `--nodes 5` means the same thing
-   everywhere. *)
+   everywhere (bin/simulate.ml takes its int converters too). *)
 
 open Cmdliner
 
@@ -227,26 +227,26 @@ let read_log path =
     in
     go []
 
-(* The log specification's verdict on survivors' applied-log files
-   ("slot\torigin\tseq\tpayload" lines, payload escaped), keyed by
-   payload over the [submitted] payloads: [None] if it holds, else the
+(* The log specification's verdict on survivors' applied-log files,
+   keyed by each line's payload as written (Net.Smr_node.log_payload)
+   over the escaped [submitted] payloads: [None] if it holds, else the
    first violation.  The client that submitted them never crashed, so
    validity owes each one to every survivor: they are attributed to the
    first survivor.  A SIGKILLed node's file may end in a torn line, so
    only survivors are judged. *)
 let log_verdict ~submitted logs =
-  let payload line =
-    match String.split_on_char '\t' line with
-    | [ _; _; _; p ] -> Some p
-    | _ -> None
-  in
   match List.map fst logs with
   | [] -> Some "no survivor"
   | first :: _ as correct -> (
     let submitted = List.map (fun c -> (first, String.escaped c)) submitted in
     match
       Cons.Log_spec.check ~live:true
-        { Cons.Log_spec.logs; correct; submitted; key = payload }
+        {
+          Cons.Log_spec.logs;
+          correct;
+          submitted;
+          key = Net.Smr_node.log_payload;
+        }
     with
     | [] -> None
     | v :: _ ->
@@ -309,6 +309,21 @@ let load_schedule ~what ~n file_opt =
 
 (* ---------------------------------------------------- arg specs *)
 
+(* Ints with a floor, for values a run divides by, sizes an array with
+   or counts down: cmdliner rejects a smaller one as a usage error (exit
+   124) that names the option. *)
+let int_from lo ~expected =
+  let parse s =
+    match int_of_string_opt s with
+    | Some v when v >= lo -> Ok v
+    | _ ->
+      Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let pos_int = int_from 1 ~expected:"a positive integer"
+let nonneg_int = int_from 0 ~expected:"a non-negative integer"
+
 let dir_required =
   Arg.(
     required
@@ -329,7 +344,7 @@ let n_arg =
 
 let period_arg =
   Arg.(
-    value & opt int 16
+    value & opt pos_int 16
     & info [ "period" ] ~docv:"STEPS" ~doc:"Ω heartbeat period (local steps).")
 
 let detector_arg =
@@ -350,7 +365,7 @@ let detector_arg =
 
 let window_arg ~default =
   Arg.(
-    value & opt int default
+    value & opt pos_int default
     & info [ "window" ] ~docv:"W"
         ~doc:"Consensus instances pipelined in flight (Cons.Smr window).")
 
@@ -382,13 +397,13 @@ let count_arg =
 let seed_arg ~doc = Arg.(value & opt int 0 & info [ "seed" ] ~docv:"SEED" ~doc)
 
 let rounds_arg ~doc =
-  Arg.(value & opt int 2500 & info [ "rounds" ] ~docv:"R" ~doc)
+  Arg.(value & opt pos_int 2500 & info [ "rounds" ] ~docv:"R" ~doc)
 
 let cmds_arg ~default ~doc =
-  Arg.(value & opt int default & info [ "cmds" ] ~docv:"K" ~doc)
+  Arg.(value & opt nonneg_int default & info [ "cmds" ] ~docv:"K" ~doc)
 
 let cmd_every_arg ~default ~doc =
-  Arg.(value & opt int default & info [ "cmd-every" ] ~docv:"R" ~doc)
+  Arg.(value & opt pos_int default & info [ "cmd-every" ] ~docv:"R" ~doc)
 
 let schedule_arg ~doc =
   Arg.(value & opt (some string) None & info [ "schedule" ] ~docv:"FILE" ~doc)

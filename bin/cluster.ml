@@ -151,20 +151,22 @@ let run_chaos n seed rounds period detector window cmds cmd_every schedule_file
    against every node (read-your-writes over real sockets), then waits
    for anti-entropy to converge an eventually-written key everywhere. *)
 
-let ec_request fd req = roundtrip fd (Ec.Mixed.encode_request req)
+let ec_request fd req =
+  roundtrip fd (Net.Wire.to_bytes Ec.Mixed.request_codec req)
+
+let ec_ereply fd req =
+  Net.Wire.of_bytes Ec.Mixed.ereply_codec (ec_request fd req)
 
 let lin_blocking fd payload =
   Net.Smr_node.decode_reply (ec_request fd (Ec.Mixed.Lin payload))
 
 let eput_blocking fd ~key ~value =
-  match
-    Ec.Mixed.decode_ereply (ec_request fd (Ec.Mixed.Eput { key; value }))
-  with
+  match ec_ereply fd (Ec.Mixed.Eput { key; value }) with
   | Ec.Mixed.Put_ack { lamport; origin } -> (lamport, origin)
   | _ -> failwith "eput: unexpected reply"
 
 let eget_blocking fd ~key =
-  match Ec.Mixed.decode_ereply (ec_request fd (Ec.Mixed.Eget { key })) with
+  match ec_ereply fd (Ec.Mixed.Eget { key }) with
   | Ec.Mixed.Get_hit { value; _ } -> Some value
   | Ec.Mixed.Get_miss -> None
   | Ec.Mixed.Put_ack _ -> failwith "eget: unexpected reply"
@@ -534,17 +536,17 @@ let shard_cmd =
   in
   let shards =
     Arg.(
-      value & opt int 4
+      value & opt pos_int 4
       & info [ "shards" ] ~docv:"S" ~doc:"Number of replica groups.")
   in
   let replicas =
     Arg.(
-      value & opt int 3
+      value & opt pos_int 3
       & info [ "replicas" ] ~docv:"N" ~doc:"Members per shard (initial epoch).")
   in
   let spares =
     Arg.(
-      value & opt int 1
+      value & opt nonneg_int 1
       & info [ "spares" ] ~docv:"K"
           ~doc:"Extra replicas per shard installable by reconfiguration.")
   in
@@ -634,13 +636,13 @@ let ec_cmd =
   in
   let sync_every =
     Arg.(
-      value & opt int 8
+      value & opt pos_int 8
       & info [ "sync-every" ] ~docv:"R"
           ~doc:"Anti-entropy cadence: digest a peer every R rounds.")
   in
   let puts_every =
     Arg.(
-      value & opt int 10
+      value & opt pos_int 10
       & info [ "puts-every" ] ~docv:"R"
           ~doc:"Loopback: every live node issues an eventual put every R \
                 rounds.")
@@ -648,7 +650,7 @@ let ec_cmd =
   let ec_rounds =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some pos_int) None
       & info [ "rounds" ] ~docv:"R"
           ~doc:
             "Loopback: round-robin rounds to drive. Default scales with n: \

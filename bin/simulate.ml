@@ -29,7 +29,9 @@ let crash_conv =
   Arg.conv (parse, print)
 
 let n_arg =
-  Arg.(value & opt int 4 & info [ "n" ] ~docv:"N" ~doc:"Number of processes.")
+  Arg.(
+    value & opt Cli_common.pos_int 4
+    & info [ "n" ] ~docv:"N" ~doc:"Number of processes.")
 
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
@@ -48,13 +50,20 @@ let trace_arg =
           "Write the run's JSONL observability trace (events, metrics, \
            profile) to $(docv) and print the metric rows.")
 
-let scenario_of ~n ~crashes =
-  let fp = Sim.Failure_pattern.make ~n crashes in
-  {
-    Core.Scenario.name = Format.asprintf "%a" Sim.Failure_pattern.pp fp;
-    n;
-    fp;
-  }
+(* [-n] and the [--crash] list as one scenario: a list that is no legal
+   failure pattern for [n] processes is a usage error (exit 124). *)
+let scenario_of n crashes =
+  match Sim.Failure_pattern.make ~n crashes with
+  | fp ->
+    `Ok
+      {
+        Core.Scenario.name = Format.asprintf "%a" Sim.Failure_pattern.pp fp;
+        n;
+        fp;
+      }
+  | exception Invalid_argument e -> `Error (false, "--crash: " ^ e)
+
+let scenario_arg = Term.(ret (const scenario_of $ n_arg $ crashes_arg))
 
 let report s =
   Format.printf "%a@." Core.Runner.pp_summary s;
@@ -71,10 +80,8 @@ let report s =
 
 (* One run = one [Core.Runner.run] of one workload; every subcommand
    funnels through here so [--trace] behaves identically everywhere. *)
-let execute ?max_steps ~n ~seed ~crashes ~trace workload =
-  report
-    (Core.Runner.run ?max_steps ?trace ~seed workload
-       (scenario_of ~n ~crashes))
+let execute ?max_steps workload sc seed trace =
+  report (Core.Runner.run ?max_steps ?trace ~seed workload sc)
 
 let consensus_cmd =
   let algo_arg =
@@ -93,12 +100,9 @@ let consensus_cmd =
       & opt algo_conv Core.Runner.Quorum_paxos
       & info [ "algo" ] ~docv:"ALGO" ~doc:"Consensus algorithm.")
   in
-  let run n seed crashes trace algo =
-    execute ~n ~seed ~crashes ~trace
-      (Core.Runner.Consensus { algo; proposals = None })
-  in
+  let run algo = execute (Core.Runner.Consensus { algo; proposals = None }) in
   Cmd.v (Cmd.info "consensus" ~doc:"Run a consensus algorithm")
-    Term.(const run $ n_arg $ seed_arg $ crashes_arg $ trace_arg $ algo_arg)
+    Term.(const run $ algo_arg $ scenario_arg $ seed_arg $ trace_arg)
 
 let qc_cmd =
   let mode_arg =
@@ -111,12 +115,9 @@ let qc_cmd =
       value & opt mode_conv None
       & info [ "mode" ] ~docv:"MODE" ~doc:"Force the Psi branch (cons|fs|auto).")
   in
-  let run n seed crashes trace mode =
-    execute ~n ~seed ~crashes ~trace
-      (Core.Runner.Quittable_consensus { mode })
-  in
+  let run mode = execute (Core.Runner.Quittable_consensus { mode }) in
   Cmd.v (Cmd.info "qc" ~doc:"Run quittable consensus from Psi")
-    Term.(const run $ n_arg $ seed_arg $ crashes_arg $ trace_arg $ mode_arg)
+    Term.(const run $ mode_arg $ scenario_arg $ seed_arg $ trace_arg)
 
 let nbac_cmd =
   let algo_arg =
@@ -134,30 +135,31 @@ let nbac_cmd =
       value & opt_all int []
       & info [ "no" ] ~docv:"PID" ~doc:"Process PID votes No (default: all Yes).")
   in
-  let run n seed crashes trace algo nos =
-    let sc = scenario_of ~n ~crashes in
-    let votes =
-      List.filter_map
-        (fun p ->
-          if Sim.Failure_pattern.crashed_at sc.Core.Scenario.fp ~time:0 p then
-            None (* crashed at start: never votes *)
-          else if List.mem p nos then Some (p, Qcnbac.Types.No)
-          else Some (p, Qcnbac.Types.Yes))
-        (Sim.Pid.all n)
-    in
-    report
-      (Core.Runner.run ~max_steps:60_000 ?trace ~seed
-         (Core.Runner.Nbac { algo; votes = Some votes })
-         sc)
+  let run algo nos (sc : Core.Scenario.t) seed trace =
+    match List.find_opt (fun p -> not (Sim.Pid.valid ~n:sc.n p)) nos with
+    | Some p ->
+      `Error (false, Printf.sprintf "--no %d: pid outside 0..%d" p (sc.n - 1))
+    | None ->
+      let vote p =
+        if Sim.Failure_pattern.crashed_at sc.fp ~time:0 p then
+          None (* crashed at start: never votes *)
+        else if List.mem p nos then Some (p, Qcnbac.Types.No)
+        else Some (p, Qcnbac.Types.Yes)
+      in
+      let votes = List.filter_map vote (Sim.Pid.all sc.n) in
+      `Ok
+        (execute ~max_steps:60_000
+           (Core.Runner.Nbac { algo; votes = Some votes })
+           sc seed trace)
   in
   Cmd.v (Cmd.info "nbac" ~doc:"Run non-blocking atomic commit")
     Term.(
-      const run $ n_arg $ seed_arg $ crashes_arg $ trace_arg $ algo_arg $ no_arg)
+      ret (const run $ algo_arg $ no_arg $ scenario_arg $ seed_arg $ trace_arg))
 
 let registers_cmd =
   let ops_arg =
     Arg.(
-      value & opt int 3
+      value & opt Cli_common.pos_int 3
       & info [ "ops" ] ~docv:"K" ~doc:"Operations per process.")
   in
   let majority_arg =
@@ -166,31 +168,27 @@ let registers_cmd =
       & info [ "majority" ]
           ~doc:"Use fixed majority quorums instead of Sigma (may block).")
   in
-  let run n seed crashes trace ops majority =
+  let run ops majority =
     let quorums = if majority then `Majority else `Sigma in
-    execute ~n ~seed ~crashes ~trace
+    execute
       (Core.Runner.Registers { ops_per_proc = ops; registers = 2; quorums })
   in
   Cmd.v (Cmd.info "registers" ~doc:"Run an ABD register workload")
     Term.(
-      const run $ n_arg $ seed_arg $ crashes_arg $ trace_arg $ ops_arg
-      $ majority_arg)
+      const run $ ops_arg $ majority_arg $ scenario_arg $ seed_arg $ trace_arg)
 
 let extract_sigma_cmd =
-  let run n seed crashes trace =
-    execute ~n ~seed ~crashes ~trace Core.Runner.Sigma_extraction
-  in
   Cmd.v
     (Cmd.info "extract-sigma" ~doc:"Run the Figure 1 Sigma extraction")
-    Term.(const run $ n_arg $ seed_arg $ crashes_arg $ trace_arg)
+    Term.(
+      const (execute Core.Runner.Sigma_extraction)
+      $ scenario_arg $ seed_arg $ trace_arg)
 
 let extract_psi_cmd =
-  let run n seed crashes trace =
-    execute ~n ~seed ~crashes ~trace
-      (Core.Runner.Psi_extraction { rounds = 3; chunk = 220 })
-  in
   Cmd.v (Cmd.info "extract-psi" ~doc:"Run the Figure 3 Psi extraction")
-    Term.(const run $ n_arg $ seed_arg $ crashes_arg $ trace_arg)
+    Term.(
+      const (execute (Core.Runner.Psi_extraction { rounds = 3; chunk = 220 }))
+      $ scenario_arg $ seed_arg $ trace_arg)
 
 let () =
   let default =

@@ -70,10 +70,10 @@ let instances_touched st = Int_map.cardinal st.instances
 let slot_of_msg = function Submit _ -> None | Inner (k, _) -> Some k
 
 (* The gapless decided run of *instances* from [from]: what a snapshot
-   reply carries.  [limit] bounds the command count (not the instance
+   reply carries.  512 bounds the command count (not the instance
    count) so one reply frame stays small; the requester asks again from
    where it got to. *)
-let decided_from ?(limit = 512) st ~from =
+let decided_from st ~from =
   let rec go k left acc =
     if left <= 0 then List.rev acc
     else
@@ -81,7 +81,7 @@ let decided_from ?(limit = 512) st ~from =
       | Some b -> go (k + 1) (left - max 1 (List.length b)) ((k, b) :: acc)
       | None -> List.rev acc
   in
-  go (max 0 from) limit []
+  go (max 0 from) 512 []
 
 let inner :
     ('c cmd list Quorum_paxos.state, 'c cmd list Quorum_paxos.msg,

@@ -112,10 +112,9 @@ val instances_touched : 'c state -> int
 val slot_of_msg : 'c msg -> int option
 
 (** [decided_from st ~from] is the gapless run of decided batches starting
-    at instance [from]; [limit] (default 512) bounds the total *command*
-    count so one snapshot-reply frame stays small. *)
-val decided_from :
-  ?limit:int -> 'c state -> from:int -> (int * 'c cmd list) list
+    at instance [from]; a bound of 512 on the total *command* count keeps
+    one snapshot-reply frame small. *)
+val decided_from : 'c state -> from:int -> (int * 'c cmd list) list
 
 (** [install st entries] records decided batches from a snapshot.
     Idempotent — already-decided instances are untouched and the

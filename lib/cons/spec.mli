@@ -14,7 +14,7 @@
       process decides.
 
     The model checker's decision invariants ([Mc.Invariant.decision]) are
-    adapters over {!safety} and {!termination}, so the simulator and the
+    adapters over {!safety} and {!check}, so the simulator and the
     checker judge runs with the same functions and the same wording.
 
     Every clause reads the events as a set: a verdict does not depend on
@@ -44,16 +44,9 @@ val safety :
   'v Sim.Trace.event list ->
   (unit, string) result
 
-(** Termination, judged on a run that has ended: holds vacuously unless
-    every correct process has an input. *)
-val termination :
-  'v problem ->
-  Sim.Failure_pattern.t ->
-  'v Sim.Trace.event list ->
-  (unit, string) result
-
-(** [safety], then [termination]: the whole specification of a finished
-    run. *)
+(** [safety], then termination: the whole specification of a finished
+    run.  Termination is judged on a run that has ended, and holds
+    vacuously unless every correct process has an input. *)
 val check :
   'v problem ->
   Sim.Failure_pattern.t ->

@@ -22,11 +22,10 @@ val minority_correct : n:int -> t
 (** Exactly one process survives. *)
 val lone_survivor : n:int -> t
 
-(** Half the processes crash simultaneously at time [at]. *)
-val half_down : n:int -> at:int -> t
-
 (** A random pattern drawn from an environment. *)
 val random : Sim.Environment.t -> n:int -> seed:int -> t
 
-(** The standard benchmark gallery for a system of [n] processes. *)
+(** The standard benchmark gallery for a system of [n] processes:
+    failure-free, {!one_crash} at 50, half the processes crashing
+    together at 60, {!minority_correct} and {!lone_survivor}. *)
 val gallery : n:int -> t list

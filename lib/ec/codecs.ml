@@ -89,8 +89,6 @@ let read_ec_msg r =
   | 1 -> Sim.Layered.Main (read_msg r)
   | t -> bad_tag "ec-layered" t
 
-let ec_msg = Net.Wire.codec ~write:write_ec_msg ~read:read_ec_msg
-
 (* mixed node message: u8 — 0 SMR tower (nested, reusing Net.Codecs.pmsg),
    1 EC tower *)
 let mixed pc =

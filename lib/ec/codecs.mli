@@ -12,10 +12,6 @@ val entry : Entry.t Net.Wire.codec
 (** Anti-entropy traffic of {!Replica}. *)
 val msg : Replica.msg Net.Wire.codec
 
-(** The detector-layered replica: Ω-EC heartbeats + anti-entropy. *)
-val ec_msg :
-  (Fd.Emulated.Omega_ec.msg, Replica.msg) Sim.Layered.wire Net.Wire.codec
-
 (** The full mixed-consistency node message of {!Mixed.protocol}:
     the whole SMR tower and the whole EC tower under one tag. *)
 val mixed :

@@ -11,14 +11,14 @@ type output = (int * string Cons.Smr.cmd, Replica.output) Sim.Layered.wire
 (* [Layered.product] exposes the pair of component fds (both already unit
    here, the detectors being composed inside each side); a [Node] runs
    protocols with fd = unit, so close the pair off. *)
-let protocol ?window ?batch_max ?sync_every ?emit_fp ~period () :
+let protocol ?window ?sync_every ~period () :
     (state, msg, unit, input, output) Sim.Protocol.t =
   Sim.Protocol.const_fd ((), ())
     (Sim.Layered.product
-       (Net.Smr_node.protocol ?window ?batch_max ~period ())
+       (Net.Smr_node.protocol ?window ~period ())
        (Sim.Layered.with_detector
           (Omega_ec.detector ~period)
-          (Replica.make ?sync_every ?emit_fp ())))
+          (Replica.make ?sync_every ())))
 
 let smr_state ((p, _) : state) = Net.Smr_node.smr_state p
 let ec_detector ((_, (om, _)) : state) = om
@@ -41,36 +41,29 @@ type request =
 module W = Net.Wire.W
 module R = Net.Wire.R
 
-let encode_request req =
-  let buf = Buffer.create 64 in
-  (match req with
-  | Lin payload ->
-    W.u8 buf 0;
-    Buffer.add_string buf payload
-  | Eput { key; value } ->
-    W.u8 buf 1;
-    W.string buf key;
-    W.string buf value
-  | Eget { key } ->
-    W.u8 buf 2;
-    W.string buf key);
-  Buffer.to_bytes buf
-
-let decode_request frame =
-  let len = Bytes.length frame in
-  let r = Net.Wire.R.make frame ~pos:0 ~len in
-  match R.u8 r with
-  | 0 -> Lin (Bytes.sub_string frame 1 (len - 1))
-  | 1 ->
-    let key = R.string r in
-    let value = R.string r in
-    Net.Wire.R.expect_end r;
-    Eput { key; value }
-  | 2 ->
-    let key = R.string r in
-    Net.Wire.R.expect_end r;
-    Eget { key }
-  | t -> raise (Net.Wire.Decode_error (Printf.sprintf "mixed request tag %d" t))
+let request_codec =
+  Net.Wire.codec
+    ~write:(fun buf -> function
+      | Lin payload ->
+        W.u8 buf 0;
+        Buffer.add_string buf payload
+      | Eput { key; value } ->
+        W.u8 buf 1;
+        W.string buf key;
+        W.string buf value
+      | Eget { key } ->
+        W.u8 buf 2;
+        W.string buf key)
+    ~read:(fun r ->
+      match R.u8 r with
+      | 0 -> Lin (Bytes.unsafe_to_string (R.tail r))
+      | 1 ->
+        let key = R.string r in
+        let value = R.string r in
+        Eput { key; value }
+      | 2 -> Eget { key = R.string r }
+      | t ->
+        raise (Net.Wire.Decode_error (Printf.sprintf "mixed request tag %d" t)))
 
 (* Eventual-path replies: put → varint lamport, varint origin; get →
    option (value, lamport, origin). *)
@@ -79,62 +72,49 @@ type ereply =
   | Get_hit of { value : string; lamport : int; origin : Sim.Pid.t }
   | Get_miss
 
-let encode_ereply rep =
-  let buf = Buffer.create 32 in
-  (match rep with
-  | Put_ack { lamport; origin } ->
-    W.u8 buf 0;
-    W.varint buf lamport;
-    W.varint buf origin
-  | Get_hit { value; lamport; origin } ->
-    W.u8 buf 1;
-    W.string buf value;
-    W.varint buf lamport;
-    W.varint buf origin
-  | Get_miss -> W.u8 buf 2);
-  Buffer.to_bytes buf
+let ereply_codec =
+  Net.Wire.codec
+    ~write:(fun buf -> function
+      | Put_ack { lamport; origin } ->
+        W.u8 buf 0;
+        W.varint buf lamport;
+        W.varint buf origin
+      | Get_hit { value; lamport; origin } ->
+        W.u8 buf 1;
+        W.string buf value;
+        W.varint buf lamport;
+        W.varint buf origin
+      | Get_miss -> W.u8 buf 2)
+    ~read:(fun r ->
+      match R.u8 r with
+      | 0 ->
+        let lamport = R.varint r in
+        let origin = R.varint r in
+        Put_ack { lamport; origin }
+      | 1 ->
+        let value = R.string r in
+        let lamport = R.varint r in
+        let origin = R.varint r in
+        Get_hit { value; lamport; origin }
+      | 2 -> Get_miss
+      | t -> raise (Net.Wire.Decode_error (Printf.sprintf "ereply tag %d" t)))
 
-let decode_ereply frame =
-  let r = Net.Wire.R.make frame ~pos:0 ~len:(Bytes.length frame) in
-  let rep =
-    match R.u8 r with
-    | 0 ->
-      let lamport = R.varint r in
-      let origin = R.varint r in
-      Put_ack { lamport; origin }
-    | 1 ->
-      let value = R.string r in
-      let lamport = R.varint r in
-      let origin = R.varint r in
-      Get_hit { value; lamport; origin }
-    | 2 -> Get_miss
-    | t -> raise (Net.Wire.Decode_error (Printf.sprintf "ereply tag %d" t))
-  in
-  Net.Wire.R.expect_end r;
-  rep
-
-let impl ?window ?batch_max ?sync_every ~period () :
-    (state, string) Net.Smr_node.impl =
+let impl ?window ?sync_every ~period () : (state, string) Net.Smr_node.impl =
   Net.Smr_node.Impl
     {
-      proto = protocol ?window ?batch_max ?sync_every ~period ();
+      proto = protocol ?window ?sync_every ~period ();
       codec = Codecs.mixed Net.Wire.string_c;
-      submitted = (fun st -> Cons.Smr.submitted (smr_state st));
-      applied = (fun st -> Cons.Smr.applied (smr_state st));
+      smr = smr_state;
+      show = Fun.id;
       decided =
         (fun out ->
           match out with
           | Sim.Layered.Detector (slot, cmd) -> Some (slot, cmd)
           | Sim.Layered.Main _ -> None);
       submit = (fun c -> Sim.Layered.Detector c);
-      log_line =
-        (fun slot cmd ->
-          Printf.sprintf "%d\t%d\t%d\t%s" slot cmd.Cons.Smr.origin
-            cmd.Cons.Smr.seq
-            (String.escaped cmd.Cons.Smr.payload));
       on_request =
         (fun ~state ~inject frame ->
-          match decode_request frame with
+          match Net.Wire.of_bytes request_codec frame with
           | Lin payload -> `Submit payload
           | Eput { key; value } -> (
             (* Synchronous apply, then answer from post-state: the reply
@@ -144,7 +124,7 @@ let impl ?window ?batch_max ?sync_every ~period () :
             match Store.get (store (state ())) key with
             | Some e ->
               `Reply
-                (encode_ereply
+                (Net.Wire.to_bytes ereply_codec
                    (Put_ack { lamport = e.Entry.lamport; origin = e.Entry.origin }))
             | None -> assert false)
           | Eget { key } ->
@@ -159,5 +139,5 @@ let impl ?window ?batch_max ?sync_every ~period () :
                   }
               | None -> Get_miss
             in
-            `Reply (encode_ereply rep));
+            `Reply (Net.Wire.to_bytes ereply_codec rep));
     }

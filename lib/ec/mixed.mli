@@ -21,11 +21,11 @@ type input = (string, Replica.input) Sim.Layered.wire
 
 type output = (int * string Cons.Smr.cmd, Replica.output) Sim.Layered.wire
 
+(** The SMR side batches up to {!Cons.Smr.make}'s default; the EC side
+    emits no fingerprints. *)
 val protocol :
   ?window:int ->
-  ?batch_max:int ->
   ?sync_every:int ->
-  ?emit_fp:bool ->
   period:int ->
   unit ->
   (state, msg, unit, input, output) Sim.Protocol.t
@@ -43,10 +43,8 @@ type request =
   | Eput of { key : string; value : string }
   | Eget of { key : string }
 
-val encode_request : request -> bytes
-
-(** @raise Net.Wire.Decode_error on a malformed frame. *)
-val decode_request : bytes -> request
+(** Decoding raises [Net.Wire.Decode_error] on a malformed frame. *)
+val request_codec : request Net.Wire.codec
 
 (** Eventual-path replies ([Lin] replies ride the standard
     {!Net.Smr_node.decode_reply} format when the command decides). *)
@@ -55,16 +53,13 @@ type ereply =
   | Get_hit of { value : string; lamport : int; origin : Sim.Pid.t }
   | Get_miss
 
-val encode_ereply : ereply -> bytes
-
-(** @raise Net.Wire.Decode_error on a malformed frame. *)
-val decode_ereply : bytes -> ereply
+(** Decoding raises [Net.Wire.Decode_error] on a malformed frame. *)
+val ereply_codec : ereply Net.Wire.codec
 
 (** The deployable mixed node for {!Net.Smr_node.serve}, on the
     {!Codecs.mixed} binary tower. *)
 val impl :
   ?window:int ->
-  ?batch_max:int ->
   ?sync_every:int ->
   period:int ->
   unit ->

@@ -99,8 +99,3 @@ let fingerprint t =
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 let keys t = M.fold (fun k _ acc -> k :: acc) t.entries [] |> List.rev
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>store p%d rev=%d" t.self t.rev;
-  M.iter (fun k e -> Format.fprintf ppf "@,  %s -> %a" k Entry.pp e) t.entries;
-  Format.fprintf ppf "@]"

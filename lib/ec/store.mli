@@ -2,7 +2,7 @@
     from keys to {!Entry.t}, closed under join, plus a revision counter
     that anti-entropy uses to know when a peer is up to date.
 
-    Well-formedness invariant (maintained by {!put} and {!merge_entry}):
+    Well-formedness invariant (maintained by {!put} and {!merge_entries}):
     among store-produced entries for the same key, strict vector-clock
     dominance implies a strictly higher [(lamport, origin)] stamp — so the
     LWW join of causally comparable entries always picks the newer one,
@@ -26,9 +26,7 @@ val keys : t -> string list
     Returns the entry written. *)
 val put : t -> key:string -> value:string -> Entry.t * t
 
-(** Join a remote entry in; [changed] iff the abstract state changed. *)
-val merge_entry : t -> key:string -> Entry.t -> bool * t
-
+(** Join remote entries in; [changed] iff the abstract state changed. *)
 val merge_entries : t -> (string * Entry.t) list -> bool * t
 
 (** Per-key stamps — the anti-entropy digest body. *)
@@ -46,5 +44,3 @@ val entries_for : t -> string list -> (string * Entry.t) list
 (** Canonical digest of the abstract state ({e excluding} vector clocks —
     see {!Entry.equal}).  Equal fingerprints mean converged replicas. *)
 val fingerprint : t -> string
-
-val pp : Format.formatter -> t -> unit

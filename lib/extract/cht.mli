@@ -25,20 +25,6 @@ val make :
   fd0:'fd ->
   ('st, 'msg, 'fd, 'out) t
 
-(** [initial_config t ~tree] is tree [tree]'s initial configuration
-    ([0 <= tree <= n]). *)
-val initial_config :
-  ('st, 'msg, 'fd, 'out) t -> tree:int -> ('st, 'msg, 'out) Simconfig.t
-
-(** [canonical t cfg samples ~from_] extends [cfg] by the canonical
-    schedule over [samples.(from_ ..)]. *)
-val canonical :
-  ('st, 'msg, 'fd, 'out) t ->
-  ('st, 'msg, 'out) Simconfig.t ->
-  'fd Dag.sample array ->
-  from_:int ->
-  ('st, 'msg, 'out) Simconfig.t
-
 (** [run_tree t samples ~tree] is the canonical run of a whole tree. *)
 val run_tree :
   ('st, 'msg, 'fd, 'out) t ->
@@ -54,12 +40,6 @@ val decision_of :
   tree:int ->
   pid:Sim.Pid.t ->
   'out option
-
-(** [tags t samples ~tree] is the tree's valence tag: the set of decision
-    values (first decision of each explored run) reachable from the root
-    via the canonical run and its one-step λ-deviations. *)
-val tags :
-  ('st, 'msg, 'fd, 'out) t -> 'fd Dag.sample array -> tree:int -> 'out list
 
 (** The critical index and the extracted leader (Section 6.3.1):
     - at a *univalent* critical index [i] (trees [i-1] and [i] decide

@@ -502,11 +502,6 @@ module Omega = struct
 
   let kind_name = function Heartbeat -> "heartbeat" | Ring -> "ring"
 
-  let kind_of_string = function
-    | "heartbeat" -> Some Heartbeat
-    | "ring" -> Some Ring
-    | _ -> None
-
   let kind = function HS _ -> Heartbeat | RS _ -> Ring
 
   let current = function

@@ -274,8 +274,6 @@ module Omega : sig
       [fd.frames{detector=...}] metric labels. *)
   val kind_name : kind -> string
 
-  val kind_of_string : string -> kind option
-
   (** Which backend a running state is. *)
   val kind : state -> kind
 

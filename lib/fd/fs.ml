@@ -3,10 +3,6 @@ type output = Green | Red
 let equal_output a b =
   match (a, b) with Green, Green | Red, Red -> true | Green, Red | Red, Green -> false
 
-let pp_output fmt = function
-  | Green -> Format.pp_print_string fmt "green"
-  | Red -> Format.pp_print_string fmt "red"
-
 let oracle =
   Oracle.make ~name:"FS" (fun fp rng ->
       match Sim.Failure_pattern.first_crash fp with

@@ -7,7 +7,6 @@
 type output = Green | Red
 
 val equal_output : output -> output -> bool
-val pp_output : Format.formatter -> output -> unit
 
 (** Standard oracle: [Green] everywhere before the first crash; after the
     first crash each process switches to [Red] at its own time (with random

@@ -3,12 +3,6 @@ type output =
   | Fs_mode of Fs.output
   | Cons_mode of Omega.output * Sigma.output
 
-let pp_output fmt = function
-  | Bot -> Format.pp_print_string fmt "⊥"
-  | Fs_mode v -> Format.fprintf fmt "FS:%a" Fs.pp_output v
-  | Cons_mode (l, q) ->
-    Format.fprintf fmt "(Ω=%a,Σ=%a)" Sim.Pid.pp l Sim.Pidset.pp q
-
 type mode = Consensus_mode | Failure_mode
 
 let generate ~mode fp rng =

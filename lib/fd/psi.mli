@@ -10,8 +10,6 @@ type output =
   | Fs_mode of Fs.output
   | Cons_mode of Omega.output * Sigma.output
 
-val pp_output : Format.formatter -> output -> unit
-
 (** Which branch a Ψ history eventually takes. *)
 type mode = Consensus_mode | Failure_mode
 

@@ -233,10 +233,10 @@ let replay target schedule =
 
 let violates target schedule = (replay target schedule).violation <> None
 
-let search ?(budget = 10_000) ?(shrink = true) ?(seed = 1) target =
+let search ?(budget = 10_000) target =
   let cex ~reason choices =
-    Harness.counterexample ~shrink ~violates:(violates target)
-      ~target:target.name ~n:target.n ~seed ~reason
+    Harness.counterexample ~shrink:true ~violates:(violates target)
+      ~target:target.name ~n:target.n ~seed:1 ~reason
       (Schedule.make ~crashes:[] choices)
   in
   Parallel.exhaust ~budget ~cex (fun ~hook sched ->

@@ -28,7 +28,9 @@
 
 (** One scripted hub fault, applied at the start of its round — the
     {!Net.Loopback} fault vocabulary.  [Kill p] is {!Net.Loopback.crash}:
-    frames [p] sent before the kill may still arrive. *)
+    frames [p] sent before the kill may still arrive.  It is also the
+    failure pattern the invariants receive: a pid killed at round [r]
+    crashes at time [r * n] on the event clock. *)
 type fault =
   | Block of Sim.Pid.t
   | Unblock of Sim.Pid.t
@@ -71,11 +73,6 @@ type ('st, 'msg, 'inp, 'out) target = {
   pp_out : Format.formatter -> 'out -> unit;
 }
 
-(** The failure pattern implied by the target's [Kill] faults: a pid
-    killed at round [r] crashes at time [r * n] on the event clock.
-    This is what invariants receive. *)
-val fp_of : ('st, 'msg, 'inp, 'out) target -> Sim.Failure_pattern.t
-
 type run_report = {
   violation : string option;
   choices : int list;  (** the recorded, replayable choice sequence *)
@@ -109,13 +106,12 @@ val violates : ('st, 'msg, 'inp, 'out) target -> Schedule.t -> bool
     interleavings, with visited-digest pruning (keyed on
     [(digest, round)] — fault/input scripts are round-indexed, so states
     only merge at equal rounds), schedule [budget], and counterexample
-    shrinking over the choice sequence.  [Net.Node]s are mutable, so
+    shrinking over the choice sequence (always on; the counterexample
+    reports seed 1).  [Net.Node]s are mutable, so
     every run starts at time 0 rather than from a round snapshot; new
     prefixes go at the tail of the work list.  The report has one
     pattern. *)
 val search :
   ?budget:int ->
-  ?shrink:bool ->
-  ?seed:int ->
   ('st, 'msg, 'inp, 'out) target ->
   Crash_adversary.report

@@ -119,7 +119,7 @@ module Broken_arq = struct
     resend_every : int;
   }
 
-  let make ?(resend_every = 2) inner =
+  let make ~resend_every inner =
     {
       inner;
       conns =
@@ -216,7 +216,7 @@ module Broken_arq = struct
     Hashtbl.hash (Digest.bytes (Marshal.to_bytes project []))
 end
 
-let broken_arq_link ?(resend_every = 2) () tr =
+let broken_arq_link ~resend_every tr =
   let b = Broken_arq.make ~resend_every tr in
   {
     Net_harness.tr = Broken_arq.transport b;
@@ -253,7 +253,7 @@ let seq_rel ~n ~m =
    masked by its own chattiness. *)
 let seq_broken_arq ~n ~m =
   seq_target ~name:"net_seq_broken_arq" ~n ~m
-    ~link:(broken_arq_link ~resend_every:8 ())
+    ~link:(broken_arq_link ~resend_every:8)
     ~reorder:false
     ~faults:[ (0, Net_harness.Drop_next 0) ]
     ~max_rounds:40

@@ -11,15 +11,6 @@ type seq_msg = Data of int
 type seq_out = Got of Sim.Pid.t * int
 type seq_state
 
-(** The sequencing workload as a protocol ([fd = unit], no inputs). *)
-val seq_protocol :
-  m:int -> (seq_state, seq_msg, unit, unit, seq_out) Sim.Protocol.t
-
-(** The link axiom as an invariant (assumes a kill-free target).  It
-    reads delivery order, so its [on_output] reverses the events it gets
-    newest first ({!Invariant}). *)
-val seq_invariant : n:int -> m:int -> seq_out Invariant.t
-
 (** Sequencing over the raw hub with frame reordering on: the axiom
     does not hold and {!Net_harness.search} finds an out-of-order
     delivery within a few schedules — the harness's positive control. *)
@@ -31,27 +22,13 @@ val seq_raw_reorder :
 val seq_rel :
   n:int -> m:int -> (seq_state, seq_msg, unit, seq_out) Net_harness.target
 
-(** Sequencing over {!Broken_arq} with a dropped frame: the planted
-    ack bug loses a message; caught by the completeness check at
-    quiescence. *)
+(** Sequencing with a dropped frame over a deliberately broken ARQ,
+    shaped like {!Net.Rel} but acknowledging the highest sequence number
+    {e seen} instead of cumulatively: a frame lost below a later one is
+    never retransmitted.  The planted ack bug loses a message; caught by
+    the completeness check at quiescence. *)
 val seq_broken_arq :
   n:int -> m:int -> (seq_state, seq_msg, unit, seq_out) Net_harness.target
-
-(** A deliberately broken ARQ, shaped like {!Net.Rel} but acknowledging
-    the highest sequence number {e seen} instead of cumulatively: a
-    frame lost below a later one is never retransmitted.  Exposed for
-    tests that want to drive it directly. *)
-module Broken_arq : sig
-  type t
-
-  val make : ?resend_every:int -> Net.Transport.t -> t
-  val transport : t -> Net.Transport.t
-  val idle : t -> bool
-  val digest : t -> int
-end
-
-(** The planted-bug ARQ as a {!Net_harness.link}. *)
-val broken_arq_link : ?resend_every:int -> unit -> Net_harness.link
 
 (** ABD over {!Net.Node} + {!Net.Rel} with a constant full-set Σ
     (legitimate in a kill-free run): one write racing one read, over

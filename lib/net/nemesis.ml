@@ -398,7 +398,6 @@ let tick c =
   c.time <- c.time + 1;
   run_due c
 
-let now c = c.time
 let skew_of c p = if p >= 0 && p < c.n then c.skew.(p) else 1
 let killed c p = p >= 0 && p < c.n && c.dead.(p)
 

@@ -81,8 +81,6 @@ val load_schedule : string -> (schedule, string) result
     so a schedule is checked once, never per frame. *)
 val check : n:int -> schedule -> (unit, string) result
 
-val pp_cmd : Format.formatter -> cmd -> unit
-
 (** {2 The controller} *)
 
 (** Shared fault state for one cluster: all wrapped endpoints consult (and
@@ -112,8 +110,6 @@ val wrap : ctrl -> Transport.t -> Transport.t
 (** Advance the logical clock one tick and apply the schedule commands
     that fire at the new time. *)
 val tick : ctrl -> unit
-
-val now : ctrl -> int
 
 (** Step divisor of a process under [Skew] (1 = full speed). *)
 val skew_of : ctrl -> Sim.Pid.t -> int

@@ -71,11 +71,12 @@ type client = {
 let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
 (* What a node process needs to serve any protocol with an SMR-shaped
-   component: the automaton itself plus its wire codec, how to count
-   submissions/applications, a projection from outputs to decided
-   (slot, cmd) entries (for protocols — like the mixed-consistency node —
-   whose output type carries more than decisions), how to render a log
-   line, and how to turn a client frame into an SMR submission, a
+   component: the automaton itself plus its wire codec, where its SMR
+   state is (for the submission/application counters), how to render a
+   command's payload in the applied log, a projection from outputs to
+   decided (slot, cmd) entries (for protocols — like the
+   mixed-consistency node — whose output type carries more than
+   decisions), and how to turn a client frame into an SMR submission, a
    synchronous local input (the eventual path), or an immediate reply.
    The wire/input/output types are existential — the event loop never
    looks inside; the codec travels with the protocol it encodes. *)
@@ -83,11 +84,10 @@ type ('st, 'c) impl =
   | Impl : {
       proto : ('st, 'msg, unit, 'inp, 'out) Sim.Protocol.t;
       codec : 'msg Wire.codec;
-      submitted : 'st -> int;
-      applied : 'st -> int;
+      smr : 'st -> 'c Cons.Smr.state;
+      show : 'c -> string;
       decided : 'out -> (int * 'c Cons.Smr.cmd) option;
       submit : 'c -> 'inp;
-      log_line : int -> 'c Cons.Smr.cmd -> string;
       on_request :
         state:(unit -> 'st) ->
         inject:('inp -> unit) ->
@@ -109,6 +109,18 @@ let decode_reply frame =
   let slot = Wire.R.varint r in
   Wire.R.expect_end r;
   (seq, slot)
+
+(* The applied log has one line per decided slot: slot, origin, seq and
+   the escaped payload, tab-separated.  [String.escaped] leaves no tab or
+   newline in the payload field. *)
+let log_line ~show slot (cmd : _ Cons.Smr.cmd) =
+  Printf.sprintf "%d\t%d\t%d\t%s" slot cmd.origin cmd.seq
+    (String.escaped (show cmd.payload))
+
+let log_payload line =
+  match String.split_on_char '\t' line with
+  | [ _; _; _; p ] -> Some p
+  | _ -> None
 
 (* Steps a busy node takes back-to-back, polling without a timeout,
    before it waits a tick again. *)
@@ -146,7 +158,7 @@ let serve (type st c) (Impl impl : (st, c) impl) cfg =
   Unix.listen listen_fd 256;
   let clients = ref [] in
   let pending : (int, client) Hashtbl.t = Hashtbl.create 64 in
-  let next_seq = ref (impl.submitted (Node.state node)) in
+  let next_seq = ref (Cons.Smr.submitted (impl.smr (Node.state node))) in
   let log_oc = Option.map open_out cfg.log_path in
   let rbuf = Bytes.create 65536 in
   let rebuf = Buffer.create 32 in
@@ -207,7 +219,7 @@ let serve (type st c) (Impl impl : (st, c) impl) cfg =
           (match log_oc with
           | None -> ()
           | Some oc ->
-            output_string oc (impl.log_line slot cmd);
+            output_string oc (log_line ~show:impl.show slot cmd);
             output_char oc '\n';
             flush oc);
           if cmd.Cons.Smr.origin = cfg.self then
@@ -266,7 +278,7 @@ let serve (type st c) (Impl impl : (st, c) impl) cfg =
     "node %d: steps=%d applied=%d sent=%d delivered=%d reconnects=%d \
      dropped=%d\n%!"
     cfg.self (Node.now node)
-    (impl.applied (Node.state node))
+    (Cons.Smr.applied (impl.smr (Node.state node)))
     st.Transport.sent st.Transport.delivered st.Transport.reconnects
     st.Transport.dropped;
   Option.iter close_out log_oc;
@@ -278,8 +290,8 @@ let serve (type st c) (Impl impl : (st, c) impl) cfg =
   transport.Transport.close ()
 
 (* The string-command node is the trivial instantiation on the full
-   binary tower: every client frame is one raw command payload, the log
-   line is the escaped payload. *)
+   binary tower: every client frame is one raw command payload, shown as
+   itself in the log. *)
 let string_impl cfg : (string pstate, string) impl =
   Impl
     {
@@ -287,15 +299,10 @@ let string_impl cfg : (string pstate, string) impl =
         protocol ~window:cfg.window ~batch_max:cfg.batch_max
           ~detector:cfg.detector ~period:cfg.period ();
       codec = Codecs.pmsg Wire.string_c;
-      submitted = (fun st -> Cons.Smr.submitted (smr_state st));
-      applied = (fun st -> Cons.Smr.applied (smr_state st));
+      smr = smr_state;
+      show = Fun.id;
       decided = (fun out -> Some out);
       submit = (fun c -> c);
-      log_line =
-        (fun slot cmd ->
-          Printf.sprintf "%d\t%d\t%d\t%s" slot cmd.Cons.Smr.origin
-            cmd.Cons.Smr.seq
-            (String.escaped cmd.Cons.Smr.payload));
       on_request =
         (fun ~state:_ ~inject:_ frame -> `Submit (Bytes.to_string frame));
     }

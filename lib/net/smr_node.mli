@@ -16,7 +16,8 @@
     [Shard.Server] — behind one event loop: poll(2) transport, client
     listener (framed {!Wire} requests), applied-log file (one line per
     decided slot, flushed eagerly so an observer — or the demo verifier —
-    can diff logs of live nodes), optional JSONL trace dumped on SIGTERM. *)
+    can diff logs of live nodes; {!log_payload} reads it), optional JSONL
+    trace dumped on SIGTERM. *)
 
 type 'c pstate
 
@@ -84,12 +85,13 @@ val default_config : self:Sim.Pid.t -> addrs:Unix.sockaddr array ->
 
 (** What {!serve} needs to host {e any} protocol with an SMR-shaped
     component behind the same event loop: the automaton and its wire
-    {!Wire.codec}, submission/application counters, the [decided]
+    {!Wire.codec}; [smr], the node's {!Cons.Smr.state}, whose
+    submission and application counters {!serve} reads; [show], a
+    command payload as its applied-log line prints it; the [decided]
     projection from protocol outputs to decided [(slot, cmd)] entries
-    (identity-shaped for pure SMR; [Ec.Mixed] outputs also carry
-    eventual-path fingerprints, which project to [None]), [submit] to
-    embed a client command into the protocol's input type, a log-line
-    renderer, and the client-frame handler — [`Submit c] enters the
+    (identity-shaped for pure SMR; [Ec.Mixed]'s EC-side outputs project
+    to [None]); [submit] to embed a client command into the protocol's
+    input type; and the client-frame handler — [`Submit c] enters the
     replicated log (the client gets the binary [(seq, slot)] reply of
     {!decode_reply} when its entry is decided), [`Reply b] answers
     immediately without consensus (how [Shard.Server] serves its
@@ -103,11 +105,10 @@ type ('st, 'c) impl =
   | Impl : {
       proto : ('st, 'msg, unit, 'inp, 'out) Sim.Protocol.t;
       codec : 'msg Wire.codec;
-      submitted : 'st -> int;
-      applied : 'st -> int;
+      smr : 'st -> 'c Cons.Smr.state;
+      show : 'c -> string;
       decided : 'out -> (int * 'c Cons.Smr.cmd) option;
       submit : 'c -> 'inp;
-      log_line : int -> 'c Cons.Smr.cmd -> string;
       on_request :
         state:(unit -> 'st) ->
         inject:('inp -> unit) ->
@@ -117,8 +118,15 @@ type ('st, 'c) impl =
       -> ('st, 'c) impl
 
 (** Run a node process hosting [impl] until SIGTERM (clean shutdown:
-    close sockets, flush log, dump trace).  Never returns normally. *)
+    close sockets, flush log, dump trace).  Never returns normally.
+    Each decided slot appends one line to the applied log: slot, origin,
+    seq and [String.escaped (show payload)], tab-separated. *)
 val serve : ('st, 'c) impl -> config -> unit
+
+(** The payload field of an applied-log line, as written (escaped);
+    [None] unless the line has the four fields — a SIGKILLed node's
+    file may end in a torn line. *)
+val log_payload : string -> string option
 
 (** The string-command instantiation of {!protocol} on the full binary
     codec tower ({!Codecs.pmsg} over {!Wire.string_c}) — the node body of

@@ -23,10 +23,10 @@ let record metrics (e : Sim.Event.t) =
     Metrics.observe metrics "run.decision_round" e.round
   | Metric { name; value } -> Metrics.observe metrics name value
 
-let create ?(capacity = default_capacity) ?clock () =
+let create ?(capacity = default_capacity) () =
   let events = Ring.create ~capacity in
   let metrics = Metrics.create () in
-  let profile = Profile.create ?clock () in
+  let profile = Profile.create () in
   let sink =
     {
       Sim.Event.emit =
@@ -46,8 +46,3 @@ let metric_rows t =
   ("events.recorded", Ring.pushed t.events)
   :: ("events.dropped", Ring.dropped t.events)
   :: Metrics.snapshot t.metrics
-
-let clear t =
-  Ring.clear t.events;
-  Metrics.clear t.metrics;
-  Profile.clear t.profile

@@ -10,11 +10,9 @@ type t = {
   sink : Sim.Event.sink;
 }
 
-(** Events retained before the ring starts dropping (65536). *)
-val default_capacity : int
-
-(** [create ?capacity ?clock ()] — [clock] is forwarded to the profiler. *)
-val create : ?capacity:int -> ?clock:(unit -> int64) -> unit -> t
+(** [create ?capacity ()] — the ring retains [capacity] events (65,536
+    by default) before it starts dropping. *)
+val create : ?capacity:int -> unit -> t
 
 (** Retained events, oldest first. *)
 val events : t -> Sim.Event.t list
@@ -25,5 +23,3 @@ val dropped : t -> int
 (** Metric rows for [Runner.summary]: the metrics snapshot plus
     [events.recorded] / [events.dropped] bookkeeping. *)
 val metric_rows : t -> (string * int) list
-
-val clear : t -> unit

@@ -13,19 +13,15 @@ val escape : string -> string
 val str : string -> string
 
 (** One record rendered as one JSON line, no trailing newline — the
-    building blocks of {!output_collector}, exposed so tests and tools
-    can render (and diff) records individually. *)
+    building blocks of {!write_run}, exposed so tests and tools can
+    render (and diff) records individually. *)
 val event_line : Sim.Event.t -> string
 
 val meta_line : (string * string) list -> string
 val metrics_line : (string * int) list -> string
-val profile_line : (string * Profile.row) list -> string
 
-(** [output_collector oc ~meta c] writes the four-part record stream. *)
-val output_collector :
-  out_channel -> meta:(string * string) list -> Collector.t -> unit
-
-(** [write_run ~path ~meta c] writes (truncating) the trace file. *)
+(** [write_run ~path ~meta c] writes (truncating) the trace file: the
+    four-part record stream. *)
 val write_run : path:string -> meta:(string * string) list -> Collector.t -> unit
 
 (** {2 Reading}
@@ -33,7 +29,7 @@ val write_run : path:string -> meta:(string * string) list -> Collector.t -> uni
     The inverse direction, so traces written by real cluster runs
     ([bin/cluster.ml --trace]) and by simulated runs can be loaded,
     validated and diffed by the same tooling.  [record_of_line] inverts
-    {!event_line} / {!meta_line} / {!metrics_line} / {!profile_line}
+    {!event_line} / {!meta_line} / {!metrics_line} and the profile line
     exactly: for any event [e], parsing [event_line e] yields [Event e']
     with [e' = e] up to vector-clock physical identity. *)
 
@@ -45,10 +41,8 @@ type record =
 
 val record_of_line : string -> (record, string) result
 
-(** All records until EOF, in file order.
+(** [read_file path] is every record of the file, in file order.
     @raise Failure on a malformed line (with its line number). *)
-val of_channel : in_channel -> record list
-
 val read_file : string -> record list
 
 (** The events of a record stream, in order. *)

@@ -130,8 +130,3 @@ let clear t =
   Hashtbl.reset t.counters;
   Hashtbl.reset t.gauges;
   Hashtbl.reset t.histograms
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>%a@]"
-    (Format.pp_print_list (fun ppf (k, v) -> Format.fprintf ppf "%s=%d" k v))
-    (snapshot t)

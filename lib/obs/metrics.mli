@@ -71,5 +71,3 @@ val snapshot : t -> (string * int) list
 
 (** Forget every counter and histogram. *)
 val clear : t -> unit
-
-val pp : Format.formatter -> t -> unit

@@ -42,12 +42,3 @@ let snapshot t =
     (fun name s acc -> (name, { count = s.s_count; total_ns = s.s_total_ns }) :: acc)
     t.spans []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let clear t = Hashtbl.reset t.spans
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>%a@]"
-    (Format.pp_print_list (fun ppf (name, r) ->
-         Format.fprintf ppf "%s: count=%d total=%.3fms" name r.count
-           (Int64.to_float r.total_ns /. 1e6)))
-    (snapshot t)

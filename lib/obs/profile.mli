@@ -25,6 +25,3 @@ type row = { count : int; total_ns : int64 }
 
 (** Per-span totals, name-sorted. *)
 val snapshot : t -> (string * row) list
-
-val clear : t -> unit
-val pp : Format.formatter -> t -> unit

@@ -10,8 +10,6 @@ type state = {
   decided : bool;
 }
 
-let qc_proposal st = st.proposal
-
 let inner_proto :
     (int Qc_psi.state, int Qc_psi.msg, Fd.Psi.output, int,
      int Types.qc_decision)

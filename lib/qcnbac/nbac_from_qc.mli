@@ -16,7 +16,3 @@ type msg
 val protocol :
   (state, msg, Fd.Psi.output * Fd.Fs.output, Types.vote, Types.outcome)
   Sim.Protocol.t
-
-(** What the process proposed to the inner QC (for tests): [None] until the
-    vote-collection phase ends. *)
-val qc_proposal : state -> int option

@@ -1,6 +1,6 @@
 (** Two-phase commit — the classical *blocking* baseline (Gray [10]).
 
-    Process 0 is the coordinator: participants send it their votes; it
+    Process 0 is always the coordinator: participants send it their votes; it
     decides Commit iff all [n] votes are Yes and broadcasts the outcome.
     A participant that votes No aborts unilaterally.  No failure detector
     is used: if the coordinator crashes before broadcasting, every waiting
@@ -11,6 +11,3 @@ type state
 type msg
 
 val protocol : (state, msg, unit, Types.vote, Types.outcome) Sim.Protocol.t
-
-(** The coordinator's id (always 0). *)
-val coordinator : Sim.Pid.t

@@ -5,15 +5,6 @@ type 'v qc_decision = Value of 'v | Quit
 let equal_vote a b =
   match (a, b) with Yes, Yes | No, No -> true | Yes, No | No, Yes -> false
 
-let equal_outcome a b =
-  match (a, b) with
-  | Commit, Commit | Abort, Abort -> true
-  | Commit, Abort | Abort, Commit -> false
-
-let pp_vote fmt = function
-  | Yes -> Format.pp_print_string fmt "Yes"
-  | No -> Format.pp_print_string fmt "No"
-
 let pp_outcome fmt = function
   | Commit -> Format.pp_print_string fmt "Commit"
   | Abort -> Format.pp_print_string fmt "Abort"

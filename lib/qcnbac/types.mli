@@ -11,8 +11,6 @@ type outcome = Commit | Abort
 type 'v qc_decision = Value of 'v | Quit
 
 val equal_vote : vote -> vote -> bool
-val equal_outcome : outcome -> outcome -> bool
-val pp_vote : Format.formatter -> vote -> unit
 val pp_outcome : Format.formatter -> outcome -> unit
 
 val pp_qc_decision :

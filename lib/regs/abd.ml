@@ -46,16 +46,7 @@ let stored st rid =
   | Some tv -> tv
   | None -> (Tag.initial, None)
 
-let replica_value st rid = stored st rid
-
-let current_responders st =
-  match st.pending with
-  | None -> Sim.Pidset.empty
-  | Some p -> p.responders
-
 let last_op_participants st = st.last_participants
-
-let completed_ops st = st.completed
 
 let init ~registers ~n:_ self =
   {

@@ -42,19 +42,8 @@ val protocol :
   registers:int ->
   ('v state, 'v msg, Sim.Pidset.t, 'v input, 'v output) Sim.Protocol.t
 
-(** Replica-side view of a register at a process — exposed for tests and
-    for the Figure 1 transformation. *)
-val replica_value : 'v state -> rid -> Tag.t * 'v option
-
-(** The set of replicas that acknowledged the current in-flight phase —
-    exposed so the Figure 1 transformation can compute write participants. *)
-val current_responders : 'v state -> Sim.Pidset.t
-
 (** The participants of the last completed operation: the process itself
     plus every replica that answered in either phase.  For a write this is
     (a superset of) the paper's [P_i(k)] — the processes whose steps fall
     causally inside the write. *)
 val last_op_participants : 'v state -> Sim.Pidset.t
-
-(** Number of operations this process has completed. *)
-val completed_ops : 'v state -> int

@@ -5,8 +5,6 @@ type ('st, 'v) state = {
   resp : 'v option option;  (* pending read result for the app's next step *)
 }
 
-let app_state st = st.app
-
 let complete st = function
   | Abd.Invoked _ -> st
   | Abd.Responded { resp = Abd.Read_value (_, v); _ } ->

@@ -10,9 +10,6 @@
 
 type ('st, 'v) state
 
-(** The app's local state — exposed for tests. *)
-val app_state : ('st, 'v) state -> 'st
-
 val protocol :
   registers:int ->
   ('st, 'v, 'afd, 'inp, 'out) Shm.proto ->

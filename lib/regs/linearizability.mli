@@ -25,11 +25,6 @@ type 'v op = {
     must concern a single register. *)
 val check : 'v op list -> bool
 
-(** [of_trace events] splits an ABD run's output events, in any order,
-    into per-register histories and pairs invocations with responses.
-    Returns an association list from register id to its history. *)
-val of_trace : 'v Abd.output Sim.Trace.event list -> (Abd.rid * 'v op list) list
-
 (** [check_trace events] checks every register's history of an ABD run's
     output events. *)
 val check_trace : 'v Abd.output Sim.Trace.event list -> bool

@@ -10,4 +10,3 @@ let compare a b =
 let equal a b = compare a b = 0
 let next t writer = { seq = t.seq + 1; writer }
 let max a b = if compare a b >= 0 then a else b
-let pp fmt t = Format.fprintf fmt "(%d,%a)" t.seq Sim.Pid.pp t.writer

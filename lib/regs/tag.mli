@@ -18,5 +18,3 @@ val next : t -> Sim.Pid.t -> t
 
 (** [max a b] by [compare]. *)
 val max : t -> t -> t
-
-val pp : Format.formatter -> t -> unit

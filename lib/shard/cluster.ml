@@ -5,12 +5,7 @@
 type group =
   (Replica.state, Replica.msg, Replica.payload, Replica.entry) Net.Local.cluster
 
-type t = {
-  groups : group array;
-  ring : Ring.t;
-  replicas : int;
-  spares : int;
-}
+type t = { groups : group array; ring : Ring.t }
 
 let create ?(period = 16) ?detector ?sink ?wrap ~shards ~replicas
     ?(spares = 1) () =
@@ -26,11 +21,8 @@ let create ?(period = 16) ?detector ?sink ?wrap ~shards ~replicas
           ~codec:Replica.codec ~n:(replicas + spares)
           (Replica.protocol ?detector ~period ~members ()))
   in
-  { groups; ring = Ring.create (List.init shards Fun.id); replicas; spares }
+  { groups; ring = Ring.create (List.init shards Fun.id) }
 
-let shards t = Array.length t.groups
-let replicas t = t.replicas
-let spares t = t.spares
 let group t s = t.groups.(s)
 let ring t = t.ring
 

@@ -30,9 +30,6 @@ val create :
   unit ->
   t
 
-val shards : t -> int
-val replicas : t -> int
-val spares : t -> int
 val group : t -> int -> group
 val ring : t -> Ring.t
 

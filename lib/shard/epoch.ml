@@ -6,7 +6,6 @@ let initial ~members =
 
 let majority c = (Sim.Pidset.cardinal c.members / 2) + 1
 let is_member c p = Sim.Pidset.mem p c.members
-let accepts c ~epoch = epoch = c.epoch
 
 let check_quorum c ~epoch q =
   if epoch <> c.epoch then

@@ -18,10 +18,6 @@ val majority : config -> int
 
 val is_member : config -> Sim.Pid.t -> bool
 
-(** [accepts c ~epoch]: does configuration [c] honour quorums formed in
-    [epoch]?  True only for [c]'s own epoch. *)
-val accepts : config -> epoch:int -> bool
-
 (** [check_quorum c ~epoch q] is [Ok ()] iff [q] is a valid quorum for
     [c]: formed in [c]'s epoch, all members, at least a majority.  The
     [Error] carries the reason — chaos invariants and the epoch-handoff

@@ -44,7 +44,6 @@ type t = {
 }
 
 let create ~ring ~ops ~step = { ring; ops; step }
-let ring t = t.ring
 let shard_of t key = Ring.shard_of t.ring key
 
 let write t ~key ~value =

@@ -40,7 +40,6 @@ type t
     run concurrently). *)
 val create : ring:Ring.t -> ops:(int -> ops) -> step:(unit -> unit) -> t
 
-val ring : t -> Ring.t
 val shard_of : t -> string -> int
 
 (** Route a write; [Some shard] if a live member accepted it. *)

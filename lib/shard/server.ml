@@ -44,15 +44,10 @@ let impl ?detector ~period ~members () :
     {
       proto = Replica.protocol ?detector ~period ~members ();
       codec = Replica.codec;
-      submitted = (fun st -> Cons.Smr.submitted (Replica.smr_state st));
-      applied = Replica.applied;
+      smr = Replica.smr_state;
+      show = Replica.payload_to_string;
       decided = (fun out -> Some out);
       submit = (fun c -> c);
-      log_line =
-        (fun slot (cmd : Replica.cmd) ->
-          Printf.sprintf "%d\t%d\t%d\t%s" slot cmd.Cons.Smr.origin
-            cmd.Cons.Smr.seq
-            (String.escaped (Replica.payload_to_string cmd.Cons.Smr.payload)));
       on_request =
         (fun ~state ~inject:_ frame ->
           match Net.Wire.of_bytes request_codec frame with

@@ -19,8 +19,6 @@ let stop_when_all_correct_output fp outputs =
     (fun p -> List.exists (fun (e : _ Trace.event) -> Pid.equal e.pid p) outputs)
     correct
 
-let stop_after_outputs k outputs = List.length outputs >= k
-
 let config ?(policy = Network.Fifo) ?(seed = 1) ?(max_steps = 20_000)
     ?(inputs = []) ?(stop = fun _ -> false) ?(detect_quiescence = true)
     ?scheduler ?round_hook ?sink ?render_out ~fd fp =

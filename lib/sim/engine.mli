@@ -81,9 +81,6 @@ val config :
 val stop_when_all_correct_output :
   Failure_pattern.t -> 'out Trace.event list -> bool
 
-(** Stop once at least [k] outputs have been produced. *)
-val stop_after_outputs : int -> 'out Trace.event list -> bool
-
 (** A run's state at a round boundary: the process states, the message
     buffer, the pending inputs, the outputs so far and the step, clock and
     round counters.  It is a shallow copy — the arrays and the buffer's

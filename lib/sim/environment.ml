@@ -8,8 +8,6 @@ let name t = t.name
 let mem t fp = t.mem fp
 let sample t ~n ~horizon rng = t.sample ~n ~horizon rng
 
-let custom ~name ~mem ~sample = { name; mem; sample }
-
 (* Draw a pattern with exactly [k] faulty processes at random times. *)
 let sample_with_faults ~n ~horizon ~k ?(min_time = 0) rng =
   let victims =

@@ -36,10 +36,3 @@ val process_correct : Pid.t -> t
 (** Patterns in which no process crashes before time [t0] ("no early
     crashes" — an example of a timing assumption the paper allows). *)
 val no_crash_before : int -> t
-
-(** [custom ~name ~mem ~sample] builds an ad-hoc environment. *)
-val custom :
-  name:string ->
-  mem:(Failure_pattern.t -> bool) ->
-  sample:(n:int -> horizon:int -> Rng.t -> Failure_pattern.t) ->
-  t

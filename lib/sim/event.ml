@@ -39,22 +39,3 @@ let pid_of = function
   | Crash p | Fd_query p | Input p -> Some p
   | Output { pid; _ } -> Some pid
   | Metric _ -> None
-
-let pp_kind ppf = function
-  | Send { src; dst } -> Format.fprintf ppf "send %d->%d" src dst
-  | Deliver { src; dst; sent_at } ->
-    Format.fprintf ppf "deliver %d->%d (sent@@%d)" src dst sent_at
-  | Crash p -> Format.fprintf ppf "crash %d" p
-  | Fd_query p -> Format.fprintf ppf "fd_query %d" p
-  | Input p -> Format.fprintf ppf "input %d" p
-  | Output { pid; info } ->
-    if info = "" then Format.fprintf ppf "output %d" pid
-    else Format.fprintf ppf "output %d %s" pid info
-  | Metric { name; value } -> Format.fprintf ppf "metric %s=%d" name value
-
-let pp ppf e =
-  Format.fprintf ppf "[t=%d r=%d%a] %a" e.time e.round
-    (fun ppf -> function
-      | None -> ()
-      | Some vc -> Format.fprintf ppf " vc=%a" Vclock.pp vc)
-    e.vc pp_kind e.kind

@@ -46,6 +46,3 @@ val kind_name : kind -> string
 
 (** The process an event is about ([None] for metrics). *)
 val pid_of : kind -> Pid.t option
-
-val pp_kind : Format.formatter -> kind -> unit
-val pp : Format.formatter -> t -> unit

@@ -158,11 +158,6 @@ let deliver t ~now ~dst =
 
 let pending t ~dst = List.length (queue t dst)
 
-let in_flight t =
-  Array.fold_left
-    (fun acc q -> acc + List.length (Option.value q ~default:[]))
-    0 t.queues
-
 let digest t =
   let envs q =
     List.sort (fun a b -> Int.compare a.seq b.seq) q

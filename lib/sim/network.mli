@@ -71,9 +71,6 @@ val deliver_env : 'msg t -> now:int -> dst:Pid.t -> 'msg delivery option
 (** [pending t ~dst] counts undelivered messages addressed to [dst]. *)
 val pending : 'msg t -> dst:Pid.t -> int
 
-(** [in_flight t] counts all undelivered messages. *)
-val in_flight : 'msg t -> int
-
 (** A structural hash of the buffer contents (per-destination envelopes
     with senders, payloads, timing) — used by the model checker to detect
     revisited global states. *)

@@ -11,8 +11,6 @@ val compare : t -> t -> int
 
 val equal : t -> t -> bool
 
-val hash : t -> int
-
 val pp : Format.formatter -> t -> unit
 
 (** [all n] is the list of the [n] process identifiers [0 .. n-1]. *)

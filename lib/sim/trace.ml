@@ -47,19 +47,3 @@ let stats t =
     ("net.delivered", t.messages_delivered);
   ]
   @ (match latency t with None -> [] | Some l -> [ ("run.latency", l) ])
-
-let pp pp_out fmt t =
-  let pp_event fmt (e : 'out event) =
-    Format.fprintf fmt "@[t=%-5d %a -> %a@]" e.time Pid.pp e.pid pp_out e.value
-  in
-  Format.fprintf fmt
-    "@[<v>run: %a@ steps=%d ticks=%d sent=%d delivered=%d stopped=%s@ %a@]"
-    Failure_pattern.pp t.fp t.steps t.ticks t.messages_sent
-    t.messages_delivered
-    (match t.stopped with
-    | `Condition -> "condition"
-    | `Quiescent -> "quiescent"
-    | `Step_limit -> "step-limit"
-    | `Hook -> "hook")
-    (Format.pp_print_list pp_event)
-    t.outputs

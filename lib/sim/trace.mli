@@ -21,9 +21,6 @@ type ('st, 'out) t = {
 (** [outputs_of t p] lists the values output by process [p], oldest first. *)
 val outputs_of : ('st, 'out) t -> Pid.t -> 'out list
 
-(** [first_output t p] is [p]'s first output, if any. *)
-val first_output : ('st, 'out) t -> Pid.t -> 'out option
-
 (** [decision_times t] maps each process to the time of its first output. *)
 val decision_times : ('st, 'out) t -> (Pid.t * int) list
 
@@ -41,6 +38,3 @@ val all_correct_output : ('st, 'out) t -> bool
     the observability layer; the per-event side lives in {!Event} and the
     [obs] library. *)
 val stats : ('st, 'out) t -> (string * int) list
-
-val pp :
-  (Format.formatter -> 'out -> unit) -> Format.formatter -> ('st, 'out) t -> unit

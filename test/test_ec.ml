@@ -172,8 +172,9 @@ let test_codec_msgs () =
 let test_codec_requests () =
   List.iter
     (fun r ->
+      let c = Ec.Mixed.request_codec in
       Alcotest.(check bool) "request round-trips" true
-        (Ec.Mixed.decode_request (Ec.Mixed.encode_request r) = r))
+        (Net.Wire.of_bytes c (Net.Wire.to_bytes c r) = r))
     [
       Ec.Mixed.Lin "some-command";
       Ec.Mixed.Eput { key = "k"; value = "v" };
@@ -182,8 +183,9 @@ let test_codec_requests () =
     ];
   List.iter
     (fun r ->
+      let c = Ec.Mixed.ereply_codec in
       Alcotest.(check bool) "ereply round-trips" true
-        (Ec.Mixed.decode_ereply (Ec.Mixed.encode_ereply r) = r))
+        (Net.Wire.of_bytes c (Net.Wire.to_bytes c r) = r))
     [
       Ec.Mixed.Put_ack { lamport = 12; origin = 2 };
       Ec.Mixed.Get_hit { value = "v"; lamport = 3; origin = 0 };

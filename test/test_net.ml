@@ -385,8 +385,8 @@ let socket_decoders =
     ("shard read reply", codec Shard.Server.read_reply_codec);
     ("envelope", fun b -> ignore (Net.Wire.decode_envelope_with pmsg b));
     ("smr reply", fun b -> ignore (Net.Smr_node.decode_reply b));
-    ("mixed request", fun b -> ignore (Ec.Mixed.decode_request b));
-    ("mixed ereply", fun b -> ignore (Ec.Mixed.decode_ereply b));
+    ("mixed request", codec Ec.Mixed.request_codec);
+    ("mixed ereply", codec Ec.Mixed.ereply_codec);
     ("mixed message", codec (Ec.Codecs.mixed Net.Wire.string_c));
     ("omega message", codec Net.Codecs.omega_msg);
     ("shard replica message", codec Shard.Replica.codec);
@@ -446,8 +446,9 @@ let valid_frames =
     with_buf (fun buf ->
         Net.Wire.W.varint buf 7;
         Net.Wire.W.varint buf 12);
-    Ec.Mixed.encode_request (Ec.Mixed.Eput { key = "k"; value = "v" });
-    Ec.Mixed.encode_ereply
+    Net.Wire.to_bytes Ec.Mixed.request_codec
+      (Ec.Mixed.Eput { key = "k"; value = "v" });
+    Net.Wire.to_bytes Ec.Mixed.ereply_codec
       (Ec.Mixed.Get_hit { value = "v"; lamport = 3; origin = 2 });
     Net.Wire.to_bytes (Ec.Codecs.mixed Net.Wire.string_c)
       (Sim.Layered.Detector (Sim.Layered.Main (Cons.Smr.Submit [ cmd ])));
